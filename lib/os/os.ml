@@ -26,6 +26,7 @@ type t = {
   mutable free_thread_slots : int list;
   mutable scratch_page : int option; (* staging page reused for loads *)
   mutable events : Hw.Trap.cause list; (* newest first *)
+  mutable event_count : int; (* List.length events, kept in step *)
   granted : (int, int list) Hashtbl.t; (* eid -> units *)
   thread_table : (int, int list) Hashtbl.t; (* eid -> tids *)
 }
@@ -72,12 +73,14 @@ let create sm =
       free_thread_slots = [];
       scratch_page = None;
       events = [];
+      event_count = 0;
       granted = Hashtbl.create 8;
       thread_table = Hashtbl.create 8;
     }
   in
   Sanctorum.Sm.set_os_trap_handler sm (fun core cause ->
       t.events <- cause :: t.events;
+      t.event_count <- t.event_count + 1;
       (* The OS's handler runs natively: park the core so control
          returns to the scheduler loop. *)
       core.Hw.Machine.halted <- true);
@@ -88,7 +91,9 @@ let machine t = t.machine
 let unit_bytes t = Sanctorum.Sm.memory_unit_bytes t.sm
 
 let delegated_events t = List.rev t.events
-let clear_delegated_events t = t.events <- []
+let clear_delegated_events t =
+  t.events <- [];
+  t.event_count <- 0
 
 (* --------------------------------------------------------------- *)
 (* Allocation *)
@@ -309,11 +314,16 @@ let reclaim_enclave t ~eid =
 (* --------------------------------------------------------------- *)
 (* Scheduling *)
 
+(* The delegated event that ended a run, if any arrived since the count
+   stood at [events_before]: the counter keeps this O(1) however long
+   the never-cleared event list grows. *)
+let newest_event t ~events_before =
+  match t.events with
+  | e :: _ when t.event_count > events_before -> Some e
+  | _ -> None
+
 let classify_outcome t ~events_before ~tid ~core =
-  let new_events =
-    let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-    take (List.length t.events - events_before) t.events
-  in
+  let newest = newest_event t ~events_before in
   if (Hw.Machine.core t.machine core).Hw.Machine.quarantined then Killed
   else
   match Sanctorum.Sm.thread_state t.sm ~tid with
@@ -322,17 +332,17 @@ let classify_outcome t ~events_before ~tid ~core =
       match Sanctorum.Sm.thread_has_aex_state t.sm ~tid with
       | Ok true -> begin
           (* An AEX happened: the delegated event says why. *)
-          match new_events with
-          | Hw.Trap.Interrupt _ :: _ -> Preempted
-          | (Hw.Trap.Exception _ as e) :: _ -> Faulted e
-          | [] -> Preempted
+          match newest with
+          | Some (Hw.Trap.Interrupt _) -> Preempted
+          | Some (Hw.Trap.Exception _ as e) -> Faulted e
+          | None -> Preempted
         end
       | Ok false | Error _ -> Exited
     end
 
 let enter_and_run t ~eid ~tid ~core ~fuel ~quantum =
   let c = Hw.Machine.core t.machine core in
-  let events_before = List.length t.events in
+  let events_before = t.event_count in
   let* () =
     retry_transient (fun () ->
         Sanctorum.Sm.enter_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~tid ~core)
@@ -356,7 +366,7 @@ let resume_enclave t ~eid ~tid ~core ~fuel ?quantum () =
    exited — so it re-arms the quantum and lets the core continue. *)
 let continue_running t ~tid ~core ~fuel ?quantum () =
   let c = Hw.Machine.core t.machine core in
-  let events_before = List.length t.events in
+  let events_before = t.event_count in
   match Sanctorum.Sm.thread_state t.sm ~tid with
   | Ok (`Running (_, rcore)) when rcore = core ->
       (match quantum with
@@ -536,7 +546,7 @@ let run_untrusted_program t ~code ~core ~fuel ?(data_pages = 1) () =
       ~vaddr:(untrusted_code_vaddr + ((i + 1) * page))
       ~paddr:p ~x:false ~w:true
   done;
-  let events_before = List.length t.events in
+  let events_before = t.event_count in
   Hw.Machine.reset_core_state c;
   (* Installing a new address space invalidates prior translations. *)
   Hw.Tlb.flush c.Hw.Machine.tlb;
@@ -550,9 +560,7 @@ let run_untrusted_program t ~code ~core ~fuel ?(data_pages = 1) () =
   let outcome =
     if not c.Hw.Machine.halted then Fuel_exhausted
     else begin
-      let new_count = List.length t.events - events_before in
-      let rec nth_new l n = match (l, n) with x :: _, 0 -> Some x | _ :: r, n -> nth_new r (n - 1) | [], _ -> None in
-      match if new_count > 0 then nth_new t.events 0 else None with
+      match newest_event t ~events_before with
       | Some (Hw.Trap.Exception Hw.Trap.Ecall_user) -> Exited
       | Some (Hw.Trap.Interrupt _) -> Preempted
       | Some e -> Faulted e

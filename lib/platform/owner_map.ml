@@ -1,6 +1,14 @@
 module Hw = Sanctorum_hw
 
-type t = { owners : int array }
+(* [ranges] caches the maximal same-owner runs of [owners] in ascending
+   order; [None] means stale. [set_range] is the only mutator of
+   [owners] and clears it, so a reader never sees a list that disagrees
+   with the pages. A Keystone domain switch rebuilds its PMP layout from
+   this list, so the switch costs O(ranges), not O(pages). *)
+type t = {
+  owners : int array;
+  mutable ranges : (int * int * Hw.Trap.domain) list option;
+}
 
 let page = Hw.Phys_mem.page_size
 
@@ -11,7 +19,7 @@ let page_shift = 12
 let () = assert (page = 1 lsl page_shift)
 
 let create mem ~initial_owner =
-  { owners = Array.make (Hw.Phys_mem.size mem / page) initial_owner }
+  { owners = Array.make (Hw.Phys_mem.size mem / page) initial_owner; ranges = None }
 
 let owner_at t ~paddr =
   (* negative [paddr] shifts to a huge positive int, caught by the
@@ -27,6 +35,7 @@ let check_aligned lo hi =
 
 let set_range t ~lo ~hi domain =
   check_aligned lo hi;
+  t.ranges <- None;
   for p = lo / page to (hi / page) - 1 do
     t.owners.(p) <- domain
   done
@@ -41,30 +50,30 @@ let range_owned_by t ~lo ~hi domain =
 
 let pages t = Array.length t.owners
 
-let iter_ranges t f =
-  let n = Array.length t.owners in
-  let lo = ref 0 in
+(* The annotation keeps the comparisons below on immediate ints rather
+   than the polymorphic [compare]. *)
+let scan (owners : Hw.Trap.domain array) =
+  let n = Array.length owners in
+  let acc = ref [] and lo = ref 0 in
   for p = 1 to n do
-    if p = n || t.owners.(p) <> t.owners.(!lo) then begin
-      f ~lo:(!lo * page) ~hi:(p * page) ~domain:t.owners.(!lo);
+    if p = n || owners.(p) <> owners.(!lo) then begin
+      acc := (!lo * page, p * page, owners.(!lo)) :: !acc;
       lo := p
     end
-  done
+  done;
+  List.rev !acc
+
+let ranges t =
+  match t.ranges with
+  | Some r -> r
+  | None ->
+      let r = scan t.owners in
+      t.ranges <- Some r;
+      r
+
+let iter_ranges t f = List.iter (fun (lo, hi, domain) -> f ~lo ~hi ~domain) (ranges t)
 
 let domain_ranges t domain =
-  let n = Array.length t.owners in
-  let rec scan p acc current =
-    if p = n then begin
-      match current with
-      | Some lo -> List.rev ((lo, n * page) :: acc)
-      | None -> List.rev acc
-    end
-    else if t.owners.(p) = domain then
-      scan (p + 1) acc (match current with Some _ -> current | None -> Some (p * page))
-    else begin
-      match current with
-      | Some lo -> scan (p + 1) ((lo, p * page) :: acc) None
-      | None -> scan (p + 1) acc None
-    end
-  in
-  scan 0 [] None
+  List.filter_map
+    (fun (lo, hi, d) -> if d = domain then Some (lo, hi) else None)
+    (ranges t)

@@ -24,7 +24,8 @@ val domain_ranges : t -> Sanctorum_hw.Trap.domain -> (int * int) list
 
 val iter_ranges :
   t -> (lo:int -> hi:int -> domain:Sanctorum_hw.Trap.domain -> unit) -> unit
-(** One pass over the whole map: [f] is called once per maximal
-    same-owner [lo, hi) byte range, in ascending address order. Lets a
-    caller rebuild its view of every domain at once without paying one
-    {!domain_ranges} scan per domain. *)
+(** [f] is called once per maximal same-owner [lo, hi) byte range, in
+    ascending address order; the ranges partition the map. The range
+    list is cached between {!set_range} calls, so both this and
+    {!domain_ranges} cost O(ranges) except on the first call after a
+    change, which rescans the pages once. *)

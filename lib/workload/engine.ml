@@ -103,8 +103,13 @@ type t = {
   mutable dropped : int;
   mutable history : Tel.Event.t list list;  (* reversed event-window chunks *)
   mutable failed_buf : (int * string) list;  (* reversed; drained by take_failed *)
-  mutable wall_s : float;  (* host time spent inside step/finish *)
+  mutable wall_s : float;  (* monotonic host time inside step/finish *)
 }
+
+(* Wall time, not process CPU time ([Sys.time]): the fleet runs one
+   engine per domain, and CPU time would charge each engine for all of
+   them. *)
+let seconds_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
 
 let create cfg =
   if cfg.cores < 1 then invalid_arg "Engine.create: cores must be >= 1";
@@ -291,7 +296,7 @@ let on_exit t job m completed =
   end
 
 let step t =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   (* Jitter the timeslice by up to 1/8 of a quantum, like a real
      scheduler's timer slack. A perfectly periodic quantum can
      phase-lock with a deterministic guest: if the preemption lands in
@@ -351,7 +356,7 @@ let step t =
   t.rounds <- t.rounds + 1;
   if t.cfg.check_every > 0 && t.rounds mod t.cfg.check_every = 0 then
     checkpoint t;
-  t.wall_s <- t.wall_s +. (Sys.time () -. t0);
+  t.wall_s <- t.wall_s +. seconds_since t0;
   List.rev !completed
 
 let abort t ~jid ~reason =
@@ -376,7 +381,7 @@ let rounds_run t = t.rounds
 let latency_histogram t = t.hist
 
 let finish t =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let drained = Os.Scheduler.drain t.sched ~fuel:t.cfg.fuel ~quantum:t.cfg.quantum in
   Hashtbl.fold (fun eid _ acc -> eid :: acc) t.by_eid []
   |> List.sort compare
@@ -384,7 +389,7 @@ let finish t =
          match Hashtbl.find_opt t.by_eid eid with
          | Some (_, m) -> reclaim_member t m
          | None -> ());
-  t.wall_s <- t.wall_s +. (Sys.time () -. t0);
+  t.wall_s <- t.wall_s +. seconds_since t0;
   checkpoint t;
   t.findings <-
     t.findings @ An.Orderlint.check (List.concat (List.rev t.history));

@@ -84,7 +84,9 @@ type report = Engine.report = {
           sent/received gap *)
   rp_msgs_accounted : bool;
       (** [sent = received + inflight]: no message is unaccounted for *)
-  rp_wall_s : float;  (** host seconds for the scheduling loop *)
+  rp_wall_s : float;
+      (** monotonic host seconds for the scheduling loop (wall time, not
+          process CPU time) *)
   rp_mips : float;  (** simulated Minstr / host second *)
   rp_ops_per_sec : float;
       (** (installs + reclaims + exits) / host second *)

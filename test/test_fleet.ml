@@ -654,7 +654,12 @@ let test_chaos_all_clean () =
 (* The partition drill, pinned: a 500-tick blackout after the fleet is
    up. Both nodes must be fenced (heartbeats dead past the suspicion
    deadline), their jobs migrated, and — once the partition heals —
-   re-attested under a fresh epoch, finishing the work themselves. *)
+   re-attested under a fresh epoch, finishing the work themselves.
+   Ticks are paced by the wall clock, so the jobs must still be running
+   at tick 60 however fast the host simulates: at 8 exits a job, a fast
+   host finished everything before the blackout began and nobody was
+   fenced. 32 exits keep a wide margin and cost no extra wall time (the
+   blackout dominates the run). *)
 let test_partition_evict_rejoin () =
   let cfg =
     {
@@ -663,7 +668,7 @@ let test_partition_evict_rejoin () =
       Fl.shards = 2;
       enclaves = 2;
       jobs = 16;
-      target = 8;
+      target = 32;
       net = netspec "part@60+500";
     }
   in

@@ -153,6 +153,154 @@ let test_dma_checks_both () =
       | Ok () -> Alcotest.fail "dma to monitor memory allowed")
     [ Testbed.Sanctum_backend; Testbed.Keystone_backend ]
 
+(* Differential: the Keystone PMP layout against the owner-map rule it
+   encodes. Allows, denies and the monitor's entry come from one
+   partition of memory, so they never overlap and their order cannot
+   change a decision — only overflow can, and it must fail closed. *)
+
+let small_mem = 1024 * 1024
+let page = Hw.Phys_mem.page_size
+let sm_pages = Pf.Platform.sm_memory_bytes / page
+let mem_pages = small_mem / page
+
+(* 1 is the OS; 2..6 are enclaves. *)
+let gen_domain = QCheck2.Gen.int_range 1 6
+
+(* A grant of [len] pages at page [start], above the monitor. *)
+let gen_grant =
+  QCheck2.Gen.(
+    let* start = int_range sm_pages (mem_pages - 1) in
+    let* len = int_range 1 (min 12 (mem_pages - start)) in
+    let* d = gen_domain in
+    return (start, len, d))
+
+let gen_query =
+  QCheck2.Gen.(
+    triple gen_domain (int_range 0 (mem_pages - 1))
+      (oneofl Hw.Trap.[ Read; Write; Execute ]))
+
+let gen_scenario =
+  QCheck2.Gen.(
+    quad (int_range 3 24) gen_domain
+      (list_size (int_range 0 40) gen_grant)
+      (list_size (int_range 1 40) gen_query))
+
+let print_scenario (entries, d0, grants, queries) =
+  let acc = function
+    | Hw.Trap.Read -> "r"
+    | Hw.Trap.Write -> "w"
+    | Hw.Trap.Execute -> "x"
+  in
+  Printf.sprintf "pmp=%d core0-domain=%d grants=[%s] queries=[%s]" entries d0
+    (String.concat "; "
+       (List.map (fun (s, l, d) -> Printf.sprintf "%d+%d->%d" s l d) grants))
+    (String.concat "; "
+       (List.map
+          (fun (d, p, a) -> Printf.sprintf "d%d@%d:%s" d p (acc a))
+          queries))
+
+let qcheck_keystone_pmp_matches_owner_map =
+  QCheck2.Test.make ~name:"keystone PMP decision = owner-map rule" ~count:300
+    ~print:print_scenario gen_scenario
+    (fun (entries, d0, grants, queries) ->
+      let machine =
+        Hw.Machine.create
+          {
+            Hw.Machine.default_config with
+            mem_bytes = small_mem;
+            cores = 1;
+            pmp_entries = entries;
+          }
+      in
+      let pf = Pf.Keystone.create machine in
+      let c = Hw.Machine.core machine 0 in
+      (* Enter before the grants: [assign_range] must reprogram a core
+         already inside a domain. *)
+      pf.Pf.Platform.enter_domain ~core:c d0;
+      List.iter
+        (fun (start, len, d) ->
+          Result.get_ok
+            (pf.Pf.Platform.assign_range ~lo:(start * page)
+               ~hi:((start + len) * page)
+               d))
+        grants;
+      let enclave_ranges =
+        List.concat_map pf.Pf.Platform.ranges_of_domain [ 2; 3; 4; 5; 6 ]
+      in
+      (* entry 0 is the monitor's, the last the background allow *)
+      let fits = List.length enclave_ranges <= entries - 2 in
+      let decide d paddr access =
+        if d <> c.Hw.Machine.domain then pf.Pf.Platform.enter_domain ~core:c d;
+        Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access ~paddr
+      in
+      let agrees (d, p, access) =
+        let paddr = (p * page) + (p * 8 mod page) in
+        let owner = pf.Pf.Platform.owner_at ~paddr in
+        let allowed = decide d paddr access in
+        if fits then
+          allowed = (owner = d || owner = Hw.Trap.domain_untrusted)
+        else
+          (not allowed || owner = d)
+          &&
+          (* own ranges go first, so they survive when they fit *)
+          (owner <> d || d = Hw.Trap.domain_untrusted
+          || List.length (pf.Pf.Platform.ranges_of_domain d) > entries - 2
+          || allowed)
+      in
+      (* The core has not been re-entered yet, so these check the
+         reprogramming the grants did. *)
+      List.for_all
+        (fun p ->
+          List.for_all (fun a -> agrees (d0, p, a)) Hw.Trap.[ Read; Write; Execute ])
+        (List.init mem_pages Fun.id)
+      && List.for_all agrees queries)
+
+(* The cached range list against a fresh page scan, read between
+   mutations so a stale cache would show. *)
+let qcheck_owner_map_ranges_cache =
+  QCheck2.Test.make ~name:"owner-map cached ranges = page scan" ~count:300
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(list_size (int_range 1 30) gen_grant)
+    (fun grants ->
+      let om =
+        Pf.Owner_map.create
+          (Hw.Phys_mem.create ~size:small_mem)
+          ~initial_owner:Hw.Trap.domain_untrusted
+      in
+      let scan () =
+        let rec go p acc =
+          if p = mem_pages then List.rev acc
+          else
+            let d = Pf.Owner_map.owner_at om ~paddr:(p * page) in
+            match acc with
+            | (lo, hi, d') :: rest when d' = d && hi = p * page ->
+                go (p + 1) ((lo, (p + 1) * page, d) :: rest)
+            | _ -> go (p + 1) ((p * page, (p + 1) * page, d) :: acc)
+        in
+        go 0 []
+      in
+      let consistent () =
+        let expected = scan () in
+        let seen = ref [] in
+        Pf.Owner_map.iter_ranges om (fun ~lo ~hi ~domain ->
+            seen := (lo, hi, domain) :: !seen);
+        List.rev !seen = expected
+        && List.for_all
+             (fun d ->
+               Pf.Owner_map.domain_ranges om d
+               = List.filter_map
+                   (fun (lo, hi, d') -> if d' = d then Some (lo, hi) else None)
+                   expected)
+             [ 1; 2; 3; 4; 5; 6 ]
+      in
+      List.for_all
+        (fun (start, len, d) ->
+          Pf.Owner_map.set_range om ~lo:(start * page)
+            ~hi:((start + len) * page)
+            d;
+          consistent ())
+        grants)
+
 let suite =
   ( "platform",
     [
@@ -169,4 +317,6 @@ let suite =
       Alcotest.test_case "keystone PMP programming" `Quick
         test_keystone_pmp_programming;
       Alcotest.test_case "dma checks" `Quick test_dma_checks_both;
+      QCheck_alcotest.to_alcotest qcheck_keystone_pmp_matches_owner_map;
+      QCheck_alcotest.to_alcotest qcheck_owner_map_ranges_cache;
     ] )
