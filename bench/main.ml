@@ -561,12 +561,15 @@ let report_analysis () =
     let eid = i.Os.eid and tid = List.hd i.Os.tids in
     fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
   in
+  (* Monotonic wall time, as [Engine] reports it: [Sys.time] is CPU
+     time at clock-tick granularity, too coarse for these loops. *)
   let time ?(iters = 500) f =
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     for _ = 1 to iters do
       f ()
     done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+    /. float_of_int iters
   in
   Printf.printf "\n== analysis: invariant-checker cost ==\n";
   (* One snapshot pass over a populated monitor (every pass walks all

@@ -3,8 +3,10 @@
    illegal regardless of the monitor's internal state — an enclave
    entered before it was initialized, an AEX resume with no AEX
    pending, a region granted twice with no intervening free. The pass
-   is pure: it sees only the event list, so it can run over recorded
-   traces long after the machine is gone. *)
+   is pure: it sees only the events, so it can run over recorded
+   traces long after the machine is gone. It is a left fold, so a long
+   run can [feed] it each window of the trace as it is drained instead
+   of keeping the whole trace for one [check]. *)
 
 module Event = Sanctorum_telemetry.Event
 
@@ -24,7 +26,7 @@ let ids =
 
 type enclave_state = { mutable initialized : bool; mutable entered : int }
 
-type state = {
+type t = {
   alive : (int, enclave_state) Hashtbl.t;  (* eid -> state *)
   on_core : (int, int) Hashtbl.t;  (* core -> eid currently inside *)
   pending_aex : (int, unit) Hashtbl.t;  (* eid with an unconsumed AEX *)
@@ -163,18 +165,24 @@ let step st ~seq ~core payload =
                "message retrieved but none was deposited (event #%d)" seq))
   | _ -> ()
 
-let check events =
-  let st =
-    {
-      alive = Hashtbl.create 8;
-      on_core = Hashtbl.create 8;
-      pending_aex = Hashtbl.create 8;
-      granted = Hashtbl.create 32;
-      pending_mail = Hashtbl.create 8;
-      out = [];
-    }
-  in
+let create () =
+  {
+    alive = Hashtbl.create 8;
+    on_core = Hashtbl.create 8;
+    pending_aex = Hashtbl.create 8;
+    granted = Hashtbl.create 32;
+    pending_mail = Hashtbl.create 8;
+    out = [];
+  }
+
+let feed st events =
   List.iter
     (fun (e : Event.t) -> step st ~seq:e.seq ~core:e.core e.payload)
-    events;
-  List.rev st.out
+    events
+
+let findings st = List.rev st.out
+
+let check events =
+  let st = create () in
+  feed st events;
+  findings st

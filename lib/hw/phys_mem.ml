@@ -111,6 +111,23 @@ let write_u64 t pos v =
   Bytes.set_int64_le t.data pos v;
   notify t pos 8
 
+(* Unchecked and native-endian: [iter_nonzero_words] checks its whole
+   range once up front, and byte order cannot change whether a word is
+   zero. *)
+external unsafe_get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* A page-table frame is almost all zeros, so a reader that decodes
+   every slot through [read_u64] spends nearly all its time on empty
+   entries; this loop pays one load and compare per empty word. *)
+let iter_nonzero_words t ~pos ~len f =
+  check t pos len "iter_nonzero_words";
+  if pos land 7 <> 0 || len land 7 <> 0 then
+    invalid_arg "Phys_mem.iter_nonzero_words: unaligned range";
+  for w = pos / 8 to ((pos + len) / 8) - 1 do
+    let p = w * 8 in
+    if unsafe_get_word t.data p <> 0L then f p (Bytes.get_int64_le t.data p)
+  done
+
 let read_string t ~pos ~len =
   check t pos len "read_string";
   Bytes.sub_string t.data pos len

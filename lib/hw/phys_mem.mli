@@ -21,6 +21,15 @@ val write_u32 : t -> int -> int32 -> unit
 val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
 
+val iter_nonzero_words :
+  t -> pos:int -> len:int -> (int -> int64 -> unit) -> unit
+(** [iter_nonzero_words t ~pos ~len f] calls [f paddr v] for each
+    8-byte word in [pos, pos+len) whose stored value [v] is non-zero,
+    in ascending address order: what a [read_u64] loop over the range
+    would return, zeros skipped, with one bounds check for the whole
+    range. Read-only. Raises [Invalid_argument] if the range is out of
+    bounds or [pos] or [len] is not a multiple of 8. *)
+
 val read_string : t -> pos:int -> len:int -> string
 val write_string : t -> pos:int -> string -> unit
 

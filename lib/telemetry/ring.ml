@@ -30,6 +30,8 @@ let to_list t =
   iter (fun x -> acc := x :: !acc) t;
   List.rev !acc
 
+(* Slots at [length t] and beyond were never written since the last
+   clear, so only the slots in use need dropping. *)
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (length t) None;
   t.pushed <- 0

@@ -101,7 +101,7 @@ type t = {
   mutable msgs_inflight : int;
   mutable findings : An.Report.violation list;
   mutable dropped : int;
-  mutable history : Tel.Event.t list list;  (* reversed event-window chunks *)
+  lint : An.Orderlint.t;  (* fed each drained window *)
   mutable failed_buf : (int * string) list;  (* reversed; drained by take_failed *)
   mutable wall_s : float;  (* monotonic host time inside step/finish *)
 }
@@ -158,7 +158,7 @@ let create cfg =
     msgs_inflight = 0;
     findings = [];
     dropped = 0;
-    history = [];
+    lint = An.Orderlint.create ();
     failed_buf = [];
     wall_s = 0.;
   }
@@ -251,10 +251,11 @@ let checkpoint t =
   (* API calls never span a round boundary, so each drained window is
      well-formed for the lock-discipline pass. The orderliness lint
      needs whole-run lifecycles (a window that opens after an enclave's
-     create would flag every later enter), so windows are accumulated
-     and that pass runs once, in [finish]. *)
+     create would flag every later enter), so each window is fed to one
+     run-long pass whose findings [finish] reports. *)
   let evs = Tel.Sink.events t.sink in
   t.findings <- t.findings @ An.Checker.snapshot t.sm @ An.Lockcheck.check evs;
+  An.Orderlint.feed t.lint evs;
   List.iter
     (fun (e : Tel.Event.t) ->
       match e.Tel.Event.payload with
@@ -262,7 +263,6 @@ let checkpoint t =
       | Tel.Event.Mailbox_received _ -> t.msgs_received <- t.msgs_received + 1
       | _ -> ())
     evs;
-  t.history <- evs :: t.history;
   t.dropped <- t.dropped + Tel.Sink.dropped t.sink;
   Tel.Sink.clear t.sink
 
@@ -389,10 +389,9 @@ let finish t =
          match Hashtbl.find_opt t.by_eid eid with
          | Some (_, m) -> reclaim_member t m
          | None -> ());
-  t.wall_s <- t.wall_s +. seconds_since t0;
   checkpoint t;
-  t.findings <-
-    t.findings @ An.Orderlint.check (List.concat (List.rev t.history));
+  t.findings <- t.findings @ An.Orderlint.findings t.lint;
+  t.wall_s <- t.wall_s +. seconds_since t0;
   let free_end = Os.free_unit_count t.os in
   let reclaimed =
     free_end = t.free0 && S.enclaves t.sm = [] && S.thread_ids t.sm = []

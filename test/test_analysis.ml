@@ -64,12 +64,23 @@ let test_honest_trace () =
 (* ------------------------------------------------------------------ *)
 (* Snapshot invariants: one injected fault each. *)
 
+(* The exact report, for the checks whose subjects and details are
+   formatted only when they fire. *)
+let pinned ~id ~subject ~detail vs =
+  let report (r : A.Report.violation) = (r.id, r.subject, r.detail) in
+  Alcotest.(check (list (triple string string string)))
+    (id ^ " report") [ (id, subject, detail) ] (List.map report vs)
+
 let test_own_exclusive () =
   let tb, inst = installed_run () in
   silent (A.Checker.snapshot tb.Testbed.sm);
   Testbed.corrupt_owner_map tb
     ~rid:(S.memory_units tb.Testbed.sm - 1);
-  fires "own.exclusive" (A.Checker.snapshot tb.Testbed.sm);
+  pinned ~id:"own.exclusive" ~subject:"unit 63"
+    ~detail:
+      "resource map says untrusted but hardware owner at 0xfc0000 is \
+       domain:77"
+    (A.Checker.snapshot tb.Testbed.sm);
   ignore inst
 
 let test_own_sm_reserved () =
@@ -80,7 +91,43 @@ let test_own_sm_reserved () =
 let test_pt_confined () =
   let tb, inst = installed_run () in
   Testbed.corrupt_page_table tb ~eid:inst.Os.eid;
-  fires "pt.confined" (A.Checker.snapshot tb.Testbed.sm)
+  pinned ~id:"pt.confined" ~subject:"enclave 0x10000"
+    ~detail:"evrange mapping 0x10000 -> frame 0x0 lies in sm memory"
+    (A.Checker.snapshot tb.Testbed.sm)
+
+(* The last slot of a level-0 table is the last word the checker's
+   table scan reads: point it at monitor memory (frame 0), outside
+   evrange, so it reads as a shared window into the monitor. *)
+let test_pt_confined_last_slot backend () =
+  let tb, inst = installed_run ~backend () in
+  let mem = Hw.Machine.mem tb.Testbed.machine in
+  let pte table idx =
+    Hw.Phys_mem.page_base table + (idx * Hw.Page_table.pte_size)
+  in
+  let root, vpn =
+    match S.enclave_info tb.Testbed.sm ~eid:inst.Os.eid with
+    | Some { S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ } ->
+        (root, vpn)
+    | Some _ | None -> Alcotest.fail "enclave has no mapping"
+  in
+  let rec level0 table level =
+    if level = 0 then table
+    else
+      let idx = (vpn lsr (9 * level)) land 511 in
+      let entry = Hw.Phys_mem.read_u64 mem (pte table idx) in
+      match Hw.Page_table.decode_pte entry with
+      | Ok (child, _, false) -> level0 child (level - 1)
+      | Ok _ | Error () -> Alcotest.fail "no level-0 table"
+  in
+  let table = level0 root (Hw.Page_table.levels - 1) in
+  silent (A.Checker.snapshot tb.Testbed.sm);
+  Hw.Phys_mem.write_u64 mem (pte table 511)
+    (Hw.Page_table.encode_pte ~ppn:0
+       ~perms:{ Hw.Page_table.r = true; w = true; x = false; u = true }
+       ~valid:true);
+  pinned ~id:"pt.confined" ~subject:"enclave 0x10000"
+    ~detail:"shared-window mapping 0x1ff000 -> frame 0x0 lies in sm memory"
+    (A.Checker.snapshot tb.Testbed.sm)
 
 let test_pt_no_alias () =
   let tb, inst = installed_run () in
@@ -108,7 +155,9 @@ let test_enclave_lifecycle () =
 let test_thread_lifecycle () =
   let tb, inst = installed_run () in
   S.corrupt_thread_phase tb.Testbed.sm ~tid:(List.hd inst.Os.tids) ~core:0;
-  fires "thread.lifecycle" (A.Checker.snapshot tb.Testbed.sm)
+  pinned ~id:"thread.lifecycle" ~subject:"thread 0x10800"
+    ~detail:"running on core 0 whose domain is untrusted, not enclave:0x10000"
+    (A.Checker.snapshot tb.Testbed.sm)
 
 let test_core_domain () =
   let tb, _ = installed_run () in
@@ -118,7 +167,11 @@ let test_core_domain () =
 let test_meta_slots () =
   let tb, _ = installed_run () in
   S.corrupt_metadata_slot tb.Testbed.sm;
-  fires "meta.slots" (A.Checker.snapshot tb.Testbed.sm)
+  pinned ~id:"meta.slots" ~subject:"slot 0x80000"
+    ~detail:
+      "slot [0x80000, 0x80010) escapes the metadata window [0x10000, \
+       0x80000)"
+    (A.Checker.snapshot tb.Testbed.sm)
 
 let test_lock_quiescent () =
   let tb, inst = installed_run () in
@@ -204,74 +257,136 @@ let entered e =
 
 let exited ?(aex = false) e = Tel.Event.Enclave_exited { eid = e; aex }
 
-let test_order_lifecycle () =
-  fires "order.create" (A.Orderlint.check (trace [ created 1; created 1 ]));
-  fires "order.init" (A.Orderlint.check (trace [ inited 1 ]));
-  fires "order.init"
-    (A.Orderlint.check (trace [ created 1; inited 1; inited 1 ]));
-  fires "order.enter" (A.Orderlint.check (trace [ created 1; entered 1 ]));
-  fires "order.exit" (A.Orderlint.check (trace [ exited 1 ]));
-  fires "order.destroy"
-    (A.Orderlint.check
-       (trace
-          [
-            created 1;
-            inited 1;
-            entered 1;
-            Tel.Event.Enclave_destroyed { eid = 1 };
-          ]));
-  silent
-    (A.Orderlint.check
-       (trace
-          [
-            created 1;
-            inited 1;
-            entered 1;
-            exited 1;
-            Tel.Event.Enclave_destroyed { eid = 1 };
-          ]))
+let destroyed e = Tel.Event.Enclave_destroyed { eid = e }
 
 let grant rid =
   Tel.Event.Region_granted { kind = "memory"; rid; owner = "os" }
 
-let test_order_resources () =
-  fires "order.grant" (A.Orderlint.check (trace [ grant 4; grant 4 ]));
-  silent
-    (A.Orderlint.check
-       (trace
-          [
-            grant 4;
-            Tel.Event.Region_freed { kind = "memory"; rid = 4 };
-            grant 4;
-          ]))
+let freed rid = Tel.Event.Region_freed { kind = "memory"; rid }
 
-let test_order_aex_resume () =
-  let read_aex =
-    Tel.Event.Sm_api
-      {
-        api = "read_aex_state";
-        caller = "enclave:0x1";
-        outcome = Tel.Event.Accepted;
-        latency = 1;
-      }
+let read_aex =
+  Tel.Event.Sm_api
+    {
+      api = "read_aex_state";
+      caller = "enclave:0x1";
+      outcome = Tel.Event.Accepted;
+      latency = 1;
+    }
+
+let sent r = Tel.Event.Mailbox_sent { sender = "os"; recipient = r }
+let received r = Tel.Event.Mailbox_received { recipient = r; sender = "os" }
+
+(* Every orderliness trace below, by test: the id it must fire, or
+   [None] for a legal sequence that must stay silent. *)
+let order_cases =
+  [
+    ("lifecycle", Some "order.create", [ created 1; created 1 ]);
+    ("lifecycle", Some "order.init", [ inited 1 ]);
+    ("lifecycle", Some "order.init", [ created 1; inited 1; inited 1 ]);
+    ("lifecycle", Some "order.enter", [ created 1; entered 1 ]);
+    ("lifecycle", Some "order.exit", [ exited 1 ]);
+    ( "lifecycle",
+      Some "order.destroy",
+      [ created 1; inited 1; entered 1; destroyed 1 ] );
+    ( "lifecycle",
+      None,
+      [ created 1; inited 1; entered 1; exited 1; destroyed 1 ] );
+    ("grant", Some "order.grant", [ grant 4; grant 4 ]);
+    ("grant", None, [ grant 4; freed 4; grant 4 ]);
+    ("aex", Some "order.aex-resume", [ created 1; inited 1; read_aex ]);
+    ( "aex",
+      None,
+      [ created 1; inited 1; entered 1; exited ~aex:true 1; read_aex ] );
+    ("mailbox", Some "order.mailbox", [ received 1 ]);
+    ("mailbox", None, [ sent 1; received 1 ]);
+  ]
+
+let test_order group () =
+  List.iter
+    (fun (g, expect, payloads) ->
+      if g = group then
+        let vs = A.Orderlint.check (trace payloads) in
+        match expect with Some id -> fires id vs | None -> silent vs)
+    order_cases
+
+(* A recorded honest churn run (creates, enters, exits, destroys and
+   reinstalls), taken whole before the engine's final checkpoint. *)
+let honest_run_trace =
+  lazy
+    (let cfg =
+       {
+         Sanctorum_workload.Workload.default with
+         seed = "orderlint-stream";
+         backend = Testbed.Sanctum_backend;
+         cores = 2;
+         enclaves = 4;
+         mix = Sanctorum_workload.Workload.Churn;
+         check_every = 0;
+       }
+     in
+     let module E = Sanctorum_workload.Engine in
+     let eng = E.create cfg in
+     for jid = 0 to cfg.enclaves - 1 do
+       E.submit eng ~jid ~seed:(Int64.of_int (jid + 1)) ~target:None
+     done;
+     for _ = 1 to 24 do
+       ignore (E.step eng)
+     done;
+     Tel.Sink.events (S.sink (E.testbed eng).Testbed.sm))
+
+let is_enter (e : Tel.Event.t) =
+  match e.payload with Tel.Event.Enclave_entered _ -> true | _ -> false
+
+let test_honest_run_trace () =
+  let events = Lazy.force honest_run_trace in
+  check_bool "trace has enters" true (List.exists is_enter events);
+  check_bool "trace has destroys" true
+    (List.exists
+       (fun (e : Tel.Event.t) ->
+         match e.payload with
+         | Tel.Event.Enclave_destroyed _ -> true
+         | _ -> false)
+       events);
+  silent (A.Orderlint.check events)
+
+(* Cut [events] at [cuts] (positions taken modulo the trace length + 1;
+   empty windows allowed) and at the first enter, so an enclave's
+   create and its first enter always land in different windows. *)
+let windows events cuts =
+  let a = Array.of_list events in
+  let n = Array.length a in
+  let first_enter =
+    let rec find i = if i >= n || is_enter a.(i) then i else find (i + 1) in
+    find 0
   in
-  fires "order.aex-resume"
-    (A.Orderlint.check (trace [ created 1; inited 1; read_aex ]));
-  silent
-    (A.Orderlint.check
-       (trace [ created 1; inited 1; entered 1; exited ~aex:true 1; read_aex ]))
+  let bounds =
+    List.sort_uniq compare
+      (0 :: n :: first_enter :: List.map (fun c -> c mod (n + 1)) cuts)
+  in
+  let rec go = function
+    | lo :: (hi :: _ as rest) ->
+        Array.to_list (Array.sub a lo (hi - lo)) :: go rest
+    | [ _ ] | [] -> []
+  in
+  go bounds
 
-let test_order_mailbox () =
-  fires "order.mailbox"
-    (A.Orderlint.check
-       (trace [ Tel.Event.Mailbox_received { recipient = 1; sender = "os" } ]));
-  silent
-    (A.Orderlint.check
-       (trace
-          [
-            Tel.Event.Mailbox_sent { sender = "os"; recipient = 1 };
-            Tel.Event.Mailbox_received { recipient = 1; sender = "os" };
-          ]))
+let qcheck_order_streaming =
+  QCheck2.Test.make ~name:"orderlint: window-by-window feed = whole check"
+    ~count:200
+    QCheck2.Gen.(
+      pair
+        (int_range 0 (List.length order_cases))
+        (list_size (int_range 0 12) (int_range 0 100_000)))
+    (fun (i, cuts) ->
+      let events =
+        if i = List.length order_cases then Lazy.force honest_run_trace
+        else
+          let _, _, payloads = List.nth order_cases i in
+          trace payloads
+      in
+      let st = A.Orderlint.create () in
+      List.iter (A.Orderlint.feed st) (windows events cuts);
+      A.Orderlint.findings st = A.Orderlint.check events)
 
 (* ------------------------------------------------------------------ *)
 (* The attack model: a subverted isolation primitive leaks to the OS
@@ -326,6 +441,10 @@ let suite =
       Alcotest.test_case "own.exclusive fires" `Quick test_own_exclusive;
       Alcotest.test_case "own.sm-reserved fires" `Quick test_own_sm_reserved;
       Alcotest.test_case "pt.confined fires" `Quick test_pt_confined;
+      Alcotest.test_case "pt.confined fires on slot 511 (sanctum)" `Quick
+        (test_pt_confined_last_slot Testbed.Sanctum_backend);
+      Alcotest.test_case "pt.confined fires on slot 511 (keystone)" `Quick
+        (test_pt_confined_last_slot Testbed.Keystone_backend);
       Alcotest.test_case "pt.no-alias fires" `Quick test_pt_no_alias;
       Alcotest.test_case "tlb.no-stale + cache.no-residue fire" `Quick
         test_tlb_no_stale;
@@ -340,10 +459,13 @@ let suite =
       Alcotest.test_case "lock.guard fires" `Quick test_lock_guard;
       Alcotest.test_case "lock.order fires" `Quick test_lock_order;
       Alcotest.test_case "order.* lifecycle lints fire" `Quick
-        test_order_lifecycle;
-      Alcotest.test_case "order.grant fires" `Quick test_order_resources;
-      Alcotest.test_case "order.aex-resume fires" `Quick test_order_aex_resume;
-      Alcotest.test_case "order.mailbox fires" `Quick test_order_mailbox;
+        (test_order "lifecycle");
+      Alcotest.test_case "order.grant fires" `Quick (test_order "grant");
+      Alcotest.test_case "order.aex-resume fires" `Quick (test_order "aex");
+      Alcotest.test_case "order.mailbox fires" `Quick (test_order "mailbox");
+      Alcotest.test_case "honest workload trace is orderly" `Quick
+        test_honest_run_trace;
+      QCheck_alcotest.to_alcotest qcheck_order_streaming;
       Alcotest.test_case "relaxed protections are detected" `Quick
         test_relax_protections;
       Alcotest.test_case "catalog covers every id" `Quick test_catalog;

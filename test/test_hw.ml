@@ -30,6 +30,64 @@ let test_phys_mem () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unaligned size accepted"
 
+(* [iter_nonzero_words] against the loop it replaces in the invariant
+   checker: [read_u64] over every word of a frame, keeping the
+   non-zero ones. Writes (zeros included) are biased to each frame's
+   first and last word and to the last frame of memory, and every frame
+   is scanned, so a scan that strays past its range or skips an edge
+   word shows up. *)
+let qcheck_nonzero_words =
+  let pages = 8 in
+  let words_per_page = Hw.Phys_mem.page_size / 8 in
+  let words = pages * words_per_page in
+  let frame = QCheck2.Gen.int_range 0 (pages - 1) in
+  let word =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 (words - 1);
+          map (fun f -> f * words_per_page) frame;
+          map (fun f -> ((f + 1) * words_per_page) - 1) frame;
+          int_range (words - words_per_page) (words - 1);
+        ])
+  in
+  let value = QCheck2.Gen.(oneof [ return 0L; return 1L; int64 ]) in
+  QCheck2.Test.make ~name:"phys_mem: nonzero-word scan = read_u64 loop"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 0 32) (pair word value))
+    (fun writes ->
+      let m = Hw.Phys_mem.create ~size:(pages * Hw.Phys_mem.page_size) in
+      List.iter (fun (w, v) -> Hw.Phys_mem.write_u64 m (w * 8) v) writes;
+      List.for_all
+        (fun f ->
+          let base = Hw.Phys_mem.page_base f in
+          let naive =
+            List.filter_map
+              (fun i ->
+                let v = Hw.Phys_mem.read_u64 m (base + (i * 8)) in
+                if v <> 0L then Some (base + (i * 8), v) else None)
+              (List.init words_per_page Fun.id)
+          in
+          let scanned = ref [] in
+          Hw.Phys_mem.iter_nonzero_words m ~pos:base
+            ~len:Hw.Phys_mem.page_size (fun p v ->
+              scanned := (p, v) :: !scanned);
+          List.rev !scanned = naive)
+        (List.init pages Fun.id))
+
+let test_nonzero_words_bounds () =
+  let m = Hw.Phys_mem.create ~size:(2 * Hw.Phys_mem.page_size) in
+  let rejects label ~pos ~len =
+    match Hw.Phys_mem.iter_nonzero_words m ~pos ~len (fun _ _ -> ()) with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" label
+  in
+  rejects "range past the end" ~pos:Hw.Phys_mem.page_size
+    ~len:(Hw.Phys_mem.page_size + 8);
+  rejects "negative start" ~pos:(-8) ~len:8;
+  rejects "unaligned start" ~pos:4 ~len:8;
+  rejects "unaligned length" ~pos:0 ~len:12
+
 (* ------------------------------------------------------------------ *)
 (* Cache model *)
 
@@ -503,6 +561,9 @@ let suite =
   ( "hw",
     [
       Alcotest.test_case "phys_mem" `Quick test_phys_mem;
+      QCheck_alcotest.to_alcotest qcheck_nonzero_words;
+      Alcotest.test_case "phys_mem: nonzero-word scan bounds" `Quick
+        test_nonzero_words_bounds;
       Alcotest.test_case "cache basics" `Quick test_cache_basic;
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction;
       Alcotest.test_case "cache custom index" `Quick test_cache_partition_fn;

@@ -24,14 +24,39 @@ let test_ring_wraparound () =
     (Tel.Ring.to_list r);
   Tel.Ring.clear r;
   check_int "cleared" 0 (Tel.Ring.length r);
-  check_int "accounting reset" 0 (Tel.Ring.dropped r)
+  check_int "accounting reset" 0 (Tel.Ring.dropped r);
+  (* a wrapped ring reused after a clear holds only what follows it *)
+  Tel.Ring.push r 10;
+  Tel.Ring.push r 11;
+  Alcotest.(check (list int)) "refilled after clear" [ 10; 11 ]
+    (Tel.Ring.to_list r);
+  for i = 12 to 14 do
+    Tel.Ring.push r i
+  done;
+  Alcotest.(check (list int)) "wraps again after clear" [ 11; 12; 13; 14 ]
+    (Tel.Ring.to_list r);
+  check_int "dropped since clear" 1 (Tel.Ring.dropped r)
 
 let test_ring_partial () =
   let r = Tel.Ring.create ~capacity:8 in
   Tel.Ring.push r "a";
   Tel.Ring.push r "b";
   Alcotest.(check (list string)) "no wrap" [ "a"; "b" ] (Tel.Ring.to_list r);
-  check_int "nothing dropped" 0 (Tel.Ring.dropped r)
+  check_int "nothing dropped" 0 (Tel.Ring.dropped r);
+  (* clearing a partly filled ring, then refilling it less far *)
+  Tel.Ring.clear r;
+  check_int "cleared" 0 (Tel.Ring.length r);
+  Tel.Ring.push r "c";
+  Alcotest.(check (list string)) "refilled after clear" [ "c" ]
+    (Tel.Ring.to_list r);
+  for i = 0 to 8 do
+    Tel.Ring.push r (string_of_int i)
+  done;
+  Alcotest.(check (list string))
+    "wraps after clear"
+    [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "8" ]
+    (Tel.Ring.to_list r);
+  check_int "dropped since clear" 2 (Tel.Ring.dropped r)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
