@@ -52,6 +52,8 @@ let git_rev () =
           match read_line target with "" -> "unknown" | rev -> rev)
       | rev -> rev)
 
+let seconds_since = Sanctorum_workload.Engine.seconds_since
+
 let provenance_json ~backend ~seed =
   Printf.sprintf
     "\"provenance\": { \"backend\": %S, \"seed\": %S, \"git_rev\": %S, \
@@ -493,11 +495,11 @@ let report_telemetry () =
   in
   let iters = 2000 in
   let time f =
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     for _ = 1 to iters do
       f ()
     done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
+    seconds_since t0 /. float_of_int iters *. 1e9
   in
   (* Traced run: per-op counter deltas from the metrics registry. *)
   let metrics = Tel.Metrics.create () in
@@ -561,15 +563,12 @@ let report_analysis () =
     let eid = i.Os.eid and tid = List.hd i.Os.tids in
     fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
   in
-  (* Monotonic wall time, as [Engine] reports it: [Sys.time] is CPU
-     time at clock-tick granularity, too coarse for these loops. *)
   let time ?(iters = 500) f =
     let t0 = Monotonic_clock.now () in
     for _ = 1 to iters do
       f ()
     done;
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
-    /. float_of_int iters
+    seconds_since t0 /. float_of_int iters *. 1e9
   in
   Printf.printf "\n== analysis: invariant-checker cost ==\n";
   (* One snapshot pass over a populated monitor (every pass walks all
@@ -629,11 +628,11 @@ let report_faults () =
   in
   let iters = 2000 in
   let time f =
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     for _ = 1 to iters do
       f ()
     done;
-    (Sys.time () -. t0) /. float_of_int iters *. 1e9
+    seconds_since t0 /. float_of_int iters *. 1e9
   in
   Printf.printf "\n== faults: fault-hook overhead (hooks idle) ==\n";
   let plain_op = workload (Testbed.create ()) in
@@ -670,12 +669,11 @@ let report_faults () =
 
 (* ------------------------------------------------------------------ *)
 (* Raw simulator throughput: the fig2 enclave compute loop, timed
-   wall-clock under all three execution tiers — stepped (fast path
-   off), block (fast path on, superblock off) and superblock (the
-   default). The architectural work (instret) is identical in every
-   tier — the differential suite proves that — so the MIPS ratios are
-   pure host-speed ratios. The machine-readable result lands in
-   BENCH_PR10.json for CI.
+   wall-clock under both execution tiers — stepped (fast path off) and
+   superblock (the default). The architectural work (instret) is
+   identical in both — the differential suite proves that — so the
+   MIPS ratio is a pure host-speed ratio. The machine-readable result
+   lands in BENCH_PR10.json for CI.
 
    SANCTORUM_SIM_QUOTA caps the instruction budget (CI smoke runs use
    a small quota); SANCTORUM_BENCH_JSON overrides the output path. *)
@@ -697,56 +695,44 @@ let report_sim () =
         ]
       @ exit_prog)
   in
-  let measure_once tier =
+  let measure_once fast =
     let tb = Testbed.create ~seed:"bench-sim" () in
-    (match tier with
-    | `Slow -> Hw.Machine.set_fast_path tb.Testbed.machine false
-    | `Fast -> Hw.Machine.set_superblock tb.Testbed.machine false
-    | `Super -> ());
+    Hw.Machine.set_fast_path tb.Testbed.machine fast;
     let i = install tb (Img.of_program ~evbase:0x10000 compute) in
     let os = tb.Testbed.os in
     let eid = i.Os.eid and tid = List.hd i.Os.tids in
     let core = Hw.Machine.core tb.Testbed.machine 0 in
     let i0 = core.Hw.Machine.instret in
-    (* gettimeofday, not Sys.time: the latter ticks at clock granularity
-       (10ms on Linux), which swamps sub-100ms reps under small quotas *)
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:((iters * 4) + 10_000) ());
-    let seconds = Unix.gettimeofday () -. t0 in
+    let seconds = seconds_since t0 in
     (core.Hw.Machine.instret - i0, seconds)
   in
   (* best of 3 fresh stacks per mode: the simulated work is identical
      every repetition, so the minimum wall time is the least-noisy
      sample *)
-  let measure tier =
-    let reps = List.init 3 (fun _ -> measure_once tier) in
+  let measure fast =
+    let reps = List.init 3 (fun _ -> measure_once fast) in
     List.fold_left
       (fun (n, s) (n', s') ->
         if n <> n' then failwith "sim bench: instret varied across repetitions";
         (n, Float.min s s'))
       (List.hd reps) (List.tl reps)
   in
-  let n_super, s_super = measure `Super in
-  let n_fast, s_fast = measure `Fast in
-  let n_slow, s_slow = measure `Slow in
-  if n_fast <> n_slow || n_super <> n_fast then
+  let n_super, s_super = measure true in
+  let n_slow, s_slow = measure false in
+  if n_super <> n_slow then
     failwith
-      (Printf.sprintf
-         "sim bench: instret diverged (superblock %d vs fast %d vs slow %d)"
-         n_super n_fast n_slow);
+      (Printf.sprintf "sim bench: instret diverged (superblock %d vs slow %d)"
+         n_super n_slow);
   let mips n s = if s <= 0. then 0. else float_of_int n /. s /. 1e6 in
-  let m_super = mips n_super s_super
-  and m_fast = mips n_fast s_fast
-  and m_slow = mips n_slow s_slow in
+  let m_super = mips n_super s_super and m_slow = mips n_slow s_slow in
   let ratio a b = if b = 0. then 0. else a /. b in
   Printf.printf "\n== sim: simulator throughput (fig2 compute loop, %d instrs) ==\n"
-    n_fast;
+    n_slow;
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "superblock tier" s_super m_super;
-  Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "fast path (superblock off)"
-    s_fast m_fast;
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "stepped (fast path off)" s_slow
     m_slow;
-  Printf.printf "  %-34s %9.2fx\n" "superblock / fast" (ratio m_super m_fast);
   Printf.printf "  %-34s %9.2fx\n" "superblock / stepped"
     (ratio m_super m_slow);
   let path =
@@ -762,17 +748,13 @@ let report_sim () =
     \  \"workload\": \"fig2-enclave-compute-loop\",\n\
     \  \"instructions\": %d,\n\
     \  \"superblock\": { \"seconds\": %.6f, \"mips\": %.2f },\n\
-    \  \"fast_path\": { \"seconds\": %.6f, \"mips\": %.2f },\n\
     \  \"slow_path\": { \"seconds\": %.6f, \"mips\": %.2f },\n\
-    \  \"speedup_superblock_over_fast\": %.2f,\n\
-    \  \"speedup_superblock_over_slow\": %.2f,\n\
-    \  \"speedup_fast_over_slow\": %.2f\n\
+    \  \"speedup_superblock_over_slow\": %.2f\n\
      }\n"
     (provenance_json
        ~backend:(Testbed.backend_name Testbed.Sanctum_backend)
        ~seed:"bench-sim")
-    n_fast s_super m_super s_fast m_fast s_slow m_slow (ratio m_super m_fast)
-    (ratio m_super m_slow) (ratio m_fast m_slow);
+    n_slow s_super m_super s_slow m_slow (ratio m_super m_slow);
   close_out oc;
   Printf.printf "  wrote %s\n" path
 
@@ -916,13 +898,13 @@ let report_attest () =
   let time_ns f =
     ignore (f ());
     (* warm: tables, caches *)
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     let n = ref 0 in
-    while Unix.gettimeofday () -. t0 < min_s do
+    while seconds_since t0 < min_s do
       ignore (f ());
       incr n
     done;
-    (Unix.gettimeofday () -. t0) /. float_of_int !n *. 1e9
+    seconds_since t0 /. float_of_int !n *. 1e9
   in
   let sk = C.Schnorr.secret_key_of_seed "bench-attest" in
   let pk = C.Schnorr.public_key sk in
@@ -1434,9 +1416,9 @@ let report_modelcheck () =
     "dedup" "hit-rate" "wall-s" "states/s";
   let clean = ref true in
   let run label cfg =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     let s = M.explore cfg in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = seconds_since t0 in
     let ok_edges = s.M.s_states - 1 + s.M.s_dedup_hits in
     let hit_rate =
       if ok_edges = 0 then 0. else float s.M.s_dedup_hits /. float ok_edges

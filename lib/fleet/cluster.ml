@@ -186,7 +186,7 @@ let run cfg =
   let drbg = C.Drbg.create ~seed:(cfg.seed ^ "/cluster") in
   let tick = ref 0 in
   let progress = ref false in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   (* -------------------------------------------------------------- *)
   (* Spawn: one domain per shard, each with a private machine. A
      shard's compute-bound stretches take a slot from this throttle,
@@ -710,7 +710,7 @@ let run cfg =
         r)
       peers
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Wl.Engine.seconds_since t0 in
   (* Fold the per-endpoint transport counters into the fleet metrics:
      cluster-side links and sessions directly, node-side via [Bye]. *)
   let l n = Tel.Metrics.counter metrics ("net.link." ^ n) in

@@ -97,7 +97,7 @@ type outcome = {
   r_completed : int list;  (** ascending jid *)
   r_failed_closed : (int * string) list;  (** ascending jid, with reason *)
   r_generations : int;
-  r_wall_s : float;  (** host wall clock, spawn to last [Bye] *)
+  r_wall_s : float;  (** monotonic host time, spawn to last [Bye] *)
   r_instret : int;  (** simulated instructions, all shards *)
   r_ops : int;  (** installs + reclaims + exits, all shards *)
   r_mips : float;  (** aggregate: instret / wall *)

@@ -136,7 +136,6 @@ type t = {
   sb_ctxs : sb_ctx array;  (* indexed by core id *)
   l1_shift : int;  (* log2 of the L1 line size: fetch-batch line tags *)
   mutable fast_path : bool;
-  mutable superblock : bool;
   mutable phys_epoch : int;
       (* bumped on every protection change ([set_phys_check],
          [note_protection_change]): the superblock guard that covers
@@ -256,16 +255,15 @@ let create cfg =
       sb_ctxs = Array.map mk_sb_ctx cores;
       l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
       fast_path = true;
-      superblock = true;
       phys_epoch = 0;
       phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
-    pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
-    dma_check = (fun ~paddr:_ ~len:_ -> true);
-    trap_handler =
-      (fun _ core cause ->
-        Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
-          Trap.pp_cause cause;
-        core.halted <- true);
+      pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
+      dma_check = (fun ~paddr:_ ~len:_ -> true);
+      trap_handler =
+        (fun _ core cause ->
+          Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
+            Trap.pp_cause cause;
+          core.halted <- true);
       sink = Tel.Sink.null;
       ctrs = None;
       fault_hooks = None;
@@ -284,22 +282,6 @@ let set_fast_path t enabled =
 
 let fast_path t = t.fast_path
 
-let set_superblock t enabled =
-  t.superblock <- enabled;
-  (* Drop every compiled page on disable: a later re-enable recompiles
-     from the (coherent) predecode cache, and marking the pages dead
-     keeps any block re-entered across the toggle honest. *)
-  if not enabled then
-    Array.iteri
-      (fun i p ->
-        match p with
-        | Some sp ->
-            sp.sb_alive <- false;
-            t.sb_pages.(i) <- None
-        | None -> ())
-      t.sb_pages
-
-let superblock t = t.superblock
 let note_protection_change t = t.phys_epoch <- t.phys_epoch + 1
 
 let set_sink t sink =
@@ -489,7 +471,7 @@ let charge_cache t (core : core) ~paddr =
    paddr. A PC that is not 4-byte aligned raises the precise
    [Instruction_address_misaligned] trap (RISC-V: JALR clears only bit
    0 of its target, so bit 1 can survive into the PC); the fast fetch
-   path and the block executor both bail to this slow path on a
+   path and the superblock tier both bail to this slow path on a
    misaligned PC, so the trap is identical either way. *)
 let cached_access t core ~access ~vaddr ~size =
   if access = Trap.Execute && Int64.logand vaddr 3L <> 0L then
@@ -908,127 +890,6 @@ let step t core =
     end
   end
 
-(* Instructions eligible for block execution: they touch no memory and
-   can raise no trap, so executing one changes nothing that [step]'s
-   per-instruction checks depend on — satp, the TLB, physical memory,
-   the predecode cache, the interrupt queue and the timer all stay
-   fixed across the block. *)
-let block_safe instr =
-  match (instr : Isa.t) with
-  | Load _ | Store _ | Ecall | Ebreak -> false
-  | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Op_imm _ | Op _ | Mul _
-  | Csr_read_cycle _ | Fence ->
-      true
-
-(* Run up to [fuel] consecutive block-safe instructions whose fetches
-   stay in the currently cached (and already predecoded) page, paying
-   the exact per-instruction accounting [step] would: TLB hit + cache
-   charge + cycles + instret per fetch, with the physical-isolation
-   check re-evaluated every time. Only called from [run] when no fault
-   hooks are armed, the timer is off and no interrupt is pending —
-   conditions no block-safe instruction can change, so checking them
-   once per block equals checking them once per step.
-
-   The executor inlines [execute]'s block-safe arms with the PC kept
-   as an unboxed int. [Int64.to_int] drops the top bit of an aliased
-   PC; [pc_hi] preserves it and link values and the written-back PC
-   re-add it, which equals carrying it through [execute]'s int64
-   arithmetic (PC-relative flow never changes the dropped bits, and a
-   register-target [Jalr] writes the architectural int64 directly and
-   ends the block). Returns instructions retired; 0 means [step] must
-   take over. *)
-let exec_block t core ~fuel =
-  let fs = t.fetch.(core.id) in
-  let fp0 = fast_fetch_paddr t core in
-  if fp0 < 0 then 0
-  else
-    match t.decode_pages.(fp0 lsr page_shift) with
-    | None -> 0 (* not predecoded yet: let the stepped path fill it *)
-    | Some page ->
-        let vpn = fs.f_vpn and pbase = fs.f_pbase in
-        let paging = fs.f_satp >= 0 in
-        let pcv0 = Int64.to_int core.pc in
-        let pc_hi = Int64.sub core.pc (Int64.of_int pcv0) in
-        let to_pc v = Int64.add pc_hi (Int64.of_int v) in
-        let executed = ref 0 in
-        let pcv = ref pcv0 in
-        let wrote_pc = ref false in
-        let continue = ref true in
-        while !continue && !executed < fuel do
-          let p = !pcv in
-          if p land 3 <> 0 || p lsr page_shift <> vpn then continue := false
-          else
-            let paddr = pbase lor (p land page_mask) in
-            if not (t.phys_check ~core ~access:Trap.Execute ~paddr) then
-              continue := false
-            else
-              match page.((paddr land page_mask) lsr 2) with
-              | Dinstr instr when block_safe instr ->
-                  if paging then begin
-                    Tlb.note_hit core.tlb;
-                    match t.ctrs with
-                    | Some c -> Tel.Metrics.incr c.c_tlb_hits
-                    | None -> ()
-                  end;
-                  charge_cache t core ~paddr;
-                  core.cycles <- core.cycles + 1;
-                  (match (instr : Isa.t) with
-                  | Op_imm (op, rd, rs1, imm) ->
-                      write_reg core rd
-                        (alu op (read_reg core rs1) (Int64.of_int imm));
-                      pcv := p + 4
-                  | Op (op, rd, rs1, rs2) ->
-                      write_reg core rd
-                        (alu op (read_reg core rs1) (read_reg core rs2));
-                      pcv := p + 4
-                  | Branch (op, rs1, rs2, off) ->
-                      pcv :=
-                        if
-                          branch_taken op (read_reg core rs1)
-                            (read_reg core rs2)
-                        then p + off
-                        else p + 4
-                  | Lui (rd, imm) ->
-                      write_reg core rd
-                        (Int64.shift_left (Int64.of_int imm) 12);
-                      pcv := p + 4
-                  | Auipc (rd, imm) ->
-                      write_reg core rd
-                        (Int64.add (to_pc p)
-                           (Int64.shift_left (Int64.of_int imm) 12));
-                      pcv := p + 4
-                  | Jal (rd, off) ->
-                      write_reg core rd (to_pc (p + 4));
-                      pcv := p + off
-                  | Jalr (rd, rs1, imm) ->
-                      let target =
-                        Int64.logand
-                          (Int64.add (read_reg core rs1) (Int64.of_int imm))
-                          (Int64.lognot 1L)
-                      in
-                      write_reg core rd (to_pc (p + 4));
-                      core.pc <- target;
-                      wrote_pc := true;
-                      continue := false
-                  | Mul (rd, rs1, rs2) ->
-                      write_reg core rd
-                        (Int64.mul (read_reg core rs1) (read_reg core rs2));
-                      pcv := p + 4
-                  | Csr_read_cycle rd ->
-                      write_reg core rd (Int64.of_int core.cycles);
-                      pcv := p + 4
-                  | Fence -> pcv := p + 4
-                  | Load _ | Store _ | Ecall | Ebreak -> assert false);
-                  core.instret <- core.instret + 1;
-                  (match t.ctrs with
-                  | Some c -> Tel.Metrics.incr c.c_instret
-                  | None -> ());
-                  incr executed
-              | _ -> continue := false
-        done;
-        if not !wrote_pc then core.pc <- to_pc !pcv;
-        !executed
-
 (* ---- Superblock tier: engine ----------------------------------------
 
    Pre-translated straight-line runs, including loads and stores. Every
@@ -1038,11 +899,11 @@ let exec_block t core ~fuel =
      transition; within a block no monitor code can run, so the pure
      phys check's inputs are frozen — see [sb_fetch_ok]) and, for
      memory ops, every check [translate_exn]/[data_access] would make,
-     plus the epoch/generation/interrupt/timer/fault-hook guards. The
-     guard phase mutates nothing, so a side exit leaves architectural
-     state bit-identical to never having entered the block and the
-     stepped path replays the instruction — and raises the precise
-     trap — from scratch.
+     plus the epoch/generation/interrupt/fault-hook guards. The guard
+     phase mutates nothing, so a side exit leaves architectural state
+     bit-identical to never having entered the block and the stepped
+     path replays the instruction — and raises the precise trap — from
+     scratch.
 
    - commit: the access in [step]'s exact order — fetch TLB note,
      fetch cache charge (batched per line), the dispatch cycle, data
@@ -1051,7 +912,14 @@ let exec_block t core ~fuel =
      per-core [sb_ctx] and flushed once at block exit. Batching is the
      only reordering, and [Cache.note_repeat_hits] makes it exact:
      consecutive same-line fetch hits with nothing in between collapse
-     to one update with bit-identical tick/LRU/stats. *)
+     to one update with bit-identical tick/LRU/stats.
+
+   An armed timer is a deadline, not a veto: [step] checks it before
+   each instruction against [cycles], and at every in-block boundary
+   [cycles] equals the entry value plus the deferred [sx_cycles], so
+   [sb_exec] stops at the first boundary where [sx_cycles] reaches
+   [timer_cmp - cycles] and [step] then delivers the timer at exactly
+   the stepped pc, cycle and instret. *)
 
 let sb_slots = Phys_mem.page_size / 4
 let sb_page_size64 = Int64.of_int Phys_mem.page_size
@@ -1141,7 +1009,6 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
     || Phys_mem.pending_faults t.mem > 0
     || t.phys_epoch <> ctx.sx_epoch
     || Tlb.generation core.tlb <> ctx.sx_gen
-    || core.timer_cmp <> None
     || (not (Queue.is_empty core.pending_interrupts))
     || t.fault_hooks <> None
   then -1
@@ -1510,13 +1377,27 @@ let sb_new_page t ppn =
   Array.fill code 0 sb_slots build;
   page
 
-(* Superblock entry: same preconditions and same contract as
-   [exec_block] — returns instructions retired, 0 = stepped takeover.
-   Entry guards ride on [fast_fetch_paddr]: alignment, satp and TLB
-   generation, no pending ECC faults, bounds and the isolation check. *)
+(* An entry slot already compiled to [sb_side_exit] (ecall, ebreak, an
+   undecodable word) would retire nothing: leave it to [step] without
+   setting up a block. *)
+let sb_empty_block t paddr =
+  match t.sb_pages.(paddr lsr page_shift) with
+  | Some p -> p.sb_code.((paddr land page_mask) lsr 2) == sb_side_exit
+  | None -> false
+
+(* Superblock entry, called from [run] only with the fast path on, no
+   fault hooks and no pending interrupt. Returns instructions retired
+   (at most [fuel]); 0 = stepped takeover. Entry guards ride on
+   [fast_fetch_paddr]: alignment, satp and TLB generation, no pending
+   ECC faults, bounds and the isolation check. An armed timer bounds
+   the block's deferred cycles (the engine comment above); a due one
+   returns 0 so that [step] delivers it. *)
 let sb_exec t (core : core) ~fuel =
-  let fp0 = fast_fetch_paddr t core in
-  if fp0 < 0 then 0
+  let deadline =
+    match core.timer_cmp with Some c -> c - core.cycles | None -> max_int
+  in
+  let fp0 = if deadline <= 0 then -1 else fast_fetch_paddr t core in
+  if fp0 < 0 || sb_empty_block t fp0 then 0
   else begin
     let ppn = fp0 lsr page_shift in
     let page =
@@ -1550,7 +1431,7 @@ let sb_exec t (core : core) ~fuel =
     let slot = ref ((fp0 land page_mask) lsr 2) in
     let running = ref true in
     while !running do
-      if ctx.sx_fuel <= 0 then begin
+      if ctx.sx_fuel <= 0 || ctx.sx_cycles >= deadline then begin
         ctx.sx_exit_pc <- Int64.add ctx.sx_vbase (Int64.of_int (!slot lsl 2));
         running := false
       end
@@ -1587,18 +1468,10 @@ let run t ~core ~fuel =
   let budget = ref fuel in
   while (not c.halted) && !budget > 0 do
     let before = c.instret in
-    (if
-       t.fast_path && t.fault_hooks = None
-       && c.timer_cmp = None
-       && Queue.is_empty c.pending_interrupts
-     then begin
-       let n =
-         if t.superblock then sb_exec t c ~fuel:!budget
-         else exec_block t c ~fuel:!budget
-       in
-       if n = 0 then step t c
-     end
-     else step t c);
+    let tier =
+      t.fast_path && t.fault_hooks = None && Queue.is_empty c.pending_interrupts
+    in
+    if not (tier && sb_exec t c ~fuel:!budget > 0) then step t c;
     (* Trap deliveries retire no instruction; still consume fuel so a
        fault loop cannot hang the simulation. *)
     budget := !budget - max 1 (c.instret - before)

@@ -161,32 +161,26 @@ val now : t -> int
 
 val set_fast_path : t -> bool -> unit
 (** Enable (default) or disable the simulator's host-side fast path: a
-    per-core fetch-translation cache plus a per-physical-page
-    predecoded-instruction cache. Architectural state — cycles,
-    instret, registers, traps, TLB/cache statistics — is bit-identical
-    in both modes; only host wall-clock differs. The [off] mode exists
-    as the differential-testing baseline ([bench sim] measures the
-    gap, the qcheck property proves the equivalence). *)
+    per-core fetch-translation cache, a per-physical-page
+    predecoded-instruction cache, and the superblock tier {!run} uses —
+    straight-line runs, loads and stores included, pre-translated into
+    per-physical-page arrays of pre-bound closures built lazily from
+    the predecode cache. Guards at block entry and at every memory
+    operation (protection epoch, TLB generation, satp, pending ECC
+    faults, pending interrupts, fault hooks) side-exit to the stepped
+    path with architectural state bit-identical to never having entered
+    the block; any operation that would trap, split across a page
+    boundary, or need an ECC scrub side-exits before a byte moves. An
+    armed timer is a deadline: a block stops at the first instruction
+    boundary the timer is due at, and {!step} delivers it there.
+    Architectural state — cycles, instret, registers, traps, TLB/cache
+    statistics and telemetry — is bit-identical in both modes (only the
+    host-side [hw.sb.*] diagnostic counters differ); only host
+    wall-clock differs. The [off] mode is the stepped reference
+    pipeline, the differential-testing baseline ([bench sim] measures
+    the gap, the qcheck properties prove the equivalence). *)
 
 val fast_path : t -> bool
-
-val set_superblock : t -> bool -> unit
-(** Enable (default) or disable the superblock execution tier on top of
-    the fast path: straight-line runs — including loads and stores —
-    pre-translated into per-physical-page arrays of pre-bound closures,
-    built lazily from the predecode cache. Guards at block entry and at
-    every memory operation (protection epoch, TLB generation, satp,
-    pending ECC faults, interrupt/timer/fault-hook state) side-exit to
-    the stepped path with architectural state bit-identical to never
-    having entered the block; any operation that would trap, split
-    across a page boundary, or need an ECC scrub side-exits before a
-    byte moves. Accounting is deferred but exact: cycles, instret,
-    TLB and cache statistics, and telemetry match the stepped path
-    bit-for-bit (only the host-side [hw.sb.*] diagnostic counters
-    differ across tiers). The tier only runs when {!set_fast_path} is
-    enabled; disabling drops every compiled page. *)
-
-val superblock : t -> bool
 
 val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** {!Phys_mem.inject_bit_flip} on this machine's memory, via the
@@ -197,8 +191,12 @@ val step : t -> core -> unit
 (** Execute one instruction (or deliver one pending trap/interrupt). *)
 
 val run : t -> core:int -> fuel:int -> int
-(** [run t ~core ~fuel] steps until the core halts or [fuel]
-    instructions have retired; returns instructions retired. *)
+(** [run t ~core ~fuel] executes until the core halts or [fuel]
+    instructions have retired; returns instructions retired. Each trap
+    delivery also consumes one unit of fuel. With the fast path on and
+    no fault hooks or pending interrupts, straight-line code runs in
+    superblocks, an armed timer included; everything else, and every
+    trap and interrupt delivery, goes through {!step}. *)
 
 val post_interrupt : t -> core:int -> Trap.interrupt -> unit
 (** Queue an external interrupt for [core]. Dropped silently if the

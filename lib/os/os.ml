@@ -188,16 +188,22 @@ let os_read t ~paddr ~len =
 
 let pad_page contents = contents ^ String.make (page - String.length contents) '\000'
 
-let install_enclave t (image : Sanctorum.Image.t) =
-  let eid = alloc_metadata t `Enclave in
-  let* () =
-    Sanctorum.Sm.create_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~evbase:image.Sanctorum.Image.evbase
-      ~evsize:image.Sanctorum.Image.evsize ~mailbox_slots:image.Sanctorum.Image.mailbox_slots ()
-  in
+(* The OS pools raise [Out_of_memory] when they run dry (the public
+   allocators' contract); an install reports that as a result. *)
+let from_pool what alloc =
+  match alloc () with
+  | v -> Ok v
+  | exception Out_of_memory ->
+      Error (Sanctorum.Api_error.Out_of_resources ("OS " ^ what ^ " exhausted"))
+
+(* Everything after create_enclave. Granted units and loaded threads are
+   recorded as they land, so [reclaim_enclave] can undo a partial
+   install. *)
+let load_image t ~eid (image : Sanctorum.Image.t) =
   (* Fig. 2 round trip for each unit: block (we own it), clean, grant. *)
   let ub = unit_bytes t in
   let units_needed = ((Sanctorum.Image.page_count image * page) + ub - 1) / ub in
-  let units = alloc_units t ~count:units_needed in
+  let* units = from_pool "memory units" (fun () -> alloc_units t ~count:units_needed) in
   Hashtbl.replace t.granted eid units;
   let rec grant_all = function
     | [] -> Ok ()
@@ -225,13 +231,13 @@ let install_enclave t (image : Sanctorum.Image.t) =
         tables rest
   in
   let* () = tables (Sanctorum.Image.required_page_tables image) in
-  let staging =
+  let* staging =
     match t.scratch_page with
-    | Some p -> p
+    | Some p -> Ok p
     | None ->
-        let p = alloc_staging t ~bytes:page in
+        let* p = from_pool "staging heap" (fun () -> alloc_staging t ~bytes:page) in
         t.scratch_page <- Some p;
-        p
+        Ok p
   in
   let rec pages = function
     | [] -> Ok ()
@@ -247,7 +253,7 @@ let install_enclave t (image : Sanctorum.Image.t) =
   let rec shared acc = function
     | [] -> Ok (List.rev acc)
     | (vaddr, len) :: rest ->
-        let src = alloc_staging t ~bytes:len in
+        let* src = from_pool "staging heap" (fun () -> alloc_staging t ~bytes:len) in
         let* () =
           Sanctorum.Sm.map_shared t.sm ~caller:Sanctorum.Sm.Os ~eid ~vaddr ~src_paddr:src ~len
         in
@@ -257,10 +263,11 @@ let install_enclave t (image : Sanctorum.Image.t) =
   let rec threads acc = function
     | [] -> Ok (List.rev acc)
     | (entry_pc, entry_sp) :: rest ->
-        let tid = alloc_metadata t `Thread in
+        let* tid = from_pool "metadata" (fun () -> alloc_metadata t `Thread) in
         let* () =
           Sanctorum.Sm.load_thread t.sm ~caller:Sanctorum.Sm.Os ~eid ~tid ~entry_pc ~entry_sp
         in
+        Hashtbl.replace t.thread_table eid (tid :: acc);
         threads (tid :: acc) rest
   in
   let* tids = threads [] image.Sanctorum.Image.threads in
@@ -310,6 +317,21 @@ let reclaim_enclave t ~eid =
   Hashtbl.remove t.thread_table eid;
   release_metadata t `Enclave eid;
   Ok ()
+
+let install_enclave t (image : Sanctorum.Image.t) =
+  let* eid = from_pool "metadata" (fun () -> alloc_metadata t `Enclave) in
+  let* () =
+    Sanctorum.Sm.create_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~evbase:image.Sanctorum.Image.evbase
+      ~evsize:image.Sanctorum.Image.evsize ~mailbox_slots:image.Sanctorum.Image.mailbox_slots ()
+  in
+  match load_image t ~eid image with
+  | Error (Sanctorum.Api_error.Out_of_resources _) as e ->
+      (* No partial install outlives a shortage: tear the half-built
+         enclave down like any other, giving back its units, threads
+         and metadata slot. *)
+      let* () = reclaim_enclave t ~eid in
+      e
+  | r -> r
 
 (* --------------------------------------------------------------- *)
 (* Scheduling *)

@@ -36,14 +36,16 @@ val machine : t -> Sanctorum_hw.Machine.t
 (** {2 Allocation decisions} *)
 
 val alloc_metadata : t -> [ `Enclave | `Thread ] -> int
-(** Pick a fresh metadata address for the monitor to validate. *)
+(** Pick a fresh metadata address for the monitor to validate. Raises
+    [Out_of_memory] if the metadata region is exhausted. *)
 
 val release_metadata : t -> [ `Enclave | `Thread ] -> int -> unit
 (** Recycle a metadata address after the monitor released the slot. *)
 
 val alloc_staging : t -> bytes:int -> int
 (** Page-aligned scratch memory in the OS's own (never granted) heap,
-    e.g. to stage enclave pages or share buffers with enclaves. *)
+    e.g. to stage enclave pages or share buffers with enclaves. Raises
+    [Out_of_memory] if the heap is exhausted. *)
 
 val alloc_units : t -> count:int -> int list
 (** Reserve [count] grantable memory units, ascending and contiguous.
@@ -70,7 +72,13 @@ val os_read : t -> paddr:int -> len:int -> string
 val install_enclave : t -> Sanctorum.Image.t -> (installed, Sanctorum.Api_error.t) result
 (** The full loading sequence of Fig. 3: create, grant memory, allocate
     page tables, load pages, map shared windows, load threads, init.
-    Follows the canonical order of {!Sanctorum.Image.measurement}. *)
+    Follows the canonical order of {!Sanctorum.Image.measurement}.
+    Never raises on exhaustion: when the unit pool, the staging heap,
+    the metadata region or the enclave's own pages run out, it returns
+    [Error (Out_of_resources _)] after deleting the half-built enclave
+    and returning its units, threads and metadata slot (as
+    {!reclaim_enclave} does). Other monitor errors are returned as
+    they come. *)
 
 val reclaim_enclave : t -> eid:int -> unit Sanctorum.Api_error.result
 (** delete_enclave followed by cleaning every blocked unit — the Fig. 2

@@ -80,7 +80,7 @@ let run cfg =
      the same registry via the testbed's sink. *)
   let c_verify = Tel.Metrics.counter metrics "crypto.verify"
   and c_batch = Tel.Metrics.counter metrics "crypto.batch_verify" in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let verified = ref 0 and rejected = ref 0 and batches = ref 0 in
   let tampered_n = ref 0 in
   let pending = ref [] and pending_n = ref 0 in
@@ -142,7 +142,7 @@ let run cfg =
         if !pending_n >= cfg.batch then flush ()
   done;
   flush ();
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Engine.seconds_since t0 in
   let findings = List.length (An.Checker.snapshot sm) in
   let counter n =
     match Tel.Metrics.find metrics n with

@@ -106,9 +106,6 @@ type t = {
   mutable wall_s : float;  (* monotonic host time inside step/finish *)
 }
 
-(* Wall time, not process CPU time ([Sys.time]): the fleet runs one
-   engine per domain, and CPU time would charge each engine for all of
-   them. *)
 let seconds_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
 
 let create cfg =

@@ -135,3 +135,9 @@ val finish : t -> report
 val latency_histogram : t -> Sanctorum_telemetry.Metrics.histogram
 (** The per-quantum simulated-cycle histogram, for fleet-level
     percentile aggregation. Stable after {!finish}. *)
+
+val seconds_since : int64 -> float
+(** Monotonic wall seconds since [t0], a [Monotonic_clock.now] reading:
+    the one clock every host-time figure of this repo uses. Process CPU
+    time ([Sys.time]) would charge each fleet domain for all of them,
+    and [Unix.gettimeofday] can step backwards under NTP. *)

@@ -79,6 +79,49 @@ let test_testbed_determinism () =
   check_bool "same seed, same identity" true (pk1 = pk2 && eid1 = eid2);
   check_bool "different seed, different identity" true (pk1 <> pk3)
 
+(* Filling the unit pool used to raise [Out_of_memory] out of
+   [install_enclave] after [create_enclave] had succeeded, leaving the
+   monitor with an enclave whose eid the OS never learned. On sanctum
+   (large units) the pool runs dry after a few dozen installs: the next
+   install must return [Out_of_resources] and leave nothing behind. *)
+let test_install_exhaustion () =
+  let tb = Testbed.create ~backend:Testbed.Sanctum_backend () in
+  let os = tb.Testbed.os and sm = tb.Testbed.sm in
+  let image =
+    Img.of_program ~evbase:0x10000 ~data_pages:1
+      Hw.Isa.[ Op_imm (Add, a7, zero, 1); Ecall ]
+  in
+  let enclaves () = List.length (Sanctorum.Sm.enclaves sm) in
+  let before = enclaves () and free0 = Os.free_unit_count os in
+  let rec fill eids =
+    if List.length eids > 10_000 then Alcotest.fail "the pool never ran dry";
+    match Os.install_enclave os image with
+    | Ok i -> fill (i.Os.eid :: eids)
+    | Error (Sanctorum.Api_error.Out_of_resources _) -> eids
+    | Error e ->
+        Alcotest.failf "install: %s" (Sanctorum.Api_error.to_string e)
+  in
+  let eids = fill [] in
+  check_bool "some installs fit" true (eids <> []);
+  check_int "the monitor holds only the successful installs"
+    (before + List.length eids) (enclaves ());
+  let free_full = Os.free_unit_count os in
+  check_bool "a retry fails the same way" true
+    (match Os.install_enclave os image with
+    | Error (Sanctorum.Api_error.Out_of_resources _) -> true
+    | Ok _ | Error _ -> false);
+  check_int "no enclave leaked by the retry" (before + List.length eids)
+    (enclaves ());
+  check_int "no unit leaked by the retry" free_full (Os.free_unit_count os);
+  List.iter
+    (fun eid -> Result.get_ok (Os.reclaim_enclave os ~eid))
+    eids;
+  check_int "reclaiming everything restores the pool" free0
+    (Os.free_unit_count os);
+  check_int "no enclave left" before (enclaves ());
+  check_bool "installable again" true
+    (Result.is_ok (Os.install_enclave os image))
+
 let test_delegated_event_log () =
   let tb = Testbed.create () in
   let os = tb.Testbed.os in
@@ -96,5 +139,7 @@ let suite =
       Alcotest.test_case "metadata recycling" `Quick test_metadata_recycling;
       Alcotest.test_case "untrusted program" `Quick test_untrusted_program;
       Alcotest.test_case "testbed determinism" `Quick test_testbed_determinism;
+      Alcotest.test_case "install: pool exhaustion returns Out_of_resources"
+        `Quick test_install_exhaustion;
       Alcotest.test_case "delegated event log" `Quick test_delegated_event_log;
     ] )

@@ -10,6 +10,7 @@ module S = Sanctorum.Sm
 module Tel = Sanctorum_telemetry
 module An = Sanctorum_analysis
 module W = Sanctorum_workload.Workload
+module E = Sanctorum_workload.Engine
 open Sanctorum_os
 
 let check_bool = Alcotest.(check bool)
@@ -51,8 +52,38 @@ let prop_clean_and_reclaimed =
           r.W.rp_free_units_boot r.W.rp_free_units_end;
       true)
 
+(* [W.run] step for step through the engine API, with the machine's
+   fast path set before the first install. Returns the report and the
+   superblock tier's hw.sb.instret. *)
+let run_with_fast_path ~fast cfg =
+  let eng = E.create cfg in
+  let m = (E.testbed eng).Testbed.machine in
+  Hw.Machine.set_fast_path m fast;
+  let rng = Sanctorum_util.Splitmix.of_string cfg.W.seed in
+  let jobs = if cfg.W.mix = W.Ipc then cfg.W.enclaves / 2 else cfg.W.enclaves in
+  for jid = 0 to jobs - 1 do
+    E.submit eng ~jid ~seed:(Sanctorum_util.Splitmix.next rng) ~target:None
+  done;
+  for _ = 1 to cfg.W.rounds do
+    ignore (E.step eng : int list)
+  done;
+  let r = E.finish eng in
+  let sb_instret =
+    match Tel.Sink.metrics (Hw.Machine.sink m) with
+    | None -> 0
+    | Some metrics -> (
+        match Tel.Metrics.find metrics "hw.sb.instret" with
+        | Some (Tel.Metrics.Counter c) -> Tel.Metrics.value c
+        | _ -> 0)
+  in
+  (r, sb_instret)
+
 (* The determinism contract: the architectural half of the report is a
-   pure function of the config. *)
+   pure function of the config. The execution tier is not part of the
+   config: every mix on both backends must replay to a byte-identical
+   [arch_signature] with the fast path off, i.e. on the stepped
+   reference pipeline, and compute must actually run superblocks with
+   it on, so the comparison is not vacuous. *)
 let test_deterministic () =
   let arch (r : W.report) =
     ( ( r.W.rp_installs,
@@ -74,7 +105,30 @@ let test_deterministic () =
         (Printf.sprintf "%s replays identically" (W.mix_name mix))
         true
         (arch a = arch b))
-    W.all_mixes
+    W.all_mixes;
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun mix ->
+          let cfg = { (small_config ~seed:"det" ~mix) with W.backend } in
+          let label what =
+            Printf.sprintf "%s on %s: %s" (W.mix_name mix)
+              (Testbed.backend_name backend)
+              what
+          in
+          let plain = W.arch_signature (W.run cfg) in
+          let fast, sb = run_with_fast_path ~fast:true cfg in
+          let slow, sb_slow = run_with_fast_path ~fast:false cfg in
+          Alcotest.(check string)
+            (label "engine API replays W.run") plain (W.arch_signature fast);
+          Alcotest.(check string)
+            (label "stepped tier replays the superblock tier")
+            plain (W.arch_signature slow);
+          check_int (label "stepped tier ran no superblocks") 0 sb_slow;
+          if mix = W.Compute then
+            check_bool (label "superblock tier engaged") true (sb > 0))
+        W.all_mixes)
+    [ Testbed.Sanctum_backend; Testbed.Keystone_backend ]
 
 (* The ipc mix must actually move mail, and receive counts can lag the
    sends only by the in-flight tail. *)
