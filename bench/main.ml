@@ -61,6 +61,32 @@ let provenance_json ~backend ~seed =
     backend seed (git_rev ()) Sys.ocaml_version
 
 (* ------------------------------------------------------------------ *)
+(* Environment knobs. A variable that is set but malformed is a usage
+   error (exit 2, naming the variable), never a silent fall-back to the
+   default scale or backend. Unset means the default. *)
+
+let env_parse parse what name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "main.exe: %s=%S is not %s\n" name v what;
+          exit 2)
+
+let env_int = env_parse int_of_string_opt "an integer"
+let env_float = env_parse float_of_string_opt "a number"
+
+let env_backend =
+  env_parse
+    (function
+      | "sanctum" -> Some Testbed.Sanctum_backend
+      | "keystone" -> Some Testbed.Keystone_backend
+      | _ -> None)
+    "a backend (sanctum or keystone)"
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel plumbing *)
 
 let run_group ~name tests =
@@ -679,11 +705,7 @@ let report_faults () =
    a small quota); SANCTORUM_BENCH_JSON overrides the output path. *)
 
 let report_sim () =
-  let quota =
-    match Sys.getenv_opt "SANCTORUM_SIM_QUOTA" with
-    | Some s -> ( try int_of_string s with _ -> 4_000_000)
-    | None -> 4_000_000
-  in
+  let quota = env_int "SANCTORUM_SIM_QUOTA" 4_000_000 in
   let iters = max 1_000 (quota / 3) in
   let compute =
     Hw.Isa.(
@@ -771,14 +793,9 @@ let report_sim () =
 
 let report_workload () =
   let module W = Sanctorum_workload.Workload in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let cores = env "SANCTORUM_WORKLOAD_CORES" 4 in
-  let enclaves = env "SANCTORUM_WORKLOAD_ENCLAVES" 64 in
-  let rounds = env "SANCTORUM_WORKLOAD_ROUNDS" 1000 in
+  let cores = env_int "SANCTORUM_WORKLOAD_CORES" 4 in
+  let enclaves = env_int "SANCTORUM_WORKLOAD_ENCLAVES" 64 in
+  let rounds = env_int "SANCTORUM_WORKLOAD_ROUNDS" 1000 in
   Printf.printf
     "\n== workload: multicore enclave engine (%d cores, %d enclaves, %d \
      rounds) ==\n"
@@ -872,26 +889,12 @@ let report_attest () =
   let module W = Sanctorum_workload.Workload in
   let module Asv = Sanctorum_workload.Attest_service in
   let module M = Sanctorum.Measurement in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let clients = env "SANCTORUM_ATTEST_CLIENTS" 96 in
-  let batch = env "SANCTORUM_ATTEST_BATCH" 16 in
-  let backend =
-    match Sys.getenv_opt "SANCTORUM_ATTEST_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | Some "keystone" -> Testbed.Keystone_backend
-    | _ -> W.default.W.backend
-  in
-  let churn_enclaves = env "SANCTORUM_ATTEST_CHURN_ENCLAVES" 64 in
-  let churn_rounds = env "SANCTORUM_ATTEST_CHURN_ROUNDS" 1000 in
-  let min_s =
-    match Sys.getenv_opt "SANCTORUM_ATTEST_MIN_S" with
-    | Some s -> ( try float_of_string s with _ -> 0.3)
-    | None -> 0.3
-  in
+  let clients = env_int "SANCTORUM_ATTEST_CLIENTS" 96 in
+  let batch = env_int "SANCTORUM_ATTEST_BATCH" 16 in
+  let backend = env_backend "SANCTORUM_ATTEST_BACKEND" W.default.W.backend in
+  let churn_enclaves = env_int "SANCTORUM_ATTEST_CHURN_ENCLAVES" 64 in
+  let churn_rounds = env_int "SANCTORUM_ATTEST_CHURN_ROUNDS" 1000 in
+  let min_s = env_float "SANCTORUM_ATTEST_MIN_S" 0.3 in
   let dirty = ref [] in
   let flag what = dirty := what :: !dirty in
   (* -- crypto micro-ops, wall-clock against the retained references -- *)
@@ -1076,18 +1079,11 @@ let report_attest () =
 
 let report_fleet () =
   let module Fl = Sanctorum_fleet.Cluster in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let jobs = env "SANCTORUM_FLEET_JOBS" 64 in
-  let target = env "SANCTORUM_FLEET_TARGET" 40 in
-  let cores = env "SANCTORUM_FLEET_CORES" 4 in
+  let jobs = env_int "SANCTORUM_FLEET_JOBS" 64 in
+  let target = env_int "SANCTORUM_FLEET_TARGET" 40 in
+  let cores = env_int "SANCTORUM_FLEET_CORES" 4 in
   let backend =
-    match Sys.getenv_opt "SANCTORUM_FLEET_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | _ -> Testbed.Keystone_backend
+    env_backend "SANCTORUM_FLEET_BACKEND" Testbed.Keystone_backend
   in
   let scales = [ 1; 2; 4 ] in
   Printf.printf
@@ -1117,7 +1113,7 @@ let report_fleet () =
                  generation: nothing is migrated, so each scale
                  executes the identical set of (jid, seed, target)
                  jobs to completion — same total work by construction *)
-              batch_rounds = env "SANCTORUM_FLEET_BATCH_ROUNDS" 40_000;
+              batch_rounds = env_int "SANCTORUM_FLEET_BATCH_ROUNDS" 40_000;
             }
         in
         if not o.Fl.r_clean then clean := false;
@@ -1207,18 +1203,11 @@ let report_fleet () =
 let report_fleetnet () =
   let module Fl = Sanctorum_fleet.Cluster in
   let module Nf = Sanctorum_fleet.Netfault in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let jobs = env "SANCTORUM_FLEETNET_JOBS" 64 in
-  let target = env "SANCTORUM_FLEETNET_TARGET" 40 in
-  let cores = env "SANCTORUM_FLEETNET_CORES" 4 in
+  let jobs = env_int "SANCTORUM_FLEETNET_JOBS" 64 in
+  let target = env_int "SANCTORUM_FLEETNET_TARGET" 40 in
+  let cores = env_int "SANCTORUM_FLEETNET_CORES" 4 in
   let backend =
-    match Sys.getenv_opt "SANCTORUM_FLEETNET_BACKEND" with
-    | Some "sanctum" -> Testbed.Sanctum_backend
-    | _ -> Testbed.Keystone_backend
+    env_backend "SANCTORUM_FLEETNET_BACKEND" Testbed.Keystone_backend
   in
   let rows =
     [
@@ -1251,7 +1240,7 @@ let report_fleetnet () =
               jobs;
               target;
               mix = Sanctorum_workload.Programs.Compute;
-              batch_rounds = env "SANCTORUM_FLEETNET_BATCH_ROUNDS" 40_000;
+              batch_rounds = env_int "SANCTORUM_FLEETNET_BATCH_ROUNDS" 40_000;
               net = Result.get_ok (Nf.parse spec);
             }
         in
@@ -1402,13 +1391,8 @@ let report_fleetnet () =
 
 let report_modelcheck () =
   let module M = Sanctorum_analysis.Modelcheck in
-  let env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( try int_of_string s with _ -> default)
-    | None -> default
-  in
-  let depth = env "SANCTORUM_MODELCHECK_DEPTH" 4 in
-  let diff_depth = env "SANCTORUM_MODELCHECK_DIFF_DEPTH" 3 in
+  let depth = env_int "SANCTORUM_MODELCHECK_DEPTH" 4 in
+  let diff_depth = env_int "SANCTORUM_MODELCHECK_DIFF_DEPTH" 3 in
   Printf.printf
     "\n== modelcheck: bounded SM API exploration (depth %d, diff depth %d) ==\n"
     depth diff_depth;

@@ -697,8 +697,8 @@ let tel_term =
       value & flag
       & info [ "slow-sim" ]
           ~doc:
-            "Disable the simulator's predecode/fetch fast path and run the \
-             reference stepped interpreter. Architecturally identical (the \
+            "Disable the simulator's superblock tier and run the reference \
+             stepped interpreter. Architecturally identical (the \
              equivalence is property-tested); useful for timing comparisons \
              and for ruling the fast path out when debugging.")
   in

@@ -883,14 +883,14 @@ let enter_enclave t ~caller ~eid ~tid ~core =
 (* Return a core to the untrusted domain with no architected or
    microarchitectural residue.
 
-   The domain switches here and in [enter_enclave] also invalidate the
-   machine's fetch fast path without any explicit call: writing
-   [satp_root] changes a value the fast path compares on every fetch,
-   and [enter_domain]'s TLB flush (like the shootdown IPIs behind
-   [Platform.clean_range]) bumps the TLB generation it also checks.
-   Monitor stores to guest memory invalidate predecoded instructions
-   through the [Phys_mem] write hook. A stale translation or decode
-   can therefore never survive a monitor-mediated transition. *)
+   The domain switches here and in [enter_enclave] need no explicit
+   call into the machine's superblock tier either: every block entry
+   translates its PC against the current [satp_root] and TLB, which
+   [enter_domain]'s flush (like the shootdown IPIs behind
+   [Platform.clean_range]) has emptied. Monitor stores to guest memory
+   drop compiled code through the [Phys_mem] write hook. A stale
+   translation or decode can therefore never survive a
+   monitor-mediated transition. *)
 let scrub_core t c =
   Hw.Machine.reset_core_state c;
   c.Hw.Machine.satp_root <- None;

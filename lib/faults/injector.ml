@@ -129,7 +129,7 @@ let fire t ~core action =
   match action with
   | Flip { paddr; bit } ->
       (* via the machine, not raw [Phys_mem]: the machine's write hook
-         invalidates any predecoded instructions for the touched page *)
+         drops any compiled superblock code for the touched page *)
       Hw.Machine.inject_bit_flip t.machine ~paddr ~bit
   | Flip2 { paddr; bit_a; bit_b } ->
       Hw.Machine.inject_bit_flip t.machine ~paddr ~bit:bit_a;

@@ -57,25 +57,6 @@ type hw_counters = {
   c_sb_side_exits : Tel.Metrics.counter;
 }
 
-(* Per-core fetch-translation cache: the last successful instruction
-   fetch, as (virtual page → physical page base) plus everything that
-   translation depended on — the satp root and the TLB generation. A
-   fetch whose PC stays in the page reuses the paddr without walking;
-   any mismatch falls back to the full slow path, which refreshes the
-   cache. All-int fields so the validity test allocates nothing. *)
-type fetch_state = {
-  mutable f_valid : bool;
-  mutable f_vpn : int;  (* virtual page number of the cached fetch *)
-  mutable f_pbase : int;  (* physical page base it translated to *)
-  mutable f_satp : int;  (* satp root PPN at fill time; -1 = bare *)
-  mutable f_gen : int;  (* [Tlb.generation] at fill time *)
-}
-
-(* One predecoded slot per 4-byte instruction word of a physical page.
-   [Dbad] keeps the raw word so the [Illegal_instruction] trap payload
-   is bit-identical to a fresh decode. *)
-type dslot = Dempty | Dinstr of Isa.t | Dbad of int32
-
 (* ---- Superblock tier: representation -------------------------------
 
    One [sb_page] per physical page of code: an array with one compiled
@@ -100,12 +81,12 @@ type sb_ctx = {
   mutable sx_gen : int;  (* [Tlb.generation] at entry *)
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
-  mutable sx_dslot : int;  (* TLB slot of the last successful data probe *)
+  mutable sx_tslot : int;  (* TLB slot of the last successful probe *)
   (* deferred-but-exact accounting: accumulated here, flushed once at
      block exit *)
   mutable sx_cycles : int;
   mutable sx_instret : int;
-  mutable sx_fetch_notes : int;  (* deferred fetch [Tlb.note_hit]s *)
+  mutable sx_fetch_notes : int;  (* deferred fetch TLB hits *)
   mutable sx_tlb_ctr : int;  (* deferred telemetry hw.tlb.hits *)
   mutable sx_l1h : int;
   mutable sx_l1m : int;
@@ -130,8 +111,6 @@ type t = {
   cores : core array;
   l2 : Cache.t;
   cfg : config;
-  fetch : fetch_state array;  (* indexed by core id *)
-  decode_pages : dslot array option array;  (* indexed by physical page *)
   sb_pages : sb_page option array;  (* indexed by physical page *)
   sb_ctxs : sb_ctx array;  (* indexed by core id *)
   l1_shift : int;  (* log2 of the L1 line size: fetch-batch line tags *)
@@ -169,22 +148,21 @@ let default_config =
     pmp_entries = Pmp.entry_count;
   }
 
-(* Drop every predecoded slot and compiled superblock page overlapping
-   the dirtied byte range. Fired by the [Phys_mem] write hook on every
-   mutation of the stored bytes, so self-modifying code, DMA, zeroing,
-   ECC absorption and injected bit flips can never execute a stale
-   decode or a stale closure. A superblock page is additionally marked
-   dead so a block that dirtied its own page — the store already
-   committed when the hook fires — exits before running another slot. *)
+(* Drop every compiled superblock page overlapping the dirtied byte
+   range. Fired by the [Phys_mem] write hook on every mutation of the
+   stored bytes, so self-modifying code, DMA, zeroing, ECC absorption
+   and injected bit flips can never execute a stale closure. A dropped
+   page is also marked dead so a block that dirtied its own page — the
+   store already committed when the hook fires — exits before running
+   another slot. *)
 let invalidate_decode t ~pos ~len =
   if len > 0 then begin
-    let n = Array.length t.decode_pages in
+    let n = Array.length t.sb_pages in
     let p0 = pos lsr page_shift in
     let p1 = (pos + len - 1) lsr page_shift in
     let p0 = if p0 < 0 then 0 else p0 in
     let p1 = if p1 >= n then n - 1 else p1 in
     for p = p0 to p1 do
-      t.decode_pages.(p) <- None;
       match t.sb_pages.(p) with
       | Some sp ->
           sp.sb_alive <- false;
@@ -212,9 +190,6 @@ let create cfg =
       pending_interrupts = Queue.create ();
     }
   in
-  let mk_fetch _ =
-    { f_valid = false; f_vpn = 0; f_pbase = 0; f_satp = -1; f_gen = 0 }
-  in
   let sb_dead = { sb_code = [||]; sb_alive = false } in
   let mk_sb_ctx core =
     {
@@ -226,7 +201,7 @@ let create cfg =
       sx_gen = 0;
       sx_fuel = 0;
       sx_exit_pc = 0L;
-      sx_dslot = -1;
+      sx_tslot = -1;
       sx_cycles = 0;
       sx_instret = 0;
       sx_fetch_notes = 0;
@@ -249,8 +224,6 @@ let create cfg =
       cores;
       l2 = Cache.create cfg.l2;
       cfg;
-      fetch = Array.init cfg.cores mk_fetch;
-      decode_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
       sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
       sb_ctxs = Array.map mk_sb_ctx cores;
       l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
@@ -274,11 +247,7 @@ let create cfg =
     (Some (fun ~pos ~len -> invalidate_decode t ~pos ~len));
   t
 
-let set_fast_path t enabled =
-  t.fast_path <- enabled;
-  (* Invalidate on disable so a later re-enable starts from scratch;
-     the per-fetch validity checks would catch stale entries anyway. *)
-  if not enabled then Array.iter (fun fs -> fs.f_valid <- false) t.fetch
+let set_fast_path t enabled = t.fast_path <- enabled
 
 let fast_path t = t.fast_path
 
@@ -470,9 +439,9 @@ let charge_cache t (core : core) ~paddr =
 (* Charge the cache hierarchy for an instruction fetch and return the
    paddr. A PC that is not 4-byte aligned raises the precise
    [Instruction_address_misaligned] trap (RISC-V: JALR clears only bit
-   0 of its target, so bit 1 can survive into the PC); the fast fetch
-   path and the superblock tier both bail to this slow path on a
-   misaligned PC, so the trap is identical either way. *)
+   0 of its target, so bit 1 can survive into the PC); the superblock
+   tier declines a misaligned entry PC and leaves it to [step], so the
+   trap is identical with the tier on or off. *)
 let cached_access t core ~access ~vaddr ~size =
   if access = Trap.Execute && Int64.logand vaddr 3L <> 0L then
     raise (Fault (Trap.Instruction_address_misaligned vaddr));
@@ -760,74 +729,8 @@ let execute t core instr =
   | Ecall -> deliver_trap t core (Trap.Exception Trap.Ecall_user)
   | Ebreak -> deliver_trap t core (Trap.Exception Trap.Breakpoint)
 
-(* Decode [paddr]'s word through the per-page predecode cache. Only
-   called on architecturally clean bytes (the fetch path scrubs, the
-   fast path requires no pending faults), so a cached slot always
-   reflects what a fresh decode of memory would produce. Never returns
-   [Dempty]. *)
-let decode_at t paddr =
-  let ppn = paddr lsr page_shift in
-  let page =
-    match t.decode_pages.(ppn) with
-    | Some page -> page
-    | None ->
-        let page = Array.make (Phys_mem.page_size / 4) Dempty in
-        t.decode_pages.(ppn) <- Some page;
-        page
-  in
-  let slot = (paddr land page_mask) lsr 2 in
-  match page.(slot) with
-  | Dempty ->
-      let word = Phys_mem.read_u32 t.mem paddr in
-      let d =
-        match Isa.decode word with Some i -> Dinstr i | None -> Dbad word
-      in
-      page.(slot) <- d;
-      d
-  | d -> d
-
-(* Refresh the fetch-translation cache after a successful slow-path
-   fetch of [core.pc] that resolved to [paddr]. *)
-let fetch_fill t core ~paddr =
-  let fs = t.fetch.(core.id) in
-  fs.f_valid <- true;
-  fs.f_vpn <- Int64.to_int core.pc lsr page_shift;
-  fs.f_pbase <- paddr land lnot page_mask;
-  fs.f_satp <- (match core.satp_root with None -> -1 | Some r -> r);
-  fs.f_gen <- Tlb.generation core.tlb
-
-(* The fetch fast path: reuse the cached translation when the PC is
-   aligned and in the cached page, the satp root and TLB contents are
-   unchanged since the fill, and no ECC fault is pending (so the scrub
-   the slow path would run is a no-op). The physical-isolation check
-   reruns every time — Keystone reprograms PMP without a TLB flush, so
-   it is the one input the generation counter does not cover; both
-   backends install pure checks. Returns the fetch paddr or -1 for the
-   full slow path; -1 is always safe because the slow path
-   re-establishes everything from scratch. *)
-let fast_fetch_paddr t core =
-  let fs = t.fetch.(core.id) in
-  let pcv = Int64.to_int core.pc in
-  if
-    fs.f_valid
-    && pcv land 3 = 0
-    && pcv lsr page_shift = fs.f_vpn
-    && (match core.satp_root with
-       | None -> fs.f_satp = -1
-       | Some r -> fs.f_satp = r)
-    && Tlb.generation core.tlb = fs.f_gen
-    && Phys_mem.pending_faults t.mem = 0
-  then begin
-    let paddr = fs.f_pbase lor (pcv land page_mask) in
-    if
-      paddr + 8 <= Phys_mem.size t.mem
-      && t.phys_check ~core ~access:Trap.Execute ~paddr
-    then paddr
-    else -1
-  end
-  else -1
-
-(* Retire one instruction: identical accounting on both fetch paths. *)
+(* Retire one decoded instruction: the dispatch cycle, its effects and
+   instret, or the precise trap it raised. *)
 let dispatch t core instr =
   core.cycles <- core.cycles + 1;
   match execute t core instr with
@@ -838,6 +741,9 @@ let dispatch t core instr =
       | None -> ())
   | exception Fault f -> deliver_trap t core (Trap.Exception f)
 
+(* The stepped reference pipeline, the one fetch and decode path:
+   translate, scrub and charge the fetch, decode the word from memory,
+   dispatch. *)
 let step t core =
   (match t.fault_hooks with
   | Some h -> h.tick ~core:core.id ~cycles:core.cycles
@@ -845,49 +751,17 @@ let step t core =
   if core.halted then ()
   else if check_interrupts t core then ()
   else begin
-    let fast_paddr = if t.fast_path then fast_fetch_paddr t core else -1 in
-    if fast_paddr >= 0 then begin
-      (* Mirror the slow path's accounting exactly: a paging-mode fetch
-         would have hit the TLB (generation unchanged since the entry
-         served the fill), and the cache model is charged either way. *)
-      if t.fetch.(core.id).f_satp >= 0 then begin
-        Tlb.note_hit core.tlb;
-        match t.ctrs with
-        | Some c -> Tel.Metrics.incr c.c_tlb_hits
-        | None -> ()
-      end;
-      charge_cache t core ~paddr:fast_paddr;
-      match decode_at t fast_paddr with
-      | Dinstr instr -> dispatch t core instr
-      | Dbad word ->
-          deliver_trap t core (Trap.Exception (Trap.Illegal_instruction word))
-      | Dempty -> assert false
-    end
-    else begin
-      match
-        cached_access t core ~access:Trap.Execute ~vaddr:core.pc ~size:4
-      with
-      | exception Fault f -> deliver_trap t core (Trap.Exception f)
-      | paddr ->
-          if t.fast_path then begin
-            fetch_fill t core ~paddr;
-            match decode_at t paddr with
-            | Dinstr instr -> dispatch t core instr
-            | Dbad word ->
-                deliver_trap t core
-                  (Trap.Exception (Trap.Illegal_instruction word))
-            | Dempty -> assert false
-          end
-          else begin
-            (* fast path disabled: the seed pipeline, byte for byte *)
-            let word = Phys_mem.read_u32 t.mem paddr in
-            match Isa.decode word with
-            | None ->
-                deliver_trap t core
-                  (Trap.Exception (Trap.Illegal_instruction word))
-            | Some instr -> dispatch t core instr
-          end
-    end
+    match
+      cached_access t core ~access:Trap.Execute ~vaddr:core.pc ~size:4
+    with
+    | exception Fault f -> deliver_trap t core (Trap.Exception f)
+    | paddr -> (
+        let word = Phys_mem.read_u32 t.mem paddr in
+        match Isa.decode word with
+        | None ->
+            deliver_trap t core
+              (Trap.Exception (Trap.Illegal_instruction word))
+        | Some instr -> dispatch t core instr)
   end
 
 (* ---- Superblock tier: engine ----------------------------------------
@@ -992,14 +866,40 @@ let sb_account_fetch t (core : core) ctx ~paddr ~line =
     ctx.sx_tlb_ctr <- ctx.sx_tlb_ctr + 1
   end
 
+(* The pure half of a translation that hits the TLB: probe, permission,
+   physical bounds and the isolation check — every check
+   [translate_exn] makes on an in-range address — evaluated without
+   mutating anything. Returns the physical address, or -1 wherever the
+   stepped path would walk the page table or trap. With paging on, a
+   hit leaves its TLB slot in [sx_tslot] for the commit. Shared by the
+   block entry's fetch and every memory op's data access. *)
+let sb_translate t (core : core) ctx ~access ~va =
+  let paddr =
+    if not ctx.sx_paging then va
+    else begin
+      let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
+      if slot < 0 then -1
+      else if not (tlb_perms_allow (Tlb.slot_perms core.tlb slot) access)
+      then -1
+      else begin
+        ctx.sx_tslot <- slot;
+        Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
+      end
+    end
+  in
+  if
+    paddr < 0
+    || paddr + 8 > Phys_mem.size t.mem
+    || not (t.phys_check ~core ~access ~paddr)
+  then -1
+  else paddr
+
 (* Data-access guard phase: every check the stepped path would make,
    evaluated without mutating anything. Returns the physical address,
    or -1 to side-exit — any op that would trap (bad virtual address,
    TLB miss or permission denial, bounds, ownership denial), would
    split across a page boundary, or would need an ECC scrub is left
-   entirely to the stepped path, before a single byte moves. On
-   success with paging on, [sx_dslot] holds the TLB slot for the
-   commit. *)
+   entirely to the stepped path, before a single byte moves. *)
 let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
   let va = Int64.to_int vaddr in
   if
@@ -1012,34 +912,14 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
     || (not (Queue.is_empty core.pending_interrupts))
     || t.fault_hooks <> None
   then -1
-  else begin
-    let paddr =
-      if not ctx.sx_paging then va
-      else begin
-        let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
-        if slot < 0 then -1
-        else if not (tlb_perms_allow (Tlb.slot_perms core.tlb slot) access)
-        then -1
-        else begin
-          ctx.sx_dslot <- slot;
-          Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
-        end
-      end
-    in
-    if
-      paddr < 0
-      || paddr + 8 > Phys_mem.size t.mem
-      || not (t.phys_check ~core ~access ~paddr)
-    then -1
-    else paddr
-  end
+  else sb_translate t core ctx ~access ~va
 
 (* Data-access commit: the mutating half in [step]'s order — data TLB
    hit, then the cache charge, flushing the fetch batch first so
    cache-model ticks interleave exactly as stepped. *)
 let sb_commit_data t (core : core) ctx ~paddr =
   if ctx.sx_paging then begin
-    Tlb.commit_hit core.tlb ctx.sx_dslot;
+    Tlb.commit_hit core.tlb ctx.sx_tslot;
     ctx.sx_tlb_ctr <- ctx.sx_tlb_ctr + 1
   end;
   sb_flush_line core ctx;
@@ -1098,18 +978,20 @@ let sb_branch_fn (op : Isa.branch_op) : int64 -> int64 -> bool =
    immediates, ALU/branch operators, load/store width accessors — is
    bound at compile time; everything virtual comes from the entry-time
    [sx_vbase], so one compiled page serves any mapping that reaches
-   it. *)
+   it. The word is decoded straight from memory: a slot compiles once,
+   on its first execution inside a block, and [sb_exec] enters no block
+   while an ECC fault is pending, so the bytes read are the ones a
+   scrubbing fetch would decode. *)
 let sb_compile t ~ppn ~slot =
   let own_paddr = Phys_mem.page_base ppn lor (slot lsl 2) in
   let own_line = own_paddr lsr t.l1_shift in
   let fall = if slot + 1 < sb_slots then slot + 1 else -1 in
   let off = slot lsl 2 in
-  match decode_at t own_paddr with
-  | Dempty -> assert false
-  | Dbad _ ->
+  match Isa.decode (Phys_mem.read_u32 t.mem own_paddr) with
+  | None ->
       (* stepped path re-decodes and traps with the exact raw word *)
       sb_side_exit
-  | Dinstr instr -> (
+  | Some instr -> (
       match (instr : Isa.t) with
       | Ecall | Ebreak ->
           (* trap delivery never happens inside a block *)
@@ -1387,16 +1269,30 @@ let sb_empty_block t paddr =
 
 (* Superblock entry, called from [run] only with the fast path on, no
    fault hooks and no pending interrupt. Returns instructions retired
-   (at most [fuel]); 0 = stepped takeover. Entry guards ride on
-   [fast_fetch_paddr]: alignment, satp and TLB generation, no pending
-   ECC faults, bounds and the isolation check. An armed timer bounds
-   the block's deferred cycles (the engine comment above); a due one
-   returns 0 so that [step] delivers it. *)
+   (at most [fuel]); 0 = stepped takeover. The entry translates its own
+   PC: it must be aligned and in range with no ECC fault pending, and
+   its fetch must pass [sb_translate] — a TLB hit with execute
+   permission, in bounds, allowed by the isolation check. A walk or a
+   fetch trap is left to [step]. An armed timer bounds the block's
+   deferred cycles (the engine comment above); a due one returns 0 so
+   that [step] delivers it. *)
 let sb_exec t (core : core) ~fuel =
   let deadline =
     match core.timer_cmp with Some c -> c - core.cycles | None -> max_int
   in
-  let fp0 = if deadline <= 0 then -1 else fast_fetch_paddr t core in
+  let va = Int64.to_int core.pc in
+  let ctx = t.sb_ctxs.(core.id) in
+  ctx.sx_paging <- Option.is_some core.satp_root;
+  let fp0 =
+    if
+      deadline <= 0
+      || va land 3 <> 0
+      || va < 0
+      || Int64.compare core.pc sb_va_limit >= 0
+      || Phys_mem.pending_faults t.mem > 0
+    then -1
+    else sb_translate t core ctx ~access:Trap.Execute ~va
+  in
   if fp0 < 0 || sb_empty_block t fp0 then 0
   else begin
     let ppn = fp0 lsr page_shift in
@@ -1408,9 +1304,7 @@ let sb_exec t (core : core) ~fuel =
           t.sb_pages.(ppn) <- Some p;
           p
     in
-    let ctx = t.sb_ctxs.(core.id) in
     ctx.sx_page <- page;
-    ctx.sx_paging <- t.fetch.(core.id).f_satp >= 0;
     ctx.sx_vbase <- Int64.sub core.pc (Int64.of_int (fp0 land page_mask));
     ctx.sx_epoch <- t.phys_epoch;
     ctx.sx_gen <- Tlb.generation core.tlb;
@@ -1481,8 +1375,8 @@ let run t ~core ~fuel =
 (* The fault engine's entry point for memory corruption. Routing it
    through the machine (rather than straight into [Phys_mem]) keeps
    the invalidation contract in one place: the write hook installed at
-   [create] drops any predecoded instructions for the touched page, so
-   an injected flip can never execute as a stale decode. *)
+   [create] drops any compiled superblock page for the touched page, so
+   an injected flip can never execute as a stale closure. *)
 let inject_bit_flip t ~paddr ~bit = Phys_mem.inject_bit_flip t.mem ~paddr ~bit
 
 let trace_dma t ~write ~paddr ~len ~granted =

@@ -82,11 +82,11 @@ val set_phys_check :
   t -> (core:core -> access:Trap.access -> paddr:int -> bool) -> unit
 (** Decide whether the domain executing on [core] may touch [paddr].
     Applied to every data/fetch access after translation. The check
-    must be pure: the fetch fast path re-evaluates it on every fetch
-    (it is the one translation input with no change counter — Keystone
-    reprograms PMP without a TLB flush) and a fast-path miss evaluates
-    it a second time on the slow path. Installing a check bumps the
-    protection epoch (see {!note_protection_change}); backends that
+    must be pure: the superblock tier evaluates it ahead of the access
+    — at block entry, at each new fetch cache line and before each
+    load or store — and a guard that declines hands the access to
+    {!step}, which evaluates it a second time. Installing a check bumps
+    the protection epoch (see {!note_protection_change}); backends that
     later mutate the state the installed check reads — reprogram PMP,
     reassign an ownership range, switch a core's domain — must call
     {!note_protection_change} after each such change. *)
@@ -160,43 +160,48 @@ val now : t -> int
 (** {2 Execution} *)
 
 val set_fast_path : t -> bool -> unit
-(** Enable (default) or disable the simulator's host-side fast path: a
-    per-core fetch-translation cache, a per-physical-page
-    predecoded-instruction cache, and the superblock tier {!run} uses —
+(** Enable (default) or disable the superblock tier {!run} uses:
     straight-line runs, loads and stores included, pre-translated into
-    per-physical-page arrays of pre-bound closures built lazily from
-    the predecode cache. Guards at block entry and at every memory
-    operation (protection epoch, TLB generation, satp, pending ECC
-    faults, pending interrupts, fault hooks) side-exit to the stepped
-    path with architectural state bit-identical to never having entered
-    the block; any operation that would trap, split across a page
-    boundary, or need an ECC scrub side-exits before a byte moves. An
-    armed timer is a deadline: a block stops at the first instruction
-    boundary the timer is due at, and {!step} delivers it there.
-    Architectural state — cycles, instret, registers, traps, TLB/cache
-    statistics and telemetry — is bit-identical in both modes (only the
-    host-side [hw.sb.*] diagnostic counters differ); only host
-    wall-clock differs. The [off] mode is the stepped reference
-    pipeline, the differential-testing baseline ([bench sim] measures
+    per-physical-page arrays of pre-bound closures, each slot compiled
+    from memory on its first execution. A block's entry translates its
+    own PC (alignment, range, no pending ECC fault, a TLB hit with
+    execute and user permission, bounds, the isolation check); guards
+    at block entry and at every memory operation (protection epoch,
+    TLB generation, pending ECC faults, pending interrupts, fault
+    hooks) side-exit to {!step} with architectural state bit-identical
+    to never having entered the block; any operation that would walk,
+    trap, split across a page boundary, or need an ECC scrub
+    side-exits before a byte moves. An armed timer is a deadline: a
+    block stops at the first instruction boundary the timer is due at,
+    and {!step} delivers it there. Architectural state — cycles,
+    instret, registers, traps, TLB/cache statistics and telemetry — is
+    bit-identical in both modes (only the host-side [hw.sb.*]
+    diagnostic counters differ); only host wall-clock differs. {!step}
+    is the same stepped reference pipeline either way, so [off] runs
+    it alone: the differential-testing baseline ([bench sim] measures
     the gap, the qcheck properties prove the equivalence). *)
 
 val fast_path : t -> bool
 
 val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** {!Phys_mem.inject_bit_flip} on this machine's memory, via the
-    write hook that keeps the predecoded-instruction cache coherent.
+    write hook that drops the touched page's compiled superblock code.
     The fault engine must corrupt memory through this entry point. *)
 
 val step : t -> core -> unit
-(** Execute one instruction (or deliver one pending trap/interrupt). *)
+(** Execute one instruction (or deliver one pending trap/interrupt)
+    through the stepped reference pipeline: the same code with the
+    fast path on or off. *)
 
 val run : t -> core:int -> fuel:int -> int
 (** [run t ~core ~fuel] executes until the core halts or [fuel]
     instructions have retired; returns instructions retired. Each trap
     delivery also consumes one unit of fuel. With the fast path on and
-    no fault hooks or pending interrupts, straight-line code runs in
-    superblocks, an armed timer included; everything else, and every
-    trap and interrupt delivery, goes through {!step}. *)
+    no fault hooks or pending interrupts, each iteration first offers
+    the PC to the superblock tier, an armed timer included; whatever
+    the tier declines — a TLB miss or fetch trap at the entry, an
+    ecall, every trap and interrupt delivery — goes through {!step}.
+    [~fuel:1] makes every instruction its own block entry. *)
 
 val post_interrupt : t -> core:int -> Trap.interrupt -> unit
 (** Queue an external interrupt for [core]. Dropped silently if the

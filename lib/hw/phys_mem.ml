@@ -35,8 +35,8 @@ let set_write_hook t h = t.write_hook <- h
 (* Every mutation of the stored bytes — architectural stores, DMA,
    zeroing, fault injection, ECC scrub corrections — reports the dirty
    range, so a layer caching derived views of memory (the machine's
-   predecoded-instruction cache) can invalidate. One option match when
-   no hook is installed. *)
+   compiled superblock pages) can invalidate. One option match when no
+   hook is installed. *)
 let notify t pos len =
   match t.write_hook with None -> () | Some f -> f ~pos ~len
 

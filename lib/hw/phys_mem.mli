@@ -40,8 +40,8 @@ val set_write_hook : t -> (pos:int -> len:int -> unit) option -> unit
 (** Observe every mutation of the stored bytes: architectural and DMA
     stores, {!zero_range}, {!inject_bit_flip}, fault absorption and
     ECC scrub corrections all report the byte range they dirtied. The
-    machine layer installs its predecoded-instruction-cache
-    invalidator here; at most one hook is live per memory. The hook
+    machine layer installs its superblock-page invalidator here; at
+    most one hook is live per memory. The hook
     runs with the bytes already mutated and must not touch this
     memory. With no hook installed each mutation pays one option
     match. *)

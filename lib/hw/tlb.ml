@@ -63,7 +63,6 @@ let lookup t ~vpn =
   let i = find t ~vpn in
   if i < 0 then None else Some (t.entries.(i).ppn, t.entries.(i).perms)
 
-let note_hit t = t.hits <- t.hits + 1
 let note_hits t n = t.hits <- t.hits + n
 
 (* Pure lookup for the superblock tier: same slot [find] would return,

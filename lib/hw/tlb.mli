@@ -25,16 +25,12 @@ val find : t -> vpn:int -> int
 val slot_ppn : t -> int -> int
 val slot_perms : t -> int -> perms
 
-val note_hit : t -> unit
-(** Account one hit without performing a lookup. For an external
-    translation cache (the machine's fetch fast path) that answers
-    from a snapshot of this TLB: the slow path would have hit, so the
-    statistics must say so. *)
-
 val note_hits : t -> int -> unit
-(** [note_hits t n] accounts [n] hits at once — the superblock tier
-    defers its per-fetch {!note_hit}s to one flush at block exit.
-    Equivalent to calling {!note_hit} [n] times. *)
+(** [note_hits t n] accounts [n] hits without performing a lookup and
+    without MRU promotion. The superblock tier defers its per-fetch
+    hits to one call at block exit: every fetch in a block reads the
+    page its entry {!probe} found, so the stepped path would have hit
+    on each. *)
 
 val probe : t -> vpn:int -> int
 (** Pure {!find}: the slot index holding [vpn], or [-1] — but with no
@@ -54,8 +50,9 @@ val generation : t -> int
 (** Monotonic counter bumped by every {!insert}, {!flush} and
     {!flush_vpn} — i.e. by every mutation of the translation contents.
     Two equal generation numbers guarantee the TLB holds exactly the
-    same entries, which is what lets the machine's fetch fast path
-    reuse a cached translation without rescanning. *)
+    same entries, which is what lets a superblock's memory-op guard
+    trust that nothing was inserted or flushed since the block's
+    entry. *)
 
 val flush : t -> unit
 

@@ -1,14 +1,14 @@
-(* The simulator's host-side fast path (predecoded instruction cache,
-   per-core fetch-translation cache, allocation-free TLB/cache
-   lookups) must be architecturally invisible: with the fast path on
-   and off, the same program produces bit-identical instret, cycles,
-   registers, PC, TLB/cache statistics and trap sequences. The qcheck
-   property below proves it over random programs that include
-   self-modifying stores into their own code page, DMA writes into
-   code, injected ECC faults (correctable and uncorrectable), posted
-   interrupts and armed preemption timers — every event class that
-   can invalidate a cached decode or translation, or cut a superblock
-   short. *)
+(* The simulator's host-side fast path (the superblock tier over the
+   stepped reference pipeline, allocation-free TLB/cache lookups) must
+   be architecturally invisible: with the fast path on and off, the
+   same program produces bit-identical instret, cycles, registers, PC,
+   TLB/cache statistics and trap sequences. The qcheck properties below
+   prove it over random programs that include self-modifying stores
+   into their own code page, DMA writes into code, injected ECC faults
+   (correctable and uncorrectable), posted interrupts and armed
+   preemption timers — every event class that can invalidate a
+   compiled page, make a block's entry translation decline, or cut a
+   superblock short. *)
 
 module Hw = Sanctorum_hw
 module Tel = Sanctorum_telemetry
@@ -48,9 +48,9 @@ let run_at m pos prog =
   exec_at m pos
 
 (* ------------------------------------------------------------------ *)
-(* Self-modifying code: the predecode cache's sharpest edge. A program
+(* Self-modifying code: the compiled pages' sharpest edge. A program
    that overwrites an instruction must execute the new bytes, even
-   when the old bytes were already fetched, decoded and cached. *)
+   when the old bytes were already fetched, decoded and compiled. *)
 
 let test_smc_inline_store () =
   let m, _ = bare_machine () in
@@ -73,7 +73,7 @@ let test_smc_inline_store () =
 let test_smc_store_after_decode () =
   let m, _ = bare_machine () in
   let open Hw.Isa in
-  (* Execute the target first so its decode is definitely cached... *)
+  (* Execute the target first so its slot is definitely compiled... *)
   let c = run_at m 0x1000 [ Op_imm (Add, a0, zero, 1); Ecall ] in
   check_i64 "original executed" 1L (Hw.Machine.read_reg c Hw.Isa.a0);
   (* ...then patch it with a store from a different page... *)
@@ -346,17 +346,21 @@ let apply_event m ~code_base ~data_base ev =
       let c = Hw.Machine.core m 0 in
       c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + n)
 
-(* How to drive the machine: [Stepwise] calls [Machine.step] directly
-   (events land between arbitrary single steps); [Chunked] calls
-   [Machine.run] with a cycled list of small fuel slices (events land
-   at chunk boundaries), which exercises the superblock tier inside
-   [run]. All machines of a differential group use the same drive, so
+(* How to drive the machine. Both drives go through [Machine.run], the
+   only entry point where the superblock tier engages ([Machine.step]
+   runs the same reference code with the fast path on or off).
+   [Per_instruction] calls it with [~fuel:1]: events land between any
+   two instructions, and with the tier on every instruction is its own
+   block entry, so the entry's translation and guards face every pc
+   the program reaches. [Chunked] calls it with a cycled list of small
+   fuel slices (events land at chunk boundaries), so blocks run long.
+   All machines of a differential group use the same drive, so
    injection points are architecturally identical. *)
-type drive = Stepwise | Chunked of int list
+type drive = Per_instruction | Chunked of int list
 
 (* The two execution tiers under differential test. [Super] is the
-   default configuration (fast path and superblock tier); [Slow] is
-   the stepped reference pipeline. *)
+   default configuration (the superblock tier on); [Slow] is the
+   stepped reference pipeline alone. *)
 type tier = Slow | Super
 
 let set_tier m = function
@@ -440,14 +444,14 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
     raws;
   c.Hw.Machine.pc <- Int64.of_int code_base;
   (match drive with
-  | Stepwise ->
+  | Per_instruction ->
       let steps = ref 0 in
       while (not c.Hw.Machine.halted) && !steps < 1500 do
         List.iter
           (fun (k, ev) ->
             if k = !steps then apply_event m ~code_base ~data_base ev)
           events;
-        Hw.Machine.step m c;
+        ignore (Hw.Machine.run m ~core:0 ~fuel:1);
         incr steps
       done
   | Chunked chunks ->
@@ -551,13 +555,13 @@ let qcount default =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-let prop_differential =
+let prop_differential_entry =
   QCheck2.Test.make
     ~name:
-      "differential: fast path on/off — identical instret, cycles, regs, \
-       TLB/cache stats, traps"
+      "differential: block entry at every instruction vs stepped — \
+       bit-identical state (run ~fuel:1)"
     ~count:(qcount 60) case_gen
-    (compare_pair ~drive:Stepwise)
+    (compare_pair ~drive:Per_instruction)
 
 (* The superblock differential: the same property driven through
    [Machine.run] (the only entry point where the superblock engine
@@ -917,6 +921,63 @@ let test_superblock_split_store () =
         (Format.asprintf "%a" Hw.Trap.pp_cause c)
   | None -> Alcotest.fail "expected a write page fault at 0x22000"
 
+(* A block's entry translates its own PC from the TLB, so the entry's
+   execute-permission check is all that keeps the tier out of a
+   TLB-resident page the fetch may not execute. A load leaves the
+   target page's translation in the TLB (a faulting load inserts it
+   too), the page holds valid words, and a jalr lands on it: both tiers
+   must raise the same execute page fault at the same pc, instret and
+   cycles, with no word of the page retired. Two denials: a user page
+   mapped rw- and an rwx page with u = false, whose load faults. *)
+let test_entry_execute_permission () =
+  let target = 0x30000 in
+  let run_with tier perms =
+    let m, _, root = paged_machine () in
+    set_tier m tier;
+    let mem = Hw.Machine.mem m in
+    Hw.Page_table.map mem ~root_ppn:root ~vaddr:target ~ppn:(target lsr 12)
+      ~perms ~alloc_table:(fun () -> Alcotest.fail "no new table expected");
+    let open Hw.Isa in
+    Hw.Phys_mem.write_string mem ~pos:target
+      (encode_program [ Op_imm (Add, a0, zero, 42); Ecall ]);
+    let traps = ref [] in
+    Hw.Machine.set_trap_handler m (fun _ c cause ->
+        traps :=
+          (cause, c.Hw.Machine.pc, c.Hw.Machine.instret, c.Hw.Machine.cycles)
+          :: !traps;
+        match cause with
+        | Hw.Trap.Exception (Hw.Trap.Page_fault (Hw.Trap.Read, _)) ->
+            (* skip the denied load; its translation stays in the TLB *)
+            c.Hw.Machine.pc <- Int64.add c.Hw.Machine.pc 4L
+        | _ -> c.Hw.Machine.halted <- true);
+    let c =
+      run_paged m root
+        (li t1 target @ [ Load (Lw, t2, t1, 0); Jalr (zero, t1, 0); Ecall ])
+    in
+    ( List.rev !traps,
+      Hw.Machine.read_reg c Hw.Isa.a0,
+      Hw.Tlb.stats c.Hw.Machine.tlb,
+      Hw.Cache.stats c.Hw.Machine.l1 )
+  in
+  List.iter
+    (fun (what, perms) ->
+      let sup = run_with Super perms and slow = run_with Slow perms in
+      check_bool (what ^ ": tiers agree") true (sup = slow);
+      let traps, a0, _, _ = sup in
+      check_i64 (what ^ ": no word of the page retired") 0L a0;
+      match List.rev traps with
+      | (Hw.Trap.Exception (Hw.Trap.Page_fault (Hw.Trap.Execute, va)), pc, _, _)
+        :: _
+        when va = Int64.of_int target && pc = va ->
+          ()
+      | _ -> Alcotest.failf "%s: expected an execute fault at 0x30000" what)
+    [
+      ( "rw- user page",
+        { Hw.Page_table.r = true; w = true; x = false; u = true } );
+      ( "rwx page, u = false",
+        { Hw.Page_table.r = true; w = true; x = true; u = false } );
+    ]
+
 (* Full-stack SMC: an enclave whose store dirties its *own* code page
    while a superblock on that page is running. The patched instruction
    (a jal) is the only exit from the loop, so a clean [Exited] outcome
@@ -1059,6 +1120,8 @@ let suite =
         `Quick test_tier_metrics_timer;
       Alcotest.test_case "superblock: page-crossing store side-exits whole"
         `Quick test_superblock_split_store;
+      Alcotest.test_case "superblock: block entry honours execute permission"
+        `Quick test_entry_execute_permission;
       Alcotest.test_case "superblock: smc store dirties own page (sanctum)"
         `Quick
         (test_superblock_smc_own_page Testbed.Sanctum_backend);
@@ -1071,6 +1134,6 @@ let suite =
       Alcotest.test_case "superblock: DMA overwrite drops compiled page \
                           (keystone)" `Quick
         (test_superblock_dma_overwrite Testbed.Keystone_backend);
-      QCheck_alcotest.to_alcotest prop_differential;
+      QCheck_alcotest.to_alcotest prop_differential_entry;
       QCheck_alcotest.to_alcotest prop_differential_run;
     ] )
