@@ -4,7 +4,8 @@
    is regenerated by bin/loc_report.exe.
 
    Usage: main.exe [fig1|fig2|fig3|fig4|fig5|fig6|fig7|crypto|platforms|
-                    sidechannel|ablation|telemetry|analysis|faults|sim|all]
+                    sidechannel|ablation|telemetry|analysis|faults|sim|
+                    workload|attest|fleet|fleetnet|modelcheck|all]
    (default: all) *)
 
 module Hw = Sanctorum_hw
@@ -13,11 +14,20 @@ module C = Sanctorum_crypto
 module S = Sanctorum.Sm
 module Img = Sanctorum.Image
 module Atk = Sanctorum_attack
+module Fl = Sanctorum_fleet.Cluster
 open Sanctorum_os
 
 (* ------------------------------------------------------------------ *)
-(* Provenance: every machine-readable result records what produced it
-   — backend, seed, git revision and compiler — so a pinned number in
+(* Reports. Every group that writes a BENCH file fills in one [report],
+   and [write_report] serialises it through Tel.Json, so every BENCH
+   file has one schema:
+
+     { "bench", "provenance": { "backend", "seed", "git_rev",
+       "ocaml_version" }, "config", "rows", "summary", "clean", "dirty" }
+
+   [config] is the run's scale, [rows] one object per measured
+   configuration, [summary] the figures derived across rows. The
+   provenance records what produced the numbers, so a pinned number in
    the README can be traced to the exact tree that measured it. The
    git revision comes from [.git/HEAD] directly (following one level
    of ref indirection); no subprocess, no dependency. *)
@@ -54,11 +64,59 @@ let git_rev () =
 
 let seconds_since = Sanctorum_workload.Engine.seconds_since
 
-let provenance_json ~backend ~seed =
-  Printf.sprintf
-    "\"provenance\": { \"backend\": %S, \"seed\": %S, \"git_rev\": %S, \
-     \"ocaml_version\": %S }"
-    backend seed (git_rev ()) Sys.ocaml_version
+(* Overrides the group's own file, so a run can leave the committed
+   record alone. *)
+let bench_json = Sys.getenv_opt "SANCTORUM_BENCH_JSON"
+
+type report = {
+  bench : string;
+  file : string;  (** written unless SANCTORUM_BENCH_JSON is set *)
+  backend : string;
+  seed : string;
+  config : (string * Tel.Json.t) list;
+  rows : (string * Tel.Json.t) list list;
+  summary : (string * Tel.Json.t) list;
+  dirty : string list;  (** why the run is not clean; [] if it is *)
+}
+
+(* The message of every check that failed. *)
+let reasons checks =
+  List.filter_map
+    (fun (failed, why) -> if failed then Some why else None)
+    checks
+
+(* Writes the report, then exits 1 naming every reason if the run was
+   dirty, so CI gates on the exit status alone. *)
+let write_report r =
+  let path = Option.value bench_json ~default:r.file in
+  let json =
+    Tel.Json.(
+      Obj
+        [
+          ("bench", String r.bench);
+          ( "provenance",
+            Obj
+              [
+                ("backend", String r.backend);
+                ("seed", String r.seed);
+                ("git_rev", String (git_rev ()));
+                ("ocaml_version", String Sys.ocaml_version);
+              ] );
+          ("config", Obj r.config);
+          ("rows", List (List.map (fun row -> Obj row) r.rows));
+          ("summary", Obj r.summary);
+          ("clean", Bool (r.dirty = []));
+          ("dirty", List (List.map (fun why -> String why) r.dirty));
+        ])
+  in
+  let oc = open_out path in
+  output_string oc (Tel.Json.to_string json ^ "\n");
+  close_out oc;
+  Printf.printf "  wrote %s\n" path;
+  if r.dirty <> [] then begin
+    List.iter (Printf.eprintf "%s bench: %s\n" r.bench) r.dirty;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Environment knobs. A variable that is set but malformed is a usage
@@ -132,19 +190,49 @@ let must_v = function
 let must r = ignore (must_v r)
 let install tb image = must_v (Os.install_enclave tb.Testbed.os image)
 
+(* Wall-clock ns per call of [f], over at least [calls] calls and at
+   least [quota] seconds. It always makes one call, so a zero quota
+   still measures, and it times every call it makes: warm [f] up
+   before. *)
+let ns_per_op ?(calls = 1) ?(quota = 0.) f =
+  let t0 = Monotonic_clock.now () in
+  let n = ref 0 in
+  while !n < calls || seconds_since t0 < quota do
+    ignore (f ());
+    incr n
+  done;
+  seconds_since t0 /. float_of_int !n *. 1e9
+
+(* ~3n retired instructions: t1 counts up to n. *)
+let counted_loop n =
+  Hw.Isa.(
+    li t0 n
+    @ [
+        Op_imm (Add, t1, zero, 0);
+        Op_imm (Add, t1, t1, 1);
+        Branch (Bne, t1, t0, -4);
+      ])
+
+(* One enclave run on core 0: enter, 16 no-op monitor calls, exit —
+   the ecall dispatch path (authenticate, decode, respond). F1 times
+   it; the telemetry, analysis and faults groups use it as their
+   operation. *)
+let ecall_op tb =
+  let calls =
+    List.concat
+      (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
+  in
+  let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
+  let os = tb.Testbed.os in
+  let eid = i.Os.eid and tid = List.hd i.Os.tids in
+  fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
+
 (* ------------------------------------------------------------------ *)
 (* F1 — Fig. 1: the trap funnel / API dispatch *)
 
 let bench_fig1 () =
   let tb = Testbed.create () in
-  (* 16 no-op monitor calls, then exit: measures the ecall dispatch
-     path (authenticate, decode, respond). *)
-  let calls =
-    List.concat
-      (List.init 16 (fun _ ->
-           Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-  in
-  let i_ecall = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
+  let ecalls = ecall_op tb in
   let i_spin = install tb (Img.of_program ~evbase:0x20000 [ Hw.Isa.j 0 ]) in
   let i_fault =
     install tb
@@ -154,10 +242,7 @@ let bench_fig1 () =
   let os = tb.Testbed.os in
   run_group ~name:"F1: SM API dispatch via system exceptions"
     [
-      test ~name:"enter + 16 ecall dispatches + exit" (fun () ->
-          must
-            (Os.run_enclave os ~eid:i_ecall.Os.eid
-               ~tid:(List.hd i_ecall.Os.tids) ~core:0 ~fuel:500 ()));
+      test ~name:"enter + 16 ecall dispatches + exit" ecalls;
       test ~name:"OS interrupt: AEX + delegate" (fun () ->
           must
             (Os.run_enclave os ~eid:i_spin.Os.eid ~tid:(List.hd i_spin.Os.tids)
@@ -347,17 +432,8 @@ let bench_crypto () =
 let simulated_cycles backend =
   let tb = Testbed.create ~backend () in
   let os = tb.Testbed.os in
-  let compute =
-    (* ~1000 retired instructions: a counted loop *)
-    Hw.Isa.(
-      li t0 330
-      @ [
-          Op_imm (Add, t1, zero, 0);
-          Op_imm (Add, t1, t1, 1);
-          Branch (Bne, t1, t0, -4);
-        ]
-      @ exit_prog)
-  in
+  (* ~1000 retired instructions *)
+  let compute = counted_loop 330 @ exit_prog in
   let i = install tb (Img.of_program ~evbase:0x10000 compute) in
   let eid = i.Os.eid and tid = List.hd i.Os.tids in
   let core = Hw.Machine.core tb.Testbed.machine 0 in
@@ -374,15 +450,7 @@ let simulated_cycles backend =
   let c2 = core.Hw.Machine.cycles in
   let _ =
     Os.run_untrusted_program os
-      ~code:
-        Hw.Isa.(
-          li t0 330
-          @ [
-              Op_imm (Add, t1, zero, 0);
-              Op_imm (Add, t1, t1, 1);
-              Branch (Bne, t1, t0, -4);
-            ]
-          @ [ Ecall ])
+      ~code:(counted_loop 330 @ [ Hw.Isa.Ecall ])
       ~core:0 ~fuel:100000 ()
   in
   let baseline = core.Hw.Machine.cycles - c2 in
@@ -509,33 +577,16 @@ let report_ablation () =
    wall-clock, and the wall-clock overhead of leaving tracing on. *)
 
 let report_telemetry () =
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
   let iters = 2000 in
-  let time f =
-    let t0 = Monotonic_clock.now () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    seconds_since t0 /. float_of_int iters *. 1e9
-  in
   (* Traced run: per-op counter deltas from the metrics registry. *)
   let metrics = Tel.Metrics.create () in
   let sink = Tel.Sink.create ~capacity:4096 ~metrics () in
-  let traced_op = workload (Testbed.create ~sink ()) in
+  let traced_op = ecall_op (Testbed.create ~sink ()) in
   traced_op ();
   (* warm-up done; measure from a clean registry *)
   Tel.Metrics.reset metrics;
   Tel.Sink.clear sink;
-  let traced_ns = time traced_op in
+  let traced_ns = ns_per_op ~calls:iters traced_op in
   let value name =
     match Tel.Metrics.find metrics name with
     | Some (Tel.Metrics.Counter c) -> Tel.Metrics.value c
@@ -566,9 +617,9 @@ let report_telemetry () =
     (per (Tel.Sink.event_count sink));
   Printf.printf "  %-34s %12.0f\n" "wall-clock ns/op (traced)" traced_ns;
   (* Untraced baseline on a fresh, identical stack. *)
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
-  let plain_ns = time plain_op in
+  let plain_ns = ns_per_op ~calls:iters plain_op in
   Printf.printf "  %-34s %12.0f\n" "wall-clock ns/op (tracing off)" plain_ns;
   Printf.printf "  %-34s %11.1f%%\n" "tracing overhead"
     (if plain_ns = 0. then 0. else (traced_ns -. plain_ns) /. plain_ns *. 100.)
@@ -579,46 +630,28 @@ let report_telemetry () =
 
 let report_analysis () =
   let module An = Sanctorum_analysis in
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
-  let time ?(iters = 500) f =
-    let t0 = Monotonic_clock.now () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    seconds_since t0 /. float_of_int iters *. 1e9
-  in
   Printf.printf "\n== analysis: invariant-checker cost ==\n";
   (* One snapshot pass over a populated monitor (every pass walks all
      units, page tables, TLBs and caches). *)
   let tb = Testbed.create () in
-  let op = workload tb in
-  op ();
-  let snapshot_ns = time (fun () -> ignore (An.Checker.snapshot tb.Testbed.sm)) in
+  ecall_op tb ();
+  let snapshot_ns =
+    ns_per_op ~calls:500 (fun () -> An.Checker.snapshot tb.Testbed.sm)
+  in
   Printf.printf "  %-34s %12.0f\n" "snapshot pass ns" snapshot_ns;
   (* Trace passes over a recorded run. *)
   let sink = Tel.Sink.create ~capacity:(1 lsl 16) () in
-  let tb_traced = Testbed.create ~sink () in
-  let traced_op = workload tb_traced in
-  traced_op ();
+  ecall_op (Testbed.create ~sink ()) ();
   let events = Tel.Sink.events sink in
   Printf.printf "  %-34s %12d\n" "trace length (events)" (List.length events);
-  let trace_ns = time (fun () -> ignore (An.Checker.trace events)) in
+  let trace_ns = ns_per_op ~calls:500 (fun () -> An.Checker.trace events) in
   Printf.printf "  %-34s %12.0f\n" "lock+order trace pass ns" trace_ns;
   (* Workload overhead of --check-invariants. *)
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
-  let plain_ns = time plain_op in
+  let plain_ns = ns_per_op ~calls:500 plain_op in
   let tb_hooked = Testbed.create () in
-  let hooked_op = workload tb_hooked in
+  let hooked_op = ecall_op tb_hooked in
   S.set_post_api_hook tb_hooked.Testbed.sm
     (Some
        (fun ~api:_ ->
@@ -626,7 +659,7 @@ let report_analysis () =
          | [] -> ()
          | _ :: _ -> failwith "invariant violation during benchmark"));
   hooked_op ();
-  let hooked_ns = time ~iters:100 hooked_op in
+  let hooked_ns = ns_per_op ~calls:100 hooked_op in
   Printf.printf "  %-34s %12.0f\n" "workload ns/op (checker off)" plain_ns;
   Printf.printf "  %-34s %12.0f\n" "workload ns/op (snapshot per call)" hooked_ns;
   Printf.printf "  %-34s %11.1fx\n" "per-API-call checking factor"
@@ -642,36 +675,19 @@ let report_analysis () =
 
 let report_faults () =
   let module F = Sanctorum_faults in
-  let workload tb =
-    let calls =
-      List.concat
-        (List.init 16 (fun _ -> Hw.Isa.[ Op_imm (Add, a7, zero, 999); Ecall ]))
-    in
-    let i = install tb (Img.of_program ~evbase:0x10000 (calls @ exit_prog)) in
-    let os = tb.Testbed.os in
-    let eid = i.Os.eid and tid = List.hd i.Os.tids in
-    fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:500 ())
-  in
   let iters = 2000 in
-  let time f =
-    let t0 = Monotonic_clock.now () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    seconds_since t0 /. float_of_int iters *. 1e9
-  in
   Printf.printf "\n== faults: fault-hook overhead (hooks idle) ==\n";
-  let plain_op = workload (Testbed.create ()) in
+  let plain_op = ecall_op (Testbed.create ()) in
   plain_op ();
-  let plain_ns = time plain_op in
+  let plain_ns = ns_per_op ~calls:iters plain_op in
   let tb_idle = Testbed.create () in
   let idle =
     F.Injector.create ~machine:tb_idle.Testbed.machine ~seed:7L ~spec:[] ()
   in
   F.Injector.arm idle;
-  let idle_op = workload tb_idle in
+  let idle_op = ecall_op tb_idle in
   idle_op ();
-  let idle_ns = time idle_op in
+  let idle_ns = ns_per_op ~calls:iters idle_op in
   let tb_armed = Testbed.create () in
   let armed =
     (* a real schedule, parked beyond any cycle this workload reaches *)
@@ -681,9 +697,9 @@ let report_faults () =
       ()
   in
   F.Injector.arm armed;
-  let armed_op = workload tb_armed in
+  let armed_op = ecall_op tb_armed in
   armed_op ();
-  let armed_ns = time armed_op in
+  let armed_ns = ns_per_op ~calls:iters armed_op in
   let pct x =
     if plain_ns = 0. then 0. else (x -. plain_ns) /. plain_ns *. 100.
   in
@@ -697,26 +713,17 @@ let report_faults () =
 (* Raw simulator throughput: the fig2 enclave compute loop, timed
    wall-clock under both execution tiers — stepped (fast path off) and
    superblock (the default). The architectural work (instret) is
-   identical in both — the differential suite proves that — so the
-   MIPS ratio is a pure host-speed ratio. The machine-readable result
-   lands in BENCH_PR10.json for CI.
+   identical in both — the differential suite proves that, and a run
+   where it differs is dirty — so the MIPS ratio is a pure host-speed
+   ratio. The report lands in BENCH_PR10.json for CI.
 
    SANCTORUM_SIM_QUOTA caps the instruction budget (CI smoke runs use
-   a small quota); SANCTORUM_BENCH_JSON overrides the output path. *)
+   a small quota). *)
 
 let report_sim () =
   let quota = env_int "SANCTORUM_SIM_QUOTA" 4_000_000 in
   let iters = max 1_000 (quota / 3) in
-  let compute =
-    Hw.Isa.(
-      li t0 iters
-      @ [
-          Op_imm (Add, t1, zero, 0);
-          Op_imm (Add, t1, t1, 1);
-          Branch (Bne, t1, t0, -4);
-        ]
-      @ exit_prog)
-  in
+  let compute = counted_loop iters @ exit_prog in
   let measure_once fast =
     let tb = Testbed.create ~seed:"bench-sim" () in
     Hw.Machine.set_fast_path tb.Testbed.machine fast;
@@ -733,63 +740,72 @@ let report_sim () =
   (* best of 3 fresh stacks per mode: the simulated work is identical
      every repetition, so the minimum wall time is the least-noisy
      sample *)
-  let measure fast =
-    let reps = List.init 3 (fun _ -> measure_once fast) in
-    List.fold_left
-      (fun (n, s) (n', s') ->
-        if n <> n' then failwith "sim bench: instret varied across repetitions";
-        (n, Float.min s s'))
-      (List.hd reps) (List.tl reps)
+  let super = List.init 3 (fun _ -> measure_once true) in
+  let slow = List.init 3 (fun _ -> measure_once false) in
+  let best reps =
+    ( fst (List.hd reps),
+      List.fold_left (fun s (_, s') -> Float.min s s') infinity reps )
   in
-  let n_super, s_super = measure true in
-  let n_slow, s_slow = measure false in
-  if n_super <> n_slow then
-    failwith
-      (Printf.sprintf "sim bench: instret diverged (superblock %d vs slow %d)"
-         n_super n_slow);
+  let n_super, s_super = best super in
+  let n_slow, s_slow = best slow in
   let mips n s = if s <= 0. then 0. else float_of_int n /. s /. 1e6 in
   let m_super = mips n_super s_super and m_slow = mips n_slow s_slow in
-  let ratio a b = if b = 0. then 0. else a /. b in
+  let speedup = if m_slow = 0. then 0. else m_super /. m_slow in
   Printf.printf "\n== sim: simulator throughput (fig2 compute loop, %d instrs) ==\n"
     n_slow;
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "superblock tier" s_super m_super;
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "stepped (fast path off)" s_slow
     m_slow;
-  Printf.printf "  %-34s %9.2fx\n" "superblock / stepped"
-    (ratio m_super m_slow);
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_BENCH_JSON")
-      ~default:"BENCH_PR10.json"
+  Printf.printf "  %-34s %9.2fx\n" "superblock / stepped" speedup;
+  let row tier n s m =
+    Tel.Json.
+      [
+        ("tier", String tier);
+        ("instructions", Int n);
+        ("seconds", Float s);
+        ("mips", Float m);
+      ]
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"sim\",\n\
-    \  %s,\n\
-    \  \"workload\": \"fig2-enclave-compute-loop\",\n\
-    \  \"instructions\": %d,\n\
-    \  \"superblock\": { \"seconds\": %.6f, \"mips\": %.2f },\n\
-    \  \"slow_path\": { \"seconds\": %.6f, \"mips\": %.2f },\n\
-    \  \"speedup_superblock_over_slow\": %.2f\n\
-     }\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name Testbed.Sanctum_backend)
-       ~seed:"bench-sim")
-    n_slow s_super m_super s_slow m_slow (ratio m_super m_slow);
-  close_out oc;
-  Printf.printf "  wrote %s\n" path
+  write_report
+    {
+      bench = "sim";
+      file = "BENCH_PR10.json";
+      backend = Testbed.backend_name Testbed.Sanctum_backend;
+      seed = "bench-sim";
+      config =
+        Tel.Json.
+          [
+            ("workload", String "fig2-enclave-compute-loop");
+            ("quota", Int quota);
+          ];
+      rows =
+        [
+          row "superblock" n_super s_super m_super;
+          row "slow_path" n_slow s_slow m_slow;
+        ];
+      summary = [ ("speedup_superblock_over_slow", Tel.Json.Float speedup) ];
+      dirty =
+        reasons
+          [
+            ( List.exists (fun (n, _) -> n <> n_super) (super @ slow),
+              "instret differs across repetitions (3 superblock, 3 slow): "
+              ^ String.concat " "
+                  (List.map (fun (n, _) -> string_of_int n) (super @ slow)) );
+          ];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* The multicore enclave workload engine: all four mixes through the
    closed loop, with throughput (MIPS, enclave ops/sec) and per-quantum
-   latency percentiles. The machine-readable result lands in
-   BENCH_PR5.json for CI.
+   latency percentiles. The report lands in BENCH_PR5.json for CI.
 
    SANCTORUM_WORKLOAD_{CORES,ENCLAVES,ROUNDS} scale the run (CI smoke
-   uses a small matrix); SANCTORUM_WORKLOAD_JSON overrides the output
-   path. Exits non-zero on any analysis finding or incomplete
-   reclamation, so CI needs no output scraping to stay strict. *)
+   uses a small matrix). A mix with any analysis finding or incomplete
+   reclamation makes the run dirty, so CI needs no output scraping to
+   stay strict. *)
+
+let workload_clean (r : Sanctorum_workload.Workload.report) =
+  r.rp_findings = [] && r.rp_drained && r.rp_reclaimed
 
 let report_workload () =
   let module W = Sanctorum_workload.Workload in
@@ -803,87 +819,77 @@ let report_workload () =
   Printf.printf "  %-8s %9s %9s %9s %7s %7s %10s %8s %6s %6s %6s\n" "mix"
     "instret" "quanta" "exits" "inst/rc" "msgs" "mips" "ops/s" "p50" "p90"
     "p99";
-  let clean = ref true in
-  let reports =
+  let mixes =
     List.map
       (fun mix ->
         let r =
           W.run { W.default with W.cores; enclaves; rounds; mix }
         in
-        if r.W.rp_findings <> [] || not (r.W.rp_drained && r.W.rp_reclaimed)
-        then clean := false;
         Printf.printf
           "  %-8s %9d %9d %9d %3d/%-3d %7d %10.2f %8.1f %6d %6d %6d\n"
           (W.mix_name mix) r.W.rp_instret r.W.rp_quanta r.W.rp_exits
           r.W.rp_installs r.W.rp_reclaims r.W.rp_msgs_received r.W.rp_mips
           r.W.rp_ops_per_sec r.W.rp_quantum_p50 r.W.rp_quantum_p90
           r.W.rp_quantum_p99;
-        r)
+        ( Tel.Json.
+            [
+              ("mix", String (W.mix_name mix));
+              ("installs", Int r.rp_installs);
+              ("reclaims", Int r.rp_reclaims);
+              ("exits", Int r.rp_exits);
+              ("preempts", Int r.rp_preempts);
+              ("quanta", Int r.rp_quanta);
+              ("instret", Int r.rp_instret);
+              ("sim_cycles", Int r.rp_sim_cycles);
+              ("msgs_sent", Int r.rp_msgs_sent);
+              ("msgs_received", Int r.rp_msgs_received);
+              ("wall_s", Float r.rp_wall_s);
+              ("mips", Float r.rp_mips);
+              ("enclave_ops_per_sec", Float r.rp_ops_per_sec);
+              ("quantum_cycles_p50", Int r.rp_quantum_p50);
+              ("quantum_cycles_p90", Int r.rp_quantum_p90);
+              ("quantum_cycles_p99", Int r.rp_quantum_p99);
+              ("findings", Int (List.length r.rp_findings));
+              ("drained", Bool r.rp_drained);
+              ("reclaimed", Bool r.rp_reclaimed);
+            ],
+          ( not (workload_clean r),
+            W.mix_name mix ^ ": findings or incomplete reclamation" ) ))
       W.all_mixes
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_WORKLOAD_JSON")
-      ~default:"BENCH_PR5.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"workload\",\n\
-    \  %s,\n\
-    \  \"cores\": %d,\n\
-    \  \"enclaves\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"mixes\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name W.default.W.backend)
-       ~seed:W.default.W.seed)
-    cores enclaves rounds;
-  List.iteri
-    (fun i (r : W.report) ->
-      Printf.fprintf oc
-        "    { \"mix\": %S, \"installs\": %d, \"reclaims\": %d, \"exits\": \
-         %d,\n\
-        \      \"preempts\": %d, \"quanta\": %d, \"instret\": %d, \
-         \"sim_cycles\": %d,\n\
-        \      \"msgs_sent\": %d, \"msgs_received\": %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"quantum_cycles_p50\": %d, \"quantum_cycles_p90\": %d, \
-         \"quantum_cycles_p99\": %d,\n\
-        \      \"findings\": %d, \"drained\": %b, \"reclaimed\": %b }%s\n"
-        (W.mix_name r.W.rp_mix) r.W.rp_installs r.W.rp_reclaims r.W.rp_exits
-        r.W.rp_preempts r.W.rp_quanta r.W.rp_instret r.W.rp_sim_cycles
-        r.W.rp_msgs_sent r.W.rp_msgs_received r.W.rp_wall_s r.W.rp_mips
-        r.W.rp_ops_per_sec r.W.rp_quantum_p50 r.W.rp_quantum_p90
-        r.W.rp_quantum_p99
-        (List.length r.W.rp_findings)
-        r.W.rp_drained r.W.rp_reclaimed
-        (if i = List.length reports - 1 then "" else ","))
-    reports;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "workload bench: findings or incomplete reclamation\n";
-    exit 1
-  end
+  write_report
+    {
+      bench = "workload";
+      file = "BENCH_PR5.json";
+      backend = Testbed.backend_name W.default.W.backend;
+      seed = W.default.W.seed;
+      config =
+        Tel.Json.
+          [
+            ("cores", Int cores);
+            ("enclaves", Int enclaves);
+            ("rounds", Int rounds);
+          ];
+      rows = List.map fst mixes;
+      summary = [];
+      dirty = reasons (List.map snd mixes);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* The attestation fast path (PR 9): the throughput-grade crypto tier
    against its retained reference implementations, the measurement
    cache hot vs cold, the batch attestation service, and the churn mix
-   — whose 34.13 ops/s on the pre-optimization tier (BENCH_PR5.json)
-   is the pinned baseline. The machine-readable result lands in
-   BENCH_PR9.json for CI.
+   — reported against the 34.13 ops/s the pre-optimization tier
+   recorded (BENCH_PR5.json); churn is reported, not gated. The report
+   lands in BENCH_PR9.json for CI.
 
    SANCTORUM_ATTEST_{CLIENTS,BATCH} size the service scenario;
    SANCTORUM_ATTEST_CHURN_{ENCLAVES,ROUNDS} size the churn mix;
    SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota;
-   SANCTORUM_ATTEST_BACKEND picks the platform;
-   SANCTORUM_ATTEST_JSON overrides the output path. Exits non-zero if
-   any scenario is dirty (findings, incomplete reclamation, a verdict
-   out of place, or a cold measurement cache). *)
+   SANCTORUM_ATTEST_BACKEND picks the platform. The run is dirty if
+   verify is not at least 10x its reference, or any scenario is dirty
+   (findings, incomplete reclamation, a verdict out of place, or a
+   cold measurement cache). *)
 
 let report_attest () =
   let module W = Sanctorum_workload.Workload in
@@ -895,31 +901,22 @@ let report_attest () =
   let churn_enclaves = env_int "SANCTORUM_ATTEST_CHURN_ENCLAVES" 64 in
   let churn_rounds = env_int "SANCTORUM_ATTEST_CHURN_ROUNDS" 1000 in
   let min_s = env_float "SANCTORUM_ATTEST_MIN_S" 0.3 in
-  let dirty = ref [] in
-  let flag what = dirty := what :: !dirty in
   (* -- crypto micro-ops, wall-clock against the retained references -- *)
-  let time_ns f =
+  let time f =
     ignore (f ());
     (* warm: tables, caches *)
-    let t0 = Monotonic_clock.now () in
-    let n = ref 0 in
-    while seconds_since t0 < min_s do
-      ignore (f ());
-      incr n
-    done;
-    seconds_since t0 /. float_of_int !n *. 1e9
+    ns_per_op ~quota:min_s f
   in
   let sk = C.Schnorr.secret_key_of_seed "bench-attest" in
   let pk = C.Schnorr.public_key sk in
   let signature = C.Schnorr.sign sk "msg" in
-  let keygen_ns = time_ns (fun () -> C.Schnorr.secret_key_of_seed "fresh") in
-  let sign_ns = time_ns (fun () -> C.Schnorr.sign sk "msg") in
-  let verify_ns =
-    time_ns (fun () -> C.Schnorr.verify pk ~msg:"msg" ~signature)
-  in
+  let keygen_ns = time (fun () -> C.Schnorr.secret_key_of_seed "fresh") in
+  let sign_ns = time (fun () -> C.Schnorr.sign sk "msg") in
+  let verify_ns = time (fun () -> C.Schnorr.verify pk ~msg:"msg" ~signature) in
   let verify_ref_ns =
-    time_ns (fun () -> C.Schnorr.verify_reference pk ~msg:"msg" ~signature)
+    time (fun () -> C.Schnorr.verify_reference pk ~msg:"msg" ~signature)
   in
+  let verify_speedup = verify_ref_ns /. verify_ns in
   let batch_n = 64 in
   let items =
     List.init batch_n (fun i ->
@@ -927,7 +924,7 @@ let report_attest () =
         (pk, msg, C.Schnorr.sign sk msg))
   in
   let batch_item_ns =
-    time_ns (fun () -> C.Schnorr.verify_batch items) /. float_of_int batch_n
+    time (fun () -> C.Schnorr.verify_batch items) /. float_of_int batch_n
   in
   Printf.printf "\n== attest: crypto fast path vs reference ==\n";
   Printf.printf "  %-36s %12.0f ns/op\n" "schnorr keygen" keygen_ns;
@@ -935,12 +932,11 @@ let report_attest () =
   Printf.printf "  %-36s %12.0f ns/op\n" "schnorr verify (tables)" verify_ns;
   Printf.printf "  %-36s %12.0f ns/op\n" "schnorr verify (reference)"
     verify_ref_ns;
-  Printf.printf "  %-36s %12.2fx\n" "verify speedup" (verify_ref_ns /. verify_ns);
+  Printf.printf "  %-36s %12.2fx\n" "verify speedup" verify_speedup;
   Printf.printf "  %-36s %12.0f ns/item (n=%d)\n" "batch verify" batch_item_ns
     batch_n;
   Printf.printf "  %-36s %12.2fx vs single verify\n" "batch speedup"
     (verify_ns /. batch_item_ns);
-  if verify_ref_ns /. verify_ns < 10. then flag "verify speedup below 10x";
   (* -- the measurement cache, cold vs hot on a 4-page transcript -- *)
   let measure cache =
     let t = M.start () in
@@ -955,29 +951,44 @@ let report_attest () =
     M.extend_thread t ~entry_pc:0x10000L ~entry_sp:0x17ff0L;
     M.finalize ?cache t
   in
-  let cold_ns = time_ns (fun () -> measure None) in
+  let cold_ns = time (fun () -> measure None) in
   let cache = M.Cache.create () in
   ignore (measure (Some cache));
-  let hot_ns = time_ns (fun () -> measure (Some cache)) in
+  let hot_ns = time (fun () -> measure (Some cache)) in
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cold)" cold_ns;
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cached)" hot_ns;
-  if M.Cache.hits cache = 0 then flag "measurement cache never hit";
   (* -- the attestation service at scale, honest and tampered -- *)
   Printf.printf "\n== attest: batch attestation service ==\n";
   Printf.printf "  %-10s %8s %9s %9s %8s %8s %11s %6s\n" "scenario" "clients"
     "verified" "rejected" "batches" "signs" "clients/s" "clean";
-  let service label tamper_every =
+  let service (label, tamper_every) =
     let r =
       Asv.run { Asv.default with Asv.clients; batch; tamper_every; backend }
     in
     Printf.printf "  %-10s %8d %9d %9d %8d %8d %11.1f %6b\n" label
       r.Asv.ar_clients r.Asv.ar_verified r.Asv.ar_rejected r.Asv.ar_batches
       r.Asv.ar_signs r.Asv.ar_clients_per_sec r.Asv.ar_clean;
-    if not r.Asv.ar_clean then flag (label ^ " service scenario dirty");
-    r
+    ( Tel.Json.
+        [
+          ("scenario", String label);
+          ("clients", Int r.ar_clients);
+          ("batch", Int batch);
+          ("tamper_every", Int tamper_every);
+          ("verified", Int r.ar_verified);
+          ("rejected", Int r.ar_rejected);
+          ("tampered", Int r.ar_tampered);
+          ("batches", Int r.ar_batches);
+          ("signs", Int r.ar_signs);
+          ("batch_verifies", Int r.ar_batch_verifies);
+          ("cache_hits", Int r.ar_cache_hits);
+          ("wall_s", Float r.ar_wall_s);
+          ("clients_per_sec", Float r.ar_clients_per_sec);
+          ("findings", Int r.ar_findings);
+          ("clean", Bool r.ar_clean);
+        ],
+      (not r.ar_clean, label ^ " service scenario dirty") )
   in
-  let honest = service "honest" 0 in
-  let tampered = service "tampered" 8 in
+  let services = List.map service [ ("honest", 0); ("tampered", 8) ] in
   (* -- the churn mix against its pinned pre-optimization baseline -- *)
   let baseline = 34.13 in
   Printf.printf "\n== attest: churn mix vs BENCH_PR5 baseline ==\n";
@@ -991,260 +1002,235 @@ let report_attest () =
         W.backend = backend;
       }
   in
-  if
-    churn.W.rp_findings <> []
-    || not (churn.W.rp_drained && churn.W.rp_reclaimed)
-  then flag "churn mix dirty";
-  if churn.W.rp_meas_cache_hits = 0 then flag "churn never hit the cache";
   Printf.printf "  %-36s %12.2f ops/s (pinned, pre-optimization)\n"
     "baseline (BENCH_PR5 churn)" baseline;
   Printf.printf "  %-36s %12.2f ops/s\n" "churn now" churn.W.rp_ops_per_sec;
   Printf.printf "  %-36s %12.2fx\n" "speedup" (churn.W.rp_ops_per_sec /. baseline);
   Printf.printf "  %-36s %9d hits %9d misses\n" "measurement cache"
     churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses;
-  (* -- machine-readable result -- *)
-  let path =
-    Option.value (Sys.getenv_opt "SANCTORUM_ATTEST_JSON")
-      ~default:"BENCH_PR9.json"
-  in
-  let oc = open_out path in
-  let service_json label tamper_every (r : Asv.report) =
-    Printf.sprintf
-      "    { \"scenario\": %S, \"clients\": %d, \"batch\": %d, \
-       \"tamper_every\": %d,\n\
-      \      \"verified\": %d, \"rejected\": %d, \"tampered\": %d, \
-       \"batches\": %d,\n\
-      \      \"signs\": %d, \"batch_verifies\": %d, \"cache_hits\": %d,\n\
-      \      \"wall_s\": %.4f, \"clients_per_sec\": %.1f, \"findings\": %d, \
-       \"clean\": %b }"
-      label r.Asv.ar_clients batch tamper_every r.Asv.ar_verified
-      r.Asv.ar_rejected r.Asv.ar_tampered r.Asv.ar_batches r.Asv.ar_signs
-      r.Asv.ar_batch_verifies r.Asv.ar_cache_hits r.Asv.ar_wall_s
-      r.Asv.ar_clients_per_sec r.Asv.ar_findings r.Asv.ar_clean
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"attest\",\n\
-    \  %s,\n\
-    \  \"micro_ns\": { \"keygen\": %.0f, \"sign\": %.0f, \"verify\": %.0f,\n\
-    \    \"verify_reference\": %.0f, \"verify_speedup\": %.2f,\n\
-    \    \"batch_item\": %.0f, \"batch_n\": %d, \"batch_vs_single\": %.2f,\n\
-    \    \"measurement_cold\": %.0f, \"measurement_hot\": %.0f },\n\
-    \  \"service\": [\n%s,\n%s\n  ],\n\
-    \  \"churn\": { \"baseline_ops_per_sec\": %.2f,\n\
-    \    \"baseline_source\": \"BENCH_PR5.json churn (pre-optimization \
-     tier, same config)\",\n\
-    \    \"enclaves\": %d, \"rounds\": %d,\n\
-    \    \"ops_per_sec\": %.2f, \"speedup\": %.2f, \"wall_s\": %.4f,\n\
-    \    \"installs\": %d, \"reclaims\": %d,\n\
-    \    \"meas_cache_hits\": %d, \"meas_cache_misses\": %d,\n\
-    \    \"findings\": %d, \"drained\": %b, \"reclaimed\": %b }\n\
-     }\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:W.default.W.seed)
-    keygen_ns sign_ns verify_ns verify_ref_ns
-    (verify_ref_ns /. verify_ns)
-    batch_item_ns batch_n
-    (verify_ns /. batch_item_ns)
-    cold_ns hot_ns
-    (service_json "honest" 0 honest)
-    (service_json "tampered" 8 tampered)
-    baseline churn_enclaves churn_rounds churn.W.rp_ops_per_sec
-    (churn.W.rp_ops_per_sec /. baseline)
-    churn.W.rp_wall_s churn.W.rp_installs churn.W.rp_reclaims
-    churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses
-    (List.length churn.W.rp_findings)
-    churn.W.rp_drained churn.W.rp_reclaimed;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if !dirty <> [] then begin
-    List.iter (Printf.eprintf "attest bench: %s\n") !dirty;
-    exit 1
-  end
+  write_report
+    {
+      bench = "attest";
+      file = "BENCH_PR9.json";
+      backend = Testbed.backend_name backend;
+      seed = W.default.W.seed;
+      config =
+        Tel.Json.
+          [
+            ("clients", Int clients);
+            ("batch", Int batch);
+            ("churn_enclaves", Int churn_enclaves);
+            ("churn_rounds", Int churn_rounds);
+            ("min_s", Float min_s);
+          ];
+      rows = List.map fst services;
+      summary =
+        Tel.Json.
+          [
+            ( "micro_ns",
+              Obj
+                [
+                  ("keygen", Float keygen_ns);
+                  ("sign", Float sign_ns);
+                  ("verify", Float verify_ns);
+                  ("verify_reference", Float verify_ref_ns);
+                  ("verify_speedup", Float verify_speedup);
+                  ("batch_item", Float batch_item_ns);
+                  ("batch_n", Int batch_n);
+                  ("batch_vs_single", Float (verify_ns /. batch_item_ns));
+                  ("measurement_cold", Float cold_ns);
+                  ("measurement_hot", Float hot_ns);
+                ] );
+            ( "churn",
+              Obj
+                [
+                  ("baseline_ops_per_sec", Float baseline);
+                  ( "baseline_source",
+                    String
+                      "BENCH_PR5.json churn (pre-optimization tier, same \
+                       config)" );
+                  ("ops_per_sec", Float churn.W.rp_ops_per_sec);
+                  ("speedup", Float (churn.W.rp_ops_per_sec /. baseline));
+                  ("wall_s", Float churn.W.rp_wall_s);
+                  ("installs", Int churn.W.rp_installs);
+                  ("reclaims", Int churn.W.rp_reclaims);
+                  ("meas_cache_hits", Int churn.W.rp_meas_cache_hits);
+                  ("meas_cache_misses", Int churn.W.rp_meas_cache_misses);
+                  ("findings", Int (List.length churn.W.rp_findings));
+                  ("drained", Bool churn.W.rp_drained);
+                  ("reclaimed", Bool churn.W.rp_reclaimed);
+                ] );
+          ];
+      dirty =
+        reasons
+          ([
+             (* fails closed: a NaN speedup is not a pass *)
+             (not (verify_speedup >= 10.), "verify speedup below 10x");
+             (M.Cache.hits cache = 0, "measurement cache never hit");
+           ]
+          @ List.map snd services
+          @ [
+              (not (workload_clean churn), "churn mix dirty");
+              (churn.W.rp_meas_cache_hits = 0, "churn never hit the cache");
+            ]);
+    }
 
 (* ------------------------------------------------------------------ *)
-(* The fleet layer: the same total work — compute mix, a fixed job
-   count, a fixed fleet-wide enclave population — pushed through 1, 2
-   and 4 shards, each shard one OCaml domain with its own machine.
-   Scaling comes from two directions at once: the domains run in
-   parallel, and each shard simulates a machine with 1/N of the
-   enclave state (fewer PMP entries to walk per switch, smaller
-   tables), so the curve is meaningful even on a single host core.
-   The machine-readable result lands in BENCH_PR6.json for CI.
+(* The fleet workload, shared by the fleet and fleetnet groups: the
+   compute mix, a fixed job count and a fixed fleet-wide enclave
+   population split over the shards, each shard one OCaml domain with
+   its own 4-core machine.
 
-   SANCTORUM_FLEET_{JOBS,TARGET,CORES} scale the run;
-   SANCTORUM_FLEET_BACKEND picks the platform; SANCTORUM_FLEET_JSON
-   overrides the output path. Exits non-zero if any scale is dirty. *)
+   SANCTORUM_FLEET_{JOBS,TARGET} scale the run; SANCTORUM_FLEET_BACKEND
+   picks the platform. *)
+
+type fleet = { jobs : int; target : int; backend : Testbed.backend }
+
+let fleet_cores = 4
+
+let fleet_knobs () =
+  {
+    jobs = env_int "SANCTORUM_FLEET_JOBS" 64;
+    target = env_int "SANCTORUM_FLEET_TARGET" 40;
+    backend = env_backend "SANCTORUM_FLEET_BACKEND" Testbed.Keystone_backend;
+  }
+
+let fleet_title name what f =
+  Printf.printf "\n== %s: %s (%s, %d jobs, target %d, %d cores/shard) ==\n"
+    name what
+    (Testbed.backend_name f.backend)
+    f.jobs f.target fleet_cores
+
+let fleet_config f =
+  Tel.Json.
+    [
+      ("jobs", Int f.jobs);
+      ("target", Int f.target);
+      ("cores_per_shard", Int fleet_cores);
+      ("mix", String "compute");
+    ]
+
+let run_fleet f ?(net = Sanctorum_fleet.Netfault.empty) shards =
+  Fl.run
+    {
+      Fl.default with
+      Fl.seed = "bench-fleet";
+      backend = f.backend;
+      shards;
+      cores = fleet_cores;
+      enclaves = max 2 (f.jobs / shards);
+      jobs = f.jobs;
+      target = f.target;
+      mix = Sanctorum_workload.Programs.Compute;
+      (* high enough that every scale finishes in one generation:
+         nothing is migrated, so each scale executes the identical set
+         of (jid, seed, target) jobs to completion — same total work by
+         construction *)
+      batch_rounds = 40_000;
+      net;
+    }
+
+let outcome_fields (o : Fl.outcome) =
+  Tel.Json.
+    [
+      ("jobs_completed", Int (List.length o.r_completed));
+      ("jobs_failed_closed", Int (List.length o.r_failed_closed));
+      ("generations", Int o.r_generations);
+      ("wall_s", Float o.r_wall_s);
+      ("mips", Float o.r_mips);
+      ("enclave_ops_per_sec", Float o.r_ops_per_sec);
+      ("findings", Int o.r_findings);
+      ("accounted", Bool o.r_accounted);
+      ("clean", Bool o.r_clean);
+    ]
+
+(* The same total work pushed through 1, 2 and 4 shards. Scaling comes
+   from two directions at once: the domains run in parallel, and each
+   shard simulates a machine with 1/N of the enclave state (fewer PMP
+   entries to walk per switch, smaller tables), so the curve is
+   meaningful even on a single host core. The report lands in
+   BENCH_PR6.json for CI; a dirty scale makes the run dirty. *)
 
 let report_fleet () =
-  let module Fl = Sanctorum_fleet.Cluster in
-  let jobs = env_int "SANCTORUM_FLEET_JOBS" 64 in
-  let target = env_int "SANCTORUM_FLEET_TARGET" 40 in
-  let cores = env_int "SANCTORUM_FLEET_CORES" 4 in
-  let backend =
-    env_backend "SANCTORUM_FLEET_BACKEND" Testbed.Keystone_backend
-  in
-  let scales = [ 1; 2; 4 ] in
-  Printf.printf
-    "\n== fleet: domain-parallel shards (%s, %d jobs, target %d, %d \
-     cores/shard) ==\n"
-    (Testbed.backend_name backend)
-    jobs target cores;
+  let f = fleet_knobs () in
+  fleet_title "fleet" "domain-parallel shards" f;
   Printf.printf "  %-7s %9s %7s %7s %10s %9s %6s %6s %6s %6s\n" "shards"
     "instret" "gens" "wall-s" "mips" "ops/s" "p50" "p90" "p99" "clean";
-  let clean = ref true in
   let outcomes =
     List.map
       (fun shards ->
-        let o =
-          Fl.run
-            {
-              Fl.default with
-              Fl.seed = "bench-fleet";
-              backend;
-              shards;
-              cores;
-              enclaves = max 2 (jobs / shards);
-              jobs;
-              target;
-              mix = Sanctorum_workload.Programs.Compute;
-              (* high enough that every scale finishes in one
-                 generation: nothing is migrated, so each scale
-                 executes the identical set of (jid, seed, target)
-                 jobs to completion — same total work by construction *)
-              batch_rounds = env_int "SANCTORUM_FLEET_BATCH_ROUNDS" 40_000;
-            }
-        in
-        if not o.Fl.r_clean then clean := false;
+        let o = run_fleet f shards in
         Printf.printf "  %-7d %9d %7d %7.3f %10.2f %9.1f %6d %6d %6d %6b\n"
           shards o.Fl.r_instret o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips
           o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99 o.Fl.r_clean;
-        (shards, o))
-      scales
+        let row =
+          Tel.Json.(
+            [
+              ("shards", Int shards);
+              ("enclaves_per_shard", Int (max 2 (f.jobs / shards)));
+            ]
+            @ outcome_fields o
+            @ [
+                ("instret", Int o.r_instret);
+                ("quantum_cycles_p50", Int o.r_p50);
+                ("quantum_cycles_p90", Int o.r_p90);
+                ("quantum_cycles_p99", Int o.r_p99);
+              ])
+        in
+        (shards, (o, row)))
+      [ 1; 2; 4 ]
   in
-  let ratio f =
-    match (List.assoc_opt 1 outcomes, List.assoc_opt 4 outcomes) with
-    | Some a, Some b when f a > 0. -> f b /. f a
-    | _ -> 0.
+  let ratio g =
+    let one = g (fst (List.assoc 1 outcomes)) in
+    if one > 0. then g (fst (List.assoc 4 outcomes)) /. one else 0.
   in
   let mips_x = ratio (fun o -> o.Fl.r_mips) in
   let ops_x = ratio (fun o -> o.Fl.r_ops_per_sec) in
   Printf.printf "  %-34s %9.2fx mips %9.2fx ops/s\n" "4-shard scaling"
     mips_x ops_x;
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_FLEET_JSON")
-      ~default:"BENCH_PR6.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fleet\",\n\
-    \  %s,\n\
-    \  \"jobs\": %d,\n\
-    \  \"target\": %d,\n\
-    \  \"cores_per_shard\": %d,\n\
-    \  \"mix\": \"compute\",\n\
-    \  \"scales\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:"bench-fleet")
-    jobs target cores;
-  List.iteri
-    (fun i (shards, (o : Fl.outcome)) ->
-      Printf.fprintf oc
-        "    { \"shards\": %d, \"enclaves_per_shard\": %d, \"jobs_completed\": \
-         %d,\n\
-        \      \"jobs_failed_closed\": %d, \"generations\": %d, \"instret\": \
-         %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"quantum_cycles_p50\": %d, \"quantum_cycles_p90\": %d, \
-         \"quantum_cycles_p99\": %d,\n\
-        \      \"findings\": %d, \"accounted\": %b, \"clean\": %b }%s\n"
-        shards
-        (max 2 (jobs / shards))
-        (List.length o.Fl.r_completed)
-        (List.length o.Fl.r_failed_closed)
-        o.Fl.r_generations o.Fl.r_instret o.Fl.r_wall_s o.Fl.r_mips
-        o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99 o.Fl.r_findings
-        o.Fl.r_accounted o.Fl.r_clean
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"scaling_4x\": { \"mips\": %.2f, \"enclave_ops_per_sec\": %.2f }\n\
-     }\n"
-    mips_x ops_x;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "fleet bench: a scale ended dirty\n";
-    exit 1
-  end
+  write_report
+    {
+      bench = "fleet";
+      file = "BENCH_PR6.json";
+      backend = Testbed.backend_name f.backend;
+      seed = "bench-fleet";
+      config = fleet_config f;
+      rows = List.map (fun (_, (_, row)) -> row) outcomes;
+      summary =
+        Tel.Json.
+          [
+            ( "scaling_4x",
+              Obj
+                [ ("mips", Float mips_x); ("enclave_ops_per_sec", Float ops_x) ]
+            );
+          ];
+      dirty =
+        reasons
+          (List.map
+             (fun (shards, (o, _)) ->
+               ( not o.Fl.r_clean,
+                 Printf.sprintf "%d-shard scale ended dirty" shards ))
+             outcomes);
+    }
 
-(* ------------------------------------------------------------------ *)
-(* The fleet transport: the same workload as the fleet bench — same
-   seed, jobs, target, enclave split, so the rows are comparable
-   one-for-one with BENCH_PR6.json — first with the link quiet (every
-   protocol timer quiesced: the faults-off overhead of carrying the
-   session layer must be within run-to-run noise of the PR6 baseline)
-   and then under escalating fault specs, where the interesting number
-   is how little wall-clock the retransmit/dedup machinery costs to
-   absorb the chaos. The machine-readable result lands in
-   BENCH_PR8.json for CI.
-
-   SANCTORUM_FLEETNET_{JOBS,TARGET,CORES} scale the run;
-   SANCTORUM_FLEETNET_BACKEND picks the platform;
-   SANCTORUM_FLEETNET_JSON overrides the output path. Exits non-zero
-   if any row is dirty. *)
+(* The fleet transport: the fleet bench's workload, first with the link
+   quiet (every protocol timer quiesced) and then under escalating
+   fault specs, where the interesting number is how little wall-clock
+   the retransmit/dedup machinery costs to absorb the chaos — a ratio
+   of two runs in this process, so host speed cancels out of it. The
+   report lands in BENCH_PR8.json for CI; a dirty row makes the run
+   dirty. *)
 
 let report_fleetnet () =
-  let module Fl = Sanctorum_fleet.Cluster in
   let module Nf = Sanctorum_fleet.Netfault in
-  let jobs = env_int "SANCTORUM_FLEETNET_JOBS" 64 in
-  let target = env_int "SANCTORUM_FLEETNET_TARGET" 40 in
-  let cores = env_int "SANCTORUM_FLEETNET_CORES" 4 in
-  let backend =
-    env_backend "SANCTORUM_FLEETNET_BACKEND" Testbed.Keystone_backend
-  in
-  let rows =
-    [
-      ("off-1", 1, "none");
-      ("off-4", 4, "none");
-      ("loss-4", 4, "drop:3,dup:2,reorder:1");
-      ("chaos-4", 4, "all");
-    ]
-  in
-  Printf.printf
-    "\n== fleetnet: reliable sessions over a hostile link (%s, %d jobs, \
-     target %d, %d cores/shard) ==\n"
-    (Testbed.backend_name backend)
-    jobs target cores;
+  let f = fleet_knobs () in
+  fleet_title "fleetnet" "reliable sessions over a hostile link" f;
   Printf.printf "  %-9s %7s %7s %10s %9s %7s %7s %6s\n" "row" "shards"
     "wall-s" "mips" "ops/s" "retx" "rejects" "clean";
-  let clean = ref true in
   let outcomes =
     List.map
       (fun (label, shards, spec) ->
-        let o =
-          Fl.run
-            {
-              Fl.default with
-              Fl.seed = "bench-fleet";
-              backend;
-              shards;
-              cores;
-              enclaves = max 2 (jobs / shards);
-              jobs;
-              target;
-              mix = Sanctorum_workload.Programs.Compute;
-              batch_rounds = env_int "SANCTORUM_FLEETNET_BATCH_ROUNDS" 40_000;
-              net = Result.get_ok (Nf.parse spec);
-            }
-        in
-        if not o.Fl.r_clean then clean := false;
+        let o = run_fleet f ~net:(Result.get_ok (Nf.parse spec)) shards in
         let c n = try List.assoc n o.Fl.r_counters with Not_found -> 0 in
         let rejects =
           c "net.hmac_rejects" + c "net.stale_rejected"
@@ -1253,141 +1239,64 @@ let report_fleetnet () =
         Printf.printf "  %-9s %7d %7.3f %10.2f %9.1f %7d %7d %6b\n" label
           shards o.Fl.r_wall_s o.Fl.r_mips o.Fl.r_ops_per_sec
           (c "net.retransmits") rejects o.Fl.r_clean;
-        (label, shards, spec, o))
-      rows
+        let row =
+          Tel.Json.(
+            [
+              ("row", String label);
+              ("shards", Int shards);
+              ("net_faults", String spec);
+            ]
+            @ outcome_fields o
+            @ [
+                ("retransmits", Int (c "net.retransmits"));
+                ("dups_dropped", Int (c "net.dups_dropped"));
+                ("hmac_rejects", Int (c "net.hmac_rejects"));
+                ("link_dropped", Int (c "net.link.dropped"));
+                ("link_corrupted", Int (c "net.link.corrupted"));
+                ("link_reordered", Int (c "net.link.reordered"));
+              ])
+        in
+        (label, (o, row)))
+      [
+        ("off-1", 1, "none");
+        ("off-4", 4, "none");
+        ("loss-4", 4, "drop:3,dup:2,reorder:1");
+        ("chaos-4", 4, "all");
+      ]
   in
-  let wall label =
-    match
-      List.find_opt (fun (l, _, _, _) -> l = label) outcomes
-    with
-    | Some (_, _, _, o) -> o.Fl.r_wall_s
-    | None -> 0.
-  in
+  let wall label = (fst (List.assoc label outcomes)).Fl.r_wall_s in
   let chaos_x = if wall "off-4" > 0. then wall "chaos-4" /. wall "off-4" else 0. in
-  (* the PR6 baseline ran the identical off-4 workload without the
-     transport; its recorded mips anchors the faults-off overhead claim *)
-  let pr6_mips =
-    try
-      let ic = open_in "BENCH_PR6.json" in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      let anchor = {|"shards": 4|} in
-      let rec find i =
-        if i + String.length anchor > String.length s then None
-        else if String.sub s i (String.length anchor) = anchor then Some i
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some i -> (
-          let key = {|"mips": |} in
-          let rec find_key j =
-            if j + String.length key > String.length s then None
-            else if String.sub s j (String.length key) = key then
-              Some (j + String.length key)
-            else find_key (j + 1)
-          in
-          match find_key i with
-          | None -> None
-          | Some j ->
-              let k = ref j in
-              while
-                !k < String.length s
-                && (match s.[!k] with
-                   | '0' .. '9' | '.' | '-' -> true
-                   | _ -> false)
-              do
-                incr k
-              done;
-              float_of_string_opt (String.sub s j (!k - j)))
-    with _ -> None
-  in
-  let off4_mips =
-    match List.find_opt (fun (l, _, _, _) -> l = "off-4") outcomes with
-    | Some (_, _, _, o) -> o.Fl.r_mips
-    | None -> 0.
-  in
-  (match pr6_mips with
-  | Some m when m > 0. ->
-      Printf.printf
-        "  %-34s %9.2fx vs BENCH_PR6 4-shard mips (1.00 = no overhead)\n"
-        "faults-off throughput" (off4_mips /. m)
-  | _ -> Printf.printf "  (no BENCH_PR6.json baseline in cwd)\n");
   Printf.printf "  %-34s %9.2fx wall vs faults-off\n" "full chaos cost"
     chaos_x;
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_FLEETNET_JSON")
-      ~default:"BENCH_PR8.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"fleetnet\",\n\
-    \  %s,\n\
-    \  \"jobs\": %d,\n\
-    \  \"target\": %d,\n\
-    \  \"cores_per_shard\": %d,\n\
-    \  \"mix\": \"compute\",\n\
-    \  \"baseline\": \"BENCH_PR6.json (same seed, jobs, target, enclave \
-     split)\",\n\
-    \  \"rows\": [\n"
-    (provenance_json
-       ~backend:(Testbed.backend_name backend)
-       ~seed:"bench-fleet")
-    jobs target cores;
-  List.iteri
-    (fun i (label, shards, spec, (o : Fl.outcome)) ->
-      let c n = try List.assoc n o.Fl.r_counters with Not_found -> 0 in
-      Printf.fprintf oc
-        "    { \"row\": %S, \"shards\": %d, \"net_faults\": %S,\n\
-        \      \"jobs_completed\": %d, \"jobs_failed_closed\": %d, \
-         \"generations\": %d,\n\
-        \      \"wall_s\": %.4f, \"mips\": %.3f, \"enclave_ops_per_sec\": \
-         %.2f,\n\
-        \      \"retransmits\": %d, \"dups_dropped\": %d, \"hmac_rejects\": \
-         %d,\n\
-        \      \"link_dropped\": %d, \"link_corrupted\": %d, \
-         \"link_reordered\": %d,\n\
-        \      \"findings\": %d, \"accounted\": %b, \"clean\": %b }%s\n"
-        label shards spec
-        (List.length o.Fl.r_completed)
-        (List.length o.Fl.r_failed_closed)
-        o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips o.Fl.r_ops_per_sec
-        (c "net.retransmits") (c "net.dups_dropped") (c "net.hmac_rejects")
-        (c "net.link.dropped") (c "net.link.corrupted")
-        (c "net.link.reordered") o.Fl.r_findings o.Fl.r_accounted o.Fl.r_clean
-        (if i = List.length outcomes - 1 then "" else ","))
-    outcomes;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"faults_off_vs_pr6_mips\": %s,\n\
-    \  \"chaos_wall_vs_off\": %.3f\n\
-     }\n"
-    (match pr6_mips with
-    | Some m when m > 0. -> Printf.sprintf "%.3f" (off4_mips /. m)
-    | _ -> "null")
-    chaos_x;
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "fleetnet bench: a row ended dirty\n";
-    exit 1
-  end
+  write_report
+    {
+      bench = "fleetnet";
+      file = "BENCH_PR8.json";
+      backend = Testbed.backend_name f.backend;
+      seed = "bench-fleet";
+      config = fleet_config f;
+      rows = List.map (fun (_, (_, row)) -> row) outcomes;
+      summary = [ ("chaos_wall_vs_off", Tel.Json.Float chaos_x) ];
+      dirty =
+        reasons
+          (List.map
+             (fun (label, (o, _)) ->
+               (not o.Fl.r_clean, label ^ " row ended dirty"))
+             outcomes);
+    }
 
 (* ------------------------------------------------------------------ *)
 (* The bounded model checker: exploration throughput (states/sec) and
    dedup hit-rate on both backends, plus one cross-backend differential
    run. The state count and digest are deterministic in the geometry,
-   so the JSON doubles as a regression anchor: a digest change means
-   the explored space changed. The machine-readable result lands in
-   BENCH_PR7.json for CI.
+   so the report doubles as a regression anchor: a digest change means
+   the explored space changed. The report lands in BENCH_PR7.json for
+   CI.
 
    SANCTORUM_MODELCHECK_DEPTH / _DIFF_DEPTH scale the run (CI smoke
-   uses small depths); SANCTORUM_MODELCHECK_JSON overrides the output
-   path. Exits non-zero on any finding: the explored region must be
-   catalog-silent and verdict-identical across backends. *)
+   uses small depths). Any finding makes the run dirty: the explored
+   region must be catalog-silent and verdict-identical across
+   backends. *)
 
 let report_modelcheck () =
   let module M = Sanctorum_analysis.Modelcheck in
@@ -1398,7 +1307,6 @@ let report_modelcheck () =
     depth diff_depth;
   Printf.printf "  %-22s %8s %9s %7s %9s %8s %9s\n" "run" "states" "edges"
     "dedup" "hit-rate" "wall-s" "states/s";
-  let clean = ref true in
   let run label cfg =
     let t0 = Monotonic_clock.now () in
     let s = M.explore cfg in
@@ -1407,11 +1315,31 @@ let report_modelcheck () =
     let hit_rate =
       if ok_edges = 0 then 0. else float s.M.s_dedup_hits /. float ok_edges
     in
-    if s.M.s_findings_total > 0 then clean := false;
+    let states_per_sec =
+      if wall <= 0. then 0. else float s.M.s_states /. wall
+    in
     Printf.printf "  %-22s %8d %9d %7d %8.1f%% %8.2f %9.0f\n" label
       s.M.s_states s.M.s_edges s.M.s_dedup_hits (100. *. hit_rate) wall
-      (if wall <= 0. then 0. else float s.M.s_states /. wall);
-    (label, cfg, s, wall, hit_rate)
+      states_per_sec;
+    ( Tel.Json.
+        [
+        ("run", String label);
+        ("backend", String (M.backend_name cfg.M.backend));
+        ("diff", Bool cfg.M.diff);
+        ("depth", Int cfg.M.depth);
+        ("states", Int s.M.s_states);
+        ("edges", Int s.M.s_edges);
+        ("dedup_hits", Int s.M.s_dedup_hits);
+        ("dedup_hit_rate", Float hit_rate);
+        ("truncated", Bool s.M.s_truncated);
+        ("findings", Int s.M.s_findings_total);
+        ("state_digest", String s.M.s_state_digest);
+        ("wall_s", Float wall);
+        ("states_per_sec", Float states_per_sec);
+        ],
+      ( s.M.s_findings_total > 0,
+        Printf.sprintf "%s: %d findings in the explored region" label
+          s.M.s_findings_total ) )
   in
   let runs =
     [
@@ -1421,45 +1349,24 @@ let report_modelcheck () =
         { M.default_config with depth = diff_depth; diff = true };
     ]
   in
-  let path =
-    Option.value
-      (Sys.getenv_opt "SANCTORUM_MODELCHECK_JSON")
-      ~default:"BENCH_PR7.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"modelcheck\",\n\
-    \  %s,\n\
-    \  \"depth\": %d,\n\
-    \  \"diff_depth\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"units\": %d,\n\
-    \  \"runs\": [\n"
-    (provenance_json ~backend:"sanctum+keystone" ~seed:"modelcheck")
-    depth diff_depth M.default_config.M.cores M.default_config.M.units;
-  List.iteri
-    (fun i (label, (cfg : M.config), (s : M.summary), wall, hit_rate) ->
-      Printf.fprintf oc
-        "    { \"run\": %S, \"backend\": %S, \"diff\": %b, \"depth\": %d,\n\
-        \      \"states\": %d, \"edges\": %d, \"dedup_hits\": %d, \
-         \"dedup_hit_rate\": %.4f,\n\
-        \      \"truncated\": %b, \"findings\": %d, \"state_digest\": %S,\n\
-        \      \"wall_s\": %.4f, \"states_per_sec\": %.1f }%s\n"
-        label
-        (M.backend_name cfg.M.backend)
-        cfg.M.diff cfg.M.depth s.M.s_states s.M.s_edges s.M.s_dedup_hits
-        hit_rate s.M.s_truncated s.M.s_findings_total s.M.s_state_digest wall
-        (if wall <= 0. then 0. else float s.M.s_states /. wall)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if not !clean then begin
-    Printf.eprintf "modelcheck bench: findings in the explored region\n";
-    exit 1
-  end
+  write_report
+    {
+      bench = "modelcheck";
+      file = "BENCH_PR7.json";
+      backend = "sanctum+keystone";
+      seed = "modelcheck";
+      config =
+        Tel.Json.
+          [
+            ("depth", Int depth);
+            ("diff_depth", Int diff_depth);
+            ("cores", Int M.default_config.M.cores);
+            ("units", Int M.default_config.M.units);
+          ];
+      rows = List.map fst runs;
+      summary = [];
+      dirty = reasons (List.map snd runs);
+    }
 
 (* ------------------------------------------------------------------ *)
 
@@ -1489,7 +1396,15 @@ let groups =
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  (if which = "all" then List.iter (fun (_, f) -> f ()) groups
+  (if which = "all" then begin
+     if bench_json <> None then begin
+       Printf.eprintf
+         "main.exe: SANCTORUM_BENCH_JSON names one file, and every group \
+          in `all` would overwrite it; run one group\n";
+       exit 2
+     end;
+     List.iter (fun (_, f) -> f ()) groups
+   end
    else
      match List.assoc_opt which groups with
      | Some f -> f ()

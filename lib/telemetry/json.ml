@@ -27,6 +27,8 @@ let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
+  (* JSON has no number for NaN or the infinities *)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string buf "null"
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.0f" f)

@@ -13,7 +13,8 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering. A NaN or infinite [Float] renders
+    as [null]. *)
 
 val to_buffer : Buffer.t -> t -> unit
 

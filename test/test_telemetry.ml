@@ -241,6 +241,21 @@ let test_jsonl_export () =
       | Error m -> Alcotest.failf "bad jsonl line: %s" m)
     lines
 
+(* A NaN or infinite float prints as null, so the output always parses;
+   a finite one prints exactly. *)
+let test_json_floats () =
+  List.iter
+    (fun f ->
+      let s = Tel.Json.to_string (Tel.Json.Float f) in
+      Alcotest.(check string) "prints null" "null" s;
+      check_bool "parses back to Null" true
+        (Tel.Json.parse s = Ok Tel.Json.Null))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let x = 0.1 +. 0.2 in
+  check_bool "finite float round-trips" true
+    (Tel.Json.parse (Tel.Json.to_string (Tel.Json.Float x))
+    = Ok (Tel.Json.Float x))
+
 (* ------------------------------------------------------------------ *)
 (* Orderliness: one create -> enter -> exit run must emit exactly that
    lifecycle sequence, in emission order, with the right eid. *)
@@ -332,6 +347,8 @@ let suite =
       Alcotest.test_case "export: chrome trace is well-formed" `Quick
         test_chrome_trace_wellformed;
       Alcotest.test_case "export: jsonl round-trips" `Quick test_jsonl_export;
+      Alcotest.test_case "json: non-finite floats print as null" `Quick
+        test_json_floats;
       Alcotest.test_case "events: lifecycle order for one run" `Quick
         test_lifecycle_event_order;
       Alcotest.test_case "audit: rejections carry their reason" `Quick
