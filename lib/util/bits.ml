@@ -1,7 +1,3 @@
-let rotl64 x n =
-  if n = 0 then x
-  else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let log2 n =

@@ -1,7 +1,5 @@
-(** Bit-level helpers shared by the crypto and hardware models. *)
-
-val rotl64 : int64 -> int -> int64
-(** [rotl64 x n] rotates [x] left by [n] bits, [0 <= n < 64]. *)
+(** Bit-level helpers shared by the hardware model, the platform backends
+    and the OS model. *)
 
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] holds for n = 1, 2, 4, ... *)

@@ -29,7 +29,41 @@ let test_sha3_vectors () =
     (hex (C.Sha3.sha3_512 m1024));
   check "shake256 1KiB"
     "60aff3fd4c0f158ba0ed6890336a907451281739d48cc8315211b3666061974229707d69e66dfc1961e752f68c312cdc17f006c5cebbb186c9fbc8e33e86fe0b"
-    (hex (C.Sha3.shake256 ~len:64 m1024))
+    (hex (C.Sha3.shake256 ~len:64 m1024));
+  (* Squeezes of three rate blocks (168 and 136 bytes), so two
+     permutations after the one that follows the padding. *)
+  check "shake128 abc, 500 bytes"
+    (String.concat ""
+       [ "5881092dd818bf5cf8a3ddb793fbcba74097d5c526a6d35f97b83351940f2cc8";
+         "44c50af32acd3f2cdd066568706f509bc1bdde58295dae3f891a9a0fca578378";
+         "9a41f8611214ce612394df286a62d1a2252aa94db9c538956c717dc2bed4f232";
+         "a0294c857c730aa16067ac1062f1201fb0d377cfb9cde4c63599b27f3462bba4";
+         "a0ed296c801f9ff7f57302bb3076ee145f97a32ae68e76ab66c48d51675bd49a";
+         "cc29082f5647584e6aa01b3f5af057805f973ff8ecb8b226ac32ada6f01c1fcd";
+         "4818cb006aa5b4cdb3611eb1e533c8964cacfdf31012cd3fb744d02225b988b4";
+         "75375faad996eb1b9176ecb0f8b2871723d6dbb804e23357e50732f5cfc904b1";
+         "319795000d7361d9e5e1b77b4b8f5774aa1482cfa58f83096bdb2e06a3eed543";
+         "a38919b57ecbec737f4086be007f8ef80094ceea8807193d46e9be540b6e99b4";
+         "c1c71507095028a024e8d39aa8f4c5854cedd50d30a223e7d54e9a24f0a2526b";
+         "31002afbd1b4ebea69c8400c3deb4c1c35d6dbb75651b284076f5fde47b4a058";
+         "6ee173e30bd4d08f2bc59c6114bdd745d20876bee2bf800bd7d8b5e51536c844";
+         "c73256f7d1ada1870c7bbaf83af10a6fdd7c02967811815459cfd02d67b936e9";
+         "75c6007c63ea7ae087f0a6b0a1319668bb61788eaa3d3b78e3f2061adcdead40";
+         "7085901803ec6f17f0ec650a292198275211a56b" ])
+    (hex (C.Sha3.shake128 ~len:500 "abc"));
+  check "shake256 1KiB, 300 bytes"
+    (String.concat ""
+       [ "60aff3fd4c0f158ba0ed6890336a907451281739d48cc8315211b36660619742";
+         "29707d69e66dfc1961e752f68c312cdc17f006c5cebbb186c9fbc8e33e86fe0b";
+         "b2010239c56966db8c2ae64a20d0e05264429be6c76faa6e312c666b39e43576";
+         "ed7dcc1cdf5cae1d1e907ebc83c1aedbb05fcdc950154e08fb3352ffe8e2e9b6";
+         "31e54cd8fac408a921258eae6e4fa7e1b96da7c97d460369290d8149ba5daf37";
+         "fdeb25521dd9bd65fa99b9d1706bebd4c12cea242027a7cdfae181d9d5c11cc7";
+         "e970c3c7216f3222e327db585eea182d634d146c94cf2b7e6e2a74f3e0acb3b2";
+         "ccef38e9e735b3c5779dffe3088ef82c89bb4522169991c0e7715775c5b1c6af";
+         "27cb648cc4ee3d5f4c35fb1cf3f80efdcca3b24ca403558009b62dcc62dec465";
+         "4fbbc2514038af7b49305e12" ])
+    (hex (C.Sha3.shake256 ~len:300 m1024))
 
 (* Rate-boundary messages exercise the padding logic. *)
 let test_sha3_boundaries () =
@@ -49,7 +83,55 @@ let test_sha3_streaming () =
     (hex (C.Sha3.finalize t ~len:32));
   Alcotest.check_raises "double finalize"
     (Invalid_argument "Sha3.finalize: context already finalized") (fun () ->
-      ignore (C.Sha3.finalize t ~len:32))
+      ignore (C.Sha3.finalize t ~len:32));
+  Alcotest.check_raises "absorb after finalize"
+    (Invalid_argument "Sha3.absorb: context already finalized") (fun () ->
+      C.Sha3.absorb t "d")
+
+(* The unboxed kernel against the boxed table-driven reference sponge
+   (Sha3_reference): a message of 0-600 bytes fed to the kernel in random
+   pieces (empty ones included), one-shot to the reference, on all four
+   variants, with SHAKE squeezing up to three rate blocks and 5 bytes. *)
+let qcheck_sha3_differential =
+  let shake rate = QCheck2.Gen.int_range 1 ((3 * rate) + 5) in
+  let variants =
+    [|
+      ("sha3-256", C.Sha3.init_sha3_256, Sha3_reference.init_sha3_256, QCheck2.Gen.pure 32);
+      ("sha3-512", C.Sha3.init_sha3_512, Sha3_reference.init_sha3_512, QCheck2.Gen.pure 64);
+      ("shake128", C.Sha3.init_shake128, Sha3_reference.init_shake128, shake 168);
+      ("shake256", C.Sha3.init_shake256, Sha3_reference.init_shake256, shake 136);
+    |]
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* v = int_range 0 3 in
+      let* msg = string_size (int_range 0 600) in
+      let* cuts = list_size (int_range 0 6) (int_range 0 (String.length msg)) in
+      let _, _, _, gen_len = variants.(v) in
+      let+ len = gen_len in
+      (v, msg, List.sort compare cuts, len))
+  in
+  let print (v, msg, cuts, len) =
+    let name, _, _, _ = variants.(v) in
+    Printf.sprintf "%s len=%d cuts=[%s] msg=%s" name len
+      (String.concat ";" (List.map string_of_int cuts))
+      (hex msg)
+  in
+  QCheck2.Test.make ~name:"sha3: unboxed kernel = reference sponge" ~count:1000
+    ~print gen (fun (v, msg, cuts, len) ->
+      let _, init, init_reference, _ = variants.(v) in
+      let t = init () in
+      let last =
+        List.fold_left
+          (fun from cut ->
+            C.Sha3.absorb t (String.sub msg from (cut - from));
+            cut)
+          0 cuts
+      in
+      C.Sha3.absorb t (String.sub msg last (String.length msg - last));
+      let r = init_reference () in
+      Sha3_reference.absorb r msg;
+      C.Sha3.finalize t ~len = Sha3_reference.finalize r ~len)
 
 let test_hmac () =
   let tag = C.Hmac.mac ~key:"key" "message" in
@@ -372,6 +454,7 @@ let suite =
       Alcotest.test_case "sha3 FIPS vectors" `Quick test_sha3_vectors;
       Alcotest.test_case "sha3 rate boundaries" `Quick test_sha3_boundaries;
       Alcotest.test_case "sha3 streaming" `Quick test_sha3_streaming;
+      QCheck_alcotest.to_alcotest qcheck_sha3_differential;
       Alcotest.test_case "hmac" `Quick test_hmac;
       Alcotest.test_case "hkdf" `Quick test_hkdf;
       Alcotest.test_case "drbg" `Quick test_drbg;

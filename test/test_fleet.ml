@@ -655,11 +655,15 @@ let test_chaos_all_clean () =
    up. Both nodes must be fenced (heartbeats dead past the suspicion
    deadline), their jobs migrated, and — once the partition heals —
    re-attested under a fresh epoch, finishing the work themselves.
-   Ticks are paced by the wall clock, so the jobs must still be running
-   at tick 60 however fast the host simulates: at 8 exits a job, a fast
-   host finished everything before the blackout began and nobody was
-   fenced. 32 exits keep a wide margin and cost no extra wall time (the
-   blackout dominates the run). *)
+   Ticks are paced by the wall clock, so a generation must still be
+   placed after tick 60 however fast the host simulates: only a batch
+   sent into the blackout leaves a node silent with work outstanding.
+   Four generations (16 jobs) ended at ticks 50-63 on a fast host, a
+   coin toss; eight (32 jobs of 32 exits) place the last at ticks
+   105-120, about twice the blackout's start, with the join done by
+   tick 11. Longer jobs are no fix: a node busy past the suspicion
+   deadline is fenced for being busy, and the retries exhaust some
+   jobs' budgets. *)
 let test_partition_evict_rejoin () =
   let cfg =
     {
@@ -667,7 +671,7 @@ let test_partition_evict_rejoin () =
       Fl.seed = "net1";
       Fl.shards = 2;
       enclaves = 2;
-      jobs = 16;
+      jobs = 32;
       target = 32;
       net = netspec "part@60+500";
     }
@@ -675,7 +679,7 @@ let test_partition_evict_rejoin () =
   let o = Fl.run cfg in
   check_bool "accounted" true o.Fl.r_accounted;
   check_bool "clean" true o.Fl.r_clean;
-  check_int "all jobs completed despite the blackout" 16
+  check_int "all jobs completed despite the blackout" 32
     (List.length o.Fl.r_completed);
   let c n = List.assoc n o.Fl.r_counters in
   check_bool "partition actually bit" true
