@@ -15,14 +15,14 @@ let ids = [ "lock.leak"; "lock.guard"; "lock.order" ]
 (* Lock classes define the global acquisition order the monitor is
    expected to respect: resource < enclave < thread. An inversion is a
    cycle in the observed class-order graph. *)
-let lock_class name =
-  match String.index_opt name ':' with
-  | Some i -> String.sub name 0 i
-  | None -> name
+let lock_class = function
+  | Event.Resource_lock -> "resource"
+  | Event.Enclave_lock _ -> "enclave"
+  | Event.Thread_lock _ -> "thread"
 
 type state = {
-  mutable held : (string * int) list;  (* lock name, seq acquired; LIFO *)
-  edges : (string * string, string * string * int) Hashtbl.t;
+  mutable held : (Event.lock * int) list;  (* lock, seq acquired; LIFO *)
+  edges : (string * string, Event.lock * Event.lock * int) Hashtbl.t;
       (* class edge -> (witness locks, seq) of first observation *)
   mutable out : Report.violation list;
 }
@@ -30,30 +30,30 @@ type state = {
 let flag st ?severity id ~subject detail =
   st.out <- Report.v ?severity id ~subject detail :: st.out
 
-let on_acquire st ~seq name =
-  if List.mem_assoc name st.held then
-    flag st "lock.leak" ~subject:name
+let on_acquire st ~seq lock =
+  if List.mem_assoc lock st.held then
+    flag st "lock.leak" ~subject:(Event.lock_name lock)
       (Printf.sprintf "re-acquired while already held (event #%d)" seq)
   else begin
     List.iter
       (fun (outer, _) ->
-        let edge = (lock_class outer, lock_class name) in
+        let edge = (lock_class outer, lock_class lock) in
         if not (Hashtbl.mem st.edges edge) then
-          Hashtbl.replace st.edges edge (outer, name, seq))
+          Hashtbl.replace st.edges edge (outer, lock, seq))
       st.held;
-    st.held <- (name, seq) :: st.held
+    st.held <- (lock, seq) :: st.held
   end
 
-let on_release st ~seq name =
-  if List.mem_assoc name st.held then
-    st.held <- List.remove_assoc name st.held
+let on_release st ~seq lock =
+  if List.mem_assoc lock st.held then
+    st.held <- List.remove_assoc lock st.held
   else
-    flag st "lock.leak" ~subject:name
+    flag st "lock.leak" ~subject:(Event.lock_name lock)
       (Printf.sprintf "released but never acquired (event #%d)" seq)
 
 let on_guarded_write st ~seq ~lock ~field =
   if not (List.mem_assoc lock st.held) then
-    flag st "lock.guard" ~subject:lock
+    flag st "lock.guard" ~subject:(Event.lock_name lock)
       (Printf.sprintf "field [%s] written without holding the lock (event #%d)"
          field seq)
 
@@ -62,8 +62,8 @@ let on_guarded_write st ~seq ~lock ~field =
    does not re-fire on every later call. *)
 let on_api_return st ~seq api =
   List.iter
-    (fun (name, acquired) ->
-      flag st "lock.leak" ~subject:name
+    (fun (lock, acquired) ->
+      flag st "lock.leak" ~subject:(Event.lock_name lock)
         (Printf.sprintf
            "acquired at event #%d still held when [%s] returned (event #%d)"
            acquired api seq))
@@ -98,7 +98,7 @@ let check_order st =
           (Printf.sprintf
              "acquired %s while holding %s (event #%d), inverting the \
               established %s -> %s order"
-             inner outer seq b a))
+             (Event.lock_name inner) (Event.lock_name outer) seq b a))
     st.edges
 
 let check events =
@@ -114,8 +114,8 @@ let check events =
       | _ -> ())
     events;
   List.iter
-    (fun (name, acquired) ->
-      flag st "lock.leak" ~subject:name
+    (fun (lock, acquired) ->
+      flag st "lock.leak" ~subject:(Event.lock_name lock)
         (Printf.sprintf
            "acquired at event #%d still held at the end of the trace" acquired))
     st.held;

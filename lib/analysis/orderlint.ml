@@ -40,17 +40,6 @@ let flag st ?severity id ~subject detail =
 
 let esub eid = Printf.sprintf "enclave 0x%x" eid
 
-(* SM API calls carry the caller as "enclave:0x<eid>". *)
-let enclave_caller caller =
-  match String.index_opt caller ':' with
-  | Some i when String.sub caller 0 i = "enclave" -> (
-      try
-        Some
-          (int_of_string
-             (String.sub caller (i + 1) (String.length caller - i - 1)))
-      with Failure _ -> None)
-  | _ -> None
-
 (* A dying core abandons whatever thread was inside: the monitor will
    never emit an exit for it, and — on the machine-check path — the
    resident enclave is emergency-reclaimed while formally entered.
@@ -143,9 +132,9 @@ let step st ~seq ~core payload =
       Hashtbl.remove st.granted (kind, rid)
   | Event.Sm_api { api = "read_aex_state"; caller; outcome = Event.Accepted; _ }
     -> (
-      match enclave_caller caller with
-      | None -> ()
-      | Some eid ->
+      match caller with
+      | Event.Os -> ()
+      | Event.Enclave eid ->
           if Hashtbl.mem st.pending_aex eid then
             Hashtbl.remove st.pending_aex eid
           else

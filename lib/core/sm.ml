@@ -38,9 +38,7 @@ type enclave = {
   mutable root_ppn : int option;
   mutable free_pages : int list; (* ascending ppns granted and not yet used *)
   mutable last_alloc_ppn : int;
-  mutable data_loaded : bool;
   vmap : (int, int) Hashtbl.t; (* vpn -> ppn *)
-  pmap : (int, int) Hashtbl.t; (* ppn -> vpn *)
   mailboxes : Mailbox.t;
   mutable threads : int list;
   mutable fault_handler : int64 option;
@@ -96,12 +94,13 @@ let set_os_trap_handler t f = t.os_handler <- f
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing used below. API events carry cycle timestamps
    from the machine (host-context actions run natively, so [core] is -1
-   unless a specific core is known). With the default null sink every
-   instrumented point is one boolean test. *)
+   unless a specific core is known). Every payload is built behind a
+   [Tel.Sink.enabled] test, so with the default null sink an
+   instrumented point costs that test and nothing more. *)
 
-let caller_label = function
-  | Os -> "os"
-  | Enclave_caller eid -> Printf.sprintf "enclave:0x%x" eid
+let principal = function
+  | Os -> Tel.Event.Os
+  | Enclave_caller eid -> Tel.Event.Enclave eid
 
 let sm_now t = Hw.Machine.now t.machine
 
@@ -110,50 +109,36 @@ let emit t ?(core = -1) payload =
 
 (* ------------------------------------------------------------------ *)
 (* Locking: every API call is a transaction under fine-grained locks;
-   a held lock aborts the call with [Concurrent_call] (§V-A). Lock
-   names as seen by the lock-discipline analyzer: ["resource"],
-   ["enclave:0x<eid>"], ["thread:0x<tid>"]. *)
+   a held lock aborts the call with [Concurrent_call] (§V-A). Each lock
+   is a flag in the structure it guards; the lock-discipline analyzer
+   knows it by its [Tel.Event.lock] id. *)
 
-let resource_lock_name = "resource"
-let enclave_lock_name eid = Printf.sprintf "enclave:0x%x" eid
-let thread_lock_name tid = Printf.sprintf "thread:0x%x" tid
-
-let emit_lock t name acquired =
+(* Take ([held = true]) or release one lock. *)
+let set_lock t lock set held =
+  set held;
   if Tel.Sink.enabled t.sink then
     emit t
-      (if acquired then Tel.Event.Lock_acquired { lock = name }
-       else Tel.Event.Lock_released { lock = name })
+      (if held then Tel.Event.Lock_acquired { lock }
+       else Tel.Event.Lock_released { lock })
 
 let note_write t ~lock ~field =
   if Tel.Sink.enabled t.sink then emit t (Tel.Event.Guarded_write { lock; field })
 
-let with_flag t name get set f =
-  if get () then Error Api_error.Concurrent_call
-  else begin
-    set true;
-    emit_lock t name true;
-    Fun.protect
-      ~finally:(fun () ->
-        set false;
-        emit_lock t name false)
-      f
-  end
+let hold t lock set f =
+  set_lock t lock set true;
+  Fun.protect ~finally:(fun () -> set_lock t lock set false) f
+
+let with_flag t lock busy set f =
+  if busy then Error Api_error.Concurrent_call else hold t lock set f
 
 let with_enclave_lock t e f =
-  with_flag t (enclave_lock_name e.eid)
-    (fun () -> e.e_lock)
-    (fun v -> e.e_lock <- v)
-    f
+  with_flag t (Tel.Event.Enclave_lock e.eid) e.e_lock (fun v -> e.e_lock <- v) f
 
 let with_thread_lock t th f =
-  with_flag t (thread_lock_name th.tid)
-    (fun () -> th.t_lock)
-    (fun v -> th.t_lock <- v)
-    f
+  with_flag t (Tel.Event.Thread_lock th.tid) th.t_lock (fun v -> th.t_lock <- v) f
 
 let with_resource_lock t f =
-  with_flag t resource_lock_name
-    (fun () -> t.resource_lock)
+  with_flag t Tel.Event.Resource_lock t.resource_lock
     (fun v -> t.resource_lock <- v)
     f
 
@@ -169,36 +154,25 @@ let with_resource_lock t f =
    resulting acquire-while-held event is precisely what the analyzer
    should see in that case. *)
 let clear_aex_state t th ~locked =
-  let name = thread_lock_name th.tid in
+  let lock = Tel.Event.Thread_lock th.tid in
   let write () =
     th.aex_state <- None;
-    note_write t ~lock:name ~field:"aex_state"
+    note_write t ~lock ~field:"aex_state"
   in
-  if locked then write ()
-  else begin
-    th.t_lock <- true;
-    emit_lock t name true;
-    Fun.protect
-      ~finally:(fun () ->
-        th.t_lock <- false;
-        emit_lock t name false)
-      write
-  end
+  if locked then write () else hold t lock (fun v -> th.t_lock <- v) write
 
 let try_lock_enclave t ~eid =
   match Hashtbl.find_opt t.enclaves eid with
   | Some e when not e.e_lock ->
-      e.e_lock <- true;
-      emit_lock t (enclave_lock_name eid) true;
+      set_lock t (Tel.Event.Enclave_lock eid) (fun v -> e.e_lock <- v) true;
       true
   | Some _ | None -> false
 
 let unlock_enclave t ~eid =
   match Hashtbl.find_opt t.enclaves eid with
-  | Some e ->
-      if e.e_lock then emit_lock t (enclave_lock_name eid) false;
-      e.e_lock <- false
-  | None -> ()
+  | Some e when e.e_lock ->
+      set_lock t (Tel.Event.Enclave_lock eid) (fun v -> e.e_lock <- v) false
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lookups *)
@@ -233,9 +207,10 @@ let enclaves t =
   Hashtbl.fold (fun eid _ acc -> eid :: acc) t.enclaves [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* API-call tracing. With the default null sink [traced] is one
-   boolean test around the wrapped call (plus the post-API hook test,
-   see below). *)
+(* API-call tracing. Every public entry point is defined as
+   [traced t ~caller name @@ fun () -> ...], so each call, including
+   those arriving through the ecall funnel below, lands in the audit
+   log. *)
 
 let run_post_api_hook t api =
   match t.post_api_hook with None -> () | Some hook -> hook ~api
@@ -252,16 +227,19 @@ let guard_api f =
   try f ()
   with exn -> Error (Api_error.Internal_fault (Printexc.to_string exn))
 
-let traced t ~caller api f =
-  let f () = guard_api f in
+(* With the default null sink [traced] is one boolean test around the
+   wrapped call, plus the post-API hook test. With a recording sink it
+   emits the [Sm_api] decision, runs the hook and then, if the call
+   succeeded, [on_ok], which emits the call's lifecycle event. *)
+let traced t ~caller ?on_ok api f =
   if not (Tel.Sink.enabled t.sink) then begin
-    let result = f () in
+    let result = guard_api f in
     run_post_api_hook t api;
     result
   end
   else begin
     let t0 = sm_now t in
-    let result = f () in
+    let result = guard_api f in
     let t1 = sm_now t in
     let latency = t1 - t0 in
     Tel.Sink.incr_counter t.sink ("sm.api.calls." ^ api);
@@ -274,8 +252,9 @@ let traced t ~caller api f =
     in
     Tel.Sink.observe t.sink "sm.api.latency" latency;
     Tel.Sink.emit t.sink ~core:(-1) ~cycles:t1
-      (Tel.Event.Sm_api { api; caller = caller_label caller; outcome; latency });
+      (Tel.Event.Sm_api { api; caller = principal caller; outcome; latency });
     run_post_api_hook t api;
+    (match (result, on_ok) with Ok _, Some k -> k () | _ -> ());
     result
   end
 
@@ -286,6 +265,10 @@ let unit_range t rid = (rid * t.unit_bytes, (rid + 1) * t.unit_bytes)
 
 let resource_state t kind ~rid = Resource.state t.resources kind ~rid
 
+let resource_kind_label = function
+  | Resource.Core_resource -> "core"
+  | Resource.Memory_resource -> "memory"
+
 let sync_memory_owner t ~rid domain =
   let lo, hi = unit_range t rid in
   match t.pf.Pf.Platform.assign_range ~lo ~hi domain with
@@ -293,11 +276,16 @@ let sync_memory_owner t ~rid domain =
   | Error m -> err_arg m
 
 let block_resource t ~caller kind ~rid =
+  traced t ~caller "block_resource" @@ fun () ->
   with_resource_lock t (fun () ->
       let* by = caller_domain t caller in
       Resource.block t.resources kind ~rid ~by)
 
 let clean_resource t ~caller kind ~rid =
+  traced t ~caller "clean_resource"
+    ~on_ok:(fun () ->
+      emit t (Tel.Event.Region_freed { kind = resource_kind_label kind; rid }))
+  @@ fun () ->
   with_resource_lock t (fun () ->
       let* () = require_os caller in
       let* _prev = Resource.clean t.resources kind ~rid in
@@ -320,6 +308,16 @@ let finish_memory_grant t ~rid e =
   ok
 
 let grant_resource t ~caller kind ~rid ~to_ =
+  traced t ~caller "grant_resource"
+    ~on_ok:(fun () ->
+      let owner =
+        match to_ with
+        | To_os -> Tel.Event.Os
+        | To_enclave eid -> Tel.Event.Enclave eid
+      in
+      emit t
+        (Tel.Event.Region_granted { kind = resource_kind_label kind; rid; owner }))
+  @@ fun () ->
   with_resource_lock t (fun () ->
       let* () = require_os caller in
       match (kind, to_) with
@@ -346,6 +344,7 @@ let grant_resource t ~caller kind ~rid ~to_ =
           if auto then finish_memory_grant t ~rid e else ok)
 
 let accept_resource t ~caller kind ~rid =
+  traced t ~caller "accept_resource" @@ fun () ->
   with_resource_lock t (fun () ->
       let* e = require_enclave t caller in
       let* () = Resource.accept t.resources kind ~rid ~by:e.domain in
@@ -385,6 +384,10 @@ let mem t = Hw.Machine.mem t.machine
 
 let pt_perms_none = Hw.Page_table.{ r = false; w = false; x = false; u = false }
 
+(* Where [table_ppn] holds [vaddr]'s entry at [level]. *)
+let pte_addr ~table_ppn ~vaddr ~level =
+  Hw.Phys_mem.page_base table_ppn + (8 * ((vaddr lsr (12 + (9 * level))) land 511))
+
 (* Descend from the root to the table that holds [vaddr]'s entry at
    [level]; every intermediate node must already exist. *)
 let find_table t e ~vaddr ~level =
@@ -394,9 +397,8 @@ let find_table t e ~vaddr ~level =
       let rec go ppn l =
         if l = level then Ok ppn
         else begin
-          let idx = (vaddr lsr (12 + (9 * l))) land 511 in
-          let pte_addr = Hw.Phys_mem.page_base ppn + (8 * idx) in
-          match Hw.Page_table.decode_pte (Hw.Phys_mem.read_u64 (mem t) pte_addr) with
+          let slot = pte_addr ~table_ppn:ppn ~vaddr ~level:l in
+          match Hw.Page_table.decode_pte (Hw.Phys_mem.read_u64 (mem t) slot) with
           | Error () -> err_state "missing intermediate page table"
           | Ok (_, _, true) -> err_state "superpage in the way"
           | Ok (next, _, false) -> go next (l - 1)
@@ -404,26 +406,17 @@ let find_table t e ~vaddr ~level =
       in
       go root (Hw.Page_table.levels - 1)
 
-let write_pte t ~table_ppn ~vaddr ~level ~pte =
-  let idx = (vaddr lsr (12 + (9 * level))) land 511 in
-  let pte_addr = Hw.Phys_mem.page_base table_ppn + (8 * idx) in
-  match Hw.Page_table.decode_pte (Hw.Phys_mem.read_u64 (mem t) pte_addr) with
+(* Probe that a destination PTE slot is free and return its address,
+   without writing it. Every destination is validated this way before
+   anything changes: the [alloc_enclave_page] pop mutates [free_pages]
+   and [last_alloc_ppn], and a PTE write is a mapping, so a failure
+   after either would leave a rejected call's effects behind and break
+   the API's transaction guarantee. *)
+let free_pte_slot t ~table_ppn ~vaddr ~level =
+  let slot = pte_addr ~table_ppn ~vaddr ~level in
+  match Hw.Page_table.decode_pte (Hw.Phys_mem.read_u64 (mem t) slot) with
   | Ok _ -> err_state "page-table entry already present"
-  | Error () ->
-      Hw.Phys_mem.write_u64 (mem t) pte_addr pte;
-      ok
-
-(* Probe that the destination PTE slot is free without writing it.
-   Destination validation must happen before [alloc_enclave_page]: the
-   pop mutates [free_pages] and [last_alloc_ppn], so any failure after
-   it would leak a page from a rejected call and break the API's
-   transaction guarantee. *)
-let pte_slot_free t ~table_ppn ~vaddr ~level =
-  let idx = (vaddr lsr (12 + (9 * level))) land 511 in
-  let pte_addr = Hw.Phys_mem.page_base table_ppn + (8 * idx) in
-  match Hw.Page_table.decode_pte (Hw.Phys_mem.read_u64 (mem t) pte_addr) with
-  | Ok _ -> err_state "page-table entry already present"
-  | Error () -> ok
+  | Error () -> Ok slot
 
 (* Pop the enclave's next physical page, enforcing the ascending-order
    rule that keeps the measurement descriptive (§VI-A). *)
@@ -448,6 +441,9 @@ let in_evrange e ~vaddr ~len =
 let max_vaddr = 1 lsl Hw.Page_table.vpn_bits
 
 let create_enclave t ~caller ~eid ~evbase ~evsize ?(mailbox_slots = 4) () =
+  traced t ~caller "create_enclave"
+    ~on_ok:(fun () -> emit t (Tel.Event.Enclave_created { eid }))
+  @@ fun () ->
   let* () = require_os caller in
   if Hashtbl.mem t.enclaves eid then err_state "enclave id already in use"
   else if evbase mod page <> 0 || evsize mod page <> 0 || evsize <= 0 then
@@ -474,9 +470,7 @@ let create_enclave t ~caller ~eid ~evbase ~evsize ?(mailbox_slots = 4) () =
         root_ppn = None;
         free_pages = [];
         last_alloc_ppn = -1;
-        data_loaded = false;
         vmap = Hashtbl.create 64;
-        pmap = Hashtbl.create 64;
         mailboxes = Mailbox.create ~slots:mailbox_slots;
         threads = [];
         fault_handler = None;
@@ -506,6 +500,7 @@ let extend_measurement e f =
   | None -> err_state "measurement already finalized"
 
 let allocate_page_table t ~caller ~eid ~vaddr ~level =
+  traced t ~caller "allocate_page_table" @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -514,11 +509,11 @@ let allocate_page_table t ~caller ~eid ~vaddr ~level =
         err_arg "bad page-table level"
       else if vaddr mod page <> 0 || vaddr < 0 || vaddr >= max_vaddr then
         err_arg "bad page-table vaddr"
-      else if e.data_loaded then
+      else if Hashtbl.length e.vmap > 0 then
         err_state "page tables must be initialized before any data"
       else begin
         (* resolve and validate the parent slot before allocating *)
-        let* parent =
+        let* parent_slot =
           if level = Hw.Page_table.levels - 1 then begin
             match e.root_ppn with
             | Some _ -> err_state "root page table already allocated"
@@ -526,27 +521,24 @@ let allocate_page_table t ~caller ~eid ~vaddr ~level =
           end
           else
             let* parent = find_table t e ~vaddr ~level:(level + 1) in
-            let* () =
-              pte_slot_free t ~table_ppn:parent ~vaddr ~level:(level + 1)
+            let* slot =
+              free_pte_slot t ~table_ppn:parent ~vaddr ~level:(level + 1)
             in
-            Ok (Some parent)
+            Ok (Some slot)
         in
         let* ppn = alloc_enclave_page e in
         Hw.Phys_mem.zero_range (mem t) ~pos:(Hw.Phys_mem.page_base ppn) ~len:page;
-        let* () =
-          match parent with
-          | None ->
-              e.root_ppn <- Some ppn;
-              ok
-          | Some parent ->
-              write_pte t ~table_ppn:parent ~vaddr ~level:(level + 1)
-                ~pte:(Hw.Page_table.encode_pte ~ppn ~perms:pt_perms_none ~valid:true)
-        in
+        (match parent_slot with
+        | None -> e.root_ppn <- Some ppn
+        | Some slot ->
+            Hw.Phys_mem.write_u64 (mem t) slot
+              (Hw.Page_table.encode_pte ~ppn ~perms:pt_perms_none ~valid:true));
         extend_measurement e (fun ctx ->
             Measurement.extend_page_table ctx ~vaddr ~level)
       end)
 
 let load_page t ~caller ~eid ~vaddr ~src_paddr ~r ~w ~x =
+  traced t ~caller "load_page" @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -564,25 +556,22 @@ let load_page t ~caller ~eid ~vaddr ~src_paddr ~r ~w ~x =
       else begin
         (* resolve and validate the leaf slot before allocating *)
         let* table = find_table t e ~vaddr ~level:0 in
-        let* () = pte_slot_free t ~table_ppn:table ~vaddr ~level:0 in
+        let* slot = free_pte_slot t ~table_ppn:table ~vaddr ~level:0 in
         let* ppn = alloc_enclave_page e in
         let contents =
           Hw.Phys_mem.read_string (mem t) ~pos:src_paddr ~len:page
         in
         Hw.Phys_mem.write_string (mem t) ~pos:(Hw.Phys_mem.page_base ppn) contents;
         let perms = Hw.Page_table.{ r; w; x; u = true } in
-        let* () =
-          write_pte t ~table_ppn:table ~vaddr ~level:0
-            ~pte:(Hw.Page_table.encode_pte ~ppn ~perms ~valid:true)
-        in
+        Hw.Phys_mem.write_u64 (mem t) slot
+          (Hw.Page_table.encode_pte ~ppn ~perms ~valid:true);
         Hashtbl.replace e.vmap (vaddr / page) ppn;
-        Hashtbl.replace e.pmap ppn (vaddr / page);
-        e.data_loaded <- true;
         extend_measurement e (fun ctx ->
             Measurement.extend_page ctx ~vaddr ~r ~w ~x ~contents)
       end)
 
 let map_shared t ~caller ~eid ~vaddr ~src_paddr ~len =
+  traced t ~caller "map_shared" @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -608,26 +597,29 @@ let map_shared t ~caller ~eid ~vaddr ~src_paddr ~len =
           else check_source (i + 1)
         in
         let* () = check_source 0 in
-        let rec install i =
-          if i = pages_n then ok
+        (* resolve and validate every leaf slot before writing any *)
+        let rec resolve i acc =
+          if i = pages_n then Ok (List.rev acc)
           else begin
             let va = vaddr + (i * page) in
             let* table = find_table t e ~vaddr:va ~level:0 in
-            let perms = Hw.Page_table.{ r = true; w = true; x = false; u = true } in
-            let* () =
-              write_pte t ~table_ppn:table ~vaddr:va ~level:0
-                ~pte:
-                  (Hw.Page_table.encode_pte ~ppn:((src_paddr / page) + i) ~perms
-                     ~valid:true)
-            in
-            install (i + 1)
+            let* slot = free_pte_slot t ~table_ppn:table ~vaddr:va ~level:0 in
+            resolve (i + 1) (slot :: acc)
           end
         in
-        let* () = install 0 in
+        let* slots = resolve 0 [] in
+        let perms = Hw.Page_table.{ r = true; w = true; x = false; u = true } in
+        List.iteri
+          (fun i slot ->
+            Hw.Phys_mem.write_u64 (mem t) slot
+              (Hw.Page_table.encode_pte ~ppn:((src_paddr / page) + i) ~perms
+                 ~valid:true))
+          slots;
         extend_measurement e (fun ctx -> Measurement.extend_shared ctx ~vaddr ~len)
       end)
 
 let load_thread t ~caller ~eid ~tid ~entry_pc ~entry_sp =
+  traced t ~caller "load_thread" @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -654,6 +646,9 @@ let load_thread t ~caller ~eid ~tid ~entry_pc ~entry_sp =
       end)
 
 let init_enclave t ~caller ~eid =
+  traced t ~caller "init_enclave"
+    ~on_ok:(fun () -> emit t (Tel.Event.Enclave_initialized { eid }))
+  @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -664,7 +659,7 @@ let init_enclave t ~caller ~eid =
           match e.meas_ctx with
           | None -> err_state "measurement already finalized"
           | Some ctx ->
-              note_write t ~lock:(enclave_lock_name eid) ~field:"lifecycle";
+              note_write t ~lock:(Tel.Event.Enclave_lock eid) ~field:"lifecycle";
               let hits0 = Measurement.Cache.hits t.meas_cache in
               e.measurement <-
                 Some (Measurement.finalize ~cache:t.meas_cache ctx);
@@ -678,7 +673,39 @@ let init_enclave t ~caller ~eid =
               ok
         end)
 
+(* The one enclave teardown, for [delete_enclave] and for the forced
+   reclaim of an enclave the monitor can no longer trust: block every
+   memory unit the enclave owns (the OS must clean them before
+   re-allocation, Fig. 2 / Fig. 3), detach its threads, wipe its
+   mailboxes and release its metadata. *)
+let teardown t e =
+  List.iter
+    (fun rid ->
+      ignore
+        (Resource.block t.resources Resource.Memory_resource ~rid
+           ~by:Hw.Trap.domain_sm))
+    (Resource.units_owned_by t.resources Resource.Memory_resource e.domain);
+  List.iter
+    (fun tid ->
+      match Hashtbl.find_opt t.threads tid with
+      | Some th ->
+          th.t_owner <- None;
+          th.t_offered <- None;
+          th.phase <- T_available;
+          clear_aex_state t th ~locked:false;
+          th.entry_pc <- 0L;
+          th.entry_sp <- 0L
+      | None -> ())
+    e.threads;
+  Mailbox.wipe e.mailboxes;
+  Hashtbl.remove t.enclaves e.eid;
+  Hashtbl.remove t.domain_of_enclave e.domain;
+  release_slot t ~addr:e.eid
+
 let delete_enclave t ~caller ~eid =
+  traced t ~caller "delete_enclave"
+    ~on_ok:(fun () -> emit t (Tel.Event.Enclave_destroyed { eid }))
+  @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -692,33 +719,7 @@ let delete_enclave t ~caller ~eid =
       in
       if busy then err_state "delete_enclave: a thread is still scheduled"
       else begin
-        (* Block every memory unit the enclave owns: the OS must clean
-           them before re-allocation (Fig. 2 / Fig. 3). *)
-        List.iter
-          (fun rid ->
-            match
-              Resource.block t.resources Resource.Memory_resource ~rid
-                ~by:Hw.Trap.domain_sm
-            with
-            | Ok () -> ()
-            | Error _ -> ())
-          (Resource.units_owned_by t.resources Resource.Memory_resource e.domain);
-        List.iter
-          (fun tid ->
-            match Hashtbl.find_opt t.threads tid with
-            | Some th ->
-                th.t_owner <- None;
-                th.t_offered <- None;
-                th.phase <- T_available;
-                clear_aex_state t th ~locked:false;
-                th.entry_pc <- 0L;
-                th.entry_sp <- 0L
-            | None -> ())
-          e.threads;
-        Mailbox.wipe e.mailboxes;
-        Hashtbl.remove t.enclaves eid;
-        Hashtbl.remove t.domain_of_enclave e.domain;
-        release_slot t ~addr:eid;
+        teardown t e;
         ok
       end)
 
@@ -753,24 +754,26 @@ let thread_has_aex_state t ~tid =
   Ok (th.aex_state <> None)
 
 let assign_thread t ~caller ~eid ~tid =
+  traced t ~caller "assign_thread" @@ fun () ->
   let* () = require_os caller in
   let* _e = find_enclave t eid in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
       match th.phase with
       | T_available ->
-          note_write t ~lock:(thread_lock_name tid) ~field:"t_offered";
+          note_write t ~lock:(Tel.Event.Thread_lock tid) ~field:"t_offered";
           th.t_offered <- Some eid;
           ok
       | T_assigned | T_running _ -> err_state "assign_thread: thread is not available")
 
 let accept_thread t ~caller ~tid ?(entry_pc = 0L) ?(entry_sp = 0L) () =
+  traced t ~caller "accept_thread" @@ fun () ->
   let* e = require_enclave t caller in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
       match th.t_offered with
       | Some eid when eid = e.eid ->
-          note_write t ~lock:(thread_lock_name tid) ~field:"phase";
+          note_write t ~lock:(Tel.Event.Thread_lock tid) ~field:"phase";
           th.t_offered <- None;
           th.t_owner <- Some e.eid;
           th.phase <- T_assigned;
@@ -782,12 +785,13 @@ let accept_thread t ~caller ~tid ?(entry_pc = 0L) ?(entry_sp = 0L) () =
       | Some _ | None -> Error Api_error.Unauthorized)
 
 let release_thread t ~caller ~tid =
+  traced t ~caller "release_thread" @@ fun () ->
   let* e = require_enclave t caller in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
       match (th.phase, th.t_owner) with
       | T_assigned, Some owner when owner = e.eid ->
-          note_write t ~lock:(thread_lock_name tid) ~field:"phase";
+          note_write t ~lock:(Tel.Event.Thread_lock tid) ~field:"phase";
           th.t_owner <- None;
           th.phase <- T_available;
           clear_aex_state t th ~locked:true;
@@ -798,6 +802,7 @@ let release_thread t ~caller ~tid =
       | _, _ -> Error Api_error.Unauthorized)
 
 let unassign_thread t ~caller ~tid =
+  traced t ~caller "unassign_thread" @@ fun () ->
   let* () = require_os caller in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
@@ -807,7 +812,7 @@ let unassign_thread t ~caller ~tid =
           (* The OS cannot rip a live enclave's thread away. *)
           Error Api_error.Unauthorized
       | _, (Some _ | None) ->
-          note_write t ~lock:(thread_lock_name tid) ~field:"phase";
+          note_write t ~lock:(Tel.Event.Thread_lock tid) ~field:"phase";
           th.t_owner <- None;
           th.t_offered <- None;
           th.phase <- T_available;
@@ -815,6 +820,7 @@ let unassign_thread t ~caller ~tid =
           ok)
 
 let delete_thread t ~caller ~tid =
+  traced t ~caller "delete_thread" @@ fun () ->
   let* () = require_os caller in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
@@ -838,6 +844,10 @@ let running_thread_on t core_id =
     t.threads None
 
 let enter_enclave t ~caller ~eid ~tid ~core =
+  traced t ~caller "enter_enclave"
+    ~on_ok:(fun () ->
+      emit t ~core (Tel.Event.Enclave_entered { eid; tid; target_core = core }))
+  @@ fun () ->
   let* () = require_os caller in
   let* e = find_enclave t eid in
   with_enclave_lock t e (fun () ->
@@ -872,7 +882,7 @@ let enter_enclave t ~caller ~eid ~tid ~core =
                   Hw.Machine.write_reg c Hw.Isa.a0
                     (if th.aex_state <> None then 1L else 0L);
                   c.Hw.Machine.halted <- false;
-                  note_write t ~lock:(thread_lock_name tid) ~field:"phase";
+                  note_write t ~lock:(Tel.Event.Thread_lock tid) ~field:"phase";
                   th.phase <- T_running core;
                   ok
               | (T_assigned | T_running _ | T_available), _ ->
@@ -898,6 +908,13 @@ let scrub_core t c =
   c.Hw.Machine.halted <- true
 
 let exit_enclave t ~caller ~core =
+  traced t ~caller "exit_enclave"
+    ~on_ok:(fun () ->
+      match caller with
+      | Enclave_caller eid ->
+          emit t ~core (Tel.Event.Enclave_exited { eid; aex = false })
+      | Os -> ())
+  @@ fun () ->
   let* e = require_enclave t caller in
   if core < 0 || core >= Hw.Machine.core_count t.machine then
     err_arg "no such core"
@@ -909,7 +926,7 @@ let exit_enclave t ~caller ~core =
       | None -> err_state "exit_enclave: no thread is running here"
       | Some th ->
           with_thread_lock t th (fun () ->
-              note_write t ~lock:(thread_lock_name th.tid) ~field:"phase";
+              note_write t ~lock:(Tel.Event.Thread_lock th.tid) ~field:"phase";
               th.phase <- T_assigned;
               clear_aex_state t th ~locked:true;
               scrub_core t c;
@@ -918,6 +935,7 @@ let exit_enclave t ~caller ~core =
   end
 
 let set_fault_handler t ~caller ~handler =
+  traced t ~caller "set_fault_handler" @@ fun () ->
   let* e = require_enclave t caller in
   let* () = require_initialized e in
   e.fault_handler <- Some handler;
@@ -930,6 +948,7 @@ let set_fault_handler t ~caller ~handler =
 let aex_dump_bytes = 32 * 8
 
 let read_aex_state t ~caller ~tid =
+  traced t ~caller "read_aex_state" @@ fun () ->
   let* e = require_enclave t caller in
   let* th = find_thread t tid in
   with_thread_lock t th (fun () ->
@@ -968,36 +987,45 @@ let perform_aex t c th =
 
 let untrusted_measurement = String.make Measurement.size '\000'
 
-let caller_measurement t = function
-  | Os -> Some untrusted_measurement
-  | Enclave_caller eid -> begin
-      match Hashtbl.find_opt t.enclaves eid with
-      | Some e -> e.measurement
-      | None -> None
-    end
-
-let sender_of_caller = function
-  | Os -> Mailbox.From_os
-  | Enclave_caller eid -> Mailbox.From_enclave eid
-
 let accept_mail t ~caller ~sender =
+  traced t ~caller "accept_mail" @@ fun () ->
   let* e = require_enclave t caller in
   let* () = require_initialized e in
   with_enclave_lock t e (fun () -> Mailbox.accept e.mailboxes ~sender)
 
 let send_mail t ~caller ~recipient ~msg =
+  traced t ~caller "send_mail"
+    ~on_ok:(fun () ->
+      emit t (Tel.Event.Mailbox_sent { sender = principal caller; recipient }))
+  @@ fun () ->
   let* r = find_enclave t recipient in
   let* () = require_initialized r in
-  let* meas =
-    match caller_measurement t caller with
-    | Some m -> Ok m
-    | None -> err_state "sender has no measurement yet"
+  (* the monitor, not the sender, records who sent the message *)
+  let* sender, meas =
+    match caller with
+    | Os -> Ok (Mailbox.From_os, untrusted_measurement)
+    | Enclave_caller eid -> begin
+        match Hashtbl.find_opt t.enclaves eid with
+        | Some { measurement = Some m; _ } -> Ok (Mailbox.From_enclave eid, m)
+        | Some _ | None -> err_state "sender has no measurement yet"
+      end
   in
   with_enclave_lock t r (fun () ->
-      Mailbox.deposit r.mailboxes ~sender:(sender_of_caller caller)
-        ~sender_measurement:meas ~msg)
+      Mailbox.deposit r.mailboxes ~sender ~sender_measurement:meas ~msg)
 
 let get_mail t ~caller ~sender =
+  traced t ~caller "get_mail"
+    ~on_ok:(fun () ->
+      match caller with
+      | Enclave_caller recipient ->
+          let sender =
+            match sender with
+            | Mailbox.From_os -> Tel.Event.Os
+            | Mailbox.From_enclave eid -> Tel.Event.Enclave eid
+          in
+          emit t (Tel.Event.Mailbox_received { recipient; sender })
+      | Os -> ())
+  @@ fun () ->
   let* e = require_enclave t caller in
   with_enclave_lock t e (fun () -> Mailbox.retrieve e.mailboxes ~sender)
 
@@ -1021,151 +1049,13 @@ let get_field t = function
   | Field_signing_measurement -> t.signing_measurement
 
 let get_signing_key t ~caller =
+  traced t ~caller "get_signing_key" @@ fun () ->
   let* e = require_enclave t caller in
   match e.measurement with
   | Some m when Sanctorum_util.Bytesx.constant_time_equal m t.signing_measurement
     ->
       Ok t.identity.Boot.attestation_key
   | Some _ | None -> Error Api_error.Unauthorized
-
-(* ------------------------------------------------------------------ *)
-(* Tracing shadows. Each public entry point is re-bound to a traced
-   version of itself — the non-recursive [let]s refer to the original
-   definitions above — so every call, including those arriving through
-   the ecall funnel below, lands in the audit log. Lifecycle events are
-   emitted here on success, keeping the decision logic above clean. *)
-
-let resource_kind_label = function
-  | Resource.Core_resource -> "core"
-  | Resource.Memory_resource -> "memory"
-
-let target_label = function
-  | To_os -> "os"
-  | To_enclave eid -> Printf.sprintf "enclave:0x%x" eid
-
-let on_ok r f = (match r with Ok _ -> f () | Error _ -> ()); r
-
-let block_resource t ~caller kind ~rid =
-  traced t ~caller "block_resource" (fun () -> block_resource t ~caller kind ~rid)
-
-let clean_resource t ~caller kind ~rid =
-  on_ok
-    (traced t ~caller "clean_resource" (fun () ->
-         clean_resource t ~caller kind ~rid))
-    (fun () ->
-      emit t (Tel.Event.Region_freed { kind = resource_kind_label kind; rid }))
-
-let grant_resource t ~caller kind ~rid ~to_ =
-  on_ok
-    (traced t ~caller "grant_resource" (fun () ->
-         grant_resource t ~caller kind ~rid ~to_))
-    (fun () ->
-      emit t
-        (Tel.Event.Region_granted
-           { kind = resource_kind_label kind; rid; owner = target_label to_ }))
-
-let accept_resource t ~caller kind ~rid =
-  traced t ~caller "accept_resource" (fun () ->
-      accept_resource t ~caller kind ~rid)
-
-let create_enclave t ~caller ~eid ~evbase ~evsize ?mailbox_slots () =
-  on_ok
-    (traced t ~caller "create_enclave" (fun () ->
-         create_enclave t ~caller ~eid ~evbase ~evsize ?mailbox_slots ()))
-    (fun () -> emit t (Tel.Event.Enclave_created { eid }))
-
-let allocate_page_table t ~caller ~eid ~vaddr ~level =
-  traced t ~caller "allocate_page_table" (fun () ->
-      allocate_page_table t ~caller ~eid ~vaddr ~level)
-
-let load_page t ~caller ~eid ~vaddr ~src_paddr ~r ~w ~x =
-  traced t ~caller "load_page" (fun () ->
-      load_page t ~caller ~eid ~vaddr ~src_paddr ~r ~w ~x)
-
-let map_shared t ~caller ~eid ~vaddr ~src_paddr ~len =
-  traced t ~caller "map_shared" (fun () ->
-      map_shared t ~caller ~eid ~vaddr ~src_paddr ~len)
-
-let load_thread t ~caller ~eid ~tid ~entry_pc ~entry_sp =
-  traced t ~caller "load_thread" (fun () ->
-      load_thread t ~caller ~eid ~tid ~entry_pc ~entry_sp)
-
-let init_enclave t ~caller ~eid =
-  on_ok
-    (traced t ~caller "init_enclave" (fun () -> init_enclave t ~caller ~eid))
-    (fun () -> emit t (Tel.Event.Enclave_initialized { eid }))
-
-let delete_enclave t ~caller ~eid =
-  on_ok
-    (traced t ~caller "delete_enclave" (fun () -> delete_enclave t ~caller ~eid))
-    (fun () -> emit t (Tel.Event.Enclave_destroyed { eid }))
-
-let assign_thread t ~caller ~eid ~tid =
-  traced t ~caller "assign_thread" (fun () -> assign_thread t ~caller ~eid ~tid)
-
-let accept_thread t ~caller ~tid ?entry_pc ?entry_sp () =
-  traced t ~caller "accept_thread" (fun () ->
-      accept_thread t ~caller ~tid ?entry_pc ?entry_sp ())
-
-let release_thread t ~caller ~tid =
-  traced t ~caller "release_thread" (fun () -> release_thread t ~caller ~tid)
-
-let unassign_thread t ~caller ~tid =
-  traced t ~caller "unassign_thread" (fun () -> unassign_thread t ~caller ~tid)
-
-let delete_thread t ~caller ~tid =
-  traced t ~caller "delete_thread" (fun () -> delete_thread t ~caller ~tid)
-
-let enter_enclave t ~caller ~eid ~tid ~core =
-  on_ok
-    (traced t ~caller "enter_enclave" (fun () ->
-         enter_enclave t ~caller ~eid ~tid ~core))
-    (fun () ->
-      emit t ~core (Tel.Event.Enclave_entered { eid; tid; target_core = core }))
-
-let exit_enclave t ~caller ~core =
-  on_ok
-    (traced t ~caller "exit_enclave" (fun () -> exit_enclave t ~caller ~core))
-    (fun () ->
-      match caller with
-      | Enclave_caller eid ->
-          emit t ~core (Tel.Event.Enclave_exited { eid; aex = false })
-      | Os -> ())
-
-let set_fault_handler t ~caller ~handler =
-  traced t ~caller "set_fault_handler" (fun () ->
-      set_fault_handler t ~caller ~handler)
-
-let read_aex_state t ~caller ~tid =
-  traced t ~caller "read_aex_state" (fun () -> read_aex_state t ~caller ~tid)
-
-let accept_mail t ~caller ~sender =
-  traced t ~caller "accept_mail" (fun () -> accept_mail t ~caller ~sender)
-
-let send_mail t ~caller ~recipient ~msg =
-  on_ok
-    (traced t ~caller "send_mail" (fun () ->
-         send_mail t ~caller ~recipient ~msg))
-    (fun () ->
-      emit t
-        (Tel.Event.Mailbox_sent { sender = caller_label caller; recipient }))
-
-let get_mail t ~caller ~sender =
-  on_ok
-    (traced t ~caller "get_mail" (fun () -> get_mail t ~caller ~sender))
-    (fun () ->
-      match caller with
-      | Enclave_caller recipient ->
-          let sender =
-            match sender with
-            | Mailbox.From_os -> "os"
-            | Mailbox.From_enclave eid -> Printf.sprintf "enclave:0x%x" eid
-          in
-          emit t (Tel.Event.Mailbox_received { recipient; sender })
-      | Os -> ())
-
-let get_signing_key t ~caller =
-  traced t ~caller "get_signing_key" (fun () -> get_signing_key t ~caller)
 
 (* ------------------------------------------------------------------ *)
 (* The ecall ABI *)
@@ -1207,34 +1097,37 @@ let enclave_vaddr_to_paddr t e vaddr =
       | Error _ -> None
     end
 
-let read_enclave_bytes t e ~vaddr ~len =
-  let buf = Buffer.create len in
-  let rec go va remaining =
-    if remaining = 0 then Some (Buffer.contents buf)
+(* The physical [(paddr, len)] segments behind [len] bytes at [vaddr],
+   or [None] if any page is unmapped. The ecall path resolves every
+   buffer before the call that reads or fills it: a call that consumes
+   state (a mailbox message, an AEX dump) must not run when its result
+   has nowhere to go. *)
+let enclave_segments t e ~vaddr ~len =
+  let rec go va remaining acc =
+    if remaining = 0 then Some (List.rev acc)
     else begin
       match enclave_vaddr_to_paddr t e va with
       | None -> None
       | Some pa ->
           let chunk = min remaining (page - (va land (page - 1))) in
-          Buffer.add_string buf (Hw.Phys_mem.read_string (mem t) ~pos:pa ~len:chunk);
-          go (va + chunk) (remaining - chunk)
+          go (va + chunk) (remaining - chunk) ((pa, chunk) :: acc)
     end
   in
-  go vaddr len
+  go vaddr len []
 
-let write_enclave_bytes t e ~vaddr data =
-  let rec go va off =
-    if off = String.length data then true
-    else begin
-      match enclave_vaddr_to_paddr t e va with
-      | None -> false
-      | Some pa ->
-          let chunk = min (String.length data - off) (page - (va land (page - 1))) in
-          Hw.Phys_mem.write_string (mem t) ~pos:pa (String.sub data off chunk);
-          go (va + chunk) (off + chunk)
-    end
-  in
-  go vaddr 0
+let read_segments t segments =
+  String.concat ""
+    (List.map
+       (fun (pos, len) -> Hw.Phys_mem.read_string (mem t) ~pos ~len)
+       segments)
+
+let write_segments t segments data =
+  ignore
+    (List.fold_left
+       (fun off (pos, len) ->
+         Hw.Phys_mem.write_string (mem t) ~pos (String.sub data off len);
+         off + len)
+       0 segments)
 
 let handle_ecall t (c : Hw.Machine.core) e =
   let caller = Enclave_caller e.eid in
@@ -1259,19 +1152,23 @@ let handle_ecall t (c : Hw.Machine.core) e =
   else if call = Ecall.accept_mail then
     finish (accept_mail t ~caller ~sender:(sender_of_int a0))
   else if call = Ecall.send_mail then begin
-    match read_enclave_bytes t e ~vaddr:a1 ~len:Mailbox.message_size with
+    match enclave_segments t e ~vaddr:a1 ~len:Mailbox.message_size with
     | None -> finish (err_arg "bad message buffer")
-    | Some msg -> finish (send_mail t ~caller ~recipient:a0 ~msg)
+    | Some input ->
+        finish (send_mail t ~caller ~recipient:a0 ~msg:(read_segments t input))
   end
   else if call = Ecall.get_mail then begin
-    match get_mail t ~caller ~sender:(sender_of_int a0) with
-    | Error err -> finish (Error err)
-    | Ok (msg, meas) ->
-        if
-          write_enclave_bytes t e ~vaddr:a1 msg
-          && write_enclave_bytes t e ~vaddr:a2 meas
-        then finish ok
-        else finish (err_arg "bad output buffer")
+    match
+      ( enclave_segments t e ~vaddr:a1 ~len:Mailbox.message_size,
+        enclave_segments t e ~vaddr:a2 ~len:Measurement.size )
+    with
+    | Some msg_out, Some meas_out ->
+        finish
+          (let* msg, meas = get_mail t ~caller ~sender:(sender_of_int a0) in
+           write_segments t msg_out msg;
+           write_segments t meas_out meas;
+           ok)
+    | _ -> finish (err_arg "bad output buffer")
   end
   else if call = Ecall.block_resource then begin
     let kind = if a0 = 0 then Resource.Core_resource else Resource.Memory_resource in
@@ -1297,11 +1194,13 @@ let handle_ecall t (c : Hw.Machine.core) e =
         | Some th -> th.tid
         | None -> -1
     in
-    match read_aex_state t ~caller ~tid with
-    | Error err -> finish (Error err)
-    | Ok dump ->
-        if write_enclave_bytes t e ~vaddr:a1 dump then finish ok
-        else finish (err_arg "bad output buffer")
+    match enclave_segments t e ~vaddr:a1 ~len:aex_dump_bytes with
+    | None -> finish (err_arg "bad output buffer")
+    | Some out ->
+        finish
+          (let* dump = read_aex_state t ~caller ~tid in
+           write_segments t out dump;
+           ok)
   end
   else finish (err_arg "unknown monitor call")
 
@@ -1313,40 +1212,14 @@ let handle_ecall t (c : Hw.Machine.core) e =
 
 (* Forced teardown of an enclave the monitor can no longer trust —
    the core it ran on died, or an uncorrectable error landed in its
-   memory. Mirrors [delete_enclave]'s semantics (units blocked by the
-   monitor, threads detached, slot released) but ignores locks (their
+   memory. Unlike [delete_enclave] it ignores the enclave lock (its
    holder may be the dead core) and running threads (their context is
    unrecoverable). *)
 let emergency_reclaim_enclave t eid =
   match Hashtbl.find_opt t.enclaves eid with
   | None -> ()
   | Some e ->
-      List.iter
-        (fun rid ->
-          match
-            Resource.block t.resources Resource.Memory_resource ~rid
-              ~by:Hw.Trap.domain_sm
-          with
-          | Ok () -> ()
-          | Error _ -> ())
-        (Resource.units_owned_by t.resources Resource.Memory_resource e.domain);
-      List.iter
-        (fun tid ->
-          match Hashtbl.find_opt t.threads tid with
-          | Some th ->
-              th.t_owner <- None;
-              th.t_offered <- None;
-              th.phase <- T_available;
-              th.t_lock <- false;
-              clear_aex_state t th ~locked:false;
-              th.entry_pc <- 0L;
-              th.entry_sp <- 0L
-          | None -> ())
-        e.threads;
-      Mailbox.wipe e.mailboxes;
-      Hashtbl.remove t.enclaves eid;
-      Hashtbl.remove t.domain_of_enclave e.domain;
-      release_slot t ~addr:eid;
+      teardown t e;
       if Tel.Sink.enabled t.sink then begin
         Tel.Sink.incr_counter t.sink "sm.emergency_reclaims";
         emit t (Tel.Event.Enclave_destroyed { eid })
@@ -1416,6 +1289,16 @@ let handle_core_quarantine t (c : Hw.Machine.core) ~reason:_ =
       clear_aex_state t th ~locked:false
   | None -> ()
 
+(* Hand [cause] to the OS on a clean core: save the interrupted
+   enclave thread's context (AEX), or with no thread to save, scrub
+   the core. The OS may always de-schedule an enclave, but never sees
+   its state. *)
+let aex_and_delegate t c cause =
+  (match running_thread_on t c.Hw.Machine.id with
+  | Some th -> perform_aex t c th
+  | None -> scrub_core t c);
+  t.os_handler c cause
+
 (* The M-mode trap funnel (Fig. 1). *)
 let on_trap_dispatch t _machine (c : Hw.Machine.core) cause =
   match enclave_of_domain t c.Hw.Machine.domain with
@@ -1423,55 +1306,17 @@ let on_trap_dispatch t _machine (c : Hw.Machine.core) cause =
       (* Untrusted (or monitor-owned) context: straight delegation. *)
       t.os_handler c cause
   | Some eid -> begin
-      match Hashtbl.find_opt t.enclaves eid with
-      | None ->
-          (* Stale domain: scrub defensively. *)
-          (match running_thread_on t c.Hw.Machine.id with
-          | Some th -> perform_aex t c th
-          | None -> scrub_core t c);
-          t.os_handler c cause
-      | Some e -> begin
-          match cause with
-          | Hw.Trap.Interrupt _ -> begin
-              (* The OS may always de-schedule an enclave; the monitor
-                 cleans the core before the OS sees the event. *)
-              match running_thread_on t c.Hw.Machine.id with
-              | Some th ->
-                  perform_aex t c th;
-                  t.os_handler c cause
-              | None ->
-                  scrub_core t c;
-                  t.os_handler c cause
-            end
-          | Hw.Trap.Exception Hw.Trap.Ecall_user -> handle_ecall t c e
-          | Hw.Trap.Exception (Hw.Trap.Page_fault (_, va) as exc) -> begin
-              match e.fault_handler with
-              | Some h ->
-                  (* Deliver the fault to the enclave's own handler —
-                     the OS never observes faults inside evrange. *)
-                  Hw.Machine.write_reg c Hw.Isa.a0 va;
-                  Hw.Machine.write_reg c Hw.Isa.a1 13L (* load page fault code *);
-                  c.Hw.Machine.pc <- h
-              | None -> begin
-                  match running_thread_on t c.Hw.Machine.id with
-                  | Some th ->
-                      perform_aex t c th;
-                      t.os_handler c (Hw.Trap.Exception exc)
-                  | None ->
-                      scrub_core t c;
-                      t.os_handler c (Hw.Trap.Exception exc)
-                end
-            end
-          | Hw.Trap.Exception exc -> begin
-              match running_thread_on t c.Hw.Machine.id with
-              | Some th ->
-                  perform_aex t c th;
-                  t.os_handler c (Hw.Trap.Exception exc)
-              | None ->
-                  scrub_core t c;
-                  t.os_handler c (Hw.Trap.Exception exc)
-            end
-        end
+      (* A stale domain (no enclave behind it) is cleaned defensively. *)
+      match (Hashtbl.find_opt t.enclaves eid, cause) with
+      | Some e, Hw.Trap.Exception Hw.Trap.Ecall_user -> handle_ecall t c e
+      | ( Some { fault_handler = Some h; _ },
+          Hw.Trap.Exception (Hw.Trap.Page_fault (_, va)) ) ->
+          (* Deliver the fault to the enclave's own handler — the OS
+             never observes faults inside evrange. *)
+          Hw.Machine.write_reg c Hw.Isa.a0 va;
+          Hw.Machine.write_reg c Hw.Isa.a1 13L (* load page fault code *);
+          c.Hw.Machine.pc <- h
+      | _ -> aex_and_delegate t c cause
     end
 
 let on_trap t machine (c : Hw.Machine.core) cause =
@@ -1629,16 +1474,16 @@ let metadata_slots t =
   |> List.sort compare
 
 let held_locks t =
-  let acc = if t.resource_lock then [ resource_lock_name ] else [] in
+  let acc = if t.resource_lock then [ Tel.Event.Resource_lock ] else [] in
   let acc =
     Hashtbl.fold
-      (fun eid e acc -> if e.e_lock then enclave_lock_name eid :: acc else acc)
+      (fun eid e acc -> if e.e_lock then Tel.Event.Enclave_lock eid :: acc else acc)
       t.enclaves acc
   in
   Hashtbl.fold
-    (fun tid th acc ->
-      if th.t_lock then thread_lock_name tid :: acc else acc)
+    (fun tid th acc -> if th.t_lock then Tel.Event.Thread_lock tid :: acc else acc)
     t.threads acc
+  |> List.map Tel.Event.lock_name
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)

@@ -61,8 +61,10 @@ val set_sink : t -> Sanctorum_telemetry.Sink.t -> unit
     counters ([sm.api.*]) and an [sm.api.latency] histogram; enclave
     lifecycle transitions, region grants/frees and mailbox traffic
     become events of their own. The default sink is
-    {!Sanctorum_telemetry.Sink.null}, under which every
-    instrumentation site is a single boolean test. *)
+    {!Sanctorum_telemetry.Sink.null}, under which no event is built:
+    each instrumentation site is one boolean test, and an API call
+    passes several, among them its entry and each lock take, lock
+    release and guarded write. *)
 
 val sink : t -> Sanctorum_telemetry.Sink.t
 
@@ -317,10 +319,6 @@ val try_lock_enclave : t -> eid:int -> bool
     call would; lets tests exercise transaction aborts. *)
 
 val unlock_enclave : t -> eid:int -> unit
-
-val caller_measurement : t -> caller -> string option
-(** The measurement the monitor would record for messages sent by this
-    caller. *)
 
 val corrupt_enclave_lifecycle : t -> eid:int -> unit
 (** Fault injection (tests only): flip the enclave's lifecycle state

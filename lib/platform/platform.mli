@@ -32,3 +32,31 @@ type t = {
 val sm_memory_bytes : int
 (** Bytes at the bottom of physical memory reserved for the monitor's
     own image and metadata, on every backend. *)
+
+val owner_map : Sanctorum_hw.Machine.t -> Owner_map.t
+(** A fresh owner map of the machine's memory: the bottom
+    {!sm_memory_bytes} belong to the monitor, the rest to the OS. *)
+
+val make :
+  name:string ->
+  alloc_unit:int ->
+  llc_partitioned:bool ->
+  phys_check:
+    (core:Sanctorum_hw.Machine.core ->
+    access:Sanctorum_hw.Trap.access ->
+    paddr:int ->
+    bool) ->
+  pte_fetch_check:(core:Sanctorum_hw.Machine.core -> paddr:int -> bool) ->
+  program:(Sanctorum_hw.Machine.core -> Sanctorum_hw.Trap.domain -> unit) ->
+  Sanctorum_hw.Machine.t ->
+  Owner_map.t ->
+  t
+(** The backend-independent core of both platforms over [owners] (from
+    {!owner_map}): installs [phys_check], [pte_fetch_check] and a DMA
+    check (devices reach only OS-owned pages) on the machine, and
+    builds the record. [assign_range] accepts whole [alloc_unit]s;
+    [clean_range] zeroes the range, flushes its L2 sets and shoots
+    down every TLB; [enter_domain] flushes the core's L1 and TLB
+    (§IV-B2). Both call [program core domain] to reprogram the
+    backend's primitive — PMP on Keystone, nothing on Sanctum, whose
+    DRAM regions the owner map itself enforces. *)

@@ -1,22 +1,18 @@
 module Hw = Sanctorum_hw
-module Tel = Sanctorum_telemetry
 
 let default_region_count = 64
 
 let region_of ~region_bytes paddr = paddr / region_bytes
 
 let create ?(region_count = default_region_count) machine =
-  let mem = Hw.Machine.mem machine in
-  let mem_bytes = Hw.Phys_mem.size mem in
+  let mem_bytes = Hw.Phys_mem.size (Hw.Machine.mem machine) in
   let region_bytes = mem_bytes / region_count in
   if
     region_bytes * region_count <> mem_bytes
     || region_bytes mod Hw.Phys_mem.page_size <> 0
   then
     invalid_arg "Sanctum.create: memory does not split into aligned regions";
-  let owners = Owner_map.create mem ~initial_owner:Hw.Trap.domain_untrusted in
-  Owner_map.set_range owners ~lo:0 ~hi:Platform.sm_memory_bytes
-    Hw.Trap.domain_sm;
+  let owners = Platform.owner_map machine in
   (* LLC partitioning: region index bits select a disjoint group of
      cache sets (page coloring), so no two regions ever contend. *)
   let l2 = Hw.Machine.l2 machine in
@@ -29,85 +25,20 @@ let create ?(region_count = default_region_count) machine =
     land (l2_cfg.Hw.Cache.sets - 1)
   in
   Hw.Cache.set_index_fn l2 color_index;
-  let owner_at ~paddr = Owner_map.owner_at owners ~paddr in
   (* A domain reaches its own memory and memory the OS left shared
      (untrusted-owned). Cross-domain accesses fault in hardware. *)
   let phys_check ~(core : Hw.Machine.core) ~access:_ ~paddr =
-    let owner = owner_at ~paddr in
+    let owner = Owner_map.owner_at owners ~paddr in
     owner = core.Hw.Machine.domain || owner = Hw.Trap.domain_untrusted
   in
   (* Private page walks: every PTE fetch must target memory owned by
      the walking domain itself (the Sanctum page-walk invariant). *)
   let pte_fetch_check ~(core : Hw.Machine.core) ~paddr =
-    owner_at ~paddr = core.Hw.Machine.domain
+    Owner_map.owner_at owners ~paddr = core.Hw.Machine.domain
   in
-  let dma_check ~paddr ~len =
-    len >= 0
-    && paddr >= 0
-    && paddr + len <= mem_bytes
-    && begin
-         let lo = Sanctorum_util.Bits.align_down paddr Hw.Phys_mem.page_size in
-         let hi =
-           Sanctorum_util.Bits.align_up (paddr + max len 1) Hw.Phys_mem.page_size
-         in
-         Owner_map.range_owned_by owners ~lo ~hi Hw.Trap.domain_untrusted
-       end
-  in
-  Hw.Machine.set_phys_check machine phys_check;
-  Hw.Machine.set_pte_fetch_check machine pte_fetch_check;
-  Hw.Machine.set_dma_check machine dma_check;
-  let assign_range ~lo ~hi domain =
-    if lo mod region_bytes <> 0 || hi mod region_bytes <> 0 || lo >= hi then
-      Error "sanctum: grants are whole DRAM regions"
-    else if hi > mem_bytes then Error "sanctum: range beyond physical memory"
-    else begin
-      Owner_map.set_range owners ~lo ~hi domain;
-      Hw.Machine.note_protection_change machine;
-      Ok ()
-    end
-  in
-  let flush_llc_range ~lo ~hi =
-    let line = l2_cfg.Hw.Cache.line_bytes in
-    let rec go addr =
-      if addr < hi then begin
-        Hw.Cache.flush_set l2 (color_index addr);
-        go (addr + line)
-      end
-    in
-    go lo
-  in
-  let clean_range ~lo ~hi =
-    Hw.Phys_mem.zero_range mem ~pos:lo ~len:(hi - lo);
-    flush_llc_range ~lo ~hi;
-    (* Region re-allocation requires a TLB shootdown on every core and
-       private caches cannot keep lines of the reassigned region. The
-       machine-level protocol retries lost IPIs and quarantines cores
-       that never acknowledge. *)
-    Hw.Machine.tlb_shootdown machine ~reason:"region-clean-shootdown"
-  in
-  let enter_domain ~(core : Hw.Machine.core) domain =
-    (* Cores are time-multiplexed: all per-core microarchitectural
-       state is flushed at each re-allocation (§IV-B2). *)
-    Hw.Cache.flush_all core.Hw.Machine.l1;
-    Hw.Tlb.flush core.Hw.Machine.tlb;
-    core.Hw.Machine.domain <- domain;
-    Hw.Machine.note_protection_change machine;
-    let sink = Hw.Machine.sink machine in
-    if Tel.Sink.enabled sink then begin
-      let id = core.Hw.Machine.id and cycles = core.Hw.Machine.cycles in
-      Tel.Sink.emit sink ~core:id ~cycles
-        (Tel.Event.Tlb_flush { reason = "domain-switch" });
-      Tel.Sink.emit sink ~core:id ~cycles (Tel.Event.Domain_switch { domain })
-    end
-  in
-  {
-    Platform.name = "sanctum";
-    machine;
-    alloc_unit = region_bytes;
-    llc_partitioned = true;
-    assign_range;
-    owner_at = (fun ~paddr -> owner_at ~paddr);
-    clean_range;
-    enter_domain;
-    ranges_of_domain = (fun d -> Owner_map.domain_ranges owners d);
-  }
+  (* DRAM regions are enforced by the owner map itself: nothing to
+     program on a domain switch. *)
+  Platform.make ~name:"sanctum" ~alloc_unit:region_bytes ~llc_partitioned:true
+    ~phys_check ~pte_fetch_check
+    ~program:(fun _ _ -> ())
+    machine owners

@@ -26,7 +26,7 @@ let of_events events =
               core = e.core;
               cycles = e.cycles;
               api;
-              caller;
+              caller = Event.principal_name caller;
               decision;
               latency;
             }

@@ -1,11 +1,22 @@
 type api_outcome = Accepted | Rejected of string
+type principal = Os | Enclave of int
+type lock = Resource_lock | Enclave_lock of int | Thread_lock of int
+
+let principal_name = function
+  | Os -> "os"
+  | Enclave eid -> Printf.sprintf "enclave:0x%x" eid
+
+let lock_name = function
+  | Resource_lock -> "resource"
+  | Enclave_lock eid -> Printf.sprintf "enclave:0x%x" eid
+  | Thread_lock tid -> Printf.sprintf "thread:0x%x" tid
 
 type payload =
   | Trap_enter of { cause : string }
   | Trap_exit of { cause : string }
   | Sm_api of {
       api : string;
-      caller : string;
+      caller : principal;
       outcome : api_outcome;
       latency : int;
     }
@@ -14,16 +25,16 @@ type payload =
   | Enclave_entered of { eid : int; tid : int; target_core : int }
   | Enclave_exited of { eid : int; aex : bool }
   | Enclave_destroyed of { eid : int }
-  | Region_granted of { kind : string; rid : int; owner : string }
+  | Region_granted of { kind : string; rid : int; owner : principal }
   | Region_freed of { kind : string; rid : int }
   | Domain_switch of { domain : int }
   | Tlb_flush of { reason : string }
-  | Mailbox_sent of { sender : string; recipient : int }
-  | Mailbox_received of { recipient : int; sender : string }
+  | Mailbox_sent of { sender : principal; recipient : int }
+  | Mailbox_received of { recipient : int; sender : principal }
   | Dma_transfer of { write : bool; paddr : int; len : int; granted : bool }
-  | Lock_acquired of { lock : string }
-  | Lock_released of { lock : string }
-  | Guarded_write of { lock : string; field : string }
+  | Lock_acquired of { lock : lock }
+  | Lock_released of { lock : lock }
+  | Guarded_write of { lock : lock; field : string }
   | Fault_injected of { fault : string; detail : string }
   | Ecc_corrected of { paddr : int }
   | Machine_check of { paddr : int }
@@ -81,7 +92,7 @@ let args = function
   | Sm_api { api; caller; outcome; latency } ->
       [
         ("api", api);
-        ("caller", caller);
+        ("caller", principal_name caller);
         ( "outcome",
           match outcome with Accepted -> "accepted" | Rejected _ -> "rejected"
         );
@@ -100,15 +111,21 @@ let args = function
       [ ("eid", Printf.sprintf "0x%x" eid); ("aex", string_of_bool aex) ]
   | Enclave_destroyed { eid } -> [ ("eid", Printf.sprintf "0x%x" eid) ]
   | Region_granted { kind; rid; owner } ->
-      [ ("kind", kind); ("rid", string_of_int rid); ("owner", owner) ]
+      [ ("kind", kind); ("rid", string_of_int rid); ("owner", principal_name owner) ]
   | Region_freed { kind; rid } ->
       [ ("kind", kind); ("rid", string_of_int rid) ]
   | Domain_switch { domain } -> [ ("domain", string_of_int domain) ]
   | Tlb_flush { reason } -> [ ("reason", reason) ]
   | Mailbox_sent { sender; recipient } ->
-      [ ("sender", sender); ("recipient", Printf.sprintf "0x%x" recipient) ]
+      [
+        ("sender", principal_name sender);
+        ("recipient", Printf.sprintf "0x%x" recipient);
+      ]
   | Mailbox_received { recipient; sender } ->
-      [ ("recipient", Printf.sprintf "0x%x" recipient); ("sender", sender) ]
+      [
+        ("recipient", Printf.sprintf "0x%x" recipient);
+        ("sender", principal_name sender);
+      ]
   | Dma_transfer { write; paddr; len; granted } ->
       [
         ("dir", if write then "write" else "read");
@@ -116,8 +133,8 @@ let args = function
         ("len", string_of_int len);
         ("granted", string_of_bool granted);
       ]
-  | Lock_acquired { lock } | Lock_released { lock } -> [ ("lock", lock) ]
-  | Guarded_write { lock; field } -> [ ("lock", lock); ("field", field) ]
+  | Lock_acquired { lock } | Lock_released { lock } -> [ ("lock", lock_name lock) ]
+  | Guarded_write { lock; field } -> [ ("lock", lock_name lock); ("field", field) ]
   | Fault_injected { fault; detail } ->
       [ ("fault", fault); ("detail", detail) ]
   | Ecc_corrected { paddr } -> [ ("paddr", Printf.sprintf "0x%x" paddr) ]

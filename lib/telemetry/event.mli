@@ -12,13 +12,28 @@ type api_outcome =
   | Accepted
   | Rejected of string  (** rendered {!Sanctorum.Api_error.t} *)
 
+(** Who a monitor call or message acts for: the untrusted OS or the
+    enclave with this eid. *)
+type principal = Os | Enclave of int
+
+(** One of the monitor's fine-grained locks (§V-A): the resource lock,
+    an enclave's metadata lock (by eid) or a thread's (by tid). *)
+type lock = Resource_lock | Enclave_lock of int | Thread_lock of int
+
+val principal_name : principal -> string
+(** ["os"] or ["enclave:0x<eid>"], as the exporters and the audit log
+    print it. *)
+
+val lock_name : lock -> string
+(** ["resource"], ["enclave:0x<eid>"] or ["thread:0x<tid>"]. *)
+
 type payload =
   | Trap_enter of { cause : string }
       (** control entered the M-mode trap funnel *)
   | Trap_exit of { cause : string }  (** the trap handler returned *)
   | Sm_api of {
       api : string;
-      caller : string;
+      caller : principal;
       outcome : api_outcome;
       latency : int;  (** simulated cycles spent inside the call *)
     }
@@ -30,19 +45,17 @@ type payload =
       (** [aex] is true for an asynchronous exit, false for a
           voluntary [exit_enclave] *)
   | Enclave_destroyed of { eid : int }
-  | Region_granted of { kind : string; rid : int; owner : string }
+  | Region_granted of { kind : string; rid : int; owner : principal }
   | Region_freed of { kind : string; rid : int }
   | Domain_switch of { domain : int }
   | Tlb_flush of { reason : string }
-  | Mailbox_sent of { sender : string; recipient : int }
-  | Mailbox_received of { recipient : int; sender : string }
+  | Mailbox_sent of { sender : principal; recipient : int }
+  | Mailbox_received of { recipient : int; sender : principal }
   | Dma_transfer of { write : bool; paddr : int; len : int; granted : bool }
-  | Lock_acquired of { lock : string }
-      (** one of the monitor's fine-grained locks (§V-A) was taken;
-          [lock] is ["resource"], ["enclave:0x<eid>"] or
-          ["thread:0x<tid>"] *)
-  | Lock_released of { lock : string }
-  | Guarded_write of { lock : string; field : string }
+  | Lock_acquired of { lock : lock }
+      (** one of the monitor's fine-grained locks (§V-A) was taken *)
+  | Lock_released of { lock : lock }
+  | Guarded_write of { lock : lock; field : string }
       (** a lock-guarded monitor field was mutated; consumed by the
           lock-discipline analyzer in [Sanctorum_analysis] *)
   | Fault_injected of { fault : string; detail : string }

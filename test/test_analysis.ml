@@ -188,36 +188,39 @@ let trace payloads =
 
 let api name =
   Tel.Event.Sm_api
-    { api = name; caller = "os"; outcome = Tel.Event.Accepted; latency = 1 }
+    { api = name; caller = Tel.Event.Os; outcome = Tel.Event.Accepted; latency = 1 }
 
 let acq l = Tel.Event.Lock_acquired { lock = l }
 let rel l = Tel.Event.Lock_released { lock = l }
+let res = Tel.Event.Resource_lock
+let enc eid = Tel.Event.Enclave_lock eid
+let thr tid = Tel.Event.Thread_lock tid
 
 let test_lock_leak () =
   (* held across an API return *)
   fires "lock.leak"
-    (A.Lockcheck.check (trace [ acq "enclave:0x1"; api "init_enclave" ]));
+    (A.Lockcheck.check (trace [ acq (enc 1); api "init_enclave" ]));
   (* released while not held *)
-  fires "lock.leak" (A.Lockcheck.check (trace [ rel "enclave:0x1" ]));
+  fires "lock.leak" (A.Lockcheck.check (trace [ rel (enc 1) ]));
   (* still held when the trace ends *)
-  fires "lock.leak" (A.Lockcheck.check (trace [ acq "resource" ]));
+  fires "lock.leak" (A.Lockcheck.check (trace [ acq res ]));
   (* the balanced discipline is clean *)
   silent
     (A.Lockcheck.check
-       (trace [ acq "resource"; rel "resource"; api "grant_resource" ]))
+       (trace [ acq res; rel res; api "grant_resource" ]))
 
 let test_lock_guard () =
   fires "lock.guard"
     (A.Lockcheck.check
        (trace
-          [ Tel.Event.Guarded_write { lock = "enclave:0x1"; field = "phase" } ]));
+          [ Tel.Event.Guarded_write { lock = enc 1; field = "phase" } ]));
   silent
     (A.Lockcheck.check
        (trace
           [
-            acq "enclave:0x1";
-            Tel.Event.Guarded_write { lock = "enclave:0x1"; field = "phase" };
-            rel "enclave:0x1";
+            acq (enc 1);
+            Tel.Event.Guarded_write { lock = enc 1; field = "phase" };
+            rel (enc 1);
           ]))
 
 let test_lock_order () =
@@ -227,26 +230,26 @@ let test_lock_order () =
     (A.Lockcheck.check
        (trace
           [
-            acq "resource";
-            acq "enclave:0x1";
-            rel "enclave:0x1";
-            rel "resource";
-            acq "enclave:0x2";
-            acq "resource";
-            rel "resource";
-            rel "enclave:0x2";
+            acq res;
+            acq (enc 1);
+            rel (enc 1);
+            rel res;
+            acq (enc 2);
+            acq res;
+            rel res;
+            rel (enc 2);
           ]));
   (* a consistent order is clean *)
   silent
     (A.Lockcheck.check
        (trace
           [
-            acq "resource";
-            acq "enclave:0x1";
-            acq "thread:0x9";
-            rel "thread:0x9";
-            rel "enclave:0x1";
-            rel "resource";
+            acq res;
+            acq (enc 1);
+            acq (thr 9);
+            rel (thr 9);
+            rel (enc 1);
+            rel res;
           ]))
 
 let created e = Tel.Event.Enclave_created { eid = e }
@@ -260,7 +263,7 @@ let exited ?(aex = false) e = Tel.Event.Enclave_exited { eid = e; aex }
 let destroyed e = Tel.Event.Enclave_destroyed { eid = e }
 
 let grant rid =
-  Tel.Event.Region_granted { kind = "memory"; rid; owner = "os" }
+  Tel.Event.Region_granted { kind = "memory"; rid; owner = Tel.Event.Os }
 
 let freed rid = Tel.Event.Region_freed { kind = "memory"; rid }
 
@@ -268,13 +271,13 @@ let read_aex =
   Tel.Event.Sm_api
     {
       api = "read_aex_state";
-      caller = "enclave:0x1";
+      caller = Tel.Event.Enclave 1;
       outcome = Tel.Event.Accepted;
       latency = 1;
     }
 
-let sent r = Tel.Event.Mailbox_sent { sender = "os"; recipient = r }
-let received r = Tel.Event.Mailbox_received { recipient = r; sender = "os" }
+let sent r = Tel.Event.Mailbox_sent { sender = Tel.Event.Os; recipient = r }
+let received r = Tel.Event.Mailbox_received { recipient = r; sender = Tel.Event.Os }
 
 (* Every orderliness trace below, by test: the id it must fire, or
    [None] for a legal sequence that must stay silent. *)

@@ -246,6 +246,55 @@ let test_measurement_monotonic_load_enforced () =
   | Ok () -> Alcotest.fail "descending physical load accepted"
   | Error e -> Alcotest.failf "unexpected error: %s" (E.to_string e)
 
+(* A rejected map_shared maps nothing: the monitor resolves and probes
+   every page's leaf slot before it writes any PTE. The 2-page window at
+   0x1FF000 straddles two level-0 tables, and the second one does not
+   exist yet. *)
+let test_map_shared_all_or_nothing backend () =
+  let tb = Testbed.create ~backend () in
+  let sm = tb.Testbed.sm and os = tb.Testbed.os in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (E.to_string e)
+  in
+  let eid = Os.alloc_metadata os `Enclave in
+  ok "create"
+    (S.create_enclave sm ~caller:S.Os ~eid ~evbase:0x10000 ~evsize:4096 ());
+  let memory = Sanctorum.Resource.Memory_resource in
+  let ub = Os.unit_bytes os in
+  List.iter
+    (fun rid ->
+      ok "block" (S.block_resource sm ~caller:S.Os memory ~rid);
+      ok "clean" (S.clean_resource sm ~caller:S.Os memory ~rid);
+      ok "grant"
+        (S.grant_resource sm ~caller:S.Os memory ~rid ~to_:(S.To_enclave eid)))
+    (Os.alloc_units os ~count:(((4 * 4096) + ub - 1) / ub));
+  let table ~vaddr ~level =
+    ok "table" (S.allocate_page_table sm ~caller:S.Os ~eid ~vaddr ~level)
+  in
+  table ~vaddr:0 ~level:2;
+  table ~vaddr:0 ~level:1;
+  table ~vaddr:0 ~level:0;
+  let window = 0x1FF000 and src_paddr = Os.alloc_staging os ~bytes:8192 in
+  let map () =
+    S.map_shared sm ~caller:S.Os ~eid ~vaddr:window ~src_paddr ~len:8192
+  in
+  (match map () with
+  | Error (E.Invalid_state "missing intermediate page table") -> ()
+  | Error e -> Alcotest.failf "unexpected rejection: %s" (E.to_string e)
+  | Ok () -> Alcotest.fail "window over a missing table accepted");
+  let root =
+    match S.enclave_info sm ~eid with
+    | Some { S.i_root_ppn = Some root; _ } -> root
+    | Some _ | None -> Alcotest.fail "enclave has no root table"
+  in
+  check_bool "rejected call left no mapping" true
+    (is_error
+       (Hw.Page_table.walk (Hw.Machine.mem tb.Testbed.machine) ~root_ppn:root
+          ~vaddr:window ~pte_fetch_ok:(fun _ -> true)));
+  table ~vaddr:0x200000 ~level:0;
+  ok "same window once the table exists" (map ())
+
 let suite =
   ( "enclave-fig3",
     [
@@ -262,4 +311,8 @@ let suite =
         test_measurement_sensitivity;
       Alcotest.test_case "measurement: ascending loads" `Quick
         test_measurement_monotonic_load_enforced;
+      Alcotest.test_case "rejected map_shared maps nothing (sanctum)" `Quick
+        (test_map_shared_all_or_nothing Testbed.Sanctum_backend);
+      Alcotest.test_case "rejected map_shared maps nothing (keystone)" `Quick
+        (test_map_shared_all_or_nothing Testbed.Keystone_backend);
     ] )

@@ -271,6 +271,60 @@ let test_unknown_ecall () =
   | Ok Os.Exited -> ()
   | Ok _ | Error _ -> Alcotest.fail "unknown ecall should return an error, not kill"
 
+(* An output buffer is checked before the call that fills it: an ecall
+   whose result has nowhere to go fails with code 1 (illegal argument)
+   and consumes nothing. Each enclave spins after the failing ecall, so
+   a short fuel budget stops it there. *)
+let unmapped = 0x300000
+
+let spin_after_failed_ecall tb ~eid ~tid run =
+  match run tb.Testbed.os ~eid ~tid ~core:0 ~fuel:50 ?quantum:None () with
+  | Ok Os.Fuel_exhausted ->
+      check_i64 "ecall failed with illegal argument" 1L
+        (Hw.Machine.read_reg (Hw.Machine.core tb.Testbed.machine 0) Hw.Isa.a0)
+  | Ok _ -> Alcotest.fail "enclave left the spin loop"
+  | Error e -> Alcotest.failf "run: %s" (E.to_string e)
+
+let test_get_mail_bad_buffer backend () =
+  let tb = Testbed.create ~backend () in
+  let open Hw.Isa in
+  let inst =
+    install tb
+      (Img.of_program ~evbase:0x10000
+         (li a1 unmapped @ li a2 0x11000
+         @ [ mv a0 zero; Op_imm (Add, a7, zero, S.Ecall.get_mail); Ecall; j 0 ]))
+  in
+  let eid = inst.Os.eid and sm = tb.Testbed.sm in
+  let from_os = Sanctorum.Mailbox.From_os in
+  Result.get_ok (S.accept_mail sm ~caller:(S.Enclave_caller eid) ~sender:from_os);
+  Result.get_ok (S.send_mail sm ~caller:S.Os ~recipient:eid ~msg:"kept");
+  spin_after_failed_ecall tb ~eid ~tid:(List.hd inst.Os.tids) Os.run_enclave;
+  match S.get_mail sm ~caller:(S.Enclave_caller eid) ~sender:from_os with
+  | Ok (msg, _) -> check_bool "message intact" true (String.sub msg 0 4 = "kept")
+  | Error e -> Alcotest.failf "message lost: %s" (E.to_string e)
+
+let test_read_aex_state_bad_buffer backend () =
+  let tb = Testbed.create ~backend () in
+  let open Hw.Isa in
+  (* spin until preempted; on resume (a0 = 1) read the dump into an
+     unmapped buffer *)
+  let inst =
+    install tb
+      (Img.of_program ~evbase:0x10000
+         ([ Branch (Bne, a0, zero, 8); j 0 ]
+         @ li a1 unmapped @ [ mv a0 zero ]
+         @ [ Op_imm (Add, a7, zero, S.Ecall.read_aex_state); Ecall; j 0 ]))
+  in
+  let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
+  (match
+     Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000 ~quantum:200 ()
+   with
+  | Ok Os.Preempted -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected preemption");
+  spin_after_failed_ecall tb ~eid ~tid Os.resume_enclave;
+  check_bool "AEX dump kept" true
+    (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
+
 let suite =
   ( "execution",
     [
@@ -287,4 +341,12 @@ let suite =
       Alcotest.test_case "ecall mailbox ABI" `Quick test_ecall_mailbox_abi;
       Alcotest.test_case "ecall error codes" `Quick test_ecall_error_codes;
       Alcotest.test_case "unknown ecall tolerated" `Quick test_unknown_ecall;
+      Alcotest.test_case "get_mail: bad buffer keeps the message (sanctum)" `Quick
+        (test_get_mail_bad_buffer Testbed.Sanctum_backend);
+      Alcotest.test_case "get_mail: bad buffer keeps the message (keystone)" `Quick
+        (test_get_mail_bad_buffer Testbed.Keystone_backend);
+      Alcotest.test_case "read_aex_state: bad buffer keeps the dump (sanctum)"
+        `Quick (test_read_aex_state_bad_buffer Testbed.Sanctum_backend);
+      Alcotest.test_case "read_aex_state: bad buffer keeps the dump (keystone)"
+        `Quick (test_read_aex_state_bad_buffer Testbed.Keystone_backend);
     ] )
