@@ -877,7 +877,7 @@ let report_workload () =
 
 (* ------------------------------------------------------------------ *)
 (* The attestation fast path (PR 9): the throughput-grade crypto tier
-   against its retained reference implementations, the measurement
+   against the reference verifier in test/oracle, the measurement
    cache hot vs cold, the batch attestation service, and the churn mix
    — reported against the 34.13 ops/s the pre-optimization tier
    recorded (BENCH_PR5.json); churn is reported, not gated. The report
@@ -914,7 +914,8 @@ let report_attest () =
   let sign_ns = time (fun () -> C.Schnorr.sign sk "msg") in
   let verify_ns = time (fun () -> C.Schnorr.verify pk ~msg:"msg" ~signature) in
   let verify_ref_ns =
-    time (fun () -> C.Schnorr.verify_reference pk ~msg:"msg" ~signature)
+    time (fun () ->
+        Sanctorum_oracle.Schnorr_ref.verify_reference pk ~msg:"msg" ~signature)
   in
   let verify_speedup = verify_ref_ns /. verify_ns in
   let batch_n = 64 in

@@ -125,29 +125,12 @@ let parse_certificates blob =
   in
   go 0 []
 
-let verify_evidence ~root ~expected_measurement ~nonce ~channel_binding e =
-  if e.nonce <> nonce then Error "nonce mismatch"
-  else if e.channel_binding <> channel_binding then Error "channel mismatch"
-  else if
-    not
-      (Sanctorum_util.Bytesx.constant_time_equal e.enclave_measurement
-         expected_measurement)
-  then Error "enclave measurement mismatch"
-  else begin
-    let* certs = parse_certificates e.certificates in
-    let* sm_key = Crypto.Cert.verify_chain ~root certs in
-    if
-      Crypto.Schnorr.verify sm_key ~msg:(attested_payload e)
-        ~signature:e.signature
-    then Ok ()
-    else Error "attestation signature invalid"
-  end
-
-(* One attestation service sweep verifies many clients' evidence at
-   once: the structural checks stay per item, but every Schnorr check —
-   two certificate signatures and the evidence signature per item — is
-   folded into a single random-linear-combination batch. A bad item is
-   pinpointed by the batch fallback and reported individually. *)
+(* One path checks evidence. Per item, the structural checks and the
+   certificate chain walk produce its Schnorr claims (each certificate,
+   then the evidence signature), each paired with the rejection it
+   names; every claim of every item then goes through one
+   random-linear-combination batch, whose fallback pinpoints a bad
+   item. A single verification is a batch of one. *)
 
 type batch_request = {
   vr_root : Crypto.Schnorr.public_key;
@@ -157,61 +140,58 @@ type batch_request = {
   vr_evidence : evidence;
 }
 
-let verify_evidence_batch reqs =
-  let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let results = Array.make n (Ok ()) in
-  let claims = ref [] in
-  (* per item: position of its first claim and its certificate count *)
-  let spans = Array.make n None in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    let r = reqs.(i) in
-    let e = r.vr_evidence in
-    let structural =
-      if e.nonce <> r.vr_nonce then Error "nonce mismatch"
-      else if e.channel_binding <> r.vr_channel_binding then
-        Error "channel mismatch"
-      else if
-        not
-          (Sanctorum_util.Bytesx.constant_time_equal e.enclave_measurement
-             r.vr_expected_measurement)
-      then Error "enclave measurement mismatch"
-      else begin
-        let* certs = parse_certificates e.certificates in
-        Crypto.Cert.signature_claims ~root:r.vr_root certs
-      end
-    in
-    match structural with
-    | Error msg -> results.(i) <- Error msg
-    | Ok (cert_claims, sm_key) ->
-        let all =
-          cert_claims @ [ (sm_key, attested_payload e, e.signature) ]
-        in
-        spans.(i) <- Some (!next, List.length cert_claims);
-        next := !next + List.length all;
-        claims := List.rev_append all !claims
-  done;
-  if !next = 0 then results
+let claims r =
+  let e = r.vr_evidence in
+  if e.nonce <> r.vr_nonce then Error "nonce mismatch"
+  else if e.channel_binding <> r.vr_channel_binding then Error "channel mismatch"
+  else if
+    not
+      (Sanctorum_util.Bytesx.constant_time_equal e.enclave_measurement
+         r.vr_expected_measurement)
+  then Error "enclave measurement mismatch"
   else begin
-    let verdicts = Crypto.Schnorr.verify_batch (List.rev !claims) in
-    Array.iteri
-      (fun i span ->
-        match span with
-        | None -> () (* failed structurally; already reported *)
-        | Some (first, ncerts) ->
-            let verdict = ref (Ok ()) in
-            for j = ncerts downto 0 do
-              if not verdicts.(first + j) then
-                verdict :=
-                  Error
-                    (if j < ncerts then "certificate chain signature invalid"
-                     else "attestation signature invalid")
-            done;
-            results.(i) <- !verdict)
-      spans;
-    results
+    let* certs = parse_certificates e.certificates in
+    let* cert_claims, sm_key = Crypto.Cert.signature_claims ~root:r.vr_root certs in
+    let named (c : Crypto.Cert.t) claim =
+      (Printf.sprintf "Cert: bad signature on %S" c.subject, claim)
+    in
+    Ok
+      (List.map2 named certs cert_claims
+      @ [ ("attestation signature invalid",
+           (sm_key, attested_payload e, e.signature)) ])
   end
+
+let verify_evidence_batch reqs =
+  let items = Array.of_list (List.map claims reqs) in
+  let verdicts =
+    Crypto.Schnorr.verify_batch
+      (List.concat_map
+         (function Ok cs -> List.map snd cs | Error _ -> [])
+         (Array.to_list items))
+  in
+  let results = Array.make (Array.length items) (Ok ()) in
+  let next = ref 0 in
+  Array.iteri
+    (fun i item ->
+      match item with
+      | Error msg -> results.(i) <- Error msg
+      | Ok cs -> (
+          let first = !next in
+          next := first + List.length cs;
+          (* the first failing claim names the rejection, as a walk
+             down the chain would *)
+          match List.filteri (fun j _ -> not verdicts.(first + j)) cs with
+          | (msg, _) :: _ -> results.(i) <- Error msg
+          | [] -> ()))
+    items;
+  results
+
+let verify_evidence ~root ~expected_measurement ~nonce ~channel_binding e =
+  let req =
+    { vr_root = root; vr_expected_measurement = expected_measurement;
+      vr_nonce = nonce; vr_channel_binding = channel_binding; vr_evidence = e }
+  in
+  (verify_evidence_batch [ req ]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end drivers *)

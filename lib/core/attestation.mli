@@ -71,8 +71,8 @@ val verify_evidence :
   channel_binding:string ->
   evidence ->
   (unit, string) result
-(** The trusted first party's check: certificate chain to the root,
-    then the signature over the attested payload. *)
+(** The trusted first party's check: {!verify_evidence_batch} on this
+    one request. *)
 
 type batch_request = {
   vr_root : Sanctorum_crypto.Schnorr.public_key;
@@ -84,11 +84,11 @@ type batch_request = {
 
 val verify_evidence_batch :
   batch_request list -> (unit, string) result array
-(** {!verify_evidence} over many items with every Schnorr check (both
-    certificate signatures and the evidence signature, per item) folded
-    into one {!Sanctorum_crypto.Schnorr.verify_batch} call. Structural
-    failures and pinpointed signature failures are reported per item;
-    the result array is positional. *)
+(** Per item: nonce, channel binding and measurement, then the
+    certificate chain to the root and the signature over the attested
+    payload, with every Schnorr check of every item folded into one
+    {!Sanctorum_crypto.Schnorr.verify_batch} call. Positional; a
+    rejection names the first failing check. *)
 
 (** {2 End-to-end drivers} *)
 

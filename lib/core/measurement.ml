@@ -17,14 +17,12 @@ module Cache = struct
      workload (a few hundred distinct images) fits comfortably. *)
   type cache = {
     tbl : (string, string) Hashtbl.t;
-    capacity : int;
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create ?(capacity = 512) () =
-    if capacity <= 0 then invalid_arg "Measurement.Cache.create: capacity";
-    { tbl = Hashtbl.create 64; capacity; hits = 0; misses = 0 }
+  let capacity = 512
+  let create () = { tbl = Hashtbl.create 64; hits = 0; misses = 0 }
 
   let hits c = c.hits
   let misses c = c.misses
@@ -77,7 +75,7 @@ let finalize ?cache t =
       | None ->
           c.Cache.misses <- c.Cache.misses + 1;
           let d = Crypto.Sha3.sha3_256 key in
-          if Hashtbl.length c.Cache.tbl >= c.Cache.capacity then
+          if Hashtbl.length c.Cache.tbl >= Cache.capacity then
             Hashtbl.reset c.Cache.tbl;
           Hashtbl.add c.Cache.tbl key d;
           d

@@ -21,9 +21,9 @@ type t
 module Cache : sig
   type cache
 
-  val create : ?capacity:int -> unit -> cache
-  (** The cache flushes wholesale when [capacity] (default 512) distinct
-      transcripts are held. *)
+  val create : unit -> cache
+  (** The cache flushes wholesale when 512 distinct transcripts are
+      held. *)
 
   val hits : cache -> int
   val misses : cache -> int

@@ -27,15 +27,6 @@ let one = of_int 1
 let two = of_int 2
 let is_zero a = Array.length a = 0
 
-let to_int_opt a =
-  (* 63-bit native ints hold at most two full limbs plus 11 bits. *)
-  let rec go i acc =
-    if i < 0 then Some acc
-    else if acc > (max_int - a.(i)) lsr base_bits then None
-    else go (i - 1) ((acc lsl base_bits) lor a.(i))
-  in
-  if Array.length a > 3 then None else go (Array.length a - 1) 0
-
 let compare a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
@@ -331,50 +322,7 @@ module Mont = struct
 
   let to_mont ctx a =
     normalize (cios ctx (fixed ctx (rem a ctx.m)) (fixed ctx ctx.r2))
-
-  let mod_mul ctx a b = of_mont ctx (mont_mul ctx (to_mont ctx a) (to_mont ctx b))
-
-  (* Plain-domain base and result; the square-and-multiply walk happens
-     entirely in Montgomery form, so no step divides. *)
-  let mont_exp ctx b e =
-    let bm = fixed ctx (to_mont ctx b) in
-    let acc = ref (fixed ctx ctx.rone) in
-    for i = bit_length e - 1 downto 0 do
-      acc := cios ctx !acc !acc;
-      if test_bit e i then acc := cios ctx !acc bm
-    done;
-    normalize (cios ctx !acc (fixed ctx one))
 end
-
-(* Left-to-right square and multiply; odd moduli go through a Montgomery
-   context so the walk is division-free. *)
-let mod_exp b e ~m =
-  if equal m one then zero
-  else if not (is_even m) then Mont.mont_exp (Mont.create m) b e
-  else begin
-    let b = rem b m in
-    let r = ref one in
-    for i = bit_length e - 1 downto 0 do
-      r := mod_mul !r !r ~m;
-      if test_bit e i then r := mod_mul !r b ~m
-    done;
-    !r
-  end
-
-let mod_inv a ~m =
-  (* Extended Euclid on naturals, keeping Bezout coefficients in Z_m. *)
-  let a = rem a m in
-  if is_zero a then invalid_arg "Bignum.mod_inv: zero has no inverse";
-  let rec go r0 r1 t0 t1 =
-    if is_zero r1 then
-      if equal r0 one then t0 else invalid_arg "Bignum.mod_inv: not invertible"
-    else begin
-      let q, r2 = divmod r0 r1 in
-      let t2 = mod_sub t0 (mod_mul q t1 ~m) ~m in
-      go r1 r2 t1 t2
-    end
-  in
-  go m a zero one
 
 let of_bytes_be s =
   let n = String.length s in
@@ -413,10 +361,6 @@ let to_bytes_le ~len a =
   let be = to_bytes_be ~len a in
   String.init len (fun i -> be.[len - 1 - i])
 
-let of_hex h =
-  let h = if String.length h mod 2 = 1 then "0" ^ h else h in
-  of_bytes_be (Sanctorum_util.Hex.decode h)
-
 let to_hex a =
   if is_zero a then "0"
   else begin
@@ -436,52 +380,5 @@ let of_decimal s =
       | '0' .. '9' -> add (mul acc ten) (of_int (Char.code c - Char.code '0'))
       | _ -> invalid_arg "Bignum.of_decimal: non-digit")
     zero s
-
-let is_probable_prime ?(rounds = 16) n =
-  if compare n two < 0 then false
-  else if equal n two then true
-  else if is_even n then false
-  else if compare n (of_int 5) < 0 then true (* 3: no witness range exists *)
-  else begin
-    (* n - 1 = d * 2^s *)
-    let n1 = sub n one in
-    let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
-    let d, s = split n1 0 in
-    let n2 = sub n two in
-    (* Deterministic witnesses in [2, n-2], derived with SHA3 over the
-       value's own bytes. The previous scheme seeded an LCG with
-       [Hashtbl.hash] of the hex string, which is not stable across
-       OCaml versions or flag sets; this one is reproducible anywhere. *)
-    let nb = to_bytes_be ~len:((bit_length n + 7) / 8) n in
-    let witness i =
-      let h =
-        Sha3.shake256
-          ~len:(String.length nb + 8)
-          (Printf.sprintf "sanctorum-mr-witness-%d:" i ^ nb)
-      in
-      add (rem (of_bytes_be h) (sub n2 one)) two
-    in
-    let mctx = Mont.create n in
-    let composite_witness a =
-      let x = ref (Mont.mont_exp mctx a d) in
-      if equal !x one || equal !x n1 then false
-      else begin
-        let rec loop i =
-          if i >= s - 1 then true
-          else begin
-            x := Mont.mod_mul mctx !x !x;
-            if equal !x n1 then false else loop (i + 1)
-          end
-        in
-        loop 0
-      end
-    in
-    let rec trial i =
-      if i = rounds then true
-      else if composite_witness (witness i) then false
-      else trial (i + 1)
-    in
-    trial 0
-  end
 
 let pp ppf a = Format.fprintf ppf "0x%s" (to_hex a)

@@ -14,9 +14,6 @@ val two : t
 val of_int : int -> t
 (** Raises [Invalid_argument] on negative input. *)
 
-val to_int_opt : t -> int option
-(** [None] if the value does not fit in a native [int]. *)
-
 val of_bytes_be : string -> t
 (** Big-endian bytes to number. *)
 
@@ -27,7 +24,6 @@ val to_bytes_be : len:int -> t -> string
 val of_bytes_le : string -> t
 val to_bytes_le : len:int -> t -> string
 
-val of_hex : string -> t
 val to_hex : t -> string
 
 val of_decimal : string -> t
@@ -57,12 +53,6 @@ val rem : t -> t -> t
 val mod_add : t -> t -> m:t -> t
 val mod_sub : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
-val mod_exp : t -> t -> m:t -> t
-(** [mod_exp b e ~m] is [b^e mod m] by square-and-multiply. *)
-
-val mod_inv : t -> m:t -> t
-(** Modular inverse by the extended Euclidean algorithm. Raises
-    [Invalid_argument] if no inverse exists. *)
 
 (** Montgomery multiplication for a fixed odd modulus. A context
     precomputes everything the CIOS reduction needs, after which a
@@ -89,19 +79,7 @@ module Mont : sig
   val of_mont : ctx -> t -> t
   val mont_mul : ctx -> t -> t -> t
   (** Montgomery product of two residues: [a·b·R^-1 mod m]. *)
-
-  val mont_exp : ctx -> t -> t -> t
-  (** [mont_exp ctx b e] is [b^e mod m] with plain-domain base and
-      result; the walk happens in Montgomery form. *)
-
-  val mod_mul : ctx -> t -> t -> t
-  (** Plain-domain modular product via one round trip through
-      Montgomery form; division-free drop-in for {!Bignum.mod_mul}. *)
 end
-
-val is_probable_prime : ?rounds:int -> t -> bool
-(** Miller–Rabin with witnesses derived deterministically from SHA3 over
-    the value's bytes (reproducible across OCaml versions). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints in hexadecimal. *)

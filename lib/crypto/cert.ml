@@ -33,18 +33,6 @@ let issue ~issuer ~issuer_key ~subject ~subject_key ?bound_measurement () =
   in
   { unsigned with signature = Schnorr.sign issuer_key (to_be_signed unsigned) }
 
-let verify_signature t ~issuer_key =
-  Schnorr.verify issuer_key ~msg:(to_be_signed t) ~signature:t.signature
-
-let verify_chain ~root certs =
-  let rec go key = function
-    | [] -> Ok key
-    | c :: rest ->
-        if verify_signature c ~issuer_key:key then go c.subject_key rest
-        else Error (Printf.sprintf "Cert: bad signature on %S" c.subject)
-  in
-  match certs with [] -> Error "Cert: empty chain" | _ -> go root certs
-
 let signature_claims ~root certs =
   let rec go key acc = function
     | [] -> Ok (List.rev acc, key)

@@ -13,9 +13,6 @@ type t = {
   signature : string;  (** issuer's signature over the TBS bytes *)
 }
 
-val to_be_signed : t -> string
-(** The deterministic byte string covered by [signature]. *)
-
 val issue :
   issuer:string ->
   issuer_key:Schnorr.secret_key ->
@@ -25,22 +22,16 @@ val issue :
   unit ->
   t
 
-val verify_signature : t -> issuer_key:Schnorr.public_key -> bool
-
-val verify_chain :
-  root:Schnorr.public_key -> t list -> (Schnorr.public_key, string) result
-(** [verify_chain ~root certs] checks a chain ordered root-first: each
-    certificate is verified with the previous subject key, the first
-    with [root]. Returns the final subject key on success. *)
-
 val signature_claims :
   root:Schnorr.public_key ->
   t list ->
   ((Schnorr.public_key * string * string) list * Schnorr.public_key, string)
   result
-(** The [(issuer key, message, signature)] triples {!verify_chain} would
-    check, plus the chain's leaf key — without verifying anything. Lets
-    a caller fold many chains into one {!Schnorr.verify_batch} call. *)
+(** The chain walker. Certificates are ordered root-first, each signed
+    by the previous subject key and the first by [root]. Returns each
+    certificate's [(issuer key, to-be-signed bytes, signature)] triple
+    in chain order and the leaf key, verifying nothing: the caller
+    checks the triples with {!Schnorr.verify_batch}. *)
 
 val serialize : t -> string
 val deserialize : string -> (t, string) result

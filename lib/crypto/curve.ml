@@ -21,8 +21,6 @@ let order =
     (Bignum.shift_left Bignum.one 252)
     (Bignum.of_decimal "27742317777372353535851937790883648493")
 
-let cofactor = 8
-
 let d =
   (* -121665/121666 mod p *)
   Field.mul
@@ -86,14 +84,6 @@ let double p =
 
 let negate p = { p with x = Field.neg p.x; t = Field.neg p.t; enc = None }
 
-let scalar_mul k p =
-  let acc = ref identity in
-  for i = Bignum.bit_length k - 1 downto 0 do
-    acc := double !acc;
-    if Bignum.test_bit k i then acc := add !acc p
-  done;
-  !acc
-
 let equal p q =
   (* x1/z1 = x2/z2 and y1/z1 = y2/z2, cross-multiplied. *)
   Field.equal (Field.mul p.x q.z) (Field.mul q.x p.z)
@@ -114,127 +104,16 @@ let base =
       of_affine (x, y)
 
 (* ------------------------------------------------------------------ *)
-(* The pre-optimization arithmetic, kept whole as the differential
-   oracle and the bench baseline: the same extended-coordinate formulas
-   over schoolbook modular arithmetic, where every field product pays a
-   Knuth division ([Bignum.mod_mul]) — exactly the tier the Montgomery
-   field replaced. Conversions to and from the fast representation
-   happen only at the boundary, so agreement here checks the whole
-   field + curve stack value for value. *)
-
-module Schoolbook = struct
-  let m = Field.p
-  let mm a b = Bignum.mod_mul a b ~m
-  let ma a b = Bignum.mod_add a b ~m
-  let ms a b = Bignum.mod_sub a b ~m
-
-  type spt = { sx : Bignum.t; sy : Bignum.t; sz : Bignum.t; st : Bignum.t }
-
-  let two_d = Field.to_bignum (Field.add d d)
-  let sidentity = { sx = Bignum.zero; sy = Bignum.one; sz = Bignum.one; st = Bignum.zero }
-
-  let sadd p q =
-    let a = mm (ms p.sy p.sx) (ms q.sy q.sx) in
-    let b = mm (ma p.sy p.sx) (ma q.sy q.sx) in
-    let c = mm (mm p.st two_d) q.st in
-    let dd = mm (ma p.sz p.sz) q.sz in
-    let e = ms b a in
-    let f = ms dd c in
-    let g = ma dd c in
-    let h = ma b a in
-    { sx = mm e f; sy = mm g h; st = mm e h; sz = mm f g }
-
-  let sdouble p =
-    let a = mm p.sx p.sx in
-    let b = mm p.sy p.sy in
-    let zz = mm p.sz p.sz in
-    let c = ma zz zz in
-    let h = ma a b in
-    let xy = ma p.sx p.sy in
-    let e = ms h (mm xy xy) in
-    let g = ms a b in
-    let f = ma c g in
-    { sx = mm e f; sy = mm g h; st = mm e h; sz = mm f g }
-end
-
-let scalar_mul_schoolbook k p =
-  let open Schoolbook in
-  let xa, ya = to_affine p in
-  let x = Field.to_bignum xa and y = Field.to_bignum ya in
-  let pt = { sx = x; sy = y; sz = Bignum.one; st = mm x y } in
-  let acc = ref sidentity in
-  for i = Bignum.bit_length k - 1 downto 0 do
-    acc := sdouble !acc;
-    if Bignum.test_bit k i then acc := sadd !acc pt
-  done;
-  let r = !acc in
-  let zi = Bignum.mod_inv r.sz ~m in
-  of_affine
-    (Field.of_bignum (mm r.sx zi), Field.of_bignum (mm r.sy zi))
-
-(* ------------------------------------------------------------------ *)
-(* Fixed-base windows. A table for P holds, per 4-bit window i of the
-   scalar, the multiples j·16^i·P for j in 0..15; a scalar multiply is
-   then at most 64 complete additions and no doublings. [scalar_mul]
-   above is deliberately kept as the straightforward double-and-add —
-   the differential oracle the table path is tested against. *)
+(* Windowed multiplication. [multi_scalar_mul] is the Strauss trick with
+   4-bit windows: one shared doubling chain for all terms, plus a
+   16-entry multiple table per term so each window costs at most one
+   addition. With the short (128-bit) coefficients batch verification
+   uses, the per-term work is about a third of a full scalar multiply
+   and the doublings amortize across the whole batch. A variable-base
+   [scalar_mul] is the one-term case. *)
 
 let window_bits = 4
-let table_bits = 256 (* scalar width every table covers *)
 
-type table = { tp : point; wbits : int; rows : point array array }
-
-(* Per-key tables default to 4-bit windows (64 × 16 points, cheap to
-   build on the second use of a key); the generator's table below uses
-   8-bit windows (32 × 256 points, ~8k additions) because it is built
-   exactly once and every signature and verification walks it. *)
-let make_table ?(bits = window_bits) p =
-  if bits <> 4 && bits <> 8 then invalid_arg "Curve.make_table: bits";
-  let windows = table_bits / bits in
-  let size = 1 lsl bits in
-  let rows = Array.init windows (fun _ -> Array.make size identity) in
-  let cur = ref p in
-  for i = 0 to windows - 1 do
-    let row = rows.(i) in
-    for j = 1 to size - 1 do
-      row.(j) <- add row.(j - 1) !cur
-    done;
-    for _ = 1 to bits do
-      cur := double !cur
-    done
-  done;
-  { tp = p; wbits = bits; rows }
-
-let table_point t = t.tp
-
-let table_mul t k =
-  if Bignum.bit_length k > table_bits then scalar_mul k t.tp
-  else begin
-    let kb = Bignum.to_bytes_le ~len:32 k in
-    let acc = ref identity in
-    if t.wbits = 8 then
-      for i = 0 to 31 do
-        let d = Char.code (String.unsafe_get kb i) in
-        if d <> 0 then acc := add !acc t.rows.(i).(d)
-      done
-    else
-      for i = 0 to 63 do
-        let byte = Char.code (String.unsafe_get kb (i lsr 1)) in
-        let d = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-        if d <> 0 then acc := add !acc t.rows.(i).(d)
-      done;
-    !acc
-  end
-
-(* Eager, not lazy: fleet domains would race a [lazy] force. *)
-let base_table = make_table ~bits:8 base
-let scalar_mul_base k = table_mul base_table k
-
-(* Strauss trick with 4-bit windows: one shared doubling chain for all
-   terms, plus a 16-entry multiple table per term so each window costs
-   at most one addition. With the short (128-bit) coefficients batch
-   verification uses, the per-term work is about a third of a full
-   scalar multiply and the doublings amortize across the whole batch. *)
 let multi_scalar_mul terms =
   let bits =
     List.fold_left (fun m (k, _) -> max m (Bignum.bit_length k)) 0 terms
@@ -265,6 +144,62 @@ let multi_scalar_mul terms =
   done;
   !acc
 
+let scalar_mul k p = multi_scalar_mul [ (k, p) ]
+
+(* Fixed-base windows (combs). A table for P holds, per window i of the
+   scalar, the multiples j·2^(bits·i)·P for every digit j; a scalar
+   multiply is then one complete addition per nonzero digit and no
+   doublings. *)
+
+let table_bits = 256 (* scalar width every table covers *)
+
+type table = { tp : point; wbits : int; rows : point array array }
+
+let build_table bits p =
+  let windows = table_bits / bits in
+  let size = 1 lsl bits in
+  let rows = Array.init windows (fun _ -> Array.make size identity) in
+  let cur = ref p in
+  for i = 0 to windows - 1 do
+    let row = rows.(i) in
+    for j = 1 to size - 1 do
+      row.(j) <- add row.(j - 1) !cur
+    done;
+    for _ = 1 to bits do
+      cur := double !cur
+    done
+  done;
+  { tp = p; wbits = bits; rows }
+
+(* Per-key tables use 4-bit windows (64 × 16 points, cheap to build on
+   the second use of a key); the generator's table below uses 8-bit
+   windows (32 × 256 points, ~8k additions) because it is built exactly
+   once and every signature and verification walks it. *)
+let make_table p = build_table window_bits p
+
+let table_mul t k =
+  if Bignum.bit_length k > table_bits then scalar_mul k t.tp
+  else begin
+    let kb = Bignum.to_bytes_le ~len:32 k in
+    let acc = ref identity in
+    if t.wbits = 8 then
+      for i = 0 to 31 do
+        let d = Char.code (String.unsafe_get kb i) in
+        if d <> 0 then acc := add !acc t.rows.(i).(d)
+      done
+    else
+      for i = 0 to 63 do
+        let byte = Char.code (String.unsafe_get kb (i lsr 1)) in
+        let d = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
+        if d <> 0 then acc := add !acc t.rows.(i).(d)
+      done;
+    !acc
+  end
+
+(* Eager, not lazy: fleet domains would race a [lazy] force. *)
+let base_table = build_table 8 base
+let scalar_mul_base k = table_mul base_table k
+
 let encoded_size = 64
 
 let encode p =
@@ -278,16 +213,17 @@ let encode p =
 
 let decode s =
   if String.length s <> encoded_size then Error "Curve.decode: bad length"
-  else begin
-    let x = Field.of_bytes_le (String.sub s 0 32) in
-    let y = Field.of_bytes_le (String.sub s 32 32) in
-    if is_on_curve_affine (x, y) then begin
-      let p = of_affine (x, y) in
-      p.enc <- Some s;
-      Ok p
-    end
-    else Error "Curve.decode: point not on curve"
-  end
+  else
+    match
+      ( Field.of_bytes_le (String.sub s 0 32),
+        Field.of_bytes_le (String.sub s 32 32) )
+    with
+    | Some x, Some y when is_on_curve_affine (x, y) ->
+        let p = of_affine (x, y) in
+        p.enc <- Some s;
+        Ok p
+    | Some _, Some _ -> Error "Curve.decode: point not on curve"
+    | _ -> Error "Curve.decode: coordinate not below p"
 
 let pp ppf p =
   let x, y = to_affine p in

@@ -14,8 +14,6 @@ val order : Bignum.t
 (** The prime order L = 2^252 + 27742317777372353535851937790883648493
     of the base-point subgroup. *)
 
-val cofactor : int
-
 val identity : point
 val base : point
 
@@ -24,16 +22,8 @@ val double : point -> point
 val negate : point -> point
 
 val scalar_mul : Bignum.t -> point -> point
-(** Plain double-and-add. Kept as the reference implementation the
-    windowed paths below are differentially tested against. *)
-
-val scalar_mul_schoolbook : Bignum.t -> point -> point
-(** The pre-optimization tier kept whole: the same extended-coordinate
-    formulas over schoolbook modular arithmetic, where every field
-    product pays a Knuth division. It converts to the fast
-    representation only at the boundary, so agreement with
-    {!scalar_mul} checks the whole field + curve stack value for
-    value — the differential oracle and the bench baseline. *)
+(** [scalar_mul k p] is {!multi_scalar_mul} of the one term [(k, p)]:
+    4-bit windows over one doubling chain. *)
 
 val equal : point -> point -> bool
 val is_on_curve : point -> bool
@@ -45,20 +35,16 @@ type table
     for long-lived points (the generator, the signing key, the
     manufacturer roots). *)
 
-val make_table : ?bits:int -> point -> table
-(** [bits] is the window width, 4 (default: 64 windows of 16 points,
-    cheap to build) or 8 (32 windows of 256 points, ~8k additions to
-    build — for a point walked very many times, like the generator).
-    Raises [Invalid_argument] on any other width. *)
-
-val table_point : table -> point
+val make_table : point -> table
+(** 4-bit windows: 64 windows of 16 points, cheap to build. *)
 
 val table_mul : table -> Bignum.t -> point
-(** [table_mul t k] is [scalar_mul k (table_point t)]. Scalars wider
+(** [table_mul (make_table p) k] is [scalar_mul k p]. Scalars wider
     than 256 bits fall back to {!scalar_mul}. *)
 
 val scalar_mul_base : Bignum.t -> point
-(** [scalar_mul k base] through a table built at module init. *)
+(** [scalar_mul k base] through a table of 8-bit windows (32 windows of
+    256 points) built at module init. *)
 
 val multi_scalar_mul : (Bignum.t * point) list -> point
 (** Σ kᵢ·Pᵢ with one shared doubling chain (Strauss), the core of batch
@@ -72,7 +58,9 @@ val encode : point -> string
 (** 64-byte uncompressed encoding: x (32 LE) followed by y (32 LE). *)
 
 val decode : string -> (point, string) result
-(** Inverse of {!encode}, including an on-curve check. *)
+(** Inverse of {!encode}: rejects a coordinate that is not below the
+    field prime, so every point has one encoding, and a point that is
+    not on the curve. *)
 
 val encoded_size : int
 

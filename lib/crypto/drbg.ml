@@ -3,8 +3,6 @@ type t = { mutable v : string; mutable counter : int64 }
 let create ~seed =
   { v = Sha3.sha3_256 ("sanctorum-drbg-init" ^ seed); counter = 0L }
 
-let reseed t entropy = t.v <- Sha3.sha3_256 ("sanctorum-drbg-reseed" ^ t.v ^ entropy)
-
 let random_bytes t n =
   if n < 0 then invalid_arg "Drbg.random_bytes: negative length";
   let buf = Buffer.create n in
@@ -17,22 +15,6 @@ let random_bytes t n =
      state. *)
   t.v <- Sha3.sha3_256 ("sanctorum-drbg-ratchet" ^ t.v);
   Buffer.sub buf 0 n
-
-let random_u64 t = Sanctorum_util.Bytesx.get_u64_le (random_bytes t 8) 0
-
-let random_int t bound =
-  if bound <= 0 then invalid_arg "Drbg.random_int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let mask_bits =
-    let rec go b = if 1 lsl b >= bound then b else go (b + 1) in
-    go 1
-  in
-  let mask = (1 lsl mask_bits) - 1 in
-  let rec draw () =
-    let v = Int64.to_int (random_u64 t) land mask in
-    if v < bound then v else draw ()
-  in
-  draw ()
 
 let random_scalar t ~m =
   let len = (Bignum.bit_length m + 7) / 8 in

@@ -10,18 +10,9 @@ type t
 val create : seed:string -> t
 (** Instantiate from seed material of any length. *)
 
-val reseed : t -> string -> unit
-(** Mix additional entropy into the state. *)
-
 val random_bytes : t -> int -> string
 (** [random_bytes t n] produces [n] fresh pseudorandom bytes and
     ratchets the internal state forward (backtracking resistance). *)
-
-val random_u64 : t -> int64
-
-val random_int : t -> int -> int
-(** [random_int t bound] is uniform in [0, bound). Raises
-    [Invalid_argument] if [bound <= 0]. *)
 
 val random_scalar : t -> m:Bignum.t -> Bignum.t
 (** Uniform in [1, m), for key generation (rejection sampling). *)

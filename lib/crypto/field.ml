@@ -18,7 +18,11 @@ let one = Bignum.Mont.one_m ctx
 let of_bignum x = Bignum.Mont.to_mont ctx x
 let to_bignum x = Bignum.Mont.of_mont ctx x
 let of_int n = of_bignum (Bignum.of_int n)
-let of_bytes_le s = of_bignum (Bignum.of_bytes_le s)
+
+let of_bytes_le s =
+  let x = Bignum.of_bytes_le s in
+  if Bignum.compare x p < 0 then Some (of_bignum x) else None
+
 let to_bytes_le x = Bignum.to_bytes_le ~len:32 (to_bignum x)
 let equal = Bignum.equal
 let is_zero = Bignum.is_zero

@@ -18,8 +18,9 @@ val of_bignum : Bignum.t -> t
 val to_bignum : t -> Bignum.t
 val of_int : int -> t
 
-val of_bytes_le : string -> t
-(** 32 little-endian bytes, reduced mod [p]. *)
+val of_bytes_le : string -> t option
+(** 32 little-endian bytes; [None] unless the value is below [p], so
+    every element has exactly one encoding. *)
 
 val to_bytes_le : t -> string
 (** Canonical 32-byte little-endian form. *)
@@ -33,7 +34,6 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val square : t -> t
-val pow : t -> Bignum.t -> t
 val inv : t -> t
 (** Inverse by Fermat's little theorem. Raises [Invalid_argument] on
     zero. *)

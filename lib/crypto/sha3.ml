@@ -231,5 +231,3 @@ let sha3_256 data = one_shot init_sha3_256 32 data
 let sha3_512 data = one_shot init_sha3_512 64 data
 let shake128 ~len data = one_shot init_shake128 len data
 let shake256 ~len data = one_shot init_shake256 len data
-let digest_size_256 = 32
-let digest_size_512 = 64

@@ -30,6 +30,3 @@ val sha3_512 : string -> string
 
 val shake128 : len:int -> string -> string
 val shake256 : len:int -> string -> string
-
-val digest_size_256 : int
-val digest_size_512 : int

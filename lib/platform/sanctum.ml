@@ -1,10 +1,9 @@
 module Hw = Sanctorum_hw
 
-let default_region_count = 64
+(* 64 DRAM regions, as in the paper (§VII-A). *)
+let region_count = 64
 
-let region_of ~region_bytes paddr = paddr / region_bytes
-
-let create ?(region_count = default_region_count) machine =
+let create machine =
   let mem_bytes = Hw.Phys_mem.size (Hw.Machine.mem machine) in
   let region_bytes = mem_bytes / region_count in
   if
@@ -19,7 +18,7 @@ let create ?(region_count = default_region_count) machine =
   let l2_cfg = Hw.Cache.config l2 in
   let sets_per_region = max 1 (l2_cfg.Hw.Cache.sets / region_count) in
   let color_index paddr =
-    let region = region_of ~region_bytes paddr mod region_count in
+    let region = paddr / region_bytes mod region_count in
     let line = paddr / l2_cfg.Hw.Cache.line_bytes in
     ((region * sets_per_region) + (line mod sets_per_region))
     land (l2_cfg.Hw.Cache.sets - 1)

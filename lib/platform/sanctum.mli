@@ -4,15 +4,8 @@
     a private page-walk invariant confines PTE fetches to memory owned
     by the walking domain. *)
 
-val default_region_count : int
-(** 64, as in the paper (§VII-A). *)
-
-val create :
-  ?region_count:int -> Sanctorum_hw.Machine.t -> Platform.t
+val create : Sanctorum_hw.Machine.t -> Platform.t
 (** Installs the isolation hooks on the machine and reserves the bottom
     {!Platform.sm_memory_bytes} of memory for the monitor. Raises
-    [Invalid_argument] if memory size is not divisible into
-    [region_count] page-aligned regions. *)
-
-val region_of : region_bytes:int -> int -> int
-(** [region_of ~region_bytes paddr] is the DRAM region index. *)
+    [Invalid_argument] if memory size is not divisible into 64
+    page-aligned regions, as in the paper (§VII-A). *)

@@ -5,13 +5,15 @@
    multiplication, batch signature verification, the monitor's
    measurement cache — is architecturally invisible: same signatures,
    same evidence, same measurements. These tests pin that equivalence
-   three ways: differentially (qcheck, fast path vs the retained
-   reference implementations), against known-answer vectors generated
-   on the pre-optimization tier, and end to end (the batch attestation
-   service, including forged evidence pinpointed through the batch
-   fallback, and the churn workload exercising the measurement cache). *)
+   three ways: differentially (qcheck, fast path vs the reference
+   implementations in test/oracle), against known-answer vectors
+   generated on the pre-optimization tier, and end to end (the batch
+   attestation service, including forged evidence pinpointed through
+   the batch fallback, and the churn workload exercising the
+   measurement cache). *)
 
 module C = Sanctorum_crypto
+module O = Sanctorum_oracle
 module Hex = Sanctorum_util.Hex
 module M = Sanctorum.Measurement
 module W = Sanctorum_workload.Workload
@@ -43,7 +45,7 @@ let qcheck_mont_mul =
     (fun (m, a, b) ->
       let ctx = C.Bignum.Mont.create m in
       C.Bignum.equal
-        (C.Bignum.Mont.mod_mul ctx a b)
+        (O.Bignum_ref.mont_mod_mul ctx a b)
         (C.Bignum.mod_mul a b ~m))
 
 let qcheck_mont_exp =
@@ -51,7 +53,7 @@ let qcheck_mont_exp =
     QCheck2.Gen.(triple gen_odd_modulus gen_bignum gen_bignum)
     (fun (m, b, e) ->
       let ctx = C.Bignum.Mont.create m in
-      C.Bignum.equal (C.Bignum.Mont.mont_exp ctx b e) (C.Bignum.mod_exp b e ~m))
+      C.Bignum.equal (O.Bignum_ref.mont_exp ctx b e) (O.Bignum_ref.mod_exp b e ~m))
 
 let qcheck_mont_roundtrip =
   QCheck2.Test.make ~name:"mont to/of roundtrip and one" ~count:200
@@ -75,15 +77,30 @@ let qcheck_field_mul =
 
 let gen_scalar = QCheck2.Gen.map (fun b -> C.Bignum.rem b C.Curve.order) gen_bignum
 
+(* 0, 1, L-1, L, L+1, and one scalar wider than the 256 bits a table
+   covers. *)
+let edge_scalars =
+  let l = C.Curve.order in
+  C.Bignum.
+    [ zero; one; sub l one; l; add l one; add (shift_left one 300) (of_int 12345) ]
+
+(* The windowed paths against the oracle's plain double-and-add: the
+   Strauss [scalar_mul] and both comb widths (per-key 4-bit tables and
+   the generator's 8-bit one). *)
 let qcheck_table_mul =
   QCheck2.Test.make ~name:"table_mul = scalar_mul" ~count:30
     QCheck2.Gen.(pair gen_scalar gen_scalar)
     (fun (k, kp) ->
       let p = C.Curve.scalar_mul kp C.Curve.base in
       let t = C.Curve.make_table p in
-      C.Curve.equal (C.Curve.table_mul t k) (C.Curve.scalar_mul k p)
-      && C.Curve.equal (C.Curve.scalar_mul_base k)
-           (C.Curve.scalar_mul k C.Curve.base))
+      List.for_all
+        (fun k ->
+          let expect = O.Curve_ref.double_and_add k p in
+          C.Curve.equal (C.Curve.table_mul t k) expect
+          && C.Curve.equal (C.Curve.scalar_mul k p) expect
+          && C.Curve.equal (C.Curve.scalar_mul_base k)
+               (O.Curve_ref.double_and_add k C.Curve.base))
+        (k :: edge_scalars))
 
 let qcheck_multi_scalar_mul =
   QCheck2.Test.make ~name:"multi_scalar_mul = sum of scalar_mul" ~count:30
@@ -94,7 +111,7 @@ let qcheck_multi_scalar_mul =
       in
       let expect =
         List.fold_left
-          (fun acc (k, p) -> C.Curve.add acc (C.Curve.scalar_mul k p))
+          (fun acc (k, p) -> C.Curve.add acc (O.Curve_ref.double_and_add k p))
           C.Curve.identity terms
       in
       C.Curve.equal (C.Curve.multi_scalar_mul terms) expect)
@@ -104,7 +121,11 @@ let qcheck_schoolbook_scalar_mul =
     QCheck2.Gen.(pair gen_scalar gen_scalar)
     (fun (k, kp) ->
       let p = C.Curve.scalar_mul kp C.Curve.base in
-      C.Curve.equal (C.Curve.scalar_mul_schoolbook k p) (C.Curve.scalar_mul k p))
+      List.for_all
+        (fun k ->
+          C.Curve.equal (O.Curve_ref.scalar_mul_schoolbook k p)
+            (C.Curve.scalar_mul k p))
+        (k :: edge_scalars))
 
 (* The reference verifier runs on the schoolbook field, so keep the
    count modest: each case pays two division-per-product scalar
@@ -122,9 +143,9 @@ let qcheck_verify_differential =
           signature
       in
       C.Schnorr.verify pk ~msg ~signature
-      = C.Schnorr.verify_reference pk ~msg ~signature
+      = O.Schnorr_ref.verify_reference pk ~msg ~signature
       && C.Schnorr.verify pk ~msg ~signature:bad
-         = C.Schnorr.verify_reference pk ~msg ~signature:bad)
+         = O.Schnorr_ref.verify_reference pk ~msg ~signature:bad)
 
 (* Vectors generated on the pre-Montgomery, pre-table tier: the fast
    tier must reproduce them byte for byte. *)
@@ -166,27 +187,24 @@ let test_dh_pinned () =
 (* Known answers for the Sha3-derived Miller–Rabin witnesses: the
    witness schedule is deterministic, so these verdicts are exact. *)
 let test_primality_known_answers () =
+  let is_prime = O.Bignum_ref.is_probable_prime in
   let prime n = check_bool n true in
   let composite n = check_bool n false in
-  prime "p = 2^255-19" (C.Bignum.is_probable_prime C.Field.p);
-  prime "curve order" (C.Bignum.is_probable_prime C.Curve.order);
+  prime "p = 2^255-19" (is_prime C.Field.p);
+  prime "curve order" (is_prime C.Curve.order);
   prime "2^61-1"
-    (C.Bignum.is_probable_prime
-       (C.Bignum.sub (C.Bignum.shift_left C.Bignum.one 61) C.Bignum.one));
+    (is_prime (C.Bignum.sub (C.Bignum.shift_left C.Bignum.one 61) C.Bignum.one));
   composite "2^67-1"
-    (C.Bignum.is_probable_prime
-       (C.Bignum.sub (C.Bignum.shift_left C.Bignum.one 67) C.Bignum.one));
+    (is_prime (C.Bignum.sub (C.Bignum.shift_left C.Bignum.one 67) C.Bignum.one));
   (* Carmichael numbers defeat Fermat tests; Miller–Rabin must not be
      fooled whatever the witnesses. *)
-  composite "561" (C.Bignum.is_probable_prime (C.Bignum.of_int 561));
-  composite "41041" (C.Bignum.is_probable_prime (C.Bignum.of_int 41041));
-  composite "3215031751"
-    (C.Bignum.is_probable_prime (C.Bignum.of_int 3215031751));
+  composite "561" (is_prime (C.Bignum.of_int 561));
+  composite "41041" (is_prime (C.Bignum.of_int 41041));
+  composite "3215031751" (is_prime (C.Bignum.of_int 3215031751));
   (* small edge cases around the witness range *)
   List.iter
     (fun (n, expect) ->
-      check_bool (string_of_int n) expect
-        (C.Bignum.is_probable_prime (C.Bignum.of_int n)))
+      check_bool (string_of_int n) expect (is_prime (C.Bignum.of_int n)))
     [ (0, false); (1, false); (2, true); (3, true); (4, false); (5, true) ]
 
 (* The transcript-recording measurement context must produce the exact
@@ -275,11 +293,41 @@ let test_batch_soundness () =
   Array.iteri
     (fun i ok -> check_bool (Printf.sprintf "broken %d" i) (i <> 1) ok)
     (C.Schnorr.verify_batch broken);
-  (* seeded and unseeded derivations agree on verdicts *)
-  Array.iteri
-    (fun i ok -> check_bool (Printf.sprintf "seeded %d" i) (i <> 2) ok)
-    (C.Schnorr.verify_batch ~seed:"entropy" poisoned);
-  check_int "empty batch" 0 (Array.length (C.Schnorr.verify_batch []))
+  check_int "empty batch" 0 (Array.length (C.Schnorr.verify_batch []));
+  (* Items whose commitment carries a small-order point: the test-side
+     signer (it needs the key) adds (0, -1), of order 2, or
+     (sqrt(-1), 0), of order 4, to R before hashing the challenge. The
+     cofactored rule accepts them. Alone and at every position of the
+     honest batch, whose first key signs them too, the batch verdict
+     must equal Schnorr.verify's and the reference verifier's. *)
+  let seed = "batch-a" and msg = "torsion" in
+  let pk = C.Schnorr.public_key (C.Schnorr.secret_key_of_seed seed) in
+  check "test-side signer = Schnorr.sign"
+    (Hex.encode (C.Schnorr.sign (C.Schnorr.secret_key_of_seed seed) msg))
+    (Hex.encode
+       (O.Schnorr_ref.sign_with_torsion ~seed ~torsion:C.Curve.identity msg));
+  List.iter
+    (fun (label, torsion) ->
+      let signature = O.Schnorr_ref.sign_with_torsion ~seed ~torsion msg in
+      let item = (pk, msg, signature) in
+      let single = C.Schnorr.verify pk ~msg ~signature in
+      check_bool (label ^ ": verify accepts") true single;
+      check_bool (label ^ ": reference = verify") single
+        (O.Schnorr_ref.verify_reference pk ~msg ~signature);
+      check_bool (label ^ " alone") single (C.Schnorr.verify_batch [ item ]).(0);
+      for pos = 0 to List.length honest do
+        let batch =
+          List.filteri (fun i _ -> i < pos) honest
+          @ (item :: List.filteri (fun i _ -> i >= pos) honest)
+        in
+        Array.iteri
+          (fun i ok ->
+            check_bool
+              (Printf.sprintf "%s at %d: item %d" label pos i)
+              (i <> pos || single) ok)
+          (C.Schnorr.verify_batch batch)
+      done)
+    [ ("order 2", O.Curve_ref.order_2); ("order 4", O.Curve_ref.order_4) ]
 
 let test_attest_service_clean () =
   let r = Asv.run { Asv.default with Asv.clients = 24; Asv.batch = 8 } in

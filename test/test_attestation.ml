@@ -37,8 +37,10 @@ let test_boot_rekeys_on_patch () =
 let test_boot_chain_verifies () =
   let root = B.manufacturer_root ~seed:"r" in
   let i = B.perform ~root ~device_secret:"d" ~sm_binary:"sm-v1" in
-  match C.Cert.verify_chain ~root:i.B.root_public i.B.certificates with
-  | Ok key ->
+  match C.Cert.signature_claims ~root:i.B.root_public i.B.certificates with
+  | Ok (claims, key) ->
+      check_bool "every certificate signature verifies" true
+        (Array.for_all Fun.id (C.Schnorr.verify_batch claims));
       check_bool "chain ends at sm key" true
         (C.Schnorr.public_key_to_bytes key
         = C.Schnorr.public_key_to_bytes (C.Schnorr.public_key i.B.attestation_key))
