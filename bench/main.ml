@@ -536,22 +536,7 @@ let report_ablation () =
     (fun quantum ->
       let tb = Testbed.create () in
       let os = tb.Testbed.os in
-      let evbase = 0x10000 in
-      let counter = evbase + 4096 in
-      let body =
-        Hw.Isa.(
-          li t0 counter
-          @ [ Load (Ld, t1, t0, 0) ]
-          @ li t2 target
-          @ [
-              Branch (Bge, t1, t2, 16);
-              Op_imm (Add, t1, t1, 1);
-              Store (Sd, t1, t0, 0);
-              Jal (zero, -12);
-            ]
-          @ exit_prog)
-      in
-      let i = install tb (Img.of_program ~evbase body) in
+      let i = install tb (Testbed.counting_image ~evbase:0x10000 ~target) in
       let eid = i.Os.eid and tid = List.hd i.Os.tids in
       let core = Hw.Machine.core tb.Testbed.machine 0 in
       let start = core.Hw.Machine.cycles in

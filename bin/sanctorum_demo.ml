@@ -135,22 +135,7 @@ let cmd_run tel backend count quantum =
   let tb = Testbed.create ~backend ?sink () in
   arm_checker tel tb.Testbed.sm;
   apply_sim_mode tel tb;
-  let evbase = 0x10000 in
-  let counter = evbase + 4096 in
-  let body =
-    Hw.Isa.(
-      li t0 counter
-      @ [ Load (Ld, t1, t0, 0) ]
-      @ li t2 count
-      @ [
-          Branch (Bge, t1, t2, 16);
-          Op_imm (Add, t1, t1, 1);
-          Store (Sd, t1, t0, 0);
-          Jal (zero, -12);
-        ]
-      @ exit_prog)
-  in
-  let image = Sanctorum.Image.of_program ~evbase body in
+  let image = Testbed.counting_image ~evbase:0x10000 ~target:count in
   match Os.install_enclave tb.Testbed.os image with
   | Error e -> Printf.printf "install failed: %s\n" (Sanctorum.Api_error.to_string e)
   | Ok inst ->
@@ -574,41 +559,21 @@ let cmd_check catalog_only =
     let run_scenario tb =
       (* count in a data page with a short quantum so the run crosses
          several preempt / AEX / resume cycles (§V-C) *)
-      let counter = 0x10000 + 4096 in
-      let image =
-        Sanctorum.Image.of_program ~evbase:0x10000 ~data_pages:1
-          Hw.Isa.(
-            li t0 counter
-            @ [ Load (Ld, t1, t0, 0) ]
-            @ li t2 2000
-            @ [
-                Branch (Bge, t1, t2, 16);
-                Op_imm (Add, t1, t1, 1);
-                Store (Sd, t1, t0, 0);
-                Jal (zero, -12);
-              ]
-            @ exit_prog)
-      in
+      let image = Testbed.counting_image ~evbase:0x10000 ~target:2000 in
       match Os.install_enclave tb.Testbed.os image with
       | Error e -> Printf.printf "install: %s\n" (Sanctorum.Api_error.to_string e)
       | Ok inst ->
           let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
-          let rec drive resume budget =
-            if budget = 0 then ()
-            else
-              let r =
-                if resume then
-                  Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000
-                    ~quantum:300 ()
-                else
-                  Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000
-                    ~quantum:300 ()
-              in
-              match r with
-              | Ok Os.Preempted -> drive true (budget - 1)
+          let rec drive budget =
+            if budget > 0 then
+              match
+                Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000
+                  ~quantum:300 ()
+              with
+              | Ok Os.Preempted -> drive (budget - 1)
               | Ok _ | Error _ -> ()
           in
-          drive false 50;
+          drive 50;
           ignore (Os.reclaim_enclave tb.Testbed.os ~eid)
     in
     let attest_scenario tb =

@@ -5,40 +5,20 @@
      dune exec examples/multicore_enclaves.exe
 *)
 module Hw = Sanctorum_hw
-module S = Sanctorum.Sm
 open Sanctorum_os
-
-(* Each worker counts up to [target] in a register, persisting progress
-   in its data page so work survives AEX (the enclave reloads the
-   counter on entry; a0 = 1 signals an AEX resume). *)
-let worker_image ~evbase ~target =
-  let open Hw.Isa in
-  let counter = evbase + 4096 in
-  let body =
-    (* t0 = &counter; t1 = *t0 *)
-    li t0 counter
-    @ [ Load (Ld, t1, t0, 0) ]
-    @ li t2 target
-    @ [
-        (* loop: if t1 >= t2 goto done; t1++; store; goto loop *)
-        Branch (Bge, t1, t2, 16);
-        Op_imm (Add, t1, t1, 1);
-        Store (Sd, t1, t0, 0);
-        Jal (zero, -12);
-        Op_imm (Add, a7, zero, S.Ecall.exit_enclave);
-        Ecall;
-      ]
-  in
-  Sanctorum.Image.of_program ~evbase body
 
 let () =
   let tb = Testbed.create ~cores:4 () in
   let os = tb.Testbed.os in
+  (* Each worker counts up to [target], persisting progress in its data
+     page so work survives AEX (the enclave reloads the counter on
+     entry). *)
   let workers =
     List.map
       (fun (evbase, target) ->
         let inst =
-          Result.get_ok (Os.install_enclave os (worker_image ~evbase ~target))
+          Result.get_ok
+            (Os.install_enclave os (Testbed.counting_image ~evbase ~target))
         in
         (inst.Os.eid, List.hd inst.Os.tids, target, ref false))
       [ (0x10000, 400); (0x40000, 700); (0x80000, 1000) ]

@@ -24,20 +24,6 @@ type report = {
 let evbase = 0x10000
 let target = 300
 
-let counting_program =
-  let counter = evbase + Hw.Phys_mem.page_size in
-  Hw.Isa.(
-    li t0 counter
-    @ [ Load (Ld, t1, t0, 0) ]
-    @ li t2 target
-    @ [
-        Branch (Bge, t1, t2, 16);
-        Op_imm (Add, t1, t1, 1);
-        Store (Sd, t1, t0, 0);
-        Jal (zero, -12);
-      ]
-    @ [ Op_imm (Add, a7, zero, Sm.Ecall.exit_enclave); Ecall ])
-
 let live_core machine =
   let cores = Hw.Machine.cores machine in
   let rec go i =
@@ -47,29 +33,22 @@ let live_core machine =
   in
   go 0
 
-(* Drive one installed enclave to completion: resume after every AEX,
-   re-arm the quantum after a lost timer tick (Fuel_exhausted without
-   an AEX), give up after [budget] scheduling decisions. *)
+(* Drive one installed enclave to completion: run it again after every
+   AEX and every lost timer tick (Fuel_exhausted without an AEX), give
+   up after [budget] scheduling decisions. *)
 let drive os ~eid ~tid ~core =
   let fuel = 5000 and quantum = 200 in
-  let rec go mode budget =
+  let rec go budget =
     if budget = 0 then `Gave_up
     else
-      let r =
-        match mode with
-        | `Enter -> Os.run_enclave os ~eid ~tid ~core ~fuel ~quantum ()
-        | `Resume -> Os.resume_enclave os ~eid ~tid ~core ~fuel ~quantum ()
-        | `Continue -> Os.continue_running os ~tid ~core ~fuel ~quantum ()
-      in
-      match r with
+      match Os.run_enclave os ~eid ~tid ~core ~fuel ~quantum () with
       | Ok Os.Exited -> `Exited
-      | Ok Os.Preempted -> go `Resume (budget - 1)
-      | Ok Os.Fuel_exhausted -> go `Continue (budget - 1)
+      | Ok (Os.Preempted | Os.Fuel_exhausted) -> go (budget - 1)
       | Ok (Os.Faulted c) -> `Faulted c
       | Ok Os.Killed -> `Killed
       | Error e -> `Denied e
   in
-  go `Enter 100
+  go 100
 
 let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
     ~seed ~spec () =
@@ -87,9 +66,7 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
     incr failed_closed;
     incidents := msg :: !incidents
   in
-  let image =
-    Sanctorum.Image.of_program ~evbase ~data_pages:1 counting_program
-  in
+  let image = Testbed.counting_image ~evbase ~target in
   for round = 1 to rounds do
     let pre = Printf.sprintf "round %d: " round in
     match live_core machine with

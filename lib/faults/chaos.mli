@@ -1,11 +1,11 @@
 (** The chaos harness: honest workloads under a seeded fault storm.
 
-    Each round installs a small counting enclave, drives it to
-    completion through preemptions (resuming after every AEX and
-    re-arming the quantum after a lost timer tick), verifies its
-    result, and reclaims it — while the {!Injector} delivers the
-    scheduled faults. The harness asserts the two fail-closed
-    properties the paper's recovery story promises:
+    Each round installs a small counting enclave
+    ({!Sanctorum_os.Testbed.counting_image}), drives it to completion
+    through preemptions (running it again after every AEX and every
+    lost timer tick), verifies its result, and reclaims it — while the
+    {!Injector} delivers the scheduled faults. The harness asserts the
+    two fail-closed properties the paper's recovery story promises:
 
     - an honest workload either completes with the right answer or
       fails {e closed} (denied, faulted, or killed with its core) —

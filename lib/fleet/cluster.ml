@@ -198,15 +198,18 @@ let run cfg =
         let node_cfg =
           {
             Node.node_id = i;
-            seed = shard_seed cfg i;
-            backend = cfg.backend;
-            cores = cfg.cores;
-            enclaves = cfg.enclaves;
-            mix = cfg.mix;
-            fuel = cfg.fuel;
-            quantum = cfg.quantum;
-            check_every = cfg.check_every;
-            batch_rounds = cfg.batch_rounds;
+            engine =
+              {
+                Wl.Engine.seed = shard_seed cfg i;
+                backend = cfg.backend;
+                cores = cfg.cores;
+                enclaves = cfg.enclaves;
+                rounds = cfg.batch_rounds;
+                mix = cfg.mix;
+                fuel = cfg.fuel;
+                quantum = cfg.quantum;
+                check_every = cfg.check_every;
+              };
             faults = List.assoc_opt i cfg.faults;
             fault_horizon = cfg.fault_horizon;
             rogue = List.mem i cfg.rogue;
@@ -348,28 +351,29 @@ let run cfg =
     if p.p_tries <= 0 then p.p_phase <- Dead
     else challenge p ~epoch:(p.p_epoch + 1)
   in
-  (* Join replies are collected during the sweep and verified together
-     at the end of it: one random-linear-combination batch covers every
-     candidate's certificate chain and evidence signature, and the
-     per-item fallback pinpoints any rogue among honest joiners. All
-     per-candidate guards, commits and rejections are unchanged — only
-     the Schnorr arithmetic is batched. *)
-  let pending_joins = ref [] in
-  let collect_joined p ~jd_epoch ~jd_evidence ~jd_node_pub =
+  (* A join reply is verified the moment it is drained, against the
+     root and measurement the cluster derived itself. *)
+  let joined p ~jd_epoch ~jd_evidence ~jd_node_pub =
     if
-      jd_epoch <> p.p_epoch
-      || (p.p_phase <> Joining && p.p_phase <> Fenced)
-      || List.exists (fun (q, _, _) -> q.p_id = p.p_id) !pending_joins
+      jd_epoch <> p.p_epoch || (p.p_phase <> Joining && p.p_phase <> Fenced)
     then
       (* a reply for an epoch that already moved on (a duplicate after
-         establishment, or a second reply in one sweep) dies at this
-         guard — counted, so a corrupted handshake frame never
+         establishment, or a reply to a superseded challenge) dies at
+         this guard — counted, so a corrupted handshake frame never
          vanishes untallied *)
       Tel.Metrics.incr c_stale
-    else pending_joins := (p, jd_evidence, jd_node_pub) :: !pending_joins
-  in
-  let commit_joined p ~jd_node_pub verdict =
-    begin
+    else begin
+      Tel.Metrics.incr c_crypto_batch;
+      Tel.Metrics.incr c_crypto_verify;
+      let verdict =
+        A.verify_evidence
+          ~root:
+            (C.Schnorr.public_key
+               (B.manufacturer_root ~seed:(shard_seed cfg p.p_id)))
+          ~expected_measurement ~nonce:p.p_nonce
+          ~channel_binding:(C.Sha3.sha3_256 (jd_node_pub ^ p.p_pub_bytes))
+          jd_evidence
+      in
       match (verdict, C.Dh.public_of_bytes jd_node_pub) with
       | Ok (), Ok node_public ->
           Tel.Metrics.incr c_verified;
@@ -404,34 +408,6 @@ let run cfg =
       | _ -> join_reject p
     end
   in
-  let flush_joins () =
-    match List.rev !pending_joins with
-    | [] -> ()
-    | candidates ->
-        pending_joins := [];
-        Tel.Metrics.incr c_crypto_batch;
-        let reqs =
-          List.map
-            (fun (p, jd_evidence, jd_node_pub) ->
-              {
-                A.vr_root =
-                  C.Schnorr.public_key
-                    (B.manufacturer_root ~seed:(shard_seed cfg p.p_id));
-                A.vr_expected_measurement = expected_measurement;
-                A.vr_nonce = p.p_nonce;
-                A.vr_channel_binding =
-                  C.Sha3.sha3_256 (jd_node_pub ^ p.p_pub_bytes);
-                A.vr_evidence = jd_evidence;
-              })
-            candidates
-        in
-        let verdicts = A.verify_evidence_batch reqs in
-        List.iteri
-          (fun i (p, _, jd_node_pub) ->
-            Tel.Metrics.incr c_crypto_verify;
-            commit_joined p ~jd_node_pub verdicts.(i))
-          candidates
-  in
   let record_up p up =
     match up with
     | Node.Batch_done { bd_gen; _ } -> (
@@ -448,7 +424,7 @@ let run cfg =
           progress := true;
           (match msg with
           | Node.Joined { jd_epoch; jd_evidence; jd_node_pub; _ } ->
-              collect_joined p ~jd_epoch ~jd_evidence ~jd_node_pub
+              joined p ~jd_epoch ~jd_evidence ~jd_node_pub
           | Node.Join_failed { jf_epoch; _ } ->
               if
                 jf_epoch = p.p_epoch
@@ -641,7 +617,6 @@ let run cfg =
     incr tick;
     progress := false;
     List.iter drain_peer peers;
-    flush_joins ();
     if net_enabled then List.iter net_timers peers;
     List.iter
       (fun p ->

@@ -45,15 +45,7 @@ type from_node =
 
 type config = {
   node_id : int;
-  seed : string;
-  backend : Testbed.backend;
-  cores : int;
-  enclaves : int;
-  mix : Wl.Programs.mix;
-  fuel : int;
-  quantum : int;
-  check_every : int;
-  batch_rounds : int;
+  engine : Engine.config;
   faults : Sanctorum_faults.Spec.t option;
   fault_horizon : int;
   rogue : bool;
@@ -209,7 +201,7 @@ let run_batch cfg sess ~service ~interrupted ~gen ~jobs =
   let rounds = ref 0 in
   while
     !remaining <> []
-    && !rounds < cfg.batch_rounds
+    && !rounds < cfg.engine.Engine.rounds
     && Engine.healthy eng
     && not (interrupted ())
   do
@@ -246,6 +238,7 @@ let run_batch cfg sess ~service ~interrupted ~gen ~jobs =
     }
 
 let run ?throttle cfg ~inbox ~outbox =
+  let seed = cfg.engine.Engine.seed in
   (* Slots guard only the compute-bound stretches (engine boot and
      batch crunching), never a channel wait — a node holding a slot
      always runs to the next protocol message without blocking. *)
@@ -256,20 +249,7 @@ let run ?throttle cfg ~inbox ~outbox =
   in
   let sess =
     crunching (fun () ->
-        let eng =
-          Engine.create
-            {
-              Engine.seed = cfg.seed;
-              backend = cfg.backend;
-              cores = cfg.cores;
-              enclaves = cfg.enclaves;
-              rounds = cfg.batch_rounds;
-              mix = cfg.mix;
-              fuel = cfg.fuel;
-              quantum = cfg.quantum;
-              check_every = cfg.check_every;
-            }
-        in
+        let eng = Engine.create cfg.engine in
         let tb = Engine.testbed eng in
         (match cfg.faults with
         | None -> ()
@@ -277,7 +257,7 @@ let run ?throttle cfg ~inbox ~outbox =
             let inj =
               Sanctorum_faults.Injector.create ~horizon:cfg.fault_horizon
                 ~machine:tb.Testbed.machine
-                ~seed:(Rng.next (Rng.of_string (cfg.seed ^ "/faults")))
+                ~seed:(Rng.next (Rng.of_string (seed ^ "/faults")))
                 ~spec ()
             in
             Sanctorum_faults.Injector.arm inj);
@@ -303,7 +283,7 @@ let run ?throttle cfg ~inbox ~outbox =
      silence. *)
   let uplink =
     Netfault.create ~chan:outbox
-      ~seed:(Rng.next (Rng.of_string (cfg.seed ^ "/net-up")))
+      ~seed:(Rng.next (Rng.of_string (seed ^ "/net-up")))
       ~spec:(Netfault.without_partitions cfg.net)
       ~horizon:cfg.net_horizon
       ~clock:(fun () -> !now)
@@ -311,7 +291,7 @@ let run ?throttle cfg ~inbox ~outbox =
   in
   let sn =
     Session.create Session.node_config
-      ~seed:(Rng.next (Rng.of_string (cfg.seed ^ "/session")))
+      ~seed:(Rng.next (Rng.of_string (seed ^ "/session")))
       ~role:Session.Node_end ~encode_tx:up_bytes ~encode_rx:down_bytes
   in
   let epoch_now = ref 0 in

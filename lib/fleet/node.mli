@@ -82,17 +82,11 @@ type from_node =
 
 type config = {
   node_id : int;
-  seed : string;  (** this shard's seed (already shard-qualified) *)
-  backend : Sanctorum_os.Testbed.backend;
-  cores : int;
-  enclaves : int;  (** capacity — sizes the shard's PMP *)
-  mix : Sanctorum_workload.Programs.mix;
-  fuel : int;
-  quantum : int;
-  check_every : int;
-  batch_rounds : int;
-      (** per-batch round cap; jobs still in flight at the cap are
-          aborted and reported unfinished *)
+  engine : Sanctorum_workload.Engine.config;
+      (** the shard's engine. Its [seed] is already shard-qualified and
+          also seeds the node's fault, link and session streams; its
+          [rounds] is the per-batch round cap — jobs still in flight at
+          the cap are aborted and reported unfinished *)
   faults : Sanctorum_faults.Spec.t option;
       (** armed on this shard's machine before any job runs *)
   fault_horizon : int;  (** cycle window the fault schedule is drawn in *)

@@ -362,12 +362,19 @@ let classify_outcome t ~events_before ~tid ~core =
       | Ok false | Error _ -> Exited
     end
 
-let enter_and_run t ~eid ~tid ~core ~fuel ~quantum =
+(* A dropped preemption tick leaves the thread running when the fuel
+   budget runs dry ([Fuel_exhausted] with the core still inside the
+   enclave). The OS cannot [enter_enclave] again — the thread never
+   exited — so it re-arms the quantum and lets the core continue. *)
+let run_enclave t ~eid ~tid ~core ~fuel ?quantum () =
   let c = Hw.Machine.core t.machine core in
   let events_before = t.event_count in
   let* () =
-    retry_transient (fun () ->
-        Sanctorum.Sm.enter_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~tid ~core)
+    match Sanctorum.Sm.thread_state t.sm ~tid with
+    | Ok (`Running (reid, rcore)) when reid = eid && rcore = core -> Ok ()
+    | Ok _ | Error _ ->
+        retry_transient (fun () ->
+            Sanctorum.Sm.enter_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~tid ~core)
   in
   (match quantum with
   | Some q -> c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + q)
@@ -376,49 +383,21 @@ let enter_and_run t ~eid ~tid ~core ~fuel ~quantum =
   c.Hw.Machine.timer_cmp <- None;
   Ok (classify_outcome t ~events_before ~tid ~core)
 
-let run_enclave t ~eid ~tid ~core ~fuel ?quantum () =
-  enter_and_run t ~eid ~tid ~core ~fuel ~quantum
-
-let resume_enclave t ~eid ~tid ~core ~fuel ?quantum () =
-  enter_and_run t ~eid ~tid ~core ~fuel ~quantum
-
-(* A dropped preemption tick leaves the thread running when the fuel
-   budget runs dry ([Fuel_exhausted] with the core still inside the
-   enclave). The OS cannot [enter_enclave] again — the thread never
-   exited — so it re-arms the quantum and lets the core continue. *)
-let continue_running t ~tid ~core ~fuel ?quantum () =
-  let c = Hw.Machine.core t.machine core in
-  let events_before = t.event_count in
-  match Sanctorum.Sm.thread_state t.sm ~tid with
-  | Ok (`Running (_, rcore)) when rcore = core ->
-      (match quantum with
-      | Some q -> c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + q)
-      | None -> ());
-      let _retired = Hw.Machine.run t.machine ~core ~fuel in
-      c.Hw.Machine.timer_cmp <- None;
-      Ok (classify_outcome t ~events_before ~tid ~core)
-  | Ok _ | Error _ ->
-      Error
-        (Sanctorum.Api_error.Invalid_state
-           "continue_running: thread is not running on this core")
-
 (* --------------------------------------------------------------- *)
 (* Fair multi-enclave scheduling: a round-robin run queue dispatching
    one quantum per live core per round. The scheduler owns only the
    *decision* of who runs where — every entry still goes through the
-   monitor's enter/resume checks, so a scheduling mistake surfaces as
-   an API error in the slot, never as a hole.
+   monitor's enter checks, so a scheduling mistake surfaces as an API
+   error in the slot, never as a hole.
 
    A thread whose fuel ran dry while still [Running] (a lost timer
-   tick) is pinned to its core: the OS cannot re-enter a thread that
-   never exited, so the next round continues it in place. Everything
-   else rotates freely. *)
+   tick) is pinned to its core: only that core can continue it, so the
+   next round runs it there. Everything else rotates freely. *)
 
 module Scheduler = struct
   type job = {
     j_eid : int;
     j_tid : int;
-    mutable j_pinned : int option; (* core still Running this thread *)
     mutable j_errors : int; (* consecutive dispatch errors *)
   }
 
@@ -447,21 +426,9 @@ module Scheduler = struct
     { s_os = os; s_cores = cores; s_queue = Queue.create (); s_pinned = [] }
 
   let enqueue sch ~eid ~tid =
-    Queue.add { j_eid = eid; j_tid = tid; j_pinned = None; j_errors = 0 }
-      sch.s_queue
+    Queue.add { j_eid = eid; j_tid = tid; j_errors = 0 } sch.s_queue
 
   let pending sch = Queue.length sch.s_queue + List.length sch.s_pinned
-
-  let dispatch sch ~core ~fuel ~quantum j =
-    let os = sch.s_os in
-    match j.j_pinned with
-    | Some _ -> continue_running os ~tid:j.j_tid ~core ~fuel ~quantum ()
-    | None -> (
-        match Sanctorum.Sm.thread_has_aex_state os.sm ~tid:j.j_tid with
-        | Ok true ->
-            resume_enclave os ~eid:j.j_eid ~tid:j.j_tid ~core ~fuel ~quantum ()
-        | Ok false | Error _ ->
-            run_enclave os ~eid:j.j_eid ~tid:j.j_tid ~core ~fuel ~quantum ())
 
   (* One scheduler round: at most one quantum per non-quarantined
      core. Returns the dispatched slots in core order; [Exited],
@@ -486,18 +453,18 @@ module Scheduler = struct
           | Some j ->
               let cycles0 = c.Hw.Machine.cycles
               and instret0 = c.Hw.Machine.instret in
-              let r = dispatch sch ~core ~fuel ~quantum j in
+              let r =
+                run_enclave os ~eid:j.j_eid ~tid:j.j_tid ~core ~fuel ~quantum ()
+              in
               (match r with
               | Ok Preempted ->
-                  j.j_pinned <- None;
                   j.j_errors <- 0;
                   Queue.add j sch.s_queue
               | Ok Fuel_exhausted ->
                   (* still Running in there: only this core can go on *)
-                  j.j_pinned <- Some core;
                   j.j_errors <- 0;
                   sch.s_pinned <- (core, j) :: sch.s_pinned
-              | Ok (Exited | Faulted _ | Killed) -> j.j_pinned <- None
+              | Ok (Exited | Faulted _ | Killed) -> ()
               | Error _ ->
                   j.j_errors <- j.j_errors + 1;
                   if j.j_errors < max_errors then Queue.add j sch.s_queue);
@@ -526,7 +493,8 @@ module Scheduler = struct
       List.iter
         (fun (core, j) ->
           match
-            continue_running sch.s_os ~tid:j.j_tid ~core ~fuel ~quantum ()
+            run_enclave sch.s_os ~eid:j.j_eid ~tid:j.j_tid ~core ~fuel
+              ~quantum ()
           with
           | Ok Fuel_exhausted -> ()
           | Ok _ | Error _ ->

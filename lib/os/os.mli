@@ -87,20 +87,11 @@ val reclaim_enclave : t -> eid:int -> unit Sanctorum.Api_error.result
 val run_enclave :
   t -> eid:int -> tid:int -> core:int -> fuel:int -> ?quantum:int -> unit ->
   (run_outcome, Sanctorum.Api_error.t) result
-(** enter_enclave then run the core. [quantum] (cycles), when given,
-    arms the OS preemption timer. *)
-
-val resume_enclave :
-  t -> eid:int -> tid:int -> core:int -> fuel:int -> ?quantum:int -> unit ->
-  (run_outcome, Sanctorum.Api_error.t) result
-(** Re-enter after an AEX (the enclave sees a0 = 1). *)
-
-val continue_running :
-  t -> tid:int -> core:int -> fuel:int -> ?quantum:int -> unit ->
-  (run_outcome, Sanctorum.Api_error.t) result
-(** Continue a thread that is still [Running] on [core] — the recovery
-    path when a dropped timer interrupt let the fuel budget expire
-    without an AEX. Re-arms [quantum] and resumes without re-entering. *)
+(** enter_enclave then run the core; after an AEX the enclave sees
+    a0 = 1. [quantum] (cycles), when given, arms the OS preemption
+    timer. A thread still [Running] on [core] — a dropped timer
+    interrupt let the fuel budget expire without an AEX — is not
+    re-entered: the quantum is re-armed and the core continues. *)
 
 val retry_transient :
   (unit -> 'a Sanctorum.Api_error.result) -> 'a Sanctorum.Api_error.result
@@ -111,7 +102,7 @@ val retry_transient :
 
     A round-robin run queue dispatching one quantum per live core per
     round. The scheduler owns only the {e decision} of who runs where;
-    every entry still goes through the monitor's enter/resume checks. *)
+    every entry still goes through the monitor's enter checks. *)
 
 module Scheduler : sig
   type sched
@@ -137,12 +128,11 @@ module Scheduler : sig
 
   val round : sched -> fuel:int -> quantum:int -> slot list
   (** One scheduler round: at most one quantum per non-quarantined
-      core, in core order. Enter vs resume is chosen by whether the
-      thread holds a pending AEX dump; a thread whose fuel ran dry
-      while still [Running] (lost timer tick) is pinned to its core
-      and continued there next round. [Exited], [Faulted] and
-      [Killed] jobs leave the queue — re-[enqueue] to run them again.
-      A job erroring 3 times in a row is dropped. *)
+      core, in core order, each through {!run_enclave}. A thread whose
+      fuel ran dry while still [Running] (lost timer tick) is pinned
+      to its core and continued there next round. [Exited], [Faulted]
+      and [Killed] jobs leave the queue — re-[enqueue] to run them
+      again. A job erroring 3 times in a row is dropped. *)
 
   val drain : sched -> fuel:int -> quantum:int -> bool
   (** Drive every pinned (still-Running) thread to an architectural

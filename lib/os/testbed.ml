@@ -54,6 +54,23 @@ let create ?(backend = Sanctum_backend) ?(cores = 4)
 let install_signing_enclave t =
   Os.install_enclave t.os Sanctorum.Attestation.signing_image
 
+(* The loop is position-independent, so the variable-length [li]
+   prologue cannot skew the branch offsets. *)
+let counting_image ~evbase ~target =
+  Sanctorum.Image.of_program ~evbase
+    Hw.Isa.(
+      li t0 (evbase + Hw.Phys_mem.page_size)
+      @ [ Load (Ld, t1, t0, 0) ]
+      @ li t2 target
+      @ [
+          Branch (Bge, t1, t2, 16);
+          Op_imm (Add, t1, t1, 1);
+          Store (Sd, t1, t0, 0);
+          Jal (zero, -12);
+          Op_imm (Add, a7, zero, Sanctorum.Sm.Ecall.exit_enclave);
+          Ecall;
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection for the analysis layer's negative tests: each
    helper breaks exactly one protection the monitor normally keeps, so

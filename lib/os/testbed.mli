@@ -37,6 +37,12 @@ val install_signing_enclave : t -> (Os.installed, Sanctorum.Api_error.t) result
 (** Load the canonical signing enclave (§VI-C); its measurement matches
     the constant the monitor was booted with. *)
 
+val counting_image : evbase:int -> target:int -> Sanctorum.Image.t
+(** A preemptible enclave: one code page at [evbase] and one data page
+    after it. It counts the data page's first word up to [target], then
+    exits. The count lives in memory, so it survives every AEX: re-entry
+    restarts at the entry point and reloads it. *)
+
 (** {2 Fault injection}
 
     Each helper breaks exactly one protection the monitor normally

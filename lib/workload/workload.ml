@@ -1,22 +1,11 @@
 module Rng = Sanctorum_util.Splitmix
+include Engine
 
 type mix = Programs.mix = Compute | Ipc | Paging | Churn
 
 let mix_name = Programs.mix_name
 let mix_of_string = Programs.mix_of_string
 let all_mixes = Programs.all_mixes
-
-type config = Engine.config = {
-  seed : string;
-  backend : Sanctorum_os.Testbed.backend;
-  cores : int;
-  enclaves : int;
-  rounds : int;
-  mix : mix;
-  fuel : int;
-  quantum : int;
-  check_every : int;
-}
 
 let default =
   {
@@ -30,43 +19,6 @@ let default =
     quantum = 500;
     check_every = 16;
   }
-
-type report = Engine.report = {
-  rp_mix : mix;
-  rp_seed : string;
-  rp_cores : int;
-  rp_enclaves : int;
-  rp_rounds : int;
-  rp_installs : int;
-  rp_reclaims : int;
-  rp_exits : int;
-  rp_preempts : int;
-  rp_fuel_exhausted : int;
-  rp_os_faults : int;
-  rp_killed : int;
-  rp_api_errors : int;
-  rp_quanta : int;
-  rp_instret : int;
-  rp_sim_cycles : int;
-  rp_msgs_sent : int;
-  rp_msgs_received : int;
-  rp_msgs_inflight : int;
-  rp_msgs_accounted : bool;
-  rp_wall_s : float;
-  rp_mips : float;
-  rp_ops_per_sec : float;
-  rp_quantum_p50 : int;
-  rp_quantum_p90 : int;
-  rp_quantum_p99 : int;
-  rp_findings : Sanctorum_analysis.Report.violation list;
-  rp_trace_dropped : int;
-  rp_drained : bool;
-  rp_free_units_boot : int;
-  rp_free_units_end : int;
-  rp_reclaimed : bool;
-  rp_meas_cache_hits : int;
-  rp_meas_cache_misses : int;
-}
 
 (* The closed loop is the engine driven in its unbounded mode: the
    whole population is submitted with no exit target, stepped for

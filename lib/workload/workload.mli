@@ -38,74 +38,16 @@ val mix_of_string : string -> (mix, string) result
 
 val all_mixes : mix list
 
-type config = Engine.config = {
-  seed : string;
-  backend : Sanctorum_os.Testbed.backend;
-  cores : int;
-  enclaves : int;
-  rounds : int;
-  mix : mix;
-  fuel : int;  (** per-quantum fuel budget (instructions) *)
-  quantum : int;  (** preemption-timer quantum (cycles); keep [fuel]
-                      comfortably above it so lost-tick recovery stays
-                      the exception *)
-  check_every : int;
-      (** run the checker + trace analyzers every this many rounds
-          (0 = only at the end) *)
-}
+include module type of struct
+  include Engine
+end
+(** Everything {!Engine} exports, re-exported: a [Workload.config] is
+    an [Engine.config] and a [Workload.report] an [Engine.report]. *)
 
 val default : config
 (** keystone backend (4 KiB allocation units — the capacity the
     many-enclave mixes need), 4 cores, 64 enclaves, 1000 rounds,
     compute mix, seed ["workload"]. *)
-
-type report = Engine.report = {
-  rp_mix : mix;
-  rp_seed : string;
-  rp_cores : int;
-  rp_enclaves : int;
-  rp_rounds : int;  (** scheduler rounds actually executed *)
-  rp_installs : int;
-  rp_reclaims : int;
-  rp_exits : int;
-  rp_preempts : int;
-  rp_fuel_exhausted : int;
-  rp_os_faults : int;  (** faults the OS observed (delegated AEX) *)
-  rp_killed : int;
-  rp_api_errors : int;
-  rp_quanta : int;  (** scheduler slots dispatched *)
-  rp_instret : int;  (** instructions retired across all quanta *)
-  rp_sim_cycles : int;  (** simulated cycles across all quanta *)
-  rp_msgs_sent : int;  (** mailbox messages deposited (ipc mix) *)
-  rp_msgs_received : int;  (** mailbox messages retrieved (ipc mix) *)
-  rp_msgs_inflight : int;
-      (** messages still sitting in a mailbox when its owner was
-          reclaimed — the in-flight tail that explains any
-          sent/received gap *)
-  rp_msgs_accounted : bool;
-      (** [sent = received + inflight]: no message is unaccounted for *)
-  rp_wall_s : float;
-      (** monotonic host seconds for the scheduling loop (wall time, not
-          process CPU time) *)
-  rp_mips : float;  (** simulated Minstr / host second *)
-  rp_ops_per_sec : float;
-      (** (installs + reclaims + exits) / host second *)
-  rp_quantum_p50 : int;  (** per-quantum simulated-cycle latency *)
-  rp_quantum_p90 : int;
-  rp_quantum_p99 : int;
-  rp_findings : Sanctorum_analysis.Report.violation list;
-      (** every checker / trace violation from all checkpoints *)
-  rp_trace_dropped : int;  (** telemetry events lost to ring overflow *)
-  rp_drained : bool;  (** all pinned threads reached a stop *)
-  rp_free_units_boot : int;
-  rp_free_units_end : int;
-  rp_reclaimed : bool;
-      (** end-state is clean: no enclaves, no threads, and the OS free
-          pool back at its boot value *)
-  rp_meas_cache_hits : int;
-      (** monitor measurement-cache hits ([measurement.cache.hit]) *)
-  rp_meas_cache_misses : int;
-}
 
 val run : config -> report
 (** Execute the closed loop: install, schedule [rounds] rounds with

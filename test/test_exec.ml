@@ -76,7 +76,7 @@ let test_aex_saves_and_scrubs () =
   Alcotest.(check int) "tlb flushed" 0 (Hw.Tlb.entry_count c.Hw.Machine.tlb);
   (* re-entry signals the AEX dump via a0 = 1 *)
   match
-    Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:50 ~quantum:10000 ()
+    Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:50 ~quantum:10000 ()
   with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "resume: %s" (E.to_string e)
@@ -101,7 +101,7 @@ let test_aex_flag_visible_to_enclave () =
    with
   | Ok Os.Preempted -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected preemption");
-  match Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:1000 () with
+  match Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:1000 () with
   | Ok Os.Exited -> ()
   | Ok _ | Error _ -> Alcotest.fail "enclave did not observe the AEX flag"
 
@@ -115,7 +115,7 @@ let test_exit_clears_aex () =
   let inst = install tb image in
   let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
   ignore (Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000 ~quantum:100 ());
-  ignore (Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:1000 ());
+  ignore (Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:1000 ());
   check_bool "aex cleared after voluntary exit" false
     (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
 
@@ -321,7 +321,7 @@ let test_read_aex_state_bad_buffer backend () =
    with
   | Ok Os.Preempted -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected preemption");
-  spin_after_failed_ecall tb ~eid ~tid Os.resume_enclave;
+  spin_after_failed_ecall tb ~eid ~tid Os.run_enclave;
   check_bool "AEX dump kept" true
     (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
 

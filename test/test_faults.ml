@@ -197,7 +197,7 @@ let test_irq_drop_recovery () =
     if budget = 0 then Alcotest.fail "did not settle after recovery"
     else
       match
-        Os.continue_running tb.Testbed.os ~tid ~core:0 ~fuel:20000 ~quantum:500
+        Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:20000 ~quantum:500
           ()
       with
       | Ok Os.Exited -> ()
@@ -205,7 +205,7 @@ let test_irq_drop_recovery () =
       | r -> Alcotest.failf "recovery run: %s" (outcome_or_error r)
   and resume budget =
     match
-      Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:20000
+      Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:20000
         ~quantum:500 ()
     with
     | Ok Os.Exited -> ()
@@ -219,6 +219,92 @@ let test_irq_drop_recovery () =
     (Hw.Phys_mem.read_u64 (Hw.Machine.mem tb.Testbed.machine) counter
     = Int64.of_int target);
   findings_clean ~ctx:"after lost-tick recovery" tb
+
+(* The scheduler's half of lost-tick recovery. A slot that ends in
+   [Fuel_exhausted] leaves its thread Running on that core, so the
+   scheduler pins it there: the next round continues it on the same
+   core without a fresh entry, no other core gets it meanwhile, and the
+   job still runs to its exit. The first job exits before any timer
+   fires, so the dropped tick is the counting job's on core 1, and in
+   the next round core 0 has nothing queued: only the pin keeps it off
+   the Running thread. *)
+let test_irq_drop_scheduler_pin () =
+  let sink = Tel.Sink.create () in
+  let tb = Testbed.create ~cores:2 ~sink () in
+  let sched = Os.Scheduler.create tb.Testbed.os ~cores:[ 0; 1 ] in
+  let exits =
+    Sanctorum.Image.of_program ~evbase
+      Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
+  in
+  List.iter
+    (fun (inst : Os.installed) ->
+      Os.Scheduler.enqueue sched ~eid:inst.Os.eid ~tid:(List.hd inst.Os.tids))
+    [ Result.get_ok (Os.install_enclave tb.Testbed.os exits); install tb ];
+  let inj =
+    F.Injector.create ~horizon:1 ~machine:tb.Testbed.machine ~seed:12L
+      ~spec:[ { F.Spec.cls = F.Spec.Irq_drop; count = 1 } ]
+      ()
+  in
+  F.Injector.arm inj;
+  let round () =
+    Tel.Sink.clear sink;
+    Os.Scheduler.round sched ~fuel:800 ~quantum:500
+  in
+  let slot_of tid slots =
+    List.find_opt (fun s -> s.Os.Scheduler.s_tid = tid) slots
+  in
+  let rec until_pinned budget =
+    if budget = 0 then Alcotest.fail "no slot lost its tick"
+    else
+      match
+        List.find_opt
+          (fun s -> s.Os.Scheduler.s_outcome = Ok Os.Fuel_exhausted)
+          (round ())
+      with
+      | Some s -> (s.Os.Scheduler.s_core, s.Os.Scheduler.s_tid)
+      | None -> until_pinned (budget - 1)
+  in
+  let core, tid = until_pinned 10 in
+  check_int "the counting job lost its tick" 1 core;
+  check_int "the tick was dropped" 1
+    (F.Injector.stats inj).F.Injector.irqs_dropped;
+  let slots = round () in
+  (match slot_of tid slots with
+  | Some s -> check_int "continued on its own core" core s.Os.Scheduler.s_core
+  | None -> Alcotest.fail "pinned thread did not run next round");
+  check_bool "no other core ran the pinned thread" true
+    (List.for_all
+       (fun s -> s.Os.Scheduler.s_tid <> tid || s.Os.Scheduler.s_core = core)
+       slots);
+  check_bool "continued without a fresh entry" false
+    (List.exists
+       (fun (e : Tel.Event.t) ->
+         match e.Tel.Event.payload with
+         | Tel.Event.Enclave_entered { tid = t; _ } -> t = tid
+         | _ -> false)
+       (Tel.Sink.events sink));
+  (* a job can take several slots of one round once it is back in the
+     queue *)
+  let rec until_exit budget =
+    if budget = 0 then Alcotest.fail "pinned job never exited"
+    else
+      let outcomes =
+        List.filter_map
+          (fun s ->
+            if s.Os.Scheduler.s_tid = tid then Some s.Os.Scheduler.s_outcome
+            else None)
+          (round ())
+      in
+      List.iter
+        (function
+          | Ok (Os.Exited | Os.Preempted | Os.Fuel_exhausted) -> ()
+          | r -> Alcotest.failf "pinned job: %s" (outcome_or_error r))
+        outcomes;
+      if not (List.mem (Ok Os.Exited) outcomes) then until_exit (budget - 1)
+  in
+  until_exit 50;
+  F.Injector.disarm inj;
+  findings_clean ~ctx:"after scheduler lost-tick recovery" tb
 
 let test_spurious_irq_only_preempts () =
   let tb = Testbed.create () in
@@ -238,7 +324,7 @@ let test_spurious_irq_only_preempts () =
       Alcotest.failf "expected Preempted by spurious irq, got %s"
         (outcome_or_error r));
   F.Injector.disarm inj;
-  (match Os.resume_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:20000 () with
+  (match Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:20000 () with
   | Ok Os.Exited -> ()
   | r -> Alcotest.failf "resume after spurious AEX: %s" (outcome_or_error r));
   let counter = frame_of tb ~eid ~vaddr:(evbase + 4096) in
@@ -472,8 +558,10 @@ let suite =
         test_bitflip2_kills_enclave;
       Alcotest.test_case "mce: core death mid-run is contained" `Quick
         test_mce_mid_run;
-      Alcotest.test_case "irq-drop: lost tick recovered by continue_running"
+      Alcotest.test_case "irq-drop: lost tick recovered by run_enclave"
         `Quick test_irq_drop_recovery;
+      Alcotest.test_case "irq-drop: scheduler pins the thread to its core"
+        `Quick test_irq_drop_scheduler_pin;
       Alcotest.test_case "spurious-irq: unsolicited AEX, nothing worse" `Quick
         test_spurious_irq_only_preempts;
       Alcotest.test_case "ipi-drop: retry then quarantine" `Quick

@@ -514,15 +514,18 @@ let test_node_dup_idempotent () =
   let ncfg =
     {
       Node.node_id = 0;
-      seed;
-      backend = Fl.default.Fl.backend;
-      cores = 2;
-      enclaves = 4;
-      mix = Fl.default.Fl.mix;
-      fuel = Fl.default.Fl.fuel;
-      quantum = Fl.default.Fl.quantum;
-      check_every = Fl.default.Fl.check_every;
-      batch_rounds = 400;
+      engine =
+        {
+          W.seed;
+          backend = Fl.default.Fl.backend;
+          cores = 2;
+          enclaves = 4;
+          rounds = 400;
+          mix = Fl.default.Fl.mix;
+          fuel = Fl.default.Fl.fuel;
+          quantum = Fl.default.Fl.quantum;
+          check_every = Fl.default.Fl.check_every;
+        };
       faults = None;
       fault_horizon = 200_000;
       rogue = false;

@@ -73,7 +73,7 @@ let scenario backend =
   run "a preempted" ~quantum:200 ~eid:a.Os.eid ~tid:a_tid ~core:1
     (function Os.Preempted -> true | _ -> false)
     Os.run_enclave;
-  run "a resumed" ~eid:a.Os.eid ~tid:a_tid ~core:1 exited Os.resume_enclave;
+  run "a resumed" ~eid:a.Os.eid ~tid:a_tid ~core:1 exited Os.run_enclave;
   (* a page fault the enclave's own handler takes *)
   let h_base = 0xc0000 in
   let entry =

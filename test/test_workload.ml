@@ -191,6 +191,51 @@ let test_scheduler_queue () =
   check_int "empty round dispatches nothing" 0
     (List.length (Os.Scheduler.round sched ~fuel:1000 ~quantum:500))
 
+(* The 3-strike rule: a job whose entry errors three rounds in a row
+   leaves the queue, and the engine fails it then, not before. The
+   enclave's lock is held throughout, so every entry aborts with
+   [Concurrent_call] once [retry_transient] gives up. *)
+let test_three_strikes () =
+  let tb = Testbed.create ~backend:Testbed.Keystone_backend () in
+  let image =
+    Sanctorum.Image.of_program ~evbase:0x10000
+      Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
+  in
+  let inst = Result.get_ok (Os.install_enclave tb.Testbed.os image) in
+  let eid = inst.Os.eid in
+  check_bool "lock taken" true (S.try_lock_enclave tb.Testbed.sm ~eid);
+  let sched = Os.Scheduler.create tb.Testbed.os ~cores:[ 0 ] in
+  Os.Scheduler.enqueue sched ~eid ~tid:(List.hd inst.Os.tids);
+  List.iter
+    (fun (round, pending) ->
+      (match Os.Scheduler.round sched ~fuel:1000 ~quantum:500 with
+      | [ { Os.Scheduler.s_outcome = Error Sanctorum.Api_error.Concurrent_call; _ } ]
+        ->
+          ()
+      | _ -> Alcotest.failf "round %d: expected one Concurrent_call slot" round);
+      check_int (Printf.sprintf "pending after round %d" round) pending
+        (Os.Scheduler.pending sched))
+    [ (1, 1); (2, 1); (3, 0) ];
+  (* the same rule, as the engine reports it *)
+  let eng =
+    E.create
+      { (small_config ~seed:"strikes" ~mix:W.Compute) with
+        cores = 1;
+        enclaves = 1;
+        check_every = 0 }
+  in
+  E.submit eng ~jid:7 ~seed:1L ~target:None;
+  let sm = (E.testbed eng).Testbed.sm in
+  List.iter
+    (fun eid -> check_bool "engine job locked" true (S.try_lock_enclave sm ~eid))
+    (S.enclaves sm);
+  List.iter
+    (fun (step, want) ->
+      ignore (E.step eng : int list);
+      check_bool (Printf.sprintf "failed after step %d" step) true
+        (E.take_failed eng = want))
+    [ (1, []); (2, []); (3, [ (7, "repeated API errors") ]) ]
+
 (* Satellite regression: clearing a thread's AEX dump on the
    delete/reclaim path must be a guarded write — taken under the
    thread lock and noted to the trace. Pre-fix, the delete path wrote
@@ -249,6 +294,8 @@ let suite =
     [
       Alcotest.test_case "scheduler: queue discipline" `Quick
         test_scheduler_queue;
+      Alcotest.test_case "scheduler: three errors in a row drop the job"
+        `Quick test_three_strikes;
       Alcotest.test_case "determinism: identical replays" `Slow
         test_deterministic;
       Alcotest.test_case "ipc mix delivers mail" `Quick test_ipc_delivers;
