@@ -304,7 +304,7 @@ let finish_memory_grant t ~rid e =
   let* () = sync_memory_owner t ~rid e.domain in
   let lo, hi = unit_range t rid in
   let pages = List.init ((hi - lo) / page) (fun i -> (lo / page) + i) in
-  e.free_pages <- List.sort compare (e.free_pages @ pages);
+  e.free_pages <- List.merge Int.compare e.free_pages pages;
   ok
 
 let grant_resource t ~caller kind ~rid ~to_ =

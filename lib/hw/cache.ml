@@ -1,4 +1,7 @@
-type line = { mutable valid : bool; mutable tag : int; mutable lru : int }
+(* A line is valid only while its [epoch] is the cache's [cur_epoch]:
+   [flush_all] invalidates every line with one increment, and
+   [flush_set] sets a line's epoch to -1, which no cache epoch equals. *)
+type line = { mutable epoch : int; mutable tag : int; mutable lru : int }
 
 type config = {
   sets : int;
@@ -16,6 +19,7 @@ type t = {
   mru : int array; (* per set: way of the last hit or fill, probed first *)
   mutable index_fn : int -> int;
   mutable default_index : bool; (* skip the closure call until overridden *)
+  mutable cur_epoch : int; (* see [line] *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -32,7 +36,7 @@ let create cfg =
     invalid_arg "Cache.create: sets must be a power of two";
   if not (Sanctorum_util.Bits.is_power_of_two cfg.line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
-  let mk_line () = { valid = false; tag = 0; lru = 0 } in
+  let mk_line () = { epoch = -1; tag = 0; lru = 0 } in
   let lines =
     Array.init cfg.sets (fun _ -> Array.init cfg.ways (fun _ -> mk_line ()))
   in
@@ -46,6 +50,7 @@ let create cfg =
     mru = Array.make cfg.sets 0;
     index_fn = default_index;
     default_index = true;
+    cur_epoch = 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -61,16 +66,17 @@ let tag_of t paddr = paddr lsr t.line_shift
 
 (* Early-exit scans. Tags are unique within a set (a fill only happens
    after a whole-set miss), so the first match is the only match. *)
-let rec scan_tag set tag w n =
+let rec scan_tag set epoch tag w n =
   if w >= n then -1
   else
     let l = set.(w) in
-    if l.valid && l.tag = tag then w else scan_tag set tag (w + 1) n
+    if l.epoch = epoch && l.tag = tag then w
+    else scan_tag set epoch tag (w + 1) n
 
-let rec first_invalid set w n =
+let rec first_invalid set epoch w n =
   if w >= n then -1
-  else if not set.(w).valid then w
-  else first_invalid set (w + 1) n
+  else if set.(w).epoch <> epoch then w
+  else first_invalid set epoch (w + 1) n
 
 (* Strict [<] keeps the lowest-indexed way among LRU ties — the same
    way the original whole-set fold picked. *)
@@ -89,10 +95,11 @@ let access_hit t ~paddr =
   let set = Array.unsafe_get t.lines si in
   let tag = paddr lsr t.line_shift in
   let ways = Array.length set in
+  let epoch = t.cur_epoch in
   let hit_way =
     let mw = Array.unsafe_get t.mru si in
     let m = Array.unsafe_get set mw in
-    if m.valid && m.tag = tag then mw else scan_tag set tag 0 ways
+    if m.epoch = epoch && m.tag = tag then mw else scan_tag set epoch tag 0 ways
   in
   if hit_way >= 0 then begin
     let l = Array.unsafe_get set hit_way in
@@ -105,12 +112,12 @@ let access_hit t ~paddr =
     t.misses <- t.misses + 1;
     (* Fill: prefer the first invalid way, else evict the LRU way. *)
     let vw =
-      match first_invalid set 0 ways with
+      match first_invalid set epoch 0 ways with
       | w when w >= 0 -> w
       | _ -> min_lru set 0 1 ways
     in
     let l = set.(vw) in
-    l.valid <- true;
+    l.epoch <- epoch;
     l.tag <- tag;
     l.lru <- t.tick;
     t.mru.(si) <- vw;
@@ -138,7 +145,7 @@ let note_repeat_hits t ~paddr ~n =
     let set = t.lines.(si) in
     let l = set.(t.mru.(si)) in
     (* the precondition makes the batched line this set's MRU way *)
-    assert (l.valid && l.tag = paddr lsr t.line_shift);
+    assert (l.epoch = t.cur_epoch && l.tag = paddr lsr t.line_shift);
     t.tick <- t.tick + n;
     l.lru <- t.tick;
     t.hits <- t.hits + n
@@ -147,21 +154,22 @@ let note_repeat_hits t ~paddr ~n =
 let probe t ~paddr =
   let set = t.lines.(t.index_fn paddr land (t.cfg.sets - 1)) in
   let tag = tag_of t paddr in
-  Array.exists (fun l -> l.valid && l.tag = tag) set
+  Array.exists (fun l -> l.epoch = t.cur_epoch && l.tag = tag) set
 
 let iter_tags t f =
   Array.iteri
     (fun set ways ->
       Array.iter
-        (fun l -> if l.valid then f ~set ~paddr:(l.tag * t.cfg.line_bytes))
+        (fun l ->
+          if l.epoch = t.cur_epoch then
+            f ~set ~paddr:(l.tag * t.cfg.line_bytes))
         ways)
     t.lines
 
-let flush_all t =
-  Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) t.lines
+let flush_all t = t.cur_epoch <- t.cur_epoch + 1
 
 let flush_set t i =
-  Array.iter (fun l -> l.valid <- false) t.lines.(i land (t.cfg.sets - 1))
+  Array.iter (fun l -> l.epoch <- -1) t.lines.(i land (t.cfg.sets - 1))
 
 let stats t = (t.hits, t.misses)
 

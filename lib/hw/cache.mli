@@ -58,8 +58,10 @@ val iter_tags : t -> (set:int -> paddr:int -> unit) -> unit
     byte of the cached line. Does not disturb LRU or statistics. *)
 
 val flush_all : t -> unit
+(** Invalidates every line in O(1): one epoch increment. *)
 
 val flush_set : t -> int -> unit
+(** Invalidates the lines of one set, one by one. *)
 
 val set_of_paddr : t -> int -> int
 

@@ -118,15 +118,30 @@ external unsafe_get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 (* A page-table frame is almost all zeros, so a reader that decodes
    every slot through [read_u64] spends nearly all its time on empty
-   entries; this loop pays one load and compare per empty word. *)
+   entries. This loop ORs four words per step and looks at them one by
+   one only when the group is non-zero, and one by one for the tail. *)
 let iter_nonzero_words t ~pos ~len f =
   check t pos len "iter_nonzero_words";
   if pos land 7 <> 0 || len land 7 <> 0 then
     invalid_arg "Phys_mem.iter_nonzero_words: unaligned range";
-  for w = pos / 8 to ((pos + len) / 8) - 1 do
-    let p = w * 8 in
-    if unsafe_get_word t.data p <> 0L then f p (Bytes.get_int64_le t.data p)
-  done
+  let d = t.data and stop = pos + len in
+  let rec words p last =
+    if p < last then begin
+      if unsafe_get_word d p <> 0L then f p (Bytes.get_int64_le d p);
+      words (p + 8) last
+    end
+  in
+  let rec groups p =
+    if p + 32 > stop then words p stop
+    else begin
+      let q = p + 16 in
+      let x = Int64.logor (unsafe_get_word d p) (unsafe_get_word d (p + 8)) in
+      let y = Int64.logor (unsafe_get_word d q) (unsafe_get_word d (q + 8)) in
+      if Int64.logor x y <> 0L then words p (p + 32);
+      groups (p + 32)
+    end
+  in
+  groups pos
 
 let read_string t ~pos ~len =
   check t pos len "read_string";

@@ -1,7 +1,10 @@
 type perms = { r : bool; w : bool; x : bool; u : bool }
 
+(* An entry is valid only while its [epoch] is the TLB's [cur_epoch]:
+   [flush] invalidates every entry with one increment, and [flush_vpn]
+   sets an entry's epoch to -1, which no TLB epoch equals. *)
 type entry = {
-  mutable valid : bool;
+  mutable epoch : int;
   mutable vpn : int;
   mutable ppn : int;
   mutable perms : perms;
@@ -12,6 +15,7 @@ type t = {
   mutable next : int;  (* round-robin fill pointer *)
   mutable mru : int;  (* slot of the last hit or insert, probed first *)
   mutable gen : int;  (* see [generation] *)
+  mutable cur_epoch : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -23,10 +27,11 @@ let create ~entries =
   {
     entries =
       Array.init entries (fun _ ->
-          { valid = false; vpn = 0; ppn = 0; perms = no_perms });
+          { epoch = -1; vpn = 0; ppn = 0; perms = no_perms });
     next = 0;
     mru = 0;
     gen = 0;
+    cur_epoch = 0;
     hits = 0;
     misses = 0;
   }
@@ -34,20 +39,21 @@ let create ~entries =
 (* Early-exit scan. A vpn appears in at most one valid slot ([insert]
    reuses the existing mapping's slot), so the first match is the only
    match. Returns the slot index, or -1. *)
-let rec scan entries vpn i n =
+let rec scan entries epoch vpn i n =
   if i >= n then -1
   else
     let e = entries.(i) in
-    if e.valid && e.vpn = vpn then i else scan entries vpn (i + 1) n
+    if e.epoch = epoch && e.vpn = vpn then i
+    else scan entries epoch vpn (i + 1) n
 
 let find t ~vpn =
   let m = t.entries.(t.mru) in
-  if m.valid && m.vpn = vpn then begin
+  if m.epoch = t.cur_epoch && m.vpn = vpn then begin
     t.hits <- t.hits + 1;
     t.mru
   end
   else begin
-    let i = scan t.entries vpn 0 (Array.length t.entries) in
+    let i = scan t.entries t.cur_epoch vpn 0 (Array.length t.entries) in
     if i >= 0 then begin
       t.hits <- t.hits + 1;
       t.mru <- i
@@ -70,8 +76,8 @@ let note_hits t n = t.hits <- t.hits + n
    the access on the stepped path observes an untouched TLB. *)
 let probe t ~vpn =
   let m = t.entries.(t.mru) in
-  if m.valid && m.vpn = vpn then t.mru
-  else scan t.entries vpn 0 (Array.length t.entries)
+  if m.epoch = t.cur_epoch && m.vpn = vpn then t.mru
+  else scan t.entries t.cur_epoch vpn 0 (Array.length t.entries)
 
 let commit_hit t i =
   t.hits <- t.hits + 1;
@@ -82,7 +88,7 @@ let insert t ~vpn ~ppn ~perms =
   let n = Array.length t.entries in
   (* Reuse an existing mapping slot when present, else round-robin. *)
   let slot =
-    match scan t.entries vpn 0 n with
+    match scan t.entries t.cur_epoch vpn 0 n with
     | i when i >= 0 -> i
     | _ ->
         let s = t.next in
@@ -90,7 +96,7 @@ let insert t ~vpn ~ppn ~perms =
         s
   in
   let e = t.entries.(slot) in
-  e.valid <- true;
+  e.epoch <- t.cur_epoch;
   e.vpn <- vpn;
   e.ppn <- ppn;
   e.perms <- perms;
@@ -98,21 +104,23 @@ let insert t ~vpn ~ppn ~perms =
 
 let flush t =
   t.gen <- t.gen + 1;
-  Array.iter (fun e -> e.valid <- false) t.entries
+  t.cur_epoch <- t.cur_epoch + 1
 
 let flush_vpn t ~vpn =
   t.gen <- t.gen + 1;
-  Array.iter (fun e -> if e.vpn = vpn then e.valid <- false) t.entries
+  Array.iter (fun e -> if e.vpn = vpn then e.epoch <- -1) t.entries
 
 let generation t = t.gen
 
 let iter_entries t f =
   Array.iter
-    (fun e -> if e.valid then f ~vpn:e.vpn ~ppn:e.ppn ~perms:e.perms)
+    (fun e ->
+      if e.epoch = t.cur_epoch then f ~vpn:e.vpn ~ppn:e.ppn ~perms:e.perms)
     t.entries
 
 let entry_count t =
-  Array.fold_left (fun n e -> if e.valid then n + 1 else n) 0 t.entries
+  let live n e = if e.epoch = t.cur_epoch then n + 1 else n in
+  Array.fold_left live 0 t.entries
 
 let stats t = (t.hits, t.misses)
 

@@ -55,8 +55,10 @@ val generation : t -> int
     entry. *)
 
 val flush : t -> unit
+(** Invalidates every entry in O(1): one epoch increment. *)
 
 val flush_vpn : t -> vpn:int -> unit
+(** Invalidates the entries of one page, one by one. *)
 
 val entry_count : t -> int
 (** Number of currently valid entries. *)

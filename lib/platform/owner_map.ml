@@ -1,13 +1,14 @@
 module Hw = Sanctorum_hw
 
-(* [ranges] caches the maximal same-owner runs of [owners] in ascending
-   order; [None] means stale. [set_range] is the only mutator of
-   [owners] and clears it, so a reader never sees a list that disagrees
-   with the pages. A Keystone domain switch rebuilds its PMP layout from
-   this list, so the switch costs O(ranges), not O(pages). *)
+(* [ranges] holds the maximal same-owner runs of [owners] in ascending
+   order. [set_range], the only mutator, splices it in the same step and
+   bumps [version] exactly when some page changes owner. A Keystone
+   domain switch builds its PMP layout from this list, so the switch
+   costs O(ranges), not O(pages). *)
 type t = {
   owners : int array;
-  mutable ranges : (int * int * Hw.Trap.domain) list option;
+  mutable ranges : (int * int * Hw.Trap.domain) list;
+  mutable version : int;
 }
 
 let page = Hw.Phys_mem.page_size
@@ -19,7 +20,9 @@ let page_shift = 12
 let () = assert (page = 1 lsl page_shift)
 
 let create mem ~initial_owner =
-  { owners = Array.make (Hw.Phys_mem.size mem / page) initial_owner; ranges = None }
+  let bytes = Hw.Phys_mem.size mem in
+  let owners = Array.make (bytes / page) initial_owner in
+  { owners; ranges = [ (0, bytes, initial_owner) ]; version = 0 }
 
 let owner_at t ~paddr =
   (* negative [paddr] shifts to a huge positive int, caught by the
@@ -29,51 +32,47 @@ let owner_at t ~paddr =
     invalid_arg "Owner_map.owner_at: address out of range";
   t.owners.(p)
 
-let check_aligned lo hi =
-  if lo mod page <> 0 || hi mod page <> 0 || lo > hi then
-    invalid_arg "Owner_map: range must be page-aligned"
+let check_range t lo hi =
+  if lo mod page <> 0 || hi mod page <> 0 || lo < 0 || lo > hi
+     || hi > Array.length t.owners * page
+  then invalid_arg "Owner_map: range must be page-aligned and inside the map"
 
-let set_range t ~lo ~hi domain =
-  check_aligned lo hi;
-  t.ranges <- None;
-  for p = lo / page to (hi / page) - 1 do
-    t.owners.(p) <- domain
-  done
+(* [ranges] with [lo, hi) given to [d] (an int, so no polymorphic
+   compare): earlier runs copied, later ones shared, equal neighbours
+   merged. *)
+let splice ranges ~lo ~hi (d : Hw.Trap.domain) =
+  let rec right start = function
+    | (_, rhi, _) :: rest when rhi <= hi -> right start rest
+    | (_, rhi, rd) :: rest when rd = d -> (start, rhi, d) :: rest
+    | (_, rhi, rd) :: rest -> (start, hi, d) :: (hi, rhi, rd) :: rest
+    | [] -> [ (start, hi, d) ]
+  in
+  let rec left = function
+    | ((_, rhi, _) as r) :: rest when rhi < lo -> r :: left rest
+    | (rlo, _, rd) :: _ as rs when rd = d -> right rlo rs
+    | (rlo, _, rd) :: _ as rs when rlo < lo -> (rlo, lo, rd) :: right lo rs
+    | rs -> right lo rs
+  in
+  left ranges
 
 let range_owned_by t ~lo ~hi domain =
-  check_aligned lo hi;
-  let ok = ref (lo < hi) in
-  for p = lo / page to (hi / page) - 1 do
-    if t.owners.(p) <> domain then ok := false
-  done;
-  !ok
+  check_range t lo hi;
+  let rec owned p = p = hi / page || (t.owners.(p) = domain && owned (p + 1)) in
+  lo < hi && owned (lo / page)
 
-let pages t = Array.length t.owners
+let set_range t ~lo ~hi domain =
+  if (not (range_owned_by t ~lo ~hi domain)) && lo < hi then begin
+    Array.fill t.owners (lo / page) ((hi - lo) / page) domain;
+    t.ranges <- splice t.ranges ~lo ~hi domain;
+    t.version <- t.version + 1
+  end
 
-(* The annotation keeps the comparisons below on immediate ints rather
-   than the polymorphic [compare]. *)
-let scan (owners : Hw.Trap.domain array) =
-  let n = Array.length owners in
-  let acc = ref [] and lo = ref 0 in
-  for p = 1 to n do
-    if p = n || owners.(p) <> owners.(!lo) then begin
-      acc := (!lo * page, p * page, owners.(!lo)) :: !acc;
-      lo := p
-    end
-  done;
-  List.rev !acc
+let version t = t.version
 
-let ranges t =
-  match t.ranges with
-  | Some r -> r
-  | None ->
-      let r = scan t.owners in
-      t.ranges <- Some r;
-      r
-
-let iter_ranges t f = List.iter (fun (lo, hi, domain) -> f ~lo ~hi ~domain) (ranges t)
+let iter_ranges t f =
+  List.iter (fun (lo, hi, domain) -> f ~lo ~hi ~domain) t.ranges
 
 let domain_ranges t domain =
   List.filter_map
     (fun (lo, hi, d) -> if d = domain then Some (lo, hi) else None)
-    (ranges t)
+    t.ranges

@@ -10,13 +10,15 @@ val owner_at : t -> paddr:int -> Sanctorum_hw.Trap.domain
 (** Raises [Invalid_argument] for an out-of-range address. *)
 
 val set_range : t -> lo:int -> hi:int -> Sanctorum_hw.Trap.domain -> unit
-(** [lo, hi) must be page-aligned. *)
+(** [lo, hi) must be page-aligned and inside the map. Does nothing when
+    every page of it already belongs to the domain. *)
+
+val version : t -> int
+(** Moves exactly when a {!set_range} changes some page's owner. *)
 
 val range_owned_by :
   t -> lo:int -> hi:int -> Sanctorum_hw.Trap.domain -> bool
 (** Every page of [lo, hi) belongs to the given domain. *)
-
-val pages : t -> int
 
 val domain_ranges : t -> Sanctorum_hw.Trap.domain -> (int * int) list
 (** Maximal contiguous [lo, hi) byte ranges owned by a domain, in
@@ -26,6 +28,5 @@ val iter_ranges :
   t -> (lo:int -> hi:int -> domain:Sanctorum_hw.Trap.domain -> unit) -> unit
 (** [f] is called once per maximal same-owner [lo, hi) byte range, in
     ascending address order; the ranges partition the map. The range
-    list is cached between {!set_range} calls, so both this and
-    {!domain_ranges} cost O(ranges) except on the first call after a
-    change, which rescans the pages once. *)
+    list is kept current by {!set_range}, which splices each change
+    into it, so both this and {!domain_ranges} cost O(ranges). *)

@@ -46,11 +46,14 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check ~progra
       Error (name ^ ": grants are whole allocation units")
     else if hi > mem_bytes then Error (name ^ ": range beyond physical memory")
     else begin
+      let version = Owner_map.version owners in
       Owner_map.set_range owners ~lo ~hi domain;
-      (* Cores currently inside a domain see the new ownership at once,
+      (* Cores currently inside a domain see a new ownership at once,
          as a real monitor would reprogram the primitive under a lock. *)
-      Array.iter (fun (c : Hw.Machine.core) -> program c c.Hw.Machine.domain) cores;
-      Hw.Machine.note_protection_change machine;
+      if Owner_map.version owners <> version then begin
+        Array.iter (fun (c : Hw.Machine.core) -> program c c.Hw.Machine.domain) cores;
+        Hw.Machine.note_protection_change machine
+      end;
       Ok ()
     end
   in

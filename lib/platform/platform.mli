@@ -58,5 +58,5 @@ val make :
     [clean_range] zeroes the range, flushes its L2 sets and shoots
     down every TLB; [enter_domain] flushes the core's L1 and TLB
     (§IV-B2). Both call [program core domain] to reprogram the
-    backend's primitive — PMP on Keystone, nothing on Sanctum, whose
-    DRAM regions the owner map itself enforces. *)
+    backend's primitive — PMP on Keystone, nothing on Sanctum — but a
+    grant only when it changed some page's owner. *)

@@ -1,0 +1,81 @@
+(* The valid-bit TLB the epoch-flushed [Sanctorum_hw.Tlb] replaced: each
+   entry carries a valid bit, and [flush] clears every one of them.
+   Same round-robin fill, same in-place update of an existing mapping,
+   same slot indices, statistics and generation counter, and no MRU
+   probe — a vpn sits in at most one valid slot, so the probe order
+   cannot change a hit. Trimmed to what the differential property
+   drives. *)
+
+type entry = {
+  mutable valid : bool;
+  mutable vpn : int;
+  mutable ppn : int;
+  mutable perms : Sanctorum_hw.Tlb.perms;
+}
+
+type t = {
+  entries : entry array;
+  mutable next : int;
+  mutable gen : int;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let create ~entries =
+  let perms = { Sanctorum_hw.Tlb.r = false; w = false; x = false; u = false } in
+  {
+    entries =
+      Array.init entries (fun _ -> { valid = false; vpn = 0; ppn = 0; perms });
+    next = 0;
+    gen = 0;
+    hits = 0;
+    misses = 0;
+  }
+
+let rec slot_of entries vpn i =
+  if i >= Array.length entries then -1
+  else if entries.(i).valid && entries.(i).vpn = vpn then i
+  else slot_of entries vpn (i + 1)
+
+let probe t ~vpn = slot_of t.entries vpn 0
+
+let find t ~vpn =
+  let i = probe t ~vpn in
+  if i >= 0 then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  i
+
+let insert t ~vpn ~ppn ~perms =
+  t.gen <- t.gen + 1;
+  let slot =
+    match probe t ~vpn with
+    | i when i >= 0 -> i
+    | _ ->
+        let s = t.next in
+        t.next <- (s + 1) mod Array.length t.entries;
+        s
+  in
+  let e = t.entries.(slot) in
+  e.valid <- true;
+  e.vpn <- vpn;
+  e.ppn <- ppn;
+  e.perms <- perms
+
+let flush t =
+  t.gen <- t.gen + 1;
+  Array.iter (fun e -> e.valid <- false) t.entries
+
+let flush_vpn t ~vpn =
+  t.gen <- t.gen + 1;
+  Array.iter (fun e -> if e.vpn = vpn then e.valid <- false) t.entries
+
+let generation t = t.gen
+
+let iter_entries t f =
+  Array.iter
+    (fun e -> if e.valid then f ~vpn:e.vpn ~ppn:e.ppn ~perms:e.perms)
+    t.entries
+
+let entry_count t =
+  Array.fold_left (fun n e -> if e.valid then n + 1 else n) 0 t.entries
+
+let stats t = (t.hits, t.misses)

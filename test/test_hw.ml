@@ -31,11 +31,13 @@ let test_phys_mem () =
   | _ -> Alcotest.fail "unaligned size accepted"
 
 (* [iter_nonzero_words] against the loop it replaces in the invariant
-   checker: [read_u64] over every word of a frame, keeping the
-   non-zero ones. Writes (zeros included) are biased to each frame's
-   first and last word and to the last frame of memory, and every frame
-   is scanned, so a scan that strays past its range or skips an edge
-   word shows up. *)
+   checker: [read_u64] over every word of a range, keeping the non-zero
+   ones. Writes (zeros included) are biased to each frame's first and
+   last word and to the last frame of memory, and every frame is
+   scanned, so a scan that strays past its range or skips an edge word
+   shows up. Extra 8-aligned ranges whose start and length are mostly
+   not multiples of 32 bytes cover the one-word tail after the
+   four-word groups. *)
 let qcheck_nonzero_words =
   let pages = 8 in
   let words_per_page = Hw.Phys_mem.page_size / 8 in
@@ -52,28 +54,40 @@ let qcheck_nonzero_words =
         ])
   in
   let value = QCheck2.Gen.(oneof [ return 0L; return 1L; int64 ]) in
+  (* [(first word, word count)], short counts drawn often *)
+  let range =
+    QCheck2.Gen.(
+      let* first = word in
+      let* n = oneof [ int_range 0 9; int_range 0 (words - first) ] in
+      return (first, min n (words - first)))
+  in
+  let frames =
+    List.init pages (fun f -> (f * words_per_page, words_per_page))
+  in
   QCheck2.Test.make ~name:"phys_mem: nonzero-word scan = read_u64 loop"
     ~count:300
-    QCheck2.Gen.(list_size (int_range 0 32) (pair word value))
-    (fun writes ->
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 32) (pair word value))
+        (list_size (int_range 0 8) range))
+    (fun (writes, ranges) ->
       let m = Hw.Phys_mem.create ~size:(pages * Hw.Phys_mem.page_size) in
       List.iter (fun (w, v) -> Hw.Phys_mem.write_u64 m (w * 8) v) writes;
       List.for_all
-        (fun f ->
-          let base = Hw.Phys_mem.page_base f in
+        (fun (first, n) ->
           let naive =
             List.filter_map
               (fun i ->
-                let v = Hw.Phys_mem.read_u64 m (base + (i * 8)) in
-                if v <> 0L then Some (base + (i * 8), v) else None)
-              (List.init words_per_page Fun.id)
+                let p = (first + i) * 8 in
+                let v = Hw.Phys_mem.read_u64 m p in
+                if v <> 0L then Some (p, v) else None)
+              (List.init n Fun.id)
           in
           let scanned = ref [] in
-          Hw.Phys_mem.iter_nonzero_words m ~pos:base
-            ~len:Hw.Phys_mem.page_size (fun p v ->
-              scanned := (p, v) :: !scanned);
+          Hw.Phys_mem.iter_nonzero_words m ~pos:(first * 8) ~len:(n * 8)
+            (fun p v -> scanned := (p, v) :: !scanned);
           List.rev !scanned = naive)
-        (List.init pages Fun.id))
+        (frames @ ranges))
 
 let test_nonzero_words_bounds () =
   let m = Hw.Phys_mem.create ~size:(2 * Hw.Phys_mem.page_size) in
@@ -154,6 +168,111 @@ let test_tlb () =
   check_int "bounded" 4 (Hw.Tlb.entry_count t);
   Hw.Tlb.flush t;
   check_int "flush" 0 (Hw.Tlb.entry_count t)
+
+(* The epoch flush against the valid-bit cache and TLB it replaced
+   ([Sanctorum_oracle.Cache_ref], [Tlb_ref]): random operation sequences
+   on a 4-set, 2-way cache over three times its capacity and a 4-entry
+   TLB over 8 pages, so lines and entries fill, evict and flush often.
+   After every step the two agree on the step's hit, miss or slot, the
+   statistics, every valid line and entry, the entry count and the
+   generation. *)
+module Cache_ref = Sanctorum_oracle.Cache_ref
+module Tlb_ref = Sanctorum_oracle.Tlb_ref
+
+type flush_op =
+  | Access of int
+  | Probe of int
+  | Flush_all
+  | Flush_set of int
+  | Insert of int * int
+  | Find of int
+  | Tlb_probe of int
+  | Flush
+  | Flush_vpn of int
+
+let print_flush_op = function
+  | Access p -> Printf.sprintf "access %d" p
+  | Probe p -> Printf.sprintf "probe %d" p
+  | Flush_all -> "flush_all"
+  | Flush_set s -> Printf.sprintf "flush_set %d" s
+  | Insert (v, p) -> Printf.sprintf "insert %d->%d" v p
+  | Find v -> Printf.sprintf "find %d" v
+  | Tlb_probe v -> Printf.sprintf "tlb_probe %d" v
+  | Flush -> "flush"
+  | Flush_vpn v -> Printf.sprintf "flush_vpn %d" v
+
+let qcheck_epoch_flush =
+  let cfg =
+    { Hw.Cache.default_l1 with Hw.Cache.sets = 4; ways = 2; line_bytes = 16 }
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      let paddr = int_range 0 ((3 * 4 * 2 * 16) - 1) and vpn = int_range 0 7 in
+      frequency
+        [
+          (6, map (fun p -> Access p) paddr);
+          (2, map (fun p -> Probe p) paddr);
+          (1, return Flush_all);
+          (2, map (fun s -> Flush_set s) (int_range 0 3));
+          (4, map2 (fun v p -> Insert (v, p)) vpn (int_range 0 99));
+          (4, map (fun v -> Find v) vpn);
+          (1, map (fun v -> Tlb_probe v) vpn);
+          (1, return Flush);
+          (2, map (fun v -> Flush_vpn v) vpn);
+        ])
+  in
+  let perms = { Hw.Tlb.r = true; w = true; x = false; u = true } in
+  QCheck2.Test.make ~name:"cache/TLB epoch flush = valid-bit reference"
+    ~count:300 ~print:QCheck2.Print.(list print_flush_op)
+    QCheck2.Gen.(list_size (int_range 1 80) gen_op)
+    (fun ops ->
+      let c = Hw.Cache.create cfg and c_ref = Cache_ref.create cfg in
+      let t = Hw.Tlb.create ~entries:4 and t_ref = Tlb_ref.create ~entries:4 in
+      let lines iter x =
+        let acc = ref [] in
+        iter x (fun ~set ~paddr -> acc := (set, paddr) :: !acc);
+        List.rev !acc
+      in
+      let entries iter x =
+        let acc = ref [] in
+        iter x (fun ~vpn ~ppn ~perms -> acc := (vpn, ppn, perms) :: !acc);
+        List.rev !acc
+      in
+      let step op =
+        (match op with
+        | Access paddr ->
+            fst (Hw.Cache.access c ~paddr) = Cache_ref.access_hit c_ref ~paddr
+        | Probe paddr -> Hw.Cache.probe c ~paddr = Cache_ref.probe c_ref ~paddr
+        | Flush_all ->
+            Hw.Cache.flush_all c;
+            Cache_ref.flush_all c_ref;
+            true
+        | Flush_set s ->
+            Hw.Cache.flush_set c s;
+            Cache_ref.flush_set c_ref s;
+            true
+        | Insert (vpn, ppn) ->
+            Hw.Tlb.insert t ~vpn ~ppn ~perms;
+            Tlb_ref.insert t_ref ~vpn ~ppn ~perms;
+            true
+        | Find vpn -> Hw.Tlb.find t ~vpn = Tlb_ref.find t_ref ~vpn
+        | Tlb_probe vpn -> Hw.Tlb.probe t ~vpn = Tlb_ref.probe t_ref ~vpn
+        | Flush ->
+            Hw.Tlb.flush t;
+            Tlb_ref.flush t_ref;
+            true
+        | Flush_vpn vpn ->
+            Hw.Tlb.flush_vpn t ~vpn;
+            Tlb_ref.flush_vpn t_ref ~vpn;
+            true)
+        && Hw.Cache.stats c = Cache_ref.stats c_ref
+        && lines Hw.Cache.iter_tags c = lines Cache_ref.iter_tags c_ref
+        && Hw.Tlb.stats t = Tlb_ref.stats t_ref
+        && entries Hw.Tlb.iter_entries t = entries Tlb_ref.iter_entries t_ref
+        && Hw.Tlb.entry_count t = Tlb_ref.entry_count t_ref
+        && Hw.Tlb.generation t = Tlb_ref.generation t_ref
+      in
+      List.for_all step ops)
 
 (* ------------------------------------------------------------------ *)
 (* PMP *)
@@ -568,6 +687,7 @@ let suite =
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction;
       Alcotest.test_case "cache custom index" `Quick test_cache_partition_fn;
       Alcotest.test_case "tlb" `Quick test_tlb;
+      QCheck_alcotest.to_alcotest qcheck_epoch_flush;
       Alcotest.test_case "pmp" `Quick test_pmp;
       Alcotest.test_case "page table walk/map" `Quick test_page_table;
       Alcotest.test_case "superpage leaf" `Quick test_superpage;

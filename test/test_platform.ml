@@ -179,64 +179,61 @@ let gen_query =
     triple gen_domain (int_range 0 (mem_pages - 1))
       (oneofl Hw.Trap.[ Read; Write; Execute ]))
 
+(* Each grant is followed by a query on another core, which enters the
+   query's domain when it is not already there: layouts get computed
+   between grants, so one cached under an older owner map would be
+   used. *)
 let gen_scenario =
   QCheck2.Gen.(
     quad (int_range 3 24) gen_domain
-      (list_size (int_range 0 40) gen_grant)
+      (list_size (int_range 0 40) (pair gen_grant gen_query))
       (list_size (int_range 1 40) gen_query))
 
-let print_scenario (entries, d0, grants, queries) =
+let print_scenario (entries, d0, steps, queries) =
   let acc = function
     | Hw.Trap.Read -> "r"
     | Hw.Trap.Write -> "w"
     | Hw.Trap.Execute -> "x"
   in
-  Printf.sprintf "pmp=%d core0-domain=%d grants=[%s] queries=[%s]" entries d0
-    (String.concat "; "
-       (List.map (fun (s, l, d) -> Printf.sprintf "%d+%d->%d" s l d) grants))
+  let query (d, p, a) = Printf.sprintf "d%d@%d:%s" d p (acc a) in
+  Printf.sprintf "pmp=%d core0-domain=%d steps=[%s] queries=[%s]" entries d0
     (String.concat "; "
        (List.map
-          (fun (d, p, a) -> Printf.sprintf "d%d@%d:%s" d p (acc a))
-          queries))
+          (fun ((s, l, d), q) -> Printf.sprintf "%d+%d->%d, %s" s l d (query q))
+          steps))
+    (String.concat "; " (List.map query queries))
 
 let qcheck_keystone_pmp_matches_owner_map =
   QCheck2.Test.make ~name:"keystone PMP decision = owner-map rule" ~count:300
     ~print:print_scenario gen_scenario
-    (fun (entries, d0, grants, queries) ->
+    (fun (entries, d0, steps, queries) ->
       let machine =
         Hw.Machine.create
           {
             Hw.Machine.default_config with
             mem_bytes = small_mem;
-            cores = 1;
+            cores = 2;
             pmp_entries = entries;
           }
       in
       let pf = Pf.Keystone.create machine in
-      let c = Hw.Machine.core machine 0 in
+      let c0 = Hw.Machine.core machine 0 and c1 = Hw.Machine.core machine 1 in
       (* Enter before the grants: [assign_range] must reprogram a core
          already inside a domain. *)
-      pf.Pf.Platform.enter_domain ~core:c d0;
-      List.iter
-        (fun (start, len, d) ->
-          Result.get_ok
-            (pf.Pf.Platform.assign_range ~lo:(start * page)
-               ~hi:((start + len) * page)
-               d))
-        grants;
-      let enclave_ranges =
-        List.concat_map pf.Pf.Platform.ranges_of_domain [ 2; 3; 4; 5; 6 ]
-      in
-      (* entry 0 is the monitor's, the last the background allow *)
-      let fits = List.length enclave_ranges <= entries - 2 in
-      let decide d paddr access =
+      pf.Pf.Platform.enter_domain ~core:c0 d0;
+      let decide (c : Hw.Machine.core) d paddr access =
         if d <> c.Hw.Machine.domain then pf.Pf.Platform.enter_domain ~core:c d;
         Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access ~paddr
       in
-      let agrees (d, p, access) =
+      let agrees c (d, p, access) =
+        let enclave_ranges =
+          List.concat_map pf.Pf.Platform.ranges_of_domain [ 2; 3; 4; 5; 6 ]
+        in
+        (* entry 0 is the monitor's, the last the background allow *)
+        let fits = List.length enclave_ranges <= entries - 2 in
         let paddr = (p * page) + (p * 8 mod page) in
         let owner = pf.Pf.Platform.owner_at ~paddr in
-        let allowed = decide d paddr access in
+        let allowed = decide c d paddr access in
         if fits then
           allowed = (owner = d || owner = Hw.Trap.domain_untrusted)
         else
@@ -247,31 +244,46 @@ let qcheck_keystone_pmp_matches_owner_map =
           || List.length (pf.Pf.Platform.ranges_of_domain d) > entries - 2
           || allowed)
       in
-      (* The core has not been re-entered yet, so these check the
-         reprogramming the grants did. *)
       List.for_all
-        (fun p ->
-          List.for_all (fun a -> agrees (d0, p, a)) Hw.Trap.[ Read; Write; Execute ])
-        (List.init mem_pages Fun.id)
-      && List.for_all agrees queries)
+        (fun ((start, len, d), query) ->
+          Result.get_ok
+            (pf.Pf.Platform.assign_range ~lo:(start * page)
+               ~hi:((start + len) * page)
+               d);
+          agrees c1 query)
+        steps
+      (* Core 0 has not been re-entered yet, so these check the
+         reprogramming the grants did. *)
+      && List.for_all
+           (fun p ->
+             List.for_all
+               (fun a -> agrees c0 (d0, p, a))
+               Hw.Trap.[ Read; Write; Execute ])
+           (List.init mem_pages Fun.id)
+      && List.for_all (agrees c1) queries)
 
-(* The cached range list against a fresh page scan, read between
-   mutations so a stale cache would show. *)
+(* The spliced range list against a separate page array that takes the
+   same grants, read after every grant so a stale or wrongly skipped
+   update shows. Some grants are followed by a regrant from the same
+   page to the same owner: as long (a no-op) or longer (its first pages
+   already owned). [version] must move exactly when some page changes
+   owner. *)
 let qcheck_owner_map_ranges_cache =
   QCheck2.Test.make ~name:"owner-map cached ranges = page scan" ~count:300
-    ~print:QCheck2.Print.(list (triple int int int))
-    QCheck2.Gen.(list_size (int_range 1 30) gen_grant)
-    (fun grants ->
+    ~print:QCheck2.Print.(list (pair (triple int int int) (option int)))
+    QCheck2.Gen.(list_size (int_range 1 30) (pair gen_grant (opt (int_range 0 8))))
+    (fun steps ->
       let om =
         Pf.Owner_map.create
           (Hw.Phys_mem.create ~size:small_mem)
           ~initial_owner:Hw.Trap.domain_untrusted
       in
+      let pages = Array.make mem_pages Hw.Trap.domain_untrusted in
       let scan () =
         let rec go p acc =
           if p = mem_pages then List.rev acc
           else
-            let d = Pf.Owner_map.owner_at om ~paddr:(p * page) in
+            let d = pages.(p) in
             match acc with
             | (lo, hi, d') :: rest when d' = d && hi = p * page ->
                 go (p + 1) ((lo, (p + 1) * page, d) :: rest)
@@ -292,14 +304,28 @@ let qcheck_owner_map_ranges_cache =
                    (fun (lo, hi, d') -> if d' = d then Some (lo, hi) else None)
                    expected)
              [ 1; 2; 3; 4; 5; 6 ]
+        && List.for_all
+             (fun p -> Pf.Owner_map.owner_at om ~paddr:(p * page) = pages.(p))
+             (List.init mem_pages Fun.id)
+      in
+      let grant start len d =
+        let changes = ref false in
+        for p = start to start + len - 1 do
+          if pages.(p) <> d then changes := true;
+          pages.(p) <- d
+        done;
+        let version = Pf.Owner_map.version om in
+        Pf.Owner_map.set_range om ~lo:(start * page) ~hi:((start + len) * page) d;
+        (Pf.Owner_map.version om <> version) = !changes && consistent ()
       in
       List.for_all
-        (fun (start, len, d) ->
-          Pf.Owner_map.set_range om ~lo:(start * page)
-            ~hi:((start + len) * page)
-            d;
-          consistent ())
-        grants)
+        (fun ((start, len, d), again) ->
+          grant start len d
+          &&
+          match again with
+          | None -> true
+          | Some more -> grant start (min (len + more) (mem_pages - start)) d)
+        steps)
 
 let suite =
   ( "platform",
