@@ -24,7 +24,6 @@ let of_int v =
   Array.of_list (limbs v)
 
 let one = of_int 1
-let two = of_int 2
 let is_zero a = Array.length a = 0
 
 let compare a b =
@@ -40,7 +39,6 @@ let compare a b =
   end
 
 let equal a b = compare a b = 0
-let is_even a = Array.length a = 0 || a.(0) land 1 = 0
 
 let bit_length a =
   let n = Array.length a in
@@ -224,105 +222,7 @@ let mod_add a b ~m =
   let s = add a b in
   if compare s m >= 0 then sub s m else s
 
-let mod_sub a b ~m = if compare a b >= 0 then sub a b else sub (add a m) b
 let mod_mul a b ~m = rem (mul a b) m
-
-(* Montgomery multiplication for a fixed odd modulus m of k limbs, with
-   R = 2^(base_bits·k). CIOS (coarsely integrated operand scanning)
-   interleaves the multiply with the reduction, so a full modular
-   multiply is one pass over the limbs and never divides. Residues are
-   ordinary normalized values < m; only their *meaning* (x·R mod m) is
-   Montgomery-specific. *)
-module Mont = struct
-  type ctx = {
-    m : t;
-    mk : int array; (* the modulus as exactly k limbs *)
-    k : int;
-    m' : int; (* -m^-1 mod 2^base_bits *)
-    r2 : t; (* R^2 mod m, for entering Montgomery form *)
-    rone : t; (* R mod m — the Montgomery form of 1 *)
-  }
-
-  let create m =
-    if is_zero m || is_even m then
-      invalid_arg "Bignum.Mont.create: modulus must be odd";
-    let k = Array.length m in
-    let mk = Array.copy m in
-    (* Newton–Hensel iteration for m^-1 mod 2^base_bits: each step
-       doubles the number of correct low bits, 5 steps cover 32 > 26. *)
-    let inv = ref 1 in
-    for _ = 1 to 5 do
-      inv := !inv * (2 - (mk.(0) * !inv)) land mask
-    done;
-    let r = shift_left one (base_bits * k) in
-    { m; mk; k; m' = (base - !inv) land mask; r2 = rem (mul r r) m; rone = rem r m }
-
-  let modulus ctx = ctx.m
-  let one_m ctx = ctx.rone
-
-  let fixed ctx a =
-    if Array.length a > ctx.k then
-      invalid_arg "Bignum.Mont: operand exceeds the modulus width";
-    let r = Array.make ctx.k 0 in
-    Array.blit a 0 r 0 (Array.length a);
-    r
-
-  let geq (a : int array) (b : int array) k =
-    let rec go i =
-      if i < 0 then true else if a.(i) <> b.(i) then a.(i) > b.(i) else go (i - 1)
-    in
-    go (k - 1)
-
-  let sub_in_place (a : int array) (b : int array) k =
-    let borrow = ref 0 in
-    for i = 0 to k - 1 do
-      let d = a.(i) - b.(i) - !borrow in
-      if d < 0 then begin
-        a.(i) <- d + base;
-        borrow := 1
-      end
-      else begin
-        a.(i) <- d;
-        borrow := 0
-      end
-    done
-
-  (* r = a·b·R^-1 mod m over k-limb fixed arrays. The running value
-     after each outer step stays below 2m, so one extra bit and a final
-     conditional subtract suffice. *)
-  let cios ctx (a : int array) (b : int array) =
-    let k = ctx.k and mk = ctx.mk in
-    let r = Array.make k 0 in
-    let extra = ref 0 in
-    for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let carry = ref 0 in
-      for j = 0 to k - 1 do
-        let acc = r.(j) + (ai * b.(j)) + !carry in
-        r.(j) <- acc land mask;
-        carry := acc lsr base_bits
-      done;
-      let hi = !extra + !carry in
-      let u = r.(0) * ctx.m' land mask in
-      carry := (r.(0) + (u * mk.(0))) lsr base_bits;
-      for j = 1 to k - 1 do
-        let acc = r.(j) + (u * mk.(j)) + !carry in
-        r.(j - 1) <- acc land mask;
-        carry := acc lsr base_bits
-      done;
-      let hi = hi + !carry in
-      r.(k - 1) <- hi land mask;
-      extra := hi lsr base_bits
-    done;
-    if !extra <> 0 || geq r mk k then sub_in_place r mk k;
-    r
-
-  let mont_mul ctx a b = normalize (cios ctx (fixed ctx a) (fixed ctx b))
-  let of_mont ctx a = normalize (cios ctx (fixed ctx a) (fixed ctx one))
-
-  let to_mont ctx a =
-    normalize (cios ctx (fixed ctx (rem a ctx.m)) (fixed ctx ctx.r2))
-end
 
 let of_bytes_be s =
   let n = String.length s in

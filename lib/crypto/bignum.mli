@@ -1,6 +1,7 @@
 (** Arbitrary-precision natural numbers, built from scratch (no zarith in
-    the sealed environment). Used by the attestation signature scheme and
-    key agreement.
+    the sealed environment). The attestation signatures do their scalar
+    arithmetic mod the group order here; {!Field} converts through it
+    but multiplies on its own limbs.
 
     Representation: little-endian arrays of 26-bit limbs, always
     normalized (no leading zero limb). All values are non-negative. *)
@@ -9,7 +10,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
 
 val of_int : int -> t
 (** Raises [Invalid_argument] on negative input. *)
@@ -32,7 +32,6 @@ val of_decimal : string -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
-val is_even : t -> bool
 val bit_length : t -> int
 val test_bit : t -> int -> bool
 
@@ -51,35 +50,7 @@ val divmod : t -> t -> t * t
 val rem : t -> t -> t
 
 val mod_add : t -> t -> m:t -> t
-val mod_sub : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
-
-(** Montgomery multiplication for a fixed odd modulus. A context
-    precomputes everything the CIOS reduction needs, after which a
-    modular multiply is a single limb pass with no division — the
-    throughput tier under the attestation field and exponentiations.
-
-    Montgomery residues are ordinary values [< modulus]; [to_mont] maps
-    [x] to [x·R mod m] and [of_mont] maps back ([R = 2^(26·k)] for a
-    [k]-limb modulus). *)
-module Mont : sig
-  type ctx
-
-  val create : t -> ctx
-  (** Raises [Invalid_argument] if the modulus is even or zero. *)
-
-  val modulus : ctx -> t
-
-  val one_m : ctx -> t
-  (** The Montgomery form of 1, i.e. [R mod m]. *)
-
-  val to_mont : ctx -> t -> t
-  (** Reduces its argument mod [m] first, so any value is accepted. *)
-
-  val of_mont : ctx -> t -> t
-  val mont_mul : ctx -> t -> t -> t
-  (** Montgomery product of two residues: [a·b·R^-1 mod m]. *)
-end
 
 val pp : Format.formatter -> t -> unit
 (** Prints in hexadecimal. *)

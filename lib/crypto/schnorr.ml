@@ -125,7 +125,7 @@ let batch_coefficient transcript i =
   let z = Bignum.of_bytes_be (String.sub h 0 16) in
   if Bignum.is_zero z then Bignum.one else z
 
-let verify_batch items =
+let verify_distinct items =
   let items = Array.of_list items in
   let results = Array.make (Array.length items) false in
   let parsed = ref [] in
@@ -180,6 +180,29 @@ let verify_batch items =
       results
     end
   end
+
+(* Repeats share one verdict: an attestation batch carries each
+   device's certificate signatures once per evidence item, so most of
+   its claims are copies. Only the key encoding, message and signature
+   together decide a verdict, so all three make the repeat. *)
+let verify_batch items =
+  let seen = Hashtbl.create 16 and distinct = ref [] and slots = ref [] in
+  List.iter
+    (fun ((pk, msg, signature) as item) ->
+      let key = (Curve.encode pk.pt, msg, signature) in
+      let slot =
+        match Hashtbl.find_opt seen key with
+        | Some slot -> slot
+        | None ->
+            let slot = Hashtbl.length seen in
+            Hashtbl.add seen key slot;
+            distinct := item :: !distinct;
+            slot
+      in
+      slots := slot :: !slots)
+    items;
+  let verdicts = verify_distinct (List.rev !distinct) in
+  Array.of_list (List.rev_map (fun slot -> verdicts.(slot)) !slots)
 
 let pp_public_key ppf pk =
   Format.fprintf ppf "%s"

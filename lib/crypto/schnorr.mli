@@ -45,6 +45,7 @@ val verify_batch : (public_key * string * string) list -> bool array
     result array is positional and equals {!verify} on each item. If
     the combined check fails, every item is re-verified individually,
     so bad items are pinpointed and good items in a poisoned batch
-    still verify. *)
+    still verify. Repeats share one verdict: items with the same key
+    encoding, message and signature are checked once. *)
 
 val pp_public_key : Format.formatter -> public_key -> unit

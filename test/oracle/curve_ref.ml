@@ -26,7 +26,7 @@ let double_and_add k p =
 let m = B.sub (B.shift_left B.one 255) (B.of_int 19)
 let mm a b = B.mod_mul a b ~m
 let ma a b = B.mod_add a b ~m
-let ms a b = B.mod_sub a b ~m
+let ms a b = Bignum_ref.mod_sub a b ~m
 
 (* d = -121665/121666 mod p *)
 let d = mm (B.sub m (B.of_int 121665)) (Bignum_ref.mod_inv (B.of_int 121666) ~m)

@@ -1,7 +1,7 @@
 (* The attestation fast path, held to the old tier's bytes.
 
-   Every optimization behind `bench attest` — Montgomery bignum
-   arithmetic, fixed-base window tables, Strauss multi-scalar
+   Every optimization behind `bench attest` — ref10 field arithmetic,
+   fixed-base window tables, Strauss multi-scalar
    multiplication, batch signature verification, the monitor's
    measurement cache — is architecturally invisible: same signatures,
    same evidence, same measurements. These tests pin that equivalence
@@ -34,7 +34,7 @@ let gen_bignum =
 let gen_odd_modulus =
   QCheck2.Gen.map
     (fun b ->
-      let m = if C.Bignum.is_even b then C.Bignum.add b C.Bignum.one else b in
+      let m = if C.Bignum.test_bit b 0 then b else C.Bignum.add b C.Bignum.one in
       if C.Bignum.compare m (C.Bignum.of_int 3) < 0 then C.Bignum.of_int 3
       else m)
     gen_bignum
@@ -43,7 +43,7 @@ let qcheck_mont_mul =
   QCheck2.Test.make ~name:"mont mod_mul = schoolbook mod_mul" ~count:300
     QCheck2.Gen.(triple gen_odd_modulus gen_bignum gen_bignum)
     (fun (m, a, b) ->
-      let ctx = C.Bignum.Mont.create m in
+      let ctx = O.Mont_ref.create m in
       C.Bignum.equal
         (O.Bignum_ref.mont_mod_mul ctx a b)
         (C.Bignum.mod_mul a b ~m))
@@ -52,18 +52,18 @@ let qcheck_mont_exp =
   QCheck2.Test.make ~name:"mont_exp = mod_exp" ~count:60
     QCheck2.Gen.(triple gen_odd_modulus gen_bignum gen_bignum)
     (fun (m, b, e) ->
-      let ctx = C.Bignum.Mont.create m in
+      let ctx = O.Mont_ref.create m in
       C.Bignum.equal (O.Bignum_ref.mont_exp ctx b e) (O.Bignum_ref.mod_exp b e ~m))
 
 let qcheck_mont_roundtrip =
   QCheck2.Test.make ~name:"mont to/of roundtrip and one" ~count:200
     QCheck2.Gen.(pair gen_odd_modulus gen_bignum)
     (fun (m, a) ->
-      let ctx = C.Bignum.Mont.create m in
-      let am = C.Bignum.Mont.to_mont ctx a in
-      C.Bignum.equal (C.Bignum.Mont.of_mont ctx am) (C.Bignum.rem a m)
+      let ctx = O.Mont_ref.create m in
+      let am = O.Mont_ref.to_mont ctx a in
+      C.Bignum.equal (O.Mont_ref.of_mont ctx am) (C.Bignum.rem a m)
       && C.Bignum.equal
-           (C.Bignum.Mont.of_mont ctx (C.Bignum.Mont.one_m ctx))
+           (O.Mont_ref.of_mont ctx (O.Mont_ref.one_m ctx))
            (C.Bignum.rem C.Bignum.one m))
 
 let qcheck_field_mul =
@@ -74,6 +74,155 @@ let qcheck_field_mul =
       C.Bignum.equal
         (C.Field.to_bignum (C.Field.mul fa fb))
         (C.Bignum.mod_mul a b ~m:C.Field.p))
+
+(* The ref10 kernel against the Montgomery field it replaced: Mont_ref
+   over p, with residues kept in Montgomery form as the old Field kept
+   them. A case runs a chain of at least 32 steps from one start value:
+   runs of up to six additions, subtractions or negations (an operand
+   may be the chain value itself, so a run can double it six times),
+   each ended by a product or a square. Operands are random values
+   below p and the edges: 0, 1, 2, 19, p-1, p-2, p-19, and 2^k and
+   2^k - 1 at every limb boundary k and at 254. After every step the
+   encoding, equality, zero test and parity must match the oracle's.
+   Each case then checks an inverse and which 32-byte strings decode. *)
+
+type field_step = Add of int | Sub of int | Neg | Mul of int | Square
+
+let field_edges =
+  let open C.Bignum in
+  let p = C.Field.p and pow2 k = shift_left one k in
+  [ zero; one; of_int 2; of_int 19; sub p one; sub p (of_int 2);
+    sub p (of_int 19) ]
+  @ List.concat_map
+      (fun k -> [ pow2 k; sub (pow2 k) one ])
+      [ 26; 51; 77; 102; 128; 153; 179; 204; 230; 254 ]
+
+(* Strings the decoder must refuse, next to the fixed edge p - 1 it
+   must accept: p, p + 1, 2^255 - 1, values with bit 255 set, and the
+   wrong lengths. *)
+let field_decode_edges =
+  let open C.Bignum in
+  let p = C.Field.p and b = to_bytes_le ~len:32 in
+  let top = shift_left one 255 in
+  [ b (sub p one); b p; b (add p one); b (sub top one); b top;
+    b (add top (sub p one)); b (sub (shift_left one 256) one);
+    String.make 31 '\x00'; String.make 33 '\x00' ]
+
+let field_random = 4
+let field_pool = List.length field_edges + field_random
+
+let gen_field_case =
+  let open QCheck2.Gen in
+  (* -1 is the chain value itself *)
+  let operand = int_range (-1) (field_pool - 1) in
+  let run_step =
+    oneof
+      [ map (fun i -> Add i) operand; map (fun i -> Sub i) operand;
+        return Neg ]
+  in
+  let product = oneof [ map (fun i -> Mul i) operand; return Square ] in
+  (* half the runs only double the chain value, 1 to 6 times *)
+  let run =
+    oneof
+      [ list_size (int_range 0 6) run_step;
+        map (fun k -> List.init k (fun _ -> Add (-1))) (int_range 1 6) ]
+  in
+  let segment = map2 (fun run last -> run @ [ last ]) run product in
+  let rec chain acc len =
+    if len >= 32 then return (List.concat (List.rev acc))
+    else segment >>= fun seg -> chain (seg :: acc) (len + List.length seg)
+  in
+  let below_p =
+    map
+      (fun s -> C.Bignum.rem (C.Bignum.of_bytes_le s) C.Field.p)
+      (string_size ~gen:char (return 32))
+  in
+  let* randoms = list_repeat field_random below_p in
+  let* start = int_range 0 (field_pool - 1) in
+  let* steps = chain [] 0 in
+  let+ bytes = string_size ~gen:char (return 32) in
+  (randoms, start, steps, bytes)
+
+let print_field_case (randoms, start, steps, bytes) =
+  let step = function
+    | Add i -> Printf.sprintf "add %d" i
+    | Sub i -> Printf.sprintf "sub %d" i
+    | Neg -> "neg"
+    | Mul i -> Printf.sprintf "mul %d" i
+    | Square -> "square"
+  in
+  Printf.sprintf "randoms=[%s] start=%d steps=[%s] bytes=%s"
+    (String.concat "; " (List.map C.Bignum.to_hex randoms))
+    start
+    (String.concat "; " (List.map step steps))
+    (Hex.encode bytes)
+
+let qcheck_field_kernel =
+  let p = C.Field.p in
+  let ctx = O.Mont_ref.create p in
+  let plain m = O.Mont_ref.of_mont ctx m in
+  let bytes m = C.Bignum.to_bytes_le ~len:32 (plain m) in
+  (* f and the oracle residue m name one element, and compare with
+     (f', m') the same way *)
+  let agrees (f, m) (f', m') =
+    String.equal (C.Field.to_bytes_le f) (bytes m)
+    && C.Field.is_zero f = C.Bignum.is_zero m
+    && C.Field.is_odd f = C.Bignum.test_bit (plain m) 0
+    && C.Field.equal f f' = C.Bignum.equal m m'
+  in
+  let decodes s =
+    match C.Field.of_bytes_le s with
+    | Some f ->
+        String.length s = 32
+        && C.Bignum.compare (C.Bignum.of_bytes_le s) p < 0
+        && String.equal (C.Field.to_bytes_le f) s
+    | None ->
+        String.length s <> 32
+        || C.Bignum.compare (C.Bignum.of_bytes_le s) p >= 0
+  in
+  let inverts (f, m) =
+    if C.Bignum.is_zero m then
+      match C.Field.inv f with
+      | exception Invalid_argument _ -> true
+      | _ -> false
+    else
+      String.equal
+        (C.Field.to_bytes_le (C.Field.inv f))
+        (C.Bignum.to_bytes_le ~len:32 (O.Bignum_ref.mod_inv (plain m) ~m:p))
+  in
+  QCheck2.Test.make ~name:"field: ref10 kernel = Montgomery oracle" ~count:200
+    ~print:print_field_case gen_field_case
+    (fun (randoms, start, steps, s) ->
+      let pool =
+        Array.of_list
+          (List.map
+             (fun x -> (C.Field.of_bignum x, O.Mont_ref.to_mont ctx x))
+             (field_edges @ randoms))
+      in
+      let final, ok =
+        List.fold_left
+          (fun ((f, m), ok) st ->
+            let operand i = if i < 0 then (f, m) else pool.(i) in
+            let next =
+              match st with
+              | Add i ->
+                  let g, n = operand i in
+                  (C.Field.add f g, C.Bignum.mod_add m n ~m:p)
+              | Sub i ->
+                  let g, n = operand i in
+                  (C.Field.sub f g, O.Bignum_ref.mod_sub m n ~m:p)
+              | Neg -> (C.Field.neg f, O.Bignum_ref.mod_sub C.Bignum.zero m ~m:p)
+              | Mul i ->
+                  let g, n = operand i in
+                  (C.Field.mul f g, O.Mont_ref.mont_mul ctx m n)
+              | Square -> (C.Field.square f, O.Mont_ref.mont_mul ctx m m)
+            in
+            (next, ok && agrees next (f, m)))
+          (pool.(start), agrees pool.(start) pool.(start))
+          steps
+      in
+      ok && inverts final && inverts pool.(start)
+      && List.for_all decodes (s :: field_decode_edges))
 
 let gen_scalar = QCheck2.Gen.map (fun b -> C.Bignum.rem b C.Curve.order) gen_bignum
 
@@ -327,7 +476,44 @@ let test_batch_soundness () =
               (i <> pos || single) ok)
           (C.Schnorr.verify_batch batch)
       done)
-    [ ("order 2", O.Curve_ref.order_2); ("order 4", O.Curve_ref.order_4) ]
+    [ ("order 2", O.Curve_ref.order_2); ("order 4", O.Curve_ref.order_4) ];
+  (* Repeated claims. The batch checks each distinct (key encoding,
+     message, signature) once and copies its verdict to the repeats, so
+     every copy must still read as a verification of its own would. *)
+  let expect label batch want =
+    Array.iteri
+      (fun i ok ->
+        let pk, msg, signature = List.nth batch i in
+        let name = Printf.sprintf "%s %d" label i in
+        check_bool name (want i) ok;
+        check_bool (name ^ ": = verify") (C.Schnorr.verify pk ~msg ~signature) ok;
+        check_bool (name ^ ": = reference")
+          (O.Schnorr_ref.verify_reference pk ~msg ~signature)
+          ok)
+      (C.Schnorr.verify_batch batch)
+  in
+  let h i = List.nth honest i in
+  (* an honest claim three times, once under a key decoded afresh: a
+     distinct record with the same encoding *)
+  let pk0, msg0, sig0 = h 0 in
+  let pk0' =
+    Result.get_ok
+      (C.Schnorr.public_key_of_bytes (C.Schnorr.public_key_to_bytes pk0))
+  in
+  expect "repeated honest"
+    [ h 0; h 1; (pk0', msg0, sig0); h 2; h 0; h 3 ]
+    (fun _ -> true);
+  (* one forgery at two positions: both copies fail, nothing else *)
+  let forged = forge (h 1) in
+  expect "repeated forgery"
+    [ h 0; forged; h 2; forged; h 3 ]
+    (fun i -> i <> 1 && i <> 3);
+  (* one (msg, signature) under two keys, in both orders: only the
+     signer's key verifies it *)
+  let pk1, _, _ = h 1 in
+  let wrong_key = (pk1, msg0, sig0) in
+  expect "signer's key first" [ h 0; wrong_key; h 2 ] (fun i -> i <> 1);
+  expect "wrong key first" [ wrong_key; h 2; h 0 ] (fun i -> i <> 0)
 
 let test_attest_service_clean () =
   let r = Asv.run { Asv.default with Asv.clients = 24; Asv.batch = 8 } in
@@ -382,6 +568,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_mont_exp;
       QCheck_alcotest.to_alcotest qcheck_mont_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_field_mul;
+      QCheck_alcotest.to_alcotest qcheck_field_kernel;
       QCheck_alcotest.to_alcotest qcheck_table_mul;
       QCheck_alcotest.to_alcotest qcheck_multi_scalar_mul;
       QCheck_alcotest.to_alcotest qcheck_schoolbook_scalar_mul;
