@@ -1,7 +1,15 @@
 (* Extended twisted Edwards coordinates (X : Y : Z : T) with
    x = X/Z, y = Y/Z, T = XY/Z. The a = -1 formulas below are complete:
    they are correct for every pair of inputs, including doublings and
-   the identity, so no special cases leak timing. *)
+   the identity, so no special cases leak timing.
+
+   The operation counts are ref10's (Bernstein, Duif, Lange, Schwabe
+   and Yang, CHES 2011). An addition or a doubling first computes a
+   [completed] point, from which X, Y and Z cost three products and T a
+   fourth, so a doubling that only feeds another doubling skips T: 4
+   squares and 3 products. An addend kept in [cached] form
+   (Y+X, Y-X, 2d·T, 2Z) makes an addition 8 products, one in [affine]
+   form (y+x, y-x, 2d·xy, with Z = 1) 7. *)
 
 (* [enc] memoizes the 64-byte affine encoding: computing it costs a
    field inversion, and the signature paths encode the same long-lived
@@ -15,6 +23,13 @@ type point = {
   t : Field.t;
   mutable enc : string option;
 }
+
+(* The point (E·F : G·H : F·G) with T = E·H. *)
+type completed = { e : Field.t; f : Field.t; g : Field.t; h : Field.t }
+
+(* (Y+X, Y-X, 2d·T, 2Z) and, with Z = 1, (y+x, y-x, 2d·xy). *)
+type cached = { ypx : Field.t; ymx : Field.t; t2d : Field.t; z2 : Field.t }
+type affine = { ypx : Field.t; ymx : Field.t; xy2d : Field.t }
 
 let order =
   Bignum.add
@@ -49,39 +64,32 @@ let of_affine (x, y) =
 
 let is_on_curve p = is_on_curve_affine (to_affine p)
 
-let add p q =
-  let a = Field.mul (Field.sub p.y p.x) (Field.sub q.y q.x) in
-  let b = Field.mul (Field.add p.y p.x) (Field.add q.y q.x) in
-  let c = Field.mul (Field.mul p.t two_d) q.t in
-  let dd = Field.mul (Field.add p.z p.z) q.z in
-  let e = Field.sub b a in
-  let f = Field.sub dd c in
-  let g = Field.add dd c in
-  let h = Field.add b a in
-  {
-    x = Field.mul e f;
-    y = Field.mul g h;
-    t = Field.mul e h;
-    z = Field.mul f g;
-    enc = None;
-  }
+let to_point { e; f; g; h } =
+  Field.{ x = mul e f; y = mul g h; z = mul f g; t = mul e h; enc = None }
 
-let double p =
-  let a = Field.square p.x in
-  let b = Field.square p.y in
-  let c = Field.add (Field.square p.z) (Field.square p.z) in
-  let h = Field.add a b in
-  let e = Field.sub h (Field.square (Field.add p.x p.y)) in
-  let g = Field.sub a b in
-  let f = Field.add c g in
-  {
-    x = Field.mul e f;
-    y = Field.mul g h;
-    t = Field.mul e h;
-    z = Field.mul f g;
-    enc = None;
-  }
+let cached { x; y; z; t; _ } : cached =
+  Field.{ ypx = add y x; ymx = sub y x; t2d = mul t two_d; z2 = add z z }
 
+(* Every addition: a = (Y1-X1)(Y2-X2), b = (Y1+X1)(Y2+X2),
+   c = 2d·T1·T2, and [zz] = 2·Z1·Z2, which an affine addend makes a
+   field addition. *)
+let sum { x; y; t; _ } ypx ymx t2d zz =
+  let a = Field.mul (Field.sub y x) ymx and b = Field.mul (Field.add y x) ypx in
+  let c = Field.mul t t2d in
+  Field.{ e = sub b a; f = sub zz c; g = add zz c; h = add b a }
+
+let add_cached p (q : cached) = sum p q.ypx q.ymx q.t2d (Field.mul p.z q.z2)
+let add_affine p (q : affine) = sum p q.ypx q.ymx q.xy2d (Field.add p.z p.z)
+let add p q = to_point (add_cached p (cached q))
+
+(* 2·(X : Y : Z): T is not read. *)
+let dbl x y z =
+  let a = Field.square x and b = Field.square y and zz = Field.square z in
+  let h = Field.add a b and g = Field.sub a b in
+  Field.{ e = sub h (square (add x y)); f = add (add zz zz) g; g; h }
+
+let double p = to_point (dbl p.x p.y p.z)
+let double_completed { e; f; g; h } = Field.(dbl (mul e f) (mul g h) (mul f g))
 let negate p = { p with x = Field.neg p.x; t = Field.neg p.t; enc = None }
 
 let equal p q =
@@ -104,101 +112,111 @@ let base =
       of_affine (x, y)
 
 (* ------------------------------------------------------------------ *)
-(* Windowed multiplication. [multi_scalar_mul] is the Strauss trick with
-   4-bit windows: one shared doubling chain for all terms, plus a
-   16-entry multiple table per term so each window costs at most one
-   addition. With the short (128-bit) coefficients batch verification
-   uses, the per-term work is about a third of a full scalar multiply
-   and the doublings amortize across the whole batch. A variable-base
-   [scalar_mul] is the one-term case. *)
+(* Variable-base multiplication. [multi_scalar_mul] is the Strauss
+   trick: one doubling chain shared by all terms. Each scalar is
+   recoded into width-5 signed digits (wNAF): odd digits below 16 in
+   magnitude, each followed by at least four zeros, so a b-bit scalar
+   costs about b/6 additions against a table of P, 3P, ..., 15P and
+   their negations (7 additions to build; negating a cached point is
+   free). A 128-bit batch coefficient then costs about 22 additions, and
+   a variable-base [scalar_mul] is the one-term case. *)
 
-let window_bits = 4
+let signed_digits k =
+  let n = Bignum.bit_length k in
+  let bit i = Bool.to_int (Bignum.test_bit k i) in
+  let digits = Array.make (n + 1) 0 in
+  (* [carry] is 1 after a negative digit: the window borrowed 32. *)
+  let rec go i carry len =
+    if i > n then Array.sub digits 0 len
+    else
+      let b = bit i + carry in
+      if b land 1 = 0 then go (i + 1) (b lsr 1) len
+      else
+        let w = b + (bit (i + 1) lsl 1) + (bit (i + 2) lsl 2) in
+        let w = w + (bit (i + 3) lsl 3) + (bit (i + 4) lsl 4) in
+        digits.(i) <- (if w < 16 then w else w - 32);
+        go (i + 5) (w lsr 4) (i + 1)
+  in
+  go 0 0 0
+
+(* Entry (d + 15) / 2 is d·P for odd d in [-15, 15]. *)
+let odd_multiples p =
+  let p2 = cached (double p) in
+  let tbl = Array.make 16 (cached p) in
+  let cur = ref p in
+  for j = 9 to 15 do
+    cur := to_point (add_cached !cur p2);
+    tbl.(j) <- cached !cur
+  done;
+  for j = 0 to 7 do
+    let q = tbl.(15 - j) in
+    tbl.(j) <- { q with ypx = q.ymx; ymx = q.ypx; t2d = Field.neg q.t2d }
+  done;
+  tbl
 
 let multi_scalar_mul terms =
-  let bits =
-    List.fold_left (fun m (k, _) -> max m (Bignum.bit_length k)) 0 terms
+  let terms =
+    List.map (fun (k, p) -> (signed_digits k, odd_multiples p)) terms
   in
-  let windows = (bits + window_bits - 1) / window_bits in
-  let tables =
-    List.map
-      (fun (k, p) ->
-        let tbl = Array.make 16 identity in
-        for j = 1 to 15 do
-          tbl.(j) <- add tbl.(j - 1) p
-        done;
-        (k, tbl))
-      terms
+  let top = List.fold_left (fun m (ds, _) -> max m (Array.length ds)) 0 terms in
+  let acc =
+    ref { e = Field.zero; f = Field.one; g = Field.one; h = Field.one }
   in
-  let acc = ref identity in
-  for w = windows - 1 downto 0 do
-    for _ = 1 to window_bits do
-      acc := double !acc
-    done;
-    let lo = w * window_bits in
+  for i = top - 1 downto 0 do
+    acc := double_completed !acc;
     List.iter
-      (fun (k, tbl) ->
-        let bit i = if Bignum.test_bit k (lo + i) then 1 lsl i else 0 in
-        let d = bit 0 lor bit 1 lor bit 2 lor bit 3 in
-        if d <> 0 then acc := add !acc tbl.(d))
-      tables
+      (fun (ds, tbl) ->
+        if i < Array.length ds && ds.(i) <> 0 then
+          acc := add_cached (to_point !acc) tbl.((ds.(i) + 15) asr 1))
+      terms
   done;
-  !acc
+  to_point !acc
 
 let scalar_mul k p = multi_scalar_mul [ (k, p) ]
 
-(* Fixed-base windows (combs). A table for P holds, per window i of the
-   scalar, the multiples j·2^(bits·i)·P for every digit j; a scalar
-   multiply is then one complete addition per nonzero digit and no
-   doublings. *)
-
-let table_bits = 256 (* scalar width every table covers *)
-
-type table = { tp : point; wbits : int; rows : point array array }
-
-let build_table bits p =
-  let windows = table_bits / bits in
-  let size = 1 lsl bits in
-  let rows = Array.init windows (fun _ -> Array.make size identity) in
-  let cur = ref p in
-  for i = 0 to windows - 1 do
-    let row = rows.(i) in
-    for j = 1 to size - 1 do
-      row.(j) <- add row.(j - 1) !cur
-    done;
-    for _ = 1 to bits do
-      cur := double !cur
-    done
+(* The generator's comb: row i holds j·2^(8i)·B for j = 1..255 in
+   affine form, so [scalar_mul_base] is one 7-product addition per
+   nonzero byte of the scalar and no doubling. A row is built with
+   cached additions and made affine with one inversion (Montgomery's
+   trick: invert the product of every Z, then peel each factor off).
+   Eager, not lazy: fleet domains would race a [lazy] force. *)
+let affine_row pts =
+  let n = Array.length pts in
+  let prefix = Array.make (n + 1) Field.one in
+  Array.iteri (fun j p -> prefix.(j + 1) <- Field.mul prefix.(j) p.z) pts;
+  let inv = ref (Field.inv prefix.(n)) and zinv = Array.make n Field.one in
+  for j = n - 1 downto 0 do
+    zinv.(j) <- Field.mul !inv prefix.(j);
+    inv := Field.mul !inv pts.(j).z
   done;
-  { tp = p; wbits = bits; rows }
+  Array.map2
+    (fun p zi ->
+      let x = Field.mul p.x zi and y = Field.mul p.y zi in
+      Field.{ ypx = add y x; ymx = sub y x; xy2d = mul (mul x y) two_d })
+    pts zinv
 
-(* Per-key tables use 4-bit windows (64 × 16 points, cheap to build on
-   the second use of a key); the generator's table below uses 8-bit
-   windows (32 × 256 points, ~8k additions) because it is built exactly
-   once and every signature and verification walks it. *)
-let make_table p = build_table window_bits p
+let base_comb =
+  let row_base = ref base in
+  Array.init 32 (fun _ ->
+      let c = cached !row_base in
+      let pts = Array.make 255 !row_base in
+      for j = 1 to 254 do
+        pts.(j) <- to_point (add_cached pts.(j - 1) c)
+      done;
+      row_base := to_point (add_cached pts.(254) c);
+      affine_row pts)
 
-let table_mul t k =
-  if Bignum.bit_length k > table_bits then scalar_mul k t.tp
+let scalar_mul_base k =
+  if Bignum.bit_length k > 256 then scalar_mul k base
   else begin
     let kb = Bignum.to_bytes_le ~len:32 k in
     let acc = ref identity in
-    if t.wbits = 8 then
-      for i = 0 to 31 do
-        let d = Char.code (String.unsafe_get kb i) in
-        if d <> 0 then acc := add !acc t.rows.(i).(d)
-      done
-    else
-      for i = 0 to 63 do
-        let byte = Char.code (String.unsafe_get kb (i lsr 1)) in
-        let d = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-        if d <> 0 then acc := add !acc t.rows.(i).(d)
-      done;
+    for i = 0 to 31 do
+      let d = Char.code (String.unsafe_get kb i) in
+      if d <> 0 then acc := to_point (add_affine !acc base_comb.(i).(d - 1))
+    done;
     !acc
   end
-
-(* Eager, not lazy: fleet domains would race a [lazy] force. *)
-let base_table = build_table 8 base
-let scalar_mul_base k = table_mul base_table k
 
 let encoded_size = 64
 

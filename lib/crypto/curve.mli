@@ -22,33 +22,26 @@ val double : point -> point
 val negate : point -> point
 
 val scalar_mul : Bignum.t -> point -> point
-(** [scalar_mul k p] is {!multi_scalar_mul} of the one term [(k, p)]:
-    4-bit windows over one doubling chain. *)
+(** [scalar_mul k p] is {!multi_scalar_mul} of the one term [(k, p)]. *)
 
 val equal : point -> point -> bool
 val is_on_curve : point -> bool
 
-type table
-(** Fixed-base window (comb) precomputation for one point: per window
-    of the scalar, every multiple of the windowed base, making a scalar
-    multiply a handful of additions with no doublings. Worth building
-    for long-lived points (the generator, the signing key, the
-    manufacturer roots). *)
-
-val make_table : point -> table
-(** 4-bit windows: 64 windows of 16 points, cheap to build. *)
-
-val table_mul : table -> Bignum.t -> point
-(** [table_mul (make_table p) k] is [scalar_mul k p]. Scalars wider
-    than 256 bits fall back to {!scalar_mul}. *)
-
 val scalar_mul_base : Bignum.t -> point
-(** [scalar_mul k base] through a table of 8-bit windows (32 windows of
-    256 points) built at module init. *)
+(** [scalar_mul k base] through the generator's comb, built at module
+    init: 32 rows of the 255 nonzero multiples of 2^(8i)·B, stored
+    affine, so a scalar below 2^256 costs one 7-product addition per
+    nonzero byte and no doubling. Wider scalars go to {!scalar_mul}. *)
 
 val multi_scalar_mul : (Bignum.t * point) list -> point
 (** Σ kᵢ·Pᵢ with one shared doubling chain (Strauss), the core of batch
-    signature verification. *)
+    signature verification: width-5 signed digits over a table of the
+    eight odd multiples P, 3P, ..., 15P of each term. *)
+
+val signed_digits : Bignum.t -> int array
+(** The recoding {!multi_scalar_mul} walks, least significant first:
+    Σ dᵢ·2^i = k, every nonzero digit is odd with |dᵢ| < 16 and is
+    followed by at least four zeros, and the last digit is nonzero. *)
 
 val to_affine : point -> Field.t * Field.t
 val of_affine : Field.t * Field.t -> point

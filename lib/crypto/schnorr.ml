@@ -1,20 +1,9 @@
-(* A public key carries a use counter and, once it has proven to be
-   long-lived (second verification), a fixed-base window table — so
-   repeated verifications against the same key (the signing enclave's
-   key, a manufacturer root) cost 64 additions instead of a full
-   variable-base multiply. The secret key caches its public half so
-   [sign] never recomputes it. None of this changes a single byte of
-   any signature or verdict. *)
+type public_key = Curve.point
 
-type public_key = {
-  pt : Curve.point;
-  mutable uses : int;
-  mutable tbl : Curve.table option;
-}
-
+(* The secret key caches its public half, so [sign] never recomputes
+   it. *)
 type secret_key = { scalar : Bignum.t; seed : string; pk : public_key }
 
-let pk_of_point pt = { pt; uses = 0; tbl = None }
 let scalar_of_hash data = Bignum.rem (Bignum.of_bytes_be data) Curve.order
 
 let nonzero_scalar_of_hash data =
@@ -25,34 +14,18 @@ let secret_key_of_seed seed =
   let scalar =
     nonzero_scalar_of_hash (Sha3.sha3_512 ("sanctorum-schnorr-key" ^ seed))
   in
-  { scalar; seed; pk = pk_of_point (Curve.scalar_mul_base scalar) }
+  { scalar; seed; pk = Curve.scalar_mul_base scalar }
 
 let public_key sk = sk.pk
-let public_key_to_bytes pk = Curve.encode pk.pt
-let public_key_of_bytes s = Result.map pk_of_point (Curve.decode s)
+let public_key_to_bytes = Curve.encode
+let public_key_of_bytes = Curve.decode
 let signature_size = Curve.encoded_size + 32
-
-(* Build the window table on the second use: one-shot verifications
-   never pay the table construction, steady-state ones always hit it. *)
-let table_threshold = 2
-
-let pk_mul pk c =
-  match pk.tbl with
-  | Some t -> Curve.table_mul t c
-  | None ->
-      pk.uses <- pk.uses + 1;
-      if pk.uses >= table_threshold then begin
-        let t = Curve.make_table pk.pt in
-        pk.tbl <- Some t;
-        Curve.table_mul t c
-      end
-      else Curve.scalar_mul c pk.pt
 
 let challenge ~commitment ~pk ~msg =
   scalar_of_hash
     (Sha3.sha3_512
        ("sanctorum-schnorr-chal" ^ Curve.encode commitment
-      ^ Curve.encode pk.pt ^ msg))
+      ^ Curve.encode pk ^ msg))
 
 let sign sk msg =
   let r =
@@ -103,7 +76,7 @@ let claim pk ~msg ~signature =
 (* s·B = R + c·A *)
 let claim_holds cl =
   holds (Curve.scalar_mul_base cl.s)
-    (Curve.add cl.commitment (pk_mul cl.pk cl.c))
+    (Curve.add cl.commitment (Curve.scalar_mul cl.c cl.pk))
 
 let verify pk ~msg ~signature =
   match claim pk ~msg ~signature with None -> false | Some cl -> claim_holds cl
@@ -142,7 +115,7 @@ let verify_distinct items =
     Buffer.add_string buf "sanctorum-schnorr-batch";
     List.iter
       (fun (_, cl) ->
-        Buffer.add_string buf (Curve.encode cl.pk.pt);
+        Buffer.add_string buf (Curve.encode cl.pk);
         Buffer.add_string buf (Sha3.sha3_256 cl.msg);
         Buffer.add_string buf (Curve.encode cl.commitment);
         Buffer.add_string buf (Bignum.to_bytes_be ~len:32 cl.s))
@@ -159,10 +132,10 @@ let verify_distinct items =
           let z = batch_coefficient transcript j in
           lhs := Bignum.mod_add !lhs (Bignum.mod_mul z cl.s ~m) ~m;
           let zc = Bignum.mod_mul z cl.c ~m in
-          let key = Curve.encode cl.pk.pt in
+          let key = Curve.encode cl.pk in
           (match Hashtbl.find_opt per_key key with
           | Some (acc, _) -> acc := Bignum.mod_add !acc zc ~m
-          | None -> Hashtbl.add per_key key (ref zc, cl.pk.pt));
+          | None -> Hashtbl.add per_key key (ref zc, cl.pk));
           (z, cl.commitment))
         parsed
     in
@@ -189,7 +162,7 @@ let verify_batch items =
   let seen = Hashtbl.create 16 and distinct = ref [] and slots = ref [] in
   List.iter
     (fun ((pk, msg, signature) as item) ->
-      let key = (Curve.encode pk.pt, msg, signature) in
+      let key = (Curve.encode pk, msg, signature) in
       let slot =
         match Hashtbl.find_opt seen key with
         | Some slot -> slot
@@ -206,4 +179,4 @@ let verify_batch items =
 
 let pp_public_key ppf pk =
   Format.fprintf ppf "%s"
-    (Sanctorum_util.Hex.encode (String.sub (Curve.encode pk.pt) 0 8))
+    (Sanctorum_util.Hex.encode (String.sub (Curve.encode pk) 0 8))

@@ -7,13 +7,7 @@
     message) remove the catastrophic nonce-reuse failure mode. *)
 
 type secret_key
-
 type public_key
-(** Carries a use counter and a lazily built fixed-base window table, so
-    verifying repeatedly against the same long-lived key (the signing
-    enclave's, a manufacturer root's) amortizes to a table walk. The
-    caching is invisible: signatures and verdicts are byte-identical
-    with or without it. *)
 
 val secret_key_of_seed : string -> secret_key
 (** Derive a key pair deterministically from seed bytes (the secure boot
@@ -36,7 +30,9 @@ val sign : secret_key -> string -> string
 
 val verify : public_key -> msg:string -> signature:string -> bool
 (** Accepts when [s·B] and [R + c·A] differ at most by a point of order
-    dividing 8 (the cofactored rule), which every check here shares. *)
+    dividing 8 (the cofactored rule), which every check here shares.
+    [s·B] walks the generator's comb and [c·A] is a variable-base
+    {!Curve.scalar_mul}. *)
 
 val verify_batch : (public_key * string * string) list -> bool array
 (** [verify_batch items] checks N [(pk, msg, signature)] triples with

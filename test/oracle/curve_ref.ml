@@ -3,7 +3,7 @@
 
    [double_and_add] walks the scalar one bit at a time with the fast
    tier's own [add] and [double]: the oracle for the windowed paths
-   (Strauss, the fixed-base combs). [scalar_mul_schoolbook] is the
+   (Strauss, the generator's comb). [scalar_mul_schoolbook] is the
    pre-Montgomery tier kept whole: the same extended-coordinate formulas
    over schoolbook modular arithmetic, where every field product pays a
    Knuth division, with p and the curve constant d derived here rather

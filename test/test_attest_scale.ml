@@ -1,7 +1,7 @@
 (* The attestation fast path, held to the old tier's bytes.
 
    Every optimization behind `bench attest` — ref10 field arithmetic,
-   fixed-base window tables, Strauss multi-scalar
+   the generator's affine comb, signed-digit Strauss multi-scalar
    multiplication, batch signature verification, the monitor's
    measurement cache — is architecturally invisible: same signatures,
    same evidence, same measurements. These tests pin that equivalence
@@ -226,44 +226,99 @@ let qcheck_field_kernel =
 
 let gen_scalar = QCheck2.Gen.map (fun b -> C.Bignum.rem b C.Curve.order) gen_bignum
 
-(* 0, 1, L-1, L, L+1, and one scalar wider than the 256 bits a table
-   covers. *)
+(* 0, 1, L-1, L, L+1, and one scalar wider than the 256 bits the
+   generator's comb covers. *)
 let edge_scalars =
   let l = C.Curve.order in
   C.Bignum.
     [ zero; one; sub l one; l; add l one; add (shift_left one 300) (of_int 12345) ]
 
-(* The windowed paths against the oracle's plain double-and-add: the
-   Strauss [scalar_mul] and both comb widths (per-key 4-bit tables and
-   the generator's 8-bit one). *)
-let qcheck_table_mul =
-  QCheck2.Test.make ~name:"table_mul = scalar_mul" ~count:30
-    QCheck2.Gen.(pair gen_scalar gen_scalar)
-    (fun (k, kp) ->
-      let p = C.Curve.scalar_mul kp C.Curve.base in
-      let t = C.Curve.make_table p in
+let pow2_minus_1 n = C.Bignum.(sub (shift_left one n) one)
+
+(* Batch coefficients are 128 bits wide. All-ones scalars end on a
+   negative digit whose borrow carries one place past their bit length. *)
+let gen_coefficient =
+  QCheck2.Gen.(map C.Bignum.of_bytes_be (string_size (return 16)))
+
+let strauss_edges =
+  C.Bignum.
+    [ zero; one; pow2_minus_1 128; sub C.Curve.order one; pow2_minus_1 253;
+      of_int 31 ]
+
+(* Every row of the generator's affine comb, at a random entry, plus
+   whole scalars: a single-byte scalar j·2^(8i) reads entry j of row i
+   alone, so a row whose batched inversion went wrong fails here. One
+   more addition after each multiply reads its T. *)
+let qcheck_base_comb =
+  QCheck2.Test.make ~name:"generator comb = double_and_add" ~count:10
+    QCheck2.Gen.(
+      triple (list_repeat 32 (int_range 1 255)) gen_scalar gen_scalar)
+    (fun (entries, k, kq) ->
+      let q = O.Curve_ref.double_and_add kq C.Curve.base in
+      let rows =
+        List.mapi
+          (fun i j -> C.Bignum.shift_left (C.Bignum.of_int j) (8 * i))
+          entries
+      in
       List.for_all
         (fun k ->
-          let expect = O.Curve_ref.double_and_add k p in
-          C.Curve.equal (C.Curve.table_mul t k) expect
-          && C.Curve.equal (C.Curve.scalar_mul k p) expect
-          && C.Curve.equal (C.Curve.scalar_mul_base k)
-               (O.Curve_ref.double_and_add k C.Curve.base))
-        (k :: edge_scalars))
+          C.Curve.equal
+            (C.Curve.add (C.Curve.scalar_mul_base k) q)
+            (C.Curve.add (O.Curve_ref.double_and_add k C.Curve.base) q))
+        ((pow2_minus_1 256 :: k :: rows) @ edge_scalars))
 
+(* At the batch's shape: up to 24 terms mixing 128-bit coefficients,
+   full-width scalars and edge scalars, over points some of which carry
+   a small-order component, as a commitment may. *)
 let qcheck_multi_scalar_mul =
   QCheck2.Test.make ~name:"multi_scalar_mul = sum of scalar_mul" ~count:30
-    QCheck2.Gen.(list_size (int_range 0 5) (pair gen_scalar gen_scalar))
-    (fun pairs ->
-      let terms =
-        List.map (fun (k, kp) -> (k, C.Curve.scalar_mul kp C.Curve.base)) pairs
+    QCheck2.Gen.(
+      pair gen_scalar
+        (list_size (int_range 0 24)
+           (triple
+              (oneof [ gen_coefficient; gen_scalar; oneofl strauss_edges ])
+              gen_scalar (int_range 0 2))))
+    (fun (kq, terms) ->
+      let torsion =
+        [| C.Curve.identity; O.Curve_ref.order_2; O.Curve_ref.order_4 |]
       in
+      let terms =
+        List.map
+          (fun (k, kp, tor) ->
+            (k, C.Curve.add (C.Curve.scalar_mul_base kp) torsion.(tor)))
+          terms
+      in
+      let q = C.Curve.scalar_mul_base kq in
       let expect =
         List.fold_left
           (fun acc (k, p) -> C.Curve.add acc (O.Curve_ref.double_and_add k p))
-          C.Curve.identity terms
+          q terms
       in
-      C.Curve.equal (C.Curve.multi_scalar_mul terms) expect)
+      C.Curve.equal (C.Curve.add (C.Curve.multi_scalar_mul terms) q) expect)
+
+(* The width-5 signed digits: odd and below 16 in magnitude, four zeros
+   after each, no trailing zero digit, and Σ dᵢ·2^i = k. *)
+let qcheck_signed_digits =
+  QCheck2.Test.make ~name:"signed digits: odd, sparse, sum to k" ~count:500
+    QCheck2.Gen.(oneof [ gen_bignum; gen_coefficient; oneofl strauss_edges ])
+    (fun k ->
+      let ds = C.Curve.signed_digits k in
+      let n = Array.length ds in
+      let pos = ref C.Bignum.zero and neg = ref C.Bignum.zero in
+      let ok = ref (n = 0 || ds.(n - 1) <> 0) in
+      Array.iteri
+        (fun i d ->
+          if d <> 0 then begin
+            ok := !ok && d land 1 = 1 && abs d < 16;
+            for j = i + 1 to min (n - 1) (i + 4) do
+              ok := !ok && ds.(j) = 0
+            done;
+            let v = C.Bignum.shift_left (C.Bignum.of_int (abs d)) i in
+            if d > 0 then pos := C.Bignum.add !pos v
+            else neg := C.Bignum.add !neg v
+          end)
+        ds;
+      !ok && C.Bignum.equal !pos (C.Bignum.add k !neg))
 
 let qcheck_schoolbook_scalar_mul =
   QCheck2.Test.make ~name:"scalar_mul = scalar_mul_schoolbook" ~count:10
@@ -314,13 +369,12 @@ let test_schnorr_pinned () =
   check "sig(beta, msg2)"
     "c48f3d5d3d4246ce987c189c1fe409ad695f047972ad7ff116b38b9dff0b111be775fc1c53f96163503610785575af47895e689d9f9ffba35c15ca3e1553a1500d26848aacf11d1c90f2591c71083f7016ee69c8c12a46546de48974863b26bb"
     (Hex.encode (C.Schnorr.sign sk2 "msg2"));
-  (* repeated verification against the same key crosses the
-     table-building threshold; the verdicts must not change *)
+  (* the pinned signature verifies under its key, not under another *)
   let signature = C.Schnorr.sign sk "hello world" in
-  for _ = 1 to 4 do
-    check_bool "verify stable across table build" true
-      (C.Schnorr.verify pk ~msg:"hello world" ~signature)
-  done
+  check_bool "verify pinned" true
+    (C.Schnorr.verify pk ~msg:"hello world" ~signature);
+  check_bool "other key rejects" false
+    (C.Schnorr.verify (C.Schnorr.public_key sk2) ~msg:"hello world" ~signature)
 
 let test_dh_pinned () =
   let rng = C.Drbg.create ~seed:"pin-dh" in
@@ -569,8 +623,9 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_mont_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_field_mul;
       QCheck_alcotest.to_alcotest qcheck_field_kernel;
-      QCheck_alcotest.to_alcotest qcheck_table_mul;
+      QCheck_alcotest.to_alcotest qcheck_base_comb;
       QCheck_alcotest.to_alcotest qcheck_multi_scalar_mul;
+      QCheck_alcotest.to_alcotest qcheck_signed_digits;
       QCheck_alcotest.to_alcotest qcheck_schoolbook_scalar_mul;
       QCheck_alcotest.to_alcotest qcheck_verify_differential;
       Alcotest.test_case "schnorr pinned vectors" `Quick test_schnorr_pinned;
