@@ -97,16 +97,7 @@ let () =
     Sanctorum.Boot.perform ~root:rogue_root ~device_secret:"rogue-device"
       ~sm_binary:"rogue monitor"
   in
-  let rogue_blob =
-    String.concat ""
-      (List.map
-         (fun c ->
-           let s = C.Cert.serialize c in
-           let b = Bytes.create 4 in
-           Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
-           Bytes.unsafe_to_string b ^ s)
-         rogue.Sanctorum.Boot.certificates)
-  in
+  let rogue_blob = C.Cert.serialize_chain rogue.Sanctorum.Boot.certificates in
   reject "rogue device's certificate chain"
     { evidence with A.certificates = rogue_blob }
     nonce

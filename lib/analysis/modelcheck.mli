@@ -5,14 +5,14 @@
     every mutation a sequence of API calls has made to it; an action
     is one API call drawn from a small closed parameter domain (≤2
     enclaves, ≤2 threads, ≤2 memory-unit groups, 1–2 cores). From the
-    initial state — boot, plus the {!bringup} scenario unless the
-    configuration asks for a cold start — {!explore} enumerates every
-    action at every state up
-    to a depth bound, deduplicating states by a canonical hash that
-    quotients out enclave/thread naming (symmetry reduction) and
-    omitting read-only probes from the alphabet (the trivial
-    partial-order reduction: probes commute with everything, so they
-    run as checks at every state instead of branching it).
+    initial state — boot, plus the bring-up scenario (see [warm])
+    unless the configuration asks for a cold start — {!explore}
+    enumerates every action at every state up to a depth bound,
+    deduplicating states by a canonical hash that quotients out
+    enclave/thread naming (symmetry reduction) and omitting read-only
+    probes from the alphabet (the trivial partial-order reduction:
+    probes commute with everything, so they run as checks at every
+    state instead of branching it).
 
     At every deduplicated state the full analysis catalog runs —
     {!Checker.snapshot} on the monitor and the trace passes over the
@@ -87,7 +87,6 @@ val fault_to_string : fault -> string
 
 val fault_of_string : string -> (fault, string) result
 val action_to_string : action -> string
-val action_of_string : string -> (action, string) result
 
 val path_to_string : action list -> string
 (** Comma-separated {!action_to_string} tokens. *)
@@ -101,12 +100,15 @@ type config = {
   units : int;  (** grantable unit groups exposed to actions, 1–4 *)
   diff : bool;  (** run the other backend in lockstep *)
   warm : bool;
-      (** start from boot + {!bringup} instead of raw boot. From raw
-          boot every interesting state sits behind the same
-          block/clean/grant/map ceremony, so a small depth bound only
-          ever re-explores bring-up; the warm start spends the depth
-          budget on the dense region instead. [--cold] for the
-          ceremony itself. *)
+      (** start from boot + bring-up (one initialized enclave with a
+          thread ready to enter, one enclave still loading, one memory
+          group up for grabs) instead of raw boot; {!explore} and
+          {!replay} raise [Invalid_argument] if the monitor rejects a
+          bring-up action. From raw boot every interesting state sits
+          behind the same block/clean/grant/map ceremony, so a small
+          depth bound only ever re-explores bring-up; the warm start
+          spends the depth budget on the dense region instead.
+          [--cold] for the ceremony itself. *)
   inject : fault option;
   max_states : int;  (** exploration safety valve *)
   sink : Sanctorum_telemetry.Sink.t;
@@ -117,14 +119,6 @@ type config = {
 val default_config : config
 (** Sanctum, depth 4, 1 core, 2 unit groups, no diff, warm, no fault,
     [max_states] 200_000, null sink. *)
-
-val bringup : action list
-(** The canonical warm-start scenario: enclave 0 provisioned (memory
-    group 0), fully page-tabled, one data page, thread 0 loaded,
-    initialized; enclave 1 created and still loading; memory group 1
-    cleaned to [Available]. Every action must be accepted — {!explore}
-    and {!replay} raise [Invalid_argument] if the monitor rejects one
-    (that would silently skew every path). *)
 
 type finding_kind =
   | K_catalog of string * backend
@@ -157,11 +151,9 @@ type summary = {
   s_state_digest : string;
       (** hex digest folded over every state hash in discovery order;
           equal digests mean equal explorations *)
-  s_findings : finding list;  (** minimized, capped at {!max_findings} *)
+  s_findings : finding list;  (** minimized, capped at 32 *)
   s_findings_total : int;  (** occurrences before the cap *)
 }
-
-val max_findings : int
 
 val explore : config -> summary
 (** Breadth-first bounded exploration. Deterministic in [config]:
@@ -177,7 +169,7 @@ type replay_step = {
 val replay :
   config -> action list -> replay_step list * Report.violation list
 (** Execute one action sequence from the configuration's initial state
-    (the {!bringup} prefix is applied first when [warm], and is not
+    (the bring-up prefix is applied first when [warm], and is not
     part of the reported steps) and return per-step verdicts plus the
     full catalog report on the final state (primary backend). *)
 

@@ -21,5 +21,4 @@ type t =
 type 'a result = ('a, t) Stdlib.result
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

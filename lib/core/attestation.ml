@@ -35,14 +35,11 @@ let split_request msg =
   if String.length msg < 64 then None
   else Some (String.sub msg 0 32, String.sub msg 32 32)
 
-let signing_enclave_serve sm ~es_eid ~requester =
-  let caller = Sm.Enclave_caller es_eid in
-  let* () = Sm.accept_mail sm ~caller ~sender:(Mailbox.From_enclave requester) in
-  Ok ()
-
-(* The serve call is split: accept first (so the requester can send),
-   then the actual service round. [signing_enclave_respond] performs the
-   read-sign-reply half. *)
+(* The signing enclave's service round, a native model of its program
+   acting as [Enclave_caller es_eid]: read (nonce ∥ channel binding)
+   from the requester's mail — the requester's measurement comes from
+   the monitor's tag, not from the message — fetch the monitor key,
+   sign, and mail the signature back. *)
 let signing_enclave_respond sm ~es_eid ~requester =
   let caller = Sm.Enclave_caller es_eid in
   let* msg, requester_measurement =
@@ -73,7 +70,11 @@ let request_attestation sm ~eid ~es_eid ~nonce ~channel_binding =
     let caller = Sm.Enclave_caller eid in
     (* Step 3 (Fig. 7): the enclave asks E_S to sign its measurement. *)
     let* () = Sm.accept_mail sm ~caller ~sender:(Mailbox.From_enclave es_eid) in
-    let* () = signing_enclave_serve sm ~es_eid ~requester:eid in
+    (* E_S readies a mailbox so the request can land. *)
+    let* () =
+      Sm.accept_mail sm ~caller:(Sm.Enclave_caller es_eid)
+        ~sender:(Mailbox.From_enclave eid)
+    in
     let* () =
       Sm.send_mail sm ~caller ~recipient:es_eid
         ~msg:(request_message ~nonce ~channel_binding)
@@ -108,23 +109,6 @@ let request_attestation sm ~eid ~es_eid ~nonce ~channel_binding =
 (* ------------------------------------------------------------------ *)
 (* Verifier side *)
 
-let parse_certificates blob =
-  let rec go off acc =
-    if off = String.length blob then Ok (List.rev acc)
-    else if off + 4 > String.length blob then Error "truncated certificate chain"
-    else begin
-      let len = Int32.to_int (String.get_int32_le blob off) in
-      if len < 0 || off + 4 + len > String.length blob then
-        Error "truncated certificate"
-      else begin
-        match Crypto.Cert.deserialize (String.sub blob (off + 4) len) with
-        | Error e -> Error e
-        | Ok c -> go (off + 4 + len) (c :: acc)
-      end
-    end
-  in
-  go 0 []
-
 (* One path checks evidence. Per item, the structural checks and the
    certificate chain walk produce its Schnorr claims (each certificate,
    then the evidence signature), each paired with the rejection it
@@ -150,7 +134,7 @@ let claims r =
          r.vr_expected_measurement)
   then Error "enclave measurement mismatch"
   else begin
-    let* certs = parse_certificates e.certificates in
+    let* certs = Crypto.Cert.parse_chain e.certificates in
     let* cert_claims, sm_key = Crypto.Cert.signature_claims ~root:r.vr_root certs in
     let named (c : Crypto.Cert.t) claim =
       (Printf.sprintf "Cert: bad signature on %S" c.subject, claim)

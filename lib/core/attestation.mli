@@ -23,19 +23,6 @@ val signing_image : Image.t
 val signing_expected_measurement : string
 (** [Image.measurement signing_image]. *)
 
-val signing_enclave_serve :
-  Sm.t -> es_eid:int -> requester:int -> unit Api_error.result
-(** First half of a signing-enclave service round (native model of its
-    behaviour, acting as [Enclave_caller es_eid]): ready a mailbox for
-    [requester] so its request can land. *)
-
-val signing_enclave_respond :
-  Sm.t -> es_eid:int -> requester:int -> unit Api_error.result
-(** Second half: read (nonce ∥ channel binding) from the requester's
-    mail — the requester's measurement comes from the monitor's tag,
-    not from the message — fetch the monitor key via [get_key], sign,
-    and mail the signature back. *)
-
 (** {2 Evidence and verification} *)
 
 type evidence = {
@@ -45,9 +32,6 @@ type evidence = {
   signature : string;  (** by the monitor's attestation key *)
   certificates : string;  (** serialized chain from [get_field] *)
 }
-
-val attested_payload : evidence -> string
-(** The exact byte string the signing enclave signs. *)
 
 val request_attestation :
   Sm.t ->
@@ -60,8 +44,9 @@ val request_attestation :
     [Enclave_caller eid]): mail the request to the signing enclave,
     collect the signature — verifying the responder's measurement tag
     against the monitor's published signing measurement — and assemble
-    the evidence. [signing_enclave_serve] must run between the send and
-    the receive; this function performs both halves and expects the OS
+    the evidence. The signing enclave's service round must run between
+    the send and the receive; this function performs both halves and
+    expects the OS
     to have scheduled E_S via the callback in {!run_protocol}. *)
 
 val verify_evidence :

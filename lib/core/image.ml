@@ -101,9 +101,3 @@ let measurement t =
       Measurement.extend_thread ctx ~entry_pc ~entry_sp)
     t.threads;
   Measurement.finalize ctx
-
-let pp ppf t =
-  Format.fprintf ppf
-    "image{evrange=[0x%x,0x%x), %d pages, %d shared, %d threads}" t.evbase
-    (t.evbase + t.evsize) (List.length t.pages) (List.length t.shared)
-    (List.length t.threads)

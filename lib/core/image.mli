@@ -56,5 +56,3 @@ val page_count : t -> int
 
 val measurement : t -> string
 (** The measurement the monitor will compute for a faithful load. *)
-
-val pp : Format.formatter -> t -> unit

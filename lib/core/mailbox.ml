@@ -18,8 +18,6 @@ let create ~slots =
   if slots <= 0 then invalid_arg "Mailbox.create: slots must be positive";
   { slots = Array.make slots Unaccepted; deposited = 0; retrieved = 0; rejected = 0 }
 
-let slots t = Array.length t.slots
-
 let equal_sender a b =
   match (a, b) with
   | From_os, From_os -> true
@@ -103,7 +101,3 @@ let snapshot t =
        | Full (who, _, _) -> Some (who, true))
 
 let stats t = (t.deposited, t.retrieved, t.rejected)
-
-let pp_sender ppf = function
-  | From_os -> Format.pp_print_string ppf "OS"
-  | From_enclave eid -> Format.fprintf ppf "enclave 0x%x" eid

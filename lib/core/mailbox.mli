@@ -17,8 +17,6 @@ val message_size : int
 
 val create : slots:int -> t
 
-val slots : t -> int
-
 val accept : t -> sender:sender -> unit Api_error.result
 (** Ready a free mailbox slot for [sender]. Re-accepting the same sender
     resets its (possibly full) slot to empty. *)
@@ -45,6 +43,3 @@ val stats : t -> int * int * int
 (** [(deposited, retrieved, rejected)] operation counts since
     creation. [rejected] counts failed deposits (unaccepted sender,
     full slot, oversized message). *)
-
-val equal_sender : sender -> sender -> bool
-val pp_sender : Format.formatter -> sender -> unit

@@ -26,7 +26,6 @@ module Cache = struct
 
   let hits c = c.hits
   let misses c = c.misses
-  let entries c = Hashtbl.length c.tbl
 end
 
 let size = 32

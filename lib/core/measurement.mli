@@ -27,7 +27,6 @@ module Cache : sig
 
   val hits : cache -> int
   val misses : cache -> int
-  val entries : cache -> int
 end
 
 val start : unit -> t

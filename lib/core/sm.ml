@@ -723,10 +723,6 @@ let delete_enclave t ~caller ~eid =
         ok
       end)
 
-let enclave_state t ~eid =
-  let* e = find_enclave t eid in
-  Ok (match e.lifecycle with Loading -> `Loading | Initialized -> `Initialized)
-
 let enclave_measurement t ~eid =
   let* e = find_enclave t eid in
   match e.measurement with
@@ -739,19 +735,6 @@ let enclave_domain t ~eid =
 
 (* ------------------------------------------------------------------ *)
 (* Threads (Fig. 4) *)
-
-let thread_state t ~tid =
-  let* th = find_thread t tid in
-  Ok
-    (match (th.phase, th.t_owner) with
-    | T_available, _ -> `Available
-    | T_assigned, Some eid -> `Assigned eid
-    | T_running core, Some eid -> `Running (eid, core)
-    | (T_assigned | T_running _), None -> `Available)
-
-let thread_has_aex_state t ~tid =
-  let* th = find_thread t tid in
-  Ok (th.aex_state <> None)
 
 let assign_thread t ~caller ~eid ~tid =
   traced t ~caller "assign_thread" @@ fun () ->
@@ -1037,14 +1020,7 @@ let get_field t = function
       Crypto.Schnorr.public_key_to_bytes
         (Crypto.Schnorr.public_key t.identity.Boot.attestation_key)
   | Field_certificates ->
-      String.concat ""
-        (List.map
-           (fun c ->
-             let s = Crypto.Cert.serialize c in
-             let b = Bytes.create 4 in
-             Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
-             Bytes.unsafe_to_string b ^ s)
-           t.identity.Boot.certificates)
+      Crypto.Cert.serialize_chain t.identity.Boot.certificates
   | Field_sm_measurement -> t.identity.Boot.sm_measurement
   | Field_signing_measurement -> t.signing_measurement
 
@@ -1089,8 +1065,9 @@ let enclave_vaddr_to_paddr t e vaddr =
   | None -> None
   | Some root -> begin
       match
-        Hw.Page_table.walk (mem t) ~root_ppn:root ~vaddr ~pte_fetch_ok:(fun _ ->
-            true)
+        fst
+          (Hw.Page_table.walk (mem t) ~root_ppn:root ~vaddr
+             ~pte_fetch_ok:(fun _ -> true))
       with
       | Ok (ppn, _) ->
           Some (Hw.Phys_mem.page_base ppn lor (vaddr land (page - 1)))

@@ -173,7 +173,6 @@ val delete_enclave : t -> caller:caller -> eid:int -> unit Api_error.result
 (** Destroy the enclave and block all its resources; they must be
     cleaned before re-allocation. Fails while any thread runs. *)
 
-val enclave_state : t -> eid:int -> [ `Loading | `Initialized ] Api_error.result
 val enclave_measurement : t -> eid:int -> string Api_error.result
 val enclave_domain : t -> eid:int -> Sanctorum_hw.Trap.domain Api_error.result
 val enclaves : t -> int list
@@ -198,13 +197,6 @@ val accept_thread :
 val release_thread : t -> caller:caller -> tid:int -> unit Api_error.result
 val unassign_thread : t -> caller:caller -> tid:int -> unit Api_error.result
 val delete_thread : t -> caller:caller -> tid:int -> unit Api_error.result
-
-val thread_state :
-  t -> tid:int -> [ `Available | `Assigned of int | `Running of int * int ]
-  Api_error.result
-(** [`Running (eid, core)]. *)
-
-val thread_has_aex_state : t -> tid:int -> bool Api_error.result
 
 (** {2 Enclave execution} *)
 
@@ -373,6 +365,4 @@ module Ecall : sig
   (** [read_aex_state]: a0 = tid (0 = the calling thread), a1 = output
       buffer vaddr (256 bytes: x1..x31 then the interrupted pc). *)
   val read_aex_state : int
-
-  val error_code : Api_error.t -> int64
 end

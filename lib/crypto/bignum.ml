@@ -280,5 +280,3 @@ let of_decimal s =
       | '0' .. '9' -> add (mul acc ten) (of_int (Char.code c - Char.code '0'))
       | _ -> invalid_arg "Bignum.of_decimal: non-digit")
     zero s
-
-let pp ppf a = Format.fprintf ppf "0x%s" (to_hex a)

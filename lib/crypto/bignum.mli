@@ -51,6 +51,3 @@ val rem : t -> t -> t
 
 val mod_add : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Prints in hexadecimal. *)

@@ -13,13 +13,21 @@ let field s =
   Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
   Bytes.unsafe_to_string b ^ s
 
-let read_field s off =
-  if off + 4 > String.length s then Error "Cert: truncated length"
+(* The field at [off] and the offset after it: [`Length] when no
+   length prefix fits, [`Body] when the body overruns [s]. *)
+let frame_at s off =
+  if off + 4 > String.length s then Error `Length
   else begin
     let len = Int32.to_int (String.get_int32_le s off) in
-    if len < 0 || off + 4 + len > String.length s then Error "Cert: truncated field"
+    if len < 0 || off + 4 + len > String.length s then Error `Body
     else Ok (String.sub s (off + 4) len, off + 4 + len)
   end
+
+let read_field s off =
+  match frame_at s off with
+  | Ok _ as r -> r
+  | Error `Length -> Error "Cert: truncated length"
+  | Error `Body -> Error "Cert: truncated field"
 
 let to_be_signed t =
   field t.subject
@@ -43,8 +51,9 @@ let signature_claims ~root certs =
 
 let serialize t = to_be_signed t ^ field t.signature
 
+let ( let* ) = Result.bind
+
 let deserialize s =
-  let ( let* ) = Result.bind in
   let* subject, off = read_field s 0 in
   let* key_bytes, off = read_field s off in
   let* meas, off = read_field s off in
@@ -63,9 +72,19 @@ let deserialize s =
       }
   end
 
-let pp ppf t =
-  Format.fprintf ppf "cert{%s <- %s, key=%a%s}" t.subject t.issuer
-    Schnorr.pp_public_key t.subject_key
-    (match t.bound_measurement with
-    | None -> ""
-    | Some m -> ", meas=" ^ Sanctorum_util.Hex.encode (String.sub m 0 4))
+(* A chain frames each certificate like a field. *)
+let serialize_chain certs =
+  String.concat "" (List.map (fun c -> field (serialize c)) certs)
+
+let parse_chain blob =
+  let rec go off acc =
+    if off = String.length blob then Ok (List.rev acc)
+    else
+      match frame_at blob off with
+      | Error `Length -> Error "truncated certificate chain"
+      | Error `Body -> Error "truncated certificate"
+      | Ok (s, off) ->
+          let* c = deserialize s in
+          go off (c :: acc)
+  in
+  go 0 []

@@ -36,4 +36,12 @@ val signature_claims :
 val serialize : t -> string
 val deserialize : string -> (t, string) result
 
-val pp : Format.formatter -> t -> unit
+val serialize_chain : t list -> string
+(** The chain as [get_field] publishes it: each certificate's
+    {!serialize} bytes after their 4-byte little-endian length. *)
+
+val parse_chain : string -> (t list, string) result
+(** Inverts {!serialize_chain}. Rejects a blob that ends inside a
+    length prefix ("truncated certificate chain") or inside a
+    certificate ("truncated certificate"), and any certificate
+    {!deserialize} rejects. *)

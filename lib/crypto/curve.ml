@@ -242,7 +242,3 @@ let decode s =
         Ok p
     | Some _, Some _ -> Error "Curve.decode: point not on curve"
     | _ -> Error "Curve.decode: coordinate not below p"
-
-let pp ppf p =
-  let x, y = to_affine p in
-  Format.fprintf ppf "(%a, %a)" Field.pp x Field.pp y

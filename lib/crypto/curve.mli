@@ -56,5 +56,3 @@ val decode : string -> (point, string) result
     not on the curve. *)
 
 val encoded_size : int
-
-val pp : Format.formatter -> point -> unit

@@ -286,5 +286,3 @@ let sqrt a =
   else
     let r' = mul r sqrt_minus_one in
     if equal (square r') a then Some r' else None
-
-let pp ppf x = Bignum.pp ppf (to_bignum x)

@@ -48,5 +48,3 @@ val inv : t -> t
 
 val sqrt : t -> t option
 (** A square root if one exists (p ≡ 5 mod 8 method). *)
-
-val pp : Format.formatter -> t -> unit

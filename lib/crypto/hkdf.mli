@@ -2,12 +2,6 @@
     derives the monitor's attestation key from the device root key and
     the monitor's own measurement with this KDF. *)
 
-val extract : salt:string -> ikm:string -> string
-(** [extract ~salt ~ikm] is the 32-byte pseudorandom key. *)
-
-val expand : prk:string -> info:string -> len:int -> string
-(** [expand ~prk ~info ~len] produces [len] bytes of output keying
-    material; [len] must be at most 255 * 32. *)
-
 val derive : salt:string -> ikm:string -> info:string -> len:int -> string
-(** [extract] followed by [expand]. *)
+(** HKDF-Extract followed by HKDF-Expand; [len] must be at most
+    255 * 32. *)

@@ -176,7 +176,3 @@ let verify_batch items =
     items;
   let verdicts = verify_distinct (List.rev !distinct) in
   Array.of_list (List.rev_map (fun slot -> verdicts.(slot)) !slots)
-
-let pp_public_key ppf pk =
-  Format.fprintf ppf "%s"
-    (Sanctorum_util.Hex.encode (String.sub (Curve.encode pk) 0 8))

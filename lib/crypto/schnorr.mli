@@ -43,5 +43,3 @@ val verify_batch : (public_key * string * string) list -> bool array
     so bad items are pinpointed and good items in a poisoned batch
     still verify. Repeats share one verdict: items with the same key
     encoding, message and signature are checked once. *)
-
-val pp_public_key : Format.formatter -> public_key -> unit

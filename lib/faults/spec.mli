@@ -29,8 +29,6 @@ val class_name : fault_class -> string
 (** ["bitflip"], ["bitflip2"], ["irq-drop"], ["spurious-irq"],
     ["ipi-drop"], ["dma"], ["mce"]. *)
 
-val class_of_name : string -> fault_class option
-
 val parse : string -> (t, string) result
 
 val to_string : t -> string

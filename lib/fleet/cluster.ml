@@ -435,7 +435,7 @@ let run cfg =
               match p.p_phase with
               | Established -> (
                   match Session.receive p.p_session ~now:!tick fr with
-                  | Session.Delivered ups -> List.iter (record_up p) ups
+                  | Session.Delivered up -> record_up p up
                   | Session.Heartbeat | Session.Duplicate -> ()
                   | Session.Bad_mac | Session.Stale | Session.No_key -> ())
               | Fenced ->
@@ -576,7 +576,7 @@ let run cfg =
           else challenge p ~epoch:(p.p_epoch + 1)
         end
     | Established ->
-        List.iter
+        Option.iter
           (fun (fr, delay) ->
             progress := true;
             Tel.Metrics.incr c_retx;

@@ -305,7 +305,7 @@ let run ?throttle cfg ~inbox ~outbox =
   let running = ref true in
   let emit fr = Netfault.send uplink (Up fr) in
   let pump () =
-    List.iter (fun (fr, _) -> emit fr) (Session.due sn ~now:!now);
+    Option.iter (fun (fr, _) -> emit fr) (Session.due sn ~now:!now);
     if Session.want_ack sn then emit (Session.ack_frame sn)
   in
   let handle_challenge ~ch_epoch ~ch_nonce ~ch_cluster_pub =
@@ -356,8 +356,7 @@ let run ?throttle cfg ~inbox ~outbox =
     | Shutdown -> running := false
     | Down fr -> (
         match Session.receive sn ~now:!now fr with
-        | Session.Delivered ps ->
-            List.iter (fun p -> Queue.push p batchq) ps
+        | Session.Delivered p -> Queue.push p batchq
         | Session.Heartbeat -> emit (Session.ack_frame sn)
         | Session.Duplicate (* re-acked by [pump] *)
         | Session.Bad_mac | Session.Stale | Session.No_key ->

@@ -102,16 +102,11 @@ val agent_image : Sanctorum.Image.t
     [Image.measurement agent_image] on its own — the expected value
     never travels over the wire. *)
 
-val batch_bytes : gen:int -> job_spec list -> string
-(** The byte string both sides MAC: generation number and every job
-    field. *)
-
 val down_bytes : down -> string
 val up_bytes : up -> string
 (** Canonical MAC inputs for the two session directions. *)
 
 val corrupt_to_node : to_node -> to_node
-val corrupt_from_node : from_node -> from_node
 (** What in-flight corruption does to a message: one flipped tag bit on
     a session frame, one flipped handshake byte otherwise. Every
     authenticity check must catch the result. *)

@@ -3,29 +3,18 @@ module Rng = Sanctorum_util.Splitmix
 
 type config = {
   retransmit_base : int;
-  backoff_cap : int;
   retry_limit : int;
-  window : int;
   heartbeat_every : int;
 }
 
 let cluster_config =
-  {
-    retransmit_base = 24;
-    backoff_cap = 4;
-    retry_limit = 10;
-    window = 64;
-    heartbeat_every = 8;
-  }
+  { retransmit_base = 24; retry_limit = 10; heartbeat_every = 8 }
 
 let node_config =
-  {
-    retransmit_base = 2;
-    backoff_cap = 4;
-    retry_limit = 1000;
-    window = 64;
-    heartbeat_every = max_int / 2;
-  }
+  { retransmit_base = 2; retry_limit = 1000; heartbeat_every = max_int / 2 }
+
+(* Retransmit delays stop doubling after this many attempts. *)
+let backoff_cap = 4
 
 type 'a frame = {
   fr_epoch : int;
@@ -55,8 +44,7 @@ type ('tx, 'rx) t = {
   mutable epoch : int;
   mutable next_seq : int;
   mutable recv_next : int;
-  mutable ooo : (int * 'rx) list;  (* sorted by seq, within the window *)
-  mutable unacked : 'tx pending list;  (* sorted by seq *)
+  mutable outstanding : 'tx pending option;  (* sent, not yet acked *)
   mutable want_ack : bool;
   mutable exhausted : bool;
   mutable last_heard : int;
@@ -85,8 +73,7 @@ let create cfg ~seed ~role ~encode_tx ~encode_rx =
     epoch = 0;
     next_seq = 0;
     recv_next = 0;
-    ooo = [];
-    unacked = [];
+    outstanding = None;
     want_ack = false;
     exhausted = false;
     last_heard = 0;
@@ -103,13 +90,9 @@ let set_key t ~epoch ~key =
   t.epoch <- epoch;
   t.next_seq <- 0;
   t.recv_next <- 0;
-  t.ooo <- [];
-  t.unacked <- [];
+  t.outstanding <- None;
   t.want_ack <- false;
   t.exhausted <- false
-
-let established t = t.key <> None
-let epoch t = t.epoch
 
 (* The direction string keys the MAC to one flow of one epoch: a frame
    reflected back at its sender, or replayed across a rekey, never
@@ -142,23 +125,23 @@ let make_tx t ~seq payload =
 let jitter t = Rng.int t.rng ~bound:(max 1 t.cfg.retransmit_base)
 
 let send t ~now payload =
+  if Option.is_some t.outstanding then
+    invalid_arg "Session.send: a frame is already in flight";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.unacked <-
-    t.unacked
-    @ [
-        {
-          pd_payload = payload;
-          pd_seq = seq;
-          pd_attempts = 0;
-          pd_due = now + t.cfg.retransmit_base + jitter t;
-        };
-      ];
+  t.outstanding <-
+    Some
+      {
+        pd_payload = payload;
+        pd_seq = seq;
+        pd_attempts = 0;
+        pd_due = now + t.cfg.retransmit_base + jitter t;
+      };
   t.want_ack <- false;
   make_tx t ~seq (Some payload)
 
 type 'rx verdict =
-  | Delivered of 'rx list
+  | Delivered of 'rx
   | Heartbeat
   | Duplicate
   | Bad_mac
@@ -184,7 +167,9 @@ let verify t frame =
 let verify_only t frame = verify t frame = Valid
 
 let process_ack t ack =
-  t.unacked <- List.filter (fun p -> p.pd_seq > ack) t.unacked
+  match t.outstanding with
+  | Some p when p.pd_seq <= ack -> t.outstanding <- None
+  | Some _ | None -> ()
 
 let receive t ~now frame =
   match verify t frame with
@@ -201,63 +186,37 @@ let receive t ~now frame =
       match frame.fr_payload with
       | None -> Heartbeat
       | Some p ->
-          let seq = frame.fr_seq in
           t.want_ack <- true;
-          if seq < t.recv_next then begin
-            t.s_dups <- t.s_dups + 1;
-            Duplicate
+          if frame.fr_seq = t.recv_next then begin
+            t.recv_next <- t.recv_next + 1;
+            Delivered p
           end
-          else if seq = t.recv_next then begin
-            (* deliver this frame plus any contiguous run it unblocks *)
-            let rec take next acc = function
-              | (s, p') :: rest when s = next -> take (next + 1) (p' :: acc) rest
-              | rest -> (next, acc, rest)
-            in
-            let next, acc, rest = take (seq + 1) [ p ] t.ooo in
-            t.recv_next <- next;
-            t.ooo <- rest;
-            Delivered (List.rev acc)
-          end
-          else if seq <= t.recv_next + t.cfg.window then
-            if List.mem_assoc seq t.ooo then begin
-              t.s_dups <- t.s_dups + 1;
-              Duplicate
-            end
-            else begin
-              t.ooo <-
-                List.sort (fun (a, _) (b, _) -> compare a b)
-                  ((seq, p) :: t.ooo);
-              Delivered []
-            end
           else begin
-            (* beyond the window: drop, but still re-ack so the sender
-               makes progress *)
+            (* not the next seq: a retransmitted copy of a delivered
+               frame, since the peer sends nothing newer until that one
+               is acked. Drop it, but re-ack so the sender stops. *)
             t.s_dups <- t.s_dups + 1;
             Duplicate
           end)
 
 let due t ~now =
-  List.filter_map
-    (fun p ->
-      if p.pd_due > now then None
+  match t.outstanding with
+  | Some p when p.pd_due <= now ->
+      p.pd_attempts <- p.pd_attempts + 1;
+      if p.pd_attempts > t.cfg.retry_limit then begin
+        t.exhausted <- true;
+        None
+      end
       else begin
-        p.pd_attempts <- p.pd_attempts + 1;
-        if p.pd_attempts > t.cfg.retry_limit then begin
-          t.exhausted <- true;
-          None
-        end
-        else begin
-          let backoff =
-            t.cfg.retransmit_base
-            * (1 lsl min p.pd_attempts t.cfg.backoff_cap)
-          in
-          let delay = backoff + jitter t in
-          p.pd_due <- now + delay;
-          t.s_retransmits <- t.s_retransmits + 1;
-          Some (make_tx t ~seq:p.pd_seq (Some p.pd_payload), delay)
-        end
-      end)
-    t.unacked
+        let backoff =
+          t.cfg.retransmit_base * (1 lsl min p.pd_attempts backoff_cap)
+        in
+        let delay = backoff + jitter t in
+        p.pd_due <- now + delay;
+        t.s_retransmits <- t.s_retransmits + 1;
+        Some (make_tx t ~seq:p.pd_seq (Some p.pd_payload), delay)
+      end
+  | Some _ | None -> None
 
 let exhausted t = t.exhausted
 
@@ -285,7 +244,7 @@ let ack_frame t =
   hb t
 
 let last_heard t = t.last_heard
-let unacked t = List.length t.unacked
+let in_flight t = Option.is_some t.outstanding
 
 type stats = {
   retransmits : int;

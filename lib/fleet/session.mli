@@ -6,11 +6,14 @@
     over all of it under the DH session key, with the sending direction
     mixed into the MAC input so a reflected frame never verifies.
 
-    - {b exactly-once delivery}: the receiver delivers payloads in
-      sequence order, buffers a bounded window of out-of-order frames,
-      and drops (but re-acks) duplicates — a retransmitted batch is
-      acked, never re-run;
-    - {b bounded retransmit}: unacked frames are re-sent under
+    - {b stop-and-wait}: at most one data frame is in flight; {!send}
+      refuses another until the peer acks it. The fleet's traffic
+      needs no more — the cluster sends a node its next batch only
+      after that node's [Batch_done], which carries the batch's ack;
+    - {b exactly-once delivery}: the receiver delivers the frame with
+      the next sequence number and drops (but re-acks) any other — a
+      retransmitted batch is acked, never re-run;
+    - {b bounded retransmit}: the unacked frame is re-sent under
       deterministic exponential backoff with seeded jitter, up to a
       retry limit ({!exhausted});
     - {b heartbeats}: payload-less frames keep the peer's failure
@@ -25,10 +28,10 @@
     a run is replayable from its seeds. *)
 
 type config = {
-  retransmit_base : int;  (** first retransmit deadline, in clock units *)
-  backoff_cap : int;  (** exponent cap: delay <= base * 2^cap + jitter *)
+  retransmit_base : int;
+      (** first retransmit deadline, in clock units; later delays double
+          up to [base * 2^4], plus seeded jitter *)
   retry_limit : int;  (** retransmits before the peer is presumed dead *)
-  window : int;  (** out-of-order frames buffered before drop *)
   heartbeat_every : int;  (** clock units between {!heartbeat_due} fires *)
 }
 
@@ -59,47 +62,43 @@ val create :
   encode_rx:('rx -> string) ->
   ('tx, 'rx) t
 (** [encode_tx]/[encode_rx] produce the canonical bytes MAC'd for each
-    direction's payloads ({!Node.batch_bytes} and friends). *)
+    direction's payloads ({!Node.down_bytes} and {!Node.up_bytes}). *)
 
 val set_key : ('tx, 'rx) t -> epoch:int -> key:string -> unit
-(** Install a key and epoch; resets sequence numbers, the dedup window
-    and the retransmit queue. A later call with a higher epoch is a
-    rekey — everything in flight under the old epoch is fenced off. *)
-
-val established : ('tx, 'rx) t -> bool
-
-val epoch : ('tx, 'rx) t -> int
+(** Install a key and epoch; resets sequence numbers and drops the
+    frame in flight. A later call with a higher epoch is a rekey —
+    everything in flight under the old epoch is fenced off. *)
 
 val send : ('tx, 'rx) t -> now:int -> 'tx -> 'tx frame
-(** Assign the next sequence number, tag the frame, and queue it for
-    retransmission until acked. Raises if no key is set. *)
+(** Assign the next sequence number, tag the frame, and hold it for
+    retransmission until acked. Raises [Invalid_argument] if no key is
+    set or a frame is already in flight ({!in_flight}). *)
 
 type 'rx verdict =
-  | Delivered of 'rx list
-      (** in-order payloads now deliverable ([[]] = buffered
-          out-of-order; an ack is scheduled either way) *)
+  | Delivered of 'rx  (** the next in sequence; an ack is scheduled *)
   | Heartbeat  (** valid payload-less frame; ack processed *)
-  | Duplicate  (** already-delivered seq; dropped, re-ack scheduled *)
+  | Duplicate  (** not the next seq; dropped, re-ack scheduled *)
   | Bad_mac
   | Stale  (** wrong epoch *)
   | No_key
 
 val receive : ('tx, 'rx) t -> now:int -> 'rx frame -> 'rx verdict
-(** Verify, process the piggybacked ack, and classify. Acks clear
-    frames from the retransmit queue. *)
+(** Verify, process the piggybacked ack, and classify. An ack covering
+    the frame in flight clears it. *)
 
 val verify_only : ('tx, 'rx) t -> 'rx frame -> bool
 (** MAC + epoch check with no state change — liveness evidence from a
     fenced peer whose frames must not be delivered. *)
 
-val due : ('tx, 'rx) t -> now:int -> ('tx frame * int) list
-(** Frames whose retransmit deadline passed, re-tagged with a fresh
-    cumulative ack, paired with the backoff delay (for the
-    [net.retransmit.delay] histogram). Each call backs the deadline
+val due : ('tx, 'rx) t -> now:int -> ('tx frame * int) option
+(** The frame in flight if its retransmit deadline passed, re-tagged
+    with a fresh cumulative ack, paired with the backoff delay (for the
+    [net.retransmit.delay] histogram). Each firing backs the deadline
     off exponentially with seeded jitter. *)
 
 val exhausted : ('tx, 'rx) t -> bool
-(** Some frame has hit the retry limit — the peer is presumed dead. *)
+(** The frame in flight has hit the retry limit — the peer is presumed
+    dead. *)
 
 val heartbeat_due : ('tx, 'rx) t -> now:int -> 'tx frame option
 (** A heartbeat if [heartbeat_every] clock units have passed since the
@@ -114,7 +113,8 @@ val ack_frame : ('tx, 'rx) t -> 'tx frame
 val last_heard : ('tx, 'rx) t -> int
 (** Clock time of the last authentically verified frame. *)
 
-val unacked : ('tx, 'rx) t -> int
+val in_flight : ('tx, 'rx) t -> bool
+(** A sent frame still awaits its ack. *)
 
 type stats = {
   retransmits : int;

@@ -172,11 +172,3 @@ let flush_set t i =
   Array.iter (fun l -> l.epoch <- -1) t.lines.(i land (t.cfg.sets - 1))
 
 let stats t = (t.hits, t.misses)
-
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.hits /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

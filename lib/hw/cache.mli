@@ -66,9 +66,4 @@ val flush_set : t -> int -> unit
 val set_of_paddr : t -> int -> int
 
 val stats : t -> int * int
-(** (hits, misses) since creation or [reset_stats]. *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)], or [0.] before any access. *)
-
-val reset_stats : t -> unit
+(** (hits, misses) since creation. *)

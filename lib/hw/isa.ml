@@ -20,8 +20,6 @@ type t =
   | Ebreak
   | Fence
 
-let size = 4
-
 (* opcodes *)
 let op_lui = 0b0110111
 let op_auipc = 0b0010111
@@ -333,74 +331,6 @@ let t4 = 29
 let t5 = 30
 let t6 = 31
 
-let reg_name r =
-  let names =
-    [| "zero"; "ra"; "sp"; "gp"; "tp"; "t0"; "t1"; "t2"; "s0"; "s1"; "a0";
-       "a1"; "a2"; "a3"; "a4"; "a5"; "a6"; "a7"; "s2"; "s3"; "s4"; "s5";
-       "s6"; "s7"; "s8"; "s9"; "s10"; "s11"; "t3"; "t4"; "t5"; "t6" |]
-  in
-  if r >= 0 && r < 32 then names.(r) else Printf.sprintf "x%d" r
-
-let alu_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Sll -> "sll"
-  | Slt -> "slt"
-  | Sltu -> "sltu"
-  | Xor -> "xor"
-  | Srl -> "srl"
-  | Sra -> "sra"
-  | Or -> "or"
-  | And -> "and"
-
-let pp ppf = function
-  | Lui (rd, imm) -> Format.fprintf ppf "lui %s, %d" (reg_name rd) imm
-  | Auipc (rd, imm) -> Format.fprintf ppf "auipc %s, %d" (reg_name rd) imm
-  | Jal (rd, imm) -> Format.fprintf ppf "jal %s, %d" (reg_name rd) imm
-  | Jalr (rd, rs1, imm) ->
-      Format.fprintf ppf "jalr %s, %s, %d" (reg_name rd) (reg_name rs1) imm
-  | Branch (op, rs1, rs2, imm) ->
-      let name =
-        match op with
-        | Beq -> "beq"
-        | Bne -> "bne"
-        | Blt -> "blt"
-        | Bge -> "bge"
-        | Bltu -> "bltu"
-        | Bgeu -> "bgeu"
-      in
-      Format.fprintf ppf "%s %s, %s, %d" name (reg_name rs1) (reg_name rs2) imm
-  | Load (op, rd, rs1, imm) ->
-      let name =
-        match op with
-        | Lb -> "lb"
-        | Lh -> "lh"
-        | Lw -> "lw"
-        | Ld -> "ld"
-        | Lbu -> "lbu"
-        | Lhu -> "lhu"
-        | Lwu -> "lwu"
-      in
-      Format.fprintf ppf "%s %s, %d(%s)" name (reg_name rd) imm (reg_name rs1)
-  | Store (op, rs2, rs1, imm) ->
-      let name =
-        match op with Sb -> "sb" | Sh -> "sh" | Sw -> "sw" | Sd -> "sd"
-      in
-      Format.fprintf ppf "%s %s, %d(%s)" name (reg_name rs2) imm (reg_name rs1)
-  | Op_imm (op, rd, rs1, imm) ->
-      Format.fprintf ppf "%si %s, %s, %d" (alu_name op) (reg_name rd)
-        (reg_name rs1) imm
-  | Op (op, rd, rs1, rs2) ->
-      Format.fprintf ppf "%s %s, %s, %s" (alu_name op) (reg_name rd)
-        (reg_name rs1) (reg_name rs2)
-  | Mul (rd, rs1, rs2) ->
-      Format.fprintf ppf "mul %s, %s, %s" (reg_name rd) (reg_name rs1)
-        (reg_name rs2)
-  | Csr_read_cycle rd -> Format.fprintf ppf "rdcycle %s" (reg_name rd)
-  | Ecall -> Format.pp_print_string ppf "ecall"
-  | Ebreak -> Format.pp_print_string ppf "ebreak"
-  | Fence -> Format.pp_print_string ppf "fence"
-
 let nop = Op_imm (Add, 0, 0, 0)
 
 let li rd imm =
@@ -413,4 +343,3 @@ let li rd imm =
 
 let mv rd rs = Op_imm (Add, rd, rs, 0)
 let j off = Jal (zero, off)
-let ret = Jalr (zero, ra, 0)

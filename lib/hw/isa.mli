@@ -38,9 +38,6 @@ val decode : int32 -> t option
 val encode_program : t list -> string
 (** Little-endian 32-bit words, ready to be loaded into memory. *)
 
-val size : int
-(** Instruction size in bytes (4). *)
-
 (** ABI register names. *)
 
 val zero : reg
@@ -66,8 +63,6 @@ val t4 : reg
 val t5 : reg
 val t6 : reg
 
-val pp : Format.formatter -> t -> unit
-
 (** Convenience pseudo-instructions for writing test programs. *)
 
 val nop : t
@@ -77,6 +72,3 @@ val li : reg -> int -> t list
 val mv : reg -> reg -> t
 val j : int -> t
 (** Unconditional jump by byte offset. *)
-
-val ret : t
-(** jalr x0, ra, 0 *)

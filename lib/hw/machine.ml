@@ -249,8 +249,6 @@ let create cfg =
 
 let set_fast_path t enabled = t.fast_path <- enabled
 
-let fast_path t = t.fast_path
-
 let note_protection_change t = t.phys_epoch <- t.phys_epoch + 1
 
 let set_sink t sink =
@@ -287,10 +285,6 @@ let cores t = t.cores
 let core t i = t.cores.(i)
 let core_count t = Array.length t.cores
 
-let active_root_ppns t =
-  Array.to_list t.cores
-  |> List.filter_map (fun c -> c.satp_root)
-  |> List.sort_uniq compare
 let set_phys_check t f =
   t.phys_check <- f;
   t.phys_epoch <- t.phys_epoch + 1
@@ -380,15 +374,14 @@ let translate_exn t core ~access ~vaddr =
               ~len:8;
             t.pte_fetch_check ~core ~paddr
           in
-          let steps =
-            Page_table.walk_cost_levels t.mem ~root_ppn:root ~vaddr:va
-              ~pte_fetch_ok
+          let walked, steps =
+            Page_table.walk t.mem ~root_ppn:root ~vaddr:va ~pte_fetch_ok
           in
           (match t.ctrs with
           | Some c -> Tel.Metrics.add c.c_ptw_steps steps
           | None -> ());
           core.cycles <- core.cycles + (steps * t.cfg.pte_fetch_cycles);
-          match Page_table.walk t.mem ~root_ppn:root ~vaddr:va ~pte_fetch_ok with
+          match walked with
           | Error Page_table.Invalid_mapping ->
               raise (Fault (Trap.Page_fault (access, vaddr)))
           | Error (Page_table.Walk_access_denied _) ->

@@ -71,11 +71,6 @@ val cores : t -> core array
 val core : t -> int -> core
 val core_count : t -> int
 
-val active_root_ppns : t -> int list
-(** Distinct page-table root PPNs currently installed in any core's
-    satp, sorted. Bare-addressing cores contribute nothing. For the
-    [Sanctorum_analysis] page-walk invariants. *)
-
 (** {2 Isolation hooks (installed by the platform backend)} *)
 
 val set_phys_check :
@@ -180,8 +175,6 @@ val set_fast_path : t -> bool -> unit
     is the same stepped reference pipeline either way, so [off] runs
     it alone: the differential-testing baseline ([bench sim] measures
     the gap, the qcheck properties prove the equivalence). *)
-
-val fast_path : t -> bool
 
 val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** {!Phys_mem.inject_bit_flip} on this machine's memory, via the

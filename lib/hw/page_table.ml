@@ -33,9 +33,8 @@ let vpn_index vaddr level =
   (* level 2 is the root; each index is 9 bits. *)
   (vaddr lsr (12 + (9 * level))) land (entries_per_table - 1)
 
-let walk_steps mem ~root_ppn ~vaddr ~pte_fetch_ok =
-  let steps = ref 0 in
-  let rec go table_ppn level =
+let walk mem ~root_ppn ~vaddr ~pte_fetch_ok =
+  let rec go table_ppn level steps =
     let pte_addr =
       Phys_mem.page_base table_ppn + (pte_size * vpn_index vaddr level)
     in
@@ -43,31 +42,25 @@ let walk_steps mem ~root_ppn ~vaddr ~pte_fetch_ok =
        memory; real hardware reports that as an invalid translation,
        not a crash. *)
     if pte_addr < 0 || pte_addr + pte_size > Phys_mem.size mem then
-      Error Invalid_mapping
-    else if not (pte_fetch_ok pte_addr) then Error (Walk_access_denied pte_addr)
+      (Error Invalid_mapping, steps)
+    else if not (pte_fetch_ok pte_addr) then
+      (Error (Walk_access_denied pte_addr), steps)
     else begin
-      incr steps;
+      let steps = steps + 1 in
       match decode_pte (Phys_mem.read_u64 mem pte_addr) with
-      | Error () -> Error Invalid_mapping
+      | Error () -> (Error Invalid_mapping, steps)
       | Ok (ppn, perms, is_leaf) ->
           if is_leaf then begin
             (* Resolve superpage leaves to the containing 4 KiB frame. *)
             let span = 1 lsl (9 * level) in
             let frame = ppn + ((vaddr lsr 12) land (span - 1)) in
-            Ok (frame, perms)
+            (Ok (frame, perms), steps)
           end
-          else if level = 0 then Error Invalid_mapping
-          else go ppn (level - 1)
+          else if level = 0 then (Error Invalid_mapping, steps)
+          else go ppn (level - 1) steps
     end
   in
-  let result = go root_ppn (levels - 1) in
-  (result, !steps)
-
-let walk mem ~root_ppn ~vaddr ~pte_fetch_ok =
-  fst (walk_steps mem ~root_ppn ~vaddr ~pte_fetch_ok)
-
-let walk_cost_levels mem ~root_ppn ~vaddr ~pte_fetch_ok =
-  snd (walk_steps mem ~root_ppn ~vaddr ~pte_fetch_ok)
+  go root_ppn (levels - 1) 0
 
 let map mem ~root_ppn ~vaddr ~ppn ~perms ~alloc_table =
   let rec go table_ppn level =

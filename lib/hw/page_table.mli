@@ -15,9 +15,6 @@ type fault = Invalid_mapping | Walk_access_denied of int
 val levels : int
 (** 3 *)
 
-val entries_per_table : int
-(** 512 *)
-
 val vpn_bits : int
 (** 39-bit virtual addresses. *)
 
@@ -26,18 +23,12 @@ val walk :
   root_ppn:int ->
   vaddr:int ->
   pte_fetch_ok:(int -> bool) ->
-  (int * perms, fault) result
-(** [walk mem ~root_ppn ~vaddr ~pte_fetch_ok] translates and returns
+  (int * perms, fault) result * int
+(** [walk mem ~root_ppn ~vaddr ~pte_fetch_ok] translates [vaddr] to
     [(ppn, perms)] of the leaf (superpage leaves are resolved to the
-    4 KiB frame containing [vaddr]). *)
-
-val walk_cost_levels :
-  Phys_mem.t ->
-  root_ppn:int ->
-  vaddr:int ->
-  pte_fetch_ok:(int -> bool) ->
-  int
-(** Number of PTE fetches the walk performs (for the timing model). *)
+    4 KiB frame containing [vaddr]), paired with the number of PTE
+    fetches the walk performed, failed walks included (for the timing
+    model). *)
 
 val map :
   Phys_mem.t ->

@@ -87,14 +87,3 @@ let check_range t ~privilege ~access ~lo ~hi =
     | [ _ ] | [] -> true
   in
   lo < hi && fragments points
-
-let pp ppf t =
-  Array.iteri
-    (fun i e ->
-      if e.active then
-        Format.fprintf ppf "pmp%d: [0x%x,0x%x) %s%s%s%s@." i e.lo e.hi
-          (if e.r then "r" else "-")
-          (if e.w then "w" else "-")
-          (if e.x then "x" else "-")
-          (if e.locked then "L" else ""))
-    t

@@ -44,5 +44,3 @@ val check_range :
   t -> privilege:privilege -> access:Trap.access -> lo:int -> hi:int -> bool
 (** Every byte of [lo, hi) passes {!check}. Conservative per-entry
     implementation (no byte loop). *)
-
-val pp : Format.formatter -> t -> unit

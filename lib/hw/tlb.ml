@@ -123,7 +123,3 @@ let entry_count t =
   Array.fold_left live 0 t.entries
 
 let stats t = (t.hits, t.misses)
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

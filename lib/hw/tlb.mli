@@ -69,6 +69,4 @@ val iter_entries : t -> (vpn:int -> ppn:int -> perms:perms -> unit) -> unit
     hit/miss statistics or replacement state. *)
 
 val stats : t -> int * int
-(** (hits, misses) of {!lookup} since creation or [reset_stats]. *)
-
-val reset_stats : t -> unit
+(** (hits, misses) of {!lookup} since creation. *)

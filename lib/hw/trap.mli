@@ -41,5 +41,4 @@ val cause_label : cause -> string
     e.g. ["page-fault-read"], ["ecall"], ["irq-timer"]. Suitable as a
     trace-event name or metric-name suffix. *)
 
-val pp_access : Format.formatter -> access -> unit
 val pp_cause : Format.formatter -> cause -> unit

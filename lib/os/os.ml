@@ -348,19 +348,17 @@ let classify_outcome t ~events_before ~tid ~core =
   let newest = newest_event t ~events_before in
   if (Hw.Machine.core t.machine core).Hw.Machine.quarantined then Killed
   else
-  match Sanctorum.Sm.thread_state t.sm ~tid with
-  | Ok (`Running _) -> Fuel_exhausted
-  | Ok (`Assigned _) | Ok `Available | Error _ -> begin
-      match Sanctorum.Sm.thread_has_aex_state t.sm ~tid with
-      | Ok true -> begin
-          (* An AEX happened: the delegated event says why. *)
-          match newest with
-          | Some (Hw.Trap.Interrupt _) -> Preempted
-          | Some (Hw.Trap.Exception _ as e) -> Faulted e
-          | None -> Preempted
-        end
-      | Ok false | Error _ -> Exited
+  match Sanctorum.Sm.thread_info t.sm ~tid with
+  | Some { Sanctorum.Sm.i_phase = `Running _; i_owner = Some _; _ } ->
+      Fuel_exhausted
+  | Some { Sanctorum.Sm.i_has_aex = true; _ } -> begin
+      (* An AEX happened: the delegated event says why. *)
+      match newest with
+      | Some (Hw.Trap.Interrupt _) -> Preempted
+      | Some (Hw.Trap.Exception _ as e) -> Faulted e
+      | None -> Preempted
     end
+  | Some _ | None -> Exited
 
 (* A dropped preemption tick leaves the thread running when the fuel
    budget runs dry ([Fuel_exhausted] with the core still inside the
@@ -370,9 +368,11 @@ let run_enclave t ~eid ~tid ~core ~fuel ?quantum () =
   let c = Hw.Machine.core t.machine core in
   let events_before = t.event_count in
   let* () =
-    match Sanctorum.Sm.thread_state t.sm ~tid with
-    | Ok (`Running (reid, rcore)) when reid = eid && rcore = core -> Ok ()
-    | Ok _ | Error _ ->
+    match Sanctorum.Sm.thread_info t.sm ~tid with
+    | Some { Sanctorum.Sm.i_phase = `Running rcore; i_owner = Some reid; _ }
+      when reid = eid && rcore = core ->
+        Ok ()
+    | Some _ | None ->
         retry_transient (fun () ->
             Sanctorum.Sm.enter_enclave t.sm ~caller:Sanctorum.Sm.Os ~eid ~tid ~core)
   in

@@ -39,9 +39,6 @@ val alloc_metadata : t -> [ `Enclave | `Thread ] -> int
 (** Pick a fresh metadata address for the monitor to validate. Raises
     [Out_of_memory] if the metadata region is exhausted. *)
 
-val release_metadata : t -> [ `Enclave | `Thread ] -> int -> unit
-(** Recycle a metadata address after the monitor released the slot. *)
-
 val alloc_staging : t -> bytes:int -> int
 (** Page-aligned scratch memory in the OS's own (never granted) heap,
     e.g. to stage enclave pages or share buffers with enclaves. Raises

@@ -24,7 +24,5 @@ val of_events : Event.t list -> entry list
 val accepted : entry list -> entry list
 val rejected : entry list -> entry list
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val pp : Format.formatter -> entry list -> unit
 (** A table, one line per decision, plus an accept/reject tally. *)

@@ -146,10 +146,3 @@ let args = function
         ("target_core", string_of_int target_core);
         ("attempt", string_of_int attempt);
       ]
-
-let pp ppf t =
-  let core = if t.core < 0 then "host" else "c" ^ string_of_int t.core in
-  Format.fprintf ppf "#%d [%s @%d] %s" t.seq core t.cycles (label t.payload);
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf " %s=%s" k v)
-    (args t.payload)

@@ -96,5 +96,3 @@ val phase : payload -> [ `Begin | `End | `Complete of int | `Instant ]
 
 val args : payload -> (string * string) list
 (** Structured key/value detail for exporters. *)
-
-val pp : Format.formatter -> t -> unit

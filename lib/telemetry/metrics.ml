@@ -122,7 +122,6 @@ let summary h =
        else float_of_int h.hsum /. float_of_int h.hcount);
   }
 
-let name = function Counter c -> c.c_name | Histogram h -> h.h_name
 let find t n = Hashtbl.find_opt t.tbl n
 
 let to_list t =

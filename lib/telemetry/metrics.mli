@@ -57,7 +57,6 @@ val merge : into:histogram -> histogram -> unit
     streams. Used to aggregate per-shard latency histograms into
     fleet-level percentiles. *)
 
-val name : item -> string
 val find : t -> string -> item option
 val to_list : t -> (string * item) list
 (** Sorted by name. *)

@@ -8,8 +8,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity None; capacity; pushed = 0 }
 
-let capacity t = t.capacity
-
 let push t x =
   t.buf.(t.pushed mod t.capacity) <- Some x;
   t.pushed <- t.pushed + 1

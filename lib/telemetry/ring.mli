@@ -7,8 +7,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 (** O(1); overwrites the oldest element when full. *)
 
@@ -22,9 +20,6 @@ val dropped : 'a t -> int
 (** Elements overwritten so far: [pushed - length]. *)
 
 val to_list : 'a t -> 'a list
-(** Oldest first. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
 val clear : 'a t -> unit

@@ -15,14 +15,8 @@ let constant_time_equal a b =
   end
 
 let get_u64_le s off = String.get_int64_le s off
-let set_u64_le b off v = Bytes.set_int64_le b off v
-let get_u32_le s off = String.get_int32_le s off
-let set_u32_le b off v = Bytes.set_int32_le b off v
 
 let of_int64_le v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;
   Bytes.unsafe_to_string b
-
-let concat_list parts = String.concat "" parts
-let repeat c n = String.make n c

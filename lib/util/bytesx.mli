@@ -12,16 +12,5 @@ val constant_time_equal : string -> string -> bool
 val get_u64_le : string -> int -> int64
 (** [get_u64_le s off] reads 8 bytes little-endian. *)
 
-val set_u64_le : Bytes.t -> int -> int64 -> unit
-
-val get_u32_le : string -> int -> int32
-
-val set_u32_le : Bytes.t -> int -> int32 -> unit
-
 val of_int64_le : int64 -> string
 (** 8-byte little-endian rendering. *)
-
-val concat_list : string list -> string
-(** [concat_list parts] concatenates with no separator. *)
-
-val repeat : char -> int -> string

@@ -22,20 +22,3 @@ let decode h =
   if n mod 2 <> 0 then invalid_arg "Hex.decode: odd length";
   String.init (n / 2) (fun i ->
       Char.chr ((nibble h.[2 * i] lsl 4) lor nibble h.[(2 * i) + 1]))
-
-let pp ppf s = Format.pp_print_string ppf (encode s)
-
-let pp_dump ppf s =
-  let n = String.length s in
-  let rec line off =
-    if off < n then begin
-      let len = min 16 (n - off) in
-      Format.fprintf ppf "%08x  " off;
-      for i = 0 to len - 1 do
-        Format.fprintf ppf "%02x " (Char.code s.[off + i])
-      done;
-      Format.pp_print_newline ppf ();
-      line (off + 16)
-    end
-  in
-  line 0

@@ -7,10 +7,3 @@ val encode : string -> string
 val decode : string -> string
 (** [decode h] inverts {!encode}. Raises [Invalid_argument] if [h] has odd
     length or contains a non-hex character. *)
-
-val pp : Format.formatter -> string -> unit
-(** [pp ppf s] prints [encode s]. *)
-
-val pp_dump : Format.formatter -> string -> unit
-(** [pp_dump ppf s] prints a 16-bytes-per-line hexdump with offsets, for
-    debugging memory images. *)

@@ -366,15 +366,11 @@ let take_failed t =
   t.failed_buf <- [];
   l
 
-let inflight t =
-  Hashtbl.fold (fun jid _ acc -> jid :: acc) t.jobs [] |> List.sort compare
-
 let healthy t =
   Array.for_all
     (fun (c : Hw.Machine.core) -> not c.Hw.Machine.quarantined)
     (Hw.Machine.cores t.tb.Testbed.machine)
 
-let rounds_run t = t.rounds
 let latency_histogram t = t.hist
 
 let finish t =

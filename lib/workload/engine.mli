@@ -119,13 +119,8 @@ val take_failed : t -> (int * string) list
     fleet re-places them elsewhere. Their enclaves are already
     reclaimed (or were destroyed by the monitor's emergency path). *)
 
-val inflight : t -> int list
-(** Jobs submitted but neither completed nor failed, ascending. *)
-
 val healthy : t -> bool
 (** No core of the shard's machine is quarantined. *)
-
-val rounds_run : t -> int
 
 val finish : t -> report
 (** Drain the scheduler, reclaim every remaining enclave (accounting

@@ -20,12 +20,6 @@ val mix_of_string : string -> (mix, string) result
 
 val all_mixes : mix list
 
-val evbase : int
-(** Virtual base address every worker image is linked at. *)
-
-val shared_vaddr : int
-(** Where the ipc mix maps its OS-shared window. *)
-
 val build_image : mix:mix -> rng:Sanctorum_util.Splitmix.t -> Sanctorum.Image.t
 (** A worker image for [mix]; iteration counts and paging targets are
     drawn from [rng], so the image is a pure function of the stream

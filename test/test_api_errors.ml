@@ -71,8 +71,6 @@ let table sm =
     ("init_enclave/bad-eid", fun () -> u (S.init_enclave sm ~caller:os ~eid:beid));
     ("delete_enclave/bad-eid",
      fun () -> u (S.delete_enclave sm ~caller:os ~eid:beid));
-    ("enclave_state/bad-eid",
-     fun () -> u (Result.map ignore (S.enclave_state sm ~eid:beid)));
     ("enclave_measurement/bad-eid",
      fun () -> u (Result.map ignore (S.enclave_measurement sm ~eid:beid)));
     ("enclave_domain/bad-eid",
@@ -89,10 +87,6 @@ let table sm =
      fun () -> u (S.unassign_thread sm ~caller:os ~tid:btid));
     ("delete_thread/bad-tid",
      fun () -> u (S.delete_thread sm ~caller:os ~tid:btid));
-    ("thread_state/neg-tid",
-     fun () -> u (Result.map ignore (S.thread_state sm ~tid:(-1))));
-    ("thread_has_aex_state/bad-tid",
-     fun () -> u (Result.map ignore (S.thread_has_aex_state sm ~tid:btid)));
     ("enter_enclave/bad-core",
      fun () -> u (S.enter_enclave sm ~caller:os ~eid:beid ~tid:btid ~core:99));
     ("enter_enclave/neg-core",

@@ -40,7 +40,8 @@ let test_enclave_lock_aborts () =
   | Error e -> Alcotest.failf "unexpected: %s" (E.to_string e));
   (* state unchanged: still initialized, thread still assigned *)
   check_bool "still initialized" true
-    (S.enclave_state sm ~eid = Ok `Initialized);
+    (Option.map (fun i -> i.S.i_initialized) (S.enclave_info sm ~eid)
+    = Some true);
   (* releasing the lock lets the transaction through *)
   S.unlock_enclave sm ~eid;
   match S.delete_enclave sm ~caller:S.Os ~eid with

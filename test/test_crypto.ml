@@ -452,6 +452,23 @@ let test_cert () =
       check_bool "measurement kept" true
         (c2'.C.Cert.bound_measurement = c2.C.Cert.bound_measurement)
   | Error m -> Alcotest.fail m);
+  (* chain framing: round trip, and a blob cut inside a length prefix
+     or inside a certificate is rejected by name *)
+  let chain = C.Cert.serialize_chain [ c1; c2 ] in
+  (match C.Cert.parse_chain chain with
+  | Ok certs ->
+      check_bool "chain roundtrip verifies" true
+        (chain_verifies ~root:(pk root) certs);
+      check "chain re-serializes" (hex chain)
+        (hex (C.Cert.serialize_chain certs))
+  | Error m -> Alcotest.fail m);
+  let cut n = C.Cert.parse_chain (String.sub chain 0 n) in
+  let first = 4 + String.length (C.Cert.serialize c1) in
+  check_bool "empty chain parses" true (C.Cert.parse_chain "" = Ok []);
+  check_bool "cut in a length" true
+    (cut (first + 2) = Error "truncated certificate chain");
+  check_bool "cut in a certificate" true
+    (cut (first + 5) = Error "truncated certificate");
   (* tampered serialization *)
   let blob = C.Cert.serialize c2 in
   let tampered =

@@ -19,12 +19,15 @@ let test_legal_lifecycle () =
   | Error e -> Alcotest.failf "install: %s" (E.to_string e)
   | Ok inst ->
       check_bool "initialized" true
-        (S.enclave_state tb.Testbed.sm ~eid:inst.Os.eid = Ok `Initialized);
+        (Option.map
+           (fun i -> i.S.i_initialized)
+           (S.enclave_info tb.Testbed.sm ~eid:inst.Os.eid)
+        = Some true);
       (match Os.reclaim_enclave tb.Testbed.os ~eid:inst.Os.eid with
       | Ok () -> ()
       | Error e -> Alcotest.failf "reclaim: %s" (E.to_string e));
       check_bool "gone" true
-        (is_error (S.enclave_state tb.Testbed.sm ~eid:inst.Os.eid))
+        (S.enclave_info tb.Testbed.sm ~eid:inst.Os.eid = None)
 
 let test_create_validation () =
   let tb = Testbed.create () in
@@ -290,8 +293,9 @@ let test_map_shared_all_or_nothing backend () =
   in
   check_bool "rejected call left no mapping" true
     (is_error
-       (Hw.Page_table.walk (Hw.Machine.mem tb.Testbed.machine) ~root_ppn:root
-          ~vaddr:window ~pte_fetch_ok:(fun _ -> true)));
+       (fst
+          (Hw.Page_table.walk (Hw.Machine.mem tb.Testbed.machine)
+             ~root_ppn:root ~vaddr:window ~pte_fetch_ok:(fun _ -> true))));
   table ~vaddr:0x200000 ~level:0;
   ok "same window once the table exists" (map ())
 

@@ -64,7 +64,7 @@ let test_aex_saves_and_scrubs () =
   | Ok _ | Error _ -> Alcotest.fail "expected preemption");
   (* AEX state exists *)
   check_bool "aex saved" true
-    (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid));
+    (Option.get (S.thread_info tb.Testbed.sm ~tid)).S.i_has_aex;
   (* the architected state visible to the OS is scrubbed *)
   let c = Hw.Machine.core tb.Testbed.machine 0 in
   check_i64 "a5 scrubbed" 0L (Hw.Machine.read_reg c Hw.Isa.a5);
@@ -117,7 +117,7 @@ let test_exit_clears_aex () =
   ignore (Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100000 ~quantum:100 ());
   ignore (Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:1000 ());
   check_bool "aex cleared after voluntary exit" false
-    (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
+    (Option.get (S.thread_info tb.Testbed.sm ~tid)).S.i_has_aex
 
 let test_enclave_fault_without_handler () =
   let tb = Testbed.create () in
@@ -323,7 +323,7 @@ let test_read_aex_state_bad_buffer backend () =
   | Ok _ | Error _ -> Alcotest.fail "expected preemption");
   spin_after_failed_ecall tb ~eid ~tid Os.run_enclave;
   check_bool "AEX dump kept" true
-    (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
+    (Option.get (S.thread_info tb.Testbed.sm ~tid)).S.i_has_aex
 
 let suite =
   ( "execution",

@@ -307,29 +307,39 @@ let session_pair () =
 
 let test_session_delivery () =
   let a, b = session_pair () in
-  let f0 = Session.send a ~now:0 "x" and f1 = Session.send a ~now:0 "y" in
+  let f0 = Session.send a ~now:0 "x" in
+  check_bool "frame in flight" true (Session.in_flight a);
+  (* stop-and-wait: no second frame until the first is acked *)
+  check_bool "second send refused" true
+    (match Session.send a ~now:0 "y" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   check_bool "in-order delivery" true
-    (Session.receive b ~now:0 f0 = Session.Delivered [ "x" ]);
-  check_bool "next in order" true
-    (Session.receive b ~now:1 f1 = Session.Delivered [ "y" ]);
+    (Session.receive b ~now:0 f0 = Session.Delivered "x");
   (* a retransmitted frame is acked, never re-delivered *)
   check_bool "duplicate flagged" true
-    (Session.receive b ~now:2 f0 = Session.Duplicate);
+    (Session.receive b ~now:1 f0 = Session.Duplicate);
   check_bool "dup wants a re-ack" true (Session.want_ack b);
   check_int "dup counted" 1 (Session.stats b).Session.dups_dropped;
-  (* out-of-order frames are buffered, then released in sequence *)
-  let f2 = Session.send a ~now:1 "c" and f3 = Session.send a ~now:1 "d" in
-  check_bool "future frame buffered" true
-    (Session.receive b ~now:3 f3 = Session.Delivered []);
-  check_bool "gap fill releases both in order" true
-    (Session.receive b ~now:4 f2 = Session.Delivered [ "c"; "d" ]);
-  (* the ack travels back and clears the retransmit queue *)
-  check_int "four unacked" 4 (Session.unacked a);
+  (* the ack travels back and clears the frame in flight *)
   let ack = Session.ack_frame b in
   check_bool "ack is payload-less" true (ack.Session.fr_payload = None);
   check_bool "ack verifies as heartbeat" true
-    (Session.receive a ~now:5 ack = Session.Heartbeat);
-  check_int "retransmit queue cleared" 0 (Session.unacked a)
+    (Session.receive a ~now:2 ack = Session.Heartbeat);
+  check_bool "ack clears the frame" false (Session.in_flight a);
+  let f1 = Session.send a ~now:3 "y" in
+  (* a frame whose seq is not the next one is dropped and re-acked: a
+     receiver that never got seq 0 sees seq 1 *)
+  let c =
+    Session.create Session.node_config ~seed:33L ~role:Session.Node_end
+      ~encode_tx:Fun.id ~encode_rx:Fun.id
+  in
+  Session.set_key c ~epoch:1 ~key:"shared-key";
+  check_bool "seq ahead is a duplicate" true
+    (Session.receive c ~now:0 f1 = Session.Duplicate);
+  check_bool "seq ahead wants a re-ack" true (Session.want_ack c);
+  check_bool "next in order" true
+    (Session.receive b ~now:3 f1 = Session.Delivered "y")
 
 let test_session_rejects () =
   let a, b = session_pair () in
@@ -358,19 +368,18 @@ let test_session_rejects () =
 let test_session_retransmit () =
   let a, _ = session_pair () in
   ignore (Session.send a ~now:0 "x");
-  check_bool "nothing due yet" true (Session.due a ~now:1 = []);
+  check_bool "nothing due yet" true (Session.due a ~now:1 = None);
   let t = ref 0 and last = ref 0 and delays = ref [] in
   (* drive virtual time until the retry budget is spent; each due fire
      must back off further than the last *)
   while not (Session.exhausted a) && !t < 1_000_000 do
     t := !t + 1;
     match Session.due a ~now:!t with
-    | [] -> ()
-    | [ (_, delay) ] ->
+    | None -> ()
+    | Some (_, delay) ->
         check_bool "deadline moved forward" true (!t > !last);
         last := !t;
         delays := delay :: !delays
-    | _ -> Alcotest.fail "one frame outstanding, several due"
   done;
   check_bool "retry budget exhausts" true (Session.exhausted a);
   check_int "retransmits counted"
@@ -577,11 +586,10 @@ let test_node_dup_idempotent () =
     match Channel.recv outbox with
     | Node.Up f -> (
         match Session.receive cs ~now:1 f with
-        | Session.Delivered [ Node.Batch_done { bd_gen; bd_completed; _ } ] ->
+        | Session.Delivered (Node.Batch_done { bd_gen; bd_completed; _ }) ->
             check_int "our generation" 0 bd_gen;
             check_bool "our job completed" true (bd_completed = [ 0 ])
-        | Session.Delivered [] | Session.Heartbeat | Session.Duplicate ->
-            await_done ()
+        | Session.Heartbeat | Session.Duplicate -> await_done ()
         | v ->
             Alcotest.failf "unexpected verdict on first reply: %s"
               (match v with
@@ -596,18 +604,13 @@ let test_node_dup_idempotent () =
   Channel.send inbox (Node.Down (Session.ack_frame cs));
   (* now re-deliver the very same batch frame *)
   Channel.send inbox (Node.Down fr);
-  let rec await_ack_only () =
-    match Channel.recv outbox with
-    | Node.Up f -> (
-        match Session.receive cs ~now:2 f with
-        | Session.Heartbeat | Session.Duplicate -> ()
-        | Session.Delivered [] -> await_ack_only ()
-        | Session.Delivered _ ->
-            Alcotest.fail "duplicate batch was re-executed"
-        | _ -> Alcotest.fail "unexpected verdict on the dup's ack")
-    | _ -> Alcotest.fail "expected a session frame"
-  in
-  await_ack_only ();
+  (match Channel.recv outbox with
+  | Node.Up f -> (
+      match Session.receive cs ~now:2 f with
+      | Session.Heartbeat | Session.Duplicate -> ()
+      | Session.Delivered _ -> Alcotest.fail "duplicate batch was re-executed"
+      | _ -> Alcotest.fail "unexpected verdict on the dup's ack")
+  | _ -> Alcotest.fail "expected a session frame");
   Channel.send inbox Node.Shutdown;
   let rec await_bye () =
     match Channel.recv outbox with

@@ -336,20 +336,24 @@ let test_page_table () =
   let perms = { Hw.Page_table.r = true; w = true; x = false; u = true } in
   Hw.Page_table.map mem ~root_ppn:root ~vaddr:0x40000000 ~ppn:100 ~perms
     ~alloc_table;
+  (* one walk yields the leaf and its cost: 3 PTE fetches *)
   (match
      Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40000123
        ~pte_fetch_ok:(fun _ -> true)
    with
-  | Ok (100, p) -> check_bool "perms" true (p = perms)
-  | Ok _ -> Alcotest.fail "wrong ppn"
-  | Error _ -> Alcotest.fail "walk failed");
-  (* unmapped sibling *)
+  | Ok (100, p), steps ->
+      check_bool "perms" true (p = perms);
+      check_int "walk steps" 3 steps
+  | Ok _, _ -> Alcotest.fail "wrong ppn"
+  | Error _, _ -> Alcotest.fail "walk failed");
+  (* unmapped sibling: the invalid leaf PTE was still fetched *)
   (match
      Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40001000
        ~pte_fetch_ok:(fun _ -> true)
    with
-  | Error Hw.Page_table.Invalid_mapping -> ()
-  | Ok _ | Error _ -> Alcotest.fail "unmapped vaddr translated");
+  | Error Hw.Page_table.Invalid_mapping, steps ->
+      check_int "unmapped walk steps" 3 steps
+  | (Ok _ | Error _), _ -> Alcotest.fail "unmapped vaddr translated");
   (* remap rejection *)
   (match
      Hw.Page_table.map mem ~root_ppn:root ~vaddr:0x40000000 ~ppn:101 ~perms
@@ -357,17 +361,17 @@ let test_page_table () =
    with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "double map accepted");
-  (* pte fetch veto: the Sanctum page-walk invariant *)
+  (* pte fetch veto: the Sanctum page-walk invariant. The leaf table
+     (ppn 3) is refused; the two fetches before it are counted, the
+     refused one is not. *)
   (match
      Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40000123
-       ~pte_fetch_ok:(fun paddr -> paddr >= 0x10000)
+       ~pte_fetch_ok:(fun paddr -> paddr < 0x3000)
    with
-  | Error (Hw.Page_table.Walk_access_denied _) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "vetoed walk succeeded");
-  (* walk cost: 3 levels *)
-  check_int "walk steps" 3
-    (Hw.Page_table.walk_cost_levels mem ~root_ppn:root ~vaddr:0x40000123
-       ~pte_fetch_ok:(fun _ -> true));
+  | Error (Hw.Page_table.Walk_access_denied paddr), steps ->
+      check_bool "denied in the leaf table" true (paddr >= 0x3000);
+      check_int "vetoed walk steps" 2 steps
+  | (Ok _ | Error _), _ -> Alcotest.fail "vetoed walk succeeded");
   (* unmap *)
   check_bool "unmap" true (Hw.Page_table.unmap mem ~root_ppn:root ~vaddr:0x40000000);
   check_bool "unmap again" false
@@ -395,8 +399,10 @@ let test_superpage () =
     Hw.Page_table.walk mem ~root_ppn:root ~vaddr:(vaddr + (5 * 4096) + 7)
       ~pte_fetch_ok:(fun _ -> true)
   with
-  | Ok (ppn, _) -> check_int "superpage frame" 517 ppn
-  | Error _ -> Alcotest.fail "superpage walk failed"
+  | Ok (ppn, _), steps ->
+      check_int "superpage frame" 517 ppn;
+      check_int "superpage walk steps" 2 steps
+  | Error _, _ -> Alcotest.fail "superpage walk failed"
 
 let test_pte_encoding () =
   let perms = { Hw.Page_table.r = true; w = false; x = true; u = true } in

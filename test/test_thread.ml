@@ -16,13 +16,15 @@ let setup () =
   let inst = Result.get_ok (Os.install_enclave tb.Testbed.os image) in
   (tb, inst.Os.eid, List.hd inst.Os.tids)
 
+let phase sm ~tid = Option.map (fun i -> i.S.i_phase) (S.thread_info sm ~tid)
+
 let test_load_thread_states () =
   let tb, eid, tid = setup () in
-  (match S.thread_state tb.Testbed.sm ~tid with
-  | Ok (`Assigned e) -> Alcotest.(check int) "assigned to" eid e
-  | _ -> Alcotest.fail "expected assigned");
-  check_bool "no aex yet" false
-    (Result.get_ok (S.thread_has_aex_state tb.Testbed.sm ~tid))
+  match S.thread_info tb.Testbed.sm ~tid with
+  | Some { S.i_phase = `Assigned; i_owner = Some e; i_has_aex; _ } ->
+      Alcotest.(check int) "assigned to" eid e;
+      check_bool "no aex yet" false i_has_aex
+  | Some _ | None -> Alcotest.fail "expected assigned"
 
 let test_release_and_recycle () =
   let tb, eid, tid = setup () in
@@ -31,7 +33,7 @@ let test_release_and_recycle () =
   (match S.release_thread sm ~caller:(S.Enclave_caller eid) ~tid with
   | Ok () -> ()
   | Error e -> Alcotest.failf "release: %s" (E.to_string e));
-  check_bool "available" true (S.thread_state sm ~tid = Ok `Available);
+  check_bool "available" true (phase sm ~tid = Some `Available);
   (* install a second enclave, recycle the thread into it *)
   let image2 =
     Img.of_program ~evbase:0x40000 Hw.Isa.[ Op_imm (Add, a7, zero, 1); Ecall ]
@@ -51,9 +53,10 @@ let test_release_and_recycle () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "accept: %s" (E.to_string e));
-  (match S.thread_state sm ~tid with
-  | Ok (`Assigned e) -> Alcotest.(check int) "new owner" eid2 e
-  | _ -> Alcotest.fail "expected assigned to new enclave");
+  (match S.thread_info sm ~tid with
+  | Some { S.i_phase = `Assigned; i_owner = Some e; _ } ->
+      Alcotest.(check int) "new owner" eid2 e
+  | Some _ | None -> Alcotest.fail "expected assigned to new enclave");
   (* the recycled thread actually runs in the new enclave *)
   match Os.run_enclave tb.Testbed.os ~eid:eid2 ~tid ~core:0 ~fuel:1000 () with
   | Ok Os.Exited -> ()
@@ -94,10 +97,10 @@ let test_unassign_after_delete () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "delete: %s" (E.to_string e));
   (* deletion released the thread *)
-  check_bool "available after delete" true (S.thread_state sm ~tid = Ok `Available);
+  check_bool "available after delete" true (phase sm ~tid = Some `Available);
   (* delete the metadata *)
   match S.delete_thread sm ~caller:S.Os ~tid with
-  | Ok () -> check_bool "gone" true (is_error (S.thread_state sm ~tid))
+  | Ok () -> check_bool "gone" true (phase sm ~tid = None)
   | Error e -> Alcotest.failf "delete_thread: %s" (E.to_string e)
 
 let test_thread_slot_validation () =

@@ -265,7 +265,8 @@ let test_reclaim_clears_aex_under_lock () =
         | Os.Preempted -> assert false)
   | Error e -> Alcotest.failf "run: %s" (Sanctorum.Api_error.to_string e));
   check_bool "AEX dump pending" true
-    (S.thread_has_aex_state tb.Testbed.sm ~tid = Ok true);
+    (Option.map (fun i -> i.S.i_has_aex) (S.thread_info tb.Testbed.sm ~tid)
+    = Some true);
   (* Scope the trace to the reclaim path alone. *)
   Tel.Sink.clear sink;
   (match Os.reclaim_enclave tb.Testbed.os ~eid with
