@@ -20,7 +20,9 @@ let normalize (a : int array) : t =
 
 let of_int v =
   if v < 0 then invalid_arg "Bignum.of_int: negative";
-  let rec limbs v = if v = 0 then [] else (v land mask) :: limbs (v lsr base_bits) in
+  let rec limbs v =
+    if v = 0 then [] else (v land mask) :: limbs (v lsr base_bits)
+  in
   Array.of_list (limbs v)
 
 let one = of_int 1
@@ -267,7 +269,8 @@ let to_hex a =
     let len = (bit_length a + 7) / 8 in
     let s = Sanctorum_util.Hex.encode (to_bytes_be ~len a) in
     (* strip at most one leading zero nibble *)
-    if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1)
+    if String.length s > 1 && s.[0] = '0' then
+      String.sub s 1 (String.length s - 1)
     else s
   end
 

@@ -93,7 +93,8 @@ let verify pk ~msg ~signature =
 
 let batch_coefficient transcript i =
   let h =
-    Sha3.sha3_256 (transcript ^ Sanctorum_util.Bytesx.of_int64_le (Int64.of_int i))
+    Sha3.sha3_256
+      (transcript ^ Sanctorum_util.Bytesx.of_int64_le (Int64.of_int i))
   in
   let z = Bignum.of_bytes_be (String.sub h 0 16) in
   if Bignum.is_zero z then Bignum.one else z

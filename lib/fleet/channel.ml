@@ -1,7 +1,11 @@
 type 'a t = { mutex : Mutex.t; nonempty : Condition.t; q : 'a Queue.t }
 
 let create () =
-  { mutex = Mutex.create (); nonempty = Condition.create (); q = Queue.create () }
+  {
+    mutex = Mutex.create ();
+    nonempty = Condition.create ();
+    q = Queue.create ();
+  }
 
 let send t v =
   Mutex.lock t.mutex;

@@ -630,7 +630,8 @@ let run cfg =
     if !progress then quiet := 0
     else begin
       incr quiet;
-      if !quiet > 3 then Unix.sleepf (min 0.002 (0.00005 *. float_of_int !quiet))
+      if !quiet > 3 then
+        Unix.sleepf (min 0.002 (0.00005 *. float_of_int !quiet))
     end;
     (* Wall-clock floor on the sweep rate while protocol timers are
        live: heartbeat-ack chatter keeps [progress] hot, and an

@@ -38,7 +38,14 @@ let class_of_name = function
 let all_preset =
   {
     counts =
-      [ (Drop, 3); (Dup, 2); (Corrupt, 2); (Delay, 2); (Reorder, 1); (Part, 1) ];
+      [
+        (Drop, 3);
+        (Dup, 2);
+        (Corrupt, 2);
+        (Delay, 2);
+        (Reorder, 1);
+        (Part, 1);
+      ];
     windows = [];
   }
 
@@ -82,7 +89,8 @@ let parse s =
               | Some cls, Some n when n >= 0 ->
                   go { acc with counts = acc.counts @ [ (cls, n) ] } rest
               | Some _, _ -> Error (Printf.sprintf "bad count in %S" t)
-              | None, _ -> Error (Printf.sprintf "unknown fault class %S" name)))
+              | None, _ ->
+                  Error (Printf.sprintf "unknown fault class %S" name)))
     in
     go empty terms
 

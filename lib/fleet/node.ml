@@ -90,7 +90,9 @@ let up_bytes = function
 let flip_byte s =
   if s = "" then s
   else
-    String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) s
+    String.mapi
+      (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c)
+      s
 
 let corrupt_frame fr = { fr with Session.fr_tag = flip_byte fr.Session.fr_tag }
 
@@ -375,7 +377,8 @@ let run ?throttle cfg ~inbox ~outbox =
     pump ()
   in
   while !running do
-    if not (Queue.is_empty deferred) then handle ~light:false (Queue.pop deferred)
+    if not (Queue.is_empty deferred) then
+      handle ~light:false (Queue.pop deferred)
     else if not (Queue.is_empty batchq) then begin
       match Queue.pop batchq with
       | Batch { gen; jobs } ->
@@ -437,6 +440,7 @@ let run ?throttle cfg ~inbox ~outbox =
              ("net.retransmits", ss.Session.retransmits);
              ("net.dups_dropped", ss.Session.dups_dropped);
              ("net.hmac_rejects", ss.Session.mac_rejects);
-             ("net.stale_rejected", ss.Session.stale_rejects + !stale_challenges);
+             ( "net.stale_rejected",
+               ss.Session.stale_rejects + !stale_challenges );
            ];
        })

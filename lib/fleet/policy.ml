@@ -33,7 +33,9 @@ let create policy ~nodes ~seed =
 (* The job's sticky home: one splitmix draw keyed by (seed, jid), so
    the mapping is scattered but replayable. *)
 let home st ~jid =
-  let r = Rng.create ~seed:(Int64.logxor st.seed (Int64.of_int (jid * 2 + 1))) in
+  let r =
+    Rng.create ~seed:(Int64.logxor st.seed (Int64.of_int ((jid * 2) + 1)))
+  in
   Rng.int r ~bound:st.nodes
 
 let place st ~jid ~eligible =

@@ -1,6 +1,7 @@
 (* A line is valid only while its [epoch] is the cache's [cur_epoch]:
    [flush_all] invalidates every line with one increment, and
-   [flush_set] sets a line's epoch to -1, which no cache epoch equals. *)
+   [flush_range] sets a line's epoch to -1, which no cache epoch
+   equals. *)
 type line = { mutable epoch : int; mutable tag : int; mutable lru : int }
 
 type config = {
@@ -168,7 +169,25 @@ let iter_tags t f =
 
 let flush_all t = t.cur_epoch <- t.cur_epoch + 1
 
-let flush_set t i =
-  Array.iter (fun l -> l.epoch <- -1) t.lines.(i land (t.cfg.sets - 1))
+let clear_set set =
+  for w = 0 to Array.length set - 1 do
+    set.(w).epoch <- -1
+  done
+
+(* Under the default index consecutive lines take consecutive sets, so
+   the first [sets] lines of the range already cover every set it
+   reaches. *)
+let flush_range t ~lo ~hi =
+  if lo < hi then begin
+    let first = lo lsr t.line_shift and last = (hi - 1) lsr t.line_shift in
+    if t.default_index then
+      for line = first to min last (first + t.set_mask) do
+        clear_set t.lines.(line land t.set_mask)
+      done
+    else
+      for line = first to last do
+        clear_set t.lines.(t.index_fn (line lsl t.line_shift) land t.set_mask)
+      done
+  end
 
 let stats t = (t.hits, t.misses)

@@ -60,8 +60,10 @@ val iter_tags : t -> (set:int -> paddr:int -> unit) -> unit
 val flush_all : t -> unit
 (** Invalidates every line in O(1): one epoch increment. *)
 
-val flush_set : t -> int -> unit
-(** Invalidates the lines of one set, one by one. *)
+val flush_range : t -> lo:int -> hi:int -> unit
+(** Invalidates every line of each set that a line of [lo, hi) maps
+    to under the index function in force, in one pass over the range's
+    lines (at most [sets] of them under the default index). *)
 
 val set_of_paddr : t -> int -> int
 

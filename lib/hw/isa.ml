@@ -51,7 +51,11 @@ let load_funct3 = function
   | Lhu -> 0b101
   | Lwu -> 0b110
 
-let store_funct3 = function Sb -> 0b000 | Sh -> 0b001 | Sw -> 0b010 | Sd -> 0b011
+let store_funct3 = function
+  | Sb -> 0b000
+  | Sh -> 0b001
+  | Sw -> 0b010
+  | Sd -> 0b011
 
 let alu_funct3 = function
   | Add | Sub -> 0b000
@@ -70,7 +74,8 @@ let check_reg r name =
 
 let check_imm12 imm name =
   if imm < -2048 || imm > 2047 then
-    invalid_arg (Printf.sprintf "Isa.encode: %s immediate %d out of range" name imm)
+    invalid_arg
+      (Printf.sprintf "Isa.encode: %s immediate %d out of range" name imm)
 
 let i_type ~opcode ~funct3 ~rd ~rs1 ~imm =
   (imm land 0xfff) lsl 20
@@ -96,7 +101,8 @@ let b_type ~opcode ~funct3 ~rs1 ~rs2 ~imm =
   lor (((imm lsr 11) land 1) lsl 7)
   lor opcode
 
-let u_type ~opcode ~rd ~imm = ((imm land 0xfffff) lsl 12) lor (rd lsl 7) lor opcode
+let u_type ~opcode ~rd ~imm =
+  ((imm land 0xfffff) lsl 12) lor (rd lsl 7) lor opcode
 
 let j_type ~opcode ~rd ~imm =
   let imm = imm land 0x1fffff in
@@ -258,8 +264,10 @@ let decode word =
     | 0b001 -> Some (Op_imm (Sll, rd, rs1, (w lsr 20) land 0x3f))
     | 0b101 ->
         let shamt = (w lsr 20) land 0x3f in
-        if (w lsr 26) land 0x3f = 0b010000 then Some (Op_imm (Sra, rd, rs1, shamt))
-        else if (w lsr 26) land 0x3f = 0 then Some (Op_imm (Srl, rd, rs1, shamt))
+        if (w lsr 26) land 0x3f = 0b010000 then
+          Some (Op_imm (Sra, rd, rs1, shamt))
+        else if (w lsr 26) land 0x3f = 0 then
+          Some (Op_imm (Srl, rd, rs1, shamt))
         else None
     | _ -> None
   end
@@ -302,9 +310,12 @@ let encode_program instrs =
     (fun i ->
       let w = encode i in
       Buffer.add_char buf (Char.chr (Int32.to_int w land 0xff));
-      Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
-      Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
-      Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff)))
+      Buffer.add_char buf
+        (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
+      Buffer.add_char buf
+        (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
+      Buffer.add_char buf
+        (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff)))
     instrs;
   Buffer.contents buf
 
@@ -338,7 +349,8 @@ let li rd imm =
   else begin
     let hi = (imm + 0x800) asr 12 in
     let lo = imm - (hi lsl 12) in
-    if lo = 0 then [ Lui (rd, hi) ] else [ Lui (rd, hi); Op_imm (Add, rd, rd, lo) ]
+    if lo = 0 then [ Lui (rd, hi) ]
+    else [ Lui (rd, hi); Op_imm (Add, rd, rd, lo) ]
   end
 
 let mv rd rs = Op_imm (Add, rd, rs, 0)

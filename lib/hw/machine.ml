@@ -277,7 +277,13 @@ let set_sink t sink =
 
 let sink t = t.sink
 
-let now t = Array.fold_left (fun m c -> max m c.cycles) 0 t.cores
+let now t =
+  let m = ref 0 in
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i).cycles in
+    if c > !m then m := c
+  done;
+  !m
 
 let mem t = t.mem
 let l2 t = t.l2
@@ -345,7 +351,9 @@ let tlb_perms_allow (perms : Tlb.perms) (access : Trap.access) =
 (* Translation without the final cache access. Raises [Fault]. *)
 let translate_exn t core ~access ~vaddr =
   let va = Int64.to_int vaddr in
-  if va < 0 || Int64.compare vaddr (Int64.shift_left 1L Page_table.vpn_bits) >= 0
+  if
+    va < 0
+    || Int64.compare vaddr (Int64.shift_left 1L Page_table.vpn_bits) >= 0
   then raise (Fault (Trap.Page_fault (access, vaddr)));
   let paddr =
     match core.satp_root with
@@ -510,7 +518,8 @@ let load t core ~op ~vaddr =
       Int64.of_int (Sanctorum_util.Bits.sign_extend (Int64.to_int raw) ~width:8)
   | Lbu -> raw
   | Lh ->
-      Int64.of_int (Sanctorum_util.Bits.sign_extend (Int64.to_int raw) ~width:16)
+      Int64.of_int
+        (Sanctorum_util.Bits.sign_extend (Int64.to_int raw) ~width:16)
   | Lhu -> raw
   | Lw -> Int64.of_int32 (Int64.to_int32 raw)
   | Lwu -> raw
@@ -528,7 +537,9 @@ let store t core ~op ~vaddr ~value =
       | Sd -> Phys_mem.write_u64 t.mem paddr value)
   | Split (lo, bytes_lo, hi) ->
       for i = 0 to size - 1 do
-        let b = Int64.to_int (Int64.shift_right_logical value (8 * i)) land 0xff in
+        let b =
+          Int64.to_int (Int64.shift_right_logical value (8 * i)) land 0xff
+        in
         let pos = if i < bytes_lo then lo + i else hi + i - bytes_lo in
         Phys_mem.write_u8 t.mem pos b
       done
@@ -621,7 +632,8 @@ let tlb_shootdown t ~reason =
             delivered := true
           end
         done;
-        if not !delivered then quarantine t ~core:c.id ~reason:"shootdown-timeout"
+        if not !delivered then
+          quarantine t ~core:c.id ~reason:"shootdown-timeout"
       end)
     t.cores;
   if Tel.Sink.enabled t.sink then
@@ -680,7 +692,8 @@ let execute t core instr =
       write_reg core rd (Int64.shift_left (Int64.of_int imm) 12);
       core.pc <- next
   | Auipc (rd, imm) ->
-      write_reg core rd (Int64.add core.pc (Int64.shift_left (Int64.of_int imm) 12));
+      write_reg core rd
+        (Int64.add core.pc (Int64.shift_left (Int64.of_int imm) 12));
       core.pc <- next
   | Jal (rd, off) ->
       write_reg core rd next;
@@ -834,14 +847,14 @@ let sb_fetch_transition t (core : core) ctx ~paddr ~line =
   ctx.sx_line <- line;
   ctx.sx_line_paddr <- paddr
 
-(* Fetch-side guard. The physical-isolation check is pure (the
-   [set_phys_check] contract) and its inputs — PMP entries, the owner
-   map, the core's domain — are only ever changed by monitor code,
-   which cannot run inside a block (every trap side-exits first). It
-   is therefore re-evaluated at every cache-line transition rather
-   than every fetch: within one line of one block the answer is
-   provably the entry answer. The per-memory-op epoch guard
-   ([sb_data_paddr]) backstops the same inputs independently. *)
+(* Fetch-side guard. The physical-isolation check answers from state
+   only monitor code changes (the [set_phys_check] contract) — the
+   owner map, the core's domain — and monitor code cannot run inside a
+   block (every trap side-exits first). It is therefore re-evaluated
+   at every cache-line transition rather than every fetch: within one
+   line of one block the answer is provably the entry answer. The
+   per-memory-op epoch guard ([sb_data_paddr]) backstops the same
+   inputs independently. *)
 let sb_fetch_ok t (core : core) ctx ~paddr ~line =
   ctx.sx_line = line || t.phys_check ~core ~access:Trap.Execute ~paddr
 
@@ -1200,9 +1213,12 @@ let sb_compile t ~ppn ~slot =
           let size = match sop with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8 in
           let write : Phys_mem.t -> int -> int64 -> unit =
             match sop with
-            | Sb -> fun mem p v -> Phys_mem.write_u8 mem p (Int64.to_int v land 0xff)
+            | Sb ->
+                fun mem p v ->
+                  Phys_mem.write_u8 mem p (Int64.to_int v land 0xff)
             | Sh ->
-                fun mem p v -> Phys_mem.write_u16 mem p (Int64.to_int v land 0xffff)
+                fun mem p v ->
+                  Phys_mem.write_u16 mem p (Int64.to_int v land 0xffff)
             | Sw -> fun mem p v -> Phys_mem.write_u32 mem p (Int64.to_int32 v)
             | Sd -> fun mem p v -> Phys_mem.write_u64 mem p v
           in
@@ -1361,7 +1377,8 @@ let run t ~core ~fuel =
     if not (tier && sb_exec t c ~fuel:!budget > 0) then step t c;
     (* Trap deliveries retire no instruction; still consume fuel so a
        fault loop cannot hang the simulation. *)
-    budget := !budget - max 1 (c.instret - before)
+    let retired = c.instret - before in
+    budget := if retired > 1 then !budget - retired else !budget - 1
   done;
   c.instret - start
 

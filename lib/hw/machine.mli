@@ -76,26 +76,31 @@ val core_count : t -> int
 val set_phys_check :
   t -> (core:core -> access:Trap.access -> paddr:int -> bool) -> unit
 (** Decide whether the domain executing on [core] may touch [paddr].
-    Applied to every data/fetch access after translation. The check
-    must be pure: the superblock tier evaluates it ahead of the access
-    — at block entry, at each new fetch cache line and before each
-    load or store — and a guard that declines hands the access to
-    {!step}, which evaluates it a second time. Installing a check bumps
-    the protection epoch (see {!note_protection_change}); backends that
-    later mutate the state the installed check reads — reprogram PMP,
-    reassign an ownership range, switch a core's domain — must call
-    {!note_protection_change} after each such change. *)
+    Applied to every data/fetch access after translation. The answer
+    must be a function of state that only monitor code changes — the
+    core's domain, memory ownership — and the check may refresh a
+    per-core cache of that state (Keystone rewrites a core's PMP
+    entries there). The superblock tier evaluates it ahead of the
+    access — at block entry, at each new fetch cache line and before
+    each load or store — and a guard that declines hands the access to
+    {!step}, which evaluates it a second time; no monitor code runs
+    inside a block, so every call answers as the first one did.
+    Installing a check bumps the protection epoch (see
+    {!note_protection_change}); backends that later change the state
+    the answer depends on — reassign an ownership range, switch a
+    core's domain — must call {!note_protection_change} after each
+    such change. *)
 
 val set_pte_fetch_check : t -> (core:core -> paddr:int -> bool) -> unit
 (** The Sanctum page-walk invariant: approve each PTE fetch address. *)
 
 val note_protection_change : t -> unit
 (** Record that the state behind the installed physical-isolation check
-    changed (PMP reprogrammed, ownership range reassigned, domain
-    switched). Bumps the protection epoch that superblocks snapshot at
-    entry and re-check at every memory operation, so a block can never
-    complete a load or store against a stale protection decision.
-    Cheap (one increment); calling it conservatively is always safe. *)
+    changed (ownership range reassigned, domain switched). Bumps the
+    protection epoch that superblocks snapshot at entry and re-check at
+    every memory operation, so a block can never complete a load or
+    store against a stale protection decision. Cheap (one increment);
+    calling it conservatively is always safe. *)
 
 val set_dma_check : t -> (paddr:int -> len:int -> bool) -> unit
 

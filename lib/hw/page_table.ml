@@ -24,7 +24,9 @@ let decode_pte v =
   if not (get 0) then Error ()
   else begin
     let perms = { r = get 1; w = get 2; x = get 3; u = get 4 } in
-    let ppn = Int64.to_int (Int64.shift_right_logical v 10) land 0xfffffffffff in
+    let ppn =
+      Int64.to_int (Int64.shift_right_logical v 10) land 0xfffffffffff
+    in
     let is_leaf = perms.r || perms.w || perms.x in
     Ok (ppn, perms, is_leaf)
   end

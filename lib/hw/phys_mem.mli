@@ -68,7 +68,11 @@ val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** Flip bit [bit] (0..63) of the 8-byte word containing [paddr].
     Flipping the same bit twice restores the word. *)
 
-val scrub : t -> pos:int -> len:int -> [ `Clean | `Corrected of int | `Uncorrectable of int ]
+val scrub :
+  t ->
+  pos:int ->
+  len:int ->
+  [ `Clean | `Corrected of int | `Uncorrectable of int ]
 (** Run ECC over the words overlapping [pos, pos+len): correct
     single-bit faults in place (counted), stop at the first
     uncorrectable word and return its base address. O(1) when no

@@ -49,6 +49,10 @@ let clear_entry t ~index =
   if t.(index).locked then invalid_arg "Pmp.clear_entry: entry is locked";
   t.(index).active <- false
 
+let entry t i =
+  let e = t.(i) in
+  if e.active then Some (e.lo, e.hi, e.r, e.w, e.x, e.locked) else None
+
 let permits e access =
   match (access : Trap.access) with
   | Trap.Read -> e.r

@@ -38,6 +38,10 @@ val set_entry :
 
 val clear_entry : t -> index:int -> unit
 
+val entry : t -> int -> (int * int * bool * bool * bool * bool) option
+(** Entry [i] as [Some (lo, hi, r, w, x, locked)], or [None] while it
+    is cleared. *)
+
 val check : t -> privilege:privilege -> access:Trap.access -> paddr:int -> bool
 
 val check_range :

@@ -22,8 +22,8 @@ let owner_map machine =
   Owner_map.set_range owners ~lo:0 ~hi:sm_memory_bytes Hw.Trap.domain_sm;
   owners
 
-let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check ~program
-    machine owners =
+let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check machine
+    owners =
   let mem = Hw.Machine.mem machine in
   let mem_bytes = Hw.Phys_mem.size mem in
   let page = Hw.Phys_mem.page_size in
@@ -40,7 +40,6 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check ~progra
   Hw.Machine.set_phys_check machine phys_check;
   Hw.Machine.set_pte_fetch_check machine pte_fetch_check;
   Hw.Machine.set_dma_check machine dma_check;
-  let cores = Hw.Machine.cores machine in
   let assign_range ~lo ~hi domain =
     if lo mod alloc_unit <> 0 || hi mod alloc_unit <> 0 || lo >= hi then
       Error (name ^ ": grants are whole allocation units")
@@ -48,29 +47,21 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check ~progra
     else begin
       let version = Owner_map.version owners in
       Owner_map.set_range owners ~lo ~hi domain;
-      (* Cores currently inside a domain see a new ownership at once,
-         as a real monitor would reprogram the primitive under a lock. *)
-      if Owner_map.version owners <> version then begin
-        Array.iter (fun (c : Hw.Machine.core) -> program c c.Hw.Machine.domain) cores;
-        Hw.Machine.note_protection_change machine
-      end;
+      (* Cores currently inside a domain see a new ownership at once:
+         every check reads the owner map, directly or through the
+         primitive it keeps in step with the map. *)
+      if Owner_map.version owners <> version then
+        Hw.Machine.note_protection_change machine;
       Ok ()
     end
   in
   (* Region re-allocation requires a TLB shootdown on every core, and
-     no cache may keep lines of the reassigned range. [set_of_paddr]
+     no cache may keep lines of the reassigned range. [flush_range]
      follows the backend's index function (Sanctum's page colouring). *)
   let l2 = Hw.Machine.l2 machine in
   let clean_range ~lo ~hi =
     Hw.Phys_mem.zero_range mem ~pos:lo ~len:(hi - lo);
-    let line = (Hw.Cache.config l2).Hw.Cache.line_bytes in
-    let rec go addr =
-      if addr < hi then begin
-        Hw.Cache.flush_set l2 (Hw.Cache.set_of_paddr l2 addr);
-        go (addr + line)
-      end
-    in
-    go lo;
+    Hw.Cache.flush_range l2 ~lo ~hi;
     Hw.Machine.tlb_shootdown machine ~reason:"region-clean-shootdown"
   in
   (* Cores are time-multiplexed: all per-core microarchitectural state
@@ -78,7 +69,6 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check ~progra
   let enter_domain ~(core : Hw.Machine.core) domain =
     Hw.Cache.flush_all core.Hw.Machine.l1;
     Hw.Tlb.flush core.Hw.Machine.tlb;
-    program core domain;
     core.Hw.Machine.domain <- domain;
     Hw.Machine.note_protection_change machine;
     let sink = Hw.Machine.sink machine in

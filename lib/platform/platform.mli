@@ -24,8 +24,8 @@ type t = {
           re-allocation (Fig. 2 [clean]) *)
   enter_domain : core:Sanctorum_hw.Machine.core -> Sanctorum_hw.Trap.domain -> unit;
       (** retarget a core to a protection domain: flushes
-          time-multiplexed core state (L1, TLB) and reprograms the
-          primitive as needed *)
+          time-multiplexed core state (L1, TLB) and sets the core's
+          domain register, which the isolation checks read *)
   ranges_of_domain : Sanctorum_hw.Trap.domain -> (int * int) list;
 }
 
@@ -47,7 +47,6 @@ val make :
     paddr:int ->
     bool) ->
   pte_fetch_check:(core:Sanctorum_hw.Machine.core -> paddr:int -> bool) ->
-  program:(Sanctorum_hw.Machine.core -> Sanctorum_hw.Trap.domain -> unit) ->
   Sanctorum_hw.Machine.t ->
   Owner_map.t ->
   t
@@ -57,6 +56,8 @@ val make :
     builds the record. [assign_range] accepts whole [alloc_unit]s;
     [clean_range] zeroes the range, flushes its L2 sets and shoots
     down every TLB; [enter_domain] flushes the core's L1 and TLB
-    (§IV-B2). Both call [program core domain] to reprogram the
-    backend's primitive — PMP on Keystone, nothing on Sanctum — but a
-    grant only when it changed some page's owner. *)
+    (§IV-B2) and sets its domain. Neither writes the backend's
+    primitive: both checks read the core's domain and [owners] when
+    they run, so a grant or a switch only notes a protection change
+    for the superblock tier, a grant only when it changed some page's
+    owner. *)

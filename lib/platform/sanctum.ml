@@ -35,9 +35,5 @@ let create machine =
   let pte_fetch_check ~(core : Hw.Machine.core) ~paddr =
     Owner_map.owner_at owners ~paddr = core.Hw.Machine.domain
   in
-  (* DRAM regions are enforced by the owner map itself: nothing to
-     program on a domain switch. *)
   Platform.make ~name:"sanctum" ~alloc_unit:region_bytes ~llc_partitioned:true
-    ~phys_check ~pte_fetch_check
-    ~program:(fun _ _ -> ())
-    machine owners
+    ~phys_check ~pte_fetch_check machine owners

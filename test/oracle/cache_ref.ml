@@ -1,24 +1,27 @@
 (* The valid-bit cache the epoch-flushed [Sanctorum_hw.Cache] replaced:
    each line carries a valid bit, and [flush_all] clears every one of
    them. Same LRU fill and eviction rule (first invalid way, else the
-   lowest-indexed least recently used one), same statistics, default
-   set index only, and no MRU probe — tags are unique within a set, so
-   the probe order cannot change a hit. Trimmed to what the
-   differential property drives. *)
+   lowest-indexed least recently used one), same statistics, the
+   default set index or a given one, and no MRU probe — tags are
+   unique within a set, so the probe order cannot change a hit.
+   Trimmed to what the differential property drives. *)
 
 type line = { mutable valid : bool; mutable tag : int; mutable lru : int }
 
 type t = {
   cfg : Sanctorum_hw.Cache.config;
+  index : int -> int;
   lines : line array array;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create (cfg : Sanctorum_hw.Cache.config) =
+let create ?index (cfg : Sanctorum_hw.Cache.config) =
   {
     cfg;
+    index =
+      Option.value index ~default:(fun paddr -> paddr / cfg.line_bytes);
     lines =
       Array.init cfg.sets (fun _ ->
           Array.init cfg.ways (fun _ -> { valid = false; tag = 0; lru = 0 }));
@@ -27,7 +30,7 @@ let create (cfg : Sanctorum_hw.Cache.config) =
     misses = 0;
   }
 
-let set_of_paddr t paddr = paddr / t.cfg.line_bytes land (t.cfg.sets - 1)
+let set_of_paddr t paddr = t.index paddr land (t.cfg.sets - 1)
 let tag_of t paddr = paddr / t.cfg.line_bytes
 
 let find_line set tag = Array.find_opt (fun l -> l.valid && l.tag = tag) set

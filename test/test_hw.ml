@@ -142,10 +142,12 @@ let test_cache_partition_fn () =
   let c = Hw.Cache.create Hw.Cache.default_l2 in
   Hw.Cache.set_index_fn c (fun paddr -> if paddr < 0x1000 then 0 else 1);
   ignore (Hw.Cache.access c ~paddr:0x0);
+  ignore (Hw.Cache.access c ~paddr:0x2000);
   check_int "custom index low" 0 (Hw.Cache.set_of_paddr c 0x10);
   check_int "custom index high" 1 (Hw.Cache.set_of_paddr c 0x2000);
-  Hw.Cache.flush_set c 0;
-  check_bool "set flush" false (Hw.Cache.probe c ~paddr:0x0)
+  Hw.Cache.flush_range c ~lo:0x40 ~hi:0x80;
+  check_bool "range flush" false (Hw.Cache.probe c ~paddr:0x0);
+  check_bool "other set kept" true (Hw.Cache.probe c ~paddr:0x2000)
 
 (* ------------------------------------------------------------------ *)
 (* TLB *)
@@ -173,9 +175,12 @@ let test_tlb () =
    ([Sanctorum_oracle.Cache_ref], [Tlb_ref]): random operation sequences
    on a 4-set, 2-way cache over three times its capacity and a 4-entry
    TLB over 8 pages, so lines and entries fill, evict and flush often.
-   After every step the two agree on the step's hit, miss or slot, the
-   statistics, every valid line and entry, the entry count and the
-   generation. *)
+   The cache takes the default index or a colouring like Sanctum's (two
+   128-byte regions, two sets each), and a range flush is checked
+   against the reference's [flush_set] on the set of each line of the
+   range. After every step the two agree on the step's hit, miss or
+   slot, the statistics, every valid line and entry, the entry count
+   and the generation. *)
 module Cache_ref = Sanctorum_oracle.Cache_ref
 module Tlb_ref = Sanctorum_oracle.Tlb_ref
 
@@ -183,7 +188,7 @@ type flush_op =
   | Access of int
   | Probe of int
   | Flush_all
-  | Flush_set of int
+  | Flush_range of int * int
   | Insert of int * int
   | Find of int
   | Tlb_probe of int
@@ -194,7 +199,7 @@ let print_flush_op = function
   | Access p -> Printf.sprintf "access %d" p
   | Probe p -> Printf.sprintf "probe %d" p
   | Flush_all -> "flush_all"
-  | Flush_set s -> Printf.sprintf "flush_set %d" s
+  | Flush_range (lo, hi) -> Printf.sprintf "flush_range [%d, %d)" lo hi
   | Insert (v, p) -> Printf.sprintf "insert %d->%d" v p
   | Find v -> Printf.sprintf "find %d" v
   | Tlb_probe v -> Printf.sprintf "tlb_probe %d" v
@@ -213,7 +218,8 @@ let qcheck_epoch_flush =
           (6, map (fun p -> Access p) paddr);
           (2, map (fun p -> Probe p) paddr);
           (1, return Flush_all);
-          (2, map (fun s -> Flush_set s) (int_range 0 3));
+          (2, map2 (fun lo len -> Flush_range (lo, lo + len)) paddr
+                (int_range 0 200));
           (4, map2 (fun v p -> Insert (v, p)) vpn (int_range 0 99));
           (4, map (fun v -> Find v) vpn);
           (1, map (fun v -> Tlb_probe v) vpn);
@@ -222,11 +228,20 @@ let qcheck_epoch_flush =
         ])
   in
   let perms = { Hw.Tlb.r = true; w = true; x = false; u = true } in
+  let colour paddr = ((paddr / 128 mod 2 * 2) + (paddr / 16 mod 2)) land 3 in
   QCheck2.Test.make ~name:"cache/TLB epoch flush = valid-bit reference"
-    ~count:300 ~print:QCheck2.Print.(list print_flush_op)
-    QCheck2.Gen.(list_size (int_range 1 80) gen_op)
-    (fun ops ->
-      let c = Hw.Cache.create cfg and c_ref = Cache_ref.create cfg in
+    ~count:300
+    ~print:QCheck2.Print.(pair bool (list print_flush_op))
+    QCheck2.Gen.(pair bool (list_size (int_range 1 80) gen_op))
+    (fun (coloured, ops) ->
+      let c = Hw.Cache.create cfg in
+      let c_ref =
+        if coloured then begin
+          Hw.Cache.set_index_fn c colour;
+          Cache_ref.create ~index:colour cfg
+        end
+        else Cache_ref.create cfg
+      in
       let t = Hw.Tlb.create ~entries:4 and t_ref = Tlb_ref.create ~entries:4 in
       let lines iter x =
         let acc = ref [] in
@@ -247,9 +262,16 @@ let qcheck_epoch_flush =
             Hw.Cache.flush_all c;
             Cache_ref.flush_all c_ref;
             true
-        | Flush_set s ->
-            Hw.Cache.flush_set c s;
-            Cache_ref.flush_set c_ref s;
+        | Flush_range (lo, hi) ->
+            Hw.Cache.flush_range c ~lo ~hi;
+            let line = cfg.Hw.Cache.line_bytes in
+            let rec per_line a =
+              if a < hi then begin
+                Cache_ref.flush_set c_ref (Cache_ref.set_of_paddr c_ref a);
+                per_line (a + line)
+              end
+            in
+            if lo < hi then per_line (lo / line * line);
             true
         | Insert (vpn, ppn) ->
             Hw.Tlb.insert t ~vpn ~ppn ~perms;

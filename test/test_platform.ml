@@ -105,39 +105,38 @@ let test_clean_range_zeroes () =
     (String.make 14 '\000')
     (Hw.Phys_mem.read_string mem ~pos:(4 * unit) ~len:14)
 
+(* A user-mode access decision as an access gets it: the installed
+   check, through a translation with paging off. A core's PMP entries
+   are written on its first check after its domain or the owner map
+   moved, so reading them directly would see a stale layout. *)
+let allowed machine (c : Hw.Machine.core) access paddr =
+  Result.is_ok
+    (Hw.Machine.translate machine c ~access ~vaddr:(Int64.of_int paddr))
+
 let test_keystone_pmp_programming () =
   (* After entering an enclave domain on a core, that core's PMP permits
      the enclave range and still denies the monitor's memory. *)
   let tb = Testbed.create ~backend:Testbed.Keystone_backend () in
-  let pf = tb.Testbed.platform in
+  let pf = tb.Testbed.platform and m = tb.Testbed.machine in
   let base = 2 * 1024 * 1024 in
   (match pf.Pf.Platform.assign_range ~lo:base ~hi:(base + 8192) 9 with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  let c = Hw.Machine.core tb.Testbed.machine 0 in
+  let c = Hw.Machine.core m 0 in
   pf.Pf.Platform.enter_domain ~core:c 9;
-  check_bool "own range allowed" true
-    (Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read
-       ~paddr:base);
-  check_bool "sm memory denied" false
-    (Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read
-       ~paddr:0x100);
+  check_bool "own range allowed" true (allowed m c Hw.Trap.Read base);
+  check_bool "sm memory denied" false (allowed m c Hw.Trap.Read 0x100);
   check_bool "os memory reachable" true
-    (Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read
-       ~paddr:(1024 * 1024));
+    (allowed m c Hw.Trap.Read (1024 * 1024));
   (* a second enclave's range is denied on this core *)
   let base2 = 4 * 1024 * 1024 in
   (match pf.Pf.Platform.assign_range ~lo:base2 ~hi:(base2 + 4096) 10 with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  check_bool "foreign enclave denied" false
-    (Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read
-       ~paddr:base2);
+  check_bool "foreign enclave denied" false (allowed m c Hw.Trap.Read base2);
   (* back to the OS: both enclave ranges now denied *)
   pf.Pf.Platform.enter_domain ~core:c Hw.Trap.domain_untrusted;
-  check_bool "enclave denied to OS" false
-    (Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read
-       ~paddr:base)
+  check_bool "enclave denied to OS" false (allowed m c Hw.Trap.Read base)
 
 let test_dma_checks_both () =
   List.iter
@@ -218,12 +217,12 @@ let qcheck_keystone_pmp_matches_owner_map =
       in
       let pf = Pf.Keystone.create machine in
       let c0 = Hw.Machine.core machine 0 and c1 = Hw.Machine.core machine 1 in
-      (* Enter before the grants: [assign_range] must reprogram a core
-         already inside a domain. *)
+      (* Enter before the grants: a grant must reach a core already
+         inside a domain. *)
       pf.Pf.Platform.enter_domain ~core:c0 d0;
       let decide (c : Hw.Machine.core) d paddr access =
         if d <> c.Hw.Machine.domain then pf.Pf.Platform.enter_domain ~core:c d;
-        Hw.Pmp.check c.Hw.Machine.pmp ~privilege:Hw.Pmp.U ~access ~paddr
+        allowed machine c access paddr
       in
       let agrees c (d, p, access) =
         let enclave_ranges =
@@ -252,8 +251,8 @@ let qcheck_keystone_pmp_matches_owner_map =
                d);
           agrees c1 query)
         steps
-      (* Core 0 has not been re-entered yet, so these check the
-         reprogramming the grants did. *)
+      (* Core 0 has not been re-entered yet, so these check that the
+         grants reached it. *)
       && List.for_all
            (fun p ->
              List.for_all
@@ -261,6 +260,90 @@ let qcheck_keystone_pmp_matches_owner_map =
                Hw.Trap.[ Read; Write; Execute ])
            (List.init mem_pages Fun.id)
       && List.for_all (agrees c1) queries)
+
+(* Differential: the on-demand PMP against the eager layout it replaced
+   ([Sanctorum_oracle.Keystone_ref]). Random grants, some of a page to
+   the owner it already has, and switches on 2 to 4 cores, each core
+   consulted through the installed check only at random points. After
+   each consultation the core's entries equal, entry for entry, what
+   the eager layout writes for its domain under the current map,
+   overflow included: 3 to 24 entries, up to five enclave domains. *)
+type pmp_op =
+  | Grant of (int * int * int)
+  | Keep of int  (** grant a page to the owner it has: a no-op *)
+  | Enter of int * int  (** core, domain *)
+  | Consult of int * int  (** core, page *)
+
+let print_pmp_op = function
+  | Grant (s, l, d) -> Printf.sprintf "grant %d+%d->%d" s l d
+  | Keep p -> Printf.sprintf "keep %d" p
+  | Enter (c, d) -> Printf.sprintf "enter core%d d%d" c d
+  | Consult (c, p) -> Printf.sprintf "consult core%d @%d" c p
+
+let gen_pmp_scenario =
+  QCheck2.Gen.(
+    let* cores = int_range 2 4 in
+    let core = int_range 0 (cores - 1) in
+    let op =
+      frequency
+        [
+          (3, map (fun g -> Grant g) gen_grant);
+          (1, map (fun p -> Keep p) (int_range sm_pages (mem_pages - 1)));
+          (2, map2 (fun c d -> Enter (c, d)) core gen_domain);
+          (4, map2 (fun c p -> Consult (c, p)) core (int_range 0 (mem_pages - 1)));
+        ]
+    in
+    triple (return cores) (int_range 3 24) (list_size (int_range 1 60) op))
+
+let qcheck_keystone_pmp_on_demand =
+  QCheck2.Test.make ~name:"keystone on-demand PMP = eager layout" ~count:300
+    ~print:(fun (cores, entries, ops) ->
+      Printf.sprintf "cores=%d pmp=%d [%s]" cores entries
+        (String.concat "; " (List.map print_pmp_op ops)))
+    gen_pmp_scenario
+    (fun (cores, entries, ops) ->
+      let machine =
+        Hw.Machine.create
+          {
+            Hw.Machine.default_config with
+            mem_bytes = small_mem;
+            cores;
+            pmp_entries = entries;
+          }
+      in
+      let pf = Pf.Keystone.create machine in
+      (* the reference's copy of the map, taking the same grants *)
+      let owners = Pf.Platform.owner_map machine in
+      let grant lo hi d =
+        Result.get_ok (pf.Pf.Platform.assign_range ~lo ~hi d);
+        Pf.Owner_map.set_range owners ~lo ~hi d
+      in
+      let eager domain =
+        let pmp = Hw.Pmp.create ~entries () in
+        Hw.Pmp.set_entry pmp ~index:0 ~lo:0 ~hi:Pf.Platform.sm_memory_bytes
+          ~r:false ~w:false ~x:false ~locked:true;
+        Sanctorum_oracle.Keystone_ref.program owners ~mem_bytes:small_mem pmp
+          domain;
+        List.init entries (Hw.Pmp.entry pmp)
+      in
+      List.for_all
+        (function
+          | Grant (start, len, d) ->
+              grant (start * page) ((start + len) * page) d;
+              true
+          | Keep p ->
+              grant (p * page) ((p + 1) * page)
+                (pf.Pf.Platform.owner_at ~paddr:(p * page));
+              true
+          | Enter (c, d) ->
+              pf.Pf.Platform.enter_domain ~core:(Hw.Machine.core machine c) d;
+              true
+          | Consult (c, p) ->
+              let core = Hw.Machine.core machine c in
+              ignore (allowed machine core Hw.Trap.Read (p * page));
+              List.init entries (Hw.Pmp.entry core.Hw.Machine.pmp)
+              = eager core.Hw.Machine.domain)
+        ops)
 
 (* The spliced range list against a separate page array that takes the
    same grants, read after every grant so a stale or wrongly skipped
@@ -344,5 +427,6 @@ let suite =
         test_keystone_pmp_programming;
       Alcotest.test_case "dma checks" `Quick test_dma_checks_both;
       QCheck_alcotest.to_alcotest qcheck_keystone_pmp_matches_owner_map;
+      QCheck_alcotest.to_alcotest qcheck_keystone_pmp_on_demand;
       QCheck_alcotest.to_alcotest qcheck_owner_map_ranges_cache;
     ] )
