@@ -60,7 +60,7 @@ let catalog =
       "trace: every mailbox receive matches a prior send (Fig. 5)" );
   ]
 
-let snapshot = Invariants.check
+let snapshot sm = Invariants.check (Invariants.memo ()) sm
 
 let trace events = Lockcheck.check events @ Orderlint.check events
 

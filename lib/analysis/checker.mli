@@ -11,6 +11,8 @@ val catalog : (string * string) list
     description naming the paper section it encodes. *)
 
 val snapshot : Sanctorum.Sm.t -> Report.violation list
+(** The invariant pass with a fresh {!Invariants.memo}: every call
+    walks every page table, and keeps nothing. *)
 
 val trace : Sanctorum_telemetry.Event.t list -> Report.violation list
 

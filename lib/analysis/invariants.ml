@@ -62,36 +62,35 @@ let domain_name ctx d =
 let check_ownership ctx =
   let unit_bytes = Sm.memory_unit_bytes ctx.sm in
   let sm_units = Pf.Platform.sm_memory_bytes / unit_bytes in
+  let owner_at = ctx.pf.Pf.Platform.owner_at in
   for rid = 0 to Sm.memory_units ctx.sm - 1 do
-    let subject () = Printf.sprintf "unit %d" rid in
     match Sm.resource_state ctx.sm Resource.Memory_resource ~rid with
     | Error e ->
-        flag ctx "own.exclusive" ~subject:(subject ())
+        flag ctx "own.exclusive" ~subject:(Printf.sprintf "unit %d" rid)
           (Printf.sprintf "resource state unreadable: %s"
              (Sanctorum.Api_error.to_string e))
     | Ok state ->
         let expected_hw =
           match state with
           | Resource.Owned d | Resource.Blocked d -> d
-          | Resource.Available | Resource.Offered _ ->
-              Hw.Trap.domain_untrusted
+          | Resource.Available | Resource.Offered _ -> Hw.Trap.domain_untrusted
         in
-        let lo = rid * unit_bytes in
-        let rec scan paddr =
-          if paddr < lo + unit_bytes then begin
-            let hw = ctx.pf.Pf.Platform.owner_at ~paddr in
-            if hw <> expected_hw then
-              flag ctx "own.exclusive" ~subject:(subject ())
-                (Printf.sprintf
-                   "resource map says %s but hardware owner at 0x%x is %s"
-                   (domain_name ctx expected_hw)
-                   paddr (domain_name ctx hw))
-            else scan (paddr + page)
-          end
-        in
-        scan lo;
+        (* stop at the unit's first page the hardware gives elsewhere *)
+        let hi = (rid + 1) * unit_bytes in
+        let paddr = ref (rid * unit_bytes) in
+        while !paddr < hi && owner_at ~paddr:!paddr = expected_hw do
+          paddr := !paddr + page
+        done;
+        if !paddr < hi then begin
+          let hw = owner_at ~paddr:!paddr in
+          flag ctx "own.exclusive" ~subject:(Printf.sprintf "unit %d" rid)
+            (Printf.sprintf
+               "resource map says %s but hardware owner at 0x%x is %s"
+               (domain_name ctx expected_hw)
+               !paddr (domain_name ctx hw))
+        end;
         if rid < sm_units && state <> Resource.Owned Hw.Trap.domain_sm then
-          flag ctx "own.sm-reserved" ~subject:(subject ())
+          flag ctx "own.sm-reserved" ~subject:(Printf.sprintf "unit %d" rid)
             (Format.asprintf
                "monitor-reserved unit is %a, expected owned by the monitor"
                Resource.pp_state state)
@@ -103,30 +102,109 @@ let check_ownership ctx =
    the enclave's own domain; leaves outside evrange are shared windows
    and must point at untrusted memory; no frame inside evrange is
    mapped twice, within or across enclaves (§V-C, the Sanctum
-   page-walk invariant). *)
+   page-walk invariant).
 
-let check_page_tables ctx =
-  let mem = Hw.Machine.mem ctx.machine in
-  (* (ppn, eid, vaddr) of every evrange leaf, for alias detection *)
-  let leaves : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let walk_enclave (e : Sm.enclave_info) root =
-    let subject () = Printf.sprintf "enclave 0x%x" e.i_eid in
-    let visited = Hashtbl.create 16 in
-    let in_evrange vaddr =
-      vaddr >= e.i_evbase && vaddr < e.i_evbase + e.i_evsize
-    in
-    let check_leaf ~vaddr ppn =
+   A walk is recorded as what it read, in walk order, and every finding
+   comes from replaying that record against the current state. What
+   the walk reads is a function of the root and of the bytes of the
+   table frames it visits, nothing else: so while the root is the same
+   and no visited frame's {!Hw.Phys_mem.generation} has moved, a fresh
+   walk would read the same record again, and the memo replays it
+   instead. The checks that read other state (the owner map, evrange,
+   the leaves of other enclaves) run on every replay. *)
+
+type step =
+  | Table of { level : int; ppn : int; gen : int }
+      (* a table frame read, with its generation at the time *)
+  | Cycle of int  (* a table frame reached a second time *)
+  | Leaf of { vaddr : int; ppn : int }
+  | Pointer0 of { table : int; idx : int }  (* a pointer in a level-0 table *)
+  | Beyond of { table : int; idx : int; ppn : int; leaf : bool }
+      (* an entry naming a frame outside DRAM: not followed *)
+
+type walk = { root : int; steps : step list; mutable pass : int }
+
+type memo = {
+  walks : (int, walk) Hashtbl.t;  (* eid -> its walk at the last pass *)
+  mutable mem : Hw.Phys_mem.t option;  (* the memory the walks read *)
+  mutable passes : int;
+  mutable replays : int;
+}
+
+let memo () = { walks = Hashtbl.create 64; mem = None; passes = 0; replays = 0 }
+let replays m = m.replays
+
+let record mem root =
+  let frames = Hw.Phys_mem.size mem / page in
+  let visited = Hashtbl.create 16 in
+  let steps = ref [] in
+  let add s = steps := s :: !steps in
+  let rec walk_table ppn ~level ~vpn_prefix =
+    if Hashtbl.mem visited ppn then add (Cycle ppn)
+    else begin
+      Hashtbl.replace visited ppn ();
+      add (Table { level; ppn; gen = Hw.Phys_mem.generation mem ppn });
+      let table = Hw.Phys_mem.page_base ppn in
+      (* an all-zero slot is never a valid entry *)
+      Hw.Phys_mem.iter_nonzero_words mem ~pos:table ~len:page
+        (fun pte_paddr pte ->
+          match Hw.Page_table.decode_pte pte with
+          | Error () -> ()
+          | Ok (child, _perms, is_leaf) ->
+              let idx = (pte_paddr - table) / Hw.Page_table.pte_size in
+              let vpn = (vpn_prefix lsl 9) lor idx in
+              if is_leaf && child >= frames then
+                add (Beyond { table; idx; ppn = child; leaf = true })
+              else if is_leaf then
+                (* superpage leaves resolve to their base frame; the
+                   loader only installs 4 KiB leaves *)
+                add (Leaf { vaddr = vpn lsl ((level * 9) + 12); ppn = child })
+              else if level = 0 then add (Pointer0 { table; idx })
+              else if child >= frames then
+                add (Beyond { table; idx; ppn = child; leaf = false })
+              else walk_table child ~level:(level - 1) ~vpn_prefix:vpn)
+    end
+  in
+  walk_table root ~level:(Hw.Page_table.levels - 1) ~vpn_prefix:0;
+  List.rev !steps
+
+let rec unchanged mem = function
+  | [] -> true
+  | Table { ppn; gen; _ } :: rest ->
+      Hw.Phys_mem.generation mem ppn = gen && unchanged mem rest
+  | (Cycle _ | Leaf _ | Pointer0 _ | Beyond _) :: rest -> unchanged mem rest
+
+let enclave_subject (e : Sm.enclave_info) =
+  Printf.sprintf "enclave 0x%x" e.i_eid
+
+(* [leaves] maps the frame of every evrange leaf replayed so far this
+   pass to its (eid, vaddr), for alias detection. *)
+let replay_step ctx leaves (e : Sm.enclave_info) step =
+  let owner_at = ctx.pf.Pf.Platform.owner_at in
+  match step with
+  | Table { level; ppn; _ } ->
       let paddr = Hw.Phys_mem.page_base ppn in
-      let owner = ctx.pf.Pf.Platform.owner_at ~paddr in
-      if in_evrange vaddr then begin
+      let owner = owner_at ~paddr in
+      if owner <> e.i_domain then
+        flag ctx "pt.confined" ~subject:(enclave_subject e)
+          (Printf.sprintf "level-%d table frame 0x%x lies in %s memory"
+             level paddr (domain_name ctx owner))
+  | Cycle ppn ->
+      flag ctx "pt.confined" ~subject:(enclave_subject e)
+        (Printf.sprintf "page-table cycle through table frame 0x%x"
+           (Hw.Phys_mem.page_base ppn))
+  | Leaf { vaddr; ppn } ->
+      let paddr = Hw.Phys_mem.page_base ppn in
+      let owner = owner_at ~paddr in
+      if vaddr >= e.i_evbase && vaddr < e.i_evbase + e.i_evsize then begin
         if owner <> e.i_domain then
-          flag ctx "pt.confined" ~subject:(subject ())
+          flag ctx "pt.confined" ~subject:(enclave_subject e)
             (Printf.sprintf
                "evrange mapping 0x%x -> frame 0x%x lies in %s memory" vaddr
                paddr (domain_name ctx owner));
         match Hashtbl.find_opt leaves ppn with
         | Some (other_eid, other_vaddr) ->
-            flag ctx "pt.no-alias" ~subject:(subject ())
+            flag ctx "pt.no-alias" ~subject:(enclave_subject e)
               (Printf.sprintf
                  "frame 0x%x mapped at 0x%x and (enclave 0x%x) 0x%x" paddr
                  vaddr other_eid other_vaddr)
@@ -135,52 +213,58 @@ let check_page_tables ctx =
       else if owner <> Hw.Trap.domain_untrusted && owner <> e.i_domain then
         (* a window the OS later granted to this enclave is harmless;
            monitor or foreign-enclave memory is a breach *)
-        flag ctx "pt.confined" ~subject:(subject ())
+        flag ctx "pt.confined" ~subject:(enclave_subject e)
           (Printf.sprintf
              "shared-window mapping 0x%x -> frame 0x%x lies in %s memory"
              vaddr paddr (domain_name ctx owner))
-    in
-    let rec walk_table ppn ~level ~vpn_prefix =
-      if Hashtbl.mem visited ppn then
-        flag ctx "pt.confined" ~subject:(subject ())
-          (Printf.sprintf "page-table cycle through table frame 0x%x"
-             (Hw.Phys_mem.page_base ppn))
-      else begin
-        Hashtbl.replace visited ppn ();
-        let table_paddr = Hw.Phys_mem.page_base ppn in
-        let owner = ctx.pf.Pf.Platform.owner_at ~paddr:table_paddr in
-        if owner <> e.i_domain then
-          flag ctx "pt.confined" ~subject:(subject ())
-            (Printf.sprintf "level-%d table frame 0x%x lies in %s memory"
-               level table_paddr (domain_name ctx owner));
-        (* an all-zero slot is never a valid entry *)
-        Hw.Phys_mem.iter_nonzero_words mem ~pos:table_paddr ~len:page
-          (fun pte_paddr pte ->
-            match Hw.Page_table.decode_pte pte with
-            | Error () -> ()
-            | Ok (child_ppn, _perms, is_leaf) ->
-                let idx = (pte_paddr - table_paddr) / Hw.Page_table.pte_size in
-                let vpn = (vpn_prefix lsl 9) lor idx in
-                if is_leaf then
-                  (* superpage leaves resolve to their base frame; the
-                     loader only installs 4 KiB leaves *)
-                  check_leaf ~vaddr:(vpn lsl ((level * 9) + 12)) child_ppn
-                else if level = 0 then
-                  flag ctx "pt.confined" ~subject:(subject ())
-                    (Printf.sprintf
-                       "level-0 entry at table 0x%x index %d is a pointer"
-                       table_paddr idx)
-                else walk_table child_ppn ~level:(level - 1) ~vpn_prefix:vpn)
-      end
-    in
-    walk_table root ~level:(Hw.Page_table.levels - 1) ~vpn_prefix:0
-  in
+  | Pointer0 { table; idx } ->
+      flag ctx "pt.confined" ~subject:(enclave_subject e)
+        (Printf.sprintf "level-0 entry at table 0x%x index %d is a pointer"
+           table idx)
+  | Beyond { table; idx; ppn; leaf } ->
+      let entry = if leaf then "leaf" else "pointer" in
+      let frame = Hw.Phys_mem.page_base ppn in
+      flag ctx "pt.confined" ~subject:(enclave_subject e)
+        (Printf.sprintf "%s at table 0x%x index %d names frame 0x%x beyond DRAM"
+           entry table idx frame)
+
+let rec replay ctx leaves e = function
+  | [] -> ()
+  | step :: rest ->
+      replay_step ctx leaves e step;
+      replay ctx leaves e rest
+
+let check_page_tables memo ctx =
+  let mem = Hw.Machine.mem ctx.machine in
+  (match memo.mem with
+  | Some m when m == mem -> ()
+  | Some _ | None ->
+      Hashtbl.reset memo.walks;
+      memo.mem <- Some mem);
+  memo.passes <- memo.passes + 1;
+  let leaves = Hashtbl.create 64 in
   List.iter
     (fun (e : Sm.enclave_info) ->
       match e.i_root_ppn with
-      | Some root -> walk_enclave e root
-      | None -> ())
-    ctx.enclaves
+      | None -> ()
+      | Some root ->
+          let w =
+            match Hashtbl.find_opt memo.walks e.i_eid with
+            | Some w when w.root = root && unchanged mem w.steps ->
+                memo.replays <- memo.replays + 1;
+                w
+            | Some _ | None ->
+                let w = { root; steps = record mem root; pass = 0 } in
+                Hashtbl.replace memo.walks e.i_eid w;
+                w
+          in
+          w.pass <- memo.passes;
+          replay ctx leaves e w.steps)
+    ctx.enclaves;
+  (* forget the enclaves this pass did not walk: dead, or rootless *)
+  Hashtbl.filter_map_inplace
+    (fun _ w -> if w.pass = memo.passes then Some w else None)
+    memo.walks
 
 (* ------------------------------------------------------------------ *)
 (* tlb.no-stale / cache.no-residue: after every domain transition and
@@ -387,7 +471,7 @@ let check_locks ctx =
         "lock is still held between API calls")
     (Sm.held_locks ctx.sm)
 
-let check sm =
+let check memo sm =
   let enclaves =
     List.filter_map (fun eid -> Sm.enclave_info sm ~eid) (Sm.enclaves sm)
   in
@@ -410,7 +494,7 @@ let check sm =
     }
   in
   check_ownership ctx;
-  check_page_tables ctx;
+  check_page_tables memo ctx;
   check_residue ctx;
   check_lifecycles ctx;
   check_cores ctx;

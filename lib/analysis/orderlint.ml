@@ -54,7 +54,7 @@ let condemn st ~core =
       | Some _ | None -> ());
       Hashtbl.remove st.pending_aex eid
 
-let step st ~seq ~core payload =
+let step st ({ seq; core; payload; _ } : Event.t) =
   match payload with
   | Event.Enclave_created { eid } ->
       if Hashtbl.mem st.alive eid then
@@ -164,10 +164,7 @@ let create () =
     out = [];
   }
 
-let feed st events =
-  List.iter
-    (fun (e : Event.t) -> step st ~seq:e.seq ~core:e.core e.payload)
-    events
+let feed st events = List.iter (step st) events
 
 let findings st = List.rev st.out
 

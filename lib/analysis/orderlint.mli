@@ -20,6 +20,9 @@ type t
 val create : unit -> t
 (** A pass that has seen no events. *)
 
+val step : t -> Sanctorum_telemetry.Event.t -> unit
+(** Continue the pass over the next event of the trace. *)
+
 val feed : t -> Sanctorum_telemetry.Event.t list -> unit
 (** Continue the pass over the next events of the same trace, oldest
     first. Feeding a trace window by window, split anywhere, flags

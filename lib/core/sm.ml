@@ -1416,7 +1416,7 @@ let enclave_info t ~eid =
         i_threads = List.sort compare e.threads;
         i_mappings =
           Hashtbl.fold (fun vpn ppn acc -> (vpn, ppn) :: acc) e.vmap []
-          |> List.sort compare;
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
         i_locked = e.e_lock;
       })
     (Hashtbl.find_opt t.enclaves eid)
@@ -1448,7 +1448,7 @@ let mailbox_snapshot t ~eid =
 
 let metadata_slots t =
   Hashtbl.fold (fun addr len acc -> (addr, len) :: acc) t.slots []
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let held_locks t =
   let acc = if t.resource_lock then [ Tel.Event.Resource_lock ] else [] in

@@ -158,14 +158,13 @@ let probe t ~paddr =
   Array.exists (fun l -> l.epoch = t.cur_epoch && l.tag = tag) set
 
 let iter_tags t f =
-  Array.iteri
-    (fun set ways ->
-      Array.iter
-        (fun l ->
-          if l.epoch = t.cur_epoch then
-            f ~set ~paddr:(l.tag * t.cfg.line_bytes))
-        ways)
-    t.lines
+  for set = 0 to Array.length t.lines - 1 do
+    let ways = t.lines.(set) in
+    for w = 0 to Array.length ways - 1 do
+      let l = ways.(w) in
+      if l.epoch = t.cur_epoch then f ~set ~paddr:(l.tag * t.cfg.line_bytes)
+    done
+  done
 
 let flush_all t = t.cur_epoch <- t.cur_epoch + 1
 

@@ -5,10 +5,13 @@
    that word, so the pristine value is always recoverable for the
    single-bit (correctable) case. [pending] counts live faulted words:
    the architectural access paths only pay for ECC when it is nonzero,
-   keeping the fault-free fast path at a single integer compare. *)
+   keeping the fault-free fast path at a single integer compare.
+   [gens] counts the mutations of each page, so a reader that derived
+   something from a page can tell whether its bytes may have moved. *)
 
 type t = {
   data : Bytes.t;
+  gens : int array;
   faults : (int, int64) Hashtbl.t;
   mutable pending : int;
   mutable corrected : int;
@@ -16,13 +19,15 @@ type t = {
   mutable write_hook : (pos:int -> len:int -> unit) option;
 }
 
-let page_size = 4096
+let page_shift = 12
+let page_size = 1 lsl page_shift
 
 let create ~size =
   if size <= 0 || size mod page_size <> 0 then
     invalid_arg "Phys_mem.create: size must be a positive multiple of 4096";
   {
     data = Bytes.make size '\000';
+    gens = Array.make (size / page_size) 0;
     faults = Hashtbl.create 8;
     pending = 0;
     corrected = 0;
@@ -34,12 +39,17 @@ let set_write_hook t h = t.write_hook <- h
 
 (* Every mutation of the stored bytes — architectural stores, DMA,
    zeroing, fault injection, ECC scrub corrections — reports the dirty
-   range, so a layer caching derived views of memory (the machine's
-   compiled superblock pages) can invalidate. One option match when no
-   hook is installed. *)
+   range here: it moves the generation of each page the range touches,
+   and the hook lets a layer caching derived views of memory (the
+   machine's compiled superblock pages) invalidate. Callers pass
+   [len > 0] and an in-range [pos]. *)
 let notify t pos len =
+  for p = pos lsr page_shift to (pos + len - 1) lsr page_shift do
+    Array.unsafe_set t.gens p (Array.unsafe_get t.gens p + 1)
+  done;
   match t.write_hook with None -> () | Some f -> f ~pos ~len
 
+let generation t ppn = t.gens.(ppn)
 let size t = Bytes.length t.data
 
 let check t pos len label =

@@ -38,13 +38,20 @@ val zero_range : t -> pos:int -> len:int -> unit
 
 val set_write_hook : t -> (pos:int -> len:int -> unit) option -> unit
 (** Observe every mutation of the stored bytes: architectural and DMA
-    stores, {!zero_range}, {!inject_bit_flip}, fault absorption and
-    ECC scrub corrections all report the byte range they dirtied. The
-    machine layer installs its superblock-page invalidator here; at
-    most one hook is live per memory. The hook
-    runs with the bytes already mutated and must not touch this
-    memory. With no hook installed each mutation pays one option
-    match. *)
+    stores, {!write_string}, {!zero_range}, {!inject_bit_flip}, fault
+    absorption and ECC scrub corrections all report the byte range they
+    dirtied. The machine layer installs its superblock-page invalidator
+    here; at most one hook is live per memory. The hook runs with the
+    bytes already mutated and must not touch this memory. Each mutation
+    pays one increment per page it touches (see {!generation}), then
+    one option match when no hook is installed. *)
+
+val generation : t -> int -> int
+(** [generation t ppn] counts the mutations reported for page [ppn]
+    so far (every path {!set_write_hook} lists). It only grows, so a
+    reader that recorded a page's generation knows the page's bytes are
+    the ones it read while the generation is unchanged. Raises
+    [Invalid_argument] if [ppn] is outside the memory. *)
 
 val page_of : int -> int
 (** [page_of paddr] is the physical page number. *)

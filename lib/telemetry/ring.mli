@@ -19,6 +19,9 @@ val pushed : 'a t -> int
 val dropped : 'a t -> int
 (** Elements overwritten so far: [pushed - length]. *)
 
+val iter : ('a -> unit) -> 'a t -> unit
+(** Visit the elements held, oldest first, without building a list. *)
+
 val to_list : 'a t -> 'a list
 (** Oldest first. *)
 

@@ -22,6 +22,7 @@ let emit t ~core ~cycles payload =
       Ring.push r { Event.seq; core; cycles; payload }
 
 let events t = match t.ring with None -> [] | Some r -> Ring.to_list r
+let iter f t = match t.ring with None -> () | Some r -> Ring.iter f r
 let event_count t = t.seq
 let dropped t = match t.ring with None -> 0 | Some r -> Ring.dropped r
 

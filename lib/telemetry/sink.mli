@@ -41,6 +41,11 @@ val events : t -> Event.t list
 (** Recorded events, oldest first (the surviving window if the ring
     wrapped). *)
 
+val iter : (Event.t -> unit) -> t -> unit
+(** [iter f t] calls [f] on each event {!events} would return, in the
+    same order, straight from the ring: one traversal and no list, so
+    several passes over a window can share it. No-op on a null sink. *)
+
 val event_count : t -> int
 (** Total events ever emitted (including dropped ones). *)
 

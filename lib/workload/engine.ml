@@ -102,6 +102,7 @@ type t = {
   mutable findings : An.Report.violation list;
   mutable dropped : int;
   lint : An.Orderlint.t;  (* fed each drained window *)
+  walks : An.Invariants.memo;  (* page-table walks of the last checkpoint *)
   mutable failed_buf : (int * string) list;  (* reversed; drained by take_failed *)
   mutable wall_s : float;  (* monotonic host time inside step/finish *)
 }
@@ -156,6 +157,7 @@ let create cfg =
     findings = [];
     dropped = 0;
     lint = An.Orderlint.create ();
+    walks = An.Invariants.memo ();
     failed_buf = [];
     wall_s = 0.;
   }
@@ -249,17 +251,20 @@ let checkpoint t =
      well-formed for the lock-discipline pass. The orderliness lint
      needs whole-run lifecycles (a window that opens after an enclave's
      create would flag every later enter), so each window is fed to one
-     run-long pass whose findings [finish] reports. *)
-  let evs = Tel.Sink.events t.sink in
-  t.findings <- t.findings @ An.Checker.snapshot t.sm @ An.Lockcheck.check evs;
-  An.Orderlint.feed t.lint evs;
-  List.iter
+     run-long pass whose findings [finish] reports. Both passes and the
+     mailbox counts share one traversal of the ring. *)
+  let snapshot = An.Invariants.check t.walks t.sm in
+  let locks = An.Lockcheck.create () in
+  Tel.Sink.iter
     (fun (e : Tel.Event.t) ->
+      An.Lockcheck.step locks e;
+      An.Orderlint.step t.lint e;
       match e.Tel.Event.payload with
       | Tel.Event.Mailbox_sent _ -> t.msgs_sent <- t.msgs_sent + 1
       | Tel.Event.Mailbox_received _ -> t.msgs_received <- t.msgs_received + 1
       | _ -> ())
-    evs;
+    t.sink;
+  t.findings <- t.findings @ snapshot @ An.Lockcheck.finish locks;
   t.dropped <- t.dropped + Tel.Sink.dropped t.sink;
   Tel.Sink.clear t.sink
 

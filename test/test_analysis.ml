@@ -64,24 +64,66 @@ let test_honest_trace () =
 (* ------------------------------------------------------------------ *)
 (* Snapshot invariants: one injected fault each. *)
 
+let report (r : A.Report.violation) = (r.id, r.subject, r.detail)
+
 (* The exact report, for the checks whose subjects and details are
    formatted only when they fire. *)
 let pinned ~id ~subject ~detail vs =
-  let report (r : A.Report.violation) = (r.id, r.subject, r.detail) in
   Alcotest.(check (list (triple string string string)))
     (id ^ " report") [ (id, subject, detail) ] (List.map report vs)
 
+(* The snapshot pass twice over: [snapshot ()] is a fresh pass's report,
+   after checking that a memo warmed on the state before the fault
+   reports exactly the same. Without this no negative test would reach
+   a warm memo: [Checker.snapshot] starts a fresh one on every call. *)
+let warm_snapshot tb =
+  let memo = A.Invariants.memo () in
+  silent (A.Invariants.check memo tb.Testbed.sm);
+  fun () ->
+    let fresh = A.Checker.snapshot tb.Testbed.sm in
+    Alcotest.(check (list (triple string string string)))
+      "warm memo = fresh pass" (List.map report fresh)
+      (List.map report (A.Invariants.check memo tb.Testbed.sm));
+    fresh
+
+let pte_addr table idx =
+  Hw.Phys_mem.page_base table + (idx * Hw.Page_table.pte_size)
+
+(* The table frames on the path of [vpn] from [root], root first, as
+   far as the path leads through valid pointers inside DRAM. *)
+let path_tables mem ~root ~vpn =
+  let frames = Hw.Phys_mem.size mem / Hw.Phys_mem.page_size in
+  let rec go table level acc =
+    let acc = table :: acc in
+    if level = 0 then List.rev acc
+    else
+      let idx = (vpn lsr (9 * level)) land 511 in
+      let entry = Hw.Phys_mem.read_u64 mem (pte_addr table idx) in
+      match Hw.Page_table.decode_pte entry with
+      | Ok (child, _, false) when child < frames -> go child (level - 1) acc
+      | Ok _ | Error () -> List.rev acc
+  in
+  go root (Hw.Page_table.levels - 1) []
+
+(* The root and level-0 table of the enclave's first mapping. *)
+let root_and_level0 tb ~eid =
+  match S.enclave_info tb.Testbed.sm ~eid with
+  | Some { S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ } -> (
+      match path_tables (Hw.Machine.mem tb.Testbed.machine) ~root ~vpn with
+      | [ _; _; level0 ] -> (root, level0)
+      | _ -> Alcotest.fail "no level-0 table")
+  | Some _ | None -> Alcotest.fail "enclave has no mapping"
+
 let test_own_exclusive () =
-  let tb, inst = installed_run () in
-  silent (A.Checker.snapshot tb.Testbed.sm);
+  let tb, _ = installed_run () in
+  let snapshot = warm_snapshot tb in
   Testbed.corrupt_owner_map tb
     ~rid:(S.memory_units tb.Testbed.sm - 1);
   pinned ~id:"own.exclusive" ~subject:"unit 63"
     ~detail:
       "resource map says untrusted but hardware owner at 0xfc0000 is \
        domain:77"
-    (A.Checker.snapshot tb.Testbed.sm);
-  ignore inst
+    (snapshot ())
 
 let test_own_sm_reserved () =
   let tb, _ = installed_run () in
@@ -90,10 +132,11 @@ let test_own_sm_reserved () =
 
 let test_pt_confined () =
   let tb, inst = installed_run () in
+  let snapshot = warm_snapshot tb in
   Testbed.corrupt_page_table tb ~eid:inst.Os.eid;
   pinned ~id:"pt.confined" ~subject:"enclave 0x10000"
     ~detail:"evrange mapping 0x10000 -> frame 0x0 lies in sm memory"
-    (A.Checker.snapshot tb.Testbed.sm)
+    (snapshot ())
 
 (* The last slot of a level-0 table is the last word the checker's
    table scan reads: point it at monitor memory (frame 0), outside
@@ -101,38 +144,53 @@ let test_pt_confined () =
 let test_pt_confined_last_slot backend () =
   let tb, inst = installed_run ~backend () in
   let mem = Hw.Machine.mem tb.Testbed.machine in
-  let pte table idx =
-    Hw.Phys_mem.page_base table + (idx * Hw.Page_table.pte_size)
-  in
-  let root, vpn =
-    match S.enclave_info tb.Testbed.sm ~eid:inst.Os.eid with
-    | Some { S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ } ->
-        (root, vpn)
-    | Some _ | None -> Alcotest.fail "enclave has no mapping"
-  in
-  let rec level0 table level =
-    if level = 0 then table
-    else
-      let idx = (vpn lsr (9 * level)) land 511 in
-      let entry = Hw.Phys_mem.read_u64 mem (pte table idx) in
-      match Hw.Page_table.decode_pte entry with
-      | Ok (child, _, false) -> level0 child (level - 1)
-      | Ok _ | Error () -> Alcotest.fail "no level-0 table"
-  in
-  let table = level0 root (Hw.Page_table.levels - 1) in
-  silent (A.Checker.snapshot tb.Testbed.sm);
-  Hw.Phys_mem.write_u64 mem (pte table 511)
+  let _, table = root_and_level0 tb ~eid:inst.Os.eid in
+  let snapshot = warm_snapshot tb in
+  Hw.Phys_mem.write_u64 mem (pte_addr table 511)
     (Hw.Page_table.encode_pte ~ppn:0
        ~perms:{ Hw.Page_table.r = true; w = true; x = false; u = true }
        ~valid:true);
   pinned ~id:"pt.confined" ~subject:"enclave 0x10000"
     ~detail:"shared-window mapping 0x1ff000 -> frame 0x0 lies in sm memory"
-    (A.Checker.snapshot tb.Testbed.sm)
+    (snapshot ())
+
+(* A flipped bit 50 moves a valid entry's frame number past the end of
+   DRAM. The hardware walk reads such an entry as an invalid mapping;
+   the checker reports it as pt.confined, naming the table, the index
+   and the frame, and does not follow it. *)
+let test_pt_beyond_dram backend ~leaf () =
+  let tb, inst = installed_run ~backend () in
+  let mem = Hw.Machine.mem tb.Testbed.machine in
+  let root, level0 = root_and_level0 tb ~eid:inst.Os.eid in
+  let table = if leaf then level0 else root in
+  let idx =
+    let rec first i =
+      if Hw.Phys_mem.read_u64 mem (pte_addr table i) <> 0L then i
+      else first (i + 1)
+    in
+    first 0
+  in
+  let child =
+    let entry = Hw.Phys_mem.read_u64 mem (pte_addr table idx) in
+    match Hw.Page_table.decode_pte entry with
+    | Ok (child, _, is_leaf) when is_leaf = leaf -> child
+    | Ok _ | Error () -> Alcotest.fail "unexpected first entry"
+  in
+  let snapshot = warm_snapshot tb in
+  Hw.Phys_mem.inject_bit_flip mem ~paddr:(pte_addr table idx) ~bit:50;
+  pinned ~id:"pt.confined" ~subject:"enclave 0x10000"
+    ~detail:
+      (Printf.sprintf "%s at table 0x%x index %d names frame 0x%x beyond DRAM"
+         (if leaf then "leaf" else "pointer")
+         (Hw.Phys_mem.page_base table) idx
+         (Hw.Phys_mem.page_base (child lor (1 lsl 40))))
+    (snapshot ())
 
 let test_pt_no_alias () =
   let tb, inst = installed_run () in
+  let snapshot = warm_snapshot tb in
   Testbed.alias_page_table tb ~eid:inst.Os.eid;
-  fires "pt.no-alias" (A.Checker.snapshot tb.Testbed.sm)
+  fires "pt.no-alias" (snapshot ())
 
 let test_tlb_no_stale () =
   let tb, inst = installed_run () in
@@ -223,6 +281,24 @@ let test_lock_guard () =
             rel (enc 1);
           ]))
 
+(* Thread, enclave, resource under one API call; then resource, thread,
+   enclave under the next. *)
+let three_class_inversion =
+  [
+    acq (thr 3);
+    acq (enc 1);
+    acq res;
+    rel res;
+    rel (enc 1);
+    rel (thr 3);
+    acq res;
+    acq (thr 4);
+    acq (enc 2);
+    rel (enc 2);
+    rel (thr 4);
+    rel res;
+  ]
+
 let test_lock_order () =
   (* resource-then-enclave and enclave-then-resource in one trace: a
      class-order cycle (§V-A deadlock risk) *)
@@ -250,7 +326,32 @@ let test_lock_order () =
             rel (thr 9);
             rel (enc 1);
             rel res;
-          ]))
+          ]));
+  (* three classes taken in two orders: every edge is on a cycle, and
+     the findings follow the class-edge table's iteration order *)
+  let inverted n ~outer ~inner seq ~established =
+    ( "lock.order",
+      n,
+      Printf.sprintf
+        "acquired %s while holding %s (event #%d), inverting the established \
+         %s order"
+        inner outer seq established )
+  in
+  Alcotest.(check (list (triple string string string)))
+    "lock.order reports"
+    [
+      inverted "resource -> thread" ~outer:"resource" ~inner:"thread:0x4" 7
+        ~established:"thread -> resource";
+      inverted "thread -> resource" ~outer:"thread:0x3" ~inner:"resource" 2
+        ~established:"resource -> thread";
+      inverted "resource -> enclave" ~outer:"resource" ~inner:"enclave:0x2" 8
+        ~established:"enclave -> resource";
+      inverted "enclave -> resource" ~outer:"enclave:0x1" ~inner:"resource" 2
+        ~established:"resource -> enclave";
+      inverted "thread -> enclave" ~outer:"thread:0x3" ~inner:"enclave:0x1" 1
+        ~established:"enclave -> thread";
+    ]
+    (List.map report (A.Lockcheck.check (trace three_class_inversion)))
 
 let created e = Tel.Event.Enclave_created { eid = e }
 let inited e = Tel.Event.Enclave_initialized { eid = e }
@@ -391,6 +492,61 @@ let qcheck_order_streaming =
       List.iter (A.Orderlint.feed st) (windows events cuts);
       A.Orderlint.findings st = A.Orderlint.check events)
 
+(* The engine's checkpoint traverses the sink's ring once and steps the
+   window's lock pass and the run-long lint from it. Replay each window
+   of a trace into a sink the way the engine drains one (emit, one
+   [Sink.iter] fold, clear), with rings small enough to wrap as well,
+   and hold that fold to the list passes over the same window:
+   [Lockcheck.check] on [Sink.events], including the order of its
+   lock.order findings, and [Orderlint.feed] of the same lists. *)
+let lock_cases =
+  [
+    trace [ acq (enc 1); api "init_enclave" ];
+    trace [ rel (enc 1); acq res ];
+    trace [ Tel.Event.Guarded_write { lock = enc 1; field = "phase" } ];
+    trace three_class_inversion;
+  ]
+
+let qcheck_ring_pass =
+  let traces () =
+    List.map (fun (_, _, payloads) -> trace payloads) order_cases
+    @ lock_cases
+    @ [ Lazy.force honest_run_trace ]
+  in
+  let n_traces = List.length order_cases + List.length lock_cases + 1 in
+  QCheck2.Test.make ~name:"checkpoint ring pass = list passes" ~count:200
+    ~print:
+      QCheck2.Print.(triple int (list int) int)
+    QCheck2.Gen.(
+      triple
+        (int_range 0 (n_traces - 1))
+        (list_size (int_range 0 12) (int_range 0 100_000))
+        (oneof [ return 65536; int_range 1 16 ]))
+    (fun (i, cuts, capacity) ->
+      let events = List.nth (traces ()) i in
+      let sink = Tel.Sink.create ~capacity () in
+      let lint_ring = A.Orderlint.create () in
+      let lint_lists = A.Orderlint.create () in
+      let window_agrees window =
+        List.iter
+          (fun (e : Tel.Event.t) ->
+            Tel.Sink.emit sink ~core:e.core ~cycles:e.cycles e.payload)
+          window;
+        let locks = A.Lockcheck.create () in
+        Tel.Sink.iter
+          (fun e ->
+            A.Lockcheck.step locks e;
+            A.Orderlint.step lint_ring e)
+          sink;
+        let evs = Tel.Sink.events sink in
+        A.Orderlint.feed lint_lists evs;
+        let same = A.Lockcheck.finish locks = A.Lockcheck.check evs in
+        Tel.Sink.clear sink;
+        same
+      in
+      List.for_all window_agrees (windows events cuts)
+      && A.Orderlint.findings lint_ring = A.Orderlint.findings lint_lists)
+
 (* ------------------------------------------------------------------ *)
 (* The attack model: a subverted isolation primitive leaks to the OS
    probe AND the checker reports the divergence (detection, §IV). *)
@@ -406,13 +562,247 @@ let test_relax_protections () =
   (match Sanctorum_attack.Malicious_os.os_load os ~core:1 ~paddr with
   | Sanctorum_attack.Malicious_os.Denied -> ()
   | Leaked _ -> Alcotest.fail "honest hardware leaked");
-  silent (A.Checker.snapshot tb.Testbed.sm);
+  let snapshot = warm_snapshot tb in
   check_bool "relaxed" true
     (Sanctorum_attack.Malicious_os.relax_protections os ~eid:inst.Os.eid);
   (match Sanctorum_attack.Malicious_os.os_load os ~core:1 ~paddr with
   | Sanctorum_attack.Malicious_os.Leaked _ -> ()
   | Denied -> Alcotest.fail "relaxed hardware still denies");
-  fires "own.exclusive" (A.Checker.snapshot tb.Testbed.sm)
+  fires "own.exclusive" (snapshot ())
+
+(* ------------------------------------------------------------------ *)
+(* The memo against the stateless reference. One memo follows a churn
+   engine's stack through a random sequence: installs and reclaims
+   (eids are reused), engine rounds, PTEs written into live table
+   frames (leaves inside and outside evrange, pointers back into the
+   enclave's own tables, level-0 pointers, frames past DRAM, zeros),
+   bit flips in table frames, a unit handed to a foreign domain and a
+   relaxed isolation primitive. After every step the memo's full report
+   must equal the reference's, in order. *)
+
+type pte =
+  | Zero
+  | Leaf_to of int  (* a frame anywhere in DRAM *)
+  | Leaf_to_mapped of int  (* a frame some live enclave maps *)
+  | Pointer_to_table of int  (* one of the enclave's own tables *)
+  | Pointer_to of int  (* a frame anywhere in DRAM *)
+  | Past_dram of bool  (* a leaf (true) or a pointer *)
+
+type slot = In_evrange of int | Slot of int
+
+type memo_op =
+  | Install
+  | Reclaim of int
+  | Rounds of int
+  | Pte of int * int * slot * pte  (* enclave, table on its path, slot *)
+  | Flip of int * int * int * int  (* enclave, table, slot, bit *)
+  | Owner of int  (* an enclave's first unit, to domain 77 *)
+  | Relax of int
+
+let print_memo_op = function
+  | Install -> "install"
+  | Reclaim i -> Printf.sprintf "reclaim %d" i
+  | Rounds n -> Printf.sprintf "rounds %d" n
+  | Pte (e, t, slot, pte) ->
+      Printf.sprintf "pte e%d t%d %s %s" e t
+        (match slot with
+        | In_evrange k -> Printf.sprintf "evrange+%d" k
+        | Slot i -> Printf.sprintf "slot %d" i)
+        (match pte with
+        | Zero -> "zero"
+        | Leaf_to f -> Printf.sprintf "leaf->%d" f
+        | Leaf_to_mapped m -> Printf.sprintf "leaf->mapped %d" m
+        | Pointer_to_table t -> Printf.sprintf "ptr->table %d" t
+        | Pointer_to f -> Printf.sprintf "ptr->%d" f
+        | Past_dram leaf -> if leaf then "leaf past DRAM" else "ptr past DRAM")
+  | Flip (e, t, i, b) -> Printf.sprintf "flip e%d t%d slot %d bit %d" e t i b
+  | Owner e -> Printf.sprintf "owner e%d" e
+  | Relax e -> Printf.sprintf "relax e%d" e
+
+let gen_memo_op =
+  QCheck2.Gen.(
+    let sel = int_range 0 15 in
+    let frame = int_bound 100_000 in
+    let slot =
+      oneof
+        [
+          map (fun k -> In_evrange k) (int_range 0 3);
+          map (fun i -> Slot i) (int_range 0 511);
+        ]
+    in
+    let pte =
+      frequency
+        [
+          (2, return Zero);
+          (3, map (fun f -> Leaf_to f) frame);
+          (2, map (fun m -> Leaf_to_mapped m) frame);
+          (2, map (fun t -> Pointer_to_table t) sel);
+          (1, map (fun f -> Pointer_to f) frame);
+          (1, map (fun leaf -> Past_dram leaf) bool);
+        ]
+    in
+    frequency
+      [
+        (2, return Install);
+        (1, map (fun i -> Reclaim i) sel);
+        (2, map (fun n -> Rounds n) (int_range 1 3));
+        (6, map (fun (((e, t), slot), pte) -> Pte (e, t, slot, pte))
+              (pair (pair (pair sel sel) slot) pte));
+        (2, map (fun ((e, t), (i, b)) -> Flip (e, t, i, b))
+              (pair (pair sel sel) (pair (int_range 0 511) (int_range 0 63))));
+        (1, map (fun e -> Owner e) sel);
+        (1, map (fun e -> Relax e) sel);
+      ])
+
+let memo_replays = ref 0
+
+let qcheck_memo_differential =
+  QCheck2.Test.make ~name:"invariants: memoized walks = stateless reference"
+    ~count:60
+    ~print:(fun (keystone, seed, ops) ->
+      Printf.sprintf "%s seed=%d [%s]"
+        (if keystone then "keystone" else "sanctum")
+        seed
+        (String.concat "; " (List.map print_memo_op ops)))
+    QCheck2.Gen.(
+      triple bool (int_bound 1000) (list_size (int_range 1 24) gen_memo_op))
+    (fun (keystone, seed, ops) ->
+      let module E = Sanctorum_workload.Engine in
+      let eng =
+        E.create
+          {
+            Sanctorum_workload.Workload.default with
+            seed = Printf.sprintf "memo-differential/%d" seed;
+            backend =
+              (if keystone then Testbed.Keystone_backend
+               else Testbed.Sanctum_backend);
+            cores = 2;
+            enclaves = 8;
+            mix = Sanctorum_workload.Workload.Churn;
+            check_every = 0;
+          }
+      in
+      for jid = 0 to 2 do
+        E.submit eng ~jid ~seed:(Int64.of_int (seed + jid)) ~target:None
+      done;
+      let tb = E.testbed eng in
+      let sm = tb.Testbed.sm in
+      let mem = Hw.Machine.mem tb.Testbed.machine in
+      let frames = Hw.Phys_mem.size mem / Hw.Phys_mem.page_size in
+      let memo = A.Invariants.memo () in
+      let mine = ref [] in
+      let nth l i = List.nth l (i mod List.length l) in
+      let with_enclave i f =
+        match S.enclaves sm with [] -> () | eids -> f (nth eids i)
+      in
+      (* [f info tables] on the enclave's tables along its first
+         mapping's path, root first *)
+      let with_tables i f =
+        with_enclave i (fun eid ->
+            match S.enclave_info sm ~eid with
+            | Some ({ S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ }
+                    as info) ->
+                f info (path_tables mem ~root ~vpn)
+            | Some _ | None -> ())
+      in
+      let apply = function
+        | Install ->
+            if List.length !mine < 4 then
+              let image =
+                Sanctorum.Image.of_program ~evbase:0x10000 ~data_pages:1
+                  Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
+              in
+              (match Os.install_enclave tb.Testbed.os image with
+              | Ok inst -> mine := inst.Os.eid :: !mine
+              | Error _ -> ())
+        | Reclaim i -> (
+            match !mine with
+            | [] -> ()
+            | l ->
+                let eid = nth l i in
+                ignore (Os.reclaim_enclave tb.Testbed.os ~eid);
+                mine := List.filter (( <> ) eid) l)
+        | Rounds n ->
+            for _ = 1 to n do
+              ignore (E.step eng)
+            done
+        | Pte (e, t, slot, pte) ->
+            with_tables e (fun info tables ->
+                let ti = t mod List.length tables in
+                let table = List.nth tables ti in
+                let level = Hw.Page_table.levels - 1 - ti in
+                let idx =
+                  match slot with
+                  | Slot i -> i
+                  | In_evrange k ->
+                      let page = Hw.Phys_mem.page_size in
+                      let pages = max 1 (info.S.i_evsize / page) in
+                      let vpn = (info.S.i_evbase / page) + (k mod pages) in
+                      (vpn lsr (9 * level)) land 511
+                in
+                let perms leaf =
+                  { Hw.Page_table.r = leaf; w = leaf; x = false; u = true }
+                in
+                let entry ~leaf ppn =
+                  Hw.Page_table.encode_pte ~ppn ~perms:(perms leaf) ~valid:true
+                in
+                Hw.Phys_mem.write_u64 mem (pte_addr table idx)
+                  (match pte with
+                  | Zero -> 0L
+                  | Leaf_to f -> entry ~leaf:true (f mod frames)
+                  | Leaf_to_mapped m -> (
+                      let mapped =
+                        List.concat_map
+                          (fun eid ->
+                            match S.enclave_info sm ~eid with
+                            | Some info -> List.map snd info.S.i_mappings
+                            | None -> [])
+                          (S.enclaves sm)
+                      in
+                      match mapped with
+                      | [] -> 0L
+                      | l -> entry ~leaf:true (nth l m))
+                  | Pointer_to_table j -> entry ~leaf:false (nth tables j)
+                  | Pointer_to f -> entry ~leaf:false (f mod frames)
+                  | Past_dram leaf -> entry ~leaf (frames + idx)))
+        | Flip (e, t, i, bit) ->
+            with_tables e (fun _ tables ->
+                let paddr = pte_addr (nth tables t) i in
+                Hw.Phys_mem.inject_bit_flip mem ~paddr ~bit)
+        | Owner e ->
+            with_enclave e (fun eid ->
+                let pf = tb.Testbed.platform in
+                match S.enclave_domain sm ~eid with
+                | Error _ -> ()
+                | Ok d -> (
+                    match pf.Sanctorum_platform.Platform.ranges_of_domain d with
+                    | (lo, _) :: _ ->
+                        let rid = lo / S.memory_unit_bytes sm in
+                        Testbed.corrupt_owner_map tb ~rid
+                    | [] -> ()))
+        | Relax e ->
+            with_enclave e (fun eid ->
+                ignore
+                  (Sanctorum_attack.Malicious_os.relax_protections tb.Testbed.os
+                     ~eid))
+      in
+      let agrees () =
+        A.Invariants.check memo sm = Sanctorum_oracle.Invariants_ref.snapshot sm
+      in
+      let ok = agrees () && List.for_all (fun op -> apply op; agrees ()) ops in
+      memo_replays := !memo_replays + A.Invariants.replays memo;
+      ok)
+
+(* The property, then a check that its run replayed some walks: a memo
+   that never replays would pass it vacuously. *)
+let memo_differential =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_memo_differential in
+  ( name,
+    speed,
+    fun () ->
+      memo_replays := 0;
+      run ();
+      if !memo_replays = 0 then Alcotest.fail "the memo never replayed a walk" )
 
 (* Every id a negative test exercises is cataloged, and vice versa all
    cataloged ids have a description. *)
@@ -448,6 +838,14 @@ let suite =
         (test_pt_confined_last_slot Testbed.Sanctum_backend);
       Alcotest.test_case "pt.confined fires on slot 511 (keystone)" `Quick
         (test_pt_confined_last_slot Testbed.Keystone_backend);
+      Alcotest.test_case "pt.confined: pointer beyond DRAM (sanctum)" `Quick
+        (test_pt_beyond_dram Testbed.Sanctum_backend ~leaf:false);
+      Alcotest.test_case "pt.confined: pointer beyond DRAM (keystone)" `Quick
+        (test_pt_beyond_dram Testbed.Keystone_backend ~leaf:false);
+      Alcotest.test_case "pt.confined: leaf beyond DRAM (sanctum)" `Quick
+        (test_pt_beyond_dram Testbed.Sanctum_backend ~leaf:true);
+      Alcotest.test_case "pt.confined: leaf beyond DRAM (keystone)" `Quick
+        (test_pt_beyond_dram Testbed.Keystone_backend ~leaf:true);
       Alcotest.test_case "pt.no-alias fires" `Quick test_pt_no_alias;
       Alcotest.test_case "tlb.no-stale + cache.no-residue fire" `Quick
         test_tlb_no_stale;
@@ -469,6 +867,8 @@ let suite =
       Alcotest.test_case "honest workload trace is orderly" `Quick
         test_honest_run_trace;
       QCheck_alcotest.to_alcotest qcheck_order_streaming;
+      QCheck_alcotest.to_alcotest qcheck_ring_pass;
+      memo_differential;
       Alcotest.test_case "relaxed protections are detected" `Quick
         test_relax_protections;
       Alcotest.test_case "catalog covers every id" `Quick test_catalog;

@@ -102,6 +102,61 @@ let test_nonzero_words_bounds () =
   rejects "unaligned start" ~pos:4 ~len:8;
   rejects "unaligned length" ~pos:0 ~len:12
 
+(* Every path that mutates stored bytes moves the generation of each
+   page it touches, and of no other page: the invariant pass replays a
+   page-table walk only while its frames' generations stand still. *)
+let test_generation_moves () =
+  let page = Hw.Phys_mem.page_size in
+  let pages = 6 in
+  let machine =
+    Hw.Machine.create
+      { Hw.Machine.default_config with mem_bytes = pages * page }
+  in
+  let m = Hw.Machine.mem machine in
+  let moves label ~touched f =
+    let before = Array.init pages (Hw.Phys_mem.generation m) in
+    f ();
+    Array.iteri
+      (fun p g ->
+        let now = Hw.Phys_mem.generation m p in
+        if List.mem p touched then
+          check_bool (Printf.sprintf "%s moves page %d" label p) true (now > g)
+        else check_int (Printf.sprintf "%s leaves page %d" label p) g now)
+      before
+  in
+  moves "write_u8" ~touched:[ 1 ] (fun () ->
+      Hw.Phys_mem.write_u8 m (page + 5) 0xff);
+  moves "write_u16 across a page boundary" ~touched:[ 1; 2 ] (fun () ->
+      Hw.Phys_mem.write_u16 m ((2 * page) - 1) 0xffff);
+  moves "write_u32 across a page boundary" ~touched:[ 2; 3 ] (fun () ->
+      Hw.Phys_mem.write_u32 m ((3 * page) - 2) 0xffffl);
+  moves "write_u64 across a page boundary" ~touched:[ 0; 1 ] (fun () ->
+      Hw.Phys_mem.write_u64 m (page - 4) 1L);
+  moves "write_string over three pages" ~touched:[ 0; 1; 2 ] (fun () ->
+      Hw.Phys_mem.write_string m ~pos:(page - 3) (String.make (page + 4) 'x'));
+  moves "zero_range" ~touched:[ 1; 2 ] (fun () ->
+      Hw.Phys_mem.zero_range m ~pos:page ~len:(2 * page));
+  moves "an empty zero_range" ~touched:[] (fun () ->
+      Hw.Phys_mem.zero_range m ~pos:page ~len:0);
+  moves "inject_bit_flip" ~touched:[ 2 ] (fun () ->
+      Hw.Phys_mem.inject_bit_flip m ~paddr:((2 * page) + 16) ~bit:3);
+  moves "scrub correcting the flip" ~touched:[ 2 ] (fun () ->
+      match Hw.Phys_mem.scrub m ~pos:(2 * page) ~len:page with
+      | `Corrected 1 -> ()
+      | _ -> Alcotest.fail "flip not corrected");
+  Hw.Phys_mem.inject_bit_flip m ~paddr:((3 * page) + 8) ~bit:9;
+  moves "a store absorbing a pending fault" ~touched:[ 3 ] (fun () ->
+      Hw.Phys_mem.write_u8 m ((3 * page) + 8) 1);
+  check_int "fault absorbed" 0 (Hw.Phys_mem.pending_faults m);
+  moves "DMA" ~touched:[ 4; 5 ] (fun () ->
+      match Hw.Machine.dma_write machine ~paddr:((5 * page) - 2) "dma!" with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "DMA refused");
+  moves "reads" ~touched:[] (fun () ->
+      ignore (Hw.Phys_mem.read_u64 m page);
+      ignore (Hw.Phys_mem.read_string m ~pos:0 ~len:(pages * page));
+      Hw.Phys_mem.iter_nonzero_words m ~pos:0 ~len:page (fun _ _ -> ()))
+
 (* ------------------------------------------------------------------ *)
 (* Cache model *)
 
@@ -711,6 +766,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_nonzero_words;
       Alcotest.test_case "phys_mem: nonzero-word scan bounds" `Quick
         test_nonzero_words_bounds;
+      Alcotest.test_case "phys_mem: every mutation moves its pages' generations"
+        `Quick test_generation_moves;
       Alcotest.test_case "cache basics" `Quick test_cache_basic;
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction;
       Alcotest.test_case "cache custom index" `Quick test_cache_partition_fn;
