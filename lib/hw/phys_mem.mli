@@ -1,6 +1,14 @@
 (** Byte-accurate physical memory. Isolation is {e not} enforced here —
     the machine layer consults the platform's isolation primitive (PMP or
-    DRAM regions) before every access, exactly as hardware would. *)
+    DRAM regions) before every access, exactly as hardware would.
+
+    Memory is held one 4 KiB frame at a time. Every frame starts as one
+    shared zero frame that nothing writes, and gets its own buffer on its
+    first write (a store, {!write_string}, DMA, a bit flip, a scrub
+    correction or a fault absorption), which it keeps when zeroed: the
+    host pays for the frames a run writes, not for the whole memory at
+    {!create}. A word that straddles two frames is read and written byte
+    by byte. *)
 
 type t
 
@@ -8,7 +16,8 @@ val page_size : int
 (** 4096 bytes. *)
 
 val create : size:int -> t
-(** [create ~size] is zero-filled memory; [size] must be page-aligned. *)
+(** [create ~size] is zero-filled memory; [size] must be page-aligned.
+    No frame is allocated until it is written. *)
 
 val size : t -> int
 
@@ -48,9 +57,10 @@ val set_write_hook : t -> (pos:int -> len:int -> unit) option -> unit
 
 val generation : t -> int -> int
 (** [generation t ppn] counts the mutations reported for page [ppn]
-    so far (every path {!set_write_hook} lists). It only grows, so a
+    so far (every path {!set_write_hook} lists), modulo 2{^32}. A
     reader that recorded a page's generation knows the page's bytes are
-    the ones it read while the generation is unchanged. Raises
+    the ones it read while the generation is unchanged, unless the page
+    took a multiple of 2{^32} mutations in between. Raises
     [Invalid_argument] if [ppn] is outside the memory. *)
 
 val page_of : int -> int

@@ -338,7 +338,7 @@ let install_enclave t (image : Sanctorum.Image.t) =
 
 (* The delegated event that ended a run, if any arrived since the count
    stood at [events_before]: the counter keeps this O(1) however long
-   the never-cleared event list grows. *)
+   the event list has grown since it was last cleared. *)
 let newest_event t ~events_before =
   match t.events with
   | e :: _ when t.event_count > events_before -> Some e

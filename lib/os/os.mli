@@ -155,7 +155,9 @@ val run_untrusted_program :
     signals completion with [ecall] (an OS syscall). *)
 
 val delegated_events : t -> Sanctorum_hw.Trap.cause list
-(** Every event the monitor delegated to the OS, oldest first — what a
-    (possibly malicious) OS gets to observe. *)
+(** Every event the monitor delegated to the OS since the last
+    {!clear_delegated_events}, oldest first — what a (possibly
+    malicious) OS gets to observe. The workload engine clears them at
+    each checkpoint. *)
 
 val clear_delegated_events : t -> unit

@@ -6,6 +6,15 @@
     {!create}, which appends events to a ring buffer and optionally
     carries a {!Metrics.t} registry for counters.
 
+    The ring is fixed-capacity and overwrites its oldest event on
+    overflow, counting it as dropped: a long run keeps the most recent
+    window. It holds each event's core and cycles in flat int arrays
+    beside an array of payloads, and an event's seq is its push index
+    since the last {!clear}; {!iter} and {!events} build the
+    {!Event.t} values. The arrays start empty and double, up to the
+    capacity, when an emit finds them full; otherwise emitting
+    allocates nothing beyond the caller's payload.
+
     The contract for instrumented code:
 
     {[
@@ -26,16 +35,16 @@ val null : t
 val create : ?capacity:int -> ?metrics:Metrics.t -> unit -> t
 (** A recording sink. [capacity] (default 65536) bounds the event ring;
     the oldest events are overwritten on overflow and counted as
-    dropped. *)
+    dropped. Raises [Invalid_argument] if [capacity <= 0]. *)
 
 val enabled : t -> bool
 
 val metrics : t -> Metrics.t option
 
 val emit : t -> core:int -> cycles:int -> Event.payload -> unit
-(** Stamp the payload with a global sequence number and append it.
-    [core] is [-1] for host-context (non-core) actions. No-op on a
-    null sink. *)
+(** Append the payload; its seq is the number of events emitted before
+    it since the last {!clear}. [core] is [-1] for host-context
+    (non-core) actions. No-op on a null sink. *)
 
 val events : t -> Event.t list
 (** Recorded events, oldest first (the surviving window if the ring
@@ -47,11 +56,13 @@ val iter : (Event.t -> unit) -> t -> unit
     several passes over a window can share it. No-op on a null sink. *)
 
 val event_count : t -> int
-(** Total events ever emitted (including dropped ones). *)
+(** Events emitted since the last {!clear}, dropped ones included. *)
 
 val dropped : t -> int
 
 val clear : t -> unit
+(** Empties the ring and restarts seq, {!event_count} and {!dropped}
+    from 0. *)
 
 val incr_counter : t -> string -> unit
 (** Convenience for cold paths: bump a registry counter by name; no-op

@@ -252,7 +252,9 @@ let checkpoint t =
      needs whole-run lifecycles (a window that opens after an enclave's
      create would flag every later enter), so each window is fed to one
      run-long pass whose findings [finish] reports. Both passes and the
-     mailbox counts share one traversal of the ring. *)
+     mailbox counts share one traversal of the ring. The OS's delegated
+     causes are dropped with the window: a run reads only the newest
+     one and the count, and a shard lives for many windows. *)
   let snapshot = An.Invariants.check t.walks t.sm in
   let locks = An.Lockcheck.create () in
   Tel.Sink.iter
@@ -266,7 +268,8 @@ let checkpoint t =
     t.sink;
   t.findings <- t.findings @ snapshot @ An.Lockcheck.finish locks;
   t.dropped <- t.dropped + Tel.Sink.dropped t.sink;
-  Tel.Sink.clear t.sink
+  Tel.Sink.clear t.sink;
+  Os.clear_delegated_events t.os
 
 let on_exit t job m completed =
   m.m_exits <- m.m_exits + 1;

@@ -1,6 +1,10 @@
 (** A fixed-capacity ring buffer that overwrites its oldest element on
     overflow — the standard trace-buffer discipline: a long run keeps
-    the most recent window of events and counts what it dropped. *)
+    the most recent window of events and counts what it dropped.
+
+    The trace ring [Sanctorum_telemetry.Sink] kept as a [Ring] of
+    boxed [Event.t] values until it moved to flat arrays; the property
+    "sink ring = Ring reference" holds the sink to it. *)
 
 type 'a t
 

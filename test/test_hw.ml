@@ -157,6 +157,240 @@ let test_generation_moves () =
       ignore (Hw.Phys_mem.read_string m ~pos:0 ~len:(pages * page));
       Hw.Phys_mem.iter_nonzero_words m ~pos:0 ~len:page (fun _ _ -> ()))
 
+(* Frames on first write against the flat memory they replaced
+   ([Sanctorum_oracle.Phys_mem_ref]): random operation sequences on 2–6
+   frame memories. Addresses cluster at frame edges, so words straddle
+   two frames, strings and zeroed ranges span them, and stores, flips
+   and scrubs meet the same words often enough that stores absorb
+   pending faults; some frames are never written. After every step the
+   two agree on the step's result (or both raise), every byte, every
+   page's generation, the write hook's (pos, len) log and the ECC
+   counts. *)
+module Mem_ref = Sanctorum_oracle.Phys_mem_ref
+
+type mem_op =
+  | Read of int * int (* width, pos *)
+  | Write of int * int * int64
+  | Read_string of int * int
+  | Write_string of int * string
+  | Zero of int * int
+  | Flip of int * int (* paddr, bit *)
+  | Scrub of int * int
+  | Nonzero of int * int
+
+let show_mem_op = function
+  | Read (w, p) -> Printf.sprintf "read%d 0x%x" (8 * w) p
+  | Write (w, p, v) -> Printf.sprintf "write%d 0x%x %Lx" (8 * w) p v
+  | Read_string (p, n) -> Printf.sprintf "read_string 0x%x %d" p n
+  | Write_string (p, s) -> Printf.sprintf "write_string 0x%x %S" p s
+  | Zero (p, n) -> Printf.sprintf "zero 0x%x %d" p n
+  | Flip (p, b) -> Printf.sprintf "flip 0x%x bit %d" p b
+  | Scrub (p, n) -> Printf.sprintf "scrub 0x%x %d" p n
+  | Nonzero (p, n) -> Printf.sprintf "nonzero 0x%x %d" p n
+
+(* The operations both memories share, so one dispatch drives either. *)
+module type MEM = sig
+  type t
+
+  val read_u8 : t -> int -> int
+  val write_u8 : t -> int -> int -> unit
+  val read_u16 : t -> int -> int
+  val write_u16 : t -> int -> int -> unit
+  val read_u32 : t -> int -> int32
+  val write_u32 : t -> int -> int32 -> unit
+  val read_u64 : t -> int -> int64
+  val write_u64 : t -> int -> int64 -> unit
+  val read_string : t -> pos:int -> len:int -> string
+  val write_string : t -> pos:int -> string -> unit
+  val zero_range : t -> pos:int -> len:int -> unit
+  val inject_bit_flip : t -> paddr:int -> bit:int -> unit
+
+  val scrub :
+    t ->
+    pos:int ->
+    len:int ->
+    [ `Clean | `Corrected of int | `Uncorrectable of int ]
+
+  val iter_nonzero_words :
+    t -> pos:int -> len:int -> (int -> int64 -> unit) -> unit
+end
+
+(* [op]'s result on [mem] as a string, or "Invalid_argument". *)
+let apply (type m) (module M : MEM with type t = m) (mem : m) op =
+  let ok () = "" in
+  try
+    match op with
+    | Read (1, p) -> string_of_int (M.read_u8 mem p)
+    | Read (2, p) -> string_of_int (M.read_u16 mem p)
+    | Read (4, p) -> Int32.to_string (M.read_u32 mem p)
+    | Read (_, p) -> Int64.to_string (M.read_u64 mem p)
+    | Write (1, p, v) -> ok (M.write_u8 mem p (Int64.to_int v))
+    | Write (2, p, v) -> ok (M.write_u16 mem p (Int64.to_int v))
+    | Write (4, p, v) -> ok (M.write_u32 mem p (Int64.to_int32 v))
+    | Write (_, p, v) -> ok (M.write_u64 mem p v)
+    | Read_string (pos, len) -> M.read_string mem ~pos ~len
+    | Write_string (pos, s) -> ok (M.write_string mem ~pos s)
+    | Zero (pos, len) -> ok (M.zero_range mem ~pos ~len)
+    | Flip (paddr, bit) -> ok (M.inject_bit_flip mem ~paddr ~bit)
+    | Scrub (pos, len) -> (
+        match M.scrub mem ~pos ~len with
+        | `Clean -> "clean"
+        | `Corrected n -> Printf.sprintf "corrected %d" n
+        | `Uncorrectable p -> Printf.sprintf "uncorrectable 0x%x" p)
+    | Nonzero (pos, len) ->
+        let acc = ref [] in
+        M.iter_nonzero_words mem ~pos ~len (fun p v ->
+            acc := Printf.sprintf "0x%x=%Lx" p v :: !acc);
+        String.concat "," (List.rev !acc)
+  with Invalid_argument _ -> "Invalid_argument"
+
+let qcheck_frames_on_first_write =
+  let page = Hw.Phys_mem.page_size in
+  let open QCheck2.Gen in
+  let mem_ops pages =
+    let size = pages * page in
+    let frame = int_range 0 (pages - 1) in
+    let pos =
+      frequency
+        [
+          (2, int_range 0 (size - 1));
+          ( 3,
+            map2
+              (fun f d -> (f * page) + d)
+              (int_range 1 (pages - 1))
+              (int_range (-8) 7) );
+          (1, map2 (fun f d -> (f * page) + d) frame (int_range 0 24));
+          (1, int_range (size - 16) (size - 1));
+        ]
+    in
+    let aligned = map (fun p -> p land lnot 7) pos in
+    (* a width, and an address that often splits the word across two
+       frames *)
+    let access =
+      let* w = oneofl [ 1; 2; 4; 8 ] in
+      let straddle =
+        map2
+          (fun f k -> (f * page) - k)
+          (int_range 1 (pages - 1))
+          (int_range 1 (max 1 (w - 1)))
+      in
+      map (fun p -> (w, p)) (oneof [ pos; straddle ])
+    in
+    let value = oneof [ return 0L; return (-1L); int64 ] in
+    let op =
+      oneof
+        [
+          map (fun (w, p) -> Read (w, p)) access;
+          map2 (fun (w, p) v -> Write (w, p, v)) access value;
+          map2
+            (fun p n -> Read_string (p, n))
+            pos
+            (oneof [ int_range 0 16; int_range 0 (2 * page) ]);
+          map2
+            (fun p s -> Write_string (p, s))
+            pos
+            (string_size ~gen:(oneofl [ '\000'; 'a'; '\xff' ])
+               (oneof [ int_range 0 16; int_range 0 (page + 16) ]));
+          map2
+            (fun p n -> Zero (p, n))
+            pos
+            (oneof [ return 0; int_range 1 64; int_range page (2 * page) ]);
+          map (fun f -> Zero (f * page, page)) frame;
+          map2 (fun p b -> Flip (p, b)) pos (int_range 0 63);
+          map2 (fun p n -> Scrub (p, n)) pos (int_range 1 (2 * page));
+          map2 (fun p n -> Nonzero (p, 8 * n)) aligned (int_range 0 (page / 4));
+          return (Nonzero (0, size));
+        ]
+    in
+    list_size (int_range 1 40) op
+  in
+  QCheck2.Test.make ~name:"phys_mem: frames on first write = flat reference"
+    ~count:500
+    ~print:(fun (pages, ops) ->
+      Printf.sprintf "%d frames: %s" pages
+        (String.concat "; " (List.map show_mem_op ops)))
+    (let* pages = int_range 2 6 in
+     let* ops = mem_ops pages in
+     return (pages, ops))
+    (fun (pages, ops) ->
+      let size = pages * page in
+      let m = Hw.Phys_mem.create ~size and r = Mem_ref.create ~size in
+      let log_m = ref [] and log_r = ref [] in
+      Hw.Phys_mem.set_write_hook m
+        (Some (fun ~pos ~len -> log_m := (pos, len) :: !log_m));
+      Mem_ref.set_write_hook r
+        (Some (fun ~pos ~len -> log_r := (pos, len) :: !log_r));
+      let agree step op =
+        let got = apply (module Hw.Phys_mem) m op in
+        let want = apply (module Mem_ref) r op in
+        let differs what =
+          QCheck2.Test.fail_reportf "step %d (%s): %s differs" step
+            (show_mem_op op) what
+        in
+        if got <> want then differs (Printf.sprintf "result %S vs %S" got want);
+        if
+          Hw.Phys_mem.read_string m ~pos:0 ~len:size
+          <> Mem_ref.read_string r ~pos:0 ~len:size
+        then differs "memory";
+        for p = 0 to pages - 1 do
+          if Hw.Phys_mem.generation m p <> Mem_ref.generation r p then
+            differs (Printf.sprintf "generation of page %d" p)
+        done;
+        if !log_m <> !log_r then differs "write hook log";
+        if
+          Hw.Phys_mem.pending_faults m <> Mem_ref.pending_faults r
+          || Hw.Phys_mem.corrected_count m <> Mem_ref.corrected_count r
+          || Hw.Phys_mem.uncorrectable_count m <> Mem_ref.uncorrectable_count r
+        then differs "ECC counts"
+      in
+      List.iteri agree ops;
+      true)
+
+(* A 16 MiB memory costs the host its frame table, not its bytes. *)
+let test_create_allocates_no_frames () =
+  let before = Gc.allocated_bytes () in
+  let m = Hw.Phys_mem.create ~size:(16 lsl 20) in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity m);
+  check_bool
+    (Printf.sprintf "create allocates %.0f bytes, under 64 KiB" bytes)
+    true (bytes < 65536.)
+
+(* Every memory starts on the one shared zero frame, and fleet shards
+   read it from parallel domains: no write to one memory, from any
+   domain and by any path, may reach another. *)
+let test_shared_zero_frame () =
+  let page = Hw.Phys_mem.page_size in
+  let size = 4 * page in
+  let zeros m label =
+    Alcotest.(check string)
+      label (String.make size '\000')
+      (Hw.Phys_mem.read_string m ~pos:0 ~len:size);
+    Hw.Phys_mem.iter_nonzero_words m ~pos:0 ~len:size (fun p _ ->
+        Alcotest.failf "%s: non-zero word at 0x%x" label p)
+  in
+  let before = Hw.Phys_mem.create ~size in
+  let writer =
+    Domain.spawn (fun () ->
+        let m = Hw.Phys_mem.create ~size in
+        for p = 0 to 3 do
+          let base = p * page in
+          Hw.Phys_mem.write_u8 m base 0xff;
+          Hw.Phys_mem.write_u64 m (base + 8) (-1L);
+          Hw.Phys_mem.write_string m ~pos:(base + 64) (String.make 64 '\xff');
+          Hw.Phys_mem.inject_bit_flip m ~paddr:(base + 256) ~bit:7;
+          Hw.Phys_mem.inject_bit_flip m ~paddr:(base + 264) ~bit:1
+        done;
+        ignore (Hw.Phys_mem.scrub m ~pos:0 ~len:size);
+        Hw.Phys_mem.write_u64 m ((2 * page) - 4) (-1L);
+        m)
+  in
+  let written = Domain.join writer in
+  check_bool "the writer's memory holds its bytes" true
+    (Hw.Phys_mem.read_u64 written 8 = -1L);
+  zeros before "a memory created before the writes";
+  zeros (Hw.Phys_mem.create ~size) "a memory created after them"
+
 (* ------------------------------------------------------------------ *)
 (* Cache model *)
 
@@ -768,6 +1002,11 @@ let suite =
         test_nonzero_words_bounds;
       Alcotest.test_case "phys_mem: every mutation moves its pages' generations"
         `Quick test_generation_moves;
+      QCheck_alcotest.to_alcotest qcheck_frames_on_first_write;
+      Alcotest.test_case "phys_mem: create allocates no frame" `Quick
+        test_create_allocates_no_frames;
+      Alcotest.test_case "phys_mem: writes never reach the shared zero frame"
+        `Quick test_shared_zero_frame;
       Alcotest.test_case "cache basics" `Quick test_cache_basic;
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction;
       Alcotest.test_case "cache custom index" `Quick test_cache_partition_fn;

@@ -4,59 +4,135 @@
 module Hw = Sanctorum_hw
 module S = Sanctorum.Sm
 module Tel = Sanctorum_telemetry
+module Ring = Sanctorum_oracle.Ring
 open Sanctorum_os
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Ring buffer *)
+(* Ring buffer: the boxed ring the sink's flat arrays replaced, kept in
+   test/oracle as the reference of "sink ring = Ring reference" *)
 
 let test_ring_wraparound () =
-  let r = Tel.Ring.create ~capacity:4 in
+  let r = Ring.create ~capacity:4 in
   for i = 0 to 9 do
-    Tel.Ring.push r i
+    Ring.push r i
   done;
-  check_int "length" 4 (Tel.Ring.length r);
-  check_int "pushed" 10 (Tel.Ring.pushed r);
-  check_int "dropped" 6 (Tel.Ring.dropped r);
+  check_int "length" 4 (Ring.length r);
+  check_int "pushed" 10 (Ring.pushed r);
+  check_int "dropped" 6 (Ring.dropped r);
   Alcotest.(check (list int)) "surviving window, oldest first" [ 6; 7; 8; 9 ]
-    (Tel.Ring.to_list r);
-  Tel.Ring.clear r;
-  check_int "cleared" 0 (Tel.Ring.length r);
-  check_int "accounting reset" 0 (Tel.Ring.dropped r);
+    (Ring.to_list r);
+  Ring.clear r;
+  check_int "cleared" 0 (Ring.length r);
+  check_int "accounting reset" 0 (Ring.dropped r);
   (* a wrapped ring reused after a clear holds only what follows it *)
-  Tel.Ring.push r 10;
-  Tel.Ring.push r 11;
+  Ring.push r 10;
+  Ring.push r 11;
   Alcotest.(check (list int)) "refilled after clear" [ 10; 11 ]
-    (Tel.Ring.to_list r);
+    (Ring.to_list r);
   for i = 12 to 14 do
-    Tel.Ring.push r i
+    Ring.push r i
   done;
   Alcotest.(check (list int)) "wraps again after clear" [ 11; 12; 13; 14 ]
-    (Tel.Ring.to_list r);
-  check_int "dropped since clear" 1 (Tel.Ring.dropped r)
+    (Ring.to_list r);
+  check_int "dropped since clear" 1 (Ring.dropped r)
 
 let test_ring_partial () =
-  let r = Tel.Ring.create ~capacity:8 in
-  Tel.Ring.push r "a";
-  Tel.Ring.push r "b";
-  Alcotest.(check (list string)) "no wrap" [ "a"; "b" ] (Tel.Ring.to_list r);
-  check_int "nothing dropped" 0 (Tel.Ring.dropped r);
+  let r = Ring.create ~capacity:8 in
+  Ring.push r "a";
+  Ring.push r "b";
+  Alcotest.(check (list string)) "no wrap" [ "a"; "b" ] (Ring.to_list r);
+  check_int "nothing dropped" 0 (Ring.dropped r);
   (* clearing a partly filled ring, then refilling it less far *)
-  Tel.Ring.clear r;
-  check_int "cleared" 0 (Tel.Ring.length r);
-  Tel.Ring.push r "c";
+  Ring.clear r;
+  check_int "cleared" 0 (Ring.length r);
+  Ring.push r "c";
   Alcotest.(check (list string)) "refilled after clear" [ "c" ]
-    (Tel.Ring.to_list r);
+    (Ring.to_list r);
   for i = 0 to 8 do
-    Tel.Ring.push r (string_of_int i)
+    Ring.push r (string_of_int i)
   done;
   Alcotest.(check (list string))
     "wraps after clear"
     [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "8" ]
-    (Tel.Ring.to_list r);
-  check_int "dropped since clear" 2 (Tel.Ring.dropped r)
+    (Ring.to_list r);
+  check_int "dropped since clear" 2 (Ring.dropped r)
+
+(* The sink's flat ring against the boxed one it replaced: random
+   emits, bursts of emits and clears fed both to a sink and to a [Ring]
+   of [Event.t] stamped as the sink used to stamp them (seq = events
+   since the last clear). Capacities 1–16 wrap within a few emits;
+   1,025–3,000 grow the arrays past their first size and then wrap;
+   65,536 is the engine's, grown through several doublings. After every
+   step the two agree on the events, a fold over [Sink.iter], [dropped]
+   and [event_count]. *)
+type sink_op =
+  | Emit of int * int * Tel.Event.payload
+  | Burst of int
+  | Clear
+
+let qcheck_sink_ring =
+  let open QCheck2.Gen in
+  let payload =
+    oneof
+      [
+        map (fun d -> Tel.Event.Domain_switch { domain = d }) (int_range 0 9);
+        map (fun p -> Tel.Event.Ecc_corrected { paddr = p }) nat;
+        map (fun c -> Tel.Event.Trap_enter { cause = c }) (oneofl [ "a"; "b" ]);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map3 (fun c y p -> Emit (c, y, p)) (int_range (-1) 3) nat payload);
+        (2, map (fun n -> Burst n) (int_range 0 3000));
+        (1, return Clear);
+      ]
+  in
+  let capacity =
+    oneof [ int_range 1 16; int_range 1025 3000; return 65536 ]
+  in
+  QCheck2.Test.make ~name:"sink ring = Ring reference" ~count:200
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; "
+           (List.map
+              (function
+                | Emit (c, y, p) ->
+                    Printf.sprintf "emit %d %d %s" c y (Tel.Event.label p)
+                | Burst n -> Printf.sprintf "burst %d" n
+                | Clear -> "clear")
+              ops)))
+    (pair capacity (list_size (int_range 1 30) op))
+    (fun (capacity, ops) ->
+      let sink = Tel.Sink.create ~capacity () in
+      let ring = Ring.create ~capacity in
+      let emit ~core ~cycles payload =
+        Ring.push ring { Tel.Event.seq = Ring.pushed ring; core; cycles; payload };
+        Tel.Sink.emit sink ~core ~cycles payload
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Emit (core, cycles, payload) -> emit ~core ~cycles payload
+          | Burst n ->
+              for i = 1 to n do
+                emit ~core:(i mod 5 - 1) ~cycles:(7 * i)
+                  (Tel.Event.Domain_switch { domain = i })
+              done
+          | Clear ->
+              Ring.clear ring;
+              Tel.Sink.clear sink);
+          let want = Ring.to_list ring in
+          let folded = ref [] in
+          Tel.Sink.iter (fun e -> folded := e :: !folded) sink;
+          Tel.Sink.events sink = want
+          && List.rev !folded = want
+          && Tel.Sink.dropped sink = Ring.dropped ring
+          && Tel.Sink.event_count sink = Ring.pushed ring)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -338,6 +414,7 @@ let suite =
       Alcotest.test_case "ring: wraparound keeps newest window" `Quick
         test_ring_wraparound;
       Alcotest.test_case "ring: partial fill" `Quick test_ring_partial;
+      QCheck_alcotest.to_alcotest qcheck_sink_ring;
       Alcotest.test_case "metrics: get-or-create and kind conflicts" `Quick
         test_metrics_registry;
       Alcotest.test_case "metrics: histogram summary" `Quick

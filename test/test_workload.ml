@@ -290,6 +290,43 @@ let test_reclaim_clears_aex_under_lock () =
   check_bool "enclave gone" true
     (not (List.mem eid (S.enclaves tb.Testbed.sm)))
 
+(* The OS model's log of delegated causes lives one checkpoint window:
+   a run reads only the newest cause and the count, and a fleet shard
+   steps one engine for its whole life. After a checkpointing round the
+   log is empty; after each other round it holds at most one cause per
+   quantum dispatched since the checkpoint. *)
+let test_delegated_causes_per_window () =
+  let cfg =
+    {
+      (small_config ~seed:"delegated" ~mix:W.Compute) with
+      rounds = 8;
+      check_every = 3;
+    }
+  in
+  let eng = E.create cfg in
+  let os = (E.testbed eng).Testbed.os in
+  for jid = 0 to cfg.W.enclaves - 1 do
+    E.submit eng ~jid ~seed:(Int64.of_int jid) ~target:None
+  done;
+  let grew = ref false in
+  for round = 1 to cfg.W.rounds do
+    ignore (E.step eng : int list);
+    let held = List.length (Os.delegated_events os) in
+    if held > 0 then grew := true;
+    if round mod cfg.W.check_every = 0 then
+      check_int (Printf.sprintf "round %d checkpoints: log cleared" round) 0 held
+    else
+      check_bool
+        (Printf.sprintf "round %d: only this window's causes" round)
+        true
+        (held <= cfg.W.cores * (round mod cfg.W.check_every))
+  done;
+  check_bool "the run delegated causes" true !grew;
+  let r = E.finish eng in
+  check_bool "preempted" true (r.E.rp_preempts > 0);
+  check_int "finish checkpoints: log cleared" 0
+    (List.length (Os.delegated_events os))
+
 let suite =
   ( "workload",
     [
@@ -304,5 +341,7 @@ let suite =
         test_ipc_accounting;
       Alcotest.test_case "reclaim clears AEX state under the thread lock"
         `Quick test_reclaim_clears_aex_under_lock;
+      Alcotest.test_case "delegated causes live one checkpoint window" `Quick
+        test_delegated_causes_per_window;
       QCheck_alcotest.to_alcotest prop_clean_and_reclaimed;
     ] )
