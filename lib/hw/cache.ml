@@ -22,8 +22,6 @@ type t = {
   mutable default_index : bool; (* skip the closure call until overridden *)
   mutable cur_epoch : int; (* see [line] *)
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let default_l1 =
@@ -53,8 +51,6 @@ let create cfg =
     default_index = true;
     cur_epoch = 0;
     tick = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let config t = t.cfg
@@ -105,12 +101,10 @@ let access_hit t ~paddr =
   if hit_way >= 0 then begin
     let l = Array.unsafe_get set hit_way in
     l.lru <- t.tick;
-    t.hits <- t.hits + 1;
     Array.unsafe_set t.mru si hit_way;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
     (* Fill: prefer the first invalid way, else evict the LRU way. *)
     let vw =
       match first_invalid set epoch 0 ways with
@@ -125,18 +119,14 @@ let access_hit t ~paddr =
     false
   end
 
-let access t ~paddr =
-  if access_hit t ~paddr then (true, t.cfg.hit_cycles)
-  else (false, t.cfg.miss_cycles)
-
 (* Account [n] further hits on the line of [paddr], which must have
    been the target of the immediately preceding access on this cache
    with nothing touched in between — the superblock tier batches
    consecutive same-line instruction fetches and flushes them here.
    Each repeat of [access_hit] would advance the tick and stamp the
    line with it; only the final stamp is observable when no other
-   access intervenes, so one batched update leaves tick, LRU order and
-   statistics bit-identical to [n] sequential calls. *)
+   access intervenes, so one batched update leaves tick and LRU order
+   bit-identical to [n] sequential calls. *)
 let note_repeat_hits t ~paddr ~n =
   if n > 0 then begin
     let si =
@@ -148,8 +138,7 @@ let note_repeat_hits t ~paddr ~n =
     (* the precondition makes the batched line this set's MRU way *)
     assert (l.epoch = t.cur_epoch && l.tag = paddr lsr t.line_shift);
     t.tick <- t.tick + n;
-    l.lru <- t.tick;
-    t.hits <- t.hits + n
+    l.lru <- t.tick
   end
 
 let probe t ~paddr =
@@ -188,5 +177,3 @@ let flush_range t ~lo ~hi =
         clear_set t.lines.(t.index_fn (line lsl t.line_shift) land t.set_mask)
       done
   end
-
-let stats t = (t.hits, t.misses)

@@ -4,7 +4,9 @@
     protection-domain switch) and a shared L2/LLC (partitioned by page
     coloring on the Sanctum platform, shared on Keystone). The cache
     carries no data — only tags — because its purpose is timing: it is
-    the surface the paper's cache side-channel adversary probes. *)
+    the surface the paper's cache side-channel adversary probes. It
+    keeps no counts either: the machine counts each access in its
+    [hw.cache.*] counters. *)
 
 type t
 
@@ -28,34 +30,30 @@ val set_index_fn : t -> (int -> int) -> unit
     page-coloring function here so that distinct DRAM regions map to
     disjoint sets. *)
 
-val access : t -> paddr:int -> bool * int
-(** [access t ~paddr] touches the line holding [paddr]; returns
-    [(hit, cycles)] and updates LRU/fill state. Convenience wrapper
-    around {!access_hit}; allocates the result pair. *)
-
 val access_hit : t -> paddr:int -> bool
-(** Allocation-free {!access}: same LRU/fill/statistics side effects,
-    returns only whether the access hit. The caller derives the cycle
-    cost from {!config} ([hit_cycles] / [miss_cycles]). *)
+(** [access_hit t ~paddr] touches the line holding [paddr], updates
+    LRU/fill state and returns whether the access hit, allocating
+    nothing. The caller derives the cycle cost from {!config}
+    ([hit_cycles] / [miss_cycles]). *)
 
 val note_repeat_hits : t -> paddr:int -> n:int -> unit
 (** [note_repeat_hits t ~paddr ~n] accounts [n] additional consecutive
     hits on the line holding [paddr]. Precondition: that line was the
     target of the immediately preceding access on this cache and
     nothing else has been accessed since (checked by an assertion on
-    the MRU way). Under that precondition the result — tick, LRU
-    order, statistics — is bit-identical to [n] sequential
-    {!access_hit} calls; the superblock tier uses it to flush a batch
-    of same-line instruction fetches in O(1). *)
+    the MRU way). Under that precondition the result — tick and LRU
+    order — is bit-identical to [n] sequential {!access_hit} calls; the
+    superblock tier uses it to flush a batch of same-line instruction
+    fetches in O(1). *)
 
 val probe : t -> paddr:int -> bool
 (** Non-destructive lookup: would this access hit? (Used by attack
-    oracles in tests; real attackers must use {!access} timing.) *)
+    oracles in tests; real attackers must use {!access_hit} timing.) *)
 
 val iter_tags : t -> (set:int -> paddr:int -> unit) -> unit
 (** Read-only view of every valid line, for external checkers (the
     [Sanctorum_analysis] flush-residue invariant). [paddr] is the first
-    byte of the cached line. Does not disturb LRU or statistics. *)
+    byte of the cached line. Does not disturb LRU state. *)
 
 val flush_all : t -> unit
 (** Invalidates every line in O(1): one epoch increment. *)
@@ -66,6 +64,3 @@ val flush_range : t -> lo:int -> hi:int -> unit
     lines (at most [sets] of them under the default index). *)
 
 val set_of_paddr : t -> int -> int
-
-val stats : t -> int * int
-(** (hits, misses) since creation. *)

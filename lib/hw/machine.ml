@@ -36,8 +36,12 @@ type config = {
   pmp_entries : int;
 }
 
-(* Counter handles resolved once at [set_sink] time so the hot paths
-   never do a by-name registry lookup. *)
+(* The one count of TLB, cache, page-walk and retire events: handles
+   resolved against the machine's own registry at [create], and again
+   at [set_sink] against the sink's when it carries one, so the hot
+   paths bump them with no lookup and no test. The machine's own
+   registry is one per machine, never a global, because fleet shards
+   run machines in parallel domains. *)
 type hw_counters = {
   c_l1_hits : Tel.Metrics.counter;
   c_l1_misses : Tel.Metrics.counter;
@@ -57,17 +61,35 @@ type hw_counters = {
   c_sb_side_exits : Tel.Metrics.counter;
 }
 
+let hw_counters m =
+  let c = Tel.Metrics.counter m in
+  {
+    c_l1_hits = c "hw.cache.l1.hits";
+    c_l1_misses = c "hw.cache.l1.misses";
+    c_l2_hits = c "hw.cache.l2.hits";
+    c_l2_misses = c "hw.cache.l2.misses";
+    c_tlb_hits = c "hw.tlb.hits";
+    c_tlb_misses = c "hw.tlb.misses";
+    c_ptw_steps = c "hw.ptw.steps";
+    c_instret = c "hw.instret";
+    c_ecc_corrected = c "hw.ecc.corrected";
+    c_ecc_uncorrectable = c "hw.ecc.uncorrectable";
+    c_sb_blocks = c "hw.sb.blocks";
+    c_sb_instret = c "hw.sb.instret";
+    c_sb_side_exits = c "hw.sb.side_exits";
+  }
+
 (* ---- Superblock tier: representation -------------------------------
 
    One [sb_page] per physical page of code: an array with one compiled
    closure per 4-byte slot. A closure executes its instruction with the
-   exact (deferred) accounting [step] would pay and returns the next
-   slot to run within the same page, or -1 to leave the block after
-   storing the resume PC in [sx_exit_pc]. Slots start out as a shared
-   build closure that compiles itself on first execution. [sb_alive]
-   lets a block notice that a store it just committed shot down its own
-   page (the write hook drops the page from the machine's table, but
-   the running block still holds the array). *)
+   exact accounting [step] would pay and returns the next slot to run
+   within the same page, or -1 to leave the block after storing the
+   resume PC in [sx_exit_pc]. Slots start out as a shared build
+   closure that compiles itself on first execution. [sb_alive] lets a
+   block notice that a store it just committed shot down its own page
+   (the write hook drops the page from the machine's table, but the
+   running block still holds the array). *)
 
 type sb_ctx = {
   sx_core : core;
@@ -82,16 +104,10 @@ type sb_ctx = {
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
   mutable sx_tslot : int;  (* TLB slot of the last successful probe *)
-  (* deferred-but-exact accounting: accumulated here, flushed once at
-     block exit *)
+  (* what the timer deadline and [rdcycle] read, deferred but exact:
+     accumulated here, flushed once at block exit *)
   mutable sx_cycles : int;
   mutable sx_instret : int;
-  mutable sx_fetch_notes : int;  (* deferred fetch TLB hits *)
-  mutable sx_tlb_ctr : int;  (* deferred telemetry hw.tlb.hits *)
-  mutable sx_l1h : int;
-  mutable sx_l1m : int;
-  mutable sx_l2h : int;
-  mutable sx_l2m : int;
   (* batch of consecutive same-line fetch hits, flushed via
      [Cache.note_repeat_hits] before any other cache-model access *)
   mutable sx_line : int;  (* line tag; -1 = no open batch *)
@@ -124,7 +140,8 @@ type t = {
   mutable dma_check : paddr:int -> len:int -> bool;
   mutable trap_handler : t -> core -> Trap.cause -> unit;
   mutable sink : Tel.Sink.t;
-  mutable ctrs : hw_counters option;
+  own_metrics : Tel.Metrics.t;  (* see [metrics] *)
+  mutable ctrs : hw_counters;
   mutable fault_hooks : fault_hooks option;
   mutable quarantine_handler : (t -> core -> reason:string -> unit) option;
 }
@@ -204,12 +221,6 @@ let create cfg =
       sx_tslot = -1;
       sx_cycles = 0;
       sx_instret = 0;
-      sx_fetch_notes = 0;
-      sx_tlb_ctr = 0;
-      sx_l1h = 0;
-      sx_l1m = 0;
-      sx_l2h = 0;
-      sx_l2m = 0;
       sx_line = -1;
       sx_line_paddr = 0;
       sx_line_rep = 0;
@@ -218,6 +229,7 @@ let create cfg =
     }
   in
   let cores = Array.init cfg.cores mk_core in
+  let own_metrics = Tel.Metrics.create () in
   let t =
     {
       mem = Phys_mem.create ~size:cfg.mem_bytes;
@@ -238,7 +250,8 @@ let create cfg =
             Trap.pp_cause cause;
           core.halted <- true);
       sink = Tel.Sink.null;
-      ctrs = None;
+      own_metrics;
+      ctrs = hw_counters own_metrics;
       fault_hooks = None;
       quarantine_handler = None;
     }
@@ -251,29 +264,11 @@ let set_fast_path t enabled = t.fast_path <- enabled
 
 let note_protection_change t = t.phys_epoch <- t.phys_epoch + 1
 
+let metrics t = Option.value (Tel.Sink.metrics t.sink) ~default:t.own_metrics
+
 let set_sink t sink =
   t.sink <- sink;
-  t.ctrs <-
-    (match Tel.Sink.metrics sink with
-    | None -> None
-    | Some m ->
-        let c = Tel.Metrics.counter m in
-        Some
-          {
-            c_l1_hits = c "hw.cache.l1.hits";
-            c_l1_misses = c "hw.cache.l1.misses";
-            c_l2_hits = c "hw.cache.l2.hits";
-            c_l2_misses = c "hw.cache.l2.misses";
-            c_tlb_hits = c "hw.tlb.hits";
-            c_tlb_misses = c "hw.tlb.misses";
-            c_ptw_steps = c "hw.ptw.steps";
-            c_instret = c "hw.instret";
-            c_ecc_corrected = c "hw.ecc.corrected";
-            c_ecc_uncorrectable = c "hw.ecc.uncorrectable";
-            c_sb_blocks = c "hw.sb.blocks";
-            c_sb_instret = c "hw.sb.instret";
-            c_sb_side_exits = c "hw.sb.side_exits";
-          })
+  t.ctrs <- hw_counters (metrics t)
 
 let sink t = t.sink
 
@@ -325,16 +320,12 @@ let ecc_check_exn t ~core_id ~cycles ~pos ~len =
     match Phys_mem.scrub t.mem ~pos ~len with
     | `Clean -> ()
     | `Corrected n ->
-        (match t.ctrs with
-        | Some c -> Tel.Metrics.add c.c_ecc_corrected n
-        | None -> ());
+        Tel.Metrics.add t.ctrs.c_ecc_corrected n;
         if Tel.Sink.enabled t.sink then
           Tel.Sink.emit t.sink ~core:core_id ~cycles
             (Tel.Event.Ecc_corrected { paddr = pos })
     | `Uncorrectable paddr ->
-        (match t.ctrs with
-        | Some c -> Tel.Metrics.incr c.c_ecc_uncorrectable
-        | None -> ());
+        Tel.Metrics.incr t.ctrs.c_ecc_uncorrectable;
         if Tel.Sink.enabled t.sink then
           Tel.Sink.emit t.sink ~core:core_id ~cycles
             (Tel.Event.Machine_check { paddr });
@@ -364,9 +355,7 @@ let translate_exn t core ~access ~vaddr =
         if slot >= 0 then begin
           (* TLB hit: the whole translation is slot reads and integer
              arithmetic — no allocation. *)
-          (match t.ctrs with
-          | Some c -> Tel.Metrics.incr c.c_tlb_hits
-          | None -> ());
+          Tel.Metrics.incr t.ctrs.c_tlb_hits;
           let perms = Tlb.slot_perms core.tlb slot in
           if not (tlb_perms_allow perms access) then
             raise (Fault (Trap.Page_fault (access, vaddr)));
@@ -374,9 +363,7 @@ let translate_exn t core ~access ~vaddr =
           lor (va land page_mask)
         end
         else begin
-          (match t.ctrs with
-          | Some c -> Tel.Metrics.incr c.c_tlb_misses
-          | None -> ());
+          Tel.Metrics.incr t.ctrs.c_tlb_misses;
           let pte_fetch_ok paddr =
             ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr
               ~len:8;
@@ -385,9 +372,7 @@ let translate_exn t core ~access ~vaddr =
           let walked, steps =
             Page_table.walk t.mem ~root_ppn:root ~vaddr:va ~pte_fetch_ok
           in
-          (match t.ctrs with
-          | Some c -> Tel.Metrics.add c.c_ptw_steps steps
-          | None -> ());
+          Tel.Metrics.add t.ctrs.c_ptw_steps steps;
           core.cycles <- core.cycles + (steps * t.cfg.pte_fetch_cycles);
           match walked with
           | Error Page_table.Invalid_mapping ->
@@ -415,27 +400,25 @@ let translate t core ~access ~vaddr =
   | paddr -> Ok paddr
   | exception Fault f -> Error f
 
-(* Charge the cache hierarchy (L1, on miss also L2) for one access. *)
+(* The cycles one access costs the cache hierarchy (L1, on a miss also
+   L2), counted where it happens: [step]'s charge and the superblock
+   tier's line transitions and data accesses all pay it. *)
+let cache_cost t (core : core) ~paddr =
+  let c = t.ctrs in
+  if Cache.access_hit core.l1 ~paddr then begin
+    Tel.Metrics.incr c.c_l1_hits;
+    t.cfg.l1.Cache.hit_cycles
+  end
+  else begin
+    let l2_hit = Cache.access_hit t.l2 ~paddr in
+    Tel.Metrics.incr c.c_l1_misses;
+    Tel.Metrics.incr (if l2_hit then c.c_l2_hits else c.c_l2_misses);
+    t.cfg.l1.Cache.miss_cycles
+    + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
+  end
+
 let charge_cache t (core : core) ~paddr =
-  let cost =
-    if Cache.access_hit core.l1 ~paddr then begin
-      (match t.ctrs with
-      | Some c -> Tel.Metrics.incr c.c_l1_hits
-      | None -> ());
-      t.cfg.l1.Cache.hit_cycles
-    end
-    else begin
-      let l2_hit = Cache.access_hit t.l2 ~paddr in
-      (match t.ctrs with
-      | Some c ->
-          Tel.Metrics.incr c.c_l1_misses;
-          Tel.Metrics.incr (if l2_hit then c.c_l2_hits else c.c_l2_misses)
-      | None -> ());
-      t.cfg.l1.Cache.miss_cycles
-      + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
-    end
-  in
-  core.cycles <- core.cycles + cost
+  core.cycles <- core.cycles + cache_cost t core ~paddr
 
 (* Charge the cache hierarchy for an instruction fetch and return the
    paddr. A PC that is not 4-byte aligned raises the precise
@@ -643,9 +626,7 @@ let tlb_shootdown t ~reason =
 let raise_machine_check t ~core ~paddr =
   let c = t.cores.(core) in
   if not (c.halted || c.quarantined) then begin
-    (match t.ctrs with
-    | Some ctrs -> Tel.Metrics.incr ctrs.c_ecc_uncorrectable
-    | None -> ());
+    Tel.Metrics.incr t.ctrs.c_ecc_uncorrectable;
     if Tel.Sink.enabled t.sink then
       Tel.Sink.emit t.sink ~core:c.id ~cycles:c.cycles
         (Tel.Event.Machine_check { paddr });
@@ -742,9 +723,7 @@ let dispatch t core instr =
   match execute t core instr with
   | () ->
       core.instret <- core.instret + 1;
-      (match t.ctrs with
-      | Some c -> Tel.Metrics.incr c.c_instret
-      | None -> ())
+      Tel.Metrics.incr t.ctrs.c_instret
   | exception Fault f -> deliver_trap t core (Trap.Exception f)
 
 (* The stepped reference pipeline, the one fetch and decode path:
@@ -785,14 +764,18 @@ let step t core =
      path replays the instruction — and raises the precise trap — from
      scratch.
 
-   - commit: the access in [step]'s exact order — fetch TLB note,
-     fetch cache charge (batched per line), the dispatch cycle, data
-     TLB hit, data cache charge, bytes, registers, retire — with
-     cycles / instret / TLB notes / telemetry accumulated in the
-     per-core [sb_ctx] and flushed once at block exit. Batching is the
-     only reordering, and [Cache.note_repeat_hits] makes it exact:
-     consecutive same-line fetch hits with nothing in between collapse
-     to one update with bit-identical tick/LRU/stats.
+   - commit: the access in [step]'s exact order — fetch cache charge
+     (batched per line), the dispatch cycle, data TLB hit, data cache
+     charge, bytes, registers, retire. Line transitions and data
+     accesses pay [step]'s [cache_cost] and are counted where they
+     happen. Only cycles, instret and the open line batch are deferred
+     in the per-core [sb_ctx] and flushed once at block exit, with the
+     block's fetch TLB hits: with paging on, each retired instruction
+     was fetched once through the TLB entry the block's entry found.
+     Batching is the only reordering, and [Cache.note_repeat_hits]
+     makes it exact: consecutive same-line fetch hits with nothing in
+     between collapse to one update with bit-identical tick and LRU
+     order.
 
    An armed timer is a deadline, not a veto: [step] checks it before
    each instruction against [cycles], and at every in-block boundary
@@ -816,36 +799,13 @@ let sb_exit_at ctx pc =
   ctx.sx_exit_pc <- pc;
   -1
 
-let sb_flush_line (core : core) ctx =
+let sb_flush_line t (core : core) ctx =
   if ctx.sx_line_rep > 0 then begin
     Cache.note_repeat_hits core.l1 ~paddr:ctx.sx_line_paddr ~n:ctx.sx_line_rep;
-    ctx.sx_l1h <- ctx.sx_l1h + ctx.sx_line_rep;
+    Tel.Metrics.add t.ctrs.c_l1_hits ctx.sx_line_rep;
     ctx.sx_line_rep <- 0
   end;
   ctx.sx_line <- -1
-
-(* First fetch from a new cache line: flush the previous batch, pay the
-   real cache-model access, open a new batch. Adds the fetch cost plus
-   the dispatch cycle. *)
-let sb_fetch_transition t (core : core) ctx ~paddr ~line =
-  sb_flush_line core ctx;
-  let cost =
-    if Cache.access_hit core.l1 ~paddr then begin
-      ctx.sx_l1h <- ctx.sx_l1h + 1;
-      t.cfg.l1.Cache.hit_cycles
-    end
-    else begin
-      let l2_hit = Cache.access_hit t.l2 ~paddr in
-      ctx.sx_l1m <- ctx.sx_l1m + 1;
-      if l2_hit then ctx.sx_l2h <- ctx.sx_l2h + 1
-      else ctx.sx_l2m <- ctx.sx_l2m + 1;
-      t.cfg.l1.Cache.miss_cycles
-      + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
-    end
-  in
-  ctx.sx_cycles <- ctx.sx_cycles + cost + 1;
-  ctx.sx_line <- line;
-  ctx.sx_line_paddr <- paddr
 
 (* Fetch-side guard. The physical-isolation check answers from state
    only monitor code changes (the [set_phys_check] contract) — the
@@ -858,18 +818,20 @@ let sb_fetch_transition t (core : core) ctx ~paddr ~line =
 let sb_fetch_ok t (core : core) ctx ~paddr ~line =
   ctx.sx_line = line || t.phys_check ~core ~access:Trap.Execute ~paddr
 
-(* Per-instruction fetch commit: TLB note (paging), cache charge
-   (batched per line) and the dispatch cycle — the deferred image of
-   what [step] pays per fetch. *)
+(* Per-instruction fetch commit: the cache charge and the dispatch
+   cycle. A fetch from the open line joins its batch; the first fetch
+   from a new line flushes the batch, pays the real cache-model access
+   and opens a new one. *)
 let sb_account_fetch t (core : core) ctx ~paddr ~line =
   if ctx.sx_line = line then begin
     ctx.sx_line_rep <- ctx.sx_line_rep + 1;
     ctx.sx_cycles <- ctx.sx_cycles + ctx.sx_hit_plus1
   end
-  else sb_fetch_transition t core ctx ~paddr ~line;
-  if ctx.sx_paging then begin
-    ctx.sx_fetch_notes <- ctx.sx_fetch_notes + 1;
-    ctx.sx_tlb_ctr <- ctx.sx_tlb_ctr + 1
+  else begin
+    sb_flush_line t core ctx;
+    ctx.sx_cycles <- ctx.sx_cycles + cache_cost t core ~paddr + 1;
+    ctx.sx_line <- line;
+    ctx.sx_line_paddr <- paddr
   end
 
 (* The pure half of a translation that hits the TLB: probe, permission,
@@ -926,24 +888,10 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
 let sb_commit_data t (core : core) ctx ~paddr =
   if ctx.sx_paging then begin
     Tlb.commit_hit core.tlb ctx.sx_tslot;
-    ctx.sx_tlb_ctr <- ctx.sx_tlb_ctr + 1
+    Tel.Metrics.incr t.ctrs.c_tlb_hits
   end;
-  sb_flush_line core ctx;
-  let cost =
-    if Cache.access_hit core.l1 ~paddr then begin
-      ctx.sx_l1h <- ctx.sx_l1h + 1;
-      t.cfg.l1.Cache.hit_cycles
-    end
-    else begin
-      let l2_hit = Cache.access_hit t.l2 ~paddr in
-      ctx.sx_l1m <- ctx.sx_l1m + 1;
-      if l2_hit then ctx.sx_l2h <- ctx.sx_l2h + 1
-      else ctx.sx_l2m <- ctx.sx_l2m + 1;
-      t.cfg.l1.Cache.miss_cycles
-      + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
-    end
-  in
-  ctx.sx_cycles <- ctx.sx_cycles + cost
+  sb_flush_line t core ctx;
+  ctx.sx_cycles <- ctx.sx_cycles + cache_cost t core ~paddr
 
 (* Retire and fall through; past the last slot the block exits at the
    first PC of the next page. *)
@@ -1321,12 +1269,6 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;
     ctx.sx_instret <- 0;
-    ctx.sx_fetch_notes <- 0;
-    ctx.sx_tlb_ctr <- 0;
-    ctx.sx_l1h <- 0;
-    ctx.sx_l1m <- 0;
-    ctx.sx_l2h <- 0;
-    ctx.sx_l2m <- 0;
     ctx.sx_line <- -1;
     ctx.sx_line_rep <- 0;
     ctx.sx_side_exit <- false;
@@ -1343,25 +1285,18 @@ let sb_exec t (core : core) ~fuel =
         if next >= 0 then slot := next else running := false
       end
     done;
-    sb_flush_line core ctx;
+    sb_flush_line t core ctx;
     core.pc <- ctx.sx_exit_pc;
     core.cycles <- core.cycles + ctx.sx_cycles;
     core.instret <- core.instret + ctx.sx_instret;
-    if ctx.sx_fetch_notes > 0 then Tlb.note_hits core.tlb ctx.sx_fetch_notes;
-    (match t.ctrs with
-    | Some c ->
-        if ctx.sx_instret > 0 then begin
-          Tel.Metrics.add c.c_instret ctx.sx_instret;
-          Tel.Metrics.incr c.c_sb_blocks;
-          Tel.Metrics.add c.c_sb_instret ctx.sx_instret
-        end;
-        if ctx.sx_tlb_ctr > 0 then Tel.Metrics.add c.c_tlb_hits ctx.sx_tlb_ctr;
-        if ctx.sx_l1h > 0 then Tel.Metrics.add c.c_l1_hits ctx.sx_l1h;
-        if ctx.sx_l1m > 0 then Tel.Metrics.add c.c_l1_misses ctx.sx_l1m;
-        if ctx.sx_l2h > 0 then Tel.Metrics.add c.c_l2_hits ctx.sx_l2h;
-        if ctx.sx_l2m > 0 then Tel.Metrics.add c.c_l2_misses ctx.sx_l2m;
-        if ctx.sx_side_exit then Tel.Metrics.incr c.c_sb_side_exits
-    | None -> ());
+    let c = t.ctrs in
+    if ctx.sx_instret > 0 then begin
+      Tel.Metrics.add c.c_instret ctx.sx_instret;
+      if ctx.sx_paging then Tel.Metrics.add c.c_tlb_hits ctx.sx_instret;
+      Tel.Metrics.incr c.c_sb_blocks;
+      Tel.Metrics.add c.c_sb_instret ctx.sx_instret
+    end;
+    if ctx.sx_side_exit then Tel.Metrics.incr c.c_sb_side_exits;
     ctx.sx_instret
   end
 

@@ -146,12 +146,22 @@ val raise_machine_check : t -> core:int -> paddr:int -> unit
 
 val set_sink : t -> Sanctorum_telemetry.Sink.t -> unit
 (** Attach a telemetry sink. Trap deliveries and DMA transfers become
-    events; when the sink carries a metrics registry, counter handles
-    for [hw.cache.*], [hw.tlb.*], [hw.ptw.steps] and [hw.instret] are
-    resolved once here and bumped on the hot paths. With the default
-    {!Sanctorum_telemetry.Sink.null} every site is a single test. *)
+    events. From here on the [hw.*] counters ([hw.cache.*],
+    [hw.tlb.*], [hw.ptw.steps], [hw.instret], [hw.ecc.*], [hw.sb.*])
+    count into the sink's metrics registry when it carries one, else
+    into the machine's own ({!metrics}); their handles are resolved
+    here, never on the hot paths. With the default
+    {!Sanctorum_telemetry.Sink.null} every event site is a single
+    test. *)
 
 val sink : t -> Sanctorum_telemetry.Sink.t
+
+val metrics : t -> Sanctorum_telemetry.Metrics.t
+(** The registry the [hw.*] counters count into: the attached sink's
+    when it carries one, else the machine's own, created with it. The
+    counters are the machine's only count of TLB, cache, page-walk and
+    retire events; no registry is shared between machines unless their
+    sinks share one. *)
 
 val now : t -> int
 (** Machine-wide timestamp for host-context events: the maximum cycle
@@ -174,12 +184,15 @@ val set_fast_path : t -> bool -> unit
     side-exits before a byte moves. An armed timer is a deadline: a
     block stops at the first instruction boundary the timer is due at,
     and {!step} delivers it there. Architectural state — cycles,
-    instret, registers, traps, TLB/cache statistics and telemetry — is
-    bit-identical in both modes (only the host-side [hw.sb.*]
-    diagnostic counters differ); only host wall-clock differs. {!step}
-    is the same stepped reference pipeline either way, so [off] runs
-    it alone: the differential-testing baseline ([bench sim] measures
-    the gap, the qcheck properties prove the equivalence). *)
+    instret, registers, traps — and telemetry, every [hw.*] counter
+    included, are bit-identical in both modes (only the host-side
+    [hw.sb.*] diagnostic counters differ): the tier defers only cycles,
+    instret and a batch of same-line fetches to block exit, and counts
+    everything else where it happens. Only host wall-clock differs.
+    {!step} is the same stepped reference pipeline either way, so
+    [off] runs it alone: the differential-testing baseline
+    ([bench sim] measures the gap, the qcheck properties prove the
+    equivalence). *)
 
 val inject_bit_flip : t -> paddr:int -> bit:int -> unit
 (** {!Phys_mem.inject_bit_flip} on this machine's memory, via the

@@ -16,8 +16,6 @@ type t = {
   mutable mru : int;  (* slot of the last hit or insert, probed first *)
   mutable gen : int;  (* see [generation] *)
   mutable cur_epoch : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let no_perms = { r = false; w = false; x = false; u = false }
@@ -32,8 +30,6 @@ let create ~entries =
     mru = 0;
     gen = 0;
     cur_epoch = 0;
-    hits = 0;
-    misses = 0;
   }
 
 (* Early-exit scan. A vpn appears in at most one valid slot ([insert]
@@ -46,42 +42,23 @@ let rec scan entries epoch vpn i n =
     if e.epoch = epoch && e.vpn = vpn then i
     else scan entries epoch vpn (i + 1) n
 
-let find t ~vpn =
-  let m = t.entries.(t.mru) in
-  if m.epoch = t.cur_epoch && m.vpn = vpn then begin
-    t.hits <- t.hits + 1;
-    t.mru
-  end
-  else begin
-    let i = scan t.entries t.cur_epoch vpn 0 (Array.length t.entries) in
-    if i >= 0 then begin
-      t.hits <- t.hits + 1;
-      t.mru <- i
-    end
-    else t.misses <- t.misses + 1;
-    i
-  end
-
-let slot_ppn t i = t.entries.(i).ppn
-let slot_perms t i = t.entries.(i).perms
-
-let lookup t ~vpn =
-  let i = find t ~vpn in
-  if i < 0 then None else Some (t.entries.(i).ppn, t.entries.(i).perms)
-
-let note_hits t n = t.hits <- t.hits + n
-
-(* Pure lookup for the superblock tier: same slot [find] would return,
-   but no statistics and no MRU promotion, so a side exit that replays
-   the access on the stepped path observes an untouched TLB. *)
+(* Probe the MRU slot first, then scan; no mutation, so a side exit of
+   the superblock tier that replays the access on the stepped path
+   observes an untouched TLB. *)
 let probe t ~vpn =
   let m = t.entries.(t.mru) in
   if m.epoch = t.cur_epoch && m.vpn = vpn then t.mru
   else scan t.entries t.cur_epoch vpn 0 (Array.length t.entries)
 
-let commit_hit t i =
-  t.hits <- t.hits + 1;
-  t.mru <- i
+let commit_hit t i = t.mru <- i
+
+let find t ~vpn =
+  let i = probe t ~vpn in
+  if i >= 0 then commit_hit t i;
+  i
+
+let slot_ppn t i = t.entries.(i).ppn
+let slot_perms t i = t.entries.(i).perms
 
 let insert t ~vpn ~ppn ~perms =
   t.gen <- t.gen + 1;
@@ -121,5 +98,3 @@ let iter_entries t f =
 let entry_count t =
   let live n e = if e.epoch = t.cur_epoch then n + 1 else n in
   Array.fold_left live 0 t.entries
-
-let stats t = (t.hits, t.misses)

@@ -26,7 +26,6 @@ type t = {
   mutable free_thread_slots : int list;
   mutable scratch_page : int option; (* staging page reused for loads *)
   mutable events : Hw.Trap.cause list; (* newest first *)
-  mutable event_count : int; (* List.length events, kept in step *)
   granted : (int, int list) Hashtbl.t; (* eid -> units *)
   thread_table : (int, int list) Hashtbl.t; (* eid -> tids *)
 }
@@ -73,14 +72,12 @@ let create sm =
       free_thread_slots = [];
       scratch_page = None;
       events = [];
-      event_count = 0;
       granted = Hashtbl.create 8;
       thread_table = Hashtbl.create 8;
     }
   in
   Sanctorum.Sm.set_os_trap_handler sm (fun core cause ->
       t.events <- cause :: t.events;
-      t.event_count <- t.event_count + 1;
       (* The OS's handler runs natively: park the core so control
          returns to the scheduler loop. *)
       core.Hw.Machine.halted <- true);
@@ -91,9 +88,7 @@ let machine t = t.machine
 let unit_bytes t = Sanctorum.Sm.memory_unit_bytes t.sm
 
 let delegated_events t = List.rev t.events
-let clear_delegated_events t =
-  t.events <- [];
-  t.event_count <- 0
+let clear_delegated_events t = t.events <- []
 
 (* --------------------------------------------------------------- *)
 (* Allocation *)
@@ -336,16 +331,15 @@ let install_enclave t (image : Sanctorum.Image.t) =
 (* --------------------------------------------------------------- *)
 (* Scheduling *)
 
-(* The delegated event that ended a run, if any arrived since the count
-   stood at [events_before]: the counter keeps this O(1) however long
-   the event list has grown since it was last cleared. *)
-let newest_event t ~events_before =
-  match t.events with
-  | e :: _ when t.event_count > events_before -> Some e
-  | _ -> None
+(* The delegated event that ended a run, if any arrived since the list
+   was [seen]: a run only conses onto the list, so it holds a new event
+   exactly when it is no longer physically [seen] — O(1) however long
+   the list has grown since it was last cleared. *)
+let newest_event t ~seen =
+  match t.events with e :: _ when t.events != seen -> Some e | _ -> None
 
-let classify_outcome t ~events_before ~tid ~core =
-  let newest = newest_event t ~events_before in
+let classify_outcome t ~seen ~tid ~core =
+  let newest = newest_event t ~seen in
   if (Hw.Machine.core t.machine core).Hw.Machine.quarantined then Killed
   else
   match Sanctorum.Sm.thread_info t.sm ~tid with
@@ -366,7 +360,7 @@ let classify_outcome t ~events_before ~tid ~core =
    exited — so it re-arms the quantum and lets the core continue. *)
 let run_enclave t ~eid ~tid ~core ~fuel ?quantum () =
   let c = Hw.Machine.core t.machine core in
-  let events_before = t.event_count in
+  let seen = t.events in
   let* () =
     match Sanctorum.Sm.thread_info t.sm ~tid with
     | Some { Sanctorum.Sm.i_phase = `Running rcore; i_owner = Some reid; _ }
@@ -381,7 +375,7 @@ let run_enclave t ~eid ~tid ~core ~fuel ?quantum () =
   | None -> ());
   let _retired = Hw.Machine.run t.machine ~core ~fuel in
   c.Hw.Machine.timer_cmp <- None;
-  Ok (classify_outcome t ~events_before ~tid ~core)
+  Ok (classify_outcome t ~seen ~tid ~core)
 
 (* --------------------------------------------------------------- *)
 (* Fair multi-enclave scheduling: a round-robin run queue dispatching
@@ -536,7 +530,7 @@ let run_untrusted_program t ~code ~core ~fuel ?(data_pages = 1) () =
       ~vaddr:(untrusted_code_vaddr + ((i + 1) * page))
       ~paddr:p ~x:false ~w:true
   done;
-  let events_before = t.event_count in
+  let seen = t.events in
   Hw.Machine.reset_core_state c;
   (* Installing a new address space invalidates prior translations. *)
   Hw.Tlb.flush c.Hw.Machine.tlb;
@@ -550,7 +544,7 @@ let run_untrusted_program t ~code ~core ~fuel ?(data_pages = 1) () =
   let outcome =
     if not c.Hw.Machine.halted then Fuel_exhausted
     else begin
-      match newest_event t ~events_before with
+      match newest_event t ~seen with
       | Some (Hw.Trap.Exception Hw.Trap.Ecall_user) -> Exited
       | Some (Hw.Trap.Interrupt _) -> Preempted
       | Some e -> Faulted e

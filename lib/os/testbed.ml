@@ -99,7 +99,7 @@ let skip_flush t ~eid =
           let c = Hw.Machine.core t.machine 0 in
           Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:(lo / page) ~ppn:(lo / page)
             ~perms:{ Hw.Tlb.r = true; w = false; x = false; u = true };
-          ignore (Hw.Cache.access c.Hw.Machine.l1 ~paddr:lo))
+          ignore (Hw.Cache.access_hit c.Hw.Machine.l1 ~paddr:lo))
 
 (* Overwrite the level-0 PTE for [vpn] so it points at [ppn]. *)
 let rewrite_leaf t ~root ~vpn ~ppn =

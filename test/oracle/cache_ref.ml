@@ -1,10 +1,10 @@
 (* The valid-bit cache the epoch-flushed [Sanctorum_hw.Cache] replaced:
    each line carries a valid bit, and [flush_all] clears every one of
    them. Same LRU fill and eviction rule (first invalid way, else the
-   lowest-indexed least recently used one), same statistics, the
-   default set index or a given one, and no MRU probe — tags are
-   unique within a set, so the probe order cannot change a hit.
-   Trimmed to what the differential property drives. *)
+   lowest-indexed least recently used one), the default set index or a
+   given one, and no MRU probe — tags are unique within a set, so the
+   probe order cannot change a hit. Trimmed to what the differential
+   property drives. *)
 
 type line = { mutable valid : bool; mutable tag : int; mutable lru : int }
 
@@ -13,8 +13,6 @@ type t = {
   index : int -> int;
   lines : line array array;
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?index (cfg : Sanctorum_hw.Cache.config) =
@@ -26,8 +24,6 @@ let create ?index (cfg : Sanctorum_hw.Cache.config) =
       Array.init cfg.sets (fun _ ->
           Array.init cfg.ways (fun _ -> { valid = false; tag = 0; lru = 0 }));
     tick = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let set_of_paddr t paddr = t.index paddr land (t.cfg.sets - 1)
@@ -41,10 +37,8 @@ let access_hit t ~paddr =
   match find_line set tag with
   | Some l ->
       l.lru <- t.tick;
-      t.hits <- t.hits + 1;
       true
   | None ->
-      t.misses <- t.misses + 1;
       let victim =
         match Array.find_opt (fun l -> not l.valid) set with
         | Some l -> l
@@ -72,5 +66,3 @@ let flush_all t =
 
 let flush_set t i =
   Array.iter (fun l -> l.valid <- false) t.lines.(i land (t.cfg.sets - 1))
-
-let stats t = (t.hits, t.misses)

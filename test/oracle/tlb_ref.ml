@@ -1,10 +1,10 @@
 (* The valid-bit TLB the epoch-flushed [Sanctorum_hw.Tlb] replaced: each
    entry carries a valid bit, and [flush] clears every one of them.
    Same round-robin fill, same in-place update of an existing mapping,
-   same slot indices, statistics and generation counter, and no MRU
-   probe — a vpn sits in at most one valid slot, so the probe order
-   cannot change a hit. Trimmed to what the differential property
-   drives. *)
+   same slot indices and generation counter, and no MRU probe — a vpn
+   sits in at most one valid slot, so the probe order cannot change a
+   hit, and [probe] answers for [find] too. Trimmed to what the
+   differential property drives. *)
 
 type entry = {
   mutable valid : bool;
@@ -17,8 +17,6 @@ type t = {
   entries : entry array;
   mutable next : int;
   mutable gen : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~entries =
@@ -28,8 +26,6 @@ let create ~entries =
       Array.init entries (fun _ -> { valid = false; vpn = 0; ppn = 0; perms });
     next = 0;
     gen = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let rec slot_of entries vpn i =
@@ -38,11 +34,6 @@ let rec slot_of entries vpn i =
   else slot_of entries vpn (i + 1)
 
 let probe t ~vpn = slot_of t.entries vpn 0
-
-let find t ~vpn =
-  let i = probe t ~vpn in
-  if i >= 0 then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
-  i
 
 let insert t ~vpn ~ppn ~perms =
   t.gen <- t.gen + 1;
@@ -77,5 +68,3 @@ let iter_entries t f =
 
 let entry_count t =
   Array.fold_left (fun n e -> if e.valid then n + 1 else n) 0 t.entries
-
-let stats t = (t.hits, t.misses)

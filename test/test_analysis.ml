@@ -202,7 +202,7 @@ let test_tlb_no_stale () =
 let test_l2_residue () =
   let tb, _ = installed_run () in
   (* a line tagged with monitor memory in the shared L2 *)
-  ignore (Hw.Cache.access (Hw.Machine.l2 tb.Testbed.machine) ~paddr:0);
+  ignore (Hw.Cache.access_hit (Hw.Machine.l2 tb.Testbed.machine) ~paddr:0);
   fires "cache.no-residue" (A.Checker.snapshot tb.Testbed.sm)
 
 let test_enclave_lifecycle () =

@@ -1,4 +1,5 @@
 module Hw = Sanctorum_hw
+module Tel = Sanctorum_telemetry
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -396,16 +397,10 @@ let test_shared_zero_frame () =
 
 let test_cache_basic () =
   let c = Hw.Cache.create Hw.Cache.default_l1 in
-  let miss1, cy1 = Hw.Cache.access c ~paddr:0x1000 in
-  check_bool "first is miss" false miss1;
-  check_int "miss cycles" Hw.Cache.default_l1.Hw.Cache.miss_cycles cy1;
-  let hit, cy2 = Hw.Cache.access c ~paddr:0x1000 in
-  check_bool "second is hit" true hit;
-  check_int "hit cycles" Hw.Cache.default_l1.Hw.Cache.hit_cycles cy2;
-  let hit_same_line, _ = Hw.Cache.access c ~paddr:0x103f in
-  check_bool "same line hits" true hit_same_line;
-  let hit_next_line, _ = Hw.Cache.access c ~paddr:0x1040 in
-  check_bool "next line misses" false hit_next_line;
+  check_bool "first is miss" false (Hw.Cache.access_hit c ~paddr:0x1000);
+  check_bool "second is hit" true (Hw.Cache.access_hit c ~paddr:0x1000);
+  check_bool "same line hits" true (Hw.Cache.access_hit c ~paddr:0x103f);
+  check_bool "next line misses" false (Hw.Cache.access_hit c ~paddr:0x1040);
   Hw.Cache.flush_all c;
   check_bool "flushed" false (Hw.Cache.probe c ~paddr:0x1000)
 
@@ -414,24 +409,21 @@ let test_cache_eviction () =
   let cfg = { Hw.Cache.default_l1 with Hw.Cache.sets = 4; ways = 2 } in
   let c = Hw.Cache.create cfg in
   let addr tag = tag * 4 * 64 in
-  ignore (Hw.Cache.access c ~paddr:(addr 1));
-  ignore (Hw.Cache.access c ~paddr:(addr 2));
+  ignore (Hw.Cache.access_hit c ~paddr:(addr 1));
+  ignore (Hw.Cache.access_hit c ~paddr:(addr 2));
   check_bool "both resident" true
     (Hw.Cache.probe c ~paddr:(addr 1) && Hw.Cache.probe c ~paddr:(addr 2));
-  ignore (Hw.Cache.access c ~paddr:(addr 1));
+  ignore (Hw.Cache.access_hit c ~paddr:(addr 1));
   (* tag 2 is now LRU *)
-  ignore (Hw.Cache.access c ~paddr:(addr 3));
+  ignore (Hw.Cache.access_hit c ~paddr:(addr 3));
   check_bool "LRU evicted" false (Hw.Cache.probe c ~paddr:(addr 2));
-  check_bool "MRU kept" true (Hw.Cache.probe c ~paddr:(addr 1));
-  let hits, misses = Hw.Cache.stats c in
-  check_int "hits" 1 hits;
-  check_int "misses" 3 misses
+  check_bool "MRU kept" true (Hw.Cache.probe c ~paddr:(addr 1))
 
 let test_cache_partition_fn () =
   let c = Hw.Cache.create Hw.Cache.default_l2 in
   Hw.Cache.set_index_fn c (fun paddr -> if paddr < 0x1000 then 0 else 1);
-  ignore (Hw.Cache.access c ~paddr:0x0);
-  ignore (Hw.Cache.access c ~paddr:0x2000);
+  ignore (Hw.Cache.access_hit c ~paddr:0x0);
+  ignore (Hw.Cache.access_hit c ~paddr:0x2000);
   check_int "custom index low" 0 (Hw.Cache.set_of_paddr c 0x10);
   check_int "custom index high" 1 (Hw.Cache.set_of_paddr c 0x2000);
   Hw.Cache.flush_range c ~lo:0x40 ~hi:0x80;
@@ -444,11 +436,12 @@ let test_cache_partition_fn () =
 let test_tlb () =
   let t = Hw.Tlb.create ~entries:4 in
   let perms = { Hw.Tlb.r = true; w = false; x = false; u = true } in
-  check_bool "empty" true (Hw.Tlb.lookup t ~vpn:5 = None);
+  check_int "empty" (-1) (Hw.Tlb.find t ~vpn:5);
   Hw.Tlb.insert t ~vpn:5 ~ppn:42 ~perms;
-  (match Hw.Tlb.lookup t ~vpn:5 with
-  | Some (42, p) -> check_bool "perms kept" true (p = perms)
-  | Some _ | None -> Alcotest.fail "lookup after insert");
+  let i = Hw.Tlb.find t ~vpn:5 in
+  check_bool "hit after insert" true (i >= 0);
+  check_int "ppn kept" 42 (Hw.Tlb.slot_ppn t i);
+  check_bool "perms kept" true (Hw.Tlb.slot_perms t i = perms);
   (* update in place *)
   Hw.Tlb.insert t ~vpn:5 ~ppn:43 ~perms;
   check_int "one entry" 1 (Hw.Tlb.entry_count t);
@@ -468,8 +461,8 @@ let test_tlb () =
    128-byte regions, two sets each), and a range flush is checked
    against the reference's [flush_set] on the set of each line of the
    range. After every step the two agree on the step's hit, miss or
-   slot, the statistics, every valid line and entry, the entry count
-   and the generation. *)
+   slot, every valid line and entry, the entry count and the
+   generation. *)
 module Cache_ref = Sanctorum_oracle.Cache_ref
 module Tlb_ref = Sanctorum_oracle.Tlb_ref
 
@@ -545,7 +538,7 @@ let qcheck_epoch_flush =
       let step op =
         (match op with
         | Access paddr ->
-            fst (Hw.Cache.access c ~paddr) = Cache_ref.access_hit c_ref ~paddr
+            Hw.Cache.access_hit c ~paddr = Cache_ref.access_hit c_ref ~paddr
         | Probe paddr -> Hw.Cache.probe c ~paddr = Cache_ref.probe c_ref ~paddr
         | Flush_all ->
             Hw.Cache.flush_all c;
@@ -566,7 +559,7 @@ let qcheck_epoch_flush =
             Hw.Tlb.insert t ~vpn ~ppn ~perms;
             Tlb_ref.insert t_ref ~vpn ~ppn ~perms;
             true
-        | Find vpn -> Hw.Tlb.find t ~vpn = Tlb_ref.find t_ref ~vpn
+        | Find vpn -> Hw.Tlb.find t ~vpn = Tlb_ref.probe t_ref ~vpn
         | Tlb_probe vpn -> Hw.Tlb.probe t ~vpn = Tlb_ref.probe t_ref ~vpn
         | Flush ->
             Hw.Tlb.flush t;
@@ -576,9 +569,7 @@ let qcheck_epoch_flush =
             Hw.Tlb.flush_vpn t ~vpn;
             Tlb_ref.flush_vpn t_ref ~vpn;
             true)
-        && Hw.Cache.stats c = Cache_ref.stats c_ref
         && lines Hw.Cache.iter_tags c = lines Cache_ref.iter_tags c_ref
-        && Hw.Tlb.stats t = Tlb_ref.stats t_ref
         && entries Hw.Tlb.iter_entries t = entries Tlb_ref.iter_entries t_ref
         && Hw.Tlb.entry_count t = Tlb_ref.entry_count t_ref
         && Hw.Tlb.generation t = Tlb_ref.generation t_ref
@@ -993,6 +984,127 @@ let test_machine_dma () =
   | Error (Hw.Trap.Access_fault _) -> ()
   | Ok () | Error _ -> Alcotest.fail "denied dma succeeded"
 
+(* The hw.* counters are the machine's one count of TLB, cache,
+   page-walk and retire events, and they live in one registry at a
+   time: the machine's own from [create], the sink's once [set_sink]
+   attaches one that carries a registry, the machine's own again after
+   [set_sink Sink.null]. Each run below starts from a flushed TLB, L1
+   and L2, so every run of the paged load/store loop counts the same. *)
+let counting_machine ?sink () =
+  let m, _ = bare_machine () in
+  Option.iter (Hw.Machine.set_sink m) sink;
+  let mem = Hw.Machine.mem m in
+  let next = ref 0x40 in
+  let alloc () =
+    let p = !next in
+    incr next;
+    p
+  in
+  let root = alloc () in
+  List.iter
+    (fun (vaddr, x) ->
+      Hw.Page_table.map mem ~root_ppn:root ~vaddr ~ppn:(vaddr lsr 12)
+        ~perms:{ Hw.Page_table.r = true; w = true; x; u = true }
+        ~alloc_table:alloc)
+    [ (0x10000, true); (0x20000, false) ];
+  let open Hw.Isa in
+  Hw.Phys_mem.write_string mem ~pos:0x10000
+    (encode_program
+       (li t0 20 @ li t1 0x20000
+       @ [
+           Op_imm (Add, t2, zero, 0);
+           Store (Sd, t2, t1, 8);
+           Load (Ld, a0, t1, 8);
+           Op_imm (Add, t2, t2, 1);
+           Branch (Bne, t2, t0, -12);
+           Ecall;
+         ]));
+  (m, root)
+
+(* One cold run; returns the instructions it retired. *)
+let counted_run (m, root) =
+  let c = Hw.Machine.core m 0 in
+  Hw.Tlb.flush c.Hw.Machine.tlb;
+  Hw.Cache.flush_all c.Hw.Machine.l1;
+  Hw.Cache.flush_all (Hw.Machine.l2 m);
+  Hw.Machine.reset_core_state c;
+  c.Hw.Machine.satp_root <- Some root;
+  c.Hw.Machine.pc <- 0x10000L;
+  c.Hw.Machine.halted <- false;
+  Hw.Machine.run m ~core:0 ~fuel:10_000
+
+(* The registry's counters whose names start with one of [prefixes]. *)
+let counters ?(prefixes = [ "hw." ]) metrics =
+  List.filter_map
+    (fun (name, item) ->
+      match item with
+      | Tel.Metrics.Counter c
+        when List.exists (fun prefix -> String.starts_with ~prefix name)
+               prefixes ->
+          Some (name, Tel.Metrics.value c)
+      | _ -> None)
+    (Tel.Metrics.to_list metrics)
+
+let counter metrics name =
+  match Tel.Metrics.find metrics name with
+  | Some (Tel.Metrics.Counter c) -> Tel.Metrics.value c
+  | _ -> 0
+
+let metrics_sink () =
+  let metrics = Tel.Metrics.create () in
+  (Tel.Sink.create ~metrics (), metrics)
+
+let test_counter_lifetime () =
+  let ((m, _) as tm) = counting_machine () in
+  let own = Hw.Machine.metrics m in
+  let n = counted_run tm in
+  check_bool "the loop ran" true (n > 60);
+  check_int "own registry: hw.instret from create" n
+    (counter own "hw.instret");
+  check_bool "own registry: TLB and cache counted" true
+    (counter own "hw.tlb.hits" > 0 && counter own "hw.cache.l1.hits" > 0);
+  (* attach a metrics sink: the next run counts there, exactly as on a
+     machine that had the sink from the start *)
+  let sink, attached = metrics_sink () in
+  Hw.Machine.set_sink m sink;
+  check_bool "metrics is the sink's registry" true
+    (Hw.Machine.metrics m == attached);
+  let own_before = counters own in
+  ignore (counted_run tm);
+  let fresh_sink, fresh = metrics_sink () in
+  ignore (counted_run (counting_machine ~sink:fresh_sink ()));
+  (* the architectural families: hw.sb.* are host-side diagnostics that
+     may depend on which pages earlier runs compiled *)
+  let prefixes = [ "hw.instret"; "hw.tlb."; "hw.cache."; "hw.ptw." ] in
+  check_int "the run landed in the sink's registry" n
+    (counter attached "hw.instret");
+  check_bool "equal to a fresh machine built with the sink" true
+    (counters ~prefixes attached = counters ~prefixes fresh);
+  check_bool "own registry untouched while the sink is attached" true
+    (counters own = own_before);
+  (* detach: the sink's registry freezes, the machine's own counts on *)
+  Hw.Machine.set_sink m Tel.Sink.null;
+  let frozen = counters attached in
+  ignore (counted_run tm);
+  check_bool "detached sink's registry unchanged" true
+    (counters attached = frozen);
+  check_bool "metrics is the machine's own again" true
+    (Hw.Machine.metrics m == own);
+  check_int "own registry counts the run" (2 * n) (counter own "hw.instret");
+  (* two machines, two sinks: neither sees the other's counts *)
+  let s1, r1 = metrics_sink () and s2, r2 = metrics_sink () in
+  let t1 = counting_machine ~sink:s1 () and t2 = counting_machine ~sink:s2 () in
+  ignore (counted_run t1);
+  check_int "second machine's registry still at zero" 0
+    (counter r2 "hw.instret");
+  let r1_after = counters r1 in
+  ignore (counted_run t2);
+  check_bool "first machine's registry unchanged by the second" true
+    (counters r1 = r1_after);
+  check_bool "sinkless machines keep registries of their own" true
+    (Hw.Machine.metrics (fst (counting_machine ()))
+    != Hw.Machine.metrics (fst (counting_machine ())))
+
 let suite =
   ( "hw",
     [
@@ -1031,4 +1143,6 @@ let suite =
       Alcotest.test_case "software interrupt" `Quick test_machine_software_interrupt;
       Alcotest.test_case "phys check fault" `Quick test_machine_phys_check;
       Alcotest.test_case "dma checks" `Quick test_machine_dma;
+      Alcotest.test_case "hw counters: own registry, then the sink's" `Quick
+        test_counter_lifetime;
     ] )

@@ -82,7 +82,7 @@ let test_enter_domain_flushes () =
       let tb = Testbed.create ~backend () in
       let pf = tb.Testbed.platform in
       let c = Hw.Machine.core tb.Testbed.machine 0 in
-      ignore (Hw.Cache.access c.Hw.Machine.l1 ~paddr:0x200000);
+      ignore (Hw.Cache.access_hit c.Hw.Machine.l1 ~paddr:0x200000);
       Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:5 ~ppn:9
         ~perms:{ Hw.Tlb.r = true; w = false; x = false; u = true };
       pf.Pf.Platform.enter_domain ~core:c 7;
