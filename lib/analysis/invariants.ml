@@ -57,7 +57,10 @@ let domain_name ctx d =
 (* own.exclusive / own.sm-reserved: the three views of memory
    ownership — the Fig. 2 resource state machine, the platform owner
    map, and (through it) the isolation hardware — must agree on every
-   allocation unit, and the monitor's own memory is never given away. *)
+   allocation unit, and the monitor's own memory is never given away.
+   The pass reads the resource table and the owner map and nothing
+   else that moves, so [check] skips it while both versions stand
+   where they stood at its last pass that found nothing. *)
 
 let check_ownership ctx =
   let unit_bytes = Sm.memory_unit_bytes ctx.sm in
@@ -124,15 +127,47 @@ type step =
 
 type walk = { root : int; steps : step list; mutable pass : int }
 
+(* [own_*] and [replay_owners] hold the versions the last pass of the
+   ownership check, and of the replay, that found nothing read; -1
+   while there is none (no version is negative). *)
 type memo = {
   walks : (int, walk) Hashtbl.t;  (* eid -> its walk at the last pass *)
-  mutable mem : Hw.Phys_mem.t option;  (* the memory the walks read *)
+  mutable monitor : Sm.t option;  (* the monitor the memo follows *)
   mutable passes : int;
   mutable replays : int;
+  mutable own_resources : int;  (* resource-table version *)
+  mutable own_owners : int;  (* owner-map version *)
+  mutable replay_owners : int;  (* owner-map version *)
+  mutable own_skips : int;
+  mutable replay_skips : int;
 }
 
-let memo () = { walks = Hashtbl.create 64; mem = None; passes = 0; replays = 0 }
+let memo () =
+  {
+    walks = Hashtbl.create 64;
+    monitor = None;
+    passes = 0;
+    replays = 0;
+    own_resources = -1;
+    own_owners = -1;
+    replay_owners = -1;
+    own_skips = 0;
+    replay_skips = 0;
+  }
+
 let replays m = m.replays
+let skips m = (m.own_skips, m.replay_skips)
+
+(* A memo handed another monitor starts over. *)
+let follow memo sm =
+  match memo.monitor with
+  | Some s when s == sm -> ()
+  | Some _ | None ->
+      Hashtbl.reset memo.walks;
+      memo.monitor <- Some sm;
+      memo.own_resources <- -1;
+      memo.own_owners <- -1;
+      memo.replay_owners <- -1
 
 let record mem root =
   let frames = Hw.Phys_mem.size mem / page in
@@ -234,37 +269,52 @@ let rec replay ctx leaves e = function
       replay_step ctx leaves e step;
       replay ctx leaves e rest
 
+(* When every walk replays and none is forgotten, the pass walks the
+   enclaves and records of the last pass (a reused eid brings a new
+   domain and rewritten tables), so while the owner map also stands
+   where it stood at the last replay that found nothing, the replay
+   would find nothing again and is skipped. *)
 let check_page_tables memo ctx =
   let mem = Hw.Machine.mem ctx.machine in
-  (match memo.mem with
-  | Some m when m == mem -> ()
-  | Some _ | None ->
-      Hashtbl.reset memo.walks;
-      memo.mem <- Some mem);
   memo.passes <- memo.passes + 1;
-  let leaves = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Sm.enclave_info) ->
-      match e.i_root_ppn with
-      | None -> ()
-      | Some root ->
-          let w =
-            match Hashtbl.find_opt memo.walks e.i_eid with
-            | Some w when w.root = root && unchanged mem w.steps ->
-                memo.replays <- memo.replays + 1;
-                w
-            | Some _ | None ->
-                let w = { root; steps = record mem root; pass = 0 } in
-                Hashtbl.replace memo.walks e.i_eid w;
-                w
-          in
-          w.pass <- memo.passes;
-          replay ctx leaves e w.steps)
-    ctx.enclaves;
+  let all_replay = ref true in
+  let walked =
+    List.filter_map
+      (fun (e : Sm.enclave_info) ->
+        match e.i_root_ppn with
+        | None -> None
+        | Some root ->
+            let w =
+              match Hashtbl.find_opt memo.walks e.i_eid with
+              | Some w when w.root = root && unchanged mem w.steps ->
+                  memo.replays <- memo.replays + 1;
+                  w
+              | Some _ | None ->
+                  all_replay := false;
+                  let w = { root; steps = record mem root; pass = 0 } in
+                  Hashtbl.replace memo.walks e.i_eid w;
+                  w
+            in
+            w.pass <- memo.passes;
+            Some (e, w))
+      ctx.enclaves
+  in
   (* forget the enclaves this pass did not walk: dead, or rootless *)
+  let before = Hashtbl.length memo.walks in
   Hashtbl.filter_map_inplace
     (fun _ w -> if w.pass = memo.passes then Some w else None)
-    memo.walks
+    memo.walks;
+  let owners = ctx.pf.Pf.Platform.owner_version () in
+  if
+    !all_replay
+    && Hashtbl.length memo.walks = before
+    && owners = memo.replay_owners
+  then memo.replay_skips <- memo.replay_skips + 1
+  else begin
+    let found = ctx.out and leaves = Hashtbl.create 64 in
+    List.iter (fun (e, w) -> replay ctx leaves e w.steps) walked;
+    memo.replay_owners <- (if ctx.out == found then owners else -1)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* tlb.no-stale / cache.no-residue: after every domain transition and
@@ -308,10 +358,13 @@ let check_residue ctx =
                  (domain_name ctx owner)
                  (domain_name ctx c.Hw.Machine.domain))))
     (Hw.Machine.cores ctx.machine);
-  Hw.Cache.iter_tags (Hw.Machine.l2 ctx.machine) (fun ~set:_ ~paddr ->
-      if paddr < Pf.Platform.sm_memory_bytes then
-        flag ctx "cache.no-residue" ~subject:"L2"
-          (Printf.sprintf "L2 line tags monitor memory at 0x%x" paddr))
+  (* no line lies below the lowest fill the L2 has ever made *)
+  let l2 = Hw.Machine.l2 ctx.machine in
+  if Hw.Cache.lowest_fill l2 < Pf.Platform.sm_memory_bytes then
+    Hw.Cache.iter_tags l2 (fun ~set:_ ~paddr ->
+        if paddr < Pf.Platform.sm_memory_bytes then
+          flag ctx "cache.no-residue" ~subject:"L2"
+            (Printf.sprintf "L2 line tags monitor memory at 0x%x" paddr))
 
 (* ------------------------------------------------------------------ *)
 (* enclave.lifecycle / thread.lifecycle / core.domain: the Fig. 3/4
@@ -493,7 +546,17 @@ let check memo sm =
       out = [];
     }
   in
-  check_ownership ctx;
+  follow memo sm;
+  let resources = Sm.resource_version sm
+  and owners = ctx.pf.Pf.Platform.owner_version () in
+  if resources = memo.own_resources && owners = memo.own_owners then
+    memo.own_skips <- memo.own_skips + 1
+  else begin
+    check_ownership ctx;
+    let clean = ctx.out = [] in
+    memo.own_resources <- (if clean then resources else -1);
+    memo.own_owners <- (if clean then owners else -1)
+  end;
   check_page_tables memo ctx;
   check_residue ctx;
   check_lifecycles ctx;

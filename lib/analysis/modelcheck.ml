@@ -612,15 +612,17 @@ let encode w perm_e perm_t buf =
         List.iter
           (fun ppn -> add ("." ^ string_of_int ppn))
           (List.sort compare info.Sm.i_free_pages);
+        let eid = eid_addr w perm_e.(i) in
         add ":v";
         List.iter
-          (fun (vpn, ppn) ->
-            add (Printf.sprintf ".%d>%d" vpn ppn))
-          info.Sm.i_mappings;
+          (fun (vpn, ppn) -> add (Printf.sprintf ".%d>%d" vpn ppn))
+          (Sm.enclave_mappings sm ~eid);
         add ":t";
-        List.iter (fun tid -> add ("." ^ tid_sym tid)) info.Sm.i_threads;
+        List.iter
+          (fun tid -> add ("." ^ tid_sym tid))
+          (Sm.enclave_threads sm ~eid);
         add ":mb";
-        (match Sm.mailbox_snapshot sm ~eid:(eid_addr w perm_e.(i)) with
+        (match Sm.mailbox_snapshot sm ~eid with
         | None -> ()
         | Some slots ->
             slots

@@ -1,7 +1,7 @@
 type domain = Sanctorum_hw.Trap.domain
 type state = Available | Offered of domain | Owned of domain | Blocked of domain
 type kind = Core_resource | Memory_resource
-type t = { cores : state array; memory : state array }
+type t = { cores : state array; memory : state array; mutable version : int }
 
 let untrusted = Sanctorum_hw.Trap.domain_untrusted
 
@@ -9,10 +9,17 @@ let create ~cores ~memory_units =
   {
     cores = Array.make cores (Owned untrusted);
     memory = Array.make memory_units (Owned untrusted);
+    version = 0;
   }
 
 let table t = function Core_resource -> t.cores | Memory_resource -> t.memory
 let count t kind = Array.length (table t kind)
+let version t = t.version
+
+(* The one write path: every mutator sets a state here. *)
+let set t kind ~rid s =
+  (table t kind).(rid) <- s;
+  t.version <- t.version + 1
 
 let state t kind ~rid =
   let arr = table t kind in
@@ -25,13 +32,13 @@ let owner t kind ~rid =
   | Ok (Owned d | Blocked d | Offered d) -> Some d
   | Ok Available | Error _ -> None
 
-let force_owner t kind ~rid d = (table t kind).(rid) <- Owned d
+let force_owner t kind ~rid d = set t kind ~rid (Owned d)
 
 let block t kind ~rid ~by =
   match state t kind ~rid with
   | Error e -> Error e
   | Ok (Owned d) when d = by || by = Sanctorum_hw.Trap.domain_sm ->
-      (table t kind).(rid) <- Blocked d;
+      set t kind ~rid (Blocked d);
       Ok ()
   | Ok (Owned _) -> Error Api_error.Unauthorized
   | Ok (Blocked _ | Available | Offered _) ->
@@ -41,7 +48,7 @@ let clean t kind ~rid =
   match state t kind ~rid with
   | Error e -> Error e
   | Ok (Blocked d) ->
-      (table t kind).(rid) <- Available;
+      set t kind ~rid Available;
       Ok d
   | Ok (Owned _ | Available | Offered _) ->
       Error (Api_error.Invalid_state "clean: resource is not blocked")
@@ -50,7 +57,7 @@ let grant t kind ~rid ~to_ ~auto_accept =
   match state t kind ~rid with
   | Error e -> Error e
   | Ok Available ->
-      (table t kind).(rid) <-
+      set t kind ~rid
         (if auto_accept || to_ = untrusted then Owned to_ else Offered to_);
       Ok ()
   | Ok (Owned _ | Blocked _ | Offered _) ->
@@ -60,7 +67,7 @@ let accept t kind ~rid ~by =
   match state t kind ~rid with
   | Error e -> Error e
   | Ok (Offered d) when d = by ->
-      (table t kind).(rid) <- Owned d;
+      set t kind ~rid (Owned d);
       Ok ()
   | Ok (Offered _) -> Error Api_error.Unauthorized
   | Ok (Owned _ | Blocked _ | Available) ->

@@ -28,6 +28,11 @@ val create : cores:int -> memory_units:int -> t
     memory afterwards with {!force_owner}. *)
 
 val count : t -> kind -> int
+
+val version : t -> int
+(** Moves on every state write, by any of the mutators below; equal
+    versions mean every resource holds the state it held. *)
+
 val state : t -> kind -> rid:int -> state Api_error.result
 val owner : t -> kind -> rid:int -> domain option
 (** The owning domain for [Owned]/[Blocked]/[Offered] states. *)

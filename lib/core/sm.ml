@@ -264,6 +264,7 @@ let traced t ~caller ?on_ok api f =
 let unit_range t rid = (rid * t.unit_bytes, (rid + 1) * t.unit_bytes)
 
 let resource_state t kind ~rid = Resource.state t.resources kind ~rid
+let resource_version t = Resource.version t.resources
 
 let resource_kind_label = function
   | Resource.Core_resource -> "core"
@@ -1386,8 +1387,6 @@ type enclave_info = {
   i_measuring : bool;
   i_root_ppn : int option;
   i_free_pages : int list;
-  i_threads : int list;
-  i_mappings : (int * int) list;
   i_locked : bool;
 }
 
@@ -1413,13 +1412,21 @@ let enclave_info t ~eid =
         i_measuring = e.meas_ctx <> None;
         i_root_ppn = e.root_ppn;
         i_free_pages = e.free_pages;
-        i_threads = List.sort compare e.threads;
-        i_mappings =
-          Hashtbl.fold (fun vpn ppn acc -> (vpn, ppn) :: acc) e.vmap []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
         i_locked = e.e_lock;
       })
     (Hashtbl.find_opt t.enclaves eid)
+
+let enclave_mappings t ~eid =
+  match Hashtbl.find_opt t.enclaves eid with
+  | None -> []
+  | Some e ->
+      Hashtbl.fold (fun vpn ppn acc -> (vpn, ppn) :: acc) e.vmap []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let enclave_threads t ~eid =
+  match Hashtbl.find_opt t.enclaves eid with
+  | None -> []
+  | Some e -> List.sort compare e.threads
 
 let thread_ids t =
   Hashtbl.fold (fun tid _ acc -> tid :: acc) t.threads [] |> List.sort compare

@@ -104,6 +104,11 @@ val accept_resource :
 val resource_state :
   t -> Resource.kind -> rid:int -> Resource.state Api_error.result
 
+val resource_version : t -> int
+(** {!Resource.version} of the monitor's resource table: it moves with
+    every state write, so equal values mean {!resource_state} answers
+    as it did. *)
+
 (** {2 Enclave lifecycle (Fig. 3)} *)
 
 val metadata_base : t -> int
@@ -271,8 +276,6 @@ type enclave_info = {
   i_measuring : bool;  (** a measurement context is still open *)
   i_root_ppn : int option;
   i_free_pages : int list;
-  i_threads : int list;
-  i_mappings : (int * int) list;  (** (vpn, ppn), sorted *)
   i_locked : bool;
 }
 
@@ -286,6 +289,14 @@ type thread_info = {
 }
 
 val enclave_info : t -> eid:int -> enclave_info option
+
+val enclave_mappings : t -> eid:int -> (int * int) list
+(** The enclave's [(vpn, ppn)] mappings, sorted by vpn; [[]] if no such
+    enclave. *)
+
+val enclave_threads : t -> eid:int -> int list
+(** The enclave's thread ids, ascending; [[]] if no such enclave. *)
+
 val thread_ids : t -> int list
 val thread_info : t -> tid:int -> thread_info option
 

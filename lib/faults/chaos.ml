@@ -81,12 +81,9 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
         | Ok inst -> (
             let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
             let counter_paddr =
-              match Sm.enclave_info tb.Testbed.sm ~eid with
-              | Some info ->
-                  let vpn = (evbase + Hw.Phys_mem.page_size) / Hw.Phys_mem.page_size in
-                  Option.map Hw.Phys_mem.page_base
-                    (List.assoc_opt vpn info.Sm.i_mappings)
-              | None -> None
+              let vpn = (evbase + Hw.Phys_mem.page_size) / Hw.Phys_mem.page_size in
+              Option.map Hw.Phys_mem.page_base
+                (List.assoc_opt vpn (Sm.enclave_mappings tb.Testbed.sm ~eid))
             in
             (match drive tb.Testbed.os ~eid ~tid ~core with
             | exception exn ->

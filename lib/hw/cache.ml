@@ -22,6 +22,7 @@ type t = {
   mutable default_index : bool; (* skip the closure call until overridden *)
   mutable cur_epoch : int; (* see [line] *)
   mutable tick : int;
+  mutable lowest_fill : int; (* see [lowest_fill] *)
 }
 
 let default_l1 =
@@ -51,6 +52,7 @@ let create cfg =
     default_index = true;
     cur_epoch = 0;
     tick = 0;
+    lowest_fill = max_int;
   }
 
 let config t = t.cfg
@@ -116,6 +118,8 @@ let access_hit t ~paddr =
     l.tag <- tag;
     l.lru <- t.tick;
     t.mru.(si) <- vw;
+    let base = tag lsl t.line_shift in
+    if base < t.lowest_fill then t.lowest_fill <- base;
     false
   end
 
@@ -155,6 +159,7 @@ let iter_tags t f =
     done
   done
 
+let lowest_fill t = t.lowest_fill
 let flush_all t = t.cur_epoch <- t.cur_epoch + 1
 
 let clear_set set =

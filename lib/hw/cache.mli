@@ -55,6 +55,13 @@ val iter_tags : t -> (set:int -> paddr:int -> unit) -> unit
     [Sanctorum_analysis] flush-residue invariant). [paddr] is the first
     byte of the cached line. Does not disturb LRU state. *)
 
+val lowest_fill : t -> int
+(** The lowest line address a fill has ever tagged in this cache
+    ([max_int] before the first fill); flushes leave it. The fill path
+    is the only code that writes a tag, so {!iter_tags} reports no
+    line below it: a checker looking for lines below some address can
+    skip the scan while this is not below that address. *)
+
 val flush_all : t -> unit
 (** Invalidates every line in O(1): one epoch increment. *)
 

@@ -104,6 +104,11 @@ type sb_ctx = {
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
   mutable sx_tslot : int;  (* TLB slot of the last successful probe *)
+  (* the block's last data access: its virtual page (-1 = none yet),
+     kind and frame; its TLB slot is [sx_tslot] *)
+  mutable sx_dpage : int;
+  mutable sx_daccess : Trap.access;
+  mutable sx_dframe : int;
   (* what the timer deadline and [rdcycle] read, deferred but exact:
      accumulated here, flushed once at block exit *)
   mutable sx_cycles : int;
@@ -142,6 +147,9 @@ type t = {
   mutable sink : Tel.Sink.t;
   own_metrics : Tel.Metrics.t;  (* see [metrics] *)
   mutable ctrs : hw_counters;
+  trap_ctrs : Tel.Metrics.counter option array;
+      (* the sink's [hw.traps.<label>] counters by [Trap.cause_index],
+         each resolved on its cause's first delivery *)
   mutable fault_hooks : fault_hooks option;
   mutable quarantine_handler : (t -> core -> reason:string -> unit) option;
 }
@@ -219,6 +227,9 @@ let create cfg =
       sx_fuel = 0;
       sx_exit_pc = 0L;
       sx_tslot = -1;
+      sx_dpage = -1;
+      sx_daccess = Trap.Read;
+      sx_dframe = 0;
       sx_cycles = 0;
       sx_instret = 0;
       sx_line = -1;
@@ -252,6 +263,7 @@ let create cfg =
       sink = Tel.Sink.null;
       own_metrics;
       ctrs = hw_counters own_metrics;
+      trap_ctrs = Array.make Trap.cause_count None;
       fault_hooks = None;
       quarantine_handler = None;
     }
@@ -268,7 +280,8 @@ let metrics t = Option.value (Tel.Sink.metrics t.sink) ~default:t.own_metrics
 
 let set_sink t sink =
   t.sink <- sink;
-  t.ctrs <- hw_counters (metrics t)
+  t.ctrs <- hw_counters (metrics t);
+  Array.fill t.trap_ctrs 0 Trap.cause_count None
 
 let sink t = t.sink
 
@@ -552,10 +565,21 @@ let branch_taken op a b =
   | Bltu -> Int64.unsigned_compare a b < 0
   | Bgeu -> Int64.unsigned_compare a b >= 0
 
+(* Count a delivery in the sink's registry, when it carries one; a
+   cause that never fires registers no counter. *)
+let count_trap t cause label =
+  match Tel.Sink.metrics t.sink with
+  | None -> ()
+  | Some m ->
+      let i = Trap.cause_index cause in
+      if Option.is_none t.trap_ctrs.(i) then
+        t.trap_ctrs.(i) <- Some (Tel.Metrics.counter m ("hw.traps." ^ label));
+      Option.iter Tel.Metrics.incr t.trap_ctrs.(i)
+
 let deliver_trap t core cause =
   if Tel.Sink.enabled t.sink then begin
     let label = Trap.cause_label cause in
-    Tel.Sink.incr_counter t.sink ("hw.traps." ^ label);
+    count_trap t cause label;
     Tel.Sink.emit t.sink ~core:core.id ~cycles:core.cycles
       (Tel.Event.Trap_enter { cause = label });
     t.trap_handler t core cause;
@@ -754,15 +778,17 @@ let step t core =
    Pre-translated straight-line runs, including loads and stores. Every
    closure splits into a pure guard phase and a commit phase:
 
-   - guard: the fetch-side isolation check (re-run at every cache-line
-     transition; within a block no monitor code can run, so the pure
-     phys check's inputs are frozen — see [sb_fetch_ok]) and, for
-     memory ops, every check [translate_exn]/[data_access] would make,
-     plus the epoch/generation/interrupt/fault-hook guards. The guard
-     phase mutates nothing, so a side exit leaves architectural state
-     bit-identical to never having entered the block and the stepped
-     path replays the instruction — and raises the precise trap — from
-     scratch.
+   - guard: for memory ops, every check [translate_exn]/[data_access]
+     would make, plus the epoch/generation/interrupt/fault-hook
+     guards. A fetch has none: the block's entry translated its PC and
+     passed the isolation check, a block never leaves that page, and
+     the check answers alike for every address of a page from state
+     only monitor code changes (the [set_phys_check] contract), which
+     cannot run inside a block — so the entry's answer is every
+     fetch's. The guard phase mutates nothing, so a side exit leaves
+     architectural state bit-identical to never having entered the
+     block and the stepped path replays the instruction — and raises
+     the precise trap — from scratch.
 
    - commit: the access in [step]'s exact order — fetch cache charge
      (batched per line), the dispatch cycle, data TLB hit, data cache
@@ -807,17 +833,6 @@ let sb_flush_line t (core : core) ctx =
   end;
   ctx.sx_line <- -1
 
-(* Fetch-side guard. The physical-isolation check answers from state
-   only monitor code changes (the [set_phys_check] contract) — the
-   owner map, the core's domain — and monitor code cannot run inside a
-   block (every trap side-exits first). It is therefore re-evaluated
-   at every cache-line transition rather than every fetch: within one
-   line of one block the answer is provably the entry answer. The
-   per-memory-op epoch guard ([sb_data_paddr]) backstops the same
-   inputs independently. *)
-let sb_fetch_ok t (core : core) ctx ~paddr ~line =
-  ctx.sx_line = line || t.phys_check ~core ~access:Trap.Execute ~paddr
-
 (* Per-instruction fetch commit: the cache charge and the dispatch
    cycle. A fetch from the open line joins its batch; the first fetch
    from a new line flushes the batch, pays the real cache-model access
@@ -840,7 +855,8 @@ let sb_account_fetch t (core : core) ctx ~paddr ~line =
    mutating anything. Returns the physical address, or -1 wherever the
    stepped path would walk the page table or trap. With paging on, a
    hit leaves its TLB slot in [sx_tslot] for the commit. Shared by the
-   block entry's fetch and every memory op's data access. *)
+   block entry's fetch and each data access on a page or of a kind the
+   block's previous one was not. *)
 let sb_translate t (core : core) ctx ~access ~va =
   let paddr =
     if not ctx.sx_paging then va
@@ -863,11 +879,16 @@ let sb_translate t (core : core) ctx ~access ~va =
   else paddr
 
 (* Data-access guard phase: every check the stepped path would make,
-   evaluated without mutating anything. Returns the physical address,
-   or -1 to side-exit — any op that would trap (bad virtual address,
-   TLB miss or permission denial, bounds, ownership denial), would
-   split across a page boundary, or would need an ECC scrub is left
-   entirely to the stepped path, before a single byte moves. *)
+   evaluated without mutating anything architectural. Returns the
+   physical address, or -1 to side-exit — any op that would trap (bad
+   virtual address, TLB miss or permission denial, bounds, isolation
+   denial), would split across a page boundary, or would need an ECC
+   scrub is left entirely to the stepped path, before a single byte
+   moves. An access to the virtual page of the block's previous data
+   access, and of its kind, reuses that access's TLB slot and frame
+   without a probe or an isolation check: the generation guard pins
+   the TLB entry, and the check answers alike for every address of a
+   page from inputs the epoch guard pins. *)
 let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
   let va = Int64.to_int vaddr in
   if
@@ -880,7 +901,20 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
     || (not (Queue.is_empty core.pending_interrupts))
     || t.fault_hooks <> None
   then -1
-  else sb_translate t core ctx ~access ~va
+  else
+    let vpn = va lsr page_shift in
+    if vpn = ctx.sx_dpage && access == ctx.sx_daccess then
+      let paddr = ctx.sx_dframe lor (va land page_mask) in
+      if paddr + 8 > Phys_mem.size t.mem then -1 else paddr
+    else begin
+      let paddr = sb_translate t core ctx ~access ~va in
+      if paddr >= 0 then begin
+        ctx.sx_dpage <- vpn;
+        ctx.sx_daccess <- access;
+        ctx.sx_dframe <- paddr land lnot page_mask
+      end;
+      paddr
+    end
 
 (* Data-access commit: the mutating half in [step]'s order — data TLB
    hit, then the cache charge, flushing the fetch batch first so
@@ -952,88 +986,60 @@ let sb_compile t ~ppn ~slot =
           sb_side_exit
       | Op_imm (op, rd, rs1, imm) ->
           let f = sb_alu_fn op and b = Int64.of_int imm in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1 in
-              if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1 in
+            if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
+            sb_retire_continue ctx fall
       | Op (op, rd, rs1, rs2) ->
           let f = sb_alu_fn op in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-              and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
-              if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
+            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
+            if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
+            sb_retire_continue ctx fall
       | Mul (rd, rs1, rs2) ->
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-              and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
-              if rd <> 0 then Array.unsafe_set core.regs rd (Int64.mul a b);
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
+            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
+            if rd <> 0 then Array.unsafe_set core.regs rd (Int64.mul a b);
+            sb_retire_continue ctx fall
       | Lui (rd, imm) ->
           let v = Int64.shift_left (Int64.of_int imm) 12 in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              if rd <> 0 then Array.unsafe_set core.regs rd v;
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            if rd <> 0 then Array.unsafe_set core.regs rd v;
+            sb_retire_continue ctx fall
       | Auipc (rd, imm) ->
           (* pc + (imm << 12) = sx_vbase + (off + (imm << 12)) *)
           let addend = Int64.of_int ((imm lsl 12) + off) in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              if rd <> 0 then
-                Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase addend);
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            if rd <> 0 then
+              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase addend);
+            sb_retire_continue ctx fall
       | Csr_read_cycle rd ->
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              (* deferred cycles materialized: fetch + dispatch already
-                 accumulated, exactly [step]'s read point *)
-              if rd <> 0 then
-                Array.unsafe_set core.regs rd
-                  (Int64.of_int (core.cycles + ctx.sx_cycles));
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            (* deferred cycles materialized: fetch + dispatch already
+               accumulated, exactly [step]'s read point *)
+            if rd <> 0 then
+              Array.unsafe_set core.regs rd
+                (Int64.of_int (core.cycles + ctx.sx_cycles));
+            sb_retire_continue ctx fall
       | Fence ->
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              sb_retire_continue ctx fall
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            sb_retire_continue ctx fall
       | Jal (rd, joff) ->
           let toff = off + joff in
           let target_slot =
@@ -1043,42 +1049,34 @@ let sb_compile t ~ppn ~slot =
           in
           let toff64 = Int64.of_int toff in
           let link_off = Int64.of_int (off + 4) in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              if rd <> 0 then
-                Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
-              ctx.sx_instret <- ctx.sx_instret + 1;
-              ctx.sx_fuel <- ctx.sx_fuel - 1;
-              if target_slot >= 0 then target_slot
-              else sb_exit_at ctx (Int64.add ctx.sx_vbase toff64)
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            if rd <> 0 then
+              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
+            ctx.sx_instret <- ctx.sx_instret + 1;
+            ctx.sx_fuel <- ctx.sx_fuel - 1;
+            if target_slot >= 0 then target_slot
+            else sb_exit_at ctx (Int64.add ctx.sx_vbase toff64)
       | Jalr (rd, rs1, imm) ->
           let imm64 = Int64.of_int imm in
           let link_off = Int64.of_int (off + 4) in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              (* target before the link write: rd may alias rs1 *)
-              let target =
-                Int64.logand
-                  (Int64.add
-                     (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                     imm64)
-                  (Int64.lognot 1L)
-              in
-              if rd <> 0 then
-                Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
-              ctx.sx_instret <- ctx.sx_instret + 1;
-              ctx.sx_fuel <- ctx.sx_fuel - 1;
-              sb_exit_at ctx target
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            (* target before the link write: rd may alias rs1 *)
+            let target =
+              Int64.logand
+                (Int64.add
+                   (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
+                   imm64)
+                (Int64.lognot 1L)
+            in
+            if rd <> 0 then
+              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
+            ctx.sx_instret <- ctx.sx_instret + 1;
+            ctx.sx_fuel <- ctx.sx_fuel - 1;
+            sb_exit_at ctx target
       | Branch (op, rs1, rs2, boff) ->
           let f = sb_branch_fn op in
           let toff = off + boff in
@@ -1088,22 +1086,18 @@ let sb_compile t ~ppn ~slot =
             else -1
           in
           let toff64 = Int64.of_int toff in
-          fun ctx slot ->
+          fun ctx _ ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
-            else begin
-              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-              let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-              and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
-              ctx.sx_instret <- ctx.sx_instret + 1;
-              ctx.sx_fuel <- ctx.sx_fuel - 1;
-              if f a b then
-                if target_slot >= 0 then target_slot
-                else sb_exit_at ctx (Int64.add ctx.sx_vbase toff64)
-              else if fall >= 0 then fall
-              else sb_exit_at ctx (Int64.add ctx.sx_vbase sb_page_size64)
-            end
+            sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
+            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
+            ctx.sx_instret <- ctx.sx_instret + 1;
+            ctx.sx_fuel <- ctx.sx_fuel - 1;
+            if f a b then
+              if target_slot >= 0 then target_slot
+              else sb_exit_at ctx (Int64.add ctx.sx_vbase toff64)
+            else if fall >= 0 then fall
+            else sb_exit_at ctx (Int64.add ctx.sx_vbase sb_page_size64)
       | Load (lop, rd, rs1, imm) ->
           let size =
             match lop with
@@ -1137,25 +1131,19 @@ let sb_compile t ~ppn ~slot =
           let imm64 = Int64.of_int imm in
           fun ctx slot ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
+            let vaddr =
+              Int64.add
+                (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
+                imm64
+            in
+            let dp = sb_data_paddr t core ctx ~access:Trap.Read ~vaddr ~size in
+            if dp < 0 then sb_side_exit ctx slot
             else begin
-              let vaddr =
-                Int64.add
-                  (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                  imm64
-              in
-              let dp =
-                sb_data_paddr t core ctx ~access:Trap.Read ~vaddr ~size
-              in
-              if dp < 0 then sb_side_exit ctx slot
-              else begin
-                sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-                sb_commit_data t core ctx ~paddr:dp;
-                let v = read t.mem dp in
-                if rd <> 0 then Array.unsafe_set core.regs rd v;
-                sb_retire_continue ctx fall
-              end
+              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+              sb_commit_data t core ctx ~paddr:dp;
+              let v = read t.mem dp in
+              if rd <> 0 then Array.unsafe_set core.regs rd v;
+              sb_retire_continue ctx fall
             end
       | Store (sop, rs2, rs1, imm) ->
           let size = match sop with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8 in
@@ -1176,30 +1164,24 @@ let sb_compile t ~ppn ~slot =
           let next_off64 = Int64.of_int (off + 4) in
           fun ctx slot ->
             let core = ctx.sx_core in
-            if not (sb_fetch_ok t core ctx ~paddr:own_paddr ~line:own_line)
-            then sb_side_exit ctx slot
+            let vaddr =
+              Int64.add
+                (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
+                imm64
+            in
+            let dp = sb_data_paddr t core ctx ~access:Trap.Write ~vaddr ~size in
+            if dp < 0 then sb_side_exit ctx slot
             else begin
-              let vaddr =
-                Int64.add
-                  (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                  imm64
-              in
-              let dp =
-                sb_data_paddr t core ctx ~access:Trap.Write ~vaddr ~size
-              in
-              if dp < 0 then sb_side_exit ctx slot
-              else begin
-                sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-                sb_commit_data t core ctx ~paddr:dp;
-                write t.mem dp
-                  (if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2);
-                ctx.sx_instret <- ctx.sx_instret + 1;
-                ctx.sx_fuel <- ctx.sx_fuel - 1;
-                (* the write hook may have shot down this very page:
-                   never run another (stale) closure from it *)
-                if fall >= 0 && ctx.sx_page.sb_alive then fall
-                else sb_exit_at ctx (Int64.add ctx.sx_vbase next_off64)
-              end
+              sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
+              sb_commit_data t core ctx ~paddr:dp;
+              write t.mem dp
+                (if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2);
+              ctx.sx_instret <- ctx.sx_instret + 1;
+              ctx.sx_fuel <- ctx.sx_fuel - 1;
+              (* the write hook may have shot down this very page:
+                 never run another (stale) closure from it *)
+              if fall >= 0 && ctx.sx_page.sb_alive then fall
+              else sb_exit_at ctx (Int64.add ctx.sx_vbase next_off64)
             end)
 
 (* Lazily compiled page: every slot starts as a shared build closure
@@ -1265,6 +1247,7 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_vbase <- Int64.sub core.pc (Int64.of_int (fp0 land page_mask));
     ctx.sx_epoch <- t.phys_epoch;
     ctx.sx_gen <- Tlb.generation core.tlb;
+    ctx.sx_dpage <- -1;
     ctx.sx_fuel <- fuel;
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;

@@ -78,18 +78,21 @@ val set_phys_check :
 (** Decide whether the domain executing on [core] may touch [paddr].
     Applied to every data/fetch access after translation. The answer
     must be a function of state that only monitor code changes — the
-    core's domain, memory ownership — and the check may refresh a
+    core's domain, memory ownership — and must be the same for every
+    address of a 4 KiB page, given the core and the access kind (both
+    backends decide on page-aligned ranges); the check may refresh a
     per-core cache of that state (Keystone rewrites a core's PMP
-    entries there). The superblock tier evaluates it ahead of the
-    access — at block entry, at each new fetch cache line and before
-    each load or store — and a guard that declines hands the access to
-    {!step}, which evaluates it a second time; no monitor code runs
-    inside a block, so every call answers as the first one did.
-    Installing a check bumps the protection epoch (see
-    {!note_protection_change}); backends that later change the state
-    the answer depends on — reassign an ownership range, switch a
-    core's domain — must call {!note_protection_change} after each
-    such change. *)
+    entries there). The superblock tier relies on both: no monitor code
+    runs inside a block and a block never leaves its page, so the
+    entry's check covers every fetch of the block, and a load or store
+    is checked only when its page or access kind differs from the
+    block's previous data access. A guard that declines hands the
+    access to {!step}, which evaluates the check a second time and
+    answers as the first call did. Installing a check bumps the
+    protection epoch (see {!note_protection_change}); backends that
+    later change the state the answer depends on — reassign an
+    ownership range, switch a core's domain — must call
+    {!note_protection_change} after each such change. *)
 
 val set_pte_fetch_check : t -> (core:core -> paddr:int -> bool) -> unit
 (** The Sanctum page-walk invariant: approve each PTE fetch address. *)
@@ -150,7 +153,10 @@ val set_sink : t -> Sanctorum_telemetry.Sink.t -> unit
     [hw.tlb.*], [hw.ptw.steps], [hw.instret], [hw.ecc.*], [hw.sb.*])
     count into the sink's metrics registry when it carries one, else
     into the machine's own ({!metrics}); their handles are resolved
-    here, never on the hot paths. With the default
+    here, never on the hot paths. Each delivered trap counts in the
+    sink's registry, when it carries one, under
+    [hw.traps.<]{!Trap.cause_label}[>], a handle resolved at the
+    cause's first delivery under this sink. With the default
     {!Sanctorum_telemetry.Sink.null} every event site is a single
     test. *)
 
@@ -175,11 +181,14 @@ val set_fast_path : t -> bool -> unit
     per-physical-page arrays of pre-bound closures, each slot compiled
     from memory on its first execution. A block's entry translates its
     own PC (alignment, range, no pending ECC fault, a TLB hit with
-    execute and user permission, bounds, the isolation check); guards
-    at block entry and at every memory operation (protection epoch,
-    TLB generation, pending ECC faults, pending interrupts, fault
-    hooks) side-exit to {!step} with architectural state bit-identical
-    to never having entered the block; any operation that would walk,
+    execute and user permission, bounds, the isolation check), which
+    covers every fetch of the block; guards at block entry and at every
+    memory operation (protection epoch, TLB generation, pending ECC
+    faults, pending interrupts, fault hooks, bounds) side-exit to
+    {!step} with architectural state bit-identical to never having
+    entered the block, and a load or store translates and checks
+    isolation afresh only when its page or access kind differs from
+    the block's previous data access; any operation that would walk,
     trap, split across a page boundary, or need an ECC scrub
     side-exits before a byte moves. An armed timer is a deadline: a
     block stops at the first instruction boundary the timer is due at,

@@ -21,23 +21,37 @@ let pp_access ppf a =
   Format.pp_print_string ppf
     (match a with Read -> "read" | Write -> "write" | Execute -> "execute")
 
-let access_label = function
-  | Read -> "read"
-  | Write -> "write"
-  | Execute -> "execute"
+let access_index = function Read -> 0 | Write -> 1 | Execute -> 2
 
-let cause_label = function
-  | Exception (Illegal_instruction _) -> "illegal-instruction"
-  | Exception (Instruction_address_misaligned _) -> "instr-misaligned"
-  | Exception (Misaligned (a, _)) -> "misaligned-" ^ access_label a
-  | Exception (Access_fault (a, _)) -> "access-fault-" ^ access_label a
-  | Exception (Page_fault (a, _)) -> "page-fault-" ^ access_label a
-  | Exception Ecall_user -> "ecall"
-  | Exception Breakpoint -> "breakpoint"
-  | Exception (Machine_check _) -> "machine-check"
-  | Interrupt Timer -> "irq-timer"
-  | Interrupt Software -> "irq-software"
-  | Interrupt (External _) -> "irq-external"
+let cause_index = function
+  | Exception (Illegal_instruction _) -> 0
+  | Exception (Instruction_address_misaligned _) -> 1
+  | Exception (Misaligned (a, _)) -> 2 + access_index a
+  | Exception (Access_fault (a, _)) -> 5 + access_index a
+  | Exception (Page_fault (a, _)) -> 8 + access_index a
+  | Exception Ecall_user -> 11
+  | Exception Breakpoint -> 12
+  | Exception (Machine_check _) -> 13
+  | Interrupt Timer -> 14
+  | Interrupt Software -> 15
+  | Interrupt (External _) -> 16
+
+(* indexed by [cause_index] *)
+let labels =
+  let accesses kind = List.map (( ^ ) kind) [ "-read"; "-write"; "-execute" ] in
+  Array.of_list
+    (List.concat
+       [
+         [ "illegal-instruction"; "instr-misaligned" ];
+         accesses "misaligned";
+         accesses "access-fault";
+         accesses "page-fault";
+         [ "ecall"; "breakpoint"; "machine-check" ];
+         [ "irq-timer"; "irq-software"; "irq-external" ];
+       ])
+
+let cause_count = Array.length labels
+let cause_label c = labels.(cause_index c)
 
 let pp_cause ppf = function
   | Exception (Illegal_instruction w) ->

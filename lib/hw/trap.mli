@@ -41,4 +41,10 @@ val cause_label : cause -> string
     e.g. ["page-fault-read"], ["ecall"], ["irq-timer"]. Suitable as a
     trace-event name or metric-name suffix. *)
 
+val cause_index : cause -> int
+(** The cause's label as an index in [[0, cause_count)]: two causes
+    share an index exactly when they share a {!cause_label}. *)
+
+val cause_count : int
+
 val pp_cause : Format.formatter -> cause -> unit

@@ -125,20 +125,22 @@ let rewrite_leaf t ~root ~vpn ~ppn =
            ~perms:{ Hw.Page_table.r = true; w = true; x = false; u = true }
            ~valid:true)
 
+let root_and_mappings t ~eid =
+  ( Option.bind (Sanctorum.Sm.enclave_info t.sm ~eid) (fun i -> i.i_root_ppn),
+    Sanctorum.Sm.enclave_mappings t.sm ~eid )
+
 let corrupt_page_table t ~eid =
-  match Sanctorum.Sm.enclave_info t.sm ~eid with
-  | Some { i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ } ->
+  match root_and_mappings t ~eid with
+  | Some root, (vpn, _) :: _ ->
       (* point an evrange mapping at frame 0 — monitor memory *)
       rewrite_leaf t ~root ~vpn ~ppn:0
-  | Some _ | None -> ()
+  | _ -> ()
 
 let alias_page_table t ~eid =
-  match Sanctorum.Sm.enclave_info t.sm ~eid with
-  | Some
-      { i_root_ppn = Some root; i_mappings = (_, ppn1) :: (vpn2, _) :: _; _ }
-    ->
+  match root_and_mappings t ~eid with
+  | Some root, (_, ppn1) :: (vpn2, _) :: _ ->
       rewrite_leaf t ~root ~vpn:vpn2 ~ppn:ppn1
-  | Some _ | None -> ()
+  | _ -> ()
 
 let corrupt_core_domain t ~core =
   let c = Hw.Machine.core t.machine core in

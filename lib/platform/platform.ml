@@ -8,6 +8,7 @@ type t = {
   llc_partitioned : bool;
   assign_range : lo:int -> hi:int -> Hw.Trap.domain -> (unit, string) result;
   owner_at : paddr:int -> Hw.Trap.domain;
+  owner_version : unit -> int;
   clean_range : lo:int -> hi:int -> unit;
   enter_domain : core:Hw.Machine.core -> Hw.Trap.domain -> unit;
   ranges_of_domain : Hw.Trap.domain -> (int * int) list;
@@ -86,6 +87,7 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check machine
     llc_partitioned;
     assign_range;
     owner_at = (fun ~paddr -> Owner_map.owner_at owners ~paddr);
+    owner_version = (fun () -> Owner_map.version owners);
     clean_range;
     enter_domain;
     ranges_of_domain = Owner_map.domain_ranges owners;

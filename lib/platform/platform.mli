@@ -19,6 +19,10 @@ type t = {
       (** give [lo, hi) to a domain; fails if misaligned for the
           backend's granularity or out of hardware resources *)
   owner_at : paddr:int -> Sanctorum_hw.Trap.domain;
+  owner_version : unit -> int;
+      (** the owner map's {!Owner_map.version}: it moves exactly when
+          some page changes owner, so equal values mean [owner_at]
+          answers as it did *)
   clean_range : lo:int -> hi:int -> unit;
       (** zero the memory and scrub cache state so no residue crosses a
           re-allocation (Fig. 2 [clean]) *)

@@ -10,7 +10,11 @@
    [snapshot] is the reference for the whole pass: these two sub-passes
    in place of the live ones, followed by the live pass's other
    findings. Only the ownership pass reports [own.*] ids and only the
-   walk reports [pt.*] ids, and they run first, in that order. *)
+   walk reports [pt.*] ids, and they run first, in that order. The L2
+   half of the residue check is replaced too, by a scan of every line
+   that does not consult the cache's lowest fill: its findings (subject
+   "L2") follow the per-core [tlb.no-stale] and [cache.no-residue]
+   findings. *)
 module Hw = Sanctorum_hw
 module Pf = Sanctorum_platform
 module Sm = Sanctorum.Sm
@@ -173,6 +177,25 @@ let check_page_tables ctx =
       | None -> ())
     ctx.enclaves
 
+let l2_residue sm =
+  let out = ref [] in
+  Hw.Cache.iter_tags (Hw.Machine.l2 (Sm.machine sm)) (fun ~set:_ ~paddr ->
+      if paddr < Pf.Platform.sm_memory_bytes then
+        out :=
+          Report.v "cache.no-residue" ~subject:"L2"
+            (Printf.sprintf "L2 line tags monitor memory at 0x%x" paddr)
+          :: !out);
+  List.rev !out
+
+let l2_finding (v : Report.violation) =
+  v.id = "cache.no-residue" && v.subject = "L2"
+
+let rec after_core_residue l2 = function
+  | (v : Report.violation) :: rest
+    when v.id = "tlb.no-stale" || v.id = "cache.no-residue" ->
+      v :: after_core_residue l2 rest
+  | rest -> l2 @ rest
+
 let snapshot sm =
   let ctx = context sm in
   check_ownership ctx;
@@ -180,8 +203,10 @@ let snapshot sm =
   let replaced (v : Report.violation) =
     String.starts_with ~prefix:"own." v.id
     || String.starts_with ~prefix:"pt." v.id
+    || l2_finding v
   in
   List.rev ctx.out
-  @ List.filter
-      (fun v -> not (replaced v))
-      (Sanctorum_analysis.Checker.snapshot sm)
+  @ after_core_residue (l2_residue sm)
+      (List.filter
+         (fun v -> not (replaced v))
+         (Sanctorum_analysis.Checker.snapshot sm))

@@ -107,12 +107,14 @@ let path_tables mem ~root ~vpn =
 
 (* The root and level-0 table of the enclave's first mapping. *)
 let root_and_level0 tb ~eid =
-  match S.enclave_info tb.Testbed.sm ~eid with
-  | Some { S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ } -> (
+  match
+    (S.enclave_info tb.Testbed.sm ~eid, S.enclave_mappings tb.Testbed.sm ~eid)
+  with
+  | Some { S.i_root_ppn = Some root; _ }, (vpn, _) :: _ -> (
       match path_tables (Hw.Machine.mem tb.Testbed.machine) ~root ~vpn with
       | [ _; _; level0 ] -> (root, level0)
       | _ -> Alcotest.fail "no level-0 table")
-  | Some _ | None -> Alcotest.fail "enclave has no mapping"
+  | _ -> Alcotest.fail "enclave has no mapping"
 
 let test_own_exclusive () =
   let tb, _ = installed_run () in
@@ -576,9 +578,12 @@ let test_relax_protections () =
    (eids are reused), engine rounds, PTEs written into live table
    frames (leaves inside and outside evrange, pointers back into the
    enclave's own tables, level-0 pointers, frames past DRAM, zeros),
-   bit flips in table frames, a unit handed to a foreign domain and a
-   relaxed isolation primitive. After every step the memo's full report
-   must equal the reference's, in order. *)
+   bit flips in table frames, a unit handed to a foreign domain, a
+   relaxed isolation primitive, a unit's Fig. 2 state rewritten (and
+   checked twice before it is put back), an L2 line of monitor memory
+   planted, the L2 flushed, and quiet passes with nothing changed
+   between them. After every step the memo's full report must equal
+   the reference's, in order. *)
 
 type pte =
   | Zero
@@ -598,6 +603,10 @@ type memo_op =
   | Flip of int * int * int * int  (* enclave, table, slot, bit *)
   | Owner of int  (* an enclave's first unit, to domain 77 *)
   | Relax of int
+  | Resource of int  (* an enclave's first unit's state, to domain 77 *)
+  | Plant of int  (* an L2 line of monitor memory *)
+  | Flush_l2
+  | Quiet of int  (* passes with nothing changed between them *)
 
 let print_memo_op = function
   | Install -> "install"
@@ -618,6 +627,10 @@ let print_memo_op = function
   | Flip (e, t, i, b) -> Printf.sprintf "flip e%d t%d slot %d bit %d" e t i b
   | Owner e -> Printf.sprintf "owner e%d" e
   | Relax e -> Printf.sprintf "relax e%d" e
+  | Resource e -> Printf.sprintf "resource e%d" e
+  | Plant l -> Printf.sprintf "plant line %d" l
+  | Flush_l2 -> "flush L2"
+  | Quiet n -> Printf.sprintf "quiet %d" n
 
 let gen_memo_op =
   QCheck2.Gen.(
@@ -652,9 +665,18 @@ let gen_memo_op =
               (pair (pair sel sel) (pair (int_range 0 511) (int_range 0 63))));
         (1, map (fun e -> Owner e) sel);
         (1, map (fun e -> Relax e) sel);
+        (1, map (fun e -> Resource e) sel);
+        (1, map (fun l -> Plant l) (int_bound 8191));
+        (1, return Flush_l2);
+        (2, map (fun n -> Quiet n) (int_range 1 3));
       ])
 
+(* Over a run of the property: walks replayed, and passes that skipped
+   and that re-ran (after a memo's first pass) the ownership check and
+   the page-table replay. *)
 let memo_replays = ref 0
+let memo_own = ref (0, 0)
+let memo_replay = ref (0, 0)
 
 let qcheck_memo_differential =
   QCheck2.Test.make ~name:"invariants: memoized walks = stateless reference"
@@ -690,6 +712,14 @@ let qcheck_memo_differential =
       let mem = Hw.Machine.mem tb.Testbed.machine in
       let frames = Hw.Phys_mem.size mem / Hw.Phys_mem.page_size in
       let memo = A.Invariants.memo () in
+      let passes = ref 0 and ok = ref true in
+      let agrees () =
+        incr passes;
+        if
+          A.Invariants.check memo sm
+          <> Sanctorum_oracle.Invariants_ref.snapshot sm
+        then ok := false
+      in
       let mine = ref [] in
       let nth l i = List.nth l (i mod List.length l) in
       let with_enclave i f =
@@ -699,11 +729,10 @@ let qcheck_memo_differential =
          mapping's path, root first *)
       let with_tables i f =
         with_enclave i (fun eid ->
-            match S.enclave_info sm ~eid with
-            | Some ({ S.i_root_ppn = Some root; i_mappings = (vpn, _) :: _; _ }
-                    as info) ->
+            match (S.enclave_info sm ~eid, S.enclave_mappings sm ~eid) with
+            | Some ({ S.i_root_ppn = Some root; _ } as info), (vpn, _) :: _ ->
                 f info (path_tables mem ~root ~vpn)
-            | Some _ | None -> ())
+            | _ -> ())
       in
       let apply = function
         | Install ->
@@ -753,10 +782,7 @@ let qcheck_memo_differential =
                   | Leaf_to_mapped m -> (
                       let mapped =
                         List.concat_map
-                          (fun eid ->
-                            match S.enclave_info sm ~eid with
-                            | Some info -> List.map snd info.S.i_mappings
-                            | None -> [])
+                          (fun eid -> List.map snd (S.enclave_mappings sm ~eid))
                           (S.enclaves sm)
                       in
                       match mapped with
@@ -785,24 +811,106 @@ let qcheck_memo_differential =
                 ignore
                   (Sanctorum_attack.Malicious_os.relax_protections tb.Testbed.os
                      ~eid))
+        | Resource e ->
+            with_enclave e (fun eid ->
+                let pf = tb.Testbed.platform in
+                match S.enclave_domain sm ~eid with
+                | Error _ -> ()
+                | Ok d -> (
+                    match pf.Sanctorum_platform.Platform.ranges_of_domain d with
+                    | (lo, _) :: _ -> (
+                        let rid = lo / S.memory_unit_bytes sm in
+                        match
+                          S.resource_state sm Sanctorum.Resource.Memory_resource
+                            ~rid
+                        with
+                        | Ok (Sanctorum.Resource.Owned owner) ->
+                            (* a dirty pass must not let the next one,
+                               with nothing moved, skip the check *)
+                            S.corrupt_resource_owner sm ~rid 77;
+                            agrees ();
+                            agrees ();
+                            S.corrupt_resource_owner sm ~rid owner
+                        | Ok _ | Error _ -> ())
+                    | [] -> ()))
+        | Plant l ->
+            let monitor = Sanctorum_platform.Platform.sm_memory_bytes in
+            ignore
+              (Hw.Cache.access_hit
+                 (Hw.Machine.l2 tb.Testbed.machine)
+                 ~paddr:(l * 64 mod monitor))
+        | Flush_l2 -> Hw.Cache.flush_all (Hw.Machine.l2 tb.Testbed.machine)
+        | Quiet n ->
+            for _ = 2 to n do
+              agrees ()
+            done
       in
-      let agrees () =
-        A.Invariants.check memo sm = Sanctorum_oracle.Invariants_ref.snapshot sm
+      agrees ();
+      List.iter
+        (fun op ->
+          apply op;
+          agrees ())
+        ops;
+      let tally counter skipped =
+        let s, r = !counter in
+        counter := (s + skipped, r + (!passes - 1 - skipped))
       in
-      let ok = agrees () && List.for_all (fun op -> apply op; agrees ()) ops in
+      let own, replay = A.Invariants.skips memo in
+      tally memo_own own;
+      tally memo_replay replay;
       memo_replays := !memo_replays + A.Invariants.replays memo;
-      ok)
+      !ok)
 
-(* The property, then a check that its run replayed some walks: a memo
-   that never replays would pass it vacuously. *)
+(* The property, then a check that its run replayed some walks and
+   that each gate both skipped and re-ran its check: a memo that never
+   replays, or a gate that never opens or never closes, would pass it
+   vacuously. *)
 let memo_differential =
   let name, speed, run = QCheck_alcotest.to_alcotest qcheck_memo_differential in
   ( name,
     speed,
     fun () ->
       memo_replays := 0;
+      memo_own := (0, 0);
+      memo_replay := (0, 0);
       run ();
-      if !memo_replays = 0 then Alcotest.fail "the memo never replayed a walk" )
+      if !memo_replays = 0 then Alcotest.fail "the memo never replayed a walk";
+      List.iter
+        (fun (what, (skipped, reran)) ->
+          if skipped = 0 then Alcotest.failf "no pass skipped the %s" what;
+          if reran = 0 then Alcotest.failf "no later pass re-ran the %s" what)
+        [ ("ownership check", !memo_own); ("page-table replay", !memo_replay) ]
+    )
+
+(* A memo follows one monitor: handed another, it starts over, so it
+   neither replays a walk recorded on another machine's memory nor
+   skips a check on versions another monitor reached. Two testbeds
+   built alike reach the same eids, roots, page generations and
+   versions; each then takes one table write and one resource write,
+   corrupting on [b] and rewriting what is there on [a], which keeps
+   them equal. *)
+let test_memo_follows_one_monitor () =
+  let a, inst_a = installed_run () and b, inst_b = installed_run () in
+  let memo = A.Invariants.memo () in
+  silent (A.Invariants.check memo a.Testbed.sm);
+  let rid = S.memory_units b.Testbed.sm - 1 in
+  Testbed.corrupt_page_table b ~eid:inst_b.Os.eid;
+  S.corrupt_resource_owner b.Testbed.sm ~rid 77;
+  let mem = Hw.Machine.mem a.Testbed.machine in
+  let _, level0 = root_and_level0 a ~eid:inst_a.Os.eid in
+  (match S.enclave_mappings a.Testbed.sm ~eid:inst_a.Os.eid with
+  | (vpn, _) :: _ ->
+      let pte = pte_addr level0 (vpn land 511) in
+      Hw.Phys_mem.write_u64 mem pte (Hw.Phys_mem.read_u64 mem pte)
+  | [] -> Alcotest.fail "enclave has no mapping");
+  S.corrupt_resource_owner a.Testbed.sm ~rid Hw.Trap.domain_untrusted;
+  silent (A.Invariants.check memo a.Testbed.sm);
+  let fresh = A.Checker.snapshot b.Testbed.sm in
+  fires "pt.confined" fresh;
+  fires "own.exclusive" fresh;
+  Alcotest.(check (list (triple string string string)))
+    "memo on another monitor = fresh pass" (List.map report fresh)
+    (List.map report (A.Invariants.check memo b.Testbed.sm))
 
 (* Every id a negative test exercises is cataloged, and vice versa all
    cataloged ids have a description. *)
@@ -869,6 +977,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_order_streaming;
       QCheck_alcotest.to_alcotest qcheck_ring_pass;
       memo_differential;
+      Alcotest.test_case "a memo handed another monitor starts over" `Quick
+        test_memo_follows_one_monitor;
       Alcotest.test_case "relaxed protections are detected" `Quick
         test_relax_protections;
       Alcotest.test_case "catalog covers every id" `Quick test_catalog;

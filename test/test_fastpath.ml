@@ -7,10 +7,11 @@
    attached to each machine). The qcheck properties below
    prove it over random programs that include self-modifying stores
    into their own code page, DMA writes into code, injected ECC faults
-   (correctable and uncorrectable), posted interrupts and armed
-   preemption timers — every event class that can invalidate a
-   compiled page, make a block's entry translation decline, or cut a
-   superblock short. *)
+   (correctable and uncorrectable), posted interrupts, armed
+   preemption timers and isolation checks that refuse chosen pages —
+   every event class that can invalidate a compiled page, make a
+   block's entry translation decline, cut a superblock short, or deny
+   one of its accesses. *)
 
 module Hw = Sanctorum_hw
 module Tel = Sanctorum_telemetry
@@ -283,6 +284,9 @@ type event =
   | Dma of int * int (* write one word into the code page *)
   | Irq of int
   | Timer of int (* arm the preemption timer this many cycles ahead *)
+  | Deny of int * int
+      (* from here on refuse (page, access): the code page or one of
+         the two data pages; read, write or execute *)
 
 let alu_ops =
   Hw.Isa.[| Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And |]
@@ -315,13 +319,16 @@ let instr_of_op op =
           Op_imm (Add, r rd, r r1, (imm mod 1024) - 512)
       | aop -> Op_imm (aop, r rd, r r1, (imm mod 1024) - 512))
   | Load_data (s, rd, off) ->
+      (* either data page: t1 and s0 hold their bases *)
       let lop = load_ops.(s mod 7) in
       let size = match lop with Lb | Lbu -> 1 | Lh | Lhu -> 2 | Lw | Lwu -> 4 | Ld -> 8 in
-      Load (lop, r rd, t1, data_off size off)
+      let base = if s / 7 land 1 = 0 then t1 else s0 in
+      Load (lop, r rd, base, data_off size off)
   | Store_data (s, rs, off) ->
       let sop = store_ops.(s mod 4) in
       let size = match sop with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8 in
-      Store (sop, r rs, t1, data_off size off)
+      let base = if s / 4 land 1 = 0 then t1 else s0 in
+      Store (sop, r rs, base, data_off size off)
   | Load_cross (s, rd, off) ->
       (* s0/s1 hold the first and second page boundaries past the data
          base; a wide access a few bytes below either straddles it *)
@@ -344,7 +351,7 @@ let instr_of_op op =
   | Wild_load rd -> Load (Ld, r rd, a6, 0)
   | Break -> Ebreak
 
-let apply_event m ~code_base ~data_base ev =
+let apply_event m ~code_base ~data_base ~deny ev =
   match ev with
   | Flip (w, bit) ->
       let base = if w < 64 then code_base else data_base in
@@ -370,6 +377,7 @@ let apply_event m ~code_base ~data_base ev =
   | Timer n ->
       let c = Hw.Machine.core m 0 in
       c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + n)
+  | Deny (p, a) -> deny p a
 
 (* How to drive the machine. Both drives go through [Machine.run], the
    only entry point where the superblock tier engages ([Machine.step]
@@ -452,6 +460,24 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
         c.Hw.Machine.satp_root <- Some root;
         (0x10000, 0x20000, 0x30000)
   in
+  (* The frames of the code page and of the two data pages, which the
+     Deny events refuse pages among, and the check they install: one
+     answer per page and access kind, as [set_phys_check] requires.
+     Installing it bumps the protection epoch. *)
+  let frames =
+    let page = Hw.Phys_mem.page_size in
+    match mode with
+    | Bare -> [| code_base / page; data_base / page; (data_base / page) + 1 |]
+    | Paged -> [| 0x10; 0x20; 0x28 |]
+  in
+  let denied = ref [] in
+  let deny p a =
+    let access = Hw.Trap.[| Read; Write; Execute |].(a mod 3) in
+    denied := (frames.(p mod 3), access) :: !denied;
+    let refused = !denied in
+    Hw.Machine.set_phys_check m (fun ~core:_ ~access ~paddr ->
+        not (List.mem (paddr / Hw.Phys_mem.page_size, access) refused))
+  in
   let open Hw.Isa in
   let page = Hw.Phys_mem.page_size in
   let prologue =
@@ -476,7 +502,7 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
       while (not c.Hw.Machine.halted) && !steps < 1500 do
         List.iter
           (fun (k, ev) ->
-            if k = !steps then apply_event m ~code_base ~data_base ev)
+            if k = !steps then apply_event m ~code_base ~data_base ~deny ev)
           events;
         ignore (Hw.Machine.run m ~core:0 ~fuel:1);
         incr steps
@@ -487,7 +513,8 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
       let i = ref 0 in
       while (not c.Hw.Machine.halted) && !i < 400 do
         List.iter
-          (fun (k, ev) -> if k = !i then apply_event m ~code_base ~data_base ev)
+          (fun (k, ev) ->
+            if k = !i then apply_event m ~code_base ~data_base ~deny ev)
           events;
         ignore
           (Hw.Machine.run m ~core:0 ~fuel:(1 + (chunks.(!i mod n) land 63)));
@@ -504,26 +531,30 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
 let case_gen =
   let open QCheck2.Gen in
   let sm = int_bound 4095 in
+  (* in-page loads and stores weigh three, so that blocks often read
+     and write a page a denial refuses *)
   let op_gen =
-    oneof
+    frequency
       [
-        map2 (fun (a, b) (c, d) -> Alu (a, b, c, d)) (pair sm sm) (pair sm sm);
-        map2 (fun (a, b) (c, d) -> Alu_imm (a, b, c, d)) (pair sm sm)
-          (pair sm sm);
-        map3 (fun a b c -> Load_data (a, b, c)) sm sm sm;
-        map3 (fun a b c -> Store_data (a, b, c)) sm sm sm;
-        map3 (fun a b c -> Load_cross (a, b, c)) sm sm sm;
-        map3 (fun a b c -> Store_cross (a, b, c)) sm sm sm;
-        map2 (fun a b -> Store_code (a, b)) sm sm;
-        map2 (fun (a, b) (c, d) -> Branch_fwd (a, b, c, d)) (pair sm sm)
-          (pair sm sm);
-        map (fun a -> Jal_fwd a) sm;
-        map (fun a -> Jalr_mis a) sm;
-        map (fun a -> Read_cycle a) sm;
-        map (fun a -> Wild_load a) sm;
-        pure Break;
+        (1, map2 (fun (a, b) (c, d) -> Alu (a, b, c, d)) (pair sm sm)
+              (pair sm sm));
+        (1, map2 (fun (a, b) (c, d) -> Alu_imm (a, b, c, d)) (pair sm sm)
+              (pair sm sm));
+        (3, map3 (fun a b c -> Load_data (a, b, c)) sm sm sm);
+        (3, map3 (fun a b c -> Store_data (a, b, c)) sm sm sm);
+        (1, map3 (fun a b c -> Load_cross (a, b, c)) sm sm sm);
+        (1, map3 (fun a b c -> Store_cross (a, b, c)) sm sm sm);
+        (1, map2 (fun a b -> Store_code (a, b)) sm sm);
+        (1, map2 (fun (a, b) (c, d) -> Branch_fwd (a, b, c, d)) (pair sm sm)
+              (pair sm sm));
+        (1, map (fun a -> Jal_fwd a) sm);
+        (1, map (fun a -> Jalr_mis a) sm);
+        (1, map (fun a -> Read_cycle a) sm);
+        (1, map (fun a -> Wild_load a) sm);
+        (1, pure Break);
       ]
   in
+  let deny_gen = map2 (fun p a -> Deny (p, a)) (int_bound 2) (int_bound 2) in
   let event_gen =
     oneof
       [
@@ -532,12 +563,27 @@ let case_gen =
         map2 (fun w v -> Dma (w, v)) (int_bound 95) (int_bound 0xFFFFFF);
         map (fun n -> Irq n) (int_bound 7);
         map (fun n -> Timer n) (int_bound 300);
+        deny_gen;
       ]
+  in
+  (* Denials also land early, before most of the program has run, and
+     mostly refuse writes to a data page, so that a block reads a page
+     and then writes it. *)
+  let early_deny =
+    pair
+      (frequency [ (2, int_bound 3); (1, int_range 10 60) ])
+      (frequency
+         [ (2, map (fun p -> Deny (1 + p, 1)) (int_bound 1)); (1, deny_gen) ])
+  in
+  let events =
+    map2 ( @ )
+      (list_size (int_range 0 6) (pair (int_bound 400) event_gen))
+      (list_size (int_range 0 2) early_deny)
   in
   quad
     (oneofl [ Bare; Paged ])
     (list_size (int_range 10 50) op_gen)
-    (list_size (int_range 0 6) (pair (int_bound 400) event_gen))
+    events
     (list_size (int_range 0 3) (pair (int_bound 95) (int_bound 0x7FFFFFF)))
 
 (* Compare two tier snapshots field by field; [label] names the pair

@@ -42,12 +42,11 @@ let install tb =
 
 (* Physical address of the frame backing [vaddr] in the enclave. *)
 let frame_of tb ~eid ~vaddr =
-  match S.enclave_info tb.Testbed.sm ~eid with
-  | None -> Alcotest.failf "enclave 0x%x has no info" eid
-  | Some info -> (
-      match List.assoc_opt (vaddr / 4096) info.S.i_mappings with
-      | Some ppn -> Hw.Phys_mem.page_base ppn
-      | None -> Alcotest.failf "vaddr 0x%x not mapped" vaddr)
+  match
+    List.assoc_opt (vaddr / 4096) (S.enclave_mappings tb.Testbed.sm ~eid)
+  with
+  | Some ppn -> Hw.Phys_mem.page_base ppn
+  | None -> Alcotest.failf "vaddr 0x%x not mapped in enclave 0x%x" vaddr eid
 
 let findings_clean ~ctx tb =
   match An.Checker.run_all tb.Testbed.sm with

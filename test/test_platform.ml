@@ -410,6 +410,104 @@ let qcheck_owner_map_ranges_cache =
           | Some more -> grant start (min (len + more) (mem_pages - start)) d)
         steps)
 
+(* The [set_phys_check] contract the superblock tier relies on: given
+   the core and the access kind, the installed check answers alike for
+   every address of a 4 KiB page. Both backends take the same random
+   grants of whole allocation units, regrants of a unit to the domain
+   that holds it and domain switches on two cores; after each step one
+   core is asked about one page at random offsets, for every access
+   kind, through translations with paging off. *)
+type uniform_op =
+  | U_grant of int * int * int
+      (** first unit above the monitor's memory, units, domain *)
+  | U_regrant of int
+  | U_enter of int * int  (** core, domain *)
+
+let print_uniform_op = function
+  | U_grant (u, n, d) -> Printf.sprintf "grant u%d+%d->%d" u n d
+  | U_regrant u -> Printf.sprintf "regrant u%d" u
+  | U_enter (c, d) -> Printf.sprintf "enter core%d d%d" c d
+
+let qcheck_phys_check_page_uniform =
+  QCheck2.Test.make ~name:"phys_check is page-uniform" ~count:200
+    ~print:
+      (QCheck2.Print.list (fun (op, (c, p, offs)) ->
+           Printf.sprintf "%s; ask core%d @%d +[%s]" (print_uniform_op op) c p
+             (String.concat "," (List.map string_of_int offs))))
+    QCheck2.Gen.(
+      let op =
+        frequency
+          [
+            (3, map3 (fun u n d -> U_grant (u, n, d)) nat (int_range 1 4)
+                  gen_domain);
+            (1, map (fun u -> U_regrant u) nat);
+            (2, map2 (fun c d -> U_enter (c, d)) (int_bound 1) gen_domain);
+          ]
+      in
+      (* a page's edges are where a misaligned range would show *)
+      let offset =
+        frequency
+          [
+            (1, int_range 0 (page - 1));
+            (1, oneofl [ 1; 8; page - 8; page - 1 ]);
+          ]
+      in
+      let ask =
+        triple (int_bound 1)
+          (int_range 0 (mem_pages - 1))
+          (list_size (int_range 1 6) offset)
+      in
+      list_size (int_range 1 30) (pair op ask))
+    (fun steps ->
+      List.for_all
+        (fun create ->
+          let machine =
+            Hw.Machine.create
+              {
+                Hw.Machine.default_config with
+                mem_bytes = small_mem;
+                cores = 2;
+              }
+          in
+          let pf : Pf.Platform.t = create machine in
+          let unit = pf.alloc_unit in
+          let first = Pf.Platform.sm_memory_bytes / unit in
+          let units = (small_mem / unit) - first in
+          let apply = function
+            | U_grant (u, n, d) ->
+                let lo = first + (u mod units) in
+                let hi = min (first + units) (lo + n) in
+                Result.get_ok
+                  (pf.assign_range ~lo:(lo * unit) ~hi:(hi * unit) d)
+            | U_regrant u ->
+                let lo = (first + (u mod units)) * unit in
+                Result.get_ok
+                  (pf.assign_range ~lo ~hi:(lo + unit) (pf.owner_at ~paddr:lo))
+            | U_enter (c, d) ->
+                pf.enter_domain ~core:(Hw.Machine.core machine c) d
+          in
+          (* a translation also refuses the last 7 bytes of memory *)
+          let uniform (c, p, offsets) =
+            let core = Hw.Machine.core machine c in
+            let offsets =
+              List.filter (fun off -> (p * page) + off + 8 <= small_mem) offsets
+            in
+            List.for_all
+              (fun access ->
+                let answer off =
+                  allowed machine core access ((p * page) + off)
+                in
+                let first = answer 0 in
+                List.for_all (fun off -> answer off = first) offsets)
+              Hw.Trap.[ Read; Write; Execute ]
+          in
+          List.for_all
+            (fun (op, ask) ->
+              apply op;
+              uniform ask)
+            steps)
+        [ Pf.Sanctum.create; Pf.Keystone.create ])
+
 let suite =
   ( "platform",
     [
@@ -429,4 +527,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_keystone_pmp_matches_owner_map;
       QCheck_alcotest.to_alcotest qcheck_keystone_pmp_on_demand;
       QCheck_alcotest.to_alcotest qcheck_owner_map_ranges_cache;
+      QCheck_alcotest.to_alcotest qcheck_phys_check_page_uniform;
     ] )

@@ -408,6 +408,48 @@ let test_null_sink () =
     (Tel.Sink.enabled (S.sink tb.Testbed.sm));
   check_int "no events" 0 (List.length (Tel.Sink.events (S.sink tb.Testbed.sm)))
 
+(* Each delivered trap counts in the registry of the sink attached at
+   delivery, under hw.traps.<cause>, registered at the cause's first
+   delivery: a machine drops its trap-counter handles when its sink
+   changes, and a sink without a registry counts nothing. *)
+let test_trap_counters_follow_sink () =
+  let m =
+    Hw.Machine.create
+      { Hw.Machine.default_config with cores = 1; mem_bytes = 64 * 1024 }
+  in
+  Hw.Machine.set_trap_handler m (fun _ c _ ->
+      c.Hw.Machine.pc <- Int64.add c.Hw.Machine.pc 4L);
+  Hw.Phys_mem.write_string (Hw.Machine.mem m) ~pos:0x1000
+    (Hw.Isa.encode_program Hw.Isa.[ Ecall; Ecall; Ebreak; Ecall ]);
+  let c = Hw.Machine.core m 0 in
+  c.Hw.Machine.pc <- 0x1000L;
+  let traps metrics =
+    List.sort compare
+      (List.filter_map
+         (fun (name, item) ->
+           match item with
+           | Tel.Metrics.Counter k
+             when String.starts_with ~prefix:"hw.traps." name ->
+               Some (name, Tel.Metrics.value k)
+           | _ -> None)
+         (Tel.Metrics.to_list metrics))
+  in
+  let first = Tel.Metrics.create () and second = Tel.Metrics.create () in
+  Hw.Machine.set_sink m (Tel.Sink.create ~metrics:first ());
+  Hw.Machine.step m c;
+  Hw.Machine.set_sink m (Tel.Sink.create ~metrics:second ());
+  Hw.Machine.step m c;
+  Hw.Machine.step m c;
+  Hw.Machine.set_sink m (Tel.Sink.create ());
+  Hw.Machine.step m c;
+  let counts = Alcotest.(list (pair string int)) in
+  Alcotest.check counts "first sink" [ ("hw.traps.ecall", 1) ] (traps first);
+  Alcotest.check counts "second sink"
+    [ ("hw.traps.breakpoint", 1); ("hw.traps.ecall", 1) ]
+    (traps second);
+  Alcotest.check counts "the machine's own registry" []
+    (traps (Hw.Machine.metrics m))
+
 let suite =
   ( "telemetry",
     [
@@ -431,4 +473,6 @@ let suite =
       Alcotest.test_case "audit: rejections carry their reason" `Quick
         test_audit_rejections;
       Alcotest.test_case "sink: null by default" `Quick test_null_sink;
+      Alcotest.test_case "sink: trap counters follow the sink" `Quick
+        test_trap_counters_follow_sink;
     ] )
