@@ -881,10 +881,10 @@ let enter_enclave t ~caller ~eid ~tid ~core =
    call into the machine's superblock tier either: every block entry
    translates its PC against the current [satp_root] and TLB, which
    [enter_domain]'s flush (like the shootdown IPIs behind
-   [Platform.clean_range]) has emptied. Monitor stores to guest memory
-   drop compiled code through the [Phys_mem] write hook. A stale
-   translation or decode can therefore never survive a
-   monitor-mediated transition. *)
+   [Platform.clean_range]) has emptied, and reuses a compiled page only
+   while its frame's [Phys_mem.generation] stands, which monitor
+   stores to guest memory move. A stale translation or decode can
+   therefore never survive a monitor-mediated transition. *)
 let scrub_core t c =
   Hw.Machine.reset_core_state c;
   c.Hw.Machine.satp_root <- None;

@@ -128,12 +128,11 @@ let fire t ~core action =
   emit t action;
   match action with
   | Flip { paddr; bit } ->
-      (* via the machine, not raw [Phys_mem]: the machine's write hook
-         drops any compiled superblock code for the touched page *)
-      Hw.Machine.inject_bit_flip t.machine ~paddr ~bit
+      Hw.Phys_mem.inject_bit_flip (Hw.Machine.mem t.machine) ~paddr ~bit
   | Flip2 { paddr; bit_a; bit_b } ->
-      Hw.Machine.inject_bit_flip t.machine ~paddr ~bit:bit_a;
-      Hw.Machine.inject_bit_flip t.machine ~paddr ~bit:bit_b
+      let mem = Hw.Machine.mem t.machine in
+      Hw.Phys_mem.inject_bit_flip mem ~paddr ~bit:bit_a;
+      Hw.Phys_mem.inject_bit_flip mem ~paddr ~bit:bit_b
   | Drop_irq -> t.irq_drops <- t.irq_drops + 1
   | Spurious irq -> Hw.Machine.post_interrupt t.machine ~core irq
   | Drop_ipis n -> t.ipi_drops <- t.ipi_drops + n

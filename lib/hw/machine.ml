@@ -86,21 +86,18 @@ let hw_counters m =
    exact accounting [step] would pay and returns the next slot to run
    within the same page, or -1 to leave the block after storing the
    resume PC in [sx_exit_pc]. Slots start out as a shared build
-   closure that compiles itself on first execution. [sb_alive] lets a
-   block notice that a store it just committed shot down its own page
-   (the write hook drops the page from the machine's table, but the
-   running block still holds the array). *)
+   closure that compiles itself on first execution. [sb_gen] is the
+   frame's [Phys_mem.generation] when the page was made: a block
+   entry reuses the page only while the frame's generation still
+   equals it. *)
 
 type sb_ctx = {
   sx_core : core;
-  mutable sx_page : sb_page;
   mutable sx_vbase : int64;
       (* virtual address of the page's slot 0 at entry (PC minus the
          in-page offset), alias bits included: all in-block PCs, link
          values and exit PCs derive from it *)
   mutable sx_paging : bool;  (* satp active at entry *)
-  mutable sx_epoch : int;  (* [phys_epoch] at entry *)
-  mutable sx_gen : int;  (* [Tlb.generation] at entry *)
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
   mutable sx_tslot : int;  (* TLB slot of the last successful probe *)
@@ -122,10 +119,7 @@ type sb_ctx = {
   mutable sx_side_exit : bool;  (* ended on a guard miss / trap handoff *)
 }
 
-and sb_page = {
-  sb_code : (sb_ctx -> int -> int) array;
-  mutable sb_alive : bool;
-}
+and sb_page = { sb_code : (sb_ctx -> int -> int) array; sb_gen : int }
 
 type t = {
   mem : Phys_mem.t;
@@ -136,10 +130,6 @@ type t = {
   sb_ctxs : sb_ctx array;  (* indexed by core id *)
   l1_shift : int;  (* log2 of the L1 line size: fetch-batch line tags *)
   mutable fast_path : bool;
-  mutable phys_epoch : int;
-      (* bumped on every protection change ([set_phys_check],
-         [note_protection_change]): the superblock guard that covers
-         the phys-check inputs no generation counter sees *)
   mutable phys_check : core:core -> access:Trap.access -> paddr:int -> bool;
   mutable pte_fetch_check : core:core -> paddr:int -> bool;
   mutable dma_check : paddr:int -> len:int -> bool;
@@ -173,29 +163,6 @@ let default_config =
     pmp_entries = Pmp.entry_count;
   }
 
-(* Drop every compiled superblock page overlapping the dirtied byte
-   range. Fired by the [Phys_mem] write hook on every mutation of the
-   stored bytes, so self-modifying code, DMA, zeroing, ECC absorption
-   and injected bit flips can never execute a stale closure. A dropped
-   page is also marked dead so a block that dirtied its own page — the
-   store already committed when the hook fires — exits before running
-   another slot. *)
-let invalidate_decode t ~pos ~len =
-  if len > 0 then begin
-    let n = Array.length t.sb_pages in
-    let p0 = pos lsr page_shift in
-    let p1 = (pos + len - 1) lsr page_shift in
-    let p0 = if p0 < 0 then 0 else p0 in
-    let p1 = if p1 >= n then n - 1 else p1 in
-    for p = p0 to p1 do
-      match t.sb_pages.(p) with
-      | Some sp ->
-          sp.sb_alive <- false;
-          t.sb_pages.(p) <- None
-      | None -> ()
-    done
-  end
-
 let create cfg =
   let mk_core id =
     {
@@ -215,15 +182,11 @@ let create cfg =
       pending_interrupts = Queue.create ();
     }
   in
-  let sb_dead = { sb_code = [||]; sb_alive = false } in
   let mk_sb_ctx core =
     {
       sx_core = core;
-      sx_page = sb_dead;
       sx_vbase = 0L;
       sx_paging = false;
-      sx_epoch = 0;
-      sx_gen = 0;
       sx_fuel = 0;
       sx_exit_pc = 0L;
       sx_tslot = -1;
@@ -241,40 +204,32 @@ let create cfg =
   in
   let cores = Array.init cfg.cores mk_core in
   let own_metrics = Tel.Metrics.create () in
-  let t =
-    {
-      mem = Phys_mem.create ~size:cfg.mem_bytes;
-      cores;
-      l2 = Cache.create cfg.l2;
-      cfg;
-      sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
-      sb_ctxs = Array.map mk_sb_ctx cores;
-      l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
-      fast_path = true;
-      phys_epoch = 0;
-      phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
-      pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
-      dma_check = (fun ~paddr:_ ~len:_ -> true);
-      trap_handler =
-        (fun _ core cause ->
-          Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
-            Trap.pp_cause cause;
-          core.halted <- true);
-      sink = Tel.Sink.null;
-      own_metrics;
-      ctrs = hw_counters own_metrics;
-      trap_ctrs = Array.make Trap.cause_count None;
-      fault_hooks = None;
-      quarantine_handler = None;
-    }
-  in
-  Phys_mem.set_write_hook t.mem
-    (Some (fun ~pos ~len -> invalidate_decode t ~pos ~len));
-  t
+  {
+    mem = Phys_mem.create ~size:cfg.mem_bytes;
+    cores;
+    l2 = Cache.create cfg.l2;
+    cfg;
+    sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
+    sb_ctxs = Array.map mk_sb_ctx cores;
+    l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
+    fast_path = true;
+    phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
+    pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
+    dma_check = (fun ~paddr:_ ~len:_ -> true);
+    trap_handler =
+      (fun _ core cause ->
+        Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
+          Trap.pp_cause cause;
+        core.halted <- true);
+    sink = Tel.Sink.null;
+    own_metrics;
+    ctrs = hw_counters own_metrics;
+    trap_ctrs = Array.make Trap.cause_count None;
+    fault_hooks = None;
+    quarantine_handler = None;
+  }
 
 let set_fast_path t enabled = t.fast_path <- enabled
-
-let note_protection_change t = t.phys_epoch <- t.phys_epoch + 1
 
 let metrics t = Option.value (Tel.Sink.metrics t.sink) ~default:t.own_metrics
 
@@ -299,9 +254,7 @@ let cores t = t.cores
 let core t i = t.cores.(i)
 let core_count t = Array.length t.cores
 
-let set_phys_check t f =
-  t.phys_check <- f;
-  t.phys_epoch <- t.phys_epoch + 1
+let set_phys_check t f = t.phys_check <- f
 let set_pte_fetch_check t f = t.pte_fetch_check <- f
 let set_dma_check t f = t.dma_check <- f
 let set_trap_handler t f = t.trap_handler <- f
@@ -352,8 +305,9 @@ let tlb_perms_allow (perms : Tlb.perms) (access : Trap.access) =
   | Trap.Write -> perms.w
   | Trap.Execute -> perms.x
 
-(* Translation without the final cache access. Raises [Fault]. *)
-let translate_exn t core ~access ~vaddr =
+(* Translation without the final cache access, for an access of [size]
+   bytes at [vaddr] inside one page. Raises [Fault]. *)
+let translate_exn t core ~access ~vaddr ~size =
   let va = Int64.to_int vaddr in
   if
     va < 0
@@ -402,14 +356,14 @@ let translate_exn t core ~access ~vaddr =
               Phys_mem.page_base ppn lor (va land page_mask)
         end
   in
-  if paddr + 8 > Phys_mem.size t.mem then
+  if paddr + size > Phys_mem.size t.mem then
     raise (Fault (Trap.Access_fault (access, vaddr)));
   if not (t.phys_check ~core ~access ~paddr) then
     raise (Fault (Trap.Access_fault (access, vaddr)));
   paddr
 
 let translate t core ~access ~vaddr =
-  match translate_exn t core ~access ~vaddr with
+  match translate_exn t core ~access ~vaddr ~size:1 with
   | paddr -> Ok paddr
   | exception Fault f -> Error f
 
@@ -442,7 +396,7 @@ let charge_cache t (core : core) ~paddr =
 let cached_access t core ~access ~vaddr ~size =
   if access = Trap.Execute && Int64.logand vaddr 3L <> 0L then
     raise (Fault (Trap.Instruction_address_misaligned vaddr));
-  let paddr = translate_exn t core ~access ~vaddr in
+  let paddr = translate_exn t core ~access ~vaddr ~size in
   ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr ~len:size;
   charge_cache t core ~paddr;
   paddr
@@ -461,17 +415,18 @@ type span = Contig of int | Split of int * int * int
 let data_access t core ~access ~vaddr ~size =
   let off = Int64.to_int vaddr land page_mask in
   if off + size <= Phys_mem.page_size then begin
-    let paddr = translate_exn t core ~access ~vaddr in
+    let paddr = translate_exn t core ~access ~vaddr ~size in
     ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr ~len:size;
     charge_cache t core ~paddr;
     Contig paddr
   end
   else begin
     let bytes_lo = Phys_mem.page_size - off in
-    let paddr_lo = translate_exn t core ~access ~vaddr in
+    let paddr_lo = translate_exn t core ~access ~vaddr ~size:bytes_lo in
     let paddr_hi =
       translate_exn t core ~access
         ~vaddr:(Int64.add vaddr (Int64.of_int bytes_lo))
+        ~size:(size - bytes_lo)
     in
     ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr_lo
       ~len:bytes_lo;
@@ -775,20 +730,28 @@ let step t core =
 
 (* ---- Superblock tier: engine ----------------------------------------
 
-   Pre-translated straight-line runs, including loads and stores. Every
-   closure splits into a pure guard phase and a commit phase:
+   Pre-translated straight-line runs, including loads and stores. A
+   block's entry is the one place that tests what only code outside
+   the block can move: [run] enters no block while fault hooks are
+   armed or an interrupt is pending, [sb_exec] none while an ECC fault
+   is pending, and a compiled page is reused only while its frame's
+   generation stands. No monitor, OS or fault-engine code runs inside
+   a block, and its own instructions insert or flush no TLB entry,
+   flip no bit and post no interrupt, so none of these inputs moves
+   before the block exits. Every closure splits into a pure guard
+   phase and a commit phase:
 
-   - guard: for memory ops, every check [translate_exn]/[data_access]
-     would make, plus the epoch/generation/interrupt/fault-hook
-     guards. A fetch has none: the block's entry translated its PC and
-     passed the isolation check, a block never leaves that page, and
-     the check answers alike for every address of a page from state
-     only monitor code changes (the [set_phys_check] contract), which
-     cannot run inside a block — so the entry's answer is every
-     fetch's. The guard phase mutates nothing, so a side exit leaves
-     architectural state bit-identical to never having entered the
-     block and the stepped path replays the instruction — and raises
-     the precise trap — from scratch.
+   - guard: for memory ops, the checks [translate_exn]/[data_access]
+     make on the access's own address: virtual range, page crossing,
+     TLB probe and permission, physical bounds, the isolation check. A
+     fetch has none: the block's entry translated its PC and passed
+     the isolation check, a block never leaves that page, and the
+     check answers alike for every address of a page from state only
+     monitor code changes (the [set_phys_check] contract) — so the
+     entry's answer is every fetch's. The guard phase mutates nothing,
+     so a side exit leaves architectural state bit-identical to never
+     having entered the block and the stepped path replays the
+     instruction — and raises the precise trap — from scratch.
 
    - commit: the access in [step]'s exact order — fetch cache charge
      (batched per line), the dispatch cycle, data TLB hit, data cache
@@ -802,6 +765,10 @@ let step t core =
      makes it exact: consecutive same-line fetch hits with nothing in
      between collapse to one update with bit-identical tick and LRU
      order.
+
+   A store into the block's own code frame ends the block once it has
+   committed: it moved the frame's generation, so the next entry
+   compiles the page afresh from the new bytes.
 
    An armed timer is a deadline, not a veto: [step] checks it before
    each instruction against [cycles], and at every in-block boundary
@@ -850,14 +817,14 @@ let sb_account_fetch t (core : core) ctx ~paddr ~line =
   end
 
 (* The pure half of a translation that hits the TLB: probe, permission,
-   physical bounds and the isolation check — every check
-   [translate_exn] makes on an in-range address — evaluated without
-   mutating anything. Returns the physical address, or -1 wherever the
-   stepped path would walk the page table or trap. With paging on, a
-   hit leaves its TLB slot in [sx_tslot] for the commit. Shared by the
-   block entry's fetch and each data access on a page or of a kind the
-   block's previous one was not. *)
-let sb_translate t (core : core) ctx ~access ~va =
+   physical bounds for [size] bytes and the isolation check — every
+   check [translate_exn] makes on an in-range address — evaluated
+   without mutating anything. Returns the physical address, or -1
+   wherever the stepped path would walk the page table or trap. With
+   paging on, a hit leaves its TLB slot in [sx_tslot] for the commit.
+   Shared by the block entry's fetch and each data access on a page or
+   of a kind the block's previous one was not. *)
+let sb_translate t (core : core) ctx ~access ~va ~size =
   let paddr =
     if not ctx.sx_paging then va
     else begin
@@ -873,41 +840,36 @@ let sb_translate t (core : core) ctx ~access ~va =
   in
   if
     paddr < 0
-    || paddr + 8 > Phys_mem.size t.mem
+    || paddr + size > Phys_mem.size t.mem
     || not (t.phys_check ~core ~access ~paddr)
   then -1
   else paddr
 
-(* Data-access guard phase: every check the stepped path would make,
-   evaluated without mutating anything architectural. Returns the
-   physical address, or -1 to side-exit — any op that would trap (bad
-   virtual address, TLB miss or permission denial, bounds, isolation
-   denial), would split across a page boundary, or would need an ECC
-   scrub is left entirely to the stepped path, before a single byte
-   moves. An access to the virtual page of the block's previous data
-   access, and of its kind, reuses that access's TLB slot and frame
-   without a probe or an isolation check: the generation guard pins
-   the TLB entry, and the check answers alike for every address of a
-   page from inputs the epoch guard pins. *)
+(* Data-access guard phase: the checks the stepped path would make on
+   the access's address, evaluated without mutating anything
+   architectural; nothing else it checks can move inside a block (the
+   engine comment above). Returns the physical address, or -1 to
+   side-exit — any op that would trap (bad virtual address, TLB miss or
+   permission denial, bounds, isolation denial) or would split across a
+   page boundary is left entirely to the stepped path, before a single
+   byte moves. An access to the virtual page of the block's previous
+   data access, and of its kind, reuses that access's TLB slot and
+   frame without a probe or an isolation check: no block changes a TLB
+   entry, and the check answers alike for every address of a page. *)
 let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
   let va = Int64.to_int vaddr in
   if
     (va land page_mask) + size > Phys_mem.page_size
     || va < 0
     || Int64.compare vaddr sb_va_limit >= 0
-    || Phys_mem.pending_faults t.mem > 0
-    || t.phys_epoch <> ctx.sx_epoch
-    || Tlb.generation core.tlb <> ctx.sx_gen
-    || (not (Queue.is_empty core.pending_interrupts))
-    || t.fault_hooks <> None
   then -1
   else
     let vpn = va lsr page_shift in
     if vpn = ctx.sx_dpage && access == ctx.sx_daccess then
       let paddr = ctx.sx_dframe lor (va land page_mask) in
-      if paddr + 8 > Phys_mem.size t.mem then -1 else paddr
+      if paddr + size > Phys_mem.size t.mem then -1 else paddr
     else begin
-      let paddr = sb_translate t core ctx ~access ~va in
+      let paddr = sb_translate t core ctx ~access ~va ~size in
       if paddr >= 0 then begin
         ctx.sx_dpage <- vpn;
         ctx.sx_daccess <- access;
@@ -1159,8 +1121,8 @@ let sb_compile t ~ppn ~slot =
             | Sd -> fun mem p v -> Phys_mem.write_u64 mem p v
           in
           let imm64 = Int64.of_int imm in
-          (* fall-through PC, also the resume PC when the store shoots
-             down its own page: off + 4 = page size on the last slot *)
+          (* fall-through PC, also the resume PC when the store dirties
+             its own page: off + 4 = page size on the last slot *)
           let next_off64 = Int64.of_int (off + 4) in
           fun ctx slot ->
             let core = ctx.sx_core in
@@ -1178,33 +1140,24 @@ let sb_compile t ~ppn ~slot =
                 (if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2);
               ctx.sx_instret <- ctx.sx_instret + 1;
               ctx.sx_fuel <- ctx.sx_fuel - 1;
-              (* the write hook may have shot down this very page:
-                 never run another (stale) closure from it *)
-              if fall >= 0 && ctx.sx_page.sb_alive then fall
+              (* a store into this very frame may have rewritten code
+                 compiled here: never run another closure from it *)
+              if fall >= 0 && dp lsr page_shift <> ppn then fall
               else sb_exit_at ctx (Int64.add ctx.sx_vbase next_off64)
             end)
 
-(* Lazily compiled page: every slot starts as a shared build closure
-   that compiles itself on first execution, replaces the slot, and
-   tail-runs the result. Invalidation drops the whole page. *)
-let sb_new_page t ppn =
+(* Lazily compiled page of frame [ppn] at generation [gen]: every slot
+   starts as a shared build closure that compiles itself on first
+   execution, replaces the slot, and tail-runs the result. *)
+let sb_new_page t ppn gen =
   let code = Array.make sb_slots sb_side_exit in
-  let page = { sb_code = code; sb_alive = true } in
   let build ctx slot =
     let f = sb_compile t ~ppn ~slot in
     code.(slot) <- f;
     f ctx slot
   in
   Array.fill code 0 sb_slots build;
-  page
-
-(* An entry slot already compiled to [sb_side_exit] (ecall, ebreak, an
-   undecodable word) would retire nothing: leave it to [step] without
-   setting up a block. *)
-let sb_empty_block t paddr =
-  match t.sb_pages.(paddr lsr page_shift) with
-  | Some p -> p.sb_code.((paddr land page_mask) lsr 2) == sb_side_exit
-  | None -> false
+  { sb_code = code; sb_gen = gen }
 
 (* Superblock entry, called from [run] only with the fast path on, no
    fault hooks and no pending interrupt. Returns instructions retired
@@ -1212,7 +1165,11 @@ let sb_empty_block t paddr =
    PC: it must be aligned and in range with no ECC fault pending, and
    its fetch must pass [sb_translate] — a TLB hit with execute
    permission, in bounds, allowed by the isolation check. A walk or a
-   fetch trap is left to [step]. An armed timer bounds the block's
+   fetch trap is left to [step]. The frame's compiled page is reused
+   while the frame's generation equals the page's and made afresh
+   otherwise; an entry slot already compiled to [sb_side_exit] (ecall,
+   ebreak, an undecodable word) would retire nothing, so it is left to
+   [step] without setting up a block. An armed timer bounds the block's
    deferred cycles (the engine comment above); a due one returns 0 so
    that [step] delivers it. *)
 let sb_exec t (core : core) ~fuel =
@@ -1230,23 +1187,24 @@ let sb_exec t (core : core) ~fuel =
       || Int64.compare core.pc sb_va_limit >= 0
       || Phys_mem.pending_faults t.mem > 0
     then -1
-    else sb_translate t core ctx ~access:Trap.Execute ~va
+    else sb_translate t core ctx ~access:Trap.Execute ~va ~size:4
   in
-  if fp0 < 0 || sb_empty_block t fp0 then 0
-  else begin
-    let ppn = fp0 lsr page_shift in
-    let page =
+  let code =
+    if fp0 < 0 then [||]
+    else
+      let ppn = fp0 lsr page_shift in
+      let gen = Phys_mem.generation t.mem ppn in
       match t.sb_pages.(ppn) with
-      | Some p -> p
-      | None ->
-          let p = sb_new_page t ppn in
+      | Some p when p.sb_gen = gen -> p.sb_code
+      | _ ->
+          let p = sb_new_page t ppn gen in
           t.sb_pages.(ppn) <- Some p;
-          p
-    in
-    ctx.sx_page <- page;
+          p.sb_code
+  in
+  let slot0 = (fp0 land page_mask) lsr 2 in
+  if fp0 < 0 || code.(slot0) == sb_side_exit then 0
+  else begin
     ctx.sx_vbase <- Int64.sub core.pc (Int64.of_int (fp0 land page_mask));
-    ctx.sx_epoch <- t.phys_epoch;
-    ctx.sx_gen <- Tlb.generation core.tlb;
     ctx.sx_dpage <- -1;
     ctx.sx_fuel <- fuel;
     ctx.sx_exit_pc <- core.pc;
@@ -1255,8 +1213,7 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_line <- -1;
     ctx.sx_line_rep <- 0;
     ctx.sx_side_exit <- false;
-    let code = page.sb_code in
-    let slot = ref ((fp0 land page_mask) lsr 2) in
+    let slot = ref slot0 in
     let running = ref true in
     while !running do
       if ctx.sx_fuel <= 0 || ctx.sx_cycles >= deadline then begin
@@ -1299,13 +1256,6 @@ let run t ~core ~fuel =
     budget := if retired > 1 then !budget - retired else !budget - 1
   done;
   c.instret - start
-
-(* The fault engine's entry point for memory corruption. Routing it
-   through the machine (rather than straight into [Phys_mem]) keeps
-   the invalidation contract in one place: the write hook installed at
-   [create] drops any compiled superblock page for the touched page, so
-   an injected flip can never execute as a stale closure. *)
-let inject_bit_flip t ~paddr ~bit = Phys_mem.inject_bit_flip t.mem ~paddr ~bit
 
 let trace_dma t ~write ~paddr ~len ~granted =
   if Tel.Sink.enabled t.sink then begin

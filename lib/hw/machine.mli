@@ -83,27 +83,17 @@ val set_phys_check :
     backends decide on page-aligned ranges); the check may refresh a
     per-core cache of that state (Keystone rewrites a core's PMP
     entries there). The superblock tier relies on both: no monitor code
-    runs inside a block and a block never leaves its page, so the
-    entry's check covers every fetch of the block, and a load or store
-    is checked only when its page or access kind differs from the
-    block's previous data access. A guard that declines hands the
-    access to {!step}, which evaluates the check a second time and
-    answers as the first call did. Installing a check bumps the
-    protection epoch (see {!note_protection_change}); backends that
-    later change the state the answer depends on — reassign an
-    ownership range, switch a core's domain — must call
-    {!note_protection_change} after each such change. *)
+    runs inside a block, so the answers it got stand until the block
+    exits, and a block never leaves its page, so the entry's check
+    covers every fetch of the block, and a load or store is checked
+    only when its page or access kind differs from the block's previous
+    data access. A guard that declines hands the access to {!step},
+    which evaluates the check a second time and answers as the first
+    call did. The check, and the state it reads, may change freely
+    between blocks: nothing needs to be reported to the machine. *)
 
 val set_pte_fetch_check : t -> (core:core -> paddr:int -> bool) -> unit
 (** The Sanctum page-walk invariant: approve each PTE fetch address. *)
-
-val note_protection_change : t -> unit
-(** Record that the state behind the installed physical-isolation check
-    changed (ownership range reassigned, domain switched). Bumps the
-    protection epoch that superblocks snapshot at entry and re-check at
-    every memory operation, so a block can never complete a load or
-    store against a stale protection decision. Cheap (one increment);
-    calling it conservatively is always safe. *)
 
 val set_dma_check : t -> (paddr:int -> len:int -> bool) -> unit
 
@@ -179,18 +169,23 @@ val set_fast_path : t -> bool -> unit
 (** Enable (default) or disable the superblock tier {!run} uses:
     straight-line runs, loads and stores included, pre-translated into
     per-physical-page arrays of pre-bound closures, each slot compiled
-    from memory on its first execution. A block's entry translates its
-    own PC (alignment, range, no pending ECC fault, a TLB hit with
-    execute and user permission, bounds, the isolation check), which
-    covers every fetch of the block; guards at block entry and at every
-    memory operation (protection epoch, TLB generation, pending ECC
-    faults, pending interrupts, fault hooks, bounds) side-exit to
-    {!step} with architectural state bit-identical to never having
-    entered the block, and a load or store translates and checks
-    isolation afresh only when its page or access kind differs from
-    the block's previous data access; any operation that would walk,
-    trap, split across a page boundary, or need an ECC scrub
-    side-exits before a byte moves. An armed timer is a deadline: a
+    from memory on its first execution. A block's entry tests what only
+    code outside a block can move — {!run} enters none with fault hooks
+    armed or an interrupt pending, and none starts with an ECC fault
+    pending — and translates its own PC (alignment, range, a TLB hit
+    with execute and user permission, bounds, the isolation check),
+    which covers every fetch of the block. A compiled page is reused
+    while its frame's {!Phys_mem.generation} stands, so any write to
+    the frame between blocks (a store from any core, DMA, zeroing, a
+    bit flip), with the tier on or off, makes the next entry compile it
+    afresh, and a store into the running block's own frame ends the
+    block. A load or store
+    checks only its own address (range, page crossing, bounds), and
+    translates and checks isolation afresh only when its page or access
+    kind differs from the block's previous data access; one that would
+    walk, trap or split across a page boundary side-exits to {!step}
+    before a byte moves, with architectural state bit-identical to
+    never having entered the block. An armed timer is a deadline: a
     block stops at the first instruction boundary the timer is due at,
     and {!step} delivers it there. Architectural state — cycles,
     instret, registers, traps — and telemetry, every [hw.*] counter
@@ -202,11 +197,6 @@ val set_fast_path : t -> bool -> unit
     [off] runs it alone: the differential-testing baseline
     ([bench sim] measures the gap, the qcheck properties prove the
     equivalence). *)
-
-val inject_bit_flip : t -> paddr:int -> bit:int -> unit
-(** {!Phys_mem.inject_bit_flip} on this machine's memory, via the
-    write hook that drops the touched page's compiled superblock code.
-    The fault engine must corrupt memory through this entry point. *)
 
 val step : t -> core -> unit
 (** Execute one instruction (or deliver one pending trap/interrupt)

@@ -18,7 +18,7 @@
    when it is nonzero, keeping the fault-free fast path at a single
    integer compare. [gens] counts the mutations of each page, 32 bits a
    page, so a reader that derived something from a page can tell
-   whether its bytes may have moved. *)
+   whether its bytes may have moved (the caveat in the interface). *)
 
 type t = {
   frames : Bytes.t array;
@@ -28,7 +28,6 @@ type t = {
   mutable pending : int;
   mutable corrected : int;
   mutable uncorrectable : int;
-  mutable write_hook : (pos:int -> len:int -> unit) option;
 }
 
 let page_shift = 12
@@ -70,10 +69,8 @@ let create ~size =
     pending = 0;
     corrected = 0;
     uncorrectable = 0;
-    write_hook = None;
   }
 
-let set_write_hook t h = t.write_hook <- h
 let frame t pos = Array.unsafe_get t.frames (pos lsr page_shift)
 
 let materialize t p =
@@ -89,15 +86,12 @@ let writable t pos =
 
 (* Every mutation of the stored bytes — architectural stores, DMA,
    zeroing, fault injection, ECC scrub corrections — reports the dirty
-   range here: it moves the generation of each page the range touches,
-   and the hook lets a layer caching derived views of memory (the
-   machine's compiled superblock pages) invalidate. Callers pass
-   [len > 0] and an in-range [pos]. *)
+   range here: it moves the generation of each page the range touches.
+   Callers pass [len > 0] and an in-range [pos]. *)
 let notify t pos len =
   for p = pos lsr page_shift to (pos + len - 1) lsr page_shift do
     set32u t.gens (p lsl 2) (Int32.succ (get32u t.gens (p lsl 2)))
-  done;
-  match t.write_hook with None -> () | Some f -> f ~pos ~len
+  done
 
 let generation t ppn =
   Int32.to_int (Bytes.get_int32_ne t.gens (4 * ppn)) land 0xffff_ffff

@@ -45,23 +45,23 @@ val write_string : t -> pos:int -> string -> unit
 val zero_range : t -> pos:int -> len:int -> unit
 (** Models the monitor's cleaning of a reclaimed memory resource. *)
 
-val set_write_hook : t -> (pos:int -> len:int -> unit) option -> unit
-(** Observe every mutation of the stored bytes: architectural and DMA
-    stores, {!write_string}, {!zero_range}, {!inject_bit_flip}, fault
-    absorption and ECC scrub corrections all report the byte range they
-    dirtied. The machine layer installs its superblock-page invalidator
-    here; at most one hook is live per memory. The hook runs with the
-    bytes already mutated and must not touch this memory. Each mutation
-    pays one increment per page it touches (see {!generation}), then
-    one option match when no hook is installed. *)
-
 val generation : t -> int -> int
-(** [generation t ppn] counts the mutations reported for page [ppn]
-    so far (every path {!set_write_hook} lists), modulo 2{^32}. A
-    reader that recorded a page's generation knows the page's bytes are
-    the ones it read while the generation is unchanged, unless the page
-    took a multiple of 2{^32} mutations in between. Raises
-    [Invalid_argument] if [ppn] is outside the memory. *)
+(** [generation t ppn] counts the mutations of page [ppn] so far,
+    modulo 2{^32}: every path that changes stored bytes — architectural
+    and DMA stores, {!write_string}, {!zero_range}, {!inject_bit_flip},
+    fault absorption and ECC scrub corrections — moves the generation of
+    each page it touches, at one increment a page. It is the one record
+    of "this page's bytes changed", and it has two readers: the
+    machine's superblock tier, which reuses a page's compiled code only
+    while the generation it compiled at stands, and the invariant
+    checker's memo, which replays a page-table walk only while its
+    frames' generations stand. A reader that recorded a page's
+    generation knows the page's bytes are the ones it read while the
+    generation is unchanged, unless the page took a multiple of
+    2{^32} mutations in between with the reader never looking: the
+    counters stay 32 bits a page so that {!create} stays under 64 KiB
+    for a 16 MiB memory. Raises [Invalid_argument] if [ppn] is outside
+    the memory. *)
 
 val page_of : int -> int
 (** [page_of paddr] is the physical page number. *)

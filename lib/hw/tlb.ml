@@ -1,8 +1,8 @@
 type perms = { r : bool; w : bool; x : bool; u : bool }
 
 (* An entry is valid only while its [epoch] is the TLB's [cur_epoch]:
-   [flush] invalidates every entry with one increment, and [flush_vpn]
-   sets an entry's epoch to -1, which no TLB epoch equals. *)
+   [flush] invalidates every entry with one increment, and a fresh
+   entry's -1 equals no TLB epoch. *)
 type entry = {
   mutable epoch : int;
   mutable vpn : int;
@@ -14,7 +14,6 @@ type t = {
   entries : entry array;
   mutable next : int;  (* round-robin fill pointer *)
   mutable mru : int;  (* slot of the last hit or insert, probed first *)
-  mutable gen : int;  (* see [generation] *)
   mutable cur_epoch : int;
 }
 
@@ -28,7 +27,6 @@ let create ~entries =
           { epoch = -1; vpn = 0; ppn = 0; perms = no_perms });
     next = 0;
     mru = 0;
-    gen = 0;
     cur_epoch = 0;
   }
 
@@ -61,7 +59,6 @@ let slot_ppn t i = t.entries.(i).ppn
 let slot_perms t i = t.entries.(i).perms
 
 let insert t ~vpn ~ppn ~perms =
-  t.gen <- t.gen + 1;
   let n = Array.length t.entries in
   (* Reuse an existing mapping slot when present, else round-robin. *)
   let slot =
@@ -79,15 +76,7 @@ let insert t ~vpn ~ppn ~perms =
   e.perms <- perms;
   t.mru <- slot
 
-let flush t =
-  t.gen <- t.gen + 1;
-  t.cur_epoch <- t.cur_epoch + 1
-
-let flush_vpn t ~vpn =
-  t.gen <- t.gen + 1;
-  Array.iter (fun e -> if e.vpn = vpn then e.epoch <- -1) t.entries
-
-let generation t = t.gen
+let flush t = t.cur_epoch <- t.cur_epoch + 1
 
 let iter_entries t f =
   Array.iter

@@ -14,9 +14,11 @@ val create : entries:int -> t
 val find : t -> vpn:int -> int
 (** Allocation-free lookup: the slot index holding [vpn], or [-1] on a
     miss; a hit promotes its slot to the MRU probe position. [find] is
-    {!probe} followed, on a hit, by {!commit_hit}. Slot indices are
-    invalidated by {!insert} and the flushes — read them back
-    immediately via {!slot_ppn} / {!slot_perms}. *)
+    {!probe} followed, on a hit, by {!commit_hit}. A slot index, read
+    back via {!slot_ppn} / {!slot_perms}, holds its entry until the
+    next {!insert} or {!flush}, the only mutations of the translation
+    contents; a superblock, which runs neither, reuses a slot its own
+    probe found. *)
 
 val slot_ppn : t -> int -> int
 val slot_perms : t -> int -> perms
@@ -33,19 +35,8 @@ val commit_hit : t -> int -> unit
 
 val insert : t -> vpn:int -> ppn:int -> perms:perms -> unit
 
-val generation : t -> int
-(** Monotonic counter bumped by every {!insert}, {!flush} and
-    {!flush_vpn} — i.e. by every mutation of the translation contents.
-    Two equal generation numbers guarantee the TLB holds exactly the
-    same entries, which is what lets a superblock's memory-op guard
-    trust that nothing was inserted or flushed since the block's
-    entry. *)
-
 val flush : t -> unit
 (** Invalidates every entry in O(1): one epoch increment. *)
-
-val flush_vpn : t -> vpn:int -> unit
-(** Invalidates the entries of one page, one by one. *)
 
 val entry_count : t -> int
 (** Number of currently valid entries. *)

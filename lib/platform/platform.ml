@@ -46,13 +46,10 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check machine
       Error (name ^ ": grants are whole allocation units")
     else if hi > mem_bytes then Error (name ^ ": range beyond physical memory")
     else begin
-      let version = Owner_map.version owners in
-      Owner_map.set_range owners ~lo ~hi domain;
       (* Cores currently inside a domain see a new ownership at once:
          every check reads the owner map, directly or through the
          primitive it keeps in step with the map. *)
-      if Owner_map.version owners <> version then
-        Hw.Machine.note_protection_change machine;
+      Owner_map.set_range owners ~lo ~hi domain;
       Ok ()
     end
   in
@@ -71,7 +68,6 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check machine
     Hw.Cache.flush_all core.Hw.Machine.l1;
     Hw.Tlb.flush core.Hw.Machine.tlb;
     core.Hw.Machine.domain <- domain;
-    Hw.Machine.note_protection_change machine;
     let sink = Hw.Machine.sink machine in
     if Tel.Sink.enabled sink then begin
       let id = core.Hw.Machine.id and cycles = core.Hw.Machine.cycles in

@@ -61,7 +61,7 @@ val make :
     [clean_range] zeroes the range, flushes its L2 sets and shoots
     down every TLB; [enter_domain] flushes the core's L1 and TLB
     (§IV-B2) and sets its domain. Neither writes the backend's
-    primitive: both checks read the core's domain and [owners] when
-    they run, so a grant or a switch only notes a protection change
-    for the superblock tier, a grant only when it changed some page's
-    owner. *)
+    primitive nor tells the machine: both checks read the core's
+    domain and [owners] when they run, and neither a grant nor a
+    switch can happen inside a superblock, whose entry checks afresh
+    ({!Sanctorum_hw.Machine.set_phys_check}). *)

@@ -1,8 +1,8 @@
 (* The flat physical memory [Sanctorum_hw.Phys_mem] replaced: one
    zero-filled [Bytes] for the whole memory, allocated at [create].
-   Same operations, same ECC fault model, same write-hook reports and
-   per-page generations; the property "phys_mem: frames on first write
-   = flat reference" holds the frame-by-frame memory to it.
+   Same operations, same ECC fault model and same per-page generations;
+   the property "phys_mem: frames on first write = flat reference"
+   holds the frame-by-frame memory to it.
 
    [data] holds the stored (possibly corrupted) bytes; [faults] maps a
    word index (paddr / 8) to the XOR mask of bits currently flipped in
@@ -20,7 +20,6 @@ type t = {
   mutable pending : int;
   mutable corrected : int;
   mutable uncorrectable : int;
-  mutable write_hook : (pos:int -> len:int -> unit) option;
 }
 
 let page_shift = 12
@@ -36,22 +35,16 @@ let create ~size =
     pending = 0;
     corrected = 0;
     uncorrectable = 0;
-    write_hook = None;
   }
-
-let set_write_hook t h = t.write_hook <- h
 
 (* Every mutation of the stored bytes — architectural stores, DMA,
    zeroing, fault injection, ECC scrub corrections — reports the dirty
-   range here: it moves the generation of each page the range touches,
-   and the hook lets a layer caching derived views of memory (the
-   machine's compiled superblock pages) invalidate. Callers pass
-   [len > 0] and an in-range [pos]. *)
+   range here: it moves the generation of each page the range touches.
+   Callers pass [len > 0] and an in-range [pos]. *)
 let notify t pos len =
   for p = pos lsr page_shift to (pos + len - 1) lsr page_shift do
     Array.unsafe_set t.gens p (Array.unsafe_get t.gens p + 1)
-  done;
-  match t.write_hook with None -> () | Some f -> f ~pos ~len
+  done
 
 let generation t ppn = t.gens.(ppn)
 let size t = Bytes.length t.data

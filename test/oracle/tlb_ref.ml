@@ -1,10 +1,10 @@
 (* The valid-bit TLB the epoch-flushed [Sanctorum_hw.Tlb] replaced: each
    entry carries a valid bit, and [flush] clears every one of them.
    Same round-robin fill, same in-place update of an existing mapping,
-   same slot indices and generation counter, and no MRU probe — a vpn
-   sits in at most one valid slot, so the probe order cannot change a
-   hit, and [probe] answers for [find] too. Trimmed to what the
-   differential property drives. *)
+   same slot indices, and no MRU probe — a vpn sits in at most one
+   valid slot, so the probe order cannot change a hit, and [probe]
+   answers for [find] too. Trimmed to what the differential property
+   drives. *)
 
 type entry = {
   mutable valid : bool;
@@ -16,7 +16,6 @@ type entry = {
 type t = {
   entries : entry array;
   mutable next : int;
-  mutable gen : int;
 }
 
 let create ~entries =
@@ -25,7 +24,6 @@ let create ~entries =
     entries =
       Array.init entries (fun _ -> { valid = false; vpn = 0; ppn = 0; perms });
     next = 0;
-    gen = 0;
   }
 
 let rec slot_of entries vpn i =
@@ -36,7 +34,6 @@ let rec slot_of entries vpn i =
 let probe t ~vpn = slot_of t.entries vpn 0
 
 let insert t ~vpn ~ppn ~perms =
-  t.gen <- t.gen + 1;
   let slot =
     match probe t ~vpn with
     | i when i >= 0 -> i
@@ -51,15 +48,7 @@ let insert t ~vpn ~ppn ~perms =
   e.ppn <- ppn;
   e.perms <- perms
 
-let flush t =
-  t.gen <- t.gen + 1;
-  Array.iter (fun e -> e.valid <- false) t.entries
-
-let flush_vpn t ~vpn =
-  t.gen <- t.gen + 1;
-  Array.iter (fun e -> if e.vpn = vpn then e.valid <- false) t.entries
-
-let generation t = t.gen
+let flush t = Array.iter (fun e -> e.valid <- false) t.entries
 
 let iter_entries t f =
   Array.iter

@@ -6,7 +6,8 @@
    cache, page-walk and retire events, read from a metrics sink
    attached to each machine). The qcheck properties below
    prove it over random programs that include self-modifying stores
-   into their own code page, DMA writes into code, injected ECC faults
+   into their own code page, DMA writes into code, zeroed code words
+   (as a region clean zeroes them), injected ECC faults
    (correctable and uncorrectable), posted interrupts, armed
    preemption timers and isolation checks that refuse chosen pages —
    every event class that can invalidate a compiled page, make a
@@ -139,7 +140,7 @@ let test_flip_invalidates_decode () =
   (* A single-bit flip in the cached instruction word: the next fetch
      must not execute the stale decode, and ECC corrects the word back
      to the original bytes — so the original result, not garbage. *)
-  Hw.Machine.inject_bit_flip m ~paddr:0x1000 ~bit:3;
+  Hw.Phys_mem.inject_bit_flip (Hw.Machine.mem m) ~paddr:0x1000 ~bit:3;
   let c = exec_at m 0x1000 in
   check_i64 "corrected word re-decoded" 5L (Hw.Machine.read_reg c Hw.Isa.a0);
   check_int "fault scrubbed" 0
@@ -203,22 +204,6 @@ let test_tlb_find_exact () =
   Hw.Tlb.flush t;
   check_int "post-flush miss" (-1) (Hw.Tlb.find t ~vpn:7)
 
-let test_tlb_generation () =
-  let t = Hw.Tlb.create ~entries:4 in
-  let p = { Hw.Tlb.r = true; w = true; x = true; u = true } in
-  let g0 = Hw.Tlb.generation t in
-  Hw.Tlb.insert t ~vpn:1 ~ppn:10 ~perms:p;
-  let g1 = Hw.Tlb.generation t in
-  check_bool "insert bumps" true (g1 > g0);
-  ignore (Hw.Tlb.find t ~vpn:1);
-  ignore (Hw.Tlb.find t ~vpn:2);
-  check_int "lookups do not bump" g1 (Hw.Tlb.generation t);
-  Hw.Tlb.flush_vpn t ~vpn:1;
-  let g2 = Hw.Tlb.generation t in
-  check_bool "flush_vpn bumps" true (g2 > g1);
-  Hw.Tlb.flush t;
-  check_bool "flush bumps" true (Hw.Tlb.generation t > g2)
-
 (* MRU and LRU through the allocation-free access path. *)
 let test_cache_access_hit_lru () =
   let cfg = { Hw.Cache.default_l1 with Hw.Cache.sets = 4; ways = 2 } in
@@ -245,9 +230,10 @@ let test_ecc_corrected_batch () =
       { Hw.Machine.default_config with cores = 1; mem_bytes = 64 * 1024 }
   in
   Hw.Machine.set_sink m sink;
-  Hw.Machine.inject_bit_flip m ~paddr:0x3000 ~bit:2;
-  Hw.Machine.inject_bit_flip m ~paddr:0x3008 ~bit:40;
-  Hw.Machine.inject_bit_flip m ~paddr:0x3010 ~bit:7;
+  let mem = Hw.Machine.mem m in
+  Hw.Phys_mem.inject_bit_flip mem ~paddr:0x3000 ~bit:2;
+  Hw.Phys_mem.inject_bit_flip mem ~paddr:0x3008 ~bit:40;
+  Hw.Phys_mem.inject_bit_flip mem ~paddr:0x3010 ~bit:7;
   (match Hw.Machine.dma_read m ~paddr:0x3000 ~len:24 with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "dma_read refused");
@@ -282,6 +268,8 @@ type event =
   | Flip of int * int (* correctable: one bit of one word *)
   | Flip2 of int * int (* uncorrectable: two bits of one word *)
   | Dma of int * int (* write one word into the code page *)
+  | Zero of int * int
+      (* zero a few words of the code page, as a region clean does *)
   | Irq of int
   | Timer of int (* arm the preemption timer this many cycles ahead *)
   | Deny of int * int
@@ -355,15 +343,15 @@ let apply_event m ~code_base ~data_base ~deny ev =
   match ev with
   | Flip (w, bit) ->
       let base = if w < 64 then code_base else data_base in
-      Hw.Machine.inject_bit_flip m
+      Hw.Phys_mem.inject_bit_flip (Hw.Machine.mem m)
         ~paddr:(base + (w mod 64 * 8))
         ~bit:(bit mod 63)
   | Flip2 (w, bit) ->
       let base = if w < 64 then code_base else data_base in
       let paddr = base + (w mod 64 * 8) in
       let bit = bit mod 62 in
-      Hw.Machine.inject_bit_flip m ~paddr ~bit;
-      Hw.Machine.inject_bit_flip m ~paddr ~bit:(bit + 1)
+      Hw.Phys_mem.inject_bit_flip (Hw.Machine.mem m) ~paddr ~bit;
+      Hw.Phys_mem.inject_bit_flip (Hw.Machine.mem m) ~paddr ~bit:(bit + 1)
   | Dma (w, v) ->
       let b = Bytes.create 4 in
       Bytes.set_int32_le b 0 (Int32.of_int v);
@@ -371,6 +359,11 @@ let apply_event m ~code_base ~data_base ~deny ev =
         (Hw.Machine.dma_write m
            ~paddr:(code_base + (w mod code_words * 4))
            (Bytes.to_string b))
+  | Zero (w, n) ->
+      let w = w mod code_words in
+      Hw.Phys_mem.zero_range (Hw.Machine.mem m)
+        ~pos:(code_base + (4 * w))
+        ~len:(4 * min (1 + n) (code_words - w))
   | Irq n ->
       Hw.Machine.post_interrupt m ~core:0
         (if n mod 3 = 0 then Hw.Trap.Software else Hw.Trap.External (n mod 7))
@@ -463,7 +456,7 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
   (* The frames of the code page and of the two data pages, which the
      Deny events refuse pages among, and the check they install: one
      answer per page and access kind, as [set_phys_check] requires.
-     Installing it bumps the protection epoch. *)
+     The next block entry checks afresh. *)
   let frames =
     let page = Hw.Phys_mem.page_size in
     match mode with
@@ -555,30 +548,37 @@ let case_gen =
       ]
   in
   let deny_gen = map2 (fun p a -> Deny (p, a)) (int_bound 2) (int_bound 2) in
+  let zero_gen = map2 (fun w n -> Zero (w, n)) (int_bound 95) (int_bound 7) in
   let event_gen =
     oneof
       [
         map2 (fun w b -> Flip (w, b)) (int_bound 127) (int_bound 62);
         map2 (fun w b -> Flip2 (w, b)) (int_bound 127) (int_bound 61);
         map2 (fun w v -> Dma (w, v)) (int_bound 95) (int_bound 0xFFFFFF);
+        zero_gen;
         map (fun n -> Irq n) (int_bound 7);
         map (fun n -> Timer n) (int_bound 300);
         deny_gen;
       ]
   in
-  (* Denials also land early, before most of the program has run, and
-     mostly refuse writes to a data page, so that a block reads a page
-     and then writes it. *)
+  (* Denials and zeroed code words also land early, before most of the
+     program has run, so that a later backward jump meets a zeroed word
+     it has run before; denials mostly refuse writes to a data page, so
+     that a block reads a page and then writes it. *)
+  let early ev =
+    pair (frequency [ (2, int_bound 3); (1, int_range 10 60) ]) ev
+  in
   let early_deny =
-    pair
-      (frequency [ (2, int_bound 3); (1, int_range 10 60) ])
+    early
       (frequency
          [ (2, map (fun p -> Deny (1 + p, 1)) (int_bound 1)); (1, deny_gen) ])
   in
   let events =
-    map2 ( @ )
+    map3
+      (fun a b c -> a @ b @ c)
       (list_size (int_range 0 6) (pair (int_bound 400) event_gen))
       (list_size (int_range 0 2) early_deny)
+      (list_size (int_range 0 2) (early zero_gen))
   in
   quad
     (oneofl [ Bare; Paged ])
@@ -638,9 +638,11 @@ let prop_differential_entry =
 (* The superblock differential: the same property driven through
    [Machine.run] (the only entry point where the superblock engine
    engages), with loads, stores, page-crossing accesses, self-modifying
-   stores, DMA overwrites, ECC flips, interrupts and armed timers
-   landing at random fuel-chunk boundaries; a timer then comes due
-   wherever its deadline falls, mid-block included. *)
+   stores, DMA overwrites, zeroed code words, ECC flips, interrupts and
+   armed timers landing at random fuel-chunk boundaries; a timer then
+   comes due wherever its deadline falls, mid-block included. Between
+   chunks, a compiled page is dropped only by its frame's generation,
+   which every one of these writes moves. *)
 let prop_differential_run =
   QCheck2.Test.make
     ~name:
@@ -763,6 +765,58 @@ let test_split_store_unmapped () =
   | None -> Alcotest.fail "expected a write page fault at 0x22000");
   check_bool "no partial store leaked into the mapped page" true
     (Hw.Phys_mem.read_u32 mem 0x60ffc = 0x5a5a5a5al)
+
+(* Each access is bounded by its own width: a byte, halfword or word
+   load or store of the last bytes of DRAM and a fetch of its last word
+   succeed on both tiers, while an [ld] at size - 4 still faults: it
+   splits at the end of the last page, and its upper half, at [size],
+   takes the access fault, as a page-crossing access reports the page
+   that refused it. Every access used to be bounded as if 8 bytes wide,
+   so even an [lbu] of the last byte took an access fault. The stores
+   leave an ecall in the last word, and a jalr then fetches it. *)
+let test_top_of_dram () =
+  let size = 1024 * 1024 in
+  let run_with tier prog =
+    let m, last = bare_machine () in
+    set_tier m tier;
+    let metrics = arm_metrics m in
+    let c = run_at m 0x1000 prog in
+    ( !last,
+      c.Hw.Machine.pc,
+      Array.to_list c.Hw.Machine.regs,
+      c.Hw.Machine.instret,
+      c.Hw.Machine.cycles,
+      counter_snapshot metrics )
+  in
+  let both prog =
+    let sup = run_with Super prog and slow = run_with Slow prog in
+    check_bool "tiers agree" true (sup = slow);
+    sup
+  in
+  let open Hw.Isa in
+  let ecall = Int32.to_int (encode Ecall) in
+  let last, pc, regs, _, _, _ =
+    both
+      (li t0 size @ li t1 0xab
+      @ [ Store (Sb, t1, t0, -1); Load (Lbu, a0, t0, -1) ]
+      @ li t1 0x1234
+      @ [ Store (Sh, t1, t0, -2); Load (Lhu, a1, t0, -2) ]
+      @ li t1 ecall
+      @ [ Store (Sw, t1, t0, -4); Load (Lwu, a2, t0, -4); Jalr (zero, t0, -4) ]
+      )
+  in
+  check_bool "the last word fetched and run" true
+    (last = Some (Hw.Trap.Exception Hw.Trap.Ecall_user));
+  check_i64 "trapped at the last word" (Int64.of_int (size - 4)) pc;
+  check_i64 "lbu of the last byte" 0xabL (List.nth regs a0);
+  check_i64 "lhu of the last halfword" 0x1234L (List.nth regs a1);
+  check_i64 "lwu of the last word" (Int64.of_int ecall) (List.nth regs a2);
+  let last, _, _, _, _, _ = both (li t0 size @ [ Load (Ld, a0, t0, -4); Ecall ]) in
+  check_bool "ld at size - 4 faults" true
+    (last
+    = Some
+        (Hw.Trap.Exception
+           (Hw.Trap.Access_fault (Hw.Trap.Read, Int64.of_int size))))
 
 (* Same property through the whole stack: boot, install an enclave,
    run the fig2-style compute loop under the monitor — fast path on
@@ -1130,6 +1184,61 @@ let test_superblock_dma_overwrite backend () =
   check_i64 "DMA-overwritten bytes executed (no stale closure)" 55L second;
   check_bool "tiers agree" true (sup = slow)
 
+(* A block on core 1 rewrites core 0's compiled code page between core
+   0's blocks. Nothing tells core 0: its next block entry finds the
+   frame's generation moved and compiles the page afresh, so core 0
+   runs the new bytes. Core 0 counts round a two-instruction loop;
+   core 1 first patches the increment, then turns the loop's jump into
+   an ecall. A stale page would count by one and never stop. *)
+let test_cross_core_store () =
+  let run_with tier =
+    let m =
+      Hw.Machine.create
+        { Hw.Machine.default_config with cores = 2; mem_bytes = 1024 * 1024 }
+    in
+    set_tier m tier;
+    let metrics = arm_metrics m in
+    Hw.Machine.set_trap_handler m (fun _ c _ -> c.Hw.Machine.halted <- true);
+    let mem = Hw.Machine.mem m in
+    let open Hw.Isa in
+    Hw.Phys_mem.write_string mem ~pos:0x1000
+      (encode_program [ Op_imm (Add, a0, a0, 1); Jal (zero, -4) ]);
+    (* core 1 stores the word in a2 into core 0's code at offset a1 *)
+    Hw.Phys_mem.write_string mem ~pos:0x2000
+      (encode_program
+         (li t0 0x1000 @ [ Op (Add, t0, t0, a1); Store (Sw, a2, t0, 0); Ecall ]));
+    let c0 = Hw.Machine.core m 0 and c1 = Hw.Machine.core m 1 in
+    c0.Hw.Machine.pc <- 0x1000L;
+    let patch slot instr =
+      c1.Hw.Machine.pc <- 0x2000L;
+      c1.Hw.Machine.halted <- false;
+      Hw.Machine.write_reg c1 a1 (Int64.of_int (4 * slot));
+      Hw.Machine.write_reg c1 a2 (Int64.of_int32 (encode instr));
+      ignore (Hw.Machine.run m ~core:1 ~fuel:100)
+    in
+    ignore (Hw.Machine.run m ~core:0 ~fuel:20);
+    patch 0 (Op_imm (Add, a0, a0, 100));
+    ignore (Hw.Machine.run m ~core:0 ~fuel:20);
+    patch 1 Ecall;
+    ignore (Hw.Machine.run m ~core:0 ~fuel:20);
+    ( ( Array.to_list c0.Hw.Machine.regs,
+        c0.Hw.Machine.pc,
+        c0.Hw.Machine.cycles,
+        c0.Hw.Machine.instret,
+        c0.Hw.Machine.halted ),
+      (c1.Hw.Machine.cycles, c1.Hw.Machine.instret),
+      counter_snapshot metrics,
+      sb_instret_of metrics )
+  in
+  let ((regs, _, _, _, halted) as c0), c1, k, sb = run_with Super in
+  let c0', c1', k', _ = run_with Slow in
+  check_bool "superblock tier engaged" true (sb > 0);
+  check_i64 "core 0 ran both patches" 1110L (List.nth regs Hw.Isa.a0);
+  check_bool "core 0 stopped at the patched ecall" true halted;
+  check_bool "core 0 agrees across tiers" true (c0 = c0');
+  check_bool "core 1 agrees across tiers" true (c1 = c1');
+  check_bool "counters agree across tiers" true (k = k')
+
 let suite =
   ( "fastpath",
     [
@@ -1145,8 +1254,6 @@ let suite =
         test_interrupt_fifo_order;
       Alcotest.test_case "tlb: find exact under early exit and MRU" `Quick
         test_tlb_find_exact;
-      Alcotest.test_case "tlb: generation counts mutations only" `Quick
-        test_tlb_generation;
       Alcotest.test_case "cache: access_hit MRU and LRU exact" `Quick
         test_cache_access_hit_lru;
       Alcotest.test_case "ecc: corrected counter adds by n" `Quick
@@ -1157,6 +1264,8 @@ let suite =
         `Quick test_split_load_nonadjacent;
       Alcotest.test_case "mmu: page-crossing store into unmapped faults whole"
         `Quick test_split_store_unmapped;
+      Alcotest.test_case "mmu: accesses at the top of DRAM bounded by width"
+        `Quick test_top_of_dram;
       Alcotest.test_case "differential: full stack enclave run" `Quick
         test_differential_full_stack;
       Alcotest.test_case "superblock: counters exact across tiers (armed sink)"
@@ -1180,6 +1289,8 @@ let suite =
       Alcotest.test_case "superblock: DMA overwrite drops compiled page \
                           (keystone)" `Quick
         (test_superblock_dma_overwrite Testbed.Keystone_backend);
+      Alcotest.test_case "superblock: another core's store recompiles the page"
+        `Quick test_cross_core_store;
       QCheck_alcotest.to_alcotest prop_differential_entry;
       QCheck_alcotest.to_alcotest prop_differential_run;
     ] )

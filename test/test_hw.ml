@@ -165,8 +165,7 @@ let test_generation_moves () =
    and scrubs meet the same words often enough that stores absorb
    pending faults; some frames are never written. After every step the
    two agree on the step's result (or both raise), every byte, every
-   page's generation, the write hook's (pos, len) log and the ECC
-   counts. *)
+   page's generation and the ECC counts. *)
 module Mem_ref = Sanctorum_oracle.Phys_mem_ref
 
 type mem_op =
@@ -316,11 +315,6 @@ let qcheck_frames_on_first_write =
     (fun (pages, ops) ->
       let size = pages * page in
       let m = Hw.Phys_mem.create ~size and r = Mem_ref.create ~size in
-      let log_m = ref [] and log_r = ref [] in
-      Hw.Phys_mem.set_write_hook m
-        (Some (fun ~pos ~len -> log_m := (pos, len) :: !log_m));
-      Mem_ref.set_write_hook r
-        (Some (fun ~pos ~len -> log_r := (pos, len) :: !log_r));
       let agree step op =
         let got = apply (module Hw.Phys_mem) m op in
         let want = apply (module Mem_ref) r op in
@@ -337,7 +331,6 @@ let qcheck_frames_on_first_write =
           if Hw.Phys_mem.generation m p <> Mem_ref.generation r p then
             differs (Printf.sprintf "generation of page %d" p)
         done;
-        if !log_m <> !log_r then differs "write hook log";
         if
           Hw.Phys_mem.pending_faults m <> Mem_ref.pending_faults r
           || Hw.Phys_mem.corrected_count m <> Mem_ref.corrected_count r
@@ -461,8 +454,7 @@ let test_tlb () =
    128-byte regions, two sets each), and a range flush is checked
    against the reference's [flush_set] on the set of each line of the
    range. After every step the two agree on the step's hit, miss or
-   slot, every valid line and entry, the entry count and the
-   generation. *)
+   slot, every valid line and entry, and the entry count. *)
 module Cache_ref = Sanctorum_oracle.Cache_ref
 module Tlb_ref = Sanctorum_oracle.Tlb_ref
 
@@ -475,7 +467,6 @@ type flush_op =
   | Find of int
   | Tlb_probe of int
   | Flush
-  | Flush_vpn of int
 
 let print_flush_op = function
   | Access p -> Printf.sprintf "access %d" p
@@ -486,7 +477,6 @@ let print_flush_op = function
   | Find v -> Printf.sprintf "find %d" v
   | Tlb_probe v -> Printf.sprintf "tlb_probe %d" v
   | Flush -> "flush"
-  | Flush_vpn v -> Printf.sprintf "flush_vpn %d" v
 
 let qcheck_epoch_flush =
   let cfg =
@@ -506,7 +496,6 @@ let qcheck_epoch_flush =
           (4, map (fun v -> Find v) vpn);
           (1, map (fun v -> Tlb_probe v) vpn);
           (1, return Flush);
-          (2, map (fun v -> Flush_vpn v) vpn);
         ])
   in
   let perms = { Hw.Tlb.r = true; w = true; x = false; u = true } in
@@ -564,15 +553,10 @@ let qcheck_epoch_flush =
         | Flush ->
             Hw.Tlb.flush t;
             Tlb_ref.flush t_ref;
-            true
-        | Flush_vpn vpn ->
-            Hw.Tlb.flush_vpn t ~vpn;
-            Tlb_ref.flush_vpn t_ref ~vpn;
             true)
         && lines Hw.Cache.iter_tags c = lines Cache_ref.iter_tags c_ref
         && entries Hw.Tlb.iter_entries t = entries Tlb_ref.iter_entries t_ref
         && Hw.Tlb.entry_count t = Tlb_ref.entry_count t_ref
-        && Hw.Tlb.generation t = Tlb_ref.generation t_ref
       in
       List.for_all step ops)
 
