@@ -77,173 +77,125 @@ let sender_of_string = function
       Ok (S_enclave (Char.code s.[1] - Char.code '0'))
   | s -> Error (Printf.sprintf "bad sender %S (want os, e0, e1)" s)
 
-let fault_to_string = function
-  | Corrupt_owner_map u -> Printf.sprintf "owner-map:%d" u
-  | Corrupt_lifecycle e -> Printf.sprintf "lifecycle:%d" e
-  | Corrupt_thread (t, c) -> Printf.sprintf "thread:%d:%d" t c
-  | Corrupt_meta -> "meta"
+(* Each action's serialized form, stated once: a name, then its fields
+   in constructor order. The printers join these with ':' and the
+   parsers below invert them. *)
+let fault_tokens fault =
+  let n = string_of_int in
+  match fault with
+  | Corrupt_owner_map u -> [ "owner-map"; n u ]
+  | Corrupt_lifecycle e -> [ "lifecycle"; n e ]
+  | Corrupt_thread (t, c) -> [ "thread"; n t; n c ]
+  | Corrupt_meta -> [ "meta" ]
 
+let tokens action =
+  let n = string_of_int in
+  let s = sender_to_string in
+  match action with
+  | Create e -> [ "create"; n e ]
+  | Alloc_pt (e, l) -> [ "allocpt"; n e; n l ]
+  | Load_page (e, i) -> [ "loadpage"; n e; n i ]
+  | Map_shared e -> [ "mapshared"; n e ]
+  | Load_thread (e, t) -> [ "loadthread"; n e; n t ]
+  | Init e -> [ "init"; n e ]
+  | Delete e -> [ "delete"; n e ]
+  | Block_mem u -> [ "blockmem"; n u ]
+  | Clean_mem u -> [ "cleanmem"; n u ]
+  | Grant_mem (u, e) -> [ "grantmem"; n u; n e ]
+  | Grant_mem_os u -> [ "grantos"; n u ]
+  | Accept_mem (e, u) -> [ "acceptmem"; n e; n u ]
+  | Assign (t, e) -> [ "assign"; n t; n e ]
+  | Accept_thread (e, t) -> [ "acceptthread"; n e; n t ]
+  | Release_thread (e, t) -> [ "release"; n e; n t ]
+  | Unassign t -> [ "unassign"; n t ]
+  | Delete_thread t -> [ "delthread"; n t ]
+  | Enter (e, t, c) -> [ "enter"; n e; n t; n c ]
+  | Exit_enclave (e, c) -> [ "exit"; n e; n c ]
+  | Aex c -> [ "aex"; n c ]
+  | Read_aex (e, t) -> [ "readaex"; n e; n t ]
+  | Accept_mail (e, x) -> [ "acceptmail"; n e; s x ]
+  | Send_mail (x, e) -> [ "sendmail"; s x; n e ]
+  | Get_mail (e, x) -> [ "getmail"; n e; s x ]
+  | Inject f -> "inject" :: fault_tokens f
+
+let fault_to_string f = String.concat ":" (fault_tokens f)
+let action_to_string a = String.concat ":" (tokens a)
+let path_to_string path = String.concat "," (List.map action_to_string path)
+
+(* The one integer-field reader of both parsers: [bad x] is the error
+   when field [x] is not an integer. *)
+let int_field bad x =
+  match int_of_string_opt x with Some v -> Ok v | None -> Error (bad x)
+
+(* A parsed constructor applied to a parsed field. Every field is read,
+   and the leftmost failure is the error. *)
+let ( <*> ) f x =
+  match (f, x) with
+  | Ok f, Ok x -> Ok (f x)
+  | Error e, _ | Ok _, Error e -> Error e
+
+(* In both parsers the name and the arity pick the constructor before
+   any field is read: a shape no constructor has is reported as such,
+   whatever its fields. *)
 let fault_of_string s =
+  let int = int_field (fun _ -> "bad fault " ^ s) in
   match String.split_on_char ':' s with
-  | [ "owner-map"; u ] -> (
-      match int_of_string_opt u with
-      | Some u -> Ok (Corrupt_owner_map u)
-      | None -> Error ("bad fault " ^ s))
-  | [ "lifecycle"; e ] -> (
-      match int_of_string_opt e with
-      | Some e -> Ok (Corrupt_lifecycle e)
-      | None -> Error ("bad fault " ^ s))
-  | [ "thread"; t; c ] -> (
-      match (int_of_string_opt t, int_of_string_opt c) with
-      | Some t, Some c -> Ok (Corrupt_thread (t, c))
-      | _ -> Error ("bad fault " ^ s))
+  | [ "owner-map"; u ] -> Ok (fun u -> Corrupt_owner_map u) <*> int u
+  | [ "lifecycle"; e ] -> Ok (fun e -> Corrupt_lifecycle e) <*> int e
+  | [ "thread"; t; c ] ->
+      Ok (fun t c -> Corrupt_thread (t, c)) <*> int t <*> int c
   | [ "meta" ] -> Ok Corrupt_meta
   | _ ->
       Error
         (Printf.sprintf
            "bad fault %S (want owner-map:U, lifecycle:E, thread:T:C, meta)" s)
 
-let action_to_string = function
-  | Create e -> Printf.sprintf "create:%d" e
-  | Alloc_pt (e, l) -> Printf.sprintf "allocpt:%d:%d" e l
-  | Load_page (e, i) -> Printf.sprintf "loadpage:%d:%d" e i
-  | Map_shared e -> Printf.sprintf "mapshared:%d" e
-  | Load_thread (e, t) -> Printf.sprintf "loadthread:%d:%d" e t
-  | Init e -> Printf.sprintf "init:%d" e
-  | Delete e -> Printf.sprintf "delete:%d" e
-  | Block_mem u -> Printf.sprintf "blockmem:%d" u
-  | Clean_mem u -> Printf.sprintf "cleanmem:%d" u
-  | Grant_mem (u, e) -> Printf.sprintf "grantmem:%d:%d" u e
-  | Grant_mem_os u -> Printf.sprintf "grantos:%d" u
-  | Accept_mem (e, u) -> Printf.sprintf "acceptmem:%d:%d" e u
-  | Assign (t, e) -> Printf.sprintf "assign:%d:%d" t e
-  | Accept_thread (e, t) -> Printf.sprintf "acceptthread:%d:%d" e t
-  | Release_thread (e, t) -> Printf.sprintf "release:%d:%d" e t
-  | Unassign t -> Printf.sprintf "unassign:%d" t
-  | Delete_thread t -> Printf.sprintf "delthread:%d" t
-  | Enter (e, t, c) -> Printf.sprintf "enter:%d:%d:%d" e t c
-  | Exit_enclave (e, c) -> Printf.sprintf "exit:%d:%d" e c
-  | Aex c -> Printf.sprintf "aex:%d" c
-  | Read_aex (e, t) -> Printf.sprintf "readaex:%d:%d" e t
-  | Accept_mail (e, s) ->
-      Printf.sprintf "acceptmail:%d:%s" e (sender_to_string s)
-  | Send_mail (s, e) -> Printf.sprintf "sendmail:%s:%d" (sender_to_string s) e
-  | Get_mail (e, s) -> Printf.sprintf "getmail:%d:%s" e (sender_to_string s)
-  | Inject f -> "inject:" ^ fault_to_string f
-
 let action_of_string s =
-  let ( let* ) = Result.bind in
-  let int x =
-    match int_of_string_opt x with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad index %S in %S" x s)
-  in
+  let int = int_field (fun x -> Printf.sprintf "bad index %S in %S" x s) in
+  let sender = sender_of_string in
   match String.split_on_char ':' s with
-  | [ "create"; e ] ->
-      let* e = int e in
-      Ok (Create e)
-  | [ "allocpt"; e; l ] ->
-      let* e = int e in
-      let* l = int l in
-      Ok (Alloc_pt (e, l))
-  | [ "loadpage"; e; i ] ->
-      let* e = int e in
-      let* i = int i in
-      Ok (Load_page (e, i))
-  | [ "mapshared"; e ] ->
-      let* e = int e in
-      Ok (Map_shared e)
+  | [ "create"; e ] -> Ok (fun e -> Create e) <*> int e
+  | [ "allocpt"; e; l ] -> Ok (fun e l -> Alloc_pt (e, l)) <*> int e <*> int l
+  | [ "loadpage"; e; i ] -> Ok (fun e i -> Load_page (e, i)) <*> int e <*> int i
+  | [ "mapshared"; e ] -> Ok (fun e -> Map_shared e) <*> int e
   | [ "loadthread"; e; t ] ->
-      let* e = int e in
-      let* t = int t in
-      Ok (Load_thread (e, t))
-  | [ "init"; e ] ->
-      let* e = int e in
-      Ok (Init e)
-  | [ "delete"; e ] ->
-      let* e = int e in
-      Ok (Delete e)
-  | [ "blockmem"; u ] ->
-      let* u = int u in
-      Ok (Block_mem u)
-  | [ "cleanmem"; u ] ->
-      let* u = int u in
-      Ok (Clean_mem u)
-  | [ "grantmem"; u; e ] ->
-      let* u = int u in
-      let* e = int e in
-      Ok (Grant_mem (u, e))
-  | [ "grantos"; u ] ->
-      let* u = int u in
-      Ok (Grant_mem_os u)
+      Ok (fun e t -> Load_thread (e, t)) <*> int e <*> int t
+  | [ "init"; e ] -> Ok (fun e -> Init e) <*> int e
+  | [ "delete"; e ] -> Ok (fun e -> Delete e) <*> int e
+  | [ "blockmem"; u ] -> Ok (fun u -> Block_mem u) <*> int u
+  | [ "cleanmem"; u ] -> Ok (fun u -> Clean_mem u) <*> int u
+  | [ "grantmem"; u; e ] -> Ok (fun u e -> Grant_mem (u, e)) <*> int u <*> int e
+  | [ "grantos"; u ] -> Ok (fun u -> Grant_mem_os u) <*> int u
   | [ "acceptmem"; e; u ] ->
-      let* e = int e in
-      let* u = int u in
-      Ok (Accept_mem (e, u))
-  | [ "assign"; t; e ] ->
-      let* t = int t in
-      let* e = int e in
-      Ok (Assign (t, e))
+      Ok (fun e u -> Accept_mem (e, u)) <*> int e <*> int u
+  | [ "assign"; t; e ] -> Ok (fun t e -> Assign (t, e)) <*> int t <*> int e
   | [ "acceptthread"; e; t ] ->
-      let* e = int e in
-      let* t = int t in
-      Ok (Accept_thread (e, t))
+      Ok (fun e t -> Accept_thread (e, t)) <*> int e <*> int t
   | [ "release"; e; t ] ->
-      let* e = int e in
-      let* t = int t in
-      Ok (Release_thread (e, t))
-  | [ "unassign"; t ] ->
-      let* t = int t in
-      Ok (Unassign t)
-  | [ "delthread"; t ] ->
-      let* t = int t in
-      Ok (Delete_thread t)
+      Ok (fun e t -> Release_thread (e, t)) <*> int e <*> int t
+  | [ "unassign"; t ] -> Ok (fun t -> Unassign t) <*> int t
+  | [ "delthread"; t ] -> Ok (fun t -> Delete_thread t) <*> int t
   | [ "enter"; e; t; c ] ->
-      let* e = int e in
-      let* t = int t in
-      let* c = int c in
-      Ok (Enter (e, t, c))
-  | [ "exit"; e; c ] ->
-      let* e = int e in
-      let* c = int c in
-      Ok (Exit_enclave (e, c))
-  | [ "aex"; c ] ->
-      let* c = int c in
-      Ok (Aex c)
-  | [ "readaex"; e; t ] ->
-      let* e = int e in
-      let* t = int t in
-      Ok (Read_aex (e, t))
-  | [ "acceptmail"; e; snd ] ->
-      let* e = int e in
-      let* snd = sender_of_string snd in
-      Ok (Accept_mail (e, snd))
-  | [ "sendmail"; snd; e ] ->
-      let* snd = sender_of_string snd in
-      let* e = int e in
-      Ok (Send_mail (snd, e))
-  | [ "getmail"; e; snd ] ->
-      let* e = int e in
-      let* snd = sender_of_string snd in
-      Ok (Get_mail (e, snd))
-  | "inject" :: rest ->
-      let* f = fault_of_string (String.concat ":" rest) in
-      Ok (Inject f)
+      Ok (fun e t c -> Enter (e, t, c)) <*> int e <*> int t <*> int c
+  | [ "exit"; e; c ] -> Ok (fun e c -> Exit_enclave (e, c)) <*> int e <*> int c
+  | [ "aex"; c ] -> Ok (fun c -> Aex c) <*> int c
+  | [ "readaex"; e; t ] -> Ok (fun e t -> Read_aex (e, t)) <*> int e <*> int t
+  | [ "acceptmail"; e; x ] ->
+      Ok (fun e x -> Accept_mail (e, x)) <*> int e <*> sender x
+  | [ "sendmail"; x; e ] ->
+      Ok (fun x e -> Send_mail (x, e)) <*> sender x <*> int e
+  | [ "getmail"; e; x ] ->
+      Ok (fun e x -> Get_mail (e, x)) <*> int e <*> sender x
+  | "inject" :: f ->
+      Ok (fun f -> Inject f) <*> fault_of_string (String.concat ":" f)
   | _ -> Error (Printf.sprintf "unknown action %S" s)
 
-let path_to_string path = String.concat "," (List.map action_to_string path)
-
 let path_of_string s =
+  let cons tok acc =
+    Ok List.cons <*> action_of_string (String.trim tok) <*> acc
+  in
   if String.trim s = "" then Ok []
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | tok :: rest -> (
-          match action_of_string (String.trim tok) with
-          | Ok a -> go (a :: acc) rest
-          | Error e -> Error e)
-    in
-    go [] (String.split_on_char ',' s)
+  else List.fold_right cons (String.split_on_char ',' s) (Ok [])
 
 (* ------------------------------------------------------------------ *)
 (* Configuration and the fixed small geometry. *)
@@ -523,6 +475,12 @@ let verdict_to_string = function
   | Ok () -> "ok"
   | Error e -> Api_error.to_string e
 
+(* Did every world give one action the same verdict tag? *)
+let same_tags verdicts =
+  match List.map verdict_tag verdicts with
+  | t :: ts -> List.for_all (String.equal t) ts
+  | [] -> true
+
 (* ------------------------------------------------------------------ *)
 (* Canonical state encoding. Reads only public introspection; renders
    every name (eid, tid, domain, metadata address) as a symbol under a
@@ -543,34 +501,34 @@ let encode w perm_e perm_t buf =
     Array.init max_eids (fun i ->
         Sm.enclave_info sm ~eid:(eid_addr w perm_e.(i)))
   in
-  let domain_sym d =
-    if d = Hw.Trap.domain_untrusted then "os"
-    else if d = Hw.Trap.domain_sm then "sm"
-    else
-      let rec find i =
-        if i >= max_eids then "d" ^ string_of_int d
-        else
-          match einfo.(i) with
-          | Some info when info.Sm.i_domain = d -> "e" ^ string_of_int i
-          | Some _ | None -> find (i + 1)
-      in
-      find 0
-  in
-  let eid_sym eid =
+  (* The one index search behind every symbol: [prefix ^ i] for the
+     first display index [i < n] that [hit]s, else [miss ()]. *)
+  let sym prefix n hit miss =
     let rec find i =
-      if i >= max_eids then "x" ^ string_of_int eid
-      else if eid_addr w perm_e.(i) = eid then "e" ^ string_of_int i
+      if i >= n then miss ()
+      else if hit i then prefix ^ string_of_int i
       else find (i + 1)
     in
     find 0
   in
+  let is_eid a i = eid_addr w perm_e.(i) = a in
+  let is_tid a j = tid_addr w perm_t.(j) = a in
+  let domain_sym d =
+    if d = Hw.Trap.domain_untrusted then "os"
+    else if d = Hw.Trap.domain_sm then "sm"
+    else
+      sym "e" max_eids
+        (fun i ->
+          match einfo.(i) with
+          | Some info -> info.Sm.i_domain = d
+          | None -> false)
+        (fun () -> "d" ^ string_of_int d)
+  in
+  let eid_sym eid =
+    sym "e" max_eids (is_eid eid) (fun () -> "x" ^ string_of_int eid)
+  in
   let tid_sym tid =
-    let rec find j =
-      if j >= max_tids then "x" ^ string_of_int tid
-      else if tid_addr w perm_t.(j) = tid then "t" ^ string_of_int j
-      else find (j + 1)
-    in
-    find 0
+    sym "t" max_tids (is_tid tid) (fun () -> "x" ^ string_of_int tid)
   in
   (* tracked unit groups: every rid's Fig. 2 state (per-rid so any
      intra-group skew shows up as a distinct state, not silence), plus
@@ -661,26 +619,10 @@ let encode w perm_e perm_t buf =
   add "s";
   Sm.metadata_slots sm
   |> List.map (fun (addr, len) ->
-         let sym =
-           let rec eid i =
-             if i >= max_eids then None
-             else if eid_addr w perm_e.(i) = addr then
-               Some ("e" ^ string_of_int i)
-             else eid (i + 1)
-           and tidf j =
-             if j >= max_tids then None
-             else if tid_addr w perm_t.(j) = addr then
-               Some ("t" ^ string_of_int j)
-             else tidf (j + 1)
-           in
-           match eid 0 with
-           | Some s -> s
-           | None -> (
-               match tidf 0 with
-               | Some s -> s
-               | None -> "a" ^ string_of_int addr)
+         let other () =
+           sym "t" max_tids (is_tid addr) (fun () -> "a" ^ string_of_int addr)
          in
-         Printf.sprintf "%s+%d" sym len)
+         Printf.sprintf "%s+%d" (sym "e" max_eids (is_eid addr) other) len)
   |> List.sort compare
   |> List.iter (fun s -> add ("." ^ s));
   add ";";
@@ -780,10 +722,11 @@ let bringup =
 
 let initial_path config = if config.warm then bringup else []
 
-(* Build a fresh world and replay the initial path into it, insisting
-   the monitor accepts every bring-up step: a rejected one would skew
-   every explored path from a state nobody asked for. *)
-let new_world config backend =
+(* Build a fresh world on [backend] and replay the initial path into
+   it, insisting the monitor accepts every bring-up step (a rejected one
+   would skew every explored path from a state nobody asked for), then
+   [path], whatever its verdicts. *)
+let new_world config path backend =
   let w = make_world config backend in
   List.iter
     (fun a ->
@@ -795,20 +738,15 @@ let new_world config backend =
                (action_to_string a) (backend_name backend)
                (Api_error.to_string e)))
     (initial_path config);
+  List.iter (fun a -> ignore (apply w a)) path;
   w
 
-let build_worlds config path =
-  let wa = new_world config config.backend in
-  let wb =
-    if config.diff then Some (new_world config (other_backend config.backend))
-    else None
-  in
-  List.iter
-    (fun a ->
-      ignore (apply wa a);
-      match wb with Some wb -> ignore (apply wb a) | None -> ())
-    path;
-  (wa, wb)
+(* The worlds every run mode goes over: the configured backend's and,
+   with [diff], the other backend's, each at [path]. *)
+let worlds config path =
+  List.map (new_world config path)
+    (if config.diff then [ config.backend; other_backend config.backend ]
+     else [ config.backend ])
 
 let violations_of w =
   Checker.run_all ~events:(Tel.Sink.events w.w_sink) w.w_sm
@@ -819,28 +757,18 @@ let violations_of w =
 let holds config kind final prefix =
   match kind with
   | K_catalog (id, backend) ->
-      let w = new_world { config with diff = false } backend in
-      List.iter (fun a -> ignore (apply w a)) prefix;
-      ignore (apply w final);
+      let w = new_world config (prefix @ [ final ]) backend in
       List.exists (fun v -> v.Report.id = id) (violations_of w)
   | K_divergence ->
-      let wa = new_world config config.backend in
-      let wb = new_world config (other_backend config.backend) in
-      let in_sync =
-        List.for_all
-          (fun a -> verdict_tag (apply wa a) = verdict_tag (apply wb a))
-          prefix
-      in
-      in_sync && verdict_tag (apply wa final) <> verdict_tag (apply wb final)
+      (* found only with [diff] on, so the worlds are both backends *)
+      let ws = worlds config [] in
+      let agree a = same_tags (List.map (fun w -> apply w a) ws) in
+      List.for_all agree prefix && not (agree final)
   | K_transactional backend ->
-      let w = new_world { config with diff = false } backend in
-      List.iter (fun a -> ignore (apply w a)) prefix;
+      let w = new_world config prefix backend in
       let buf = Buffer.create 1024 in
       let before = ident_encoding w buf in
-      let v = apply w final in
-      let buf2 = Buffer.create 1024 in
-      let after = ident_encoding w buf2 in
-      (match v with Ok () -> false | Error _ -> true) && before <> after
+      Result.is_error (apply w final) && before <> ident_encoding w buf
 
 let minimize config f =
   let rec shrink prefix =
@@ -958,153 +886,84 @@ let explore config =
     digest := Digest.to_hex (Digest.string (!digest ^ key));
     Tel.Sink.incr_counter config.sink "modelcheck.states"
   in
-  let check_state path wa wb =
-    let report w =
-      List.iter
-        (fun v ->
-          match (path : action list) with
-          | [] -> ()
-          | _ ->
-              let prefix =
-                List.filteri (fun i _ -> i < List.length path - 1) path
-              in
-              let final = List.nth path (List.length path - 1) in
-              record
-                (K_catalog (v.Report.id, w.w_backend))
-                (Format.asprintf "%a" Report.pp v)
-                final prefix)
-        (violations_of w)
-    in
-    report wa;
-    match wb with Some wb -> report wb | None -> ()
-  in
-  (* root *)
-  let wa0, wb0 = build_worlds config [] in
-  let root_key =
-    canonical_key wa0 buf
-    ^ match wb0 with Some wb -> "|" ^ canonical_key wb buf | None -> ""
-  in
-  note_state root_key;
-  (* boot-state violations have no action to pin; report them verbatim *)
-  let boot_violations w =
+  (* every world's catalog violations, pinned to [action] after
+     [prefix] *)
+  let check_catalog ws ~detail action prefix =
     List.iter
-      (fun v ->
-        record
-          (K_catalog (v.Report.id, w.w_backend))
-          (Format.asprintf "boot state: %a" Report.pp v)
-          (Create 0) [])
-      (violations_of w)
+      (fun w ->
+        List.iter
+          (fun v ->
+            record (K_catalog (v.Report.id, w.w_backend)) (detail v) action
+              prefix)
+          (violations_of w))
+      ws
   in
-  boot_violations wa0;
-  (match wb0 with Some wb -> boot_violations wb | None -> ());
+  let key ws =
+    String.concat "|" (List.map (fun w -> canonical_key w buf) ws)
+  in
+  (* root; boot-state violations have no action to pin, so they are
+     reported verbatim *)
+  let root = worlds config [] in
+  note_state (key root);
+  check_catalog root (Create 0) []
+    ~detail:(Format.asprintf "boot state: %a" Report.pp);
   Queue.add ([], 0) queue;
   while not (Queue.is_empty queue) do
     let path, d = Queue.pop queue in
     if d < config.depth && not !truncated then begin
-      let wa = ref (fst (build_worlds { config with diff = false } path)) in
-      let wb =
-        ref
-          (if config.diff then
-             Some
-               (fst
-                  (build_worlds
-                     { config with diff = false;
-                       backend = other_backend config.backend }
-                     path))
-           else None)
+      (* each world with its identity encoding before the edge *)
+      let fresh () =
+        List.map (fun w -> (w, ident_encoding w buf)) (worlds config path)
       in
-      let ident_a = ref (ident_encoding !wa buf) in
-      let ident_b =
-        ref
-          (match !wb with
-          | Some w -> Some (ident_encoding w buf)
-          | None -> None)
-      in
-      let rebuild () =
-        let na, _ = build_worlds { config with diff = false } path in
-        wa := na;
-        ident_a := ident_encoding na buf;
-        match !wb with
-        | None -> ()
-        | Some _ ->
-            let nb, _ =
-              build_worlds
-                { config with diff = false;
-                  backend = other_backend config.backend }
-                path
-            in
-            wb := Some nb;
-            ident_b := Some (ident_encoding nb buf)
-      in
+      let ws = ref (fresh ()) in
       List.iter
         (fun a ->
           if not !truncated then begin
             incr edges;
-            let va = apply !wa a in
-            let vb = match !wb with Some w -> Some (apply w a) | None -> None in
-            let diverged =
-              match vb with
-              | Some vb when verdict_tag va <> verdict_tag vb ->
-                  record K_divergence
-                    (Printf.sprintf "%s: %s=%s, %s=%s" (action_to_string a)
-                       (backend_name config.backend)
-                       (verdict_to_string va)
-                       (backend_name (other_backend config.backend))
-                       (verdict_to_string vb))
-                    a path;
-                  true
-              | Some _ | None -> false
-            in
-            if diverged then rebuild ()
+            let vs = List.map (fun (w, _) -> apply w a) !ws in
+            if not (same_tags vs) then begin
+              let show (w, _) v =
+                backend_name w.w_backend ^ "=" ^ verdict_to_string v
+              in
+              record K_divergence
+                (Printf.sprintf "%s: %s" (action_to_string a)
+                   (String.concat ", " (List.map2 show !ws vs)))
+                a path;
+              ws := fresh ()
+            end
             else
-              match va with
+              match List.hd vs with
               | Error _ ->
-                  (* rejected on both sides: the transaction guarantee
-                     says no observable state changed *)
-                  let now_a = ident_encoding !wa buf in
-                  let tx_broken_a = now_a <> !ident_a in
-                  if tx_broken_a then
-                    record
-                      (K_transactional config.backend)
-                      (Printf.sprintf "%s: rejected call mutated state"
-                         (action_to_string a))
-                      a path;
-                  let tx_broken_b =
-                    match (!wb, !ident_b) with
-                    | Some w, Some ib ->
-                        let now_b = ident_encoding w buf in
-                        if now_b <> ib then begin
-                          record
-                            (K_transactional (other_backend config.backend))
-                            (Printf.sprintf "%s: rejected call mutated state"
-                               (action_to_string a))
-                            a path;
-                          true
-                        end
-                        else false
-                    | _ -> false
+                  (* rejected everywhere: the transaction guarantee says
+                     no observable state changed *)
+                  let broken =
+                    List.filter
+                      (fun (w, before) -> ident_encoding w buf <> before)
+                      !ws
                   in
-                  if tx_broken_a || tx_broken_b then rebuild ()
+                  List.iter
+                    (fun (w, _) ->
+                      record (K_transactional w.w_backend)
+                        (Printf.sprintf "%s: rejected call mutated state"
+                           (action_to_string a))
+                        a path)
+                    broken;
+                  if broken <> [] then ws := fresh ()
               | Ok () ->
-                  let key =
-                    canonical_key !wa buf
-                    ^
-                    match !wb with
-                    | Some w -> "|" ^ canonical_key w buf
-                    | None -> ""
-                  in
-                  if Hashtbl.mem visited key then begin
+                  let k = key (List.map fst !ws) in
+                  if Hashtbl.mem visited k then begin
                     incr dedup_hits;
                     Tel.Sink.incr_counter config.sink "modelcheck.dedup_hits"
                   end
                   else if !states >= config.max_states then truncated := true
                   else begin
-                    note_state key;
-                    let path' = path @ [ a ] in
-                    check_state path' !wa !wb;
-                    if d + 1 < config.depth then Queue.add (path', d + 1) queue
+                    note_state k;
+                    check_catalog (List.map fst !ws) a path
+                      ~detail:(Format.asprintf "%a" Report.pp);
+                    if d + 1 < config.depth then
+                      Queue.add (path @ [ a ], d + 1) queue
                   end;
-                  rebuild ()
+                  ws := fresh ()
           end)
         acts
     end
@@ -1133,24 +992,17 @@ type replay_step = {
 
 let replay config path =
   validate config;
-  let wa = new_world config config.backend in
-  let wb =
-    if config.diff then Some (new_world config (other_backend config.backend))
-    else None
+  let ws = worlds config [] in
+  let step a =
+    let vs = List.map (fun w -> verdict_to_string (apply w a)) ws in
+    {
+      r_action = a;
+      r_verdict = List.hd vs;
+      r_verdict_other = List.nth_opt vs 1;
+    }
   in
-  let steps =
-    List.map
-      (fun a ->
-        let va = apply wa a in
-        let vb = match wb with Some w -> Some (apply w a) | None -> None in
-        {
-          r_action = a;
-          r_verdict = verdict_to_string va;
-          r_verdict_other = Option.map verdict_to_string vb;
-        })
-      path
-  in
-  (steps, violations_of wa)
+  let steps = List.map step path in
+  (steps, List.concat_map violations_of ws)
 
 let replay_command config path =
   Printf.sprintf

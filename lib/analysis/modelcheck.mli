@@ -171,7 +171,9 @@ val replay :
 (** Execute one action sequence from the configuration's initial state
     (the bring-up prefix is applied first when [warm], and is not
     part of the reported steps) and return per-step verdicts plus the
-    full catalog report on the final state (primary backend). *)
+    full catalog report on the final state: the primary backend's, then,
+    with [diff], the other backend's, so a finding {!explore} made on
+    either backend reproduces under {!replay_command}. *)
 
 val replay_command : config -> action list -> string
 (** The [sanctorum_demo modelcheck --replay ...] command line that

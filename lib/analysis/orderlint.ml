@@ -92,14 +92,9 @@ let step st ({ seq; core; payload; _ } : Event.t) =
             flag st "order.exit" ~subject:(esub eid)
               (Printf.sprintf "exit with no outstanding enter (event #%d)" seq)
           else e.entered <- e.entered - 1;
-          (* the exit event does not say which core; release one *)
-          (match
-             Hashtbl.fold
-               (fun core e' acc -> if e' = eid then Some core else acc)
-               st.on_core None
-           with
-          | Some core -> Hashtbl.remove st.on_core core
-          | None -> ());
+          (* the monitor emits an exit, AEX included, on the core that
+             left *)
+          Hashtbl.remove st.on_core core;
           if aex then Hashtbl.replace st.pending_aex eid ())
   | Event.Machine_check _ ->
       (* the envelope names the faulted core; the trap handler that

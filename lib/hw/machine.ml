@@ -29,10 +29,7 @@ type fault_hooks = {
 type config = {
   mem_bytes : int;
   cores : int;
-  l1 : Cache.config;
   l2 : Cache.config;
-  tlb_entries : int;
-  pte_fetch_cycles : int;
   pmp_entries : int;
 }
 
@@ -128,7 +125,6 @@ type t = {
   cfg : config;
   sb_pages : sb_page option array;  (* indexed by physical page *)
   sb_ctxs : sb_ctx array;  (* indexed by core id *)
-  l1_shift : int;  (* log2 of the L1 line size: fetch-batch line tags *)
   mutable fast_path : bool;
   mutable phys_check : core:core -> access:Trap.access -> paddr:int -> bool;
   mutable pte_fetch_check : core:core -> paddr:int -> bool;
@@ -152,14 +148,18 @@ let page_shift = 12
 let page_mask = 0xfff
 let () = assert (Phys_mem.page_size = 1 lsl page_shift)
 
+(* Every core's L1, TLB size and page-walk step cost: one value on
+   every machine. *)
+let l1_config = Cache.default_l1
+let l1_shift = Sanctorum_util.Bits.log2 l1_config.Cache.line_bytes
+let tlb_entries = 32
+let pte_fetch_cycles = 12
+
 let default_config =
   {
     mem_bytes = 16 * 1024 * 1024;
     cores = 4;
-    l1 = Cache.default_l1;
     l2 = Cache.default_l2;
-    tlb_entries = 32;
-    pte_fetch_cycles = 12;
     pmp_entries = Pmp.entry_count;
   }
 
@@ -175,8 +175,8 @@ let create cfg =
       instret = 0;
       halted = false;
       quarantined = false;
-      tlb = Tlb.create ~entries:cfg.tlb_entries;
-      l1 = Cache.create cfg.l1;
+      tlb = Tlb.create ~entries:tlb_entries;
+      l1 = Cache.create l1_config;
       pmp = Pmp.create ~entries:cfg.pmp_entries ();
       timer_cmp = None;
       pending_interrupts = Queue.create ();
@@ -198,7 +198,7 @@ let create cfg =
       sx_line = -1;
       sx_line_paddr = 0;
       sx_line_rep = 0;
-      sx_hit_plus1 = cfg.l1.Cache.hit_cycles + 1;
+      sx_hit_plus1 = l1_config.Cache.hit_cycles + 1;
       sx_side_exit = false;
     }
   in
@@ -211,7 +211,6 @@ let create cfg =
     cfg;
     sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
     sb_ctxs = Array.map mk_sb_ctx cores;
-    l1_shift = Sanctorum_util.Bits.log2 cfg.l1.Cache.line_bytes;
     fast_path = true;
     phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
     pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
@@ -340,7 +339,7 @@ let translate_exn t core ~access ~vaddr ~size =
             Page_table.walk t.mem ~root_ppn:root ~vaddr:va ~pte_fetch_ok
           in
           Tel.Metrics.add t.ctrs.c_ptw_steps steps;
-          core.cycles <- core.cycles + (steps * t.cfg.pte_fetch_cycles);
+          core.cycles <- core.cycles + (steps * pte_fetch_cycles);
           match walked with
           | Error Page_table.Invalid_mapping ->
               raise (Fault (Trap.Page_fault (access, vaddr)))
@@ -374,13 +373,13 @@ let cache_cost t (core : core) ~paddr =
   let c = t.ctrs in
   if Cache.access_hit core.l1 ~paddr then begin
     Tel.Metrics.incr c.c_l1_hits;
-    t.cfg.l1.Cache.hit_cycles
+    l1_config.Cache.hit_cycles
   end
   else begin
     let l2_hit = Cache.access_hit t.l2 ~paddr in
     Tel.Metrics.incr c.c_l1_misses;
     Tel.Metrics.incr (if l2_hit then c.c_l2_hits else c.c_l2_misses);
-    t.cfg.l1.Cache.miss_cycles
+    l1_config.Cache.miss_cycles
     + if l2_hit then t.cfg.l2.Cache.hit_cycles else t.cfg.l2.Cache.miss_cycles
   end
 
@@ -934,7 +933,7 @@ let sb_branch_fn (op : Isa.branch_op) : int64 -> int64 -> bool =
    scrubbing fetch would decode. *)
 let sb_compile t ~ppn ~slot =
   let own_paddr = Phys_mem.page_base ppn lor (slot lsl 2) in
-  let own_line = own_paddr lsr t.l1_shift in
+  let own_line = own_paddr lsr l1_shift in
   let fall = if slot + 1 < sb_slots then slot + 1 else -1 in
   let off = slot lsl 2 in
   match Isa.decode (Phys_mem.read_u32 t.mem own_paddr) with

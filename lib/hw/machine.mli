@@ -51,10 +51,7 @@ type t
 type config = {
   mem_bytes : int;
   cores : int;
-  l1 : Cache.config;
   l2 : Cache.config;
-  tlb_entries : int;
-  pte_fetch_cycles : int;  (** added per page-walk step *)
   pmp_entries : int;
       (** PMP entries per core ({!Pmp.entry_count} by default). The
           Keystone platform needs roughly one deny entry per

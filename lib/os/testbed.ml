@@ -26,7 +26,7 @@ let create ?(backend = Sanctum_backend) ?(cores = 4)
     Option.value ~default:base.Hw.Machine.pmp_entries pmp_entries
   in
   let machine =
-    Hw.Machine.create { base with cores; mem_bytes; l2; pmp_entries }
+    Hw.Machine.create { Hw.Machine.cores; mem_bytes; l2; pmp_entries }
   in
   let platform =
     match backend with

@@ -415,6 +415,31 @@ let test_order group () =
         match expect with Some id -> fires id vs | None -> silent vs)
     order_cases
 
+(* One enclave entered on cores 0 and 1; one core exits and the other
+   takes a machine check, which abandons the thread still inside it. In
+   either order the destroy that follows is orderly: an exit releases
+   the core its event names, not whichever core the enclave is on. *)
+let test_exit_releases_its_core () =
+  let on core payload = (core, payload) in
+  let enter c =
+    Tel.Event.Enclave_entered { eid = 1; tid = 1 + c; target_core = c }
+  in
+  List.iter
+    (fun (exits, checked) ->
+      [
+        on (-1) (created 1);
+        on (-1) (inited 1);
+        on 0 (enter 0);
+        on 1 (enter 1);
+        on exits (exited 1);
+        on checked (Tel.Event.Machine_check { paddr = 0x80000 });
+        on (-1) (destroyed 1);
+      ]
+      |> List.mapi (fun i (core, payload) ->
+             { Tel.Event.seq = i; core; cycles = i; payload })
+      |> A.Orderlint.check |> silent)
+    [ (0, 1); (1, 0) ]
+
 (* A recorded honest churn run (creates, enters, exits, destroys and
    reinstalls), taken whole before the engine's final checkpoint. *)
 let honest_run_trace =
@@ -972,6 +997,8 @@ let suite =
       Alcotest.test_case "order.grant fires" `Quick (test_order "grant");
       Alcotest.test_case "order.aex-resume fires" `Quick (test_order "aex");
       Alcotest.test_case "order.mailbox fires" `Quick (test_order "mailbox");
+      Alcotest.test_case "order.destroy: an exit releases its own core"
+        `Quick test_exit_releases_its_core;
       Alcotest.test_case "honest workload trace is orderly" `Quick
         test_honest_run_trace;
       QCheck_alcotest.to_alcotest qcheck_order_streaming;

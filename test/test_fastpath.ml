@@ -262,6 +262,10 @@ type op =
   | Jalr_mis of int (* indirect jump, target possibly 2-misaligned *)
   | Read_cycle of int
   | Wild_load of int
+  | Loop_back of int * int
+      (* decrement the loop counter and branch back 1-4 slots before
+         the op while it stays positive, so a block reruns slots it
+         has run; half of these first rewrite the slot they loop to *)
   | Break
 
 type event =
@@ -285,9 +289,16 @@ let store_ops = Hw.Isa.[| Sb; Sh; Sw; Sd |]
 
 let regs_pool = Hw.Isa.[| a0; a1; a2; a3; a4; a5; t2; t3; t4 |]
 
-(* The program image is at most 96 words; stores into code target any
-   of them, so self-modification can hit already-executed, cached and
-   not-yet-fetched instructions alike. *)
+(* No op but [Loop_back]'s decrement writes the counter, which starts
+   each run at [loop_budget], so the loops branch back at most three
+   times in all (random words aside: the drives cap every run). *)
+let loop_counter = Hw.Isa.a7
+let loop_budget = 4L
+
+(* Stores into code target the program image's first 96 words, which
+   hold all of it unless a case draws a great many [Loop_back]s (two
+   or three words each), so self-modification can hit already-executed,
+   cached and not-yet-fetched instructions alike. *)
 let code_words = 96
 
 let instr_of_op op =
@@ -337,7 +348,24 @@ let instr_of_op op =
       Jalr (t5, t0, raw land 0x1fe)
   | Read_cycle rd -> Csr_read_cycle (r rd)
   | Wild_load rd -> Load (Ld, r rd, a6, 0)
+  | Loop_back (back, w) ->
+      (* the last of the op's instructions (see [instrs_of_op]) *)
+      Branch (Blt, zero, loop_counter, -4 * (2 + (w land 1) + (back mod 4)))
   | Break -> Ebreak
+
+(* The op whose first instruction sits at [slot]. A [Loop_back] is its
+   counter's decrement and then its branch, and with bit 0 of [w] set,
+   before both, a store of a pool register over the slot it loops to:
+   the branch then reruns a slot the block compiled before the store. *)
+let instrs_of_op ~slot op =
+  match op with
+  | Loop_back (back, w) ->
+      let open Hw.Isa in
+      let start = slot - 1 - (back mod 4) in
+      let rs = regs_pool.((w lsr 1) mod Array.length regs_pool) in
+      (if w land 1 = 1 then [ Store (Sw, rs, t0, 4 * start) ] else [])
+      @ [ Op_imm (Add, loop_counter, loop_counter, -1); instr_of_op op ]
+  | op -> [ instr_of_op op ]
 
 let apply_event m ~code_base ~data_base ~deny ev =
   match ev with
@@ -478,10 +506,17 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
     @ li s0 (data_base + page)
     @ li s1 (data_base + (2 * page))
   in
-  let body = List.map instr_of_op ops in
-  let program = prologue @ body @ [ Ecall; Ecall; Ecall; Ecall; Ecall ] in
-  Hw.Phys_mem.write_string mem ~pos:code_base (encode_program program);
   let plen = List.length prologue in
+  let rec body slot = function
+    | [] -> []
+    | op :: ops ->
+        let is = instrs_of_op ~slot op in
+        is @ body (slot + List.length is) ops
+  in
+  let program =
+    prologue @ body plen ops @ [ Ecall; Ecall; Ecall; Ecall; Ecall ]
+  in
+  Hw.Phys_mem.write_string mem ~pos:code_base (encode_program program);
   List.iter
     (fun (idx, word) ->
       (* raw words (mostly undecodable) dropped into the body *)
@@ -489,6 +524,7 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
       Hw.Phys_mem.write_u32 mem (code_base + (4 * slot)) (Int32.of_int word))
     raws;
   c.Hw.Machine.pc <- Int64.of_int code_base;
+  c.Hw.Machine.regs.(loop_counter) <- loop_budget;
   (match drive with
   | Per_instruction ->
       let steps = ref 0 in
@@ -544,6 +580,7 @@ let case_gen =
         (1, map (fun a -> Jalr_mis a) sm);
         (1, map (fun a -> Read_cycle a) sm);
         (1, map (fun a -> Wild_load a) sm);
+        (1, map2 (fun a b -> Loop_back (a, b)) sm sm);
         (1, pure Break);
       ]
   in
@@ -642,7 +679,9 @@ let prop_differential_entry =
    armed timers landing at random fuel-chunk boundaries; a timer then
    comes due wherever its deadline falls, mid-block included. Between
    chunks, a compiled page is dropped only by its frame's generation,
-   which every one of these writes moves. *)
+   which every one of these writes moves; inside a block, loops that
+   rewrite the slot they return to hold the tier to ending a block at a
+   store into its own frame. *)
 let prop_differential_run =
   QCheck2.Test.make
     ~name:

@@ -104,49 +104,173 @@ let test_replay_verdicts () =
     (List.map (fun st -> st.M.r_verdict) steps);
   Alcotest.(check int) "catalog silent" 0 (List.length violations)
 
-let test_replay_rejects_garbage () =
-  match M.path_of_string "enter:0:0:0,bogus:1" with
-  | Ok _ -> Alcotest.fail "parsed a bogus action token"
-  | Error _ -> ()
+(* With [diff], the final report covers both backends: a finding made
+   on the other backend must reproduce from the printed command, which
+   names the configured one. *)
+let test_replay_reports_both_backends () =
+  let path = [ M.Inject (M.Corrupt_owner_map 0) ] in
+  let ids c = List.map (fun v -> v.R.id) (snd (M.replay c path)) in
+  let sanctum = ids (cfg ()) and keystone = ids (cfg ~backend:M.Keystone ()) in
+  if sanctum = [] || keystone = [] then
+    Alcotest.fail "owner-map fault not reported";
+  Alcotest.(check (list string))
+    "primary, then other" (sanctum @ keystone)
+    (ids (cfg ~diff:true ()))
 
-let sample_actions =
+(* Findings print replay commands from these tokens, so each
+   constructor's printed form is pinned. *)
+let pinned_tokens =
   [
-    M.Create 1;
-    M.Alloc_pt (0, 2);
-    M.Load_page (1, 3);
-    M.Map_shared 0;
-    M.Load_thread (1, 1);
-    M.Init 1;
-    M.Delete 0;
-    M.Block_mem 1;
-    M.Clean_mem 0;
-    M.Grant_mem (1, 0);
-    M.Grant_mem_os 1;
-    M.Accept_mem (0, 1);
-    M.Assign (1, 0);
-    M.Accept_thread (0, 1);
-    M.Release_thread (1, 0);
-    M.Unassign 1;
-    M.Delete_thread 0;
-    M.Enter (0, 1, 1);
-    M.Exit_enclave (1, 0);
-    M.Aex 1;
-    M.Read_aex (0, 0);
-    M.Accept_mail (0, M.S_os);
-    M.Accept_mail (1, M.S_enclave 0);
-    M.Send_mail (M.S_os, 1);
-    M.Send_mail (M.S_enclave 1, 0);
-    M.Get_mail (0, M.S_enclave 1);
-    M.Inject (M.Corrupt_owner_map 1);
-    M.Inject (M.Corrupt_lifecycle 0);
-    M.Inject (M.Corrupt_thread (1, 0));
-    M.Inject M.Corrupt_meta;
+    (M.Create 1, "create:1");
+    (M.Alloc_pt (0, 2), "allocpt:0:2");
+    (M.Load_page (1, 3), "loadpage:1:3");
+    (M.Map_shared 0, "mapshared:0");
+    (M.Load_thread (1, 1), "loadthread:1:1");
+    (M.Init 1, "init:1");
+    (M.Delete 0, "delete:0");
+    (M.Block_mem 1, "blockmem:1");
+    (M.Clean_mem 0, "cleanmem:0");
+    (M.Grant_mem (1, 0), "grantmem:1:0");
+    (M.Grant_mem_os 1, "grantos:1");
+    (M.Accept_mem (0, 1), "acceptmem:0:1");
+    (M.Assign (1, 0), "assign:1:0");
+    (M.Accept_thread (0, 1), "acceptthread:0:1");
+    (M.Release_thread (1, 0), "release:1:0");
+    (M.Unassign 1, "unassign:1");
+    (M.Delete_thread 0, "delthread:0");
+    (M.Enter (0, 1, 1), "enter:0:1:1");
+    (M.Exit_enclave (1, 0), "exit:1:0");
+    (M.Aex 1, "aex:1");
+    (M.Read_aex (0, 0), "readaex:0:0");
+    (M.Accept_mail (0, M.S_os), "acceptmail:0:os");
+    (M.Accept_mail (1, M.S_enclave 0), "acceptmail:1:e0");
+    (M.Send_mail (M.S_os, 1), "sendmail:os:1");
+    (M.Send_mail (M.S_enclave 1, 0), "sendmail:e1:0");
+    (M.Get_mail (0, M.S_enclave 1), "getmail:0:e1");
+    (M.Inject (M.Corrupt_owner_map 1), "inject:owner-map:1");
+    (M.Inject (M.Corrupt_lifecycle 0), "inject:lifecycle:0");
+    (M.Inject (M.Corrupt_thread (1, 0)), "inject:thread:1:0");
+    (M.Inject M.Corrupt_meta, "inject:meta");
   ]
 
+let test_pinned_tokens () =
+  List.iter
+    (fun (a, tok) ->
+      Alcotest.(check string) tok tok (M.action_to_string a);
+      Alcotest.(check bool)
+        ("parses " ^ tok) true
+        (M.path_of_string tok = Ok [ a ]))
+    pinned_tokens;
+  Alcotest.(check string)
+    "a path joins its tokens with commas" "create:1,inject:meta"
+    (M.path_to_string [ M.Create 1; M.Inject M.Corrupt_meta ])
+
+(* Every constructor and every fault, with random small indices and
+   both kinds of sender (an enclave sender prints as one digit). *)
+let action_gen =
+  let open QCheck.Gen in
+  let i = 0 -- 99 in
+  let sender = oneof [ return M.S_os; map (fun e -> M.S_enclave e) (0 -- 9) ] in
+  let fault =
+    oneof
+      [
+        map (fun u -> M.Corrupt_owner_map u) i;
+        map (fun e -> M.Corrupt_lifecycle e) i;
+        map2 (fun t c -> M.Corrupt_thread (t, c)) i i;
+        return M.Corrupt_meta;
+      ]
+  in
+  oneof
+    [
+      map (fun e -> M.Create e) i;
+      map2 (fun e l -> M.Alloc_pt (e, l)) i i;
+      map2 (fun e p -> M.Load_page (e, p)) i i;
+      map (fun e -> M.Map_shared e) i;
+      map2 (fun e t -> M.Load_thread (e, t)) i i;
+      map (fun e -> M.Init e) i;
+      map (fun e -> M.Delete e) i;
+      map (fun u -> M.Block_mem u) i;
+      map (fun u -> M.Clean_mem u) i;
+      map2 (fun u e -> M.Grant_mem (u, e)) i i;
+      map (fun u -> M.Grant_mem_os u) i;
+      map2 (fun e u -> M.Accept_mem (e, u)) i i;
+      map2 (fun t e -> M.Assign (t, e)) i i;
+      map2 (fun e t -> M.Accept_thread (e, t)) i i;
+      map2 (fun e t -> M.Release_thread (e, t)) i i;
+      map (fun t -> M.Unassign t) i;
+      map (fun t -> M.Delete_thread t) i;
+      map3 (fun e t c -> M.Enter (e, t, c)) i i i;
+      map2 (fun e c -> M.Exit_enclave (e, c)) i i;
+      map (fun c -> M.Aex c) i;
+      map2 (fun e t -> M.Read_aex (e, t)) i i;
+      map2 (fun e x -> M.Accept_mail (e, x)) i sender;
+      map2 (fun x e -> M.Send_mail (x, e)) sender i;
+      map2 (fun e x -> M.Get_mail (e, x)) i sender;
+      map (fun f -> M.Inject f) fault;
+    ]
+
 let prop_path_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"path serialization round-trips"
-    QCheck.(list_of_size Gen.(1 -- 8) (oneofl sample_actions))
+  QCheck.Test.make ~count:200 ~name:"path serialization round-trips"
+    QCheck.(
+      make
+        ~print:(fun p -> M.path_to_string p)
+        Gen.(list_size (1 -- 8) action_gen))
     (fun path -> M.path_of_string (M.path_to_string path) = Ok path)
+
+(* Malformed input, with the message the CLI prints after "--replay:"
+   or "--inject:". A name and an arity no action has read as unknown,
+   whatever the fields; only a known shape reads its fields. *)
+let want_fault =
+  "(want owner-map:U, lifecycle:E, thread:T:C, meta)"
+
+let malformed_paths =
+  [
+    ("bogus:1", {|unknown action "bogus:1"|});
+    ("bogus:x", {|unknown action "bogus:x"|});
+    ("create", {|unknown action "create"|});
+    ("create:1:2", {|unknown action "create:1:2"|});
+    ("create:1:x", {|unknown action "create:1:x"|});
+    ("enter:0:0", {|unknown action "enter:0:0"|});
+    ("enter:0:0:0:0", {|unknown action "enter:0:0:0:0"|});
+    ("create:0,,create:1", {|unknown action ""|});
+    ("enter:0:0:0,bogus:1", {|unknown action "bogus:1"|});
+    ("create:x", {|bad index "x" in "create:x"|});
+    ("enter:0:x:y", {|bad index "x" in "enter:0:x:y"|});
+    ("readaex:1:e0", {|bad index "e0" in "readaex:1:e0"|});
+    ("sendmail:e0:x", {|bad index "x" in "sendmail:e0:x"|});
+    ("acceptmail:x:q", {|bad index "x" in "acceptmail:x:q"|});
+    ("acceptmail:1:q", {|bad sender "q" (want os, e0, e1)|});
+    ("sendmail:q:1", {|bad sender "q" (want os, e0, e1)|});
+    ("sendmail:q:x", {|bad sender "q" (want os, e0, e1)|});
+    ("getmail:0:e12", {|bad sender "e12" (want os, e0, e1)|});
+    ("inject:foo", {|bad fault "foo" |} ^ want_fault);
+    ("inject", {|bad fault "" |} ^ want_fault);
+    ("inject:thread:x:1", "bad fault thread:x:1");
+  ]
+
+let malformed_faults =
+  [
+    ("thread:x:1", "bad fault thread:x:1");
+    ("owner-map:q", "bad fault owner-map:q");
+    ("foo", {|bad fault "foo" |} ^ want_fault);
+    ("owner-map", {|bad fault "owner-map" |} ^ want_fault);
+    ("lifecycle:1:2", {|bad fault "lifecycle:1:2" |} ^ want_fault);
+    ("meta:1", {|bad fault "meta:1" |} ^ want_fault);
+  ]
+
+let test_replay_rejects_garbage () =
+  let error = function Ok _ -> "accepted" | Error e -> e in
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) s want (error (M.path_of_string s)))
+    malformed_paths;
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) s want (error (M.fault_of_string s)))
+    malformed_faults;
+  Alcotest.(check bool)
+    "a blank path is empty" true
+    (M.path_of_string " " = Ok [])
 
 (* ------------------------------------------------------------------ *)
 (* Regression: rejected page allocations must not mutate the enclave.
@@ -230,9 +354,12 @@ let suite =
         (find_and_replay ~depth:1 M.Corrupt_meta "meta.slots");
       Alcotest.test_case "replay reports per-step verdicts" `Quick
         test_replay_verdicts;
+      Alcotest.test_case "replay with --diff reports both backends" `Quick
+        test_replay_reports_both_backends;
       Alcotest.test_case "replay rejects malformed paths" `Quick
         test_replay_rejects_garbage;
       QCheck_alcotest.to_alcotest prop_path_roundtrip;
+      Alcotest.test_case "path tokens are pinned" `Quick test_pinned_tokens;
       Alcotest.test_case "rejected allocate_page_table leaks no page (sanctum)"
         `Quick
         (test_rejected_allocpt_leaks_nothing Sanctorum_os.Testbed.Sanctum_backend);
