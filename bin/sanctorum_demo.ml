@@ -993,6 +993,7 @@ let modelcheck_cmd =
       & info [ "inject" ] ~docv:"FAULT"
           ~doc:
             "Arm a seeded fault as an extra action: $(b,owner-map:U), \
+             $(b,keystone-owner-map:U) (Keystone's world only), \
              $(b,lifecycle:E), $(b,thread:T:C) or $(b,meta). The explorer \
              must reach it and the catalog must convict it.")
   in

@@ -33,10 +33,11 @@ type ctx = {
   sm : Sm.t;
   pf : Pf.Platform.t;
   machine : Hw.Machine.t;
-  enclaves : Sm.enclave_info list;  (* ascending eid *)
-  by_eid : (int, Sm.enclave_info) Hashtbl.t;
-  by_domain : (Hw.Trap.domain, Sm.enclave_info) Hashtbl.t;
-      (* the first enclave in [enclaves] holding each domain *)
+  enclaves : Sm.enclave_info array;  (* ascending eid, read this pass *)
+  threads : int list;  (* ascending tid *)
+  index : int Ints.t;  (* eid -> its place in [enclaves] *)
+  by_domain : int Ints.t;
+      (* domain -> the place of the first enclave holding it *)
   mutable out : Report.violation list;
 }
 
@@ -49,8 +50,8 @@ let domain_name ctx d =
   if d = Hw.Trap.domain_sm then "sm"
   else if d = Hw.Trap.domain_untrusted then "untrusted"
   else
-    match Hashtbl.find_opt ctx.by_domain d with
-    | Some e -> Printf.sprintf "enclave:0x%x" e.i_eid
+    match Ints.find_opt ctx.by_domain d with
+    | Some i -> Printf.sprintf "enclave:0x%x" ctx.enclaves.(i).i_eid
     | None -> Printf.sprintf "domain:%d" d
 
 (* ------------------------------------------------------------------ *)
@@ -60,44 +61,59 @@ let domain_name ctx d =
    allocation unit, and the monitor's own memory is never given away.
    The pass reads the resource table and the owner map and nothing
    else that moves, so [check] skips it while both versions stand
-   where they stood at its last pass that found nothing. *)
+   where they stood at its last pass that found nothing.
+
+   The units and the owner map's maximal same-owner ranges both
+   partition memory in ascending order, and the pass walks them in
+   step. A unit's first page the hardware gives elsewhere is the start,
+   clipped to the unit, of its first range whose owner is not the one
+   the unit's state names; a unit is finished, and its monitor
+   reservation checked, at the range it ends in. *)
+
+let expected_owner = function
+  | Resource.Owned d | Resource.Blocked d -> d
+  | Resource.Available | Resource.Offered _ -> Hw.Trap.domain_untrusted
 
 let check_ownership ctx =
   let unit_bytes = Sm.memory_unit_bytes ctx.sm in
+  let units = Sm.memory_units ctx.sm in
   let sm_units = Pf.Platform.sm_memory_bytes / unit_bytes in
-  let owner_at = ctx.pf.Pf.Platform.owner_at in
-  for rid = 0 to Sm.memory_units ctx.sm - 1 do
-    match Sm.resource_state ctx.sm Resource.Memory_resource ~rid with
-    | Error e ->
-        flag ctx "own.exclusive" ~subject:(Printf.sprintf "unit %d" rid)
-          (Printf.sprintf "resource state unreadable: %s"
-             (Sanctorum.Api_error.to_string e))
-    | Ok state ->
-        let expected_hw =
+  let exclusive rid state ~paddr hw =
+    flag ctx "own.exclusive" ~subject:(Printf.sprintf "unit %d" rid)
+      (Printf.sprintf "resource map says %s but hardware owner at 0x%x is %s"
+         (domain_name ctx (expected_owner state))
+         paddr (domain_name ctx hw))
+  in
+  (* the first unit not yet finished, and whether it was flagged *)
+  let rid = ref 0 and flagged = ref false in
+  ctx.pf.Pf.Platform.iter_ranges (fun ~lo ~hi ~domain ->
+      (* the units that end inside the range, then one that goes on *)
+      let first = !rid and stop = min units (hi / unit_bytes) in
+      for r = first to stop - 1 do
+        let state = Sm.memory_state ctx.sm ~rid:r in
+        if (r > first || not !flagged) && expected_owner state <> domain then
+          exclusive r state ~paddr:(max lo (r * unit_bytes)) domain;
+        if r < sm_units then
           match state with
-          | Resource.Owned d | Resource.Blocked d -> d
-          | Resource.Available | Resource.Offered _ -> Hw.Trap.domain_untrusted
-        in
-        (* stop at the unit's first page the hardware gives elsewhere *)
-        let hi = (rid + 1) * unit_bytes in
-        let paddr = ref (rid * unit_bytes) in
-        while !paddr < hi && owner_at ~paddr:!paddr = expected_hw do
-          paddr := !paddr + page
-        done;
-        if !paddr < hi then begin
-          let hw = owner_at ~paddr:!paddr in
-          flag ctx "own.exclusive" ~subject:(Printf.sprintf "unit %d" rid)
-            (Printf.sprintf
-               "resource map says %s but hardware owner at 0x%x is %s"
-               (domain_name ctx expected_hw)
-               !paddr (domain_name ctx hw))
-        end;
-        if rid < sm_units && state <> Resource.Owned Hw.Trap.domain_sm then
-          flag ctx "own.sm-reserved" ~subject:(Printf.sprintf "unit %d" rid)
-            (Format.asprintf
-               "monitor-reserved unit is %a, expected owned by the monitor"
-               Resource.pp_state state)
-  done
+          | Resource.Owned d when d = Hw.Trap.domain_sm -> ()
+          | _ ->
+              flag ctx "own.sm-reserved" ~subject:(Printf.sprintf "unit %d" r)
+                (Format.asprintf
+                   "monitor-reserved unit is %a, expected owned by the monitor"
+                   Resource.pp_state state)
+      done;
+      if stop > first then begin
+        rid := stop;
+        flagged := false
+      end;
+      let r = !rid in
+      if r < units && r * unit_bytes < hi && not !flagged then begin
+        let state = Sm.memory_state ctx.sm ~rid:r in
+        if expected_owner state <> domain then begin
+          flagged := true;
+          exclusive r state ~paddr:(max lo (r * unit_bytes)) domain
+        end
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* pt.confined / pt.no-alias: a full Sv39 walk of every enclave's
@@ -117,68 +133,93 @@ let check_ownership ctx =
    the leaves of other enclaves) run on every replay. *)
 
 type step =
-  | Table of { level : int; ppn : int; gen : int }
-      (* a table frame read, with its generation at the time *)
+  | Table of { level : int; ppn : int }  (* a table frame read *)
   | Cycle of int  (* a table frame reached a second time *)
   | Leaf of { vaddr : int; ppn : int }
   | Pointer0 of { table : int; idx : int }  (* a pointer in a level-0 table *)
   | Beyond of { table : int; idx : int; ppn : int; leaf : bool }
       (* an entry naming a frame outside DRAM: not followed *)
 
-type walk = { root : int; steps : step list; mutable pass : int }
+(* [tables] holds each table frame the walk read and its generation at
+   the time, in pairs, so the test for a replay reads one small array. *)
+type walk = {
+  root : int;
+  steps : step list;
+  tables : int array;
+  mutable pass : int;
+}
 
-(* [own_*] and [replay_owners] hold the versions the last pass of the
-   ownership check, and of the replay, that found nothing read; -1
-   while there is none (no version is negative). *)
+type skips = { ownership : int; replay : int; slots : int; ids : int }
+
+(* [own_*], [replay_owners] and [slot_version] hold the versions the
+   last pass of the ownership check, of the replay and of the slot
+   check that found nothing read; -1 while there is none (no version is
+   negative). [eids], [tids], [index] and [by_domain] are what the
+   monitor's population version [population_version] gives. *)
 type memo = {
-  walks : (int, walk) Hashtbl.t;  (* eid -> its walk at the last pass *)
+  walks : walk Ints.t;  (* eid -> its walk at the last pass *)
   mutable monitor : Sm.t option;  (* the monitor the memo follows *)
   mutable passes : int;
   mutable replays : int;
   mutable own_resources : int;  (* resource-table version *)
   mutable own_owners : int;  (* owner-map version *)
   mutable replay_owners : int;  (* owner-map version *)
-  mutable own_skips : int;
-  mutable replay_skips : int;
+  mutable slot_version : int;
+  mutable population_version : int;
+  mutable eids : int array;  (* ascending *)
+  mutable tids : int list;  (* ascending *)
+  index : int Ints.t;  (* eid -> its place in [eids] *)
+  by_domain : int Ints.t;
+      (* domain -> the place of the first enclave holding it *)
+  mutable skips : skips;
 }
 
 let memo () =
   {
-    walks = Hashtbl.create 64;
+    walks = Ints.create 64;
     monitor = None;
     passes = 0;
     replays = 0;
     own_resources = -1;
     own_owners = -1;
     replay_owners = -1;
-    own_skips = 0;
-    replay_skips = 0;
+    slot_version = -1;
+    population_version = -1;
+    eids = [||];
+    tids = [];
+    index = Ints.create 64;
+    by_domain = Ints.create 64;
+    skips = { ownership = 0; replay = 0; slots = 0; ids = 0 };
   }
 
 let replays m = m.replays
-let skips m = (m.own_skips, m.replay_skips)
+
+let skips m = m.skips
 
 (* A memo handed another monitor starts over. *)
 let follow memo sm =
   match memo.monitor with
   | Some s when s == sm -> ()
   | Some _ | None ->
-      Hashtbl.reset memo.walks;
+      Ints.reset memo.walks;
       memo.monitor <- Some sm;
       memo.own_resources <- -1;
       memo.own_owners <- -1;
-      memo.replay_owners <- -1
+      memo.replay_owners <- -1;
+      memo.slot_version <- -1;
+      memo.population_version <- -1
 
 let record mem root =
   let frames = Hw.Phys_mem.size mem / page in
-  let visited = Hashtbl.create 16 in
-  let steps = ref [] in
+  let visited = Ints.create 16 in
+  let steps = ref [] and tables = ref [] in
   let add s = steps := s :: !steps in
   let rec walk_table ppn ~level ~vpn_prefix =
-    if Hashtbl.mem visited ppn then add (Cycle ppn)
+    if Ints.mem visited ppn then add (Cycle ppn)
     else begin
-      Hashtbl.replace visited ppn ();
-      add (Table { level; ppn; gen = Hw.Phys_mem.generation mem ppn });
+      Ints.replace visited ppn ();
+      add (Table { level; ppn });
+      tables := Hw.Phys_mem.generation mem ppn :: ppn :: !tables;
       let table = Hw.Phys_mem.page_base ppn in
       (* an all-zero slot is never a valid entry *)
       Hw.Phys_mem.iter_nonzero_words mem ~pos:table ~len:page
@@ -201,13 +242,20 @@ let record mem root =
     end
   in
   walk_table root ~level:(Hw.Page_table.levels - 1) ~vpn_prefix:0;
-  List.rev !steps
+  {
+    root;
+    steps = List.rev !steps;
+    tables = Array.of_list (List.rev !tables);
+    pass = 0;
+  }
 
-let rec unchanged mem = function
-  | [] -> true
-  | Table { ppn; gen; _ } :: rest ->
-      Hw.Phys_mem.generation mem ppn = gen && unchanged mem rest
-  | (Cycle _ | Leaf _ | Pointer0 _ | Beyond _) :: rest -> unchanged mem rest
+let unchanged mem w =
+  let rec from i =
+    i = Array.length w.tables
+    || Hw.Phys_mem.generation mem w.tables.(i) = w.tables.(i + 1)
+       && from (i + 2)
+  in
+  from 0
 
 let enclave_subject (e : Sm.enclave_info) =
   Printf.sprintf "enclave 0x%x" e.i_eid
@@ -237,13 +285,13 @@ let replay_step ctx leaves (e : Sm.enclave_info) step =
             (Printf.sprintf
                "evrange mapping 0x%x -> frame 0x%x lies in %s memory" vaddr
                paddr (domain_name ctx owner));
-        match Hashtbl.find_opt leaves ppn with
+        match Ints.find_opt leaves ppn with
         | Some (other_eid, other_vaddr) ->
             flag ctx "pt.no-alias" ~subject:(enclave_subject e)
               (Printf.sprintf
                  "frame 0x%x mapped at 0x%x and (enclave 0x%x) 0x%x" paddr
                  vaddr other_eid other_vaddr)
-        | None -> Hashtbl.replace leaves ppn (e.i_eid, vaddr)
+        | None -> Ints.replace leaves ppn (e.i_eid, vaddr)
       end
       else if owner <> Hw.Trap.domain_untrusted && owner <> e.i_domain then
         (* a window the OS later granted to this enclave is harmless;
@@ -278,41 +326,43 @@ let check_page_tables memo ctx =
   let mem = Hw.Machine.mem ctx.machine in
   memo.passes <- memo.passes + 1;
   let all_replay = ref true in
-  let walked =
-    List.filter_map
-      (fun (e : Sm.enclave_info) ->
-        match e.i_root_ppn with
-        | None -> None
-        | Some root ->
-            let w =
-              match Hashtbl.find_opt memo.walks e.i_eid with
-              | Some w when w.root = root && unchanged mem w.steps ->
-                  memo.replays <- memo.replays + 1;
-                  w
-              | Some _ | None ->
-                  all_replay := false;
-                  let w = { root; steps = record mem root; pass = 0 } in
-                  Hashtbl.replace memo.walks e.i_eid w;
-                  w
-            in
-            w.pass <- memo.passes;
-            Some (e, w))
-      ctx.enclaves
+  let walk (e : Sm.enclave_info) =
+    match e.i_root_ppn with
+    | None -> None
+    | Some root ->
+        let w =
+          match Ints.find_opt memo.walks e.i_eid with
+          | Some w when w.root = root && unchanged mem w ->
+              memo.replays <- memo.replays + 1;
+              w
+          | Some _ | None ->
+              all_replay := false;
+              let w = record mem root in
+              Ints.replace memo.walks e.i_eid w;
+              w
+        in
+        w.pass <- memo.passes;
+        Some w
   in
+  let walked = Array.map walk ctx.enclaves in
   (* forget the enclaves this pass did not walk: dead, or rootless *)
-  let before = Hashtbl.length memo.walks in
-  Hashtbl.filter_map_inplace
+  let before = Ints.length memo.walks in
+  Ints.filter_map_inplace
     (fun _ w -> if w.pass = memo.passes then Some w else None)
     memo.walks;
   let owners = ctx.pf.Pf.Platform.owner_version () in
   if
     !all_replay
-    && Hashtbl.length memo.walks = before
+    && Ints.length memo.walks = before
     && owners = memo.replay_owners
-  then memo.replay_skips <- memo.replay_skips + 1
+  then memo.skips <- { memo.skips with replay = memo.skips.replay + 1 }
   else begin
-    let found = ctx.out and leaves = Hashtbl.create 64 in
-    List.iter (fun (e, w) -> replay ctx leaves e w.steps) walked;
+    let found = ctx.out and leaves = Ints.create 64 in
+    Array.iteri
+      (fun i -> function
+        | Some w -> replay ctx leaves ctx.enclaves.(i) w.steps
+        | None -> ())
+      walked;
     memo.replay_owners <- (if ctx.out == found then owners else -1)
   end
 
@@ -372,83 +422,81 @@ let check_residue ctx =
    consistent — e.g. a thread can only be running in an initialized
    enclave, on a core whose domain register agrees. *)
 
+let lifecycle ctx (e : Sm.enclave_info) detail =
+  flag ctx "enclave.lifecycle" ~subject:(enclave_subject e) detail
+
+let thread_flag ctx tid detail =
+  flag ctx "thread.lifecycle" ~subject:(Printf.sprintf "thread 0x%x" tid) detail
+
+(* The live enclave that owns an assigned or running thread, flagging a
+   thread that has none. *)
+let owner_enclave ctx tid (th : Sm.thread_info) =
+  match th.i_owner with
+  | None ->
+      thread_flag ctx tid "assigned or running without an owning enclave";
+      None
+  | Some eid -> (
+      match Ints.find_opt ctx.index eid with
+      | None ->
+          thread_flag ctx tid (Printf.sprintf "owned by dead enclave 0x%x" eid);
+          None
+      | Some i -> Some ctx.enclaves.(i))
+
 let check_lifecycles ctx =
-  List.iter
+  Array.iter
     (fun (e : Sm.enclave_info) ->
-      let subject () = Printf.sprintf "enclave 0x%x" e.i_eid in
       if e.i_initialized then begin
         if not e.i_has_measurement then
-          flag ctx "enclave.lifecycle" ~subject:(subject ())
-            "initialized but the measurement was never finalized";
+          lifecycle ctx e "initialized but the measurement was never finalized";
         if e.i_measuring then
-          flag ctx "enclave.lifecycle" ~subject:(subject ())
-            "initialized but a measurement context is still open";
+          lifecycle ctx e "initialized but a measurement context is still open";
         if e.i_root_ppn = None then
-          flag ctx "enclave.lifecycle" ~subject:(subject ())
-            "initialized without a page-table root"
+          lifecycle ctx e "initialized without a page-table root"
       end
       else begin
         if e.i_has_measurement then
-          flag ctx "enclave.lifecycle" ~subject:(subject ())
-            "loading but already carries a final measurement";
+          lifecycle ctx e "loading but already carries a final measurement";
         if not e.i_measuring then
-          flag ctx "enclave.lifecycle" ~subject:(subject ())
-            "loading but the measurement context is closed"
+          lifecycle ctx e "loading but the measurement context is closed"
       end)
     ctx.enclaves;
-  let running_on : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let running_on = Ints.create 8 in
   List.iter
     (fun tid ->
       match Sm.thread_info ctx.sm ~tid with
       | None -> ()
-      | Some th ->
-          let subject () = Printf.sprintf "thread 0x%x" tid in
-          let owner_enclave () =
-            match th.Sm.i_owner with
-            | None ->
-                flag ctx "thread.lifecycle" ~subject:(subject ())
-                  "assigned or running without an owning enclave";
-                None
-            | Some eid -> (
-                match Hashtbl.find_opt ctx.by_eid eid with
-                | None ->
-                    flag ctx "thread.lifecycle" ~subject:(subject ())
-                      (Printf.sprintf "owned by dead enclave 0x%x" eid);
-                    None
-                | Some e -> Some e)
-          in
-          (match th.Sm.i_phase with
+      | Some th -> (
+          match th.Sm.i_phase with
           | `Available -> ()
-          | `Assigned -> ignore (owner_enclave ())
+          | `Assigned -> ignore (owner_enclave ctx tid th)
           | `Running core -> (
-              (match Hashtbl.find_opt running_on core with
+              (match Ints.find_opt running_on core with
               | Some other ->
-                  flag ctx "thread.lifecycle" ~subject:(subject ())
-                    (Printf.sprintf
-                       "running on core %d alongside thread 0x%x" core other)
-              | None -> Hashtbl.replace running_on core tid);
-              match owner_enclave () with
+                  thread_flag ctx tid
+                    (Printf.sprintf "running on core %d alongside thread 0x%x"
+                       core other)
+              | None -> Ints.replace running_on core tid);
+              match owner_enclave ctx tid th with
               | None -> ()
               | Some e ->
                   if not e.i_initialized then
-                    flag ctx "thread.lifecycle" ~subject:(subject ())
+                    thread_flag ctx tid
                       (Printf.sprintf
                          "running in enclave 0x%x which is still loading"
                          e.i_eid);
                   if core < 0 || core >= Hw.Machine.core_count ctx.machine
                   then
-                    flag ctx "thread.lifecycle" ~subject:(subject ())
+                    thread_flag ctx tid
                       (Printf.sprintf "running on nonexistent core %d" core)
                   else
                     let c = Hw.Machine.core ctx.machine core in
                     if c.Hw.Machine.domain <> e.i_domain then
-                      flag ctx "thread.lifecycle" ~subject:(subject ())
+                      thread_flag ctx tid
                         (Printf.sprintf
-                           "running on core %d whose domain is %s, not %s"
-                           core
+                           "running on core %d whose domain is %s, not %s" core
                            (domain_name ctx c.Hw.Machine.domain)
                            (domain_name ctx e.i_domain)))))
-    (Sm.thread_ids ctx.sm)
+    ctx.threads
 
 let check_cores ctx =
   Array.iter
@@ -471,11 +519,12 @@ let check_cores ctx =
       end
       else if d = Hw.Trap.domain_sm || d = Hw.Trap.domain_untrusted then ()
       else
-        match Hashtbl.find_opt ctx.by_domain d with
+        match Ints.find_opt ctx.by_domain d with
         | None ->
             flag ctx "core.domain" ~subject:(subject ())
               (Printf.sprintf "domain register holds dead domain %d" d)
-        | Some e ->
+        | Some i ->
+            let e = ctx.enclaves.(i) in
             if c.Hw.Machine.satp_root <> e.i_root_ppn then
               flag ctx "core.domain" ~subject:(subject ())
                 (Printf.sprintf
@@ -524,33 +573,51 @@ let check_locks ctx =
         "lock is still held between API calls")
     (Sm.held_locks ctx.sm)
 
+(* The enclave and thread ids and the two indexes change only when an
+   enclave or a thread is created or deleted, so they are read again
+   only once the monitor's population version has moved; the enclaves'
+   records are read afresh on every pass. *)
+let read_enclaves memo sm =
+  let population = Sm.population_version sm in
+  let moved = population <> memo.population_version in
+  if moved then begin
+    memo.population_version <- population;
+    memo.eids <- Array.of_list (Sm.enclaves sm);
+    memo.tids <- Sm.thread_ids sm;
+    Ints.clear memo.index;
+    Ints.clear memo.by_domain
+  end
+  else memo.skips <- { memo.skips with ids = memo.skips.ids + 1 };
+  Array.mapi
+    (fun i eid ->
+      let e = Option.get (Sm.enclave_info sm ~eid) in
+      if moved then begin
+        Ints.replace memo.index eid i;
+        if not (Ints.mem memo.by_domain e.i_domain) then
+          Ints.replace memo.by_domain e.i_domain i
+      end;
+      e)
+    memo.eids
+
 let check memo sm =
-  let enclaves =
-    List.filter_map (fun eid -> Sm.enclave_info sm ~eid) (Sm.enclaves sm)
-  in
-  let by_eid = Hashtbl.create 64 and by_domain = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Sm.enclave_info) ->
-      Hashtbl.replace by_eid e.i_eid e;
-      if not (Hashtbl.mem by_domain e.i_domain) then
-        Hashtbl.replace by_domain e.i_domain e)
-    enclaves;
+  follow memo sm;
+  let enclaves = read_enclaves memo sm in
   let ctx =
     {
       sm;
       pf = Sm.platform sm;
       machine = Sm.machine sm;
       enclaves;
-      by_eid;
-      by_domain;
+      threads = memo.tids;
+      index = memo.index;
+      by_domain = memo.by_domain;
       out = [];
     }
   in
-  follow memo sm;
   let resources = Sm.resource_version sm
   and owners = ctx.pf.Pf.Platform.owner_version () in
   if resources = memo.own_resources && owners = memo.own_owners then
-    memo.own_skips <- memo.own_skips + 1
+    memo.skips <- { memo.skips with ownership = memo.skips.ownership + 1 }
   else begin
     check_ownership ctx;
     let clean = ctx.out = [] in
@@ -561,6 +628,14 @@ let check memo sm =
   check_residue ctx;
   check_lifecycles ctx;
   check_cores ctx;
-  check_metadata ctx;
+  (* the slot check reads the slot table and nothing else that moves *)
+  let slots = Sm.slot_version sm in
+  if slots = memo.slot_version then
+    memo.skips <- { memo.skips with slots = memo.skips.slots + 1 }
+  else begin
+    let found = ctx.out in
+    check_metadata ctx;
+    memo.slot_version <- (if ctx.out == found then slots else -1)
+  end;
   check_locks ctx;
   List.rev ctx.out

@@ -39,7 +39,16 @@ type memo
       every walk replays and none is forgotten, the replay's other
       inputs (each enclave's domain and evrange, the aliases across
       enclaves) are the last pass's too, so while the owner map also
-      stands the replay is skipped.
+      stands the replay is skipped;
+    - the slot-table version ({!Sanctorum.Sm.slot_version}) of the last
+      metadata-slot check that found nothing: the check reads the slot
+      table and nothing else that moves, so while it stands the check
+      is skipped;
+    - the enclave and thread ids, in ascending order, and the indexes
+      from eid and from domain to an enclave, read at the monitor's
+      {!Sanctorum.Sm.population_version}: they are read again only
+      once it moves, while each enclave's and thread's record is read
+      afresh on every pass.
 
     A skipped check reports what it reported last, nothing, and every
     other check runs against the current state on every pass, so
@@ -54,9 +63,17 @@ val replays : memo -> int
 (** Walks this memo has replayed instead of re-reading, over all its
     passes. *)
 
-val skips : memo -> int * int
-(** [(ownership, replay)]: the passes, over the memo's life, that
-    skipped the ownership check and the page-table replay. *)
+type skips = {
+  ownership : int;  (** passes that skipped the ownership check *)
+  replay : int;  (** passes that skipped the page-table replay *)
+  slots : int;  (** passes that skipped the metadata-slot check *)
+  ids : int;
+      (** passes that kept the enclave and thread ids and the indexes
+          instead of reading them again *)
+}
+
+val skips : memo -> skips
+(** The passes, over the memo's life, that skipped each piece of work. *)
 
 val check : memo -> Sanctorum.Sm.t -> Report.violation list
 (** [check memo sm] runs the pass over [sm], walking afresh each
@@ -65,4 +82,6 @@ val check : memo -> Sanctorum.Sm.t -> Report.violation list
     reports, in the same order. A memo follows one monitor: handed
     another, it starts over. The shared L2's monitor-memory residue
     scan runs only once a fill has tagged a line below monitor memory
-    ({!Sanctorum_hw.Cache.lowest_fill}). *)
+    ({!Sanctorum_hw.Cache.lowest_fill}). The ownership check walks the
+    units and the owner map's maximal ranges in step
+    ({!Sanctorum_platform.Platform.t.iter_ranges}). *)

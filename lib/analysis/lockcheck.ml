@@ -16,22 +16,28 @@ let ids = [ "lock.leak"; "lock.guard"; "lock.order" ]
 
 (* Lock classes define the global acquisition order the monitor is
    expected to respect: resource < enclave < thread. An inversion is a
-   cycle in the observed class-order graph. *)
-let class_index = function
+   cycle in the observed class-order graph. A lock is held as one int,
+   its class in the two low bits, so the pass takes, finds and drops
+   locks without touching the heap. *)
+let code = function
   | Event.Resource_lock -> 0
-  | Event.Enclave_lock _ -> 1
-  | Event.Thread_lock _ -> 2
+  | Event.Enclave_lock e -> (e lsl 2) lor 1
+  | Event.Thread_lock t -> (t lsl 2) lor 2
+
+let lock_of code =
+  match code land 3 with
+  | 0 -> Event.Resource_lock
+  | 1 -> Event.Enclave_lock (code asr 2)
+  | _ -> Event.Thread_lock (code asr 2)
 
 let class_names = [| "resource"; "enclave"; "thread" |]
 
-let same_lock (a : Event.lock) (b : Event.lock) =
-  match (a, b) with
-  | Resource_lock, Resource_lock -> true
-  | Enclave_lock x, Enclave_lock y | Thread_lock x, Thread_lock y -> x = y
-  | _ -> false
-
+(* The held locks are a stack in two arrays, oldest at index 0; the
+   arrays double when a take finds them full. *)
 type t = {
-  mutable held : (Event.lock * int) list;  (* lock, seq acquired; LIFO *)
+  mutable locks : int array;  (* the codes [locks.(0 .. held - 1)] *)
+  mutable since : int array;  (* the seq each held lock was taken at *)
+  mutable held : int;
   mutable seen : int;
       (* bit [3 * outer + inner] set once that class edge is in [edges] *)
   edges : (string * string, Event.lock * Event.lock * int) Hashtbl.t;
@@ -39,97 +45,115 @@ type t = {
   mutable out : Report.violation list;
 }
 
-let create () = { held = []; seen = 0; edges = Hashtbl.create 8; out = [] }
+let create () =
+  {
+    locks = Array.make 8 0;
+    since = Array.make 8 0;
+    held = 0;
+    seen = 0;
+    edges = Hashtbl.create 8;
+    out = [];
+  }
 
 let flag st ?severity id ~subject detail =
   st.out <- Report.v ?severity id ~subject detail :: st.out
 
-let rec holds lock = function
-  | [] -> false
-  | (l, _) :: rest -> same_lock l lock || holds lock rest
-
-let rec without lock = function
-  | [] -> []
-  | ((l, _) as h) :: rest ->
-      if same_lock l lock then rest else h :: without lock rest
+(* The index of the lock coded [c] among the held locks, or -1. *)
+let find st c =
+  let i = ref (st.held - 1) in
+  while !i >= 0 && st.locks.(!i) <> c do
+    decr i
+  done;
+  !i
 
 let on_acquire st ~seq lock =
-  if holds lock st.held then
+  let c = code lock in
+  if find st c >= 0 then
     flag st "lock.leak" ~subject:(Event.lock_name lock)
       (Printf.sprintf "re-acquired while already held (event #%d)" seq)
   else begin
-    let inner = class_index lock in
-    List.iter
-      (fun (outer, _) ->
-        let outer_class = class_index outer in
-        let bit = 1 lsl ((3 * outer_class) + inner) in
-        if st.seen land bit = 0 then begin
-          st.seen <- st.seen lor bit;
-          let edge = (class_names.(outer_class), class_names.(inner)) in
-          Hashtbl.replace st.edges edge (outer, lock, seq)
-        end)
-      st.held;
-    st.held <- (lock, seq) :: st.held
+    let inner = c land 3 in
+    (* newest first: the witness of an edge is the latest outer lock *)
+    for i = st.held - 1 downto 0 do
+      let outer = st.locks.(i) land 3 in
+      let bit = 1 lsl ((3 * outer) + inner) in
+      if st.seen land bit = 0 then begin
+        st.seen <- st.seen lor bit;
+        let edge = (class_names.(outer), class_names.(inner)) in
+        Hashtbl.replace st.edges edge (lock_of st.locks.(i), lock, seq)
+      end
+    done;
+    if st.held = Array.length st.locks then begin
+      st.locks <- Array.append st.locks st.locks;
+      st.since <- Array.append st.since st.since
+    end;
+    st.locks.(st.held) <- c;
+    st.since.(st.held) <- seq;
+    st.held <- st.held + 1
   end
 
 let on_release st ~seq lock =
-  if holds lock st.held then st.held <- without lock st.held
-  else
+  let i = find st (code lock) in
+  if i < 0 then
     flag st "lock.leak" ~subject:(Event.lock_name lock)
       (Printf.sprintf "released but never acquired (event #%d)" seq)
+  else begin
+    for j = i to st.held - 2 do
+      st.locks.(j) <- st.locks.(j + 1);
+      st.since.(j) <- st.since.(j + 1)
+    done;
+    st.held <- st.held - 1
+  end
 
 let on_guarded_write st ~seq ~lock ~field =
-  if not (holds lock st.held) then
+  if find st (code lock) < 0 then
     flag st "lock.guard" ~subject:(Event.lock_name lock)
       (Printf.sprintf "field [%s] written without holding the lock (event #%d)"
          field seq)
+
+(* Flag each held lock, newest first, with [detail acquired], and drop
+   them all. *)
+let flag_held st detail =
+  for i = st.held - 1 downto 0 do
+    flag st "lock.leak" ~subject:(Event.lock_name (lock_of st.locks.(i)))
+      (detail st.since.(i))
+  done;
+  st.held <- 0
 
 (* An API call returned: every lock still held leaked across the
    transaction boundary. Report each once and forget it so one leak
    does not re-fire on every later call. *)
 let on_api_return st ~seq api =
-  List.iter
-    (fun (lock, acquired) ->
-      flag st "lock.leak" ~subject:(Event.lock_name lock)
-        (Printf.sprintf
-           "acquired at event #%d still held when [%s] returned (event #%d)"
-           acquired api seq))
-    st.held;
-  st.held <- []
+  if st.held > 0 then
+    flag_held st (fun acquired ->
+        Printf.sprintf
+          "acquired at event #%d still held when [%s] returned (event #%d)"
+          acquired api seq)
 
-let step st (e : Event.t) =
-  match e.payload with
-  | Event.Lock_acquired { lock } -> on_acquire st ~seq:e.seq lock
-  | Event.Lock_released { lock } -> on_release st ~seq:e.seq lock
-  | Event.Guarded_write { lock; field } ->
-      on_guarded_write st ~seq:e.seq ~lock ~field
-  | Event.Sm_api { api; _ } -> on_api_return st ~seq:e.seq api
+let step st ~seq = function
+  | Event.Lock_acquired { lock } -> on_acquire st ~seq lock
+  | Event.Lock_released { lock } -> on_release st ~seq lock
+  | Event.Guarded_write { lock; field } -> on_guarded_write st ~seq ~lock ~field
+  | Event.Sm_api { api; _ } -> on_api_return st ~seq api
   | _ -> ()
 
+(* The transitive closure of the observed class edges, the 3x3 bit
+   matrix [seen], then each observed edge between two classes that lies
+   on a cycle, in [edges]' order. *)
 let check_order st =
-  (* Transitive closure over the small class graph, then flag each
-     observed edge that participates in a cycle. *)
-  let classes =
-    Hashtbl.fold (fun (a, b) _ acc -> a :: b :: acc) st.edges []
-    |> List.sort_uniq compare
-  in
-  let reach = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace reach (c, c) ()) classes;
-  Hashtbl.iter (fun e _ -> Hashtbl.replace reach e ()) st.edges;
-  List.iter
-    (fun k ->
-      List.iter
-        (fun i ->
-          List.iter
-            (fun j ->
-              if Hashtbl.mem reach (i, k) && Hashtbl.mem reach (k, j) then
-                Hashtbl.replace reach (i, j) ())
-            classes)
-        classes)
-    classes;
+  let edge r a b = r land (1 lsl ((3 * a) + b)) <> 0 in
+  let reach = ref st.seen in
+  for k = 0 to 2 do
+    for i = 0 to 2 do
+      for j = 0 to 2 do
+        if edge !reach i k && edge !reach k j then
+          reach := !reach lor (1 lsl ((3 * i) + j))
+      done
+    done
+  done;
   Hashtbl.iter
     (fun (a, b) (outer, inner, seq) ->
-      if a <> b && Hashtbl.mem reach (b, a) then
+      if a <> b && edge !reach (code inner land 3) (code outer land 3) then
         flag st "lock.order" ~subject:(Printf.sprintf "%s -> %s" a b)
           (Printf.sprintf
              "acquired %s while holding %s (event #%d), inverting the \
@@ -138,16 +162,12 @@ let check_order st =
     st.edges
 
 let finish st =
-  List.iter
-    (fun (lock, acquired) ->
-      flag st "lock.leak" ~subject:(Event.lock_name lock)
-        (Printf.sprintf
-           "acquired at event #%d still held at the end of the trace" acquired))
-    st.held;
+  flag_held st
+    (Printf.sprintf "acquired at event #%d still held at the end of the trace");
   check_order st;
   List.rev st.out
 
 let check events =
   let st = create () in
-  List.iter (step st) events;
+  List.iter (fun (e : Event.t) -> step st ~seq:e.seq e.payload) events;
   finish st

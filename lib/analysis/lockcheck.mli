@@ -17,8 +17,9 @@ type t
 val create : unit -> t
 (** A pass that has seen no events. *)
 
-val step : t -> Sanctorum_telemetry.Event.t -> unit
-(** Continue the pass over the next event of the trace. *)
+val step : t -> seq:int -> Sanctorum_telemetry.Event.payload -> unit
+(** Continue the pass over the next event of the trace, given by its
+    seq and payload. Allocates nothing unless it flags. *)
 
 val finish : t -> Report.violation list
 (** End the trace: flag each lock still held, then each class edge on

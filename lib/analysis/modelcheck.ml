@@ -30,6 +30,7 @@ let other_backend = function Sanctum -> Keystone | Keystone -> Sanctum
 
 type fault =
   | Corrupt_owner_map of int
+  | Keystone_owner_map of int
   | Corrupt_lifecycle of int
   | Corrupt_thread of int * int
   | Corrupt_meta
@@ -84,6 +85,7 @@ let fault_tokens fault =
   let n = string_of_int in
   match fault with
   | Corrupt_owner_map u -> [ "owner-map"; n u ]
+  | Keystone_owner_map u -> [ "keystone-owner-map"; n u ]
   | Corrupt_lifecycle e -> [ "lifecycle"; n e ]
   | Corrupt_thread (t, c) -> [ "thread"; n t; n c ]
   | Corrupt_meta -> [ "meta" ]
@@ -141,6 +143,7 @@ let fault_of_string s =
   let int = int_field (fun _ -> "bad fault " ^ s) in
   match String.split_on_char ':' s with
   | [ "owner-map"; u ] -> Ok (fun u -> Corrupt_owner_map u) <*> int u
+  | [ "keystone-owner-map"; u ] -> Ok (fun u -> Keystone_owner_map u) <*> int u
   | [ "lifecycle"; e ] -> Ok (fun e -> Corrupt_lifecycle e) <*> int e
   | [ "thread"; t; c ] ->
       Ok (fun t c -> Corrupt_thread (t, c)) <*> int t <*> int c
@@ -148,7 +151,9 @@ let fault_of_string s =
   | _ ->
       Error
         (Printf.sprintf
-           "bad fault %S (want owner-map:U, lifecycle:E, thread:T:C, meta)" s)
+           "bad fault %S (want owner-map:U, keystone-owner-map:U, \
+            lifecycle:E, thread:T:C, meta)"
+           s)
 
 let action_of_string s =
   let int = int_field (fun x -> Printf.sprintf "bad index %S in %S" x s) in
@@ -434,9 +439,10 @@ let apply w action =
       match Sm.get_mail sm ~caller:(enc e) ~sender:(mailbox_sender s) with
       | Ok _ -> Ok ()
       | Error e -> Error e)
+  | Inject (Keystone_owner_map _) when w.w_backend <> Keystone -> Ok ()
   | Inject f -> (
       match f with
-      | Corrupt_owner_map g ->
+      | Corrupt_owner_map g | Keystone_owner_map g ->
           let ub = Sm.memory_unit_bytes sm in
           List.iter
             (fun rid ->
@@ -887,14 +893,15 @@ let explore config =
     Tel.Sink.incr_counter config.sink "modelcheck.states"
   in
   (* every world's catalog violations, pinned to [action] after
-     [prefix] *)
+     [prefix]; with [diff] each names the backend it was seen on *)
   let check_catalog ws ~detail action prefix =
     List.iter
       (fun w ->
+        let on = if config.diff then backend_name w.w_backend ^ ": " else "" in
         List.iter
           (fun v ->
-            record (K_catalog (v.Report.id, w.w_backend)) (detail v) action
-              prefix)
+            record (K_catalog (v.Report.id, w.w_backend)) (on ^ detail v)
+              action prefix)
           (violations_of w))
       ws
   in

@@ -42,6 +42,9 @@ type fault =
   | Corrupt_owner_map of int
       (** rewrite a unit group's hardware owner to a foreign domain
           behind the resource map's back ([own.exclusive]) *)
+  | Keystone_owner_map of int
+      (** [Corrupt_owner_map] on the Keystone world only: a defect one
+          backend has and the other has not *)
   | Corrupt_lifecycle of int  (** flip enclave [i]'s lifecycle state *)
   | Corrupt_thread of int * int
       (** mark thread [i] running on a core without entering *)

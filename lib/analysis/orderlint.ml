@@ -24,14 +24,19 @@ let ids =
     "order.mailbox";
   ]
 
-type enclave_state = { mutable initialized : bool; mutable entered : int }
+type enclave_state = {
+  mutable initialized : bool;
+  mutable entered : int;
+  mutable aex_pending : bool;  (* an AEX not yet consumed *)
+}
 
+(* Every table is keyed on ints ({!Ints}). *)
 type t = {
-  alive : (int, enclave_state) Hashtbl.t;  (* eid -> state *)
-  on_core : (int, int) Hashtbl.t;  (* core -> eid currently inside *)
-  pending_aex : (int, unit) Hashtbl.t;  (* eid with an unconsumed AEX *)
-  granted : (string * int, unit) Hashtbl.t;  (* (kind, rid) outstanding *)
-  pending_mail : (int, int) Hashtbl.t;  (* recipient eid -> undelivered *)
+  alive : enclave_state Ints.t;  (* eid -> state *)
+  on_core : int Ints.t;  (* core -> eid currently inside *)
+  mutable granted : (string * unit Ints.t) list;
+      (* resource kind -> its outstanding rids *)
+  pending_mail : int Ints.t;  (* recipient eid -> undelivered *)
   mutable out : Report.violation list;
 }
 
@@ -40,29 +45,41 @@ let flag st ?severity id ~subject detail =
 
 let esub eid = Printf.sprintf "enclave 0x%x" eid
 
+(* The outstanding rids of resource kind [kind]; a trace names one or
+   two kinds. *)
+let granted st kind =
+  match List.find_opt (fun (k, _) -> String.equal k kind) st.granted with
+  | Some (_, rids) -> rids
+  | None ->
+      let rids = Ints.create 32 in
+      st.granted <- (kind, rids) :: st.granted;
+      rids
+
 (* A dying core abandons whatever thread was inside: the monitor will
    never emit an exit for it, and — on the machine-check path — the
    resident enclave is emergency-reclaimed while formally entered.
    Release the trace-level entry so neither reads as a violation. *)
 let condemn st ~core =
-  match Hashtbl.find_opt st.on_core core with
+  match Ints.find_opt st.on_core core with
   | None -> ()
-  | Some eid ->
-      Hashtbl.remove st.on_core core;
-      (match Hashtbl.find_opt st.alive eid with
-      | Some e when e.entered > 0 -> e.entered <- e.entered - 1
-      | Some _ | None -> ());
-      Hashtbl.remove st.pending_aex eid
+  | Some eid -> (
+      Ints.remove st.on_core core;
+      match Ints.find_opt st.alive eid with
+      | Some e ->
+          if e.entered > 0 then e.entered <- e.entered - 1;
+          e.aex_pending <- false
+      | None -> ())
 
-let step st ({ seq; core; payload; _ } : Event.t) =
-  match payload with
+let step st ~seq ~core = function
   | Event.Enclave_created { eid } ->
-      if Hashtbl.mem st.alive eid then
+      if Ints.mem st.alive eid then
         flag st "order.create" ~subject:(esub eid)
           (Printf.sprintf "created twice without destroy (event #%d)" seq)
-      else Hashtbl.replace st.alive eid { initialized = false; entered = 0 }
+      else
+        Ints.replace st.alive eid
+          { initialized = false; entered = 0; aex_pending = false }
   | Event.Enclave_initialized { eid } -> (
-      match Hashtbl.find_opt st.alive eid with
+      match Ints.find_opt st.alive eid with
       | None ->
           flag st "order.init" ~subject:(esub eid)
             (Printf.sprintf "initialized before create (event #%d)" seq)
@@ -72,7 +89,7 @@ let step st ({ seq; core; payload; _ } : Event.t) =
               (Printf.sprintf "initialized twice (event #%d)" seq)
           else e.initialized <- true)
   | Event.Enclave_entered { eid; target_core; _ } -> (
-      match Hashtbl.find_opt st.alive eid with
+      match Ints.find_opt st.alive eid with
       | None ->
           flag st "order.enter" ~subject:(esub eid)
             (Printf.sprintf "entered before create (event #%d)" seq)
@@ -81,9 +98,9 @@ let step st ({ seq; core; payload; _ } : Event.t) =
             flag st "order.enter" ~subject:(esub eid)
               (Printf.sprintf "entered while still loading (event #%d)" seq);
           e.entered <- e.entered + 1;
-          Hashtbl.replace st.on_core target_core eid)
+          Ints.replace st.on_core target_core eid)
   | Event.Enclave_exited { eid; aex } -> (
-      match Hashtbl.find_opt st.alive eid with
+      match Ints.find_opt st.alive eid with
       | None ->
           flag st "order.exit" ~subject:(esub eid)
             (Printf.sprintf "exit of an enclave never created (event #%d)" seq)
@@ -94,8 +111,8 @@ let step st ({ seq; core; payload; _ } : Event.t) =
           else e.entered <- e.entered - 1;
           (* the monitor emits an exit, AEX included, on the core that
              left *)
-          Hashtbl.remove st.on_core core;
-          if aex then Hashtbl.replace st.pending_aex eid ())
+          Ints.remove st.on_core core;
+          if aex then e.aex_pending <- true)
   | Event.Machine_check _ ->
       (* the envelope names the faulted core; the trap handler that
          follows emergency-reclaims its resident enclave before the
@@ -105,7 +122,7 @@ let step st ({ seq; core; payload; _ } : Event.t) =
       (* shootdown-timeout path: no machine-check event precedes it *)
       condemn st ~core
   | Event.Enclave_destroyed { eid } -> (
-      match Hashtbl.find_opt st.alive eid with
+      match Ints.find_opt st.alive eid with
       | None ->
           flag st "order.destroy" ~subject:(esub eid)
             (Printf.sprintf "destroyed before create (event #%d)" seq)
@@ -114,35 +131,35 @@ let step st ({ seq; core; payload; _ } : Event.t) =
             flag st "order.destroy" ~subject:(esub eid)
               (Printf.sprintf
                  "destroyed with a thread still inside (event #%d)" seq);
-          Hashtbl.remove st.alive eid;
-          Hashtbl.remove st.pending_aex eid)
+          Ints.remove st.alive eid)
   | Event.Region_granted { kind; rid; _ } ->
-      if Hashtbl.mem st.granted (kind, rid) then
+      let rids = granted st kind in
+      if Ints.mem rids rid then
         flag st "order.grant" ~subject:(Printf.sprintf "%s %d" kind rid)
           (Printf.sprintf
              "granted again without an intervening free (event #%d)" seq)
-      else Hashtbl.replace st.granted (kind, rid) ()
+      else Ints.replace rids rid ()
   | Event.Region_freed { kind; rid } ->
       (* a free of a grant that predates the trace is fine *)
-      Hashtbl.remove st.granted (kind, rid)
+      Ints.remove (granted st kind) rid
   | Event.Sm_api { api = "read_aex_state"; caller; outcome = Event.Accepted; _ }
     -> (
       match caller with
       | Event.Os -> ()
-      | Event.Enclave eid ->
-          if Hashtbl.mem st.pending_aex eid then
-            Hashtbl.remove st.pending_aex eid
-          else
-            flag st "order.aex-resume" ~subject:(esub eid)
-              (Printf.sprintf
-                 "AEX state read with no AEX pending (event #%d)" seq))
+      | Event.Enclave eid -> (
+          match Ints.find_opt st.alive eid with
+          | Some e when e.aex_pending -> e.aex_pending <- false
+          | Some _ | None ->
+              flag st "order.aex-resume" ~subject:(esub eid)
+                (Printf.sprintf
+                   "AEX state read with no AEX pending (event #%d)" seq)))
   | Event.Mailbox_sent { recipient; _ } ->
-      Hashtbl.replace st.pending_mail recipient
+      Ints.replace st.pending_mail recipient
         (1
-        + Option.value ~default:0 (Hashtbl.find_opt st.pending_mail recipient))
+        + Option.value ~default:0 (Ints.find_opt st.pending_mail recipient))
   | Event.Mailbox_received { recipient; _ } -> (
-      match Hashtbl.find_opt st.pending_mail recipient with
-      | Some n when n > 0 -> Hashtbl.replace st.pending_mail recipient (n - 1)
+      match Ints.find_opt st.pending_mail recipient with
+      | Some n when n > 0 -> Ints.replace st.pending_mail recipient (n - 1)
       | Some _ | None ->
           flag st "order.mailbox" ~subject:(esub recipient)
             (Printf.sprintf
@@ -151,15 +168,17 @@ let step st ({ seq; core; payload; _ } : Event.t) =
 
 let create () =
   {
-    alive = Hashtbl.create 8;
-    on_core = Hashtbl.create 8;
-    pending_aex = Hashtbl.create 8;
-    granted = Hashtbl.create 32;
-    pending_mail = Hashtbl.create 8;
+    alive = Ints.create 8;
+    on_core = Ints.create 8;
+    granted = [];
+    pending_mail = Ints.create 8;
     out = [];
   }
 
-let feed st events = List.iter (step st) events
+let feed st events =
+  List.iter
+    (fun (e : Event.t) -> step st ~seq:e.seq ~core:e.core e.payload)
+    events
 
 let findings st = List.rev st.out
 

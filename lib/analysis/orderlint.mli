@@ -20,8 +20,10 @@ type t
 val create : unit -> t
 (** A pass that has seen no events. *)
 
-val step : t -> Sanctorum_telemetry.Event.t -> unit
-(** Continue the pass over the next event of the trace. *)
+val step :
+  t -> seq:int -> core:int -> Sanctorum_telemetry.Event.payload -> unit
+(** Continue the pass over the next event of the trace, given by its
+    seq, core and payload. *)
 
 val feed : t -> Sanctorum_telemetry.Event.t list -> unit
 (** Continue the pass over the next events of the same trace, oldest

@@ -27,6 +27,8 @@ let state t kind ~rid =
     Error (Api_error.Illegal_argument "resource id out of range")
   else Ok arr.(rid)
 
+let get t kind ~rid = (table t kind).(rid)
+
 let owner t kind ~rid =
   match state t kind ~rid with
   | Ok (Owned d | Blocked d | Offered d) -> Some d

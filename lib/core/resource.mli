@@ -34,6 +34,11 @@ val version : t -> int
     versions mean every resource holds the state it held. *)
 
 val state : t -> kind -> rid:int -> state Api_error.result
+
+val get : t -> kind -> rid:int -> state
+(** {!state} without the result: allocates nothing, and raises
+    [Invalid_argument] if [rid] is out of range. *)
+
 val owner : t -> kind -> rid:int -> domain option
 (** The owning domain for [Owned]/[Blocked]/[Offered] states. *)
 

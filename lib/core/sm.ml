@@ -55,11 +55,16 @@ type t = {
   enclaves : (int, enclave) Hashtbl.t;
   threads : (int, thread) Hashtbl.t;
   slots : (int, int) Hashtbl.t; (* metadata addr -> length *)
+  mutable slot_version : int; (* moves at every slot claim and release *)
+  mutable population : int; (* moves as enclaves and threads come and go *)
   domain_of_enclave : (Hw.Trap.domain, int) Hashtbl.t; (* domain -> eid *)
   mutable next_domain : Hw.Trap.domain;
   mutable os_handler : Hw.Machine.core -> Hw.Trap.cause -> unit;
   mutable resource_lock : bool;
   mutable sink : Tel.Sink.t;
+  mutable count_call : string -> rejected:bool -> latency:int -> unit;
+      (* counts into the sink's sm.api.*, as [count_aex] into sm.aex *)
+  mutable count_aex : unit -> unit;
   mutable post_api_hook : (api:string -> unit) option;
   meas_cache : Measurement.Cache.cache;
       (* measure-once/bind-many: repeated installs of an identical image
@@ -204,7 +209,7 @@ let require_enclave t = function
   | Enclave_caller eid -> find_enclave t eid
 
 let enclaves t =
-  Hashtbl.fold (fun eid _ acc -> eid :: acc) t.enclaves [] |> List.sort compare
+  Hashtbl.fold (fun eid _ acc -> eid :: acc) t.enclaves [] |> List.sort Int.compare
 
 (* ------------------------------------------------------------------ *)
 (* API-call tracing. Every public entry point is defined as
@@ -242,15 +247,12 @@ let traced t ~caller ?on_ok api f =
     let result = guard_api f in
     let t1 = sm_now t in
     let latency = t1 - t0 in
-    Tel.Sink.incr_counter t.sink ("sm.api.calls." ^ api);
+    t.count_call api ~rejected:(Result.is_error result) ~latency;
     let outcome =
       match result with
       | Ok _ -> Tel.Event.Accepted
-      | Error e ->
-          Tel.Sink.incr_counter t.sink ("sm.api.rejected." ^ api);
-          Tel.Event.Rejected (Api_error.to_string e)
+      | Error e -> Tel.Event.Rejected (Api_error.to_string e)
     in
-    Tel.Sink.observe t.sink "sm.api.latency" latency;
     Tel.Sink.emit t.sink ~core:(-1) ~cycles:t1
       (Tel.Event.Sm_api { api; caller = principal caller; outcome; latency });
     run_post_api_hook t api;
@@ -265,6 +267,7 @@ let unit_range t rid = (rid * t.unit_bytes, (rid + 1) * t.unit_bytes)
 
 let resource_state t kind ~rid = Resource.state t.resources kind ~rid
 let resource_version t = Resource.version t.resources
+let memory_state t ~rid = Resource.get t.resources Resource.Memory_resource ~rid
 
 let resource_kind_label = function
   | Resource.Core_resource -> "core"
@@ -371,11 +374,14 @@ let claim_slot t ~addr ~len =
     if overlaps then err_state "metadata slot overlaps an existing structure"
     else begin
       Hashtbl.replace t.slots addr len;
+      t.slot_version <- t.slot_version + 1;
       ok
     end
   end
 
-let release_slot t ~addr = Hashtbl.remove t.slots addr
+let release_slot t ~addr =
+  Hashtbl.remove t.slots addr;
+  t.slot_version <- t.slot_version + 1
 
 (* ------------------------------------------------------------------ *)
 (* Page-table plumbing. The monitor has M-mode authority: it reads and
@@ -480,6 +486,7 @@ let create_enclave t ~caller ~eid ~evbase ~evsize ?(mailbox_slots = 4) () =
     in
     Hashtbl.replace t.enclaves eid e;
     Hashtbl.replace t.domain_of_enclave domain eid;
+    t.population <- t.population + 1;
     ok
   end
 
@@ -641,6 +648,7 @@ let load_thread t ~caller ~eid ~tid ~entry_pc ~entry_sp =
           }
         in
         Hashtbl.replace t.threads tid th;
+        t.population <- t.population + 1;
         e.threads <- tid :: e.threads;
         extend_measurement e (fun ctx ->
             Measurement.extend_thread ctx ~entry_pc ~entry_sp)
@@ -701,6 +709,7 @@ let teardown t e =
   Mailbox.wipe e.mailboxes;
   Hashtbl.remove t.enclaves e.eid;
   Hashtbl.remove t.domain_of_enclave e.domain;
+  t.population <- t.population + 1;
   release_slot t ~addr:e.eid
 
 let delete_enclave t ~caller ~eid =
@@ -811,6 +820,7 @@ let delete_thread t ~caller ~tid =
       match th.phase with
       | T_available ->
           Hashtbl.remove t.threads tid;
+          t.population <- t.population + 1;
           release_slot t ~addr:tid;
           ok
       | T_assigned | T_running _ ->
@@ -961,7 +971,7 @@ let perform_aex t c th =
   (if Tel.Sink.enabled t.sink then
      match th.t_owner with
      | Some eid ->
-         Tel.Sink.incr_counter t.sink "sm.aex";
+         t.count_aex ();
          emit t ~core:c.Hw.Machine.id (Tel.Event.Enclave_exited { eid; aex = true })
      | None -> ());
   scrub_core t c
@@ -1344,6 +1354,8 @@ let boot ~platform:pf ~identity ~signing_enclave_measurement =
       enclaves = Hashtbl.create 16;
       threads = Hashtbl.create 16;
       slots = Hashtbl.create 16;
+      slot_version = 0;
+      population = 0;
       domain_of_enclave = Hashtbl.create 16;
       next_domain = 2;
       os_handler =
@@ -1353,6 +1365,8 @@ let boot ~platform:pf ~identity ~signing_enclave_measurement =
           core.Hw.Machine.halted <- true);
       resource_lock = false;
       sink = Tel.Sink.null;
+      count_call = Tel.Sink.calls Tel.Sink.null ~prefix:"sm.api";
+      count_aex = ignore;
       post_api_hook = None;
       meas_cache = Measurement.Cache.create ();
     }
@@ -1364,6 +1378,8 @@ let boot ~platform:pf ~identity ~signing_enclave_measurement =
 
 let set_sink t sink =
   t.sink <- sink;
+  t.count_call <- Tel.Sink.calls sink ~prefix:"sm.api";
+  t.count_aex <- Tel.Sink.counter_bump sink "sm.aex";
   Hw.Machine.set_sink t.machine sink
 
 let sink t = t.sink
@@ -1429,7 +1445,7 @@ let enclave_threads t ~eid =
   | Some e -> List.sort compare e.threads
 
 let thread_ids t =
-  Hashtbl.fold (fun tid _ acc -> tid :: acc) t.threads [] |> List.sort compare
+  Hashtbl.fold (fun tid _ acc -> tid :: acc) t.threads [] |> List.sort Int.compare
 
 let thread_info t ~tid =
   Option.map
@@ -1452,6 +1468,9 @@ let mailbox_snapshot t ~eid =
   Option.map
     (fun e -> Mailbox.snapshot e.mailboxes)
     (Hashtbl.find_opt t.enclaves eid)
+
+let population_version t = t.population
+let slot_version t = t.slot_version
 
 let metadata_slots t =
   Hashtbl.fold (fun addr len acc -> (addr, len) :: acc) t.slots []
@@ -1489,7 +1508,8 @@ let corrupt_thread_phase t ~tid ~core =
   | Some th -> th.phase <- T_running core
 
 let corrupt_metadata_slot t =
-  Hashtbl.replace t.slots (metadata_limit t) 16
+  Hashtbl.replace t.slots (metadata_limit t) 16;
+  t.slot_version <- t.slot_version + 1
 
 let corrupt_resource_owner t ~rid domain =
   Resource.force_owner t.resources Resource.Memory_resource ~rid domain

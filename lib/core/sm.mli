@@ -109,6 +109,10 @@ val resource_version : t -> int
     every state write, so equal values mean {!resource_state} answers
     as it did. *)
 
+val memory_state : t -> rid:int -> Resource.state
+(** Memory unit [rid]'s {!resource_state}, read without allocating;
+    raises [Invalid_argument] if [rid] is out of range. *)
+
 (** {2 Enclave lifecycle (Fig. 3)} *)
 
 val metadata_base : t -> int
@@ -309,6 +313,15 @@ val mailbox_snapshot : t -> eid:int -> (Mailbox.sender * bool) list option
 val metadata_slots : t -> (int * int) list
 (** Claimed metadata slots as sorted [(addr, len)] pairs; all must lie
     inside [[metadata_base, metadata_limit)] and never overlap. *)
+
+val slot_version : t -> int
+(** Moves whenever a metadata slot is claimed or released, so equal
+    values mean {!metadata_slots} answers as it did. *)
+
+val population_version : t -> int
+(** Moves whenever an enclave or a thread is created or deleted, so
+    equal values mean {!enclaves} and {!thread_ids} answer as they did
+    (an enclave's domain is fixed when it is created). *)
 
 val held_locks : t -> string list
 (** Names of every fine-grained lock currently held (should be empty

@@ -12,6 +12,7 @@ type t = {
   clean_range : lo:int -> hi:int -> unit;
   enter_domain : core:Hw.Machine.core -> Hw.Trap.domain -> unit;
   ranges_of_domain : Hw.Trap.domain -> (int * int) list;
+  iter_ranges : (lo:int -> hi:int -> domain:Hw.Trap.domain -> unit) -> unit;
 }
 
 let sm_memory_bytes = 512 * 1024
@@ -87,4 +88,5 @@ let make ~name ~alloc_unit ~llc_partitioned ~phys_check ~pte_fetch_check machine
     clean_range;
     enter_domain;
     ranges_of_domain = Owner_map.domain_ranges owners;
+    iter_ranges = Owner_map.iter_ranges owners;
   }

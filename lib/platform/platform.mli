@@ -31,6 +31,10 @@ type t = {
           time-multiplexed core state (L1, TLB) and sets the core's
           domain register, which the isolation checks read *)
   ranges_of_domain : Sanctorum_hw.Trap.domain -> (int * int) list;
+  iter_ranges :
+    (lo:int -> hi:int -> domain:Sanctorum_hw.Trap.domain -> unit) -> unit;
+      (** {!Owner_map.iter_ranges}: [f] on each maximal same-owner
+          range, in ascending address order, at O(ranges) cost *)
 }
 
 val sm_memory_bytes : int

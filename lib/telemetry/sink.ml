@@ -2,11 +2,11 @@
    the last clear sits in slot [i mod capacity] of each, and [i] is its
    seq. Emitting stores the core and cycles unboxed and the caller's
    payload by reference, so an event costs no record and no option box;
-   [iter] and [events] build the [Event.t] values they hand out. The
-   arrays start empty and double, up to the capacity, when an emit
-   finds them full: a sink's memory follows the most events it has
-   held, and an engine's window of a few thousand never touches the
-   rest of its 65,536 slots. *)
+   [events] builds the [Event.t] values it returns, and [iter] hands out
+   each slot's fields without building one. The arrays start empty and
+   double, up to the capacity, when an emit finds them full: a sink's
+   memory follows the most events it has held, and an engine's window
+   of a few thousand never touches the rest of its 65,536 slots. *)
 
 type t = {
   capacity : int; (* 0 for the null sink *)
@@ -78,8 +78,12 @@ let event t seq =
   }
 
 let iter f t =
-  for seq = t.pushed - held t to t.pushed - 1 do
-    f (event t seq)
+  let first = t.pushed - held t in
+  (* the slot of [seq], stepped along with it *)
+  let i = ref (if first = t.pushed then 0 else first mod t.capacity) in
+  for seq = first to t.pushed - 1 do
+    f ~seq ~core:t.cores.(!i) ~cycles:t.cycles.(!i) t.payloads.(!i);
+    i := if !i + 1 = t.capacity then 0 else !i + 1
   done
 
 let events t =
@@ -107,3 +111,35 @@ let observe t name sample =
   match t.metrics with
   | None -> ()
   | Some m -> Metrics.observe (Metrics.histogram m name) sample
+
+(* Each handle is resolved on the event that first needs it, so a name
+   registers exactly when [incr_counter] or [observe] by name would have
+   registered it. *)
+let calls t ~prefix =
+  match t.metrics with
+  | None -> fun _ ~rejected:_ ~latency:_ -> ()
+  | Some m ->
+      let by_api = Hashtbl.create 32 in
+      let latencies = lazy (Metrics.histogram m (prefix ^ ".latency")) in
+      fun api ~rejected ~latency ->
+        let calls, rejections =
+          match Hashtbl.find_opt by_api api with
+          | Some handles -> handles
+          | None ->
+              let handles =
+                ( Metrics.counter m (prefix ^ ".calls." ^ api),
+                  lazy (Metrics.counter m (prefix ^ ".rejected." ^ api)) )
+              in
+              Hashtbl.replace by_api api handles;
+              handles
+        in
+        Metrics.incr calls;
+        if rejected then Metrics.incr (Lazy.force rejections);
+        Metrics.observe (Lazy.force latencies) latency
+
+let counter_bump t name =
+  match t.metrics with
+  | None -> ignore
+  | Some m ->
+      let c = lazy (Metrics.counter m name) in
+      fun () -> Metrics.incr (Lazy.force c)

@@ -10,10 +10,10 @@
     overflow, counting it as dropped: a long run keeps the most recent
     window. It holds each event's core and cycles in flat int arrays
     beside an array of payloads, and an event's seq is its push index
-    since the last {!clear}; {!iter} and {!events} build the
-    {!Event.t} values. The arrays start empty and double, up to the
-    capacity, when an emit finds them full; otherwise emitting
-    allocates nothing beyond the caller's payload.
+    since the last {!clear}; {!events} builds the {!Event.t} values and
+    {!iter} hands out the slots' fields. The arrays start empty and
+    double, up to the capacity, when an emit finds them full; otherwise
+    emitting allocates nothing beyond the caller's payload.
 
     The contract for instrumented code:
 
@@ -50,10 +50,12 @@ val events : t -> Event.t list
 (** Recorded events, oldest first (the surviving window if the ring
     wrapped). *)
 
-val iter : (Event.t -> unit) -> t -> unit
-(** [iter f t] calls [f] on each event {!events} would return, in the
-    same order, straight from the ring: one traversal and no list, so
-    several passes over a window can share it. No-op on a null sink. *)
+val iter :
+  (seq:int -> core:int -> cycles:int -> Event.payload -> unit) -> t -> unit
+(** [iter f t] calls [f] with the fields of each event {!events} would
+    return, in the same order, straight from the ring's slots: one
+    traversal that builds no {!Event.t} and no list, so several passes
+    over a window can share it. No-op on a null sink. *)
 
 val event_count : t -> int
 (** Events emitted since the last {!clear}, dropped ones included. *)
@@ -71,3 +73,22 @@ val incr_counter : t -> string -> unit
 
 val observe : t -> string -> int -> unit
 (** Convenience for cold paths: record a histogram sample by name. *)
+
+(** {2 Counting functions for hot paths}
+
+    Each function below counts into the sink's registry through handles
+    it resolves on the event that first needs each one, so a name
+    registers exactly when {!incr_counter} or {!observe} by name would
+    have registered it, and later events build no name and look nothing
+    up in the registry. A function counts into the registry of the sink
+    it was made from: make new ones when the sink changes. On a sink
+    without a registry they do nothing. *)
+
+val calls : t -> prefix:string -> string -> rejected:bool -> latency:int -> unit
+(** [calls t ~prefix] counts the calls of one traced API surface: for
+    a call of [api], the counter [<prefix>.calls.<api>], the counter
+    [<prefix>.rejected.<api>] when [rejected], and a [latency] sample
+    in the histogram [<prefix>.latency]. *)
+
+val counter_bump : t -> string -> unit -> unit
+(** [counter_bump t name] bumps the counter [name] by one. *)

@@ -252,16 +252,17 @@ let checkpoint t =
      needs whole-run lifecycles (a window that opens after an enclave's
      create would flag every later enter), so each window is fed to one
      run-long pass whose findings [finish] reports. Both passes and the
-     mailbox counts share one traversal of the ring. The OS's delegated
+     mailbox counts share one traversal of the ring, which hands each
+     slot's fields over without building an event. The OS's delegated
      causes are dropped with the window: a run reads only the newest
      one and the count, and a shard lives for many windows. *)
   let snapshot = An.Invariants.check t.walks t.sm in
   let locks = An.Lockcheck.create () in
   Tel.Sink.iter
-    (fun (e : Tel.Event.t) ->
-      An.Lockcheck.step locks e;
-      An.Orderlint.step t.lint e;
-      match e.Tel.Event.payload with
+    (fun ~seq ~core ~cycles:_ payload ->
+      An.Lockcheck.step locks ~seq payload;
+      An.Orderlint.step t.lint ~seq ~core payload;
+      match payload with
       | Tel.Event.Mailbox_sent _ -> t.msgs_sent <- t.msgs_sent + 1
       | Tel.Event.Mailbox_received _ -> t.msgs_received <- t.msgs_received + 1
       | _ -> ())

@@ -92,6 +92,12 @@ let check_ownership ctx =
                Resource.pp_state state)
   done
 
+(* The ownership scan alone: its [own.*] findings, in order. *)
+let ownership sm =
+  let ctx = context sm in
+  check_ownership ctx;
+  List.rev ctx.out
+
 let check_page_tables ctx =
   let mem = Hw.Machine.mem (Sm.machine ctx.sm) in
   let frames = Hw.Phys_mem.size mem / page in

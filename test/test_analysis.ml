@@ -519,8 +519,100 @@ let qcheck_order_streaming =
       List.iter (A.Orderlint.feed st) (windows events cuts);
       A.Orderlint.findings st = A.Orderlint.check events)
 
+(* The lock pass holds its locks in an array stack; the reference in
+   test/oracle holds them in a list, as the pass once did. Random takes,
+   releases in any order, guarded writes and API returns over five
+   locks of all three classes must bring the same findings, in the same
+   order. *)
+let qcheck_lock_stack =
+  let locks = [| res; enc 1; enc 2; thr 1; thr 2 |] in
+  QCheck2.Test.make ~name:"lockcheck: held-lock stack = list reference"
+    ~count:500
+    ~print:(fun evs ->
+      String.concat "; "
+        (List.map (fun (e : Tel.Event.t) -> Tel.Event.label e.payload) evs))
+    QCheck2.Gen.(
+      map trace
+        (list_size (int_range 0 40)
+           (let lock = map (Array.get locks) (int_bound 4) in
+            frequency
+              [
+                (4, map acq lock);
+                (4, map rel lock);
+                ( 2,
+                  map
+                    (fun l -> Tel.Event.Guarded_write { lock = l; field = "f" })
+                    lock );
+                (1, return (api "call"));
+              ])))
+    (fun evs ->
+      List.map report (A.Lockcheck.check evs)
+      = List.map report (Sanctorum_oracle.Lockcheck_ref.check evs))
+
+(* The lint keys its tables on ints and keeps a pending AEX as a flag
+   of the live enclave; the reference in test/oracle keeps polymorphic
+   tables, as the lint once did. Random traces of lifecycle, grant,
+   AEX-resume, mailbox, machine-check and quarantine events over three
+   eids, four envelope cores (-1 for host context), two resource kinds
+   and four rids must bring the same findings, in the same order. *)
+let qcheck_orderlint_ints =
+  let open QCheck2.Gen in
+  let eid = int_range 1 3 and core = int_range (-1) 2 and rid = int_range 0 3 in
+  let kind = oneofl [ "memory"; "core" ] in
+  let enter e c =
+    Tel.Event.Enclave_entered { eid = e; tid = 1; target_core = c }
+  in
+  let exit e aex = Tel.Event.Enclave_exited { eid = e; aex } in
+  let granted k r =
+    Tel.Event.Region_granted { kind = k; rid = r; owner = Tel.Event.Os }
+  in
+  let freed k r = Tel.Event.Region_freed { kind = k; rid = r } in
+  let read_aex caller ok =
+    let outcome = if ok then Tel.Event.Accepted else Tel.Event.Rejected "x" in
+    Tel.Event.Sm_api { api = "read_aex_state"; caller; outcome; latency = 1 }
+  in
+  let caller =
+    oneof [ return Tel.Event.Os; map (fun e -> Tel.Event.Enclave e) eid ]
+  in
+  let quarantined c =
+    Tel.Event.Core_quarantined { core = c; reason = "machine-check" }
+  in
+  let payload =
+    frequency
+      [
+        (3, map created eid);
+        (2, map inited eid);
+        (3, map2 enter eid (int_range 0 2));
+        (3, map2 exit eid bool);
+        (2, map destroyed eid);
+        (2, map2 granted kind rid);
+        (2, map2 freed kind rid);
+        (2, map2 read_aex caller bool);
+        (2, map sent eid);
+        (2, map received eid);
+        (1, return (Tel.Event.Machine_check { paddr = -1 }));
+        (1, map quarantined (int_range 0 2));
+      ]
+  in
+  QCheck2.Test.make ~name:"orderlint: int tables = polymorphic reference"
+    ~count:500
+    ~print:(fun evs ->
+      String.concat "; "
+        (List.map
+           (fun (e : Tel.Event.t) ->
+             Printf.sprintf "%d:%s" e.core (Tel.Event.label e.payload))
+           evs))
+    (map
+       (List.mapi (fun i (c, p) ->
+            { Tel.Event.seq = i; core = c; cycles = i; payload = p }))
+       (list_size (int_range 0 40) (pair core payload)))
+    (fun evs ->
+      List.map report (A.Orderlint.check evs)
+      = List.map report (Sanctorum_oracle.Orderlint_ref.check evs))
+
 (* The engine's checkpoint traverses the sink's ring once and steps the
-   window's lock pass and the run-long lint from it. Replay each window
+   window's lock pass and the run-long lint from each slot's fields,
+   building no event. Replay each window
    of a trace into a sink the way the engine drains one (emit, one
    [Sink.iter] fold, clear), with rings small enough to wrap as well,
    and hold that fold to the list passes over the same window:
@@ -561,9 +653,9 @@ let qcheck_ring_pass =
           window;
         let locks = A.Lockcheck.create () in
         Tel.Sink.iter
-          (fun e ->
-            A.Lockcheck.step locks e;
-            A.Orderlint.step lint_ring e)
+          (fun ~seq ~core ~cycles:_ payload ->
+            A.Lockcheck.step locks ~seq payload;
+            A.Orderlint.step lint_ring ~seq ~core payload)
           sink;
         let evs = Tel.Sink.events sink in
         A.Orderlint.feed lint_lists evs;
@@ -600,15 +692,19 @@ let test_relax_protections () =
 (* ------------------------------------------------------------------ *)
 (* The memo against the stateless reference. One memo follows a churn
    engine's stack through a random sequence: installs and reclaims
-   (eids are reused), engine rounds, PTEs written into live table
+   (eids are reused), enclaves deleted with their threads left in place
+   (reclaimed in full later), engine rounds, PTEs written into live table
    frames (leaves inside and outside evrange, pointers back into the
    enclave's own tables, level-0 pointers, frames past DRAM, zeros),
    bit flips in table frames, a unit handed to a foreign domain, a
    relaxed isolation primitive, a unit's Fig. 2 state rewritten (and
    checked twice before it is put back), an L2 line of monitor memory
-   planted, the L2 flushed, and quiet passes with nothing changed
-   between them. After every step the memo's full report must equal
-   the reference's, in order. *)
+   planted, the L2 flushed, a metadata slot claimed outside the window,
+   a thread marked running, an enclave's lifecycle flipped and an
+   enclave lock leaked (each of the last two checked twice before it is
+   put back), and quiet passes with nothing changed between them. After
+   every step the memo's full report must equal the reference's, in
+   order. *)
 
 type pte =
   | Zero
@@ -623,6 +719,7 @@ type slot = In_evrange of int | Slot of int
 type memo_op =
   | Install
   | Reclaim of int
+  | Delete of int  (* an install deleted, its threads left in place *)
   | Rounds of int
   | Pte of int * int * slot * pte  (* enclave, table on its path, slot *)
   | Flip of int * int * int * int  (* enclave, table, slot, bit *)
@@ -631,11 +728,16 @@ type memo_op =
   | Resource of int  (* an enclave's first unit's state, to domain 77 *)
   | Plant of int  (* an L2 line of monitor memory *)
   | Flush_l2
+  | Meta  (* a metadata slot claimed outside the window *)
+  | Phase of int * int  (* a thread marked running on a core *)
+  | Lifecycle of int  (* an enclave's lifecycle flipped *)
+  | Leak of int  (* an enclave's lock left held *)
   | Quiet of int  (* passes with nothing changed between them *)
 
 let print_memo_op = function
   | Install -> "install"
   | Reclaim i -> Printf.sprintf "reclaim %d" i
+  | Delete i -> Printf.sprintf "delete %d" i
   | Rounds n -> Printf.sprintf "rounds %d" n
   | Pte (e, t, slot, pte) ->
       Printf.sprintf "pte e%d t%d %s %s" e t
@@ -655,6 +757,10 @@ let print_memo_op = function
   | Resource e -> Printf.sprintf "resource e%d" e
   | Plant l -> Printf.sprintf "plant line %d" l
   | Flush_l2 -> "flush L2"
+  | Meta -> "meta slot"
+  | Phase (t, c) -> Printf.sprintf "phase t%d core %d" t c
+  | Lifecycle e -> Printf.sprintf "lifecycle e%d" e
+  | Leak e -> Printf.sprintf "leak e%d" e
   | Quiet n -> Printf.sprintf "quiet %d" n
 
 let gen_memo_op =
@@ -683,6 +789,7 @@ let gen_memo_op =
       [
         (2, return Install);
         (1, map (fun i -> Reclaim i) sel);
+        (1, map (fun i -> Delete i) sel);
         (2, map (fun n -> Rounds n) (int_range 1 3));
         (6, map (fun (((e, t), slot), pte) -> Pte (e, t, slot, pte))
               (pair (pair (pair sel sel) slot) pte));
@@ -693,15 +800,22 @@ let gen_memo_op =
         (1, map (fun e -> Resource e) sel);
         (1, map (fun l -> Plant l) (int_bound 8191));
         (1, return Flush_l2);
+        (1, return Meta);
+        (1, map2 (fun t c -> Phase (t, c)) sel (int_range 0 2));
+        (1, map (fun e -> Lifecycle e) sel);
+        (1, map (fun e -> Leak e) sel);
         (2, map (fun n -> Quiet n) (int_range 1 3));
       ])
 
 (* Over a run of the property: walks replayed, and passes that skipped
-   and that re-ran (after a memo's first pass) the ownership check and
-   the page-table replay. *)
+   and that re-ran (after a memo's first pass) the ownership check, the
+   page-table replay and the metadata-slot check, and that kept and that
+   re-read the enclave and thread ids. *)
 let memo_replays = ref 0
 let memo_own = ref (0, 0)
 let memo_replay = ref (0, 0)
+let memo_slots = ref (0, 0)
+let memo_ids = ref (0, 0)
 
 let qcheck_memo_differential =
   QCheck2.Test.make ~name:"invariants: memoized walks = stateless reference"
@@ -776,6 +890,10 @@ let qcheck_memo_differential =
                 let eid = nth l i in
                 ignore (Os.reclaim_enclave tb.Testbed.os ~eid);
                 mine := List.filter (( <> ) eid) l)
+        | Delete i -> (
+            match !mine with
+            | [] -> ()
+            | l -> ignore (S.delete_enclave sm ~caller:S.Os ~eid:(nth l i)))
         | Rounds n ->
             for _ = 1 to n do
               ignore (E.step eng)
@@ -865,6 +983,24 @@ let qcheck_memo_differential =
                  (Hw.Machine.l2 tb.Testbed.machine)
                  ~paddr:(l * 64 mod monitor))
         | Flush_l2 -> Hw.Cache.flush_all (Hw.Machine.l2 tb.Testbed.machine)
+        | Meta -> S.corrupt_metadata_slot sm
+        | Phase (t, core) -> (
+            match S.thread_ids sm with
+            | [] -> ()
+            | tids -> S.corrupt_thread_phase sm ~tid:(nth tids t) ~core)
+        | Lifecycle e ->
+            with_enclave e (fun eid ->
+                S.corrupt_enclave_lifecycle sm ~eid;
+                agrees ();
+                agrees ();
+                S.corrupt_enclave_lifecycle sm ~eid)
+        | Leak e ->
+            with_enclave e (fun eid ->
+                if S.try_lock_enclave sm ~eid then begin
+                  agrees ();
+                  agrees ();
+                  S.unlock_enclave sm ~eid
+                end)
         | Quiet n ->
             for _ = 2 to n do
               agrees ()
@@ -880,16 +1016,18 @@ let qcheck_memo_differential =
         let s, r = !counter in
         counter := (s + skipped, r + (!passes - 1 - skipped))
       in
-      let own, replay = A.Invariants.skips memo in
-      tally memo_own own;
-      tally memo_replay replay;
+      let skips = A.Invariants.skips memo in
+      tally memo_own skips.A.Invariants.ownership;
+      tally memo_replay skips.A.Invariants.replay;
+      tally memo_slots skips.A.Invariants.slots;
+      tally memo_ids skips.A.Invariants.ids;
       memo_replays := !memo_replays + A.Invariants.replays memo;
       !ok)
 
-(* The property, then a check that its run replayed some walks and
-   that each gate both skipped and re-ran its check: a memo that never
-   replays, or a gate that never opens or never closes, would pass it
-   vacuously. *)
+(* The property, then a check that its run replayed some walks, that
+   each gate both skipped and re-ran its check, and that the ids were
+   both kept and read again: a memo that never replays, or a gate that
+   never opens or never closes, would pass it vacuously. *)
 let memo_differential =
   let name, speed, run = QCheck_alcotest.to_alcotest qcheck_memo_differential in
   ( name,
@@ -898,14 +1036,190 @@ let memo_differential =
       memo_replays := 0;
       memo_own := (0, 0);
       memo_replay := (0, 0);
+      memo_slots := (0, 0);
+      memo_ids := (0, 0);
       run ();
       if !memo_replays = 0 then Alcotest.fail "the memo never replayed a walk";
       List.iter
         (fun (what, (skipped, reran)) ->
           if skipped = 0 then Alcotest.failf "no pass skipped the %s" what;
           if reran = 0 then Alcotest.failf "no later pass re-ran the %s" what)
-        [ ("ownership check", !memo_own); ("page-table replay", !memo_replay) ]
+        [
+          ("ownership check", !memo_own);
+          ("page-table replay", !memo_replay);
+          ("metadata-slot check", !memo_slots);
+          ("reading of the ids", !memo_ids);
+        ]
     )
+
+(* The ownership check walks units and the owner map's maximal ranges
+   in step; the reference in test/oracle scans every page. A monitor
+   booted on a platform whose owner map the test holds, with units of
+   1, 2, 4 or 16 pages, takes random grants (to the OS or to one of two
+   loading enclaves), blocks, cleans, rewritten Fig. 2 states
+   ([corrupt_resource_owner]), whole units handed to another domain,
+   and page ranges of any length handed to another domain straight in
+   the owner map, which splits units. After every step the [own.*]
+   findings of a fresh pass and of a memo kept across the steps equal
+   the reference's, in order. *)
+type own_op =
+  | Grant of int * int  (* unit, target: 0 the OS, else enclave 1 or 2 *)
+  | Block of int * int  (* unit, caller: 0 the OS, else enclave 1 or 2 *)
+  | Clean of int
+  | State of int * int  (* unit, domain *)
+  | Hand of int * int  (* unit, domain *)
+  | Split of int * int * int  (* first page, pages, domain *)
+
+let print_own_op = function
+  | Grant (u, x) -> Printf.sprintf "grant u%d to %d" u x
+  | Block (u, x) -> Printf.sprintf "block u%d by %d" u x
+  | Clean u -> Printf.sprintf "clean u%d" u
+  | State (u, d) -> Printf.sprintf "state u%d owned by %d" u d
+  | Hand (u, d) -> Printf.sprintf "hand u%d to %d" u d
+  | Split (p, n, d) -> Printf.sprintf "split pages %d+%d to %d" p n d
+
+let own_identity =
+  lazy
+    (Sanctorum.Boot.perform
+       ~root:(Sanctorum.Boot.manufacturer_root ~seed:"ownership")
+       ~device_secret:"device-secret-ownership" ~sm_binary:S.binary_image)
+
+(* Over a run of the property: steps after which some unit was split
+   by the owner map, and [own.*] findings compared. *)
+let own_splits = ref 0
+let own_findings = ref 0
+
+let qcheck_ownership_ranges =
+  let mem_bytes = 2 * 1024 * 1024 in
+  let page = Hw.Phys_mem.page_size in
+  let pages = mem_bytes / page in
+  QCheck2.Test.make ~name:"ownership by range = per-page reference" ~count:150
+    ~print:(fun (unit_pages, ops) ->
+      Printf.sprintf "unit %d pages: [%s]" unit_pages
+        (String.concat "; " (List.map print_own_op ops)))
+    QCheck2.Gen.(
+      let u = int_bound 1000 and x = int_range 0 2 and d = int_range 0 4 in
+      pair (oneofl [ 1; 2; 4; 16 ])
+        (list_size (int_range 1 30)
+           (frequency
+              [
+                (4, map2 (fun u x -> Grant (u, x)) u x);
+                (3, map2 (fun u x -> Block (u, x)) u x);
+                (3, map (fun u -> Clean u) u);
+                (1, map2 (fun u d -> State (u, d)) u d);
+                (1, map2 (fun u d -> Hand (u, d)) u d);
+                (2, map3 (fun p n d -> Split (p, n, d)) (int_bound (pages - 1))
+                      (int_range 1 24) d);
+              ])))
+    (fun (unit_pages, ops) ->
+      let unit_bytes = unit_pages * page in
+      let machine =
+        Hw.Machine.create
+          { Hw.Machine.default_config with Hw.Machine.cores = 1; mem_bytes }
+      in
+      let owners = Sanctorum_platform.Platform.owner_map machine in
+      let pf =
+        Sanctorum_platform.Platform.make ~name:"split" ~alloc_unit:unit_bytes
+          ~llc_partitioned:false
+          ~phys_check:(fun ~core:_ ~access:_ ~paddr:_ -> true)
+          ~pte_fetch_check:(fun ~core:_ ~paddr:_ -> true)
+          machine owners
+      in
+      let sm =
+        S.boot ~platform:pf ~identity:(Lazy.force own_identity)
+          ~signing_enclave_measurement:
+            Sanctorum.Attestation.signing_expected_measurement
+      in
+      let eids =
+        List.init 2 (fun i ->
+            let eid = S.metadata_base sm + (i * S.enclave_slot_bytes) in
+            match
+              S.create_enclave sm ~caller:S.Os ~eid ~evbase:0x10000
+                ~evsize:0x4000 ()
+            with
+            | Ok () -> eid
+            | Error e -> failwith (Sanctorum.Api_error.to_string e))
+      in
+      let units = S.memory_units sm in
+      let domain = function
+        | 0 -> Hw.Trap.domain_sm
+        | 1 -> Hw.Trap.domain_untrusted
+        | 4 -> 77
+        | i -> Result.get_ok (S.enclave_domain sm ~eid:(List.nth eids (i - 2)))
+      in
+      let party = function
+        | 0 -> None
+        | x -> Some (List.nth eids (x - 1))
+      in
+      let kind = Sanctorum.Resource.Memory_resource in
+      let memo = A.Invariants.memo () in
+      let own vs =
+        List.map report
+          (List.filter
+             (fun v -> String.starts_with ~prefix:"own." v.A.Report.id)
+             vs)
+      in
+      let split () =
+        let cut = ref false in
+        pf.Sanctorum_platform.Platform.iter_ranges (fun ~lo ~hi ~domain:_ ->
+            if lo mod unit_bytes <> 0 || hi mod unit_bytes <> 0 then
+              cut := true);
+        !cut
+      in
+      let agrees () =
+        let want = Sanctorum_oracle.Invariants_ref.ownership sm in
+        if split () then incr own_splits;
+        own_findings := !own_findings + List.length want;
+        own (A.Invariants.check memo sm) = List.map report want
+        && own (A.Checker.snapshot sm) = List.map report want
+      in
+      let apply = function
+        | Grant (u, x) ->
+            let to_ =
+              match party x with None -> S.To_os | Some eid -> S.To_enclave eid
+            in
+            ignore
+              (S.grant_resource sm ~caller:S.Os kind ~rid:(u mod units) ~to_)
+        | Block (u, x) ->
+            let caller =
+              match party x with None -> S.Os | Some eid -> S.Enclave_caller eid
+            in
+            ignore (S.block_resource sm ~caller kind ~rid:(u mod units))
+        | Clean u ->
+            ignore (S.clean_resource sm ~caller:S.Os kind ~rid:(u mod units))
+        | State (u, d) ->
+            S.corrupt_resource_owner sm ~rid:(u mod units) (domain d)
+        | Hand (u, d) ->
+            let lo = u mod units * unit_bytes in
+            ignore
+              (pf.Sanctorum_platform.Platform.assign_range ~lo
+                 ~hi:(lo + unit_bytes) (domain d))
+        | Split (p, n, d) ->
+            let lo = p * page in
+            Sanctorum_platform.Owner_map.set_range owners ~lo
+              ~hi:(min mem_bytes (lo + (n * page)))
+              (domain d)
+      in
+      agrees ()
+      && List.for_all
+           (fun op ->
+             apply op;
+             agrees ())
+           ops)
+
+(* The property, then a check that its run split some units and
+   compared some findings: a run that never splits a unit, or never
+   flags one, would pass it without reaching the walk's corners. *)
+let ownership_ranges =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_ownership_ranges in
+  ( name,
+    speed,
+    fun () ->
+      own_splits := 0;
+      own_findings := 0;
+      run ();
+      if !own_splits = 0 then Alcotest.fail "no step split a unit";
+      if !own_findings = 0 then Alcotest.fail "no step flagged a unit" )
 
 (* A memo follows one monitor: handed another, it starts over, so it
    neither replays a walk recorded on another machine's memory nor
@@ -1002,8 +1316,11 @@ let suite =
       Alcotest.test_case "honest workload trace is orderly" `Quick
         test_honest_run_trace;
       QCheck_alcotest.to_alcotest qcheck_order_streaming;
+      QCheck_alcotest.to_alcotest qcheck_lock_stack;
+      QCheck_alcotest.to_alcotest qcheck_orderlint_ints;
       QCheck_alcotest.to_alcotest qcheck_ring_pass;
       memo_differential;
+      ownership_ranges;
       Alcotest.test_case "a memo handed another monitor starts over" `Quick
         test_memo_follows_one_monitor;
       Alcotest.test_case "relaxed protections are detected" `Quick

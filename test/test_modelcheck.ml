@@ -117,6 +117,34 @@ let test_replay_reports_both_backends () =
     "primary, then other" (sanctum @ keystone)
     (ids (cfg ~diff:true ()))
 
+(* With [diff], a catalog finding names the backend it was seen on. A
+   fault only the Keystone world takes is convicted on Keystone alone,
+   and every finding says so; Sanctum alone never sees it, and a run on
+   Keystone alone prints the catalog's report verbatim. *)
+let test_diff_names_backend () =
+  let fault = M.Keystone_owner_map 0 in
+  let s = M.explore (cfg ~depth:1 ~diff:true ~inject:fault ()) in
+  if s.M.s_findings = [] then Alcotest.fail "the fault was not convicted";
+  List.iter
+    (fun f ->
+      (match f.M.f_kind with
+      | M.K_catalog (_, M.Keystone) -> ()
+      | _ -> Alcotest.failf "not a Keystone catalog finding: %s" f.M.f_detail);
+      if not (String.starts_with ~prefix:"keystone: [" f.M.f_detail) then
+        Alcotest.failf "finding does not name its backend: %s" f.M.f_detail)
+    s.M.s_findings;
+  Alcotest.(check int)
+    "sanctum alone" 0
+    (M.explore (cfg ~depth:1 ~inject:fault ())).M.s_findings_total;
+  let single = M.explore (cfg ~backend:M.Keystone ~depth:1 ~inject:fault ()) in
+  Alcotest.(check (list string))
+    "keystone alone: the same findings, unlabelled"
+    (List.map
+       (fun f ->
+         String.sub f.M.f_detail 10 (String.length f.M.f_detail - 10))
+       s.M.s_findings)
+    (List.map (fun f -> f.M.f_detail) single.M.s_findings)
+
 (* Findings print replay commands from these tokens, so each
    constructor's printed form is pinned. *)
 let pinned_tokens =
@@ -148,6 +176,7 @@ let pinned_tokens =
     (M.Send_mail (M.S_enclave 1, 0), "sendmail:e1:0");
     (M.Get_mail (0, M.S_enclave 1), "getmail:0:e1");
     (M.Inject (M.Corrupt_owner_map 1), "inject:owner-map:1");
+    (M.Inject (M.Keystone_owner_map 1), "inject:keystone-owner-map:1");
     (M.Inject (M.Corrupt_lifecycle 0), "inject:lifecycle:0");
     (M.Inject (M.Corrupt_thread (1, 0)), "inject:thread:1:0");
     (M.Inject M.Corrupt_meta, "inject:meta");
@@ -175,6 +204,7 @@ let action_gen =
     oneof
       [
         map (fun u -> M.Corrupt_owner_map u) i;
+        map (fun u -> M.Keystone_owner_map u) i;
         map (fun e -> M.Corrupt_lifecycle e) i;
         map2 (fun t c -> M.Corrupt_thread (t, c)) i i;
         return M.Corrupt_meta;
@@ -221,7 +251,7 @@ let prop_path_roundtrip =
    or "--inject:". A name and an arity no action has read as unknown,
    whatever the fields; only a known shape reads its fields. *)
 let want_fault =
-  "(want owner-map:U, lifecycle:E, thread:T:C, meta)"
+  "(want owner-map:U, keystone-owner-map:U, lifecycle:E, thread:T:C, meta)"
 
 let malformed_paths =
   [
@@ -356,6 +386,8 @@ let suite =
         test_replay_verdicts;
       Alcotest.test_case "replay with --diff reports both backends" `Quick
         test_replay_reports_both_backends;
+      Alcotest.test_case "--diff findings name their backend" `Quick
+        test_diff_names_backend;
       Alcotest.test_case "replay rejects malformed paths" `Quick
         test_replay_rejects_garbage;
       QCheck_alcotest.to_alcotest prop_path_roundtrip;

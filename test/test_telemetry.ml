@@ -127,7 +127,10 @@ let qcheck_sink_ring =
               Tel.Sink.clear sink);
           let want = Ring.to_list ring in
           let folded = ref [] in
-          Tel.Sink.iter (fun e -> folded := e :: !folded) sink;
+          Tel.Sink.iter
+            (fun ~seq ~core ~cycles payload ->
+              folded := { Tel.Event.seq; core; cycles; payload } :: !folded)
+            sink;
           Tel.Sink.events sink = want
           && List.rev !folded = want
           && Tel.Sink.dropped sink = Ring.dropped ring
@@ -450,6 +453,52 @@ let test_trap_counters_follow_sink () =
   Alcotest.check counts "the machine's own registry" []
     (traps (Hw.Machine.metrics m))
 
+(* The monitor counts each call, each rejection and each latency in the
+   registry of the sink attached when the call returns: its handles are
+   resolved on the first call (or rejection) that needs each one, so a
+   name registers exactly when a lookup by name would, and dropped when
+   the sink changes. *)
+let test_api_counters_follow_sink () =
+  let tb = Testbed.create () in
+  let sm = tb.Testbed.sm in
+  let api metrics =
+    List.filter_map
+      (fun (name, item) ->
+        match item with
+        | Tel.Metrics.Counter k when String.starts_with ~prefix:"sm." name ->
+            Some (name, Tel.Metrics.value k)
+        | Tel.Metrics.Histogram h when String.starts_with ~prefix:"sm." name
+          ->
+            Some (name, (Tel.Metrics.summary h).Tel.Metrics.count)
+        | _ -> None)
+      (Tel.Metrics.to_list metrics)
+  in
+  let exit_as_os () = ignore (S.exit_enclave sm ~caller:S.Os ~core:0) in
+  let delete_none () = ignore (S.delete_enclave sm ~caller:S.Os ~eid:0) in
+  let first = Tel.Metrics.create () and second = Tel.Metrics.create () in
+  S.set_sink sm (Tel.Sink.create ~metrics:first ());
+  exit_as_os ();
+  exit_as_os ();
+  S.set_sink sm (Tel.Sink.create ~metrics:second ());
+  delete_none ();
+  S.set_sink sm (Tel.Sink.create ());
+  exit_as_os ();
+  let counts = Alcotest.(list (pair string int)) in
+  Alcotest.check counts "first sink"
+    [
+      ("sm.api.calls.exit_enclave", 2);
+      ("sm.api.latency", 2);
+      ("sm.api.rejected.exit_enclave", 2);
+    ]
+    (api first);
+  Alcotest.check counts "second sink"
+    [
+      ("sm.api.calls.delete_enclave", 1);
+      ("sm.api.latency", 1);
+      ("sm.api.rejected.delete_enclave", 1);
+    ]
+    (api second)
+
 let suite =
   ( "telemetry",
     [
@@ -473,6 +522,8 @@ let suite =
       Alcotest.test_case "audit: rejections carry their reason" `Quick
         test_audit_rejections;
       Alcotest.test_case "sink: null by default" `Quick test_null_sink;
+      Alcotest.test_case "sink: monitor API counters follow the sink" `Quick
+        test_api_counters_follow_sink;
       Alcotest.test_case "sink: trap counters follow the sink" `Quick
         test_trap_counters_follow_sink;
     ] )
