@@ -252,6 +252,9 @@ let cmd_chaos tel backend seed faults rounds =
   | Error msg ->
       Printf.eprintf "sanctorum_demo chaos: --faults %S: %s\n" faults msg;
       exit 2
+  | Ok _ when rounds < 1 ->
+      Printf.eprintf "sanctorum_demo chaos: --rounds must be >= 1\n";
+      exit 2
   | Ok spec ->
       with_telemetry tel @@ fun sink ->
       let seed = Int64.of_int seed in
@@ -294,7 +297,18 @@ let cmd_workload backend seed cores enclaves rounds mix fuel quantum
           check_every;
         }
       in
-      let r = W.run cfg in
+      (* a nonsensical config, or a population the backend cannot hold,
+         is a usage error (exit 2), not a dirty run (exit 1) *)
+      let usage msg =
+        Printf.eprintf "sanctorum_demo workload: %s\n" msg;
+        exit 2
+      in
+      (match W.validate cfg with
+      | () -> ()
+      | exception Invalid_argument msg -> usage msg);
+      let r =
+        match W.run cfg with r -> r | exception Failure msg -> usage msg
+      in
       Format.printf "%a@." W.pp_report r;
       if r.W.rp_findings <> [] then begin
         Format.printf "%a@." An.Report.pp_list r.W.rp_findings;

@@ -123,14 +123,13 @@ let access_hit t ~paddr =
     false
   end
 
-(* Account [n] further hits on the line of [paddr], which must have
-   been the target of the immediately preceding access on this cache
-   with nothing touched in between — the superblock tier batches
-   consecutive same-line instruction fetches and flushes them here.
-   Each repeat of [access_hit] would advance the tick and stamp the
-   line with it; only the final stamp is observable when no other
-   access intervenes, so one batched update leaves tick and LRU order
-   bit-identical to [n] sequential calls. *)
+(* Account [n] further hits on the line of [paddr], which must be
+   valid. [n] sequential [access_hit] calls would advance the tick by
+   [n], stamp the line with the last tick and make it its set's MRU way;
+   only that last stamp is observable, so one update leaves the same
+   tick, stamps and MRU ways. The superblock tier defers the L1 hits on
+   its two open lines and applies each line's here, in the order of its
+   last deferred hit. *)
 let note_repeat_hits t ~paddr ~n =
   if n > 0 then begin
     let si =
@@ -138,11 +137,11 @@ let note_repeat_hits t ~paddr ~n =
       else t.index_fn paddr land t.set_mask
     in
     let set = t.lines.(si) in
-    let l = set.(t.mru.(si)) in
-    (* the precondition makes the batched line this set's MRU way *)
-    assert (l.epoch = t.cur_epoch && l.tag = paddr lsr t.line_shift);
+    let w = scan_tag set t.cur_epoch (paddr lsr t.line_shift) 0 t.cfg.ways in
+    assert (w >= 0);
     t.tick <- t.tick + n;
-    l.lru <- t.tick
+    set.(w).lru <- t.tick;
+    t.mru.(si) <- w
   end
 
 let probe t ~paddr =
@@ -150,14 +149,18 @@ let probe t ~paddr =
   let tag = tag_of t paddr in
   Array.exists (fun l -> l.epoch = t.cur_epoch && l.tag = tag) set
 
-let iter_tags t f =
+let iter_lines t f =
   for set = 0 to Array.length t.lines - 1 do
     let ways = t.lines.(set) in
     for w = 0 to Array.length ways - 1 do
       let l = ways.(w) in
-      if l.epoch = t.cur_epoch then f ~set ~paddr:(l.tag * t.cfg.line_bytes)
+      if l.epoch = t.cur_epoch then
+        f ~set ~paddr:(l.tag * t.cfg.line_bytes) ~lru:l.lru
     done
   done
+
+let iter_tags t f = iter_lines t (fun ~set ~paddr ~lru:_ -> f ~set ~paddr)
+let tick t = t.tick
 
 let lowest_fill t = t.lowest_fill
 let flush_all t = t.cur_epoch <- t.cur_epoch + 1

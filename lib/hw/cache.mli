@@ -37,14 +37,16 @@ val access_hit : t -> paddr:int -> bool
     ([hit_cycles] / [miss_cycles]). *)
 
 val note_repeat_hits : t -> paddr:int -> n:int -> unit
-(** [note_repeat_hits t ~paddr ~n] accounts [n] additional consecutive
-    hits on the line holding [paddr]. Precondition: that line was the
-    target of the immediately preceding access on this cache and
-    nothing else has been accessed since (checked by an assertion on
-    the MRU way). Under that precondition the result — tick and LRU
-    order — is bit-identical to [n] sequential {!access_hit} calls; the
-    superblock tier uses it to flush a batch of same-line instruction
-    fetches in O(1). *)
+(** [note_repeat_hits t ~paddr ~n] accounts [n] further hits on the
+    line holding [paddr]. Precondition: that line is valid (checked by
+    an assertion); it need not be its set's MRU way. The result — tick,
+    LRU stamps and MRU ways — is bit-identical to [n] sequential
+    {!access_hit} calls on that line. The superblock tier defers the L1
+    hits on its two open lines, the fetch line and the data line, and
+    applies each line's here in the order of its last deferred hit:
+    with [n] the distance from the previous line's last hit, the two
+    updates leave what the interleaved sequential calls would, the two
+    lines sharing a set included. *)
 
 val probe : t -> paddr:int -> bool
 (** Non-destructive lookup: would this access hit? (Used by attack
@@ -54,6 +56,12 @@ val iter_tags : t -> (set:int -> paddr:int -> unit) -> unit
 (** Read-only view of every valid line, for external checkers (the
     [Sanctorum_analysis] flush-residue invariant). [paddr] is the first
     byte of the cached line. Does not disturb LRU state. *)
+
+val iter_lines : t -> (set:int -> paddr:int -> lru:int -> unit) -> unit
+(** {!iter_tags} with each line's LRU stamp, for differential tests. *)
+
+val tick : t -> int
+(** The access count the LRU stamps are drawn from. *)
 
 val lowest_fill : t -> int
 (** The lowest line address a fill has ever tagged in this cache

@@ -88,6 +88,15 @@ let hw_counters m =
    entry reuses the page only while the frame's generation still
    equals it. *)
 
+(* One of a block's two open L1 lines: its number ([paddr lsr l1_shift],
+   -1 = closed), an address in it, and the position of its last
+   deferred hit among the hits not yet applied (0 = none). *)
+type sb_line = {
+  mutable ol_line : int;
+  mutable ol_paddr : int;
+  mutable ol_last : int;
+}
+
 type sb_ctx = {
   sx_core : core;
   mutable sx_vbase : int64;
@@ -107,12 +116,11 @@ type sb_ctx = {
      accumulated here, flushed once at block exit *)
   mutable sx_cycles : int;
   mutable sx_instret : int;
-  (* batch of consecutive same-line fetch hits, flushed via
-     [Cache.note_repeat_hits] before any other cache-model access *)
-  mutable sx_line : int;  (* line tag; -1 = no open batch *)
-  mutable sx_line_paddr : int;
-  mutable sx_line_rep : int;
-  sx_hit_plus1 : int;  (* L1 hit cycles + the dispatch cycle *)
+  (* the open fetch and data lines, and the count of deferred hits on
+     them not yet applied to the cache model (see [sb_cache]) *)
+  sx_fline : sb_line;
+  sx_dline : sb_line;
+  mutable sx_pend : int;
   mutable sx_side_exit : bool;  (* ended on a guard miss / trap handoff *)
 }
 
@@ -152,6 +160,7 @@ let () = assert (Phys_mem.page_size = 1 lsl page_shift)
    every machine. *)
 let l1_config = Cache.default_l1
 let l1_shift = Sanctorum_util.Bits.log2 l1_config.Cache.line_bytes
+let l1_hit_cycles = l1_config.Cache.hit_cycles
 let tlb_entries = 32
 let pte_fetch_cycles = 12
 
@@ -182,6 +191,7 @@ let create cfg =
       pending_interrupts = Queue.create ();
     }
   in
+  let mk_line () = { ol_line = -1; ol_paddr = 0; ol_last = 0 } in
   let mk_sb_ctx core =
     {
       sx_core = core;
@@ -195,10 +205,9 @@ let create cfg =
       sx_dframe = 0;
       sx_cycles = 0;
       sx_instret = 0;
-      sx_line = -1;
-      sx_line_paddr = 0;
-      sx_line_rep = 0;
-      sx_hit_plus1 = l1_config.Cache.hit_cycles + 1;
+      sx_fline = mk_line ();
+      sx_dline = mk_line ();
+      sx_pend = 0;
       sx_side_exit = false;
     }
   in
@@ -373,7 +382,7 @@ let cache_cost t (core : core) ~paddr =
   let c = t.ctrs in
   if Cache.access_hit core.l1 ~paddr then begin
     Tel.Metrics.incr c.c_l1_hits;
-    l1_config.Cache.hit_cycles
+    l1_hit_cycles
   end
   else begin
     let l2_hit = Cache.access_hit t.l2 ~paddr in
@@ -752,18 +761,24 @@ let step t core =
      having entered the block and the stepped path replays the
      instruction — and raises the precise trap — from scratch.
 
-   - commit: the access in [step]'s exact order — fetch cache charge
-     (batched per line), the dispatch cycle, data TLB hit, data cache
-     charge, bytes, registers, retire. Line transitions and data
-     accesses pay [step]'s [cache_cost] and are counted where they
-     happen. Only cycles, instret and the open line batch are deferred
-     in the per-core [sb_ctx] and flushed once at block exit, with the
+   - commit: the access in [step]'s exact order — fetch cache charge,
+     the dispatch cycle, data TLB hit, data cache charge, bytes,
+     registers, retire. A block keeps two L1 lines open, that of its
+     last fetch and that of its last data access: a fetch, load or
+     store on either is a deferred hit that pays the hit cycles at
+     once; any other access applies both lines' deferred hits, then
+     pays [step]'s [cache_cost], counted where it happens ([sb_cache]).
+     Cycles and instret are kept in the per-core [sb_ctx] and applied
+     once at block exit, with the hits still deferred then and the
      block's fetch TLB hits: with paging on, each retired instruction
      was fetched once through the TLB entry the block's entry found.
-     Batching is the only reordering, and [Cache.note_repeat_hits]
-     makes it exact: consecutive same-line fetch hits with nothing in
-     between collapse to one update with bit-identical tick and LRU
-     order.
+     Deferral is the only reordering, and [Cache.note_repeat_hits]
+     makes it exact: between two applications only the open lines are
+     touched and only each one's last stamp is observable, so applying
+     them in the order of their last hits, the later by its distance
+     from the earlier, leaves tick, stamps and MRU ways as the
+     sequential calls would, the two lines sharing a set included. A
+     miss closes the other line, which its fill may have evicted.
 
    A store into the block's own code frame ends the block once it has
    committed: it moved the frame's generation, so the next entry
@@ -791,29 +806,54 @@ let sb_exit_at ctx pc =
   ctx.sx_exit_pc <- pc;
   -1
 
-let sb_flush_line t (core : core) ctx =
-  if ctx.sx_line_rep > 0 then begin
-    Cache.note_repeat_hits core.l1 ~paddr:ctx.sx_line_paddr ~n:ctx.sx_line_rep;
-    Tel.Metrics.add t.ctrs.c_l1_hits ctx.sx_line_rep;
-    ctx.sx_line_rep <- 0
-  end;
-  ctx.sx_line <- -1
+(* Apply the deferred L1 hits: each open line's in the order of its
+   last deferred hit, so that tick, LRU stamps and MRU ways equal what
+   the sequential [access_hit] calls would leave
+   ([Cache.note_repeat_hits]), and count them. *)
+let sb_apply_lines t (core : core) ctx =
+  let n = ctx.sx_pend in
+  if n > 0 then begin
+    let f = ctx.sx_fline and d = ctx.sx_dline in
+    let first = if f.ol_last < d.ol_last then f else d in
+    let last = if first == f then d else f in
+    Cache.note_repeat_hits core.l1 ~paddr:first.ol_paddr ~n:first.ol_last;
+    Cache.note_repeat_hits core.l1 ~paddr:last.ol_paddr ~n:(n - first.ol_last);
+    Tel.Metrics.add t.ctrs.c_l1_hits n;
+    f.ol_last <- 0;
+    d.ol_last <- 0;
+    ctx.sx_pend <- 0
+  end
+
+let sb_defer ctx l =
+  let p = ctx.sx_pend + 1 in
+  ctx.sx_pend <- p;
+  l.ol_last <- p;
+  l1_hit_cycles
+
+(* The cache cycles of a fetch, load or store of [paddr] on [line];
+   [own] is the open line of the access's kind, [other] the other one.
+   An access to either open line is a deferred L1 hit: it pays the hit
+   cycles now, and [sb_apply_lines] stamps and counts it later. Any
+   other access applies both lines first, then pays [step]'s
+   [cache_cost] and opens [own] on its line; after a miss (any cost but
+   the hit cycles) [other] closes, since the fill may have evicted it. *)
+let sb_cache t (core : core) ctx own other ~paddr ~line =
+  if own.ol_line = line then sb_defer ctx own
+  else if other.ol_line = line then sb_defer ctx other
+  else begin
+    sb_apply_lines t core ctx;
+    let cost = cache_cost t core ~paddr in
+    own.ol_line <- line;
+    own.ol_paddr <- paddr;
+    if cost <> l1_hit_cycles then other.ol_line <- -1;
+    cost
+  end
 
 (* Per-instruction fetch commit: the cache charge and the dispatch
-   cycle. A fetch from the open line joins its batch; the first fetch
-   from a new line flushes the batch, pays the real cache-model access
-   and opens a new one. *)
+   cycle. *)
 let sb_account_fetch t (core : core) ctx ~paddr ~line =
-  if ctx.sx_line = line then begin
-    ctx.sx_line_rep <- ctx.sx_line_rep + 1;
-    ctx.sx_cycles <- ctx.sx_cycles + ctx.sx_hit_plus1
-  end
-  else begin
-    sb_flush_line t core ctx;
-    ctx.sx_cycles <- ctx.sx_cycles + cache_cost t core ~paddr + 1;
-    ctx.sx_line <- line;
-    ctx.sx_line_paddr <- paddr
-  end
+  let cost = sb_cache t core ctx ctx.sx_fline ctx.sx_dline ~paddr ~line in
+  ctx.sx_cycles <- ctx.sx_cycles + cost + 1
 
 (* The pure half of a translation that hits the TLB: probe, permission,
    physical bounds for [size] bytes and the isolation check — every
@@ -878,15 +918,15 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
     end
 
 (* Data-access commit: the mutating half in [step]'s order — data TLB
-   hit, then the cache charge, flushing the fetch batch first so
-   cache-model ticks interleave exactly as stepped. *)
+   hit, then the cache charge. *)
 let sb_commit_data t (core : core) ctx ~paddr =
   if ctx.sx_paging then begin
     Tlb.commit_hit core.tlb ctx.sx_tslot;
     Tel.Metrics.incr t.ctrs.c_tlb_hits
   end;
-  sb_flush_line t core ctx;
-  ctx.sx_cycles <- ctx.sx_cycles + cache_cost t core ~paddr
+  let line = paddr lsr l1_shift in
+  ctx.sx_cycles <-
+    ctx.sx_cycles + sb_cache t core ctx ctx.sx_dline ctx.sx_fline ~paddr ~line
 
 (* Retire and fall through; past the last slot the block exits at the
    first PC of the next page. *)
@@ -1209,8 +1249,8 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;
     ctx.sx_instret <- 0;
-    ctx.sx_line <- -1;
-    ctx.sx_line_rep <- 0;
+    ctx.sx_fline.ol_line <- -1;
+    ctx.sx_dline.ol_line <- -1;
     ctx.sx_side_exit <- false;
     let slot = ref slot0 in
     let running = ref true in
@@ -1224,7 +1264,7 @@ let sb_exec t (core : core) ~fuel =
         if next >= 0 then slot := next else running := false
       end
     done;
-    sb_flush_line t core ctx;
+    sb_apply_lines t core ctx;
     core.pc <- ctx.sx_exit_pc;
     core.cycles <- core.cycles + ctx.sx_cycles;
     core.instret <- core.instret + ctx.sx_instret;

@@ -188,8 +188,10 @@ val set_fast_path : t -> bool -> unit
     instret, registers, traps — and telemetry, every [hw.*] counter
     included, are bit-identical in both modes (only the host-side
     [hw.sb.*] diagnostic counters differ): the tier defers only cycles,
-    instret and a batch of same-line fetches to block exit, and counts
-    everything else where it happens. Only host wall-clock differs.
+    instret and the L1 hits on its two open lines, that of its last
+    fetch and that of its last data access, which it applies at its
+    next other L1 access or at block exit, and counts everything else
+    where it happens. Only host wall-clock differs.
     {!step} is the same stepped reference pipeline either way, so
     [off] runs it alone: the differential-testing baseline
     ([bench sim] measures the gap, the qcheck properties prove the

@@ -25,14 +25,17 @@ let default =
    exactly [rounds] rounds, then torn down. Job seeds are drawn from a
    stream keyed by the config seed, so every image and churn decision
    remains a pure function of the config. *)
-let run cfg =
+let validate cfg =
   if cfg.cores < 1 then invalid_arg "Workload.run: cores must be >= 1";
   if cfg.enclaves < 1 then invalid_arg "Workload.run: enclaves must be >= 1";
   if cfg.mix = Ipc && cfg.enclaves < 2 then
     invalid_arg "Workload.run: the ipc mix needs at least 2 enclaves";
   if cfg.rounds < 1 then invalid_arg "Workload.run: rounds must be >= 1";
   if cfg.fuel <= cfg.quantum then
-    invalid_arg "Workload.run: fuel must exceed the quantum";
+    invalid_arg "Workload.run: fuel must exceed the quantum"
+
+let run cfg =
+  validate cfg;
   let eng = Engine.create cfg in
   let rng = Rng.of_string cfg.seed in
   let n =

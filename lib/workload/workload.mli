@@ -49,11 +49,16 @@ val default : config
     many-enclave mixes need), 4 cores, 64 enclaves, 1000 rounds,
     compute mix, seed ["workload"]. *)
 
+val validate : config -> unit
+(** Raises [Invalid_argument] on a nonsensical config (no cores, no
+    enclaves, [fuel <= quantum]...). *)
+
 val run : config -> report
 (** Execute the closed loop: install, schedule [rounds] rounds with
     per-mix re-enqueue policy, drain, reclaim everything, run a final
-    checker pass. Raises [Invalid_argument] on a nonsensical config
-    (no cores, no enclaves, [fuel <= quantum]...). *)
+    checker pass. Raises [Invalid_argument] where {!validate} does, and
+    [Failure] when the backend cannot hold the population (an install
+    refused for want of memory units or metadata). *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line human-readable summary. *)

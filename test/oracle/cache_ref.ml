@@ -53,13 +53,16 @@ let access_hit t ~paddr =
 let probe t ~paddr =
   find_line t.lines.(set_of_paddr t paddr) (tag_of t paddr) <> None
 
-let iter_tags t f =
+let iter_lines t f =
   Array.iteri
     (fun set ways ->
       Array.iter
-        (fun l -> if l.valid then f ~set ~paddr:(l.tag * t.cfg.line_bytes))
+        (fun l ->
+          if l.valid then f ~set ~paddr:(l.tag * t.cfg.line_bytes) ~lru:l.lru)
         ways)
     t.lines
+
+let iter_tags t f = iter_lines t (fun ~set ~paddr ~lru:_ -> f ~set ~paddr)
 
 let flush_all t =
   Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) t.lines

@@ -77,6 +77,27 @@ let sb_instret_of metrics =
   | Some (Tel.Metrics.Counter c) -> Tel.Metrics.value c
   | _ -> 0
 
+(* Each core's L1, then the L2: the tick and every valid line's set,
+   address and LRU stamp. The tier defers L1 hits and applies them
+   later, so a stamp out of order shows here before any eviction does. *)
+let cache_state m =
+  let one c =
+    let lines = ref [] in
+    Hw.Cache.iter_lines c (fun ~set ~paddr ~lru ->
+        lines := (set, paddr, lru) :: !lines);
+    (Hw.Cache.tick c, List.rev !lines)
+  in
+  Array.fold_right
+    (fun core acc -> one core.Hw.Machine.l1 :: acc)
+    (Hw.Machine.cores m)
+    [ one (Hw.Machine.l2 m) ]
+
+(* A Sanctum-style colouring of the L1: four regions of one page each
+   (the page number's low two bits), two sets a region. Every page's
+   lines crowd into two sets, shared with every page of its region, so
+   code and data lines share sets and fills evict constantly. *)
+let l1_colour paddr = ((paddr lsr 12) land 3 * 2) + ((paddr lsr 6) land 1)
+
 (* ------------------------------------------------------------------ *)
 (* Self-modifying code: the compiled pages' sharpest edge. A program
    that overwrites an instruction must execute the new bytes, even
@@ -305,7 +326,10 @@ let instr_of_op op =
   let open Hw.Isa in
   let r i = regs_pool.(i mod Array.length regs_pool) in
   let data_off size raw =
-    let off = raw mod 2040 in
+    (* half the offsets fall in the first 7 lines of the data page, the
+       L1 sets of the code's first 7 lines under the default index, so
+       that a block's code and data lines often share a set *)
+    let off = if raw land 16 = 0 then raw mod 2040 else raw mod 448 in
     (* mostly aligned, sometimes deliberately misaligned *)
     if raw mod 11 = 0 then off else off / size * size
   in
@@ -424,12 +448,14 @@ let set_tier m = function
 (* Run one machine to completion (or the step cap) and snapshot every
    piece of architectural state the fast tiers could disturb, and the
    counters of a metrics sink armed from the start. *)
-let run_one ~tier ~drive ~mode ~ops ~events ~raws =
+let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
   let m =
     Hw.Machine.create
       { Hw.Machine.default_config with cores = 1; mem_bytes = 1024 * 1024 }
   in
   set_tier m tier;
+  if coloured then
+    Hw.Cache.set_index_fn (Hw.Machine.core m 0).Hw.Machine.l1 l1_colour;
   let metrics = arm_metrics m in
   let traps = ref [] in
   Hw.Machine.set_trap_handler m (fun _ c cause ->
@@ -555,7 +581,8 @@ let run_one ~tier ~drive ~mode ~ops ~events ~raws =
     Array.to_list c.Hw.Machine.regs,
     counter_snapshot metrics,
     List.rev !traps,
-    Hw.Phys_mem.pending_faults mem )
+    Hw.Phys_mem.pending_faults mem,
+    cache_state m )
 
 let case_gen =
   let open QCheck2.Gen in
@@ -617,16 +644,18 @@ let case_gen =
       (list_size (int_range 0 2) early_deny)
       (list_size (int_range 0 2) (early zero_gen))
   in
+  (* half the cases colour the L1, so that every block's code and data
+     lines share a set *)
   quad
-    (oneofl [ Bare; Paged ])
+    (pair (oneofl [ Bare; Paged ]) bool)
     (list_size (int_range 10 50) op_gen)
     events
     (list_size (int_range 0 3) (pair (int_bound 95) (int_bound 0x7FFFFFF)))
 
 (* Compare two tier snapshots field by field; [label] names the pair
    so a failure pins which tier diverged from which. *)
-let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a)
-    (i_b, c_b, pc_b, r_b, k_b, tr_b, p_b) =
+let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a, ca_a)
+    (i_b, c_b, pc_b, r_b, k_b, tr_b, p_b, ca_b) =
   let fail what = QCheck2.Test.fail_reportf "%s diverge on %s" label what in
   let only x y =
     String.concat "; "
@@ -648,6 +677,11 @@ let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a)
          (List.length tr_a) (List.length tr_b) (String.concat "; " tr_a)
          (String.concat "; " tr_b))
   else if p_a <> p_b then fail "pending fault count"
+  else if ca_a <> ca_b then
+    fail
+      (Printf.sprintf "cache state (ticks [%s] vs [%s])"
+         (String.concat "; " (List.map (fun (t, _) -> string_of_int t) ca_a))
+         (String.concat "; " (List.map (fun (t, _) -> string_of_int t) ca_b)))
   else true
 
 (* The default configuration against the stepped reference pipeline. *)
@@ -1278,6 +1312,76 @@ let test_cross_core_store () =
   check_bool "core 1 agrees across tiers" true (c1 = c1');
   check_bool "counters agree across tiers" true (k = k')
 
+(* Code and data lines in one L1 set, the pattern the tier defers as
+   two open lines. A loop's load and its own code line alternate in set
+   0; the block stops after each of the loop's three instructions in
+   turn, so either line can be the later one. Stepped loads of three
+   more lines of set 0 then evict from the set and reload the loop's two
+   lines: a stamp applied out of order evicts the wrong one. Under an
+   L1 index that puts every line in one set, a block loads a line and
+   runs on through four code lines, whose fills evict it, before loading
+   it again: the reload must miss. Tiers on and off must agree on every
+   cache's tick, lines and stamps after the block, and at the end on
+   these, cycles, instret and counters. *)
+let test_shared_set_lru () =
+  let open Hw.Isa in
+  let loop =
+    li t1 0x8000 @ li t2 20
+    @ [
+        Load (Ld, a0, t1, 0);
+        Op_imm (Add, t2, t2, -1);
+        Branch (Bne, t2, zero, -8);
+        Ecall;
+      ]
+  and through =
+    li t1 0x8000
+    @ [ Load (Ld, a0, t1, 0) ]
+    @ List.init 70 (fun _ -> Op_imm (Add, a1, a1, 1))
+    @ [ Load (Ld, a0, t1, 0); Ecall ]
+  and stepped =
+    List.concat_map
+      (fun a -> li t1 a @ [ Load (Ld, a0, t1, 0) ])
+      [ 0x9000; 0xa000; 0xb000; 0x8000; 0x4000 ]
+    @ [ Ecall ]
+  in
+  let run_with tier ~index ~fuel prog =
+    let m, _ = bare_machine () in
+    set_tier m tier;
+    let metrics = arm_metrics m in
+    let c = Hw.Machine.core m 0 in
+    Option.iter (Hw.Cache.set_index_fn c.Hw.Machine.l1) index;
+    let mem = Hw.Machine.mem m in
+    Hw.Phys_mem.write_string mem ~pos:0x4000 (encode_program prog);
+    Hw.Phys_mem.write_string mem ~pos:0x5000 (encode_program stepped);
+    c.Hw.Machine.pc <- 0x4000L;
+    ignore (Hw.Machine.run m ~core:0 ~fuel);
+    let sb = sb_instret_of metrics and after_block = cache_state m in
+    c.Hw.Machine.pc <- 0x5000L;
+    c.Hw.Machine.halted <- false;
+    while not c.Hw.Machine.halted do
+      Hw.Machine.step m c
+    done;
+    ( sb,
+      ( after_block,
+        c.Hw.Machine.instret,
+        c.Hw.Machine.cycles,
+        counter_snapshot metrics,
+        cache_state m ) )
+  in
+  List.iter
+    (fun (what, index, fuel, prog) ->
+      let sb, sup = run_with Super ~index ~fuel prog in
+      let _, slow = run_with Slow ~index ~fuel prog in
+      check_bool (what ^ ": superblock tier engaged") true (sb > 0);
+      check_bool (what ^ ": tiers agree") true (sup = slow))
+    [
+      ("loop to its end", None, 1000, loop);
+      ("loop stopped after the branch", None, 20, loop);
+      ("loop stopped after the load", None, 21, loop);
+      ("loop stopped after the decrement", None, 22, loop);
+      ("one set, fills evict the data line", Some (fun _ -> 0), 1000, through);
+    ]
+
 let suite =
   ( "fastpath",
     [
@@ -1330,6 +1434,9 @@ let suite =
         (test_superblock_dma_overwrite Testbed.Keystone_backend);
       Alcotest.test_case "superblock: another core's store recompiles the page"
         `Quick test_cross_core_store;
+      Alcotest.test_case
+        "superblock: code and data lines sharing an L1 set keep LRU order"
+        `Quick test_shared_set_lru;
       QCheck_alcotest.to_alcotest prop_differential_entry;
       QCheck_alcotest.to_alcotest prop_differential_run;
     ] )

@@ -512,6 +512,26 @@ let test_demo_exit_codes () =
       ("--no-such-flag", 2);
     ]
 
+(* The same convention for the workload and chaos subcommands: a
+   config the library refuses, or a population the backend cannot hold
+   (Sanctum's region-sized units at the default 64 enclaves, Keystone's
+   metadata at 2000), is a usage error, reported on stderr, never an
+   uncaught exception (cmdliner's 125). *)
+let test_demo_config_exit_codes () =
+  List.iter
+    (fun args ->
+      check_int args 2
+        (Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" demo_exe args)))
+    [
+      "workload --cores 0";
+      "workload --rounds 0";
+      "workload --fuel 100";
+      "workload --mix ipc --enclaves 1";
+      "workload -b sanctum";
+      "workload --enclaves 2000";
+      "chaos --rounds 0";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Duplicate delivery at the node: re-sending an already-executed batch
    frame must produce an ack and nothing else — the work never re-runs.
@@ -822,4 +842,7 @@ let suite =
       Alcotest.test_case "quarantine: evicted shard's jobs land elsewhere"
         `Slow test_quarantine_migration;
       QCheck_alcotest.to_alcotest prop_fleet_accounts_for_every_job;
+      (* registered last, so that the indices above stay put *)
+      Alcotest.test_case "demo: workload and chaos config errors exit 2" `Slow
+        test_demo_config_exit_codes;
     ] )

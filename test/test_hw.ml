@@ -478,6 +478,10 @@ let print_flush_op = function
   | Tlb_probe v -> Printf.sprintf "tlb_probe %d" v
   | Flush -> "flush"
 
+(* Sanctum's page colouring at this scale: two 128-byte regions of two
+   sets each. *)
+let colour paddr = ((paddr / 128 mod 2 * 2) + (paddr / 16 mod 2)) land 3
+
 let qcheck_epoch_flush =
   let cfg =
     { Hw.Cache.default_l1 with Hw.Cache.sets = 4; ways = 2; line_bytes = 16 }
@@ -499,7 +503,6 @@ let qcheck_epoch_flush =
         ])
   in
   let perms = { Hw.Tlb.r = true; w = true; x = false; u = true } in
-  let colour paddr = ((paddr / 128 mod 2 * 2) + (paddr / 16 mod 2)) land 3 in
   QCheck2.Test.make ~name:"cache/TLB epoch flush = valid-bit reference"
     ~count:300
     ~print:QCheck2.Print.(pair bool (list print_flush_op))
@@ -559,6 +562,110 @@ let qcheck_epoch_flush =
         && Hw.Tlb.entry_count t = Tlb_ref.entry_count t_ref
       in
       List.for_all step ops)
+
+(* The superblock tier's deferral of L1 hits against sequential
+   [Cache_ref.access_hit]. A stream of fetch and data accesses, drawn as
+   short loops over a few lines that mostly share one set of a 4-set,
+   2-way cache (under the default index or the colouring), runs
+   through the tier's scheme: an access to one of two open lines, one
+   per kind, is deferred and later applied through
+   [Cache.note_repeat_hits], each line's in the order of its last
+   deferred hit; any other access applies both, goes through
+   [access_hit] and opens the line of its kind, and a miss closes the
+   other line. A deferred access must hit in the reference, and after
+   every real access and at the end the two caches agree on the tick,
+   every valid line and every stamp — also where the deferred line is
+   not its set's MRU way, as when the two open lines share a set. *)
+type open_line = { mutable line : int; mutable at : int; mutable last : int }
+
+let qcheck_deferred_hits =
+  let cfg =
+    { Hw.Cache.default_l1 with Hw.Cache.sets = 4; ways = 2; line_bytes = 16 }
+  in
+  let gen_access =
+    QCheck2.Gen.(
+      let line =
+        (* lines 0, 4, 8, 12 share set 0 under the default index, lines
+           0, 2, 4, 6 under the colouring *)
+        frequency
+          [
+            (2, oneofl [ 0; 4; 8; 12 ]);
+            (2, oneofl [ 0; 2; 4; 6 ]);
+            (1, int_range 0 23);
+          ]
+      in
+      triple bool line (int_range 0 15))
+  in
+  let gen_loop =
+    QCheck2.Gen.(pair (list_size (int_range 1 4) gen_access) (int_range 1 6))
+  in
+  let print_access (fetch, line, off) =
+    Printf.sprintf "%s %d+%d" (if fetch then "fetch" else "data") line off
+  in
+  QCheck2.Test.make
+    ~name:"cache: deferred hits on two lines = sequential access_hit"
+    ~count:300
+    ~print:QCheck2.Print.(pair bool (list (pair (list print_access) int)))
+    QCheck2.Gen.(pair bool (list_size (int_range 1 12) gen_loop))
+    (fun (coloured, loops) ->
+      let c = Hw.Cache.create cfg in
+      let c_ref =
+        if coloured then begin
+          Hw.Cache.set_index_fn c colour;
+          Cache_ref.create ~index:colour cfg
+        end
+        else Cache_ref.create cfg
+      in
+      let lines iter x =
+        let acc = ref [] in
+        iter x (fun ~set ~paddr ~lru -> acc := (set, paddr, lru) :: !acc);
+        List.rev !acc
+      in
+      let agree () =
+        Hw.Cache.tick c = c_ref.Cache_ref.tick
+        && lines Hw.Cache.iter_lines c = lines Cache_ref.iter_lines c_ref
+      in
+      let fl = { line = -1; at = 0; last = 0 }
+      and dl = { line = -1; at = 0; last = 0 } in
+      let pend = ref 0 in
+      let apply () =
+        let first = if fl.last < dl.last then fl else dl in
+        let last = if first == fl then dl else fl in
+        Hw.Cache.note_repeat_hits c ~paddr:first.at ~n:first.last;
+        Hw.Cache.note_repeat_hits c ~paddr:last.at ~n:(!pend - first.last);
+        fl.last <- 0;
+        dl.last <- 0;
+        pend := 0
+      in
+      let access (fetch, line, off) =
+        let paddr = (line * cfg.Hw.Cache.line_bytes) + off in
+        let own, other = if fetch then (fl, dl) else (dl, fl) in
+        let expect = Cache_ref.access_hit c_ref ~paddr in
+        if own.line = line || other.line = line then begin
+          let l = if own.line = line then own else other in
+          incr pend;
+          l.last <- !pend;
+          expect
+        end
+        else begin
+          apply ();
+          let hit = Hw.Cache.access_hit c ~paddr in
+          own.line <- line;
+          own.at <- paddr;
+          if not hit then other.line <- -1;
+          hit = expect && agree ()
+        end
+      in
+      let ok =
+        List.for_all
+          (fun (body, n) ->
+            List.for_all
+              (fun _ -> List.for_all access body)
+              (List.init n Fun.id))
+          loops
+      in
+      apply ();
+      ok && agree ())
 
 (* ------------------------------------------------------------------ *)
 (* PMP *)
@@ -1108,6 +1215,7 @@ let suite =
       Alcotest.test_case "cache custom index" `Quick test_cache_partition_fn;
       Alcotest.test_case "tlb" `Quick test_tlb;
       QCheck_alcotest.to_alcotest qcheck_epoch_flush;
+      QCheck_alcotest.to_alcotest qcheck_deferred_hits;
       Alcotest.test_case "pmp" `Quick test_pmp;
       Alcotest.test_case "page table walk/map" `Quick test_page_table;
       Alcotest.test_case "superpage leaf" `Quick test_superpage;
