@@ -1,11 +1,14 @@
-(* The benchmark harness: one group per paper artifact (see DESIGN.md
-   experiment index). Figures F1–F7 are timed with bechamel over the
-   live monitor; P1/S1 print deterministic simulated-cycle tables; T1
-   is regenerated by bin/loc_report.exe.
+(* The micro-benchmark harness: one group per paper artifact (see
+   DESIGN.md experiment index) or per layer it explains. Figures F1–F7
+   are timed with bechamel over the live monitor; P1/S1 print
+   deterministic simulated-cycle tables; T1 is regenerated by
+   bin/loc_report.exe. Whole scenarios (workload mixes, fleets, the
+   attestation service, model-checker sweeps) are driven by
+   bin/sanctorum_demo.exe and timed by perfbench.
 
    Usage: main.exe [fig1|fig2|fig3|fig4|fig5|fig6|fig7|crypto|platforms|
                     sidechannel|ablation|telemetry|analysis|faults|sim|
-                    workload|attest|fleet|fleetnet|modelcheck|all]
+                    attest|all]
    (default: all) *)
 
 module Hw = Sanctorum_hw
@@ -14,7 +17,6 @@ module C = Sanctorum_crypto
 module S = Sanctorum.Sm
 module Img = Sanctorum.Image
 module Atk = Sanctorum_attack
-module Fl = Sanctorum_fleet.Cluster
 open Sanctorum_os
 
 (* ------------------------------------------------------------------ *)
@@ -121,7 +123,7 @@ let write_report r =
 (* ------------------------------------------------------------------ *)
 (* Environment knobs. A variable that is set but malformed is a usage
    error (exit 2, naming the variable), never a silent fall-back to the
-   default scale or backend. Unset means the default. *)
+   default. Unset means the default. *)
 
 let env_parse parse what name default =
   match Sys.getenv_opt name with
@@ -135,14 +137,6 @@ let env_parse parse what name default =
 
 let env_int = env_parse int_of_string_opt "an integer"
 let env_float = env_parse float_of_string_opt "a number"
-
-let env_backend =
-  env_parse
-    (function
-      | "sanctum" -> Some Testbed.Sanctum_backend
-      | "keystone" -> Some Testbed.Keystone_backend
-      | _ -> None)
-    "a backend (sanctum or keystone)"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel plumbing *)
@@ -780,111 +774,18 @@ let report_sim () =
     }
 
 (* ------------------------------------------------------------------ *)
-(* The multicore enclave workload engine: all four mixes through the
-   closed loop, with throughput (MIPS, enclave ops/sec) and per-quantum
-   latency percentiles. The report lands in BENCH_PR5.json for CI.
+(* The attestation fast path: the throughput-grade crypto tier against
+   the reference verifier in test/oracle, and the measurement cache hot
+   vs cold. The report lands in BENCH_PR9.json.
 
-   SANCTORUM_WORKLOAD_{CORES,ENCLAVES,ROUNDS} scale the run (CI smoke
-   uses a small matrix). A mix with any analysis finding or incomplete
-   reclamation makes the run dirty, so CI needs no output scraping to
-   stay strict. *)
-
-let workload_clean (r : Sanctorum_workload.Workload.report) =
-  r.rp_findings = [] && r.rp_drained && r.rp_reclaimed
-
-let report_workload () =
-  let module W = Sanctorum_workload.Workload in
-  let cores = env_int "SANCTORUM_WORKLOAD_CORES" 4 in
-  let enclaves = env_int "SANCTORUM_WORKLOAD_ENCLAVES" 64 in
-  let rounds = env_int "SANCTORUM_WORKLOAD_ROUNDS" 1000 in
-  Printf.printf
-    "\n== workload: multicore enclave engine (%d cores, %d enclaves, %d \
-     rounds) ==\n"
-    cores enclaves rounds;
-  Printf.printf "  %-8s %9s %9s %9s %7s %7s %10s %8s %6s %6s %6s\n" "mix"
-    "instret" "quanta" "exits" "inst/rc" "msgs" "mips" "ops/s" "p50" "p90"
-    "p99";
-  let mixes =
-    List.map
-      (fun mix ->
-        let r =
-          W.run { W.default with W.cores; enclaves; rounds; mix }
-        in
-        Printf.printf
-          "  %-8s %9d %9d %9d %3d/%-3d %7d %10.2f %8.1f %6d %6d %6d\n"
-          (W.mix_name mix) r.W.rp_instret r.W.rp_quanta r.W.rp_exits
-          r.W.rp_installs r.W.rp_reclaims r.W.rp_msgs_received r.W.rp_mips
-          r.W.rp_ops_per_sec r.W.rp_quantum_p50 r.W.rp_quantum_p90
-          r.W.rp_quantum_p99;
-        ( Tel.Json.
-            [
-              ("mix", String (W.mix_name mix));
-              ("installs", Int r.rp_installs);
-              ("reclaims", Int r.rp_reclaims);
-              ("exits", Int r.rp_exits);
-              ("preempts", Int r.rp_preempts);
-              ("quanta", Int r.rp_quanta);
-              ("instret", Int r.rp_instret);
-              ("sim_cycles", Int r.rp_sim_cycles);
-              ("msgs_sent", Int r.rp_msgs_sent);
-              ("msgs_received", Int r.rp_msgs_received);
-              ("wall_s", Float r.rp_wall_s);
-              ("mips", Float r.rp_mips);
-              ("enclave_ops_per_sec", Float r.rp_ops_per_sec);
-              ("quantum_cycles_p50", Int r.rp_quantum_p50);
-              ("quantum_cycles_p90", Int r.rp_quantum_p90);
-              ("quantum_cycles_p99", Int r.rp_quantum_p99);
-              ("findings", Int (List.length r.rp_findings));
-              ("drained", Bool r.rp_drained);
-              ("reclaimed", Bool r.rp_reclaimed);
-            ],
-          ( not (workload_clean r),
-            W.mix_name mix ^ ": findings or incomplete reclamation" ) ))
-      W.all_mixes
-  in
-  write_report
-    {
-      bench = "workload";
-      file = "BENCH_PR5.json";
-      backend = Testbed.backend_name W.default.W.backend;
-      seed = W.default.W.seed;
-      config =
-        Tel.Json.
-          [
-            ("cores", Int cores);
-            ("enclaves", Int enclaves);
-            ("rounds", Int rounds);
-          ];
-      rows = List.map fst mixes;
-      summary = [];
-      dirty = reasons (List.map snd mixes);
-    }
-
-(* ------------------------------------------------------------------ *)
-(* The attestation fast path (PR 9): the throughput-grade crypto tier
-   against the reference verifier in test/oracle, the measurement
-   cache hot vs cold, the batch attestation service, and the churn mix
-   — reported against the 34.13 ops/s the pre-optimization tier
-   recorded (BENCH_PR5.json); churn is reported, not gated. The report
-   lands in BENCH_PR9.json for CI.
-
-   SANCTORUM_ATTEST_{CLIENTS,BATCH} size the service scenario;
-   SANCTORUM_ATTEST_CHURN_{ENCLAVES,ROUNDS} size the churn mix;
-   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota;
-   SANCTORUM_ATTEST_BACKEND picks the platform. The run is dirty if
-   verify is not at least 10x its reference, or any scenario is dirty
-   (findings, incomplete reclamation, a verdict out of place, or a
-   cold measurement cache). *)
+   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota. The run is
+   dirty if verify is not at least 10x its reference or a cached
+   measurement never hits. The attestation service and the churn mix
+   are scenarios: test/test_attest_scale.ml holds their gates on both
+   backends, and perfbench times them. *)
 
 let report_attest () =
-  let module W = Sanctorum_workload.Workload in
-  let module Asv = Sanctorum_workload.Attest_service in
   let module M = Sanctorum.Measurement in
-  let clients = env_int "SANCTORUM_ATTEST_CLIENTS" 96 in
-  let batch = env_int "SANCTORUM_ATTEST_BATCH" 16 in
-  let backend = env_backend "SANCTORUM_ATTEST_BACKEND" W.default.W.backend in
-  let churn_enclaves = env_int "SANCTORUM_ATTEST_CHURN_ENCLAVES" 64 in
-  let churn_rounds = env_int "SANCTORUM_ATTEST_CHURN_ROUNDS" 1000 in
   let min_s = env_float "SANCTORUM_ATTEST_MIN_S" 0.3 in
   (* -- crypto micro-ops, wall-clock against the retained references -- *)
   let time f =
@@ -963,73 +864,14 @@ let report_attest () =
   let hot_ns = time (fun () -> measure (Some cache)) in
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cold)" cold_ns;
   Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cached)" hot_ns;
-  (* -- the attestation service at scale, honest and tampered -- *)
-  Printf.printf "\n== attest: batch attestation service ==\n";
-  Printf.printf "  %-10s %8s %9s %9s %8s %8s %11s %6s\n" "scenario" "clients"
-    "verified" "rejected" "batches" "signs" "clients/s" "clean";
-  let service (label, tamper_every) =
-    let r =
-      Asv.run { Asv.default with Asv.clients; batch; tamper_every; backend }
-    in
-    Printf.printf "  %-10s %8d %9d %9d %8d %8d %11.1f %6b\n" label
-      r.Asv.ar_clients r.Asv.ar_verified r.Asv.ar_rejected r.Asv.ar_batches
-      r.Asv.ar_signs r.Asv.ar_clients_per_sec r.Asv.ar_clean;
-    ( Tel.Json.
-        [
-          ("scenario", String label);
-          ("clients", Int r.ar_clients);
-          ("batch", Int batch);
-          ("tamper_every", Int tamper_every);
-          ("verified", Int r.ar_verified);
-          ("rejected", Int r.ar_rejected);
-          ("tampered", Int r.ar_tampered);
-          ("batches", Int r.ar_batches);
-          ("signs", Int r.ar_signs);
-          ("batch_verifies", Int r.ar_batch_verifies);
-          ("cache_hits", Int r.ar_cache_hits);
-          ("wall_s", Float r.ar_wall_s);
-          ("clients_per_sec", Float r.ar_clients_per_sec);
-          ("findings", Int r.ar_findings);
-          ("clean", Bool r.ar_clean);
-        ],
-      (not r.ar_clean, label ^ " service scenario dirty") )
-  in
-  let services = List.map service [ ("honest", 0); ("tampered", 8) ] in
-  (* -- the churn mix against its pinned pre-optimization baseline -- *)
-  let baseline = 34.13 in
-  Printf.printf "\n== attest: churn mix vs BENCH_PR5 baseline ==\n";
-  let churn =
-    W.run
-      {
-        W.default with
-        W.mix = W.Churn;
-        W.enclaves = churn_enclaves;
-        W.rounds = churn_rounds;
-        W.backend = backend;
-      }
-  in
-  Printf.printf "  %-36s %12.2f ops/s (pinned, pre-optimization)\n"
-    "baseline (BENCH_PR5 churn)" baseline;
-  Printf.printf "  %-36s %12.2f ops/s\n" "churn now" churn.W.rp_ops_per_sec;
-  Printf.printf "  %-36s %12.2fx\n" "speedup" (churn.W.rp_ops_per_sec /. baseline);
-  Printf.printf "  %-36s %9d hits %9d misses\n" "measurement cache"
-    churn.W.rp_meas_cache_hits churn.W.rp_meas_cache_misses;
   write_report
     {
       bench = "attest";
       file = "BENCH_PR9.json";
-      backend = Testbed.backend_name backend;
-      seed = W.default.W.seed;
-      config =
-        Tel.Json.
-          [
-            ("clients", Int clients);
-            ("batch", Int batch);
-            ("churn_enclaves", Int churn_enclaves);
-            ("churn_rounds", Int churn_rounds);
-            ("min_s", Float min_s);
-          ];
-      rows = List.map fst services;
+      backend = "none";
+      seed = "bench-attest";
+      config = [ ("min_s", Tel.Json.Float min_s) ];
+      rows = [];
       summary =
         Tel.Json.
           [
@@ -1048,331 +890,14 @@ let report_attest () =
                   ("measurement_cold", Float cold_ns);
                   ("measurement_hot", Float hot_ns);
                 ] );
-            ( "churn",
-              Obj
-                [
-                  ("baseline_ops_per_sec", Float baseline);
-                  ( "baseline_source",
-                    String
-                      "BENCH_PR5.json churn (pre-optimization tier, same \
-                       config)" );
-                  ("ops_per_sec", Float churn.W.rp_ops_per_sec);
-                  ("speedup", Float (churn.W.rp_ops_per_sec /. baseline));
-                  ("wall_s", Float churn.W.rp_wall_s);
-                  ("installs", Int churn.W.rp_installs);
-                  ("reclaims", Int churn.W.rp_reclaims);
-                  ("meas_cache_hits", Int churn.W.rp_meas_cache_hits);
-                  ("meas_cache_misses", Int churn.W.rp_meas_cache_misses);
-                  ("findings", Int (List.length churn.W.rp_findings));
-                  ("drained", Bool churn.W.rp_drained);
-                  ("reclaimed", Bool churn.W.rp_reclaimed);
-                ] );
           ];
       dirty =
         reasons
-          ([
-             (* fails closed: a NaN speedup is not a pass *)
-             (not (verify_speedup >= 10.), "verify speedup below 10x");
-             (M.Cache.hits cache = 0, "measurement cache never hit");
-           ]
-          @ List.map snd services
-          @ [
-              (not (workload_clean churn), "churn mix dirty");
-              (churn.W.rp_meas_cache_hits = 0, "churn never hit the cache");
-            ]);
-    }
-
-(* ------------------------------------------------------------------ *)
-(* The fleet workload, shared by the fleet and fleetnet groups: the
-   compute mix, a fixed job count and a fixed fleet-wide enclave
-   population split over the shards, each shard one OCaml domain with
-   its own 4-core machine.
-
-   SANCTORUM_FLEET_{JOBS,TARGET} scale the run; SANCTORUM_FLEET_BACKEND
-   picks the platform. *)
-
-type fleet = { jobs : int; target : int; backend : Testbed.backend }
-
-let fleet_cores = 4
-
-let fleet_knobs () =
-  {
-    jobs = env_int "SANCTORUM_FLEET_JOBS" 64;
-    target = env_int "SANCTORUM_FLEET_TARGET" 40;
-    backend = env_backend "SANCTORUM_FLEET_BACKEND" Testbed.Keystone_backend;
-  }
-
-let fleet_title name what f =
-  Printf.printf "\n== %s: %s (%s, %d jobs, target %d, %d cores/shard) ==\n"
-    name what
-    (Testbed.backend_name f.backend)
-    f.jobs f.target fleet_cores
-
-let fleet_config f =
-  Tel.Json.
-    [
-      ("jobs", Int f.jobs);
-      ("target", Int f.target);
-      ("cores_per_shard", Int fleet_cores);
-      ("mix", String "compute");
-    ]
-
-let run_fleet f ?(net = Sanctorum_fleet.Netfault.empty) shards =
-  Fl.run
-    {
-      Fl.default with
-      Fl.seed = "bench-fleet";
-      backend = f.backend;
-      shards;
-      cores = fleet_cores;
-      enclaves = max 2 (f.jobs / shards);
-      jobs = f.jobs;
-      target = f.target;
-      mix = Sanctorum_workload.Programs.Compute;
-      (* high enough that every scale finishes in one generation:
-         nothing is migrated, so each scale executes the identical set
-         of (jid, seed, target) jobs to completion — same total work by
-         construction *)
-      batch_rounds = 40_000;
-      net;
-    }
-
-let outcome_fields (o : Fl.outcome) =
-  Tel.Json.
-    [
-      ("jobs_completed", Int (List.length o.r_completed));
-      ("jobs_failed_closed", Int (List.length o.r_failed_closed));
-      ("generations", Int o.r_generations);
-      ("wall_s", Float o.r_wall_s);
-      ("mips", Float o.r_mips);
-      ("enclave_ops_per_sec", Float o.r_ops_per_sec);
-      ("findings", Int o.r_findings);
-      ("accounted", Bool o.r_accounted);
-      ("clean", Bool o.r_clean);
-    ]
-
-(* The same total work pushed through 1, 2 and 4 shards. Scaling comes
-   from two directions at once: the domains run in parallel, and each
-   shard simulates a machine with 1/N of the enclave state (fewer PMP
-   entries to walk per switch, smaller tables), so the curve is
-   meaningful even on a single host core. The report lands in
-   BENCH_PR6.json for CI; a dirty scale makes the run dirty. *)
-
-let report_fleet () =
-  let f = fleet_knobs () in
-  fleet_title "fleet" "domain-parallel shards" f;
-  Printf.printf "  %-7s %9s %7s %7s %10s %9s %6s %6s %6s %6s\n" "shards"
-    "instret" "gens" "wall-s" "mips" "ops/s" "p50" "p90" "p99" "clean";
-  let outcomes =
-    List.map
-      (fun shards ->
-        let o = run_fleet f shards in
-        Printf.printf "  %-7d %9d %7d %7.3f %10.2f %9.1f %6d %6d %6d %6b\n"
-          shards o.Fl.r_instret o.Fl.r_generations o.Fl.r_wall_s o.Fl.r_mips
-          o.Fl.r_ops_per_sec o.Fl.r_p50 o.Fl.r_p90 o.Fl.r_p99 o.Fl.r_clean;
-        let row =
-          Tel.Json.(
-            [
-              ("shards", Int shards);
-              ("enclaves_per_shard", Int (max 2 (f.jobs / shards)));
-            ]
-            @ outcome_fields o
-            @ [
-                ("instret", Int o.r_instret);
-                ("quantum_cycles_p50", Int o.r_p50);
-                ("quantum_cycles_p90", Int o.r_p90);
-                ("quantum_cycles_p99", Int o.r_p99);
-              ])
-        in
-        (shards, (o, row)))
-      [ 1; 2; 4 ]
-  in
-  let ratio g =
-    let one = g (fst (List.assoc 1 outcomes)) in
-    if one > 0. then g (fst (List.assoc 4 outcomes)) /. one else 0.
-  in
-  let mips_x = ratio (fun o -> o.Fl.r_mips) in
-  let ops_x = ratio (fun o -> o.Fl.r_ops_per_sec) in
-  Printf.printf "  %-34s %9.2fx mips %9.2fx ops/s\n" "4-shard scaling"
-    mips_x ops_x;
-  write_report
-    {
-      bench = "fleet";
-      file = "BENCH_PR6.json";
-      backend = Testbed.backend_name f.backend;
-      seed = "bench-fleet";
-      config = fleet_config f;
-      rows = List.map (fun (_, (_, row)) -> row) outcomes;
-      summary =
-        Tel.Json.
           [
-            ( "scaling_4x",
-              Obj
-                [ ("mips", Float mips_x); ("enclave_ops_per_sec", Float ops_x) ]
-            );
+            (* fails closed: a NaN speedup is not a pass *)
+            (not (verify_speedup >= 10.), "verify speedup below 10x");
+            (M.Cache.hits cache = 0, "measurement cache never hit");
           ];
-      dirty =
-        reasons
-          (List.map
-             (fun (shards, (o, _)) ->
-               ( not o.Fl.r_clean,
-                 Printf.sprintf "%d-shard scale ended dirty" shards ))
-             outcomes);
-    }
-
-(* The fleet transport: the fleet bench's workload, first with the link
-   quiet (every protocol timer quiesced) and then under escalating
-   fault specs, where the interesting number is how little wall-clock
-   the retransmit/dedup machinery costs to absorb the chaos — a ratio
-   of two runs in this process, so host speed cancels out of it. The
-   report lands in BENCH_PR8.json for CI; a dirty row makes the run
-   dirty. *)
-
-let report_fleetnet () =
-  let module Nf = Sanctorum_fleet.Netfault in
-  let f = fleet_knobs () in
-  fleet_title "fleetnet" "reliable sessions over a hostile link" f;
-  Printf.printf "  %-9s %7s %7s %10s %9s %7s %7s %6s\n" "row" "shards"
-    "wall-s" "mips" "ops/s" "retx" "rejects" "clean";
-  let outcomes =
-    List.map
-      (fun (label, shards, spec) ->
-        let o = run_fleet f ~net:(Result.get_ok (Nf.parse spec)) shards in
-        let c n = try List.assoc n o.Fl.r_counters with Not_found -> 0 in
-        let rejects =
-          c "net.hmac_rejects" + c "net.stale_rejected"
-          + c "fleet.attest.rejected"
-        in
-        Printf.printf "  %-9s %7d %7.3f %10.2f %9.1f %7d %7d %6b\n" label
-          shards o.Fl.r_wall_s o.Fl.r_mips o.Fl.r_ops_per_sec
-          (c "net.retransmits") rejects o.Fl.r_clean;
-        let row =
-          Tel.Json.(
-            [
-              ("row", String label);
-              ("shards", Int shards);
-              ("net_faults", String spec);
-            ]
-            @ outcome_fields o
-            @ [
-                ("retransmits", Int (c "net.retransmits"));
-                ("dups_dropped", Int (c "net.dups_dropped"));
-                ("hmac_rejects", Int (c "net.hmac_rejects"));
-                ("link_dropped", Int (c "net.link.dropped"));
-                ("link_corrupted", Int (c "net.link.corrupted"));
-                ("link_reordered", Int (c "net.link.reordered"));
-              ])
-        in
-        (label, (o, row)))
-      [
-        ("off-1", 1, "none");
-        ("off-4", 4, "none");
-        ("loss-4", 4, "drop:3,dup:2,reorder:1");
-        ("chaos-4", 4, "all");
-      ]
-  in
-  let wall label = (fst (List.assoc label outcomes)).Fl.r_wall_s in
-  let chaos_x = if wall "off-4" > 0. then wall "chaos-4" /. wall "off-4" else 0. in
-  Printf.printf "  %-34s %9.2fx wall vs faults-off\n" "full chaos cost"
-    chaos_x;
-  write_report
-    {
-      bench = "fleetnet";
-      file = "BENCH_PR8.json";
-      backend = Testbed.backend_name f.backend;
-      seed = "bench-fleet";
-      config = fleet_config f;
-      rows = List.map (fun (_, (_, row)) -> row) outcomes;
-      summary = [ ("chaos_wall_vs_off", Tel.Json.Float chaos_x) ];
-      dirty =
-        reasons
-          (List.map
-             (fun (label, (o, _)) ->
-               (not o.Fl.r_clean, label ^ " row ended dirty"))
-             outcomes);
-    }
-
-(* ------------------------------------------------------------------ *)
-(* The bounded model checker: exploration throughput (states/sec) and
-   dedup hit-rate on both backends, plus one cross-backend differential
-   run. The state count and digest are deterministic in the geometry,
-   so the report doubles as a regression anchor: a digest change means
-   the explored space changed. The report lands in BENCH_PR7.json for
-   CI.
-
-   SANCTORUM_MODELCHECK_DEPTH / _DIFF_DEPTH scale the run (CI smoke
-   uses small depths). Any finding makes the run dirty: the explored
-   region must be catalog-silent and verdict-identical across
-   backends. *)
-
-let report_modelcheck () =
-  let module M = Sanctorum_analysis.Modelcheck in
-  let depth = env_int "SANCTORUM_MODELCHECK_DEPTH" 4 in
-  let diff_depth = env_int "SANCTORUM_MODELCHECK_DIFF_DEPTH" 3 in
-  Printf.printf
-    "\n== modelcheck: bounded SM API exploration (depth %d, diff depth %d) ==\n"
-    depth diff_depth;
-  Printf.printf "  %-22s %8s %9s %7s %9s %8s %9s\n" "run" "states" "edges"
-    "dedup" "hit-rate" "wall-s" "states/s";
-  let run label cfg =
-    let t0 = Monotonic_clock.now () in
-    let s = M.explore cfg in
-    let wall = seconds_since t0 in
-    let ok_edges = s.M.s_states - 1 + s.M.s_dedup_hits in
-    let hit_rate =
-      if ok_edges = 0 then 0. else float s.M.s_dedup_hits /. float ok_edges
-    in
-    let states_per_sec =
-      if wall <= 0. then 0. else float s.M.s_states /. wall
-    in
-    Printf.printf "  %-22s %8d %9d %7d %8.1f%% %8.2f %9.0f\n" label
-      s.M.s_states s.M.s_edges s.M.s_dedup_hits (100. *. hit_rate) wall
-      states_per_sec;
-    ( Tel.Json.
-        [
-        ("run", String label);
-        ("backend", String (M.backend_name cfg.M.backend));
-        ("diff", Bool cfg.M.diff);
-        ("depth", Int cfg.M.depth);
-        ("states", Int s.M.s_states);
-        ("edges", Int s.M.s_edges);
-        ("dedup_hits", Int s.M.s_dedup_hits);
-        ("dedup_hit_rate", Float hit_rate);
-        ("truncated", Bool s.M.s_truncated);
-        ("findings", Int s.M.s_findings_total);
-        ("state_digest", String s.M.s_state_digest);
-        ("wall_s", Float wall);
-        ("states_per_sec", Float states_per_sec);
-        ],
-      ( s.M.s_findings_total > 0,
-        Printf.sprintf "%s: %d findings in the explored region" label
-          s.M.s_findings_total ) )
-  in
-  let runs =
-    [
-      run "sanctum" { M.default_config with depth };
-      run "keystone" { M.default_config with depth; backend = M.Keystone };
-      run "sanctum-vs-keystone"
-        { M.default_config with depth = diff_depth; diff = true };
-    ]
-  in
-  write_report
-    {
-      bench = "modelcheck";
-      file = "BENCH_PR7.json";
-      backend = "sanctum+keystone";
-      seed = "modelcheck";
-      config =
-        Tel.Json.
-          [
-            ("depth", Int depth);
-            ("diff_depth", Int diff_depth);
-            ("cores", Int M.default_config.M.cores);
-            ("units", Int M.default_config.M.units);
-          ];
-      rows = List.map fst runs;
-      summary = [];
-      dirty = reasons (List.map snd runs);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1394,11 +919,7 @@ let groups =
     ("analysis", report_analysis);
     ("faults", report_faults);
     ("sim", report_sim);
-    ("workload", report_workload);
     ("attest", report_attest);
-    ("fleet", report_fleet);
-    ("fleetnet", report_fleetnet);
-    ("modelcheck", report_modelcheck);
   ]
 
 let () =

@@ -1,19 +1,27 @@
 (* A command-line driver for the whole stack:
 
-     sanctorum_demo boot     [--backend sanctum|keystone]
-     sanctorum_demo run      [--backend ...] [--count N] [--quantum Q]
-     sanctorum_demo attest   [--backend ...]
-     sanctorum_demo probe    [--backend ...]
-     sanctorum_demo leak     [--backend ...] [--secret S]
-     sanctorum_demo chaos    [--backend ...] [--seed N] [--faults SPEC]
-                             [--rounds R]
-     sanctorum_demo workload [--backend ...] [--seed S] [--cores N]
-                             [--enclaves M] [--rounds R] [--mix MIX]
+     sanctorum_demo boot       [--backend sanctum|keystone]
+     sanctorum_demo run        [--backend ...] [--count N] [--quantum Q]
+     sanctorum_demo attest     [--backend ...]
+     sanctorum_demo probe      [--backend ...]
+     sanctorum_demo leak       [--backend ...] [--secret S]
+     sanctorum_demo check      [--catalog]
+     sanctorum_demo chaos      [--backend ...] [--seed N] [--faults SPEC]
+                               [--rounds R]
+     sanctorum_demo workload   [--backend ...] [--seed S] [--cores N]
+                               [--enclaves M] [--rounds R] [--mix MIX]
+     sanctorum_demo fleet      [--backend ...] [--seed S] [--shards N]
+                               [--jobs J] [--target T] [--net-faults SPEC]
+     sanctorum_demo modelcheck [--backend ...] [--depth K] [--cores N]
+                               [--diff] [--inject FAULT] [--replay PATH]
 
-   Every command also takes the telemetry flags
+   (each subcommand's --help lists the rest of its flags). Every
+   command but check, workload and fleet also takes the telemetry flags
    [--trace out.json] [--trace-jsonl out.jsonl] [--metrics] [--audit];
    with no subcommand, [run] is implied, so
    [sanctorum_demo --trace t.json] traces the counting-enclave demo.
+   Each exits 0 clean, 1 on a finding or a refused step, 2 on a usage
+   error (README, "Exit codes").
 *)
 module Hw = Sanctorum_hw
 module S = Sanctorum.Sm
@@ -41,7 +49,7 @@ let write_file file contents =
       exit 1
 
 (* Run [f] with an optional sink; afterwards write/print whatever the
-   flags asked for. *)
+   flags asked for, and return [f]'s result. *)
 let with_telemetry opts f =
   let off =
     opts.trace = None && opts.trace_jsonl = None
@@ -51,7 +59,7 @@ let with_telemetry opts f =
   else begin
     let metrics = Tel.Metrics.create () in
     let sink = Tel.Sink.create ~metrics () in
-    f (Some sink);
+    let result = f (Some sink) in
     let events = Tel.Sink.events sink in
     (match opts.trace with
     | Some file ->
@@ -70,8 +78,13 @@ let with_telemetry opts f =
         (Tel.Sink.dropped sink);
     if opts.metrics then Tel.Export.summary ~events Format.std_formatter metrics;
     if opts.audit then
-      Format.printf "%a" Tel.Audit.pp (Tel.Audit.of_events events)
+      Format.printf "%a" Tel.Audit.pp (Tel.Audit.of_events events);
+    result
   end
+
+(* A scenario command fails closed: a refused step exits 1, after the
+   telemetry the flags asked for is written. *)
+let exit_unless ok = if not ok then exit 1
 
 (* --check-invariants: stop at the first API call after which the
    monitor's state breaks an invariant of the catalog. *)
@@ -131,13 +144,15 @@ let cmd_boot tel backend =
     (String.length (S.get_field sm S.Field_certificates))
 
 let cmd_run tel backend count quantum =
-  with_telemetry tel @@ fun sink ->
+  exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
   arm_checker tel tb.Testbed.sm;
   apply_sim_mode tel tb;
   let image = Testbed.counting_image ~evbase:0x10000 ~target:count in
   match Os.install_enclave tb.Testbed.os image with
-  | Error e -> Printf.printf "install failed: %s\n" (Sanctorum.Api_error.to_string e)
+  | Error e ->
+      Printf.printf "install failed: %s\n" (Sanctorum.Api_error.to_string e);
+      false
   | Ok inst ->
       let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
       Printf.printf "enclave 0x%x measuring %s… counting to %d (quantum %d)\n"
@@ -158,21 +173,26 @@ let cmd_run tel backend count quantum =
       let data =
         List.nth paddrs (List.length (Sanctorum.Image.required_page_tables image) + 1)
       in
+      let counted = Hw.Phys_mem.read_u64 (Hw.Machine.mem tb.Testbed.machine) data in
       Printf.printf "finished after %d entries (%d AEX); counted %Ld\n" !entries
-        (!entries - 1)
-        (Hw.Phys_mem.read_u64 (Hw.Machine.mem tb.Testbed.machine) data)
+        (!entries - 1) counted;
+      counted = Int64.of_int count
 
 let cmd_attest tel backend =
-  with_telemetry tel @@ fun sink ->
+  exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
   arm_checker tel tb.Testbed.sm;
   apply_sim_mode tel tb;
   match Testbed.install_signing_enclave tb with
-  | Error e -> Printf.printf "signing enclave: %s\n" (Sanctorum.Api_error.to_string e)
-  | Ok es ->
+  | Error e ->
+      Printf.printf "signing enclave: %s\n" (Sanctorum.Api_error.to_string e);
+      false
+  | Ok es -> (
       let target = Sanctorum.Image.of_program ~evbase:0x30000 exit_prog in
-      (match Os.install_enclave tb.Testbed.os target with
-      | Error e -> Printf.printf "target: %s\n" (Sanctorum.Api_error.to_string e)
+      match Os.install_enclave tb.Testbed.os target with
+      | Error e ->
+          Printf.printf "target: %s\n" (Sanctorum.Api_error.to_string e);
+          false
       | Ok t1 ->
           let session =
             Sanctorum.Attestation.run_remote_attestation tb.Testbed.sm
@@ -182,23 +202,30 @@ let cmd_attest tel backend =
           (match session.Sanctorum.Attestation.verdict with
           | Ok () -> Printf.printf "remote attestation: VERIFIED\n"
           | Error m -> Printf.printf "remote attestation: REJECTED (%s)\n" m);
-          Printf.printf "session keys agree: %b\n"
-            (session.Sanctorum.Attestation.session_key_verifier
-            = session.Sanctorum.Attestation.session_key_enclave))
+          let agree =
+            session.Sanctorum.Attestation.session_key_verifier
+            = session.Sanctorum.Attestation.session_key_enclave
+          in
+          Printf.printf "session keys agree: %b\n" agree;
+          Result.is_ok session.Sanctorum.Attestation.verdict && agree)
 
 let cmd_probe tel backend =
-  with_telemetry tel @@ fun sink ->
+  exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
   arm_checker tel tb.Testbed.sm;
   apply_sim_mode tel tb;
   let image = Sanctorum.Image.of_program ~evbase:0x10000 exit_prog in
   match Os.install_enclave tb.Testbed.os image with
-  | Error e -> Printf.printf "install: %s\n" (Sanctorum.Api_error.to_string e)
+  | Error e ->
+      Printf.printf "install: %s\n" (Sanctorum.Api_error.to_string e);
+      false
   | Ok inst ->
       let paddr =
         List.hd (Sanctorum_attack.Malicious_os.enclave_paddrs tb.Testbed.os ~eid:inst.Os.eid)
       in
+      let denied = ref true in
       let show label result =
+        if result = `Allowed then denied := false;
         Printf.printf "  %-28s %s\n" label
           (match result with `Denied -> "denied" | `Allowed -> "ALLOWED (bug!)")
       in
@@ -225,10 +252,11 @@ let cmd_probe tel backend =
       show "DMA write"
         (match Sanctorum_attack.Malicious_os.dma_write tb.Testbed.os ~paddr ~data:"x" with
         | `Denied -> `Denied
-        | `Stored -> `Allowed)
+        | `Stored -> `Allowed);
+      !denied
 
 let cmd_leak tel backend secret =
-  with_telemetry tel @@ fun sink ->
+  exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb =
     Testbed.create ~backend ~l2:Sanctorum_attack.Cache_probe.recommended_l2
       ?sink ()
@@ -236,13 +264,16 @@ let cmd_leak tel backend secret =
   arm_checker tel tb.Testbed.sm;
   apply_sim_mode tel tb;
   match Sanctorum_attack.Cache_probe.run tb ~secret () with
-  | Error m -> Printf.printf "error: %s\n" m
+  | Error m ->
+      Printf.printf "error: %s\n" m;
+      false
   | Ok o ->
       Format.printf "%a@." Sanctorum_attack.Cache_probe.pp_outcome o;
       Printf.printf "%s\n"
         (if o.Sanctorum_attack.Cache_probe.leaked then
            "the attacker recovered the enclave's secret"
-         else "no signal: the LLC partition holds")
+         else "no signal: the LLC partition holds");
+      true
 
 (* `sanctorum_demo chaos`: honest workloads under a seeded fault storm;
    non-zero exit on any fail-open evidence or post-recovery finding.
@@ -256,13 +287,14 @@ let cmd_chaos tel backend seed faults rounds =
       Printf.eprintf "sanctorum_demo chaos: --rounds must be >= 1\n";
       exit 2
   | Ok spec ->
-      with_telemetry tel @@ fun sink ->
+      exit_unless @@ with_telemetry tel @@ fun sink ->
       let seed = Int64.of_int seed in
       let r =
         Sanctorum_faults.Chaos.run ~backend ~rounds ?sink ~seed ~spec ()
       in
       Format.printf "%a" Sanctorum_faults.Chaos.pp r;
-      if not (Sanctorum_faults.Chaos.ok r) then begin
+      let ok = Sanctorum_faults.Chaos.ok r in
+      if not ok then
         Printf.printf
           "reproduce with: sanctorum_demo chaos --backend %s --seed %Ld \
            --faults %s --rounds %d\n"
@@ -270,8 +302,7 @@ let cmd_chaos tel backend seed faults rounds =
           seed
           (Sanctorum_faults.Spec.to_string spec)
           rounds;
-        exit 1
-      end
+      ok
 
 (* `sanctorum_demo workload`: the closed-loop multicore load generator.
    It owns its telemetry sink (the analyzers consume the trace between
@@ -435,7 +466,7 @@ let cmd_modelcheck tel backend depth cores units diff cold inject max_states
             Printf.eprintf "sanctorum_demo modelcheck: --inject: %s\n" msg;
             exit 2)
   in
-  with_telemetry tel @@ fun sink ->
+  exit_unless @@ with_telemetry tel @@ fun sink ->
   let cfg =
     {
       M.backend;
@@ -484,22 +515,26 @@ let cmd_modelcheck tel backend depth cores units diff cold inject max_states
               if report = [] then Printf.printf "final state: catalog clean\n"
               else begin
                 Printf.printf "final state: %d violations\n" (List.length report);
-                Format.printf "%a@." An.Report.pp_list report;
-                exit 1
-              end))
+                Format.printf "%a@." An.Report.pp_list report
+              end;
+              report = []))
   | None -> (
+      let t0 = Monotonic_clock.now () in
       match M.explore cfg with
       | exception Invalid_argument msg ->
           Printf.eprintf "sanctorum_demo modelcheck: %s\n" msg;
           exit 2
       | s ->
+          (* the one host-dependent line of the summary *)
+          let wall = Sanctorum_workload.Engine.seconds_since t0 in
           let ok_edges = s.M.s_states - 1 + s.M.s_dedup_hits in
           Printf.printf
             "modelcheck %s depth=%d cores=%d units=%d%s%s\n\
             \  states    %d%s\n\
             \  edges     %d (%d accepted)\n\
             \  dedup     %d hits (%.1f%% of accepted edges)\n\
-            \  digest    %s\n"
+            \  digest    %s\n\
+            \  wall      %.2f s (%.0f states/s)\n"
             (M.backend_name backend) depth cores units
             (if diff then " --diff" else "")
             (if cold then " --cold" else "")
@@ -508,7 +543,8 @@ let cmd_modelcheck tel backend depth cores units diff cold inject max_states
             s.M.s_edges ok_edges s.M.s_dedup_hits
             (if ok_edges = 0 then 0.
              else 100. *. float s.M.s_dedup_hits /. float ok_edges)
-            s.M.s_state_digest;
+            s.M.s_state_digest wall
+            (if wall > 0. then float s.M.s_states /. wall else 0.);
           if s.M.s_findings_total = 0 then Printf.printf "no findings\n"
           else begin
             Printf.printf "%d findings%s:\n" s.M.s_findings_total
@@ -521,14 +557,16 @@ let cmd_modelcheck tel backend depth cores units diff cold inject max_states
                 Printf.printf "  [%s] %s\n    reproduce: %s\n" (M.finding_id f)
                   f.M.f_detail
                   (M.replay_command cfg (M.finding_path f)))
-              s.M.s_findings;
-            exit 1
-          end)
+              s.M.s_findings
+          end;
+          s.M.s_findings_total = 0)
 
 (* `sanctorum_demo check`: run the canonical scenarios on both backends
    with the full analysis harness armed — snapshot pass after every API
    call, lock-discipline and orderliness passes over the recorded trace
-   at the end — and fail loudly if anything fires. *)
+   at the end — and fail loudly if anything fires, or if a scenario's
+   install or attestation is refused (a scenario that never ran checks
+   nothing). Each scenario returns the steps it saw refused. *)
 let cmd_check catalog_only =
   Printf.printf "invariant catalog (%d):\n" (List.length An.Checker.catalog);
   List.iter
@@ -536,7 +574,7 @@ let cmd_check catalog_only =
     An.Checker.catalog;
   if catalog_only then ()
   else begin
-    let failures = ref 0 in
+    let failures = ref 0 and refusals = ref 0 in
     let scenario backend name f =
       let sink = Tel.Sink.create ~capacity:(1 lsl 16) () in
       let tb = Testbed.create ~backend ~sink () in
@@ -548,7 +586,7 @@ let cmd_check catalog_only =
              List.iter
                (fun v -> snap := (api, v) :: !snap)
                (An.Checker.snapshot sm)));
-      f tb;
+      let refused = f tb in
       S.set_post_api_hook sm None;
       let trace_vs = An.Checker.trace (Tel.Sink.events sink) in
       let n = List.length !snap + List.length trace_vs in
@@ -562,8 +600,13 @@ let cmd_check catalog_only =
                 | Tel.Event.Sm_api _ -> true
                 | _ -> false)
               (Tel.Sink.events sink)))
-        (if n = 0 then "clean" else Printf.sprintf "%d VIOLATIONS" n);
+        (match (n, refused) with
+        | 0, [] -> "clean"
+        | 0, _ -> "REFUSED"
+        | n, _ -> Printf.sprintf "%d VIOLATIONS" n);
       failures := !failures + n;
+      refusals := !refusals + List.length refused;
+      List.iter (Printf.printf "    refused: %s\n") refused;
       List.iter
         (fun (api, v) ->
           Format.printf "    after %s: %a@." api An.Report.pp v)
@@ -575,7 +618,7 @@ let cmd_check catalog_only =
          several preempt / AEX / resume cycles (§V-C) *)
       let image = Testbed.counting_image ~evbase:0x10000 ~target:2000 in
       match Os.install_enclave tb.Testbed.os image with
-      | Error e -> Printf.printf "install: %s\n" (Sanctorum.Api_error.to_string e)
+      | Error e -> [ "install: " ^ Sanctorum.Api_error.to_string e ]
       | Ok inst ->
           let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
           let rec drive budget =
@@ -588,32 +631,39 @@ let cmd_check catalog_only =
               | Ok _ | Error _ -> ()
           in
           drive 50;
-          ignore (Os.reclaim_enclave tb.Testbed.os ~eid)
+          ignore (Os.reclaim_enclave tb.Testbed.os ~eid);
+          []
     in
     let attest_scenario tb =
       match Testbed.install_signing_enclave tb with
-      | Error _ -> ()
-      | Ok es ->
+      | Error e -> [ "signing enclave: " ^ Sanctorum.Api_error.to_string e ]
+      | Ok es -> (
           let target = Sanctorum.Image.of_program ~evbase:0x30000 exit_prog in
-          (match Os.install_enclave tb.Testbed.os target with
-          | Error _ -> ()
-          | Ok t1 ->
-              ignore
+          match Os.install_enclave tb.Testbed.os target with
+          | Error e -> [ "target: " ^ Sanctorum.Api_error.to_string e ]
+          | Ok t1 -> (
+              match
                 (Sanctorum.Attestation.run_remote_attestation tb.Testbed.sm
                    ~rng:tb.Testbed.rng ~eid:t1.Os.eid ~es_eid:es.Os.eid
-                   ~expected_measurement:(Sanctorum.Image.measurement target)))
+                   ~expected_measurement:(Sanctorum.Image.measurement target))
+                  .Sanctorum.Attestation.verdict
+              with
+              | Ok () -> []
+              | Error m -> [ "attestation: " ^ m ]))
     in
     let churn_scenario tb =
       let image = Sanctorum.Image.of_program ~evbase:0x10000 exit_prog in
-      for _ = 1 to 3 do
-        match Os.install_enclave tb.Testbed.os image with
-        | Error _ -> ()
-        | Ok inst ->
-            ignore
-              (Os.run_enclave tb.Testbed.os ~eid:inst.Os.eid
-                 ~tid:(List.hd inst.Os.tids) ~core:0 ~fuel:1000 ());
-            ignore (Os.reclaim_enclave tb.Testbed.os ~eid:inst.Os.eid)
-      done
+      List.concat_map
+        (fun _ ->
+          match Os.install_enclave tb.Testbed.os image with
+          | Error e -> [ "install: " ^ Sanctorum.Api_error.to_string e ]
+          | Ok inst ->
+              ignore
+                (Os.run_enclave tb.Testbed.os ~eid:inst.Os.eid
+                   ~tid:(List.hd inst.Os.tids) ~core:0 ~fuel:1000 ());
+              ignore (Os.reclaim_enclave tb.Testbed.os ~eid:inst.Os.eid);
+              [])
+        [ 1; 2; 3 ]
     in
     Printf.printf "\nscenarios (snapshot after every API call + trace passes):\n";
     List.iter
@@ -622,9 +672,10 @@ let cmd_check catalog_only =
         scenario backend "attest" attest_scenario;
         scenario backend "lifecycle-churn" churn_scenario)
       [ Testbed.Sanctum_backend; Testbed.Keystone_backend ];
-    if !failures = 0 then Printf.printf "all scenarios clean\n"
+    if !failures = 0 && !refusals = 0 then
+      Printf.printf "all scenarios clean\n"
     else begin
-      Printf.printf "%d violations\n" !failures;
+      Printf.printf "%d violations, %d refused steps\n" !failures !refusals;
       exit 1
     end
   end
@@ -669,7 +720,7 @@ let tel_term =
       & info [ "check-invariants" ]
           ~doc:
             "Run the $(b,Sanctorum_analysis) snapshot checker after every \
-             monitor API call and abort (exit 2) on the first violation.")
+             monitor API call and abort (exit 1) on the first violation.")
   in
   let slow_sim =
     Arg.(

@@ -42,12 +42,8 @@ type report = {
   ar_rejected : int;
   ar_tampered : int;
   ar_batches : int;
-  ar_wall_s : float;
-  ar_clients_per_sec : float;
   ar_signs : int;  (* crypto.sign counter: one per served evidence *)
   ar_batch_verifies : int;  (* crypto.batch_verify counter *)
-  ar_cache_hits : int;  (* measurement.cache.hit counter *)
-  ar_findings : int;
   ar_clean : bool;
 }
 
@@ -80,7 +76,6 @@ let run cfg =
      the same registry via the testbed's sink. *)
   let c_verify = Tel.Metrics.counter metrics "crypto.verify"
   and c_batch = Tel.Metrics.counter metrics "crypto.batch_verify" in
-  let t0 = Monotonic_clock.now () in
   let verified = ref 0 and rejected = ref 0 and batches = ref 0 in
   let tampered_n = ref 0 in
   let pending = ref [] and pending_n = ref 0 in
@@ -142,7 +137,6 @@ let run cfg =
         if !pending_n >= cfg.batch then flush ()
   done;
   flush ();
-  let wall_s = Engine.seconds_since t0 in
   let findings = List.length (An.Checker.snapshot sm) in
   let counter n =
     match Tel.Metrics.find metrics n with
@@ -155,13 +149,8 @@ let run cfg =
     ar_rejected = !rejected;
     ar_tampered = !tampered_n;
     ar_batches = !batches;
-    ar_wall_s = wall_s;
-    ar_clients_per_sec =
-      (if wall_s > 0. then float_of_int cfg.clients /. wall_s else 0.);
     ar_signs = counter "crypto.sign";
     ar_batch_verifies = counter "crypto.batch_verify";
-    ar_cache_hits = counter "measurement.cache.hit";
-    ar_findings = findings;
     ar_clean =
       findings = 0
       && !verified + !rejected = cfg.clients

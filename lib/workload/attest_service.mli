@@ -26,12 +26,8 @@ type report = {
   ar_rejected : int;
   ar_tampered : int;
   ar_batches : int;
-  ar_wall_s : float;
-  ar_clients_per_sec : float;
   ar_signs : int;  (** [crypto.sign]: one per evidence served *)
   ar_batch_verifies : int;  (** [crypto.batch_verify] *)
-  ar_cache_hits : int;  (** [measurement.cache.hit] *)
-  ar_findings : int;
   ar_clean : bool;
       (** catalog silent, every client accounted for, and rejections
           exactly the tampered set *)

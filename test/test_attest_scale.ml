@@ -7,10 +7,10 @@
    same evidence, same measurements. These tests pin that equivalence
    three ways: differentially (qcheck, fast path vs the reference
    implementations in test/oracle), against known-answer vectors
-   generated on the pre-optimization tier, and end to end (the batch
-   attestation service, including forged evidence pinpointed through
-   the batch fallback, and the churn workload exercising the
-   measurement cache). *)
+   generated on the pre-optimization tier, and end to end on both
+   backends (the batch attestation service, including forged evidence
+   pinpointed through the batch fallback, and the churn workload
+   exercising the measurement cache). *)
 
 module C = Sanctorum_crypto
 module O = Sanctorum_oracle
@@ -569,8 +569,10 @@ let test_batch_soundness () =
   expect "signer's key first" [ h 0; wrong_key; h 2 ] (fun i -> i <> 1);
   expect "wrong key first" [ wrong_key; h 2; h 0 ] (fun i -> i <> 0)
 
-let test_attest_service_clean () =
-  let r = Asv.run { Asv.default with Asv.clients = 24; Asv.batch = 8 } in
+let test_attest_service_clean backend () =
+  let r =
+    Asv.run { Asv.default with Asv.backend; Asv.clients = 24; Asv.batch = 8 }
+  in
   check_int "all verified" 24 r.Asv.ar_verified;
   check_int "none rejected" 0 r.Asv.ar_rejected;
   check_int "batches" 3 r.Asv.ar_batches;
@@ -578,11 +580,12 @@ let test_attest_service_clean () =
   check_int "batch verifies" 3 r.Asv.ar_batch_verifies;
   check_bool "clean" true r.Asv.ar_clean
 
-let test_attest_service_tampered () =
+let test_attest_service_tampered backend () =
   let r =
     Asv.run
       {
         Asv.default with
+        Asv.backend;
         Asv.clients = 20;
         Asv.batch = 8;
         Asv.tamper_every = 5;
@@ -596,11 +599,12 @@ let test_attest_service_tampered () =
 (* The churn mix reinstalls from a bounded program population, so the
    monitor's measurement cache must be doing real work — and the run
    must stay architecturally clean while it does. *)
-let test_churn_measurement_cache () =
+let test_churn_measurement_cache backend () =
   let r =
     W.run
       {
         W.default with
+        W.backend;
         W.mix = W.Churn;
         W.seed = "attest-scale-churn";
         W.enclaves = 24;
@@ -635,10 +639,19 @@ let suite =
       Alcotest.test_case "measurement cache invalidation" `Quick
         test_measurement_cache;
       Alcotest.test_case "batch verify soundness" `Quick test_batch_soundness;
-      Alcotest.test_case "attest service clean" `Quick
-        test_attest_service_clean;
-      Alcotest.test_case "attest service tampered" `Quick
-        test_attest_service_tampered;
-      Alcotest.test_case "churn exercises measurement cache" `Quick
-        test_churn_measurement_cache;
-    ] )
+    ]
+    @ List.concat_map
+        (fun backend ->
+          let case name f =
+            Alcotest.test_case
+              (Printf.sprintf "%s (%s)" name
+                 (Sanctorum_os.Testbed.backend_name backend))
+              `Quick (f backend)
+          in
+          [
+            case "attest service clean" test_attest_service_clean;
+            case "attest service tampered" test_attest_service_tampered;
+            case "churn exercises measurement cache"
+              test_churn_measurement_cache;
+          ])
+        Sanctorum_os.Testbed.[ Sanctum_backend; Keystone_backend ] )

@@ -480,7 +480,10 @@ let test_config_validation () =
 
 (* The demo binary maps that to the 0/1/2 exit convention: 0 clean,
    1 dirty run (findings or unaccounted jobs — the state the rest of
-   this file exists to make unreachable), 2 usage error. *)
+   this file exists to make unreachable), 2 usage error. The scenario
+   subcommands fail closed too: a refused install, a rejected
+   attestation or session key, a probe that gets through, or a count
+   short of --count exits 1, so each clean scenario must exit 0. *)
 let demo_exe =
   (* anchored to this binary, so the test passes whether dune runs it
      from the build sandbox or via `dune exec` from the root *)
@@ -488,28 +491,36 @@ let demo_exe =
     (Filename.dirname Sys.executable_name)
     "../bin/sanctorum_demo.exe"
 
+(* The exit status of the demo run with [args], its output dropped. *)
+let demo args =
+  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" demo_exe args)
+
 let test_demo_exit_codes () =
   if not (Sys.file_exists demo_exe) then
     Alcotest.fail "demo binary missing (dune deps should have built it)";
-  let run args =
-    Sys.command
-      (Printf.sprintf "%s fleet %s >/dev/null 2>&1" demo_exe args)
-  in
   List.iter
-    (fun (args, expect) ->
-      check_int (Printf.sprintf "fleet %s" args) expect (run args))
+    (fun (args, expect) -> check_int args expect (demo args))
     [
-      ("--shards 1 --jobs 2 --target 1", 0);
-      ("--shards 1 --jobs 2 --target 1 --net-faults drop:1,dup:1", 0);
-      ("--net-faults bogus:3", 2);
-      ("--net-faults drop:x", 2);
-      ("--net-faults part@5", 2);
-      ("--net-horizon 0", 2);
-      ("--shards 0", 2);
-      ("--jobs 0", 2);
-      ("--target 0", 2);
-      ("--retry-budget -1", 2);
-      ("--no-such-flag", 2);
+      ("fleet --shards 1 --jobs 2 --target 1", 0);
+      ("fleet --shards 1 --jobs 2 --target 1 --net-faults drop:1,dup:1", 0);
+      ("fleet --net-faults bogus:3", 2);
+      ("fleet --net-faults drop:x", 2);
+      ("fleet --net-faults part@5", 2);
+      ("fleet --net-horizon 0", 2);
+      ("fleet --shards 0", 2);
+      ("fleet --jobs 0", 2);
+      ("fleet --target 0", 2);
+      ("fleet --retry-budget -1", 2);
+      ("fleet --no-such-flag", 2);
+      ("run -b sanctum", 0);
+      ("run -b keystone", 0);
+      ("attest -b sanctum", 0);
+      ("attest -b keystone", 0);
+      ("probe -b sanctum", 0);
+      ("probe -b keystone", 0);
+      ("leak -b sanctum", 0);
+      ("leak -b keystone", 0);
+      ("check", 0);
     ]
 
 (* The same convention for the workload and chaos subcommands: a
@@ -519,9 +530,7 @@ let test_demo_exit_codes () =
    uncaught exception (cmdliner's 125). *)
 let test_demo_config_exit_codes () =
   List.iter
-    (fun args ->
-      check_int args 2
-        (Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" demo_exe args)))
+    (fun args -> check_int args 2 (demo args))
     [
       "workload --cores 0";
       "workload --rounds 0";
@@ -819,8 +828,8 @@ let suite =
         test_session_heartbeat;
       Alcotest.test_case "config: every numeric field validated" `Quick
         test_config_validation;
-      Alcotest.test_case "demo: fleet exit-code convention" `Slow
-        test_demo_exit_codes;
+      Alcotest.test_case "demo: exit-code convention (fleet and scenarios)"
+        `Slow test_demo_exit_codes;
       Alcotest.test_case "node: redelivered batch acked, not re-run" `Slow
         test_node_dup_idempotent;
       Alcotest.test_case "chaos: full fault preset stays clean" `Slow
