@@ -1,12 +1,13 @@
 (* The micro-benchmark harness: one group per paper artifact (see
    DESIGN.md experiment index) or per layer it explains. Figures F1–F7
-   are timed with bechamel over the live monitor; P1/S1 print
+   are timed over the live monitor by [run_group]; P1/S1 print
    deterministic simulated-cycle tables; T1 is regenerated by
    bin/loc_report.exe. Whole scenarios (workload mixes, fleets, the
    attestation service, model-checker sweeps) are driven by
-   bin/sanctorum_demo.exe and timed by perfbench.
+   bin/sanctorum_demo.exe and timed by perfbench. Every group prints
+   to stdout only; sim and attest gate by their exit status.
 
-   Usage: main.exe [fig1|fig2|fig3|fig4|fig5|fig6|fig7|crypto|platforms|
+   Usage: main.exe [fig1|fig2|fig3|fig4|fig5|fig6|fig7|platforms|
                     sidechannel|ablation|telemetry|analysis|faults|sim|
                     attest|all]
    (default: all) *)
@@ -19,106 +20,7 @@ module Img = Sanctorum.Image
 module Atk = Sanctorum_attack
 open Sanctorum_os
 
-(* ------------------------------------------------------------------ *)
-(* Reports. Every group that writes a BENCH file fills in one [report],
-   and [write_report] serialises it through Tel.Json, so every BENCH
-   file has one schema:
-
-     { "bench", "provenance": { "backend", "seed", "git_rev",
-       "ocaml_version" }, "config", "rows", "summary", "clean", "dirty" }
-
-   [config] is the run's scale, [rows] one object per measured
-   configuration, [summary] the figures derived across rows. The
-   provenance records what produced the numbers, so a pinned number in
-   the README can be traced to the exact tree that measured it. The
-   git revision comes from [.git/HEAD] directly (following one level
-   of ref indirection); no subprocess, no dependency. *)
-
-let git_rev () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> String.trim (input_line ic))
-    with _ -> ""
-  in
-  let rec find_git dir depth =
-    if depth > 8 then None
-    else if Sys.file_exists (Filename.concat dir ".git") then
-      Some (Filename.concat dir ".git")
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else find_git parent (depth + 1)
-  in
-  match find_git (Sys.getcwd ()) 0 with
-  | None -> "unknown"
-  | Some git -> (
-      match read_line (Filename.concat git "HEAD") with
-      | "" -> "unknown"
-      | head when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
-          let target =
-            String.sub head 5 (String.length head - 5)
-            |> String.split_on_char '/' |> List.fold_left Filename.concat git
-          in
-          match read_line target with "" -> "unknown" | rev -> rev)
-      | rev -> rev)
-
 let seconds_since = Sanctorum_workload.Engine.seconds_since
-
-(* Overrides the group's own file, so a run can leave the committed
-   record alone. *)
-let bench_json = Sys.getenv_opt "SANCTORUM_BENCH_JSON"
-
-type report = {
-  bench : string;
-  file : string;  (** written unless SANCTORUM_BENCH_JSON is set *)
-  backend : string;
-  seed : string;
-  config : (string * Tel.Json.t) list;
-  rows : (string * Tel.Json.t) list list;
-  summary : (string * Tel.Json.t) list;
-  dirty : string list;  (** why the run is not clean; [] if it is *)
-}
-
-(* The message of every check that failed. *)
-let reasons checks =
-  List.filter_map
-    (fun (failed, why) -> if failed then Some why else None)
-    checks
-
-(* Writes the report, then exits 1 naming every reason if the run was
-   dirty, so CI gates on the exit status alone. *)
-let write_report r =
-  let path = Option.value bench_json ~default:r.file in
-  let json =
-    Tel.Json.(
-      Obj
-        [
-          ("bench", String r.bench);
-          ( "provenance",
-            Obj
-              [
-                ("backend", String r.backend);
-                ("seed", String r.seed);
-                ("git_rev", String (git_rev ()));
-                ("ocaml_version", String Sys.ocaml_version);
-              ] );
-          ("config", Obj r.config);
-          ("rows", List (List.map (fun row -> Obj row) r.rows));
-          ("summary", Obj r.summary);
-          ("clean", Bool (r.dirty = []));
-          ("dirty", List (List.map (fun why -> String why) r.dirty));
-        ])
-  in
-  let oc = open_out path in
-  output_string oc (Tel.Json.to_string json ^ "\n");
-  close_out oc;
-  Printf.printf "  wrote %s\n" path;
-  if r.dirty <> [] then begin
-    List.iter (Printf.eprintf "%s bench: %s\n" r.bench) r.dirty;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Environment knobs. A variable that is set but malformed is a usage
@@ -138,51 +40,17 @@ let env_parse parse what name default =
 let env_int = env_parse int_of_string_opt "an integer"
 let env_float = env_parse float_of_string_opt "a number"
 
+(* A gated group names on stderr every check that failed and exits 1,
+   so CI gates on the exit status alone. *)
+let gate group checks =
+  let failed =
+    List.filter_map (fun (bad, why) -> if bad then Some why else None) checks
+  in
+  List.iter (Printf.eprintf "%s bench: %s\n" group) failed;
+  if failed <> [] then exit 1
+
 (* ------------------------------------------------------------------ *)
-(* Bechamel plumbing *)
-
-let run_group ~name tests =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let grouped = Test.make_grouped ~name ~fmt:"%s %s" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n== %s ==\n" name;
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let strip label =
-    let prefix = name ^ " " in
-    if
-      String.length label > String.length prefix
-      && String.sub label 0 (String.length prefix) = prefix
-    then
-      String.sub label (String.length prefix)
-        (String.length label - String.length prefix)
-    else label
-  in
-  List.iter
-    (fun (label, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ ns ] -> Printf.printf "  %-48s %12.0f ns/op\n" (strip label) ns
-      | Some _ | None -> Printf.printf "  %-48s (no estimate)\n" (strip label))
-    (List.sort compare rows)
-
-let test ~name f = Bechamel.Test.make ~name (Bechamel.Staged.stage f)
-
-let exit_prog = Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
-
-let must_v = function
-  | Ok v -> v
-  | Error e -> failwith (Sanctorum.Api_error.to_string e)
-
-let must r = ignore (must_v r)
-let install tb image = must_v (Os.install_enclave tb.Testbed.os image)
+(* Timing *)
 
 (* Wall-clock ns per call of [f], over at least [calls] calls and at
    least [quota] seconds. It always makes one call, so a zero quota
@@ -196,6 +64,25 @@ let ns_per_op ?(calls = 1) ?(quota = 0.) f =
     incr n
   done;
   seconds_since t0 /. float_of_int !n *. 1e9
+
+(* A figure group: each row warmed up by one call, then timed over
+   half a second. *)
+let run_group ~name rows =
+  Printf.printf "\n== %s ==\n" name;
+  List.iter
+    (fun (label, f) ->
+      f ();
+      Printf.printf "  %-48s %12.0f ns/op\n%!" label (ns_per_op ~quota:0.5 f))
+    rows
+
+let exit_prog = Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
+
+let must_v = function
+  | Ok v -> v
+  | Error e -> failwith (Sanctorum.Api_error.to_string e)
+
+let must r = ignore (must_v r)
+let install tb image = must_v (Os.install_enclave tb.Testbed.os image)
 
 (* ~3n retired instructions: t1 counts up to n. *)
 let counted_loop n =
@@ -236,15 +123,17 @@ let bench_fig1 () =
   let os = tb.Testbed.os in
   run_group ~name:"F1: SM API dispatch via system exceptions"
     [
-      test ~name:"enter + 16 ecall dispatches + exit" ecalls;
-      test ~name:"OS interrupt: AEX + delegate" (fun () ->
+      ("enter + 16 ecall dispatches + exit", ecalls);
+      ( "OS interrupt: AEX + delegate",
+        fun () ->
           must
             (Os.run_enclave os ~eid:i_spin.Os.eid ~tid:(List.hd i_spin.Os.tids)
-               ~core:1 ~fuel:100000 ~quantum:100 ()));
-      test ~name:"enclave fault: AEX + delegate" (fun () ->
+               ~core:1 ~fuel:100000 ~quantum:100 ()) );
+      ( "enclave fault: AEX + delegate",
+        fun () ->
           must
             (Os.run_enclave os ~eid:i_fault.Os.eid
-               ~tid:(List.hd i_fault.Os.tids) ~core:2 ~fuel:500 ()));
+               ~tid:(List.hd i_fault.Os.tids) ~core:2 ~fuel:500 ()) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -264,11 +153,13 @@ let bench_fig2 () =
   must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:S.To_os);
   run_group ~name:"F2: generic resource state transitions"
     [
-      test ~name:"block+clean+grant cycle (OS memory unit)" (fun () ->
+      ( "block+clean+grant cycle (OS memory unit)",
+        fun () ->
           must (S.block_resource sm ~caller:S.Os kind ~rid);
           must (S.clean_resource sm ~caller:S.Os kind ~rid);
-          must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:S.To_os));
-      test ~name:"grant+accept+block+clean (enclave unit)" (fun () ->
+          must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:S.To_os) );
+      ( "grant+accept+block+clean (enclave unit)",
+        fun () ->
           must (S.block_resource sm ~caller:S.Os kind ~rid);
           must (S.clean_resource sm ~caller:S.Os kind ~rid);
           must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:(S.To_enclave eid));
@@ -276,7 +167,7 @@ let bench_fig2 () =
           must
             (S.block_resource sm ~caller:(S.Enclave_caller eid) kind ~rid);
           must (S.clean_resource sm ~caller:S.Os kind ~rid);
-          must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:S.To_os));
+          must (S.grant_resource sm ~caller:S.Os kind ~rid ~to_:S.To_os) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -292,9 +183,9 @@ let bench_fig3 () =
   in
   run_group ~name:"F3: enclave lifecycle (create -> load k pages -> init -> delete)"
     [
-      test ~name:"k = 4 pages" (lifecycle 3);
-      test ~name:"k = 16 pages" (lifecycle 15);
-      test ~name:"k = 64 pages" (lifecycle 63);
+      ("k = 4 pages", lifecycle 3);
+      ("k = 16 pages", lifecycle 15);
+      ("k = 64 pages", lifecycle 63);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -309,18 +200,20 @@ let bench_fig4 () =
   let eid = i_exit.Os.eid and tid = List.hd i_exit.Os.tids in
   run_group ~name:"F4: thread scheduling"
     [
-      test ~name:"enter_enclave + exit_enclave roundtrip" (fun () ->
-          must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:100 ()));
-      test ~name:"enter + AEX (preemption) roundtrip" (fun () ->
+      ( "enter_enclave + exit_enclave roundtrip",
+        fun () -> must (Os.run_enclave os ~eid ~tid ~core:0 ~fuel:100 ()) );
+      ( "enter + AEX (preemption) roundtrip",
+        fun () ->
           must
             (Os.run_enclave os ~eid:i_spin.Os.eid ~tid:(List.hd i_spin.Os.tids)
-               ~core:1 ~fuel:100000 ~quantum:200 ()));
-      test ~name:"release + assign + accept recycle" (fun () ->
+               ~core:1 ~fuel:100000 ~quantum:200 ()) );
+      ( "release + assign + accept recycle",
+        fun () ->
           must (S.release_thread sm ~caller:(S.Enclave_caller eid) ~tid);
           must (S.assign_thread sm ~caller:S.Os ~eid ~tid);
           must
             (S.accept_thread sm ~caller:(S.Enclave_caller eid) ~tid
-               ~entry_pc:0x10000L ~entry_sp:0x11ff0L ()));
+               ~entry_pc:0x10000L ~entry_sp:0x11ff0L ()) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -333,26 +226,17 @@ let bench_fig5 () =
   let i2 = install tb (Img.of_program ~evbase:0x20000 exit_prog) in
   let e1 = i1.Os.eid and e2 = i2.Os.eid in
   let msg = String.make Sanctorum.Mailbox.message_size 'm' in
+  let roundtrip ~caller sender () =
+    must (S.accept_mail sm ~caller:(S.Enclave_caller e2) ~sender);
+    must (S.send_mail sm ~caller ~recipient:e2 ~msg);
+    must (S.get_mail sm ~caller:(S.Enclave_caller e2) ~sender)
+  in
   run_group ~name:"F5: mailbox message passing"
     [
-      test ~name:"accept + send + get (256-byte message)" (fun () ->
-          must
-            (S.accept_mail sm ~caller:(S.Enclave_caller e2)
-               ~sender:(Sanctorum.Mailbox.From_enclave e1));
-          must (S.send_mail sm ~caller:(S.Enclave_caller e1) ~recipient:e2 ~msg);
-          ignore
-            (must
-               (S.get_mail sm ~caller:(S.Enclave_caller e2)
-                  ~sender:(Sanctorum.Mailbox.From_enclave e1))));
-      test ~name:"OS -> enclave mail" (fun () ->
-          must
-            (S.accept_mail sm ~caller:(S.Enclave_caller e2)
-               ~sender:Sanctorum.Mailbox.From_os);
-          must (S.send_mail sm ~caller:S.Os ~recipient:e2 ~msg);
-          ignore
-            (must
-               (S.get_mail sm ~caller:(S.Enclave_caller e2)
-                  ~sender:Sanctorum.Mailbox.From_os)));
+      ( "accept + send + get (256-byte message)",
+        roundtrip ~caller:(S.Enclave_caller e1)
+          (Sanctorum.Mailbox.From_enclave e1) );
+      ("OS -> enclave mail", roundtrip ~caller:S.Os Sanctorum.Mailbox.From_os);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -366,14 +250,15 @@ let bench_fig6 () =
   let expected = must_v (S.enclave_measurement sm ~eid:i1.Os.eid) in
   run_group ~name:"F6: local attestation (E2 attests E1)"
     [
-      test ~name:"four-step protocol, end to end" (fun () ->
+      ( "four-step protocol, end to end",
+        fun () ->
           match
             Sanctorum.Attestation.local_attest sm ~verifier:i2.Os.eid
               ~prover:i1.Os.eid ~expected
           with
           | Ok true -> ()
           | Ok false -> failwith "attestation mismatch"
-          | Error e -> failwith (Sanctorum.Api_error.to_string e));
+          | Error e -> failwith (Sanctorum.Api_error.to_string e) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -387,7 +272,8 @@ let bench_fig7 () =
   let expected = Img.measurement target in
   run_group ~name:"F7: remote attestation (10-step protocol)"
     [
-      test ~name:"key agreement + sign + verify, end to end" (fun () ->
+      ( "key agreement + sign + verify, end to end",
+        fun () ->
           let s =
             Sanctorum.Attestation.run_remote_attestation tb.Testbed.sm
               ~rng:tb.Testbed.rng ~eid:t1.Os.eid ~es_eid:es.Os.eid
@@ -395,29 +281,7 @@ let bench_fig7 () =
           in
           match s.Sanctorum.Attestation.verdict with
           | Ok () -> ()
-          | Error m -> failwith m);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Crypto substrate microbenchmarks (the costs behind F6/F7 and §VI-A) *)
-
-let bench_crypto () =
-  let page = String.make 4096 'p' in
-  let sk = C.Schnorr.secret_key_of_seed "bench" in
-  let pk = C.Schnorr.public_key sk in
-  let signature = C.Schnorr.sign sk "msg" in
-  let rng = C.Drbg.create ~seed:"bench" in
-  let s1, _p1 = C.Dh.generate rng in
-  let _s2, p2 = C.Dh.generate rng in
-  run_group ~name:"crypto substrate"
-    [
-      test ~name:"sha3-256 of one 4 KiB page (measurement)" (fun () ->
-          ignore (C.Sha3.sha3_256 page));
-      test ~name:"schnorr sign" (fun () -> ignore (C.Schnorr.sign sk "msg"));
-      test ~name:"schnorr verify" (fun () ->
-          ignore (C.Schnorr.verify pk ~msg:"msg" ~signature));
-      test ~name:"dh shared key" (fun () -> ignore (C.Dh.shared_key s1 p2));
-      test ~name:"drbg 32 bytes" (fun () -> ignore (C.Drbg.random_bytes rng 32));
+          | Error m -> failwith m );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -692,9 +556,10 @@ let report_faults () =
 (* Raw simulator throughput: the fig2 enclave compute loop, timed
    wall-clock under both execution tiers — stepped (fast path off) and
    superblock (the default). The architectural work (instret) is
-   identical in both — the differential suite proves that, and a run
-   where it differs is dirty — so the MIPS ratio is a pure host-speed
-   ratio. The report lands in BENCH_PR10.json for CI.
+   identical in both — the differential suite proves that — so the MIPS
+   ratio is a pure host-speed ratio. The run exits 1 if instret differs
+   across repetitions or the superblock tier is under 5x the stepped
+   interpreter.
 
    SANCTORUM_SIM_QUOTA caps the instruction budget (CI smoke runs use
    a small quota). *)
@@ -735,51 +600,24 @@ let report_sim () =
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "superblock tier" s_super m_super;
   Printf.printf "  %-34s %9.3f s %9.2f MIPS\n" "stepped (fast path off)" s_slow
     m_slow;
-  Printf.printf "  %-34s %9.2fx\n" "superblock / stepped" speedup;
-  let row tier n s m =
-    Tel.Json.
-      [
-        ("tier", String tier);
-        ("instructions", Int n);
-        ("seconds", Float s);
-        ("mips", Float m);
-      ]
-  in
-  write_report
-    {
-      bench = "sim";
-      file = "BENCH_PR10.json";
-      backend = Testbed.backend_name Testbed.Sanctum_backend;
-      seed = "bench-sim";
-      config =
-        Tel.Json.
-          [
-            ("workload", String "fig2-enclave-compute-loop");
-            ("quota", Int quota);
-          ];
-      rows =
-        [
-          row "superblock" n_super s_super m_super;
-          row "slow_path" n_slow s_slow m_slow;
-        ];
-      summary = [ ("speedup_superblock_over_slow", Tel.Json.Float speedup) ];
-      dirty =
-        reasons
-          [
-            ( List.exists (fun (n, _) -> n <> n_super) (super @ slow),
-              "instret differs across repetitions (3 superblock, 3 slow): "
-              ^ String.concat " "
-                  (List.map (fun (n, _) -> string_of_int n) (super @ slow)) );
-          ];
-    }
+  Printf.printf "  %-34s %9.2fx\n%!" "superblock / stepped" speedup;
+  gate "sim"
+    [
+      (* fails closed: a NaN speedup is not a pass *)
+      (not (speedup >= 5.), "superblock tier under 5x the stepped interpreter");
+      ( List.exists (fun (n, _) -> n <> n_super) (super @ slow),
+        "instret differs across repetitions (3 superblock, 3 slow): "
+        ^ String.concat " "
+            (List.map (fun (n, _) -> string_of_int n) (super @ slow)) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The attestation fast path: the throughput-grade crypto tier against
-   the reference verifier in test/oracle, and the measurement cache hot
-   vs cold. The report lands in BENCH_PR9.json.
+   the reference verifier in test/oracle, the hash, key agreement and
+   DRBG behind F6/F7 and §VI-A, and the measurement cache hot vs cold.
 
-   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota. The run is
-   dirty if verify is not at least 10x its reference or a cached
+   SANCTORUM_ATTEST_MIN_S sets the per-micro-op time quota. The run
+   exits 1 if verify is not at least 10x its reference or a cached
    measurement never hits. The attestation service and the churn mix
    are scenarios: test/test_attest_scale.ml holds their gates on both
    backends, and perfbench times them. *)
@@ -787,23 +625,31 @@ let report_sim () =
 let report_attest () =
   let module M = Sanctorum.Measurement in
   let min_s = env_float "SANCTORUM_ATTEST_MIN_S" 0.3 in
-  (* -- crypto micro-ops, wall-clock against the retained references -- *)
+  (* wall-clock, after one warm-up call (memoized encodings, caches) *)
   let time f =
     ignore (f ());
-    (* warm: memoized encodings, caches *)
     ns_per_op ~quota:min_s f
   in
+  let row label f =
+    let ns = time f in
+    Printf.printf "  %-36s %12.0f ns/op\n%!" label ns;
+    ns
+  in
+  Printf.printf "\n== attest: crypto fast path vs reference ==\n";
   let sk = C.Schnorr.secret_key_of_seed "bench-attest" in
   let pk = C.Schnorr.public_key sk in
   let signature = C.Schnorr.sign sk "msg" in
-  let keygen_ns = time (fun () -> C.Schnorr.secret_key_of_seed "fresh") in
-  let sign_ns = time (fun () -> C.Schnorr.sign sk "msg") in
-  let verify_ns = time (fun () -> C.Schnorr.verify pk ~msg:"msg" ~signature) in
+  ignore (row "schnorr keygen" (fun () -> C.Schnorr.secret_key_of_seed "fresh"));
+  ignore (row "schnorr sign" (fun () -> C.Schnorr.sign sk "msg"));
+  let verify_ns =
+    row "schnorr verify" (fun () -> C.Schnorr.verify pk ~msg:"msg" ~signature)
+  in
   let verify_ref_ns =
-    time (fun () ->
+    row "schnorr verify (reference)" (fun () ->
         Sanctorum_oracle.Schnorr_ref.verify_reference pk ~msg:"msg" ~signature)
   in
   let verify_speedup = verify_ref_ns /. verify_ns in
+  Printf.printf "  %-36s %12.2fx\n" "verify speedup" verify_speedup;
   let batch_n = 64 in
   let items =
     List.init batch_n (fun i ->
@@ -831,19 +677,19 @@ let report_attest () =
   let msm_item_ns =
     time (fun () -> C.Curve.multi_scalar_mul msm_terms) /. float_of_int batch_n
   in
-  Printf.printf "\n== attest: crypto fast path vs reference ==\n";
-  Printf.printf "  %-36s %12.0f ns/op\n" "schnorr keygen" keygen_ns;
-  Printf.printf "  %-36s %12.0f ns/op\n" "schnorr sign" sign_ns;
-  Printf.printf "  %-36s %12.0f ns/op\n" "schnorr verify" verify_ns;
-  Printf.printf "  %-36s %12.0f ns/op\n" "schnorr verify (reference)"
-    verify_ref_ns;
-  Printf.printf "  %-36s %12.2fx\n" "verify speedup" verify_speedup;
   Printf.printf "  %-36s %12.0f ns/item (n=%d)\n" "batch verify" batch_item_ns
     batch_n;
   Printf.printf "  %-36s %12.0f ns/item (n=%d)\n" "  of which multi_scalar_mul"
     msm_item_ns batch_n;
   Printf.printf "  %-36s %12.2fx vs single verify\n" "batch speedup"
     (verify_ns /. batch_item_ns);
+  let rng = C.Drbg.create ~seed:"bench-attest" in
+  let s1, _ = C.Dh.generate rng in
+  let _, p2 = C.Dh.generate rng in
+  ignore (row "dh shared key" (fun () -> C.Dh.shared_key s1 p2));
+  ignore (row "drbg 32 bytes" (fun () -> C.Drbg.random_bytes rng 32));
+  let page = String.make 4096 'p' in
+  ignore (row "sha3-256 of one 4 KiB page" (fun () -> C.Sha3.sha3_256 page));
   (* -- the measurement cache, cold vs hot on a 4-page transcript -- *)
   let measure cache =
     let t = M.start () in
@@ -858,47 +704,15 @@ let report_attest () =
     M.extend_thread t ~entry_pc:0x10000L ~entry_sp:0x17ff0L;
     M.finalize ?cache t
   in
-  let cold_ns = time (fun () -> measure None) in
+  ignore (row "measurement (4 pages, cold)" (fun () -> measure None));
   let cache = M.Cache.create () in
-  ignore (measure (Some cache));
-  let hot_ns = time (fun () -> measure (Some cache)) in
-  Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cold)" cold_ns;
-  Printf.printf "  %-36s %12.0f ns/op\n" "measurement (4 pages, cached)" hot_ns;
-  write_report
-    {
-      bench = "attest";
-      file = "BENCH_PR9.json";
-      backend = "none";
-      seed = "bench-attest";
-      config = [ ("min_s", Tel.Json.Float min_s) ];
-      rows = [];
-      summary =
-        Tel.Json.
-          [
-            ( "micro_ns",
-              Obj
-                [
-                  ("keygen", Float keygen_ns);
-                  ("sign", Float sign_ns);
-                  ("verify", Float verify_ns);
-                  ("verify_reference", Float verify_ref_ns);
-                  ("verify_speedup", Float verify_speedup);
-                  ("batch_item", Float batch_item_ns);
-                  ("batch_msm_item", Float msm_item_ns);
-                  ("batch_n", Int batch_n);
-                  ("batch_vs_single", Float (verify_ns /. batch_item_ns));
-                  ("measurement_cold", Float cold_ns);
-                  ("measurement_hot", Float hot_ns);
-                ] );
-          ];
-      dirty =
-        reasons
-          [
-            (* fails closed: a NaN speedup is not a pass *)
-            (not (verify_speedup >= 10.), "verify speedup below 10x");
-            (M.Cache.hits cache = 0, "measurement cache never hit");
-          ];
-    }
+  ignore (row "measurement (4 pages, cached)" (fun () -> measure (Some cache)));
+  gate "attest"
+    [
+      (* fails closed: a NaN speedup is not a pass *)
+      (not (verify_speedup >= 10.), "verify speedup below 10x");
+      (M.Cache.hits cache = 0, "measurement cache never hit");
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -911,7 +725,6 @@ let groups =
     ("fig5", bench_fig5);
     ("fig6", bench_fig6);
     ("fig7", bench_fig7);
-    ("crypto", bench_crypto);
     ("platforms", report_platforms);
     ("sidechannel", report_sidechannel);
     ("ablation", report_ablation);
@@ -924,15 +737,7 @@ let groups =
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  (if which = "all" then begin
-     if bench_json <> None then begin
-       Printf.eprintf
-         "main.exe: SANCTORUM_BENCH_JSON names one file, and every group \
-          in `all` would overwrite it; run one group\n";
-       exit 2
-     end;
-     List.iter (fun (_, f) -> f ()) groups
-   end
+  (if which = "all" then List.iter (fun (_, f) -> f ()) groups
    else
      match List.assoc_opt which groups with
      | Some f -> f ()

@@ -15,11 +15,14 @@
      sanctorum_demo modelcheck [--backend ...] [--depth K] [--cores N]
                                [--diff] [--inject FAULT] [--replay PATH]
 
-   (each subcommand's --help lists the rest of its flags). Every
-   command but check, workload and fleet also takes the telemetry flags
-   [--trace out.json] [--trace-jsonl out.jsonl] [--metrics] [--audit];
-   with no subcommand, [run] is implied, so
-   [sanctorum_demo --trace t.json] traces the counting-enclave demo.
+   (each subcommand's --help lists the rest of its flags). A command
+   takes a shared flag only where it acts: boot, run, attest, probe,
+   leak and chaos take the telemetry flags [--trace out.json]
+   [--trace-jsonl out.jsonl] [--metrics] [--audit]; run, attest, probe
+   and leak take [--check-invariants]; run, probe and leak, which
+   retire enclave instructions, take [--slow-sim]. With no subcommand,
+   [run] is implied, so [sanctorum_demo --trace t.json] traces the
+   counting-enclave demo.
    Each exits 0 clean, 1 on a finding or a refused step, 2 on a usage
    error (README, "Exit codes").
 *)
@@ -34,9 +37,6 @@ type tel_opts = {
   trace_jsonl : string option;
   metrics : bool;
   audit : bool;
-  check_invariants : bool;
-      (* run the Sanctorum_analysis snapshot pass after every API call *)
-  slow_sim : bool;  (* disable the simulator fast path (reference mode) *)
 }
 
 let write_file file contents =
@@ -88,8 +88,8 @@ let exit_unless ok = if not ok then exit 1
 
 (* --check-invariants: stop at the first API call after which the
    monitor's state breaks an invariant of the catalog. *)
-let arm_checker opts sm =
-  if opts.check_invariants then
+let arm_checker check sm =
+  if check then
     S.set_post_api_hook sm
       (Some
          (fun ~api ->
@@ -104,8 +104,8 @@ let arm_checker opts sm =
    results are identical either way (that equivalence is property-
    tested); the flag exists to demonstrate it from the CLI and to time
    the difference. *)
-let apply_sim_mode opts tb =
-  if opts.slow_sim then Hw.Machine.set_fast_path tb.Testbed.machine false
+let apply_sim_mode slow tb =
+  if slow then Hw.Machine.set_fast_path tb.Testbed.machine false
 
 let hex8 s = Sanctorum_util.Hex.encode (String.sub s 0 8)
 
@@ -125,8 +125,6 @@ let exit_prog = Hw.Isa.[ Op_imm (Add, a7, zero, S.Ecall.exit_enclave); Ecall ]
 let cmd_boot tel backend =
   with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
-  arm_checker tel tb.Testbed.sm;
-  apply_sim_mode tel tb;
   let sm = tb.Testbed.sm in
   Printf.printf "platform        : %s\n" tb.Testbed.platform.Sanctorum_platform.Platform.name;
   Printf.printf "cores           : %d\n" (Hw.Machine.core_count tb.Testbed.machine);
@@ -143,11 +141,15 @@ let cmd_boot tel backend =
   Printf.printf "certificates    : %d bytes\n"
     (String.length (S.get_field sm S.Field_certificates))
 
-let cmd_run tel backend count quantum =
+let cmd_run tel check slow backend count quantum =
+  if count < 1 || quantum < 1 then begin
+    Printf.eprintf "sanctorum_demo run: --count and --quantum must be >= 1\n";
+    exit 2
+  end;
   exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
-  arm_checker tel tb.Testbed.sm;
-  apply_sim_mode tel tb;
+  arm_checker check tb.Testbed.sm;
+  apply_sim_mode slow tb;
   let image = Testbed.counting_image ~evbase:0x10000 ~target:count in
   match Os.install_enclave tb.Testbed.os image with
   | Error e ->
@@ -178,11 +180,10 @@ let cmd_run tel backend count quantum =
         (!entries - 1) counted;
       counted = Int64.of_int count
 
-let cmd_attest tel backend =
+let cmd_attest tel check backend =
   exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
-  arm_checker tel tb.Testbed.sm;
-  apply_sim_mode tel tb;
+  arm_checker check tb.Testbed.sm;
   match Testbed.install_signing_enclave tb with
   | Error e ->
       Printf.printf "signing enclave: %s\n" (Sanctorum.Api_error.to_string e);
@@ -209,11 +210,11 @@ let cmd_attest tel backend =
           Printf.printf "session keys agree: %b\n" agree;
           Result.is_ok session.Sanctorum.Attestation.verdict && agree)
 
-let cmd_probe tel backend =
+let cmd_probe tel check slow backend =
   exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb = Testbed.create ~backend ?sink () in
-  arm_checker tel tb.Testbed.sm;
-  apply_sim_mode tel tb;
+  arm_checker check tb.Testbed.sm;
+  apply_sim_mode slow tb;
   let image = Sanctorum.Image.of_program ~evbase:0x10000 exit_prog in
   match Os.install_enclave tb.Testbed.os image with
   | Error e ->
@@ -255,14 +256,14 @@ let cmd_probe tel backend =
         | `Stored -> `Allowed);
       !denied
 
-let cmd_leak tel backend secret =
+let cmd_leak tel check slow backend secret =
   exit_unless @@ with_telemetry tel @@ fun sink ->
   let tb =
     Testbed.create ~backend ~l2:Sanctorum_attack.Cache_probe.recommended_l2
       ?sink ()
   in
-  arm_checker tel tb.Testbed.sm;
-  apply_sim_mode tel tb;
+  arm_checker check tb.Testbed.sm;
+  apply_sim_mode slow tb;
   match Sanctorum_attack.Cache_probe.run tb ~secret () with
   | Error m ->
       Printf.printf "error: %s\n" m;
@@ -448,8 +449,8 @@ let cmd_fleet backend seed shards cores enclaves jobs target mix policy
 (* `sanctorum_demo modelcheck`: bounded exhaustive exploration of the
    SM API state space (lib/analysis/modelcheck.mli). Exit 1 on any
    finding, 2 on a bad flag or replay path. *)
-let cmd_modelcheck tel backend depth cores units diff cold inject max_states
-    replay =
+let cmd_modelcheck backend depth cores units diff cold inject max_states replay
+    =
   let module M = An.Modelcheck in
   let backend =
     match backend with
@@ -466,20 +467,10 @@ let cmd_modelcheck tel backend depth cores units diff cold inject max_states
             Printf.eprintf "sanctorum_demo modelcheck: --inject: %s\n" msg;
             exit 2)
   in
-  exit_unless @@ with_telemetry tel @@ fun sink ->
   let cfg =
-    {
-      M.backend;
-      depth;
-      cores;
-      units;
-      diff;
-      warm = not cold;
-      inject;
-      max_states;
-      sink = Option.value sink ~default:Tel.Sink.null;
-    }
+    { M.backend; depth; cores; units; diff; warm = not cold; inject; max_states }
   in
+  exit_unless @@
   match replay with
   | Some path_str -> (
       match M.path_of_string path_str with
@@ -714,30 +705,26 @@ let tel_term =
           ~doc:"Print the SM audit log: every API decision, accepted or \
                 rejected.")
   in
-  let check_invariants =
-    Arg.(
-      value & flag
-      & info [ "check-invariants" ]
-          ~doc:
-            "Run the $(b,Sanctorum_analysis) snapshot checker after every \
-             monitor API call and abort (exit 1) on the first violation.")
-  in
-  let slow_sim =
-    Arg.(
-      value & flag
-      & info [ "slow-sim" ]
-          ~doc:
-            "Disable the simulator's superblock tier and run the reference \
-             stepped interpreter. Architecturally identical (the \
-             equivalence is property-tested); useful for timing comparisons \
-             and for ruling the fast path out when debugging.")
-  in
-  let mk trace trace_jsonl metrics audit check_invariants slow_sim =
-    { trace; trace_jsonl; metrics; audit; check_invariants; slow_sim }
-  in
-  Term.(
-    const mk $ trace $ trace_jsonl $ metrics $ audit $ check_invariants
-    $ slow_sim)
+  let mk trace trace_jsonl metrics audit = { trace; trace_jsonl; metrics; audit } in
+  Term.(const mk $ trace $ trace_jsonl $ metrics $ audit)
+
+let check_arg =
+  Arg.(
+    value & flag
+    & info [ "check-invariants" ]
+        ~doc:
+          "Run the $(b,Sanctorum_analysis) snapshot checker after every \
+           monitor API call and abort (exit 1) on the first violation.")
+
+let slow_sim_arg =
+  Arg.(
+    value & flag
+    & info [ "slow-sim" ]
+        ~doc:
+          "Disable the simulator's superblock tier and run the reference \
+           stepped interpreter. Architecturally identical (the \
+           equivalence is property-tested); useful for timing comparisons \
+           and for ruling the fast path out when debugging.")
 
 let boot_cmd =
   Cmd.v (Cmd.info "boot" ~doc:"Boot the stack and print the monitor's identity.")
@@ -745,12 +732,16 @@ let boot_cmd =
 
 let run_term =
   let count =
-    Arg.(value & opt int 5000 & info [ "count"; "n" ] ~doc:"Loop iterations.")
+    Arg.(value & opt int 5000 & info [ "count"; "n" ] ~doc:"Loop iterations (>= 1).")
   in
   let quantum =
-    Arg.(value & opt int 2000 & info [ "quantum"; "q" ] ~doc:"Preemption quantum (cycles).")
+    Arg.(
+      value & opt int 2000
+      & info [ "quantum"; "q" ] ~doc:"Preemption quantum in cycles (>= 1).")
   in
-  Term.(const cmd_run $ tel_term $ backend_arg $ count $ quantum)
+  Term.(
+    const cmd_run $ tel_term $ check_arg $ slow_sim_arg $ backend_arg $ count
+    $ quantum)
 
 let run_cmd =
   Cmd.v
@@ -759,11 +750,11 @@ let run_cmd =
 
 let attest_cmd =
   Cmd.v (Cmd.info "attest" ~doc:"Full remote attestation (paper Fig. 7).")
-    Term.(const cmd_attest $ tel_term $ backend_arg)
+    Term.(const cmd_attest $ tel_term $ check_arg $ backend_arg)
 
 let probe_cmd =
   Cmd.v (Cmd.info "probe" ~doc:"Malicious-OS probes against enclave memory.")
-    Term.(const cmd_probe $ tel_term $ backend_arg)
+    Term.(const cmd_probe $ tel_term $ check_arg $ slow_sim_arg $ backend_arg)
 
 let check_cmd =
   let catalog_only =
@@ -1015,7 +1006,9 @@ let leak_cmd =
     Arg.(value & opt int 5 & info [ "secret"; "s" ] ~doc:"Victim secret, 0-7.")
   in
   Cmd.v (Cmd.info "leak" ~doc:"Prime+probe cache attack against a victim enclave.")
-    Term.(const cmd_leak $ tel_term $ backend_arg $ secret)
+    Term.(
+      const cmd_leak $ tel_term $ check_arg $ slow_sim_arg $ backend_arg
+      $ secret)
 
 let modelcheck_cmd =
   let depth =
@@ -1088,8 +1081,8 @@ let modelcheck_cmd =
           checking, and delta-debugged replayable counterexamples; exit 1 \
           on any finding, 2 on usage errors.")
     Term.(
-      const cmd_modelcheck $ tel_term $ backend_arg $ depth $ cores $ units
-      $ diff $ cold $ inject $ max_states $ replay)
+      const cmd_modelcheck $ backend_arg $ depth $ cores $ units $ diff $ cold
+      $ inject $ max_states $ replay)
 
 (* One exit-code convention across every subcommand: 0 clean, 1 any
    finding or failed check, 2 usage errors (bad flag, bad spec, bad

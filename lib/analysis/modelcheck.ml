@@ -214,7 +214,6 @@ type config = {
   warm : bool;
   inject : fault option;
   max_states : int;
-  sink : Tel.Sink.t;
 }
 
 let default_config =
@@ -227,7 +226,6 @@ let default_config =
     warm = true;
     inject = None;
     max_states = 200_000;
-    sink = Tel.Sink.null;
   }
 
 let validate config =
@@ -874,7 +872,6 @@ let explore config =
   let findings_total = ref 0 in
   let record kind detail action prefix =
     incr findings_total;
-    Tel.Sink.incr_counter config.sink "modelcheck.findings";
     if List.length !findings < max_findings then
       findings :=
         {
@@ -889,8 +886,7 @@ let explore config =
   let note_state key =
     Hashtbl.replace visited key ();
     incr states;
-    digest := Digest.to_hex (Digest.string (!digest ^ key));
-    Tel.Sink.incr_counter config.sink "modelcheck.states"
+    digest := Digest.to_hex (Digest.string (!digest ^ key))
   in
   (* every world's catalog violations, pinned to [action] after
      [prefix]; with [diff] each names the backend it was seen on *)
@@ -958,10 +954,7 @@ let explore config =
                   if broken <> [] then ws := fresh ()
               | Ok () ->
                   let k = key (List.map fst !ws) in
-                  if Hashtbl.mem visited k then begin
-                    incr dedup_hits;
-                    Tel.Sink.incr_counter config.sink "modelcheck.dedup_hits"
-                  end
+                  if Hashtbl.mem visited k then incr dedup_hits
                   else if !states >= config.max_states then truncated := true
                   else begin
                     note_state k;

@@ -114,14 +114,11 @@ type config = {
           [--cold] for the ceremony itself. *)
   inject : fault option;
   max_states : int;  (** exploration safety valve *)
-  sink : Sanctorum_telemetry.Sink.t;
-      (** receives [modelcheck.states], [modelcheck.dedup_hits] and
-          [modelcheck.findings] counters *)
 }
 
 val default_config : config
 (** Sanctum, depth 4, 1 core, 2 unit groups, no diff, warm, no fault,
-    [max_states] 200_000, null sink. *)
+    [max_states] 200_000. *)
 
 type finding_kind =
   | K_catalog of string * backend

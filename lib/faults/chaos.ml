@@ -53,8 +53,11 @@ let drive os ~eid ~tid ~core =
 let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
     ~seed ~spec () =
   let horizon = Option.value horizon ~default:(1500 * rounds) in
+  (* the trace passes read the run's own events, so a run always
+     records them *)
+  let sink = match sink with Some s -> s | None -> Tel.Sink.create () in
   let tb =
-    Testbed.create ~backend ~seed:(Printf.sprintf "chaos-%Ld" seed) ?sink ()
+    Testbed.create ~backend ~seed:(Printf.sprintf "chaos-%Ld" seed) ~sink ()
   in
   let machine = tb.Testbed.machine in
   let mem = Hw.Machine.mem machine in
@@ -66,10 +69,27 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
     incr failed_closed;
     incidents := msg :: !incidents
   in
+  (* One run-long lock-discipline pass and one orderliness pass step
+     over each round's new events, found by seq. The ring is never
+     cleared, so a caller's sink still holds the whole trace; an event
+     it overwrote before the passes read it is counted as lost. *)
+  let locks = An.Lockcheck.create () and lint = An.Orderlint.create () in
+  let stepped = ref 0 and lost = ref 0 in
+  let step_trace () =
+    Tel.Sink.iter
+      (fun ~seq ~core ~cycles:_ payload ->
+        if seq >= !stepped then begin
+          lost := !lost + (seq - !stepped);
+          An.Lockcheck.step locks ~seq payload;
+          An.Orderlint.step lint ~seq ~core payload;
+          stepped := seq + 1
+        end)
+      sink
+  in
   let image = Testbed.counting_image ~evbase ~target in
   for round = 1 to rounds do
     let pre = Printf.sprintf "round %d: " round in
-    match live_core machine with
+    (match live_core machine with
     | None -> closed (pre ^ "no live cores left")
     | Some core -> (
         match Os.install_enclave tb.Testbed.os image with
@@ -124,7 +144,8 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
             | Error e ->
                 incidents :=
                   (pre ^ "reclaim denied: " ^ Sanctorum.Api_error.to_string e)
-                  :: !incidents))
+                  :: !incidents)));
+    step_trace ()
   done;
   Injector.disarm inj;
   (* A misfired DMA the machine let through must have landed in plain
@@ -142,7 +163,18 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
      state must be indistinguishable from a healthy machine's. *)
   let _, retired = Sm.patrol_scrub tb.Testbed.sm in
   ignore retired;
-  let findings = An.Checker.run_all tb.Testbed.sm in
+  step_trace ();
+  let lost_events =
+    if !lost = 0 then []
+    else
+      [ An.Report.v "trace.lost" ~subject:"trace"
+          (Printf.sprintf "%d events overwritten before the passes read them"
+             !lost) ]
+  in
+  let findings =
+    An.Checker.snapshot tb.Testbed.sm @ An.Lockcheck.finish locks
+    @ An.Orderlint.findings lint @ lost_events
+  in
   let quarantined =
     Array.fold_left
       (fun acc c -> if c.Hw.Machine.quarantined then acc + 1 else acc)

@@ -11,8 +11,12 @@
       fails {e closed} (denied, faulted, or killed with its core) —
       it never completes with a wrong answer, never observes a raised
       exception, and no misfired DMA lands outside untrusted memory;
-    - after the storm, one patrol-scrub pass finishes recovery and
-      {!Sanctorum_analysis.Checker.run_all} reports {e zero} findings.
+    - after the storm, one patrol-scrub pass finishes recovery and the
+      analysis reports {e zero} findings: the snapshot pass over the
+      monitor, and the lock-discipline and orderliness passes over the
+      run's whole trace, stepped round by round. An event the sink's
+      ring overwrote before those passes read it is a finding too
+      ([trace.lost]).
 
     Determinism: same [seed], [spec], [backend] and [rounds] give the
     same report, so any failure reproduces from the log line. *)
@@ -33,7 +37,7 @@ type report = {
   words_retired : int;  (** uncorrectable words retired by recovery *)
   quarantined_cores : int;
   findings : Sanctorum_analysis.Report.violation list;
-      (** invariant findings after recovery — must be empty *)
+      (** invariant and trace findings after recovery — must be empty *)
   fail_open : string list;  (** fail-open evidence — must be empty *)
 }
 
@@ -46,7 +50,10 @@ val run :
   spec:Spec.t ->
   unit ->
   report
-(** Defaults: Sanctum backend, 5 rounds, horizon [1500 * rounds]. *)
+(** Defaults: Sanctum backend, 5 rounds, horizon [1500 * rounds], and a
+    fresh recording sink. A caller's [sink] receives the whole trace
+    (the run never clears it), after any events it already holds;
+    those are checked as the start of the run's trace. *)
 
 val ok : report -> bool
 (** No fail-open evidence and no post-recovery findings. *)

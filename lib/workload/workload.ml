@@ -59,6 +59,7 @@ let pp_report fmt r =
      in-flight=%d accounted=%b@,\
      rates    : wall=%.3fs mips=%.2f enclave-ops/s=%.1f@,\
      latency  : per-quantum sim cycles p50<=%d p90<=%d p99<=%d@,\
+     cache    : measurement hits=%d misses=%d@,\
      analysis : findings=%d dropped-events=%d@,\
      teardown : drained=%b free-units %d -> %d reclaimed=%b@]"
     (mix_name r.rp_mix) r.rp_seed r.rp_cores r.rp_enclaves r.rp_rounds
@@ -66,7 +67,8 @@ let pp_report fmt r =
     r.rp_os_faults r.rp_killed r.rp_api_errors r.rp_quanta r.rp_instret
     r.rp_sim_cycles r.rp_msgs_sent r.rp_msgs_received r.rp_msgs_inflight
     r.rp_msgs_accounted r.rp_wall_s r.rp_mips r.rp_ops_per_sec r.rp_quantum_p50
-    r.rp_quantum_p90 r.rp_quantum_p99
+    r.rp_quantum_p90 r.rp_quantum_p99 r.rp_meas_cache_hits
+    r.rp_meas_cache_misses
     (List.length r.rp_findings)
     r.rp_trace_dropped r.rp_drained r.rp_free_units_boot r.rp_free_units_end
     r.rp_reclaimed

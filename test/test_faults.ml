@@ -408,6 +408,22 @@ let test_chaos_deterministic () =
   in
   check_bool "same seed, same chaos outcome" true (run () = run ())
 
+(* The post-storm gate reads the run's own trace: an illegal event in
+   the sink handed to the run is a finding, and so are events the ring
+   overwrote before the trace passes read them. *)
+let test_chaos_reads_trace () =
+  let ids r = List.map (fun v -> v.An.Report.id) r.F.Chaos.findings in
+  let sink = Tel.Sink.create () in
+  Tel.Sink.emit sink ~core:0 ~cycles:0
+    (Tel.Event.Enclave_entered { eid = 0x7777; tid = 0; target_core = 0 });
+  let r = F.Chaos.run ~rounds:5 ~sink ~seed:7L ~spec:all_spec () in
+  Alcotest.(check (list string)) "planted enter flagged" [ "order.enter" ] (ids r);
+  check_bool "planted enter fails the run" false (F.Chaos.ok r);
+  let small = Tel.Sink.create ~capacity:16 () in
+  let r = F.Chaos.run ~rounds:1 ~sink:small ~seed:7L ~spec:[] () in
+  check_bool "lost events flagged" true (List.mem "trace.lost" (ids r));
+  check_bool "lost events fail the run" false (F.Chaos.ok r)
+
 let test_spec_roundtrip () =
   (match F.Spec.parse "bitflip:3,mce,ipi-drop:2" with
   | Error m -> Alcotest.fail m
@@ -571,6 +587,8 @@ let suite =
         test_schedule_deterministic;
       Alcotest.test_case "determinism: chaos outcome is seed-pure" `Quick
         test_chaos_deterministic;
+      Alcotest.test_case "chaos: the trace passes read the run's events" `Quick
+        test_chaos_reads_trace;
       Alcotest.test_case "spec: parse/print round-trip" `Quick
         test_spec_roundtrip;
       Alcotest.test_case "testbed: rng seed exposed for repro" `Quick

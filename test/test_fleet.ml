@@ -527,7 +527,10 @@ let test_demo_exit_codes () =
    config the library refuses, or a population the backend cannot hold
    (Sanctum's region-sized units at the default 64 enclaves, Keystone's
    metadata at 2000), is a usage error, reported on stderr, never an
-   uncaught exception (cmdliner's 125). *)
+   uncaught exception (cmdliner's 125). So is a count or quantum below
+   1, and a shared flag on a command it would not act on: --slow-sim
+   on chaos, boot and attest, --check-invariants on chaos and boot, and
+   the telemetry flags on modelcheck. *)
 let test_demo_config_exit_codes () =
   List.iter
     (fun args -> check_int args 2 (demo args))
@@ -539,6 +542,16 @@ let test_demo_config_exit_codes () =
       "workload -b sanctum";
       "workload --enclaves 2000";
       "chaos --rounds 0";
+      "chaos --slow-sim";
+      "chaos --check-invariants";
+      "modelcheck --trace t.json";
+      "modelcheck --metrics";
+      "boot --slow-sim";
+      "boot --check-invariants";
+      "attest --slow-sim";
+      "run --count 0";
+      "run --count=-3";
+      "run --quantum 0";
     ]
 
 (* ------------------------------------------------------------------ *)
