@@ -1074,16 +1074,10 @@ end
 let enclave_vaddr_to_paddr t e vaddr =
   match e.root_ppn with
   | None -> None
-  | Some root -> begin
-      match
-        fst
-          (Hw.Page_table.walk (mem t) ~root_ppn:root ~vaddr
-             ~pte_fetch_ok:(fun _ -> true))
-      with
-      | Ok (ppn, _) ->
-          Some (Hw.Phys_mem.page_base ppn lor (vaddr land (page - 1)))
-      | Error _ -> None
-    end
+  | Some root_ppn ->
+      let ok _ = true and off = vaddr land (page - 1) in
+      let w = Hw.Page_table.walk (mem t) ~root_ppn ~vaddr ~pte_fetch_ok:ok in
+      if w < 0 then None else Some ((page * Hw.Page_table.walk_frame w) lor off)
 
 (* The physical [(paddr, len)] segments behind [len] bytes at [vaddr],
    or [None] if any page is unmapped. The ecall path resolves every

@@ -70,20 +70,19 @@ let run ?(backend = Testbed.Sanctum_backend) ?(rounds = 5) ?horizon ?sink
     incidents := msg :: !incidents
   in
   (* One run-long lock-discipline pass and one orderliness pass step
-     over each round's new events, found by seq. The ring is never
-     cleared, so a caller's sink still holds the whole trace; an event
-     it overwrote before the passes read it is counted as lost. *)
+     over each round's new events, from the first seq they have not
+     read. The ring is never cleared, so a caller's sink still holds
+     the whole trace; an event it overwrote before the passes read it
+     is counted as lost. *)
   let locks = An.Lockcheck.create () and lint = An.Orderlint.create () in
   let stepped = ref 0 and lost = ref 0 in
   let step_trace () =
-    Tel.Sink.iter
+    Tel.Sink.iter ~from:!stepped
       (fun ~seq ~core ~cycles:_ payload ->
-        if seq >= !stepped then begin
-          lost := !lost + (seq - !stepped);
-          An.Lockcheck.step locks ~seq payload;
-          An.Orderlint.step lint ~seq ~core payload;
-          stepped := seq + 1
-        end)
+        lost := !lost + (seq - !stepped);
+        An.Lockcheck.step locks ~seq payload;
+        An.Orderlint.step lint ~seq ~core payload;
+        stepped := seq + 1)
       sink
   in
   let image = Testbed.counting_image ~evbase ~target in

@@ -1,8 +1,9 @@
-(* A line is valid only while its [epoch] is the cache's [cur_epoch]:
-   [flush_all] invalidates every line with one increment, and
-   [flush_range] sets a line's epoch to -1, which no cache epoch
-   equals. *)
-type line = { mutable epoch : int; mutable tag : int; mutable lru : int }
+(* Line [set * ways + way] keeps its epoch, tag and LRU stamp in three
+   flat int arrays, so a lookup reads ints at one computed index and
+   [create] allocates three arrays, not a record per line. A line is
+   valid only while its epoch is the cache's [cur_epoch]: [flush_all]
+   invalidates every line with one increment, and [flush_range] sets a
+   line's epoch to -1, which no cache epoch equals. *)
 
 type config = {
   sets : int;
@@ -14,13 +15,16 @@ type config = {
 
 type t = {
   cfg : config;
+  ways : int;
   line_shift : int; (* log2 line_bytes: tag/index without division *)
   set_mask : int; (* sets - 1 *)
-  lines : line array array; (* [set].[way] *)
+  epochs : int array; (* [set * ways + way], see above *)
+  tags : int array;
+  lrus : int array;
   mru : int array; (* per set: way of the last hit or fill, probed first *)
   mutable index_fn : int -> int;
   mutable default_index : bool; (* skip the closure call until overridden *)
-  mutable cur_epoch : int; (* see [line] *)
+  mutable cur_epoch : int;
   mutable tick : int;
   mutable lowest_fill : int; (* see [lowest_fill] *)
 }
@@ -36,17 +40,17 @@ let create cfg =
     invalid_arg "Cache.create: sets must be a power of two";
   if not (Sanctorum_util.Bits.is_power_of_two cfg.line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
-  let mk_line () = { epoch = -1; tag = 0; lru = 0 } in
-  let lines =
-    Array.init cfg.sets (fun _ -> Array.init cfg.ways (fun _ -> mk_line ()))
-  in
+  let lines = cfg.sets * cfg.ways in
   let line_shift = Sanctorum_util.Bits.log2 cfg.line_bytes in
   let default_index paddr = (paddr lsr line_shift) land (cfg.sets - 1) in
   {
     cfg;
+    ways = cfg.ways;
     line_shift;
     set_mask = cfg.sets - 1;
-    lines;
+    epochs = Array.make lines (-1);
+    tags = Array.make lines 0;
+    lrus = Array.make lines 0;
     mru = Array.make cfg.sets 0;
     index_fn = default_index;
     default_index = true;
@@ -60,66 +64,66 @@ let config t = t.cfg
 let set_index_fn t f =
   t.index_fn <- f;
   t.default_index <- false
+
 let set_of_paddr t paddr = t.index_fn paddr
 let tag_of t paddr = paddr lsr t.line_shift
 
-(* Early-exit scans. Tags are unique within a set (a fill only happens
-   after a whole-set miss), so the first match is the only match. *)
-let rec scan_tag set epoch tag w n =
-  if w >= n then -1
+let[@inline] set_of t paddr =
+  if t.default_index then (paddr lsr t.line_shift) land t.set_mask
+  else t.index_fn paddr land t.set_mask
+
+(* Callers pass [i] inside the arrays: a line of a masked set. *)
+let[@inline] holds t i epoch tag =
+  Array.unsafe_get t.epochs i = epoch && Array.unsafe_get t.tags i = tag
+
+(* Early-exit scan over lines [i, n). Tags are unique within a set (a
+   fill only happens after a whole-set miss), so the first match is the
+   only match. *)
+let rec scan_tag t epoch tag i n =
+  if i >= n then -1
+  else if holds t i epoch tag then i
+  else scan_tag t epoch tag (i + 1) n
+
+(* The fill victim among lines [i, n): the lowest stamp wins, with an
+   invalid line counting below every stamp, and strict [<] keeps the
+   lowest-indexed line among ties. So the first invalid way fills
+   before any valid one is evicted, and with none the lowest-indexed
+   least recently used way goes. *)
+let rec victim t epoch best key i n =
+  if i >= n then best
   else
-    let l = set.(w) in
-    if l.epoch = epoch && l.tag = tag then w
-    else scan_tag set epoch tag (w + 1) n
-
-let rec first_invalid set epoch w n =
-  if w >= n then -1
-  else if set.(w).epoch <> epoch then w
-  else first_invalid set epoch (w + 1) n
-
-(* Strict [<] keeps the lowest-indexed way among LRU ties — the same
-   way the original whole-set fold picked. *)
-let rec min_lru set best w n =
-  if w >= n then best
-  else min_lru set (if set.(w).lru < set.(best).lru then w else best) (w + 1) n
+    let k =
+      if Array.unsafe_get t.epochs i <> epoch then -1
+      else Array.unsafe_get t.lrus i
+    in
+    if k < key then victim t epoch i k (i + 1) n
+    else victim t epoch best key (i + 1) n
 
 let access_hit t ~paddr =
   t.tick <- t.tick + 1;
-  let si =
-    if t.default_index then (paddr lsr t.line_shift) land t.set_mask
-    else t.index_fn paddr land t.set_mask
-  in
+  let si = set_of t paddr in
   (* [si] is masked to [0, sets) and stored MRU ways are always valid
      way indices, so the unchecked reads cannot go out of bounds. *)
-  let set = Array.unsafe_get t.lines si in
+  let base = si * t.ways in
   let tag = paddr lsr t.line_shift in
-  let ways = Array.length set in
   let epoch = t.cur_epoch in
-  let hit_way =
-    let mw = Array.unsafe_get t.mru si in
-    let m = Array.unsafe_get set mw in
-    if m.epoch = epoch && m.tag = tag then mw else scan_tag set epoch tag 0 ways
+  let hit =
+    let m = base + Array.unsafe_get t.mru si in
+    if holds t m epoch tag then m else scan_tag t epoch tag base (base + t.ways)
   in
-  if hit_way >= 0 then begin
-    let l = Array.unsafe_get set hit_way in
-    l.lru <- t.tick;
-    Array.unsafe_set t.mru si hit_way;
+  if hit >= 0 then begin
+    Array.unsafe_set t.lrus hit t.tick;
+    Array.unsafe_set t.mru si (hit - base);
     true
   end
   else begin
-    (* Fill: prefer the first invalid way, else evict the LRU way. *)
-    let vw =
-      match first_invalid set epoch 0 ways with
-      | w when w >= 0 -> w
-      | _ -> min_lru set 0 1 ways
-    in
-    let l = set.(vw) in
-    l.epoch <- epoch;
-    l.tag <- tag;
-    l.lru <- t.tick;
-    t.mru.(si) <- vw;
-    let base = tag lsl t.line_shift in
-    if base < t.lowest_fill then t.lowest_fill <- base;
+    let v = victim t epoch base max_int base (base + t.ways) in
+    Array.unsafe_set t.epochs v epoch;
+    Array.unsafe_set t.tags v tag;
+    Array.unsafe_set t.lrus v t.tick;
+    Array.unsafe_set t.mru si (v - base);
+    let line = tag lsl t.line_shift in
+    if line < t.lowest_fill then t.lowest_fill <- line;
     false
   end
 
@@ -132,43 +136,33 @@ let access_hit t ~paddr =
    last deferred hit. *)
 let note_repeat_hits t ~paddr ~n =
   if n > 0 then begin
-    let si =
-      if t.default_index then (paddr lsr t.line_shift) land t.set_mask
-      else t.index_fn paddr land t.set_mask
+    let si = set_of t paddr in
+    let base = si * t.ways in
+    let i =
+      scan_tag t t.cur_epoch (paddr lsr t.line_shift) base (base + t.ways)
     in
-    let set = t.lines.(si) in
-    let w = scan_tag set t.cur_epoch (paddr lsr t.line_shift) 0 t.cfg.ways in
-    assert (w >= 0);
+    assert (i >= 0);
     t.tick <- t.tick + n;
-    set.(w).lru <- t.tick;
-    t.mru.(si) <- w
+    t.lrus.(i) <- t.tick;
+    t.mru.(si) <- i - base
   end
 
 let probe t ~paddr =
-  let set = t.lines.(t.index_fn paddr land (t.cfg.sets - 1)) in
-  let tag = tag_of t paddr in
-  Array.exists (fun l -> l.epoch = t.cur_epoch && l.tag = tag) set
+  let base = (t.index_fn paddr land t.set_mask) * t.ways in
+  scan_tag t t.cur_epoch (tag_of t paddr) base (base + t.ways) >= 0
 
 let iter_lines t f =
-  for set = 0 to Array.length t.lines - 1 do
-    let ways = t.lines.(set) in
-    for w = 0 to Array.length ways - 1 do
-      let l = ways.(w) in
-      if l.epoch = t.cur_epoch then
-        f ~set ~paddr:(l.tag * t.cfg.line_bytes) ~lru:l.lru
-    done
+  for i = 0 to Array.length t.epochs - 1 do
+    if t.epochs.(i) = t.cur_epoch then
+      let paddr = t.tags.(i) * t.cfg.line_bytes in
+      f ~set:(i / t.ways) ~paddr ~lru:t.lrus.(i)
   done
 
 let iter_tags t f = iter_lines t (fun ~set ~paddr ~lru:_ -> f ~set ~paddr)
 let tick t = t.tick
-
 let lowest_fill t = t.lowest_fill
 let flush_all t = t.cur_epoch <- t.cur_epoch + 1
-
-let clear_set set =
-  for w = 0 to Array.length set - 1 do
-    set.(w).epoch <- -1
-  done
+let clear_set t si = Array.fill t.epochs (si * t.ways) t.ways (-1)
 
 (* Under the default index consecutive lines take consecutive sets, so
    the first [sets] lines of the range already cover every set it
@@ -178,10 +172,10 @@ let flush_range t ~lo ~hi =
     let first = lo lsr t.line_shift and last = (hi - 1) lsr t.line_shift in
     if t.default_index then
       for line = first to min last (first + t.set_mask) do
-        clear_set t.lines.(line land t.set_mask)
+        clear_set t (line land t.set_mask)
       done
     else
       for line = first to last do
-        clear_set t.lines.(t.index_fn (line lsl t.line_shift) land t.set_mask)
+        clear_set t (t.index_fn (line lsl t.line_shift) land t.set_mask)
       done
   end

@@ -22,6 +22,9 @@ val default_l1 : config
 val default_l2 : config
 
 val create : config -> t
+(** A cache holds its lines' epochs, tags and LRU stamps in three flat
+    int arrays of [sets * ways] and an MRU way per set: creating one
+    allocates those four arrays and no record per line. *)
 
 val config : t -> config
 

@@ -136,6 +136,8 @@ type t = {
   mutable fast_path : bool;
   mutable phys_check : core:core -> access:Trap.access -> paddr:int -> bool;
   mutable pte_fetch_check : core:core -> paddr:int -> bool;
+  pte_fetch_oks : (int -> bool) array;
+      (* by core id: the walk's PTE fetch check (see [pte_fetch_ok]) *)
   mutable dma_check : paddr:int -> len:int -> bool;
   mutable trap_handler : t -> core -> Trap.cause -> unit;
   mutable sink : Tel.Sink.t;
@@ -163,6 +165,37 @@ let l1_shift = Sanctorum_util.Bits.log2 l1_config.Cache.line_bytes
 let l1_hit_cycles = l1_config.Cache.hit_cycles
 let tlb_entries = 32
 let pte_fetch_cycles = 12
+
+(* ECC runs in the memory controller: every architectural access
+   (instruction fetch, load/store, PTE fetch, DMA) scrubs the words it
+   touches. Single-bit faults are corrected silently (and counted);
+   an uncorrectable word raises [Fault (Machine_check paddr)]. The
+   [pending_faults] guard keeps the fault-free fast path at one load
+   and compare. *)
+let ecc_check_exn t ~core_id ~cycles ~pos ~len =
+  if Phys_mem.pending_faults t.mem > 0 && pos >= 0 && len > 0
+     && pos + len <= Phys_mem.size t.mem
+  then
+    match Phys_mem.scrub t.mem ~pos ~len with
+    | `Clean -> ()
+    | `Corrected n ->
+        Tel.Metrics.add t.ctrs.c_ecc_corrected n;
+        if Tel.Sink.enabled t.sink then
+          Tel.Sink.emit t.sink ~core:core_id ~cycles
+            (Tel.Event.Ecc_corrected { paddr = pos })
+    | `Uncorrectable paddr ->
+        Tel.Metrics.incr t.ctrs.c_ecc_uncorrectable;
+        if Tel.Sink.enabled t.sink then
+          Tel.Sink.emit t.sink ~core:core_id ~cycles
+            (Tel.Event.Machine_check { paddr });
+        raise (Fault (Trap.Machine_check paddr))
+
+(* Every PTE fetch is an architectural access: ECC scrubs the entry,
+   then the platform's walk check approves it. Built once per core at
+   [create], so a TLB refill builds no closure. *)
+let pte_fetch_ok t core paddr =
+  ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr ~len:8;
+  t.pte_fetch_check ~core ~paddr
 
 let default_config =
   {
@@ -213,29 +246,34 @@ let create cfg =
   in
   let cores = Array.init cfg.cores mk_core in
   let own_metrics = Tel.Metrics.create () in
-  {
-    mem = Phys_mem.create ~size:cfg.mem_bytes;
-    cores;
-    l2 = Cache.create cfg.l2;
-    cfg;
-    sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
-    sb_ctxs = Array.map mk_sb_ctx cores;
-    fast_path = true;
-    phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
-    pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
-    dma_check = (fun ~paddr:_ ~len:_ -> true);
-    trap_handler =
-      (fun _ core cause ->
-        Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
-          Trap.pp_cause cause;
-        core.halted <- true);
-    sink = Tel.Sink.null;
-    own_metrics;
-    ctrs = hw_counters own_metrics;
-    trap_ctrs = Array.make Trap.cause_count None;
-    fault_hooks = None;
-    quarantine_handler = None;
-  }
+  let t =
+    {
+      mem = Phys_mem.create ~size:cfg.mem_bytes;
+      cores;
+      l2 = Cache.create cfg.l2;
+      cfg;
+      sb_pages = Array.make (cfg.mem_bytes / Phys_mem.page_size) None;
+      sb_ctxs = Array.map mk_sb_ctx cores;
+      fast_path = true;
+      phys_check = (fun ~core:_ ~access:_ ~paddr:_ -> true);
+      pte_fetch_check = (fun ~core:_ ~paddr:_ -> true);
+      pte_fetch_oks = Array.make cfg.cores (fun _ -> true);
+      dma_check = (fun ~paddr:_ ~len:_ -> true);
+      trap_handler =
+        (fun _ core cause ->
+          Format.eprintf "machine: unhandled trap on core %d: %a@." core.id
+            Trap.pp_cause cause;
+          core.halted <- true);
+      sink = Tel.Sink.null;
+      own_metrics;
+      ctrs = hw_counters own_metrics;
+      trap_ctrs = Array.make Trap.cause_count None;
+      fault_hooks = None;
+      quarantine_handler = None;
+    }
+  in
+  Array.iter (fun c -> t.pte_fetch_oks.(c.id) <- pte_fetch_ok t c) cores;
+  t
 
 let set_fast_path t enabled = t.fast_path <- enabled
 
@@ -281,37 +319,16 @@ let post_interrupt t ~core irq =
      aimed at it are dropped, never queued *)
   if not c.quarantined then Queue.add irq c.pending_interrupts
 
-(* ECC runs in the memory controller: every architectural access
-   (instruction fetch, load/store, PTE fetch, DMA) scrubs the words it
-   touches. Single-bit faults are corrected silently (and counted);
-   an uncorrectable word raises [Fault (Machine_check paddr)]. The
-   [pending_faults] guard keeps the fault-free fast path at one load
-   and compare. *)
-let ecc_check_exn t ~core_id ~cycles ~pos ~len =
-  if Phys_mem.pending_faults t.mem > 0 && pos >= 0 && len > 0
-     && pos + len <= Phys_mem.size t.mem
-  then
-    match Phys_mem.scrub t.mem ~pos ~len with
-    | `Clean -> ()
-    | `Corrected n ->
-        Tel.Metrics.add t.ctrs.c_ecc_corrected n;
-        if Tel.Sink.enabled t.sink then
-          Tel.Sink.emit t.sink ~core:core_id ~cycles
-            (Tel.Event.Ecc_corrected { paddr = pos })
-    | `Uncorrectable paddr ->
-        Tel.Metrics.incr t.ctrs.c_ecc_uncorrectable;
-        if Tel.Sink.enabled t.sink then
-          Tel.Sink.emit t.sink ~core:core_id ~cycles
-            (Tel.Event.Machine_check { paddr });
-        raise (Fault (Trap.Machine_check paddr))
-
-let tlb_perms_allow (perms : Tlb.perms) (access : Trap.access) =
-  perms.u
-  &&
-  match access with
-  | Trap.Read -> perms.r
-  | Trap.Write -> perms.w
-  | Trap.Execute -> perms.x
+(* A leaf's permission bits ([Page_table.perm_bits]) allow an access
+   when they hold u and the access's own r, w or x: one mask compare. *)
+let perms_allow perms (access : Trap.access) =
+  let need =
+    match access with
+    | Trap.Read -> 0x12
+    | Trap.Write -> 0x14
+    | Trap.Execute -> 0x18
+  in
+  perms land need = need
 
 (* Translation without the final cache access, for an access of [size]
    bytes at [vaddr] inside one page. Raises [Fault]. *)
@@ -332,36 +349,29 @@ let translate_exn t core ~access ~vaddr ~size =
              arithmetic — no allocation. *)
           Tel.Metrics.incr t.ctrs.c_tlb_hits;
           let perms = Tlb.slot_perms core.tlb slot in
-          if not (tlb_perms_allow perms access) then
+          if not (perms_allow perms access) then
             raise (Fault (Trap.Page_fault (access, vaddr)));
           Phys_mem.page_base (Tlb.slot_ppn core.tlb slot)
           lor (va land page_mask)
         end
         else begin
           Tel.Metrics.incr t.ctrs.c_tlb_misses;
-          let pte_fetch_ok paddr =
-            ecc_check_exn t ~core_id:core.id ~cycles:core.cycles ~pos:paddr
-              ~len:8;
-            t.pte_fetch_check ~core ~paddr
+          let walked =
+            Page_table.walk t.mem ~root_ppn:root ~vaddr:va
+              ~pte_fetch_ok:t.pte_fetch_oks.(core.id)
           in
-          let walked, steps =
-            Page_table.walk t.mem ~root_ppn:root ~vaddr:va ~pte_fetch_ok
-          in
+          let steps = Page_table.walk_steps walked in
           Tel.Metrics.add t.ctrs.c_ptw_steps steps;
           core.cycles <- core.cycles + (steps * pte_fetch_cycles);
-          match walked with
-          | Error Page_table.Invalid_mapping ->
-              raise (Fault (Trap.Page_fault (access, vaddr)))
-          | Error (Page_table.Walk_access_denied _) ->
-              raise (Fault (Trap.Access_fault (access, vaddr)))
-          | Ok (ppn, p) ->
-              let perms : Tlb.perms =
-                { r = p.Page_table.r; w = p.w; x = p.x; u = p.u }
-              in
-              Tlb.insert core.tlb ~vpn ~ppn ~perms;
-              if not (tlb_perms_allow perms access) then
-                raise (Fault (Trap.Page_fault (access, vaddr)));
-              Phys_mem.page_base ppn lor (va land page_mask)
+          if Page_table.walk_denied walked then
+            raise (Fault (Trap.Access_fault (access, vaddr)));
+          if walked < 0 then raise (Fault (Trap.Page_fault (access, vaddr)));
+          let ppn = Page_table.walk_frame walked in
+          let perms = Page_table.walk_perms walked in
+          Tlb.insert core.tlb ~vpn ~ppn ~perms;
+          if not (perms_allow perms access) then
+            raise (Fault (Trap.Page_fault (access, vaddr)));
+          Phys_mem.page_base ppn lor (va land page_mask)
         end
   in
   if paddr + size > Phys_mem.size t.mem then
@@ -869,7 +879,7 @@ let sb_translate t (core : core) ctx ~access ~va ~size =
     else begin
       let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
       if slot < 0 then -1
-      else if not (tlb_perms_allow (Tlb.slot_perms core.tlb slot) access)
+      else if not (perms_allow (Tlb.slot_perms core.tlb slot) access)
       then -1
       else begin
         ctx.sx_tslot <- slot;

@@ -1,5 +1,4 @@
 type perms = { r : bool; w : bool; x : bool; u : bool }
-type fault = Invalid_mapping | Walk_access_denied of int
 
 let levels = 3
 let entries_per_table = 512
@@ -35,34 +34,51 @@ let vpn_index vaddr level =
   (* level 2 is the root; each index is 9 bits. *)
   (vaddr lsr (12 + (9 * level))) land (entries_per_table - 1)
 
-let walk mem ~root_ppn ~vaddr ~pte_fetch_ok =
-  let rec go table_ppn level steps =
-    let pte_addr =
-      Phys_mem.page_base table_ppn + (pte_size * vpn_index vaddr level)
-    in
-    (* A corrupted intermediate PTE can point the walk outside physical
-       memory; real hardware reports that as an invalid translation,
-       not a crash. *)
-    if pte_addr < 0 || pte_addr + pte_size > Phys_mem.size mem then
-      (Error Invalid_mapping, steps)
-    else if not (pte_fetch_ok pte_addr) then
-      (Error (Walk_access_denied pte_addr), steps)
-    else begin
-      let steps = steps + 1 in
-      match decode_pte (Phys_mem.read_u64 mem pte_addr) with
-      | Error () -> (Error Invalid_mapping, steps)
-      | Ok (ppn, perms, is_leaf) ->
-          if is_leaf then begin
-            (* Resolve superpage leaves to the containing 4 KiB frame. *)
-            let span = 1 lsl (9 * level) in
-            let frame = ppn + ((vaddr lsr 12) land (span - 1)) in
-            (Ok (frame, perms), steps)
-          end
-          else if level = 0 then (Error Invalid_mapping, steps)
-          else go ppn (level - 1) steps
-    end
+let perm_bits perms = Int64.to_int (encode_pte ~ppn:0 ~perms ~valid:false)
+
+(* A walk's result, one int. Bits 5-6 hold the PTE fetches made. A
+   walk that reaches a leaf returns a non-negative int: the 4 KiB frame
+   from bit 7 up and the leaf's r/w/x/u bits in place (bits 1-4). A
+   failed walk sets the sign bit, and bit 0 when a PTE fetch was
+   refused. *)
+let perm_mask = 0x1e
+let steps_shift = 5
+let frame_shift = 7
+let failed ~denied steps = min_int lor (steps lsl steps_shift) lor denied
+
+let found ~frame ~perms steps =
+  (frame lsl frame_shift) lor (steps lsl steps_shift) lor perms
+
+let walk_frame code = code lsr frame_shift
+let walk_perms code = code land perm_mask
+let walk_steps code = (code lsr steps_shift) land 3
+let walk_denied code = code land 1 = 1
+
+(* One level of the walk, top-level so that no closure is built. A
+   corrupted intermediate PTE can point the walk outside physical
+   memory; real hardware reports that as an invalid translation, not a
+   crash. *)
+let rec walk_at mem vaddr pte_fetch_ok table_ppn level steps =
+  let pte_addr =
+    Phys_mem.page_base table_ppn + (pte_size * vpn_index vaddr level)
   in
-  go root_ppn (levels - 1) 0
+  if pte_addr < 0 || pte_addr + pte_size > Phys_mem.size mem then
+    failed ~denied:0 steps
+  else if not (pte_fetch_ok pte_addr) then failed ~denied:1 steps
+  else
+    let steps = steps + 1 and pte = Phys_mem.read_word mem pte_addr in
+    let ppn = (pte lsr 10) land 0xfffffffffff in
+    if pte land 1 = 0 then failed ~denied:0 steps
+    else if pte land 0xe <> 0 then
+      (* A leaf (any of r/w/x): resolve a superpage to the 4 KiB frame
+         holding [vaddr]. *)
+      let frame = ppn + ((vaddr lsr 12) land ((1 lsl (9 * level)) - 1)) in
+      found ~frame ~perms:(pte land perm_mask) steps
+    else if level = 0 then failed ~denied:0 steps
+    else walk_at mem vaddr pte_fetch_ok ppn (level - 1) steps
+
+let walk mem ~root_ppn ~vaddr ~pte_fetch_ok =
+  walk_at mem vaddr pte_fetch_ok root_ppn (levels - 1) 0
 
 let map mem ~root_ppn ~vaddr ~ppn ~perms ~alloc_table =
   let rec go table_ppn level =

@@ -8,27 +8,34 @@
 
 type perms = { r : bool; w : bool; x : bool; u : bool }
 
-type fault = Invalid_mapping | Walk_access_denied of int
-(** [Walk_access_denied paddr]: the walker was refused a PTE fetch at
-    [paddr] — an isolation violation, reported as an access fault. *)
-
 val levels : int
 (** 3 *)
 
 val vpn_bits : int
 (** 39-bit virtual addresses. *)
 
+val perm_bits : perms -> int
+(** [perms] as the PTE holds them: r, w, x and u are bits 1 to 4
+    (values 2, 4, 8 and 16). The walk returns a leaf's permissions, and
+    the TLB keeps them, in this form. *)
+
 val walk :
-  Phys_mem.t ->
-  root_ppn:int ->
-  vaddr:int ->
-  pte_fetch_ok:(int -> bool) ->
-  (int * perms, fault) result * int
-(** [walk mem ~root_ppn ~vaddr ~pte_fetch_ok] translates [vaddr] to
-    [(ppn, perms)] of the leaf (superpage leaves are resolved to the
-    4 KiB frame containing [vaddr]), paired with the number of PTE
-    fetches the walk performed, failed walks included (for the timing
-    model). *)
+  Phys_mem.t -> root_ppn:int -> vaddr:int -> pte_fetch_ok:(int -> bool) -> int
+(** [walk mem ~root_ppn ~vaddr ~pte_fetch_ok] translates [vaddr] and
+    returns the result as one int, allocating nothing. Read it with the
+    functions below. A non-negative result is a walk that reached a
+    leaf: {!walk_frame} is the leaf's 4 KiB frame (a superpage leaf is
+    resolved to the frame containing [vaddr]) and {!walk_perms} its
+    permission bits. A negative result is a failed walk: {!walk_denied}
+    tells a PTE fetch that [pte_fetch_ok] refused, an isolation
+    violation reported as an access fault, from an invalid mapping.
+    {!walk_steps} is either way the number of PTE fetches the walk
+    performed, for the timing model; a refused fetch is not counted. *)
+
+val walk_frame : int -> int
+val walk_perms : int -> int
+val walk_steps : int -> int
+val walk_denied : int -> bool
 
 val map :
   Phys_mem.t ->

@@ -202,10 +202,13 @@ let write_u32 t pos v =
   else write_bytes t pos 4 (Int64.of_int32 v);
   notify t pos 4
 
-let read_u64 t pos =
+(* Inlined into [read_word], where the word is never boxed. *)
+let[@inline] read_u64 t pos =
   check t pos 8 "read_u64";
   let off = pos land page_mask in
   if off <= page_size - 8 then get64 (frame t pos) off else read_bytes t pos 8
+
+let read_word t pos = Int64.to_int (read_u64 t pos)
 
 let write_u64 t pos v =
   check t pos 8 "write_u64";

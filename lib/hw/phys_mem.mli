@@ -30,6 +30,11 @@ val write_u32 : t -> int -> int32 -> unit
 val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
 
+val read_word : t -> int -> int
+(** [read_word t pos] is [Int64.to_int (read_u64 t pos)], allocating
+    nothing: the word's low 63 bits, which hold every field of a page
+    table entry. The page walk reads its entries with it. *)
+
 val iter_nonzero_words :
   t -> pos:int -> len:int -> (int -> int64 -> unit) -> unit
 (** [iter_nonzero_words t ~pos ~len f] calls [f paddr v] for each

@@ -1,89 +1,113 @@
 type privilege = U | S | M
 
-type entry = {
-  mutable active : bool;
-  mutable lo : int;
-  mutable hi : int;
-  mutable r : bool;
-  mutable w : bool;
-  mutable x : bool;
-  mutable locked : bool;
-}
+(* Entry [i] covers [lo.(i), hi.(i)) under [flags.(i)]: flat int
+   arrays, so a check reads ints and [load] copies them. A cleared
+   entry's flags are 0, and its bounds decide nothing. *)
+type t = { lo : int array; hi : int array; flags : int array }
 
-type t = entry array
-
+let r_bit = 1
+let w_bit = 2
+let x_bit = 4
+let locked_bit = 8
+let active_bit = 16
 let entry_count = 16
 
 let create ?(entries = entry_count) () =
   if entries < 1 then invalid_arg "Pmp.create: entries must be >= 1";
-  Array.init entries (fun _ ->
-      {
-        active = false;
-        lo = 0;
-        hi = 0;
-        r = false;
-        w = false;
-        x = false;
-        locked = false;
-      })
+  {
+    lo = Array.make entries 0;
+    hi = Array.make entries 0;
+    flags = Array.make entries 0;
+  }
 
-let count t = Array.length t
+let count t = Array.length t.flags
+let bit b v = if b then v else 0
+
+let flags ~r ~w ~x ~locked =
+  active_bit lor bit r r_bit lor bit w w_bit lor bit x x_bit
+  lor bit locked locked_bit
+
+let writable t index what =
+  if index < 0 || index >= Array.length t.flags then
+    invalid_arg ("Pmp." ^ what ^ ": index out of range");
+  if t.flags.(index) land locked_bit <> 0 then
+    invalid_arg ("Pmp." ^ what ^ ": entry is locked")
 
 let set_entry t ~index ~lo ~hi ~r ~w ~x ~locked =
-  if index < 0 || index >= Array.length t then
-    invalid_arg "Pmp.set_entry: index out of range";
+  writable t index "set_entry";
   if lo < 0 || hi < lo then invalid_arg "Pmp.set_entry: bad range";
-  let e = t.(index) in
-  if e.locked then invalid_arg "Pmp.set_entry: entry is locked";
-  e.active <- true;
-  e.lo <- lo;
-  e.hi <- hi;
-  e.r <- r;
-  e.w <- w;
-  e.x <- x;
-  e.locked <- locked
+  t.lo.(index) <- lo;
+  t.hi.(index) <- hi;
+  t.flags.(index) <- flags ~r ~w ~x ~locked
 
 let clear_entry t ~index =
-  if index < 0 || index >= Array.length t then
-    invalid_arg "Pmp.clear_entry: index out of range";
-  if t.(index).locked then invalid_arg "Pmp.clear_entry: entry is locked";
-  t.(index).active <- false
+  writable t index "clear_entry";
+  t.flags.(index) <- 0
+
+(* The locks are checked before any entry is written, so a refused
+   load leaves the PMP as it was, and the copy then needs no bounds
+   check. The copy is a loop, not [Array.blit]: on OCaml 5 a blit into
+   a non-float array pays the write barrier for each element. *)
+let load t ~first ~lo ~hi ~flags =
+  let n = Array.length flags in
+  if
+    first < 0
+    || first + n > Array.length t.flags
+    || Array.length lo <> n
+    || Array.length hi <> n
+  then invalid_arg "Pmp.load: entries out of range";
+  for i = first to first + n - 1 do
+    if Array.unsafe_get t.flags i land locked_bit <> 0 then
+      invalid_arg "Pmp.load: entry is locked"
+  done;
+  for i = 0 to n - 1 do
+    Array.unsafe_set t.lo (first + i) (Array.unsafe_get lo i);
+    Array.unsafe_set t.hi (first + i) (Array.unsafe_get hi i);
+    Array.unsafe_set t.flags (first + i) (Array.unsafe_get flags i)
+  done
 
 let entry t i =
-  let e = t.(i) in
-  if e.active then Some (e.lo, e.hi, e.r, e.w, e.x, e.locked) else None
+  let f = t.flags.(i) in
+  if f = 0 then None
+  else
+    let set b = f land b <> 0 in
+    Some (t.lo.(i), t.hi.(i), set r_bit, set w_bit, set x_bit, set locked_bit)
 
-let permits e access =
-  match (access : Trap.access) with
-  | Trap.Read -> e.r
-  | Trap.Write -> e.w
-  | Trap.Execute -> e.x
+let access_bit = function
+  | Trap.Read -> r_bit
+  | Trap.Write -> w_bit
+  | Trap.Execute -> x_bit
+
+(* The first active entry covering [paddr], or -1. The three arrays
+   share their length, [n]. *)
+let rec first_match t paddr i n =
+  if i >= n then -1
+  else if
+    paddr < Array.unsafe_get t.hi i
+    && paddr >= Array.unsafe_get t.lo i
+    && Array.unsafe_get t.flags i <> 0
+  then i
+  else first_match t paddr (i + 1) n
 
 let check t ~privilege ~access ~paddr =
-  let n = Array.length t in
-  let rec go i =
-    if i >= n then privilege = M
-    else begin
-      let e = t.(i) in
-      if e.active && paddr >= e.lo && paddr < e.hi then
-        if privilege = M && not e.locked then true else permits e access
-      else go (i + 1)
-    end
-  in
-  go 0
+  let i = first_match t paddr 0 (Array.length t.flags) in
+  if i < 0 then privilege = M
+  else
+    let f = t.flags.(i) in
+    (privilege = M && f land locked_bit = 0) || f land access_bit access <> 0
 
 let check_range t ~privilege ~access ~lo ~hi =
   (* Split the range at entry boundaries; each fragment is decided by
      its first matching entry, so checking one representative address
      per fragment is exact. *)
   let cuts = ref [ lo; hi ] in
-  Array.iter
-    (fun e ->
-      if e.active then begin
-        if e.lo > lo && e.lo < hi then cuts := e.lo :: !cuts;
-        if e.hi > lo && e.hi < hi then cuts := e.hi :: !cuts
-      end)
-    t;
+  for i = 0 to Array.length t.flags - 1 do
+    if t.flags.(i) <> 0 then begin
+      let elo = t.lo.(i) and ehi = t.hi.(i) in
+      if elo > lo && elo < hi then cuts := elo :: !cuts;
+      if ehi > lo && ehi < hi then cuts := ehi :: !cuts
+    end
+  done;
   let points = List.sort_uniq Stdlib.compare !cuts in
   let rec fragments = function
     | a :: (b :: _ as rest) ->

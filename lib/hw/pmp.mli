@@ -4,7 +4,10 @@
 
     We model ranges directly (equivalent to TOR/NAPOT encodings) with
     standard priority-match semantics: the lowest-numbered matching
-    entry decides; with no match, M-mode is allowed and S/U denied. *)
+    entry decides; with no match, M-mode is allowed and S/U denied.
+    Entries are three flat int arrays (bounds and a flags word), so a
+    check reads ints and allocates nothing, and a whole layout is
+    written with one {!load}. *)
 
 type t
 
@@ -37,6 +40,22 @@ val set_entry :
     [Invalid_argument] when reprogramming a locked entry. *)
 
 val clear_entry : t -> index:int -> unit
+
+val flags : r:bool -> w:bool -> x:bool -> locked:bool -> int
+(** The flags word of an entry that {!set_entry} with these arguments
+    would program, as {!load} takes it. A cleared entry's is 0. *)
+
+val load :
+  t -> first:int -> lo:int array -> hi:int array -> flags:int array -> unit
+(** [load t ~first ~lo ~hi ~flags] programs entries [first] to
+    [first + n - 1], [n] the arrays' common length, as the
+    {!set_entry} and {!clear_entry} calls they describe would: entry
+    [first + i] covers [lo.(i), hi.(i)) under [flags.(i)], a value of
+    {!flags}, or is cleared where [flags.(i)] is 0. The entries are
+    copied as given, unchecked. A locked or out-of-range target raises
+    [Invalid_argument] before any entry is written. The copy is an int
+    loop, not [Array.blit], which on OCaml 5 pays the write barrier for
+    each element of a non-float array. *)
 
 val entry : t -> int -> (int * int * bool * bool * bool * bool) option
 (** Entry [i] as [Some (lo, hi, r, w, x, locked)], or [None] while it

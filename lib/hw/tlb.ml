@@ -1,52 +1,43 @@
-type perms = { r : bool; w : bool; x : bool; u : bool }
-
-(* An entry is valid only while its [epoch] is the TLB's [cur_epoch]:
-   [flush] invalidates every entry with one increment, and a fresh
-   entry's -1 equals no TLB epoch. *)
-type entry = {
-  mutable epoch : int;
-  mutable vpn : int;
-  mutable ppn : int;
-  mutable perms : perms;
-}
-
+(* Entry [i] is [epochs.(i)], [vpns.(i)], [ppns.(i)] and [perms.(i)]:
+   flat int arrays, so a lookup reads ints and a refill writes four,
+   allocating nothing. An entry is valid only while its epoch is the
+   TLB's [cur_epoch]: [flush] invalidates every entry with one
+   increment, and a fresh entry's -1 equals no TLB epoch. *)
 type t = {
-  entries : entry array;
-  mutable next : int;  (* round-robin fill pointer *)
-  mutable mru : int;  (* slot of the last hit or insert, probed first *)
+  epochs : int array;
+  vpns : int array;
+  ppns : int array;
+  perms : int array; (* the PTE's r/w/x/u bits, in place *)
+  mutable next : int; (* round-robin fill pointer *)
+  mutable mru : int; (* slot of the last hit or insert, probed first *)
   mutable cur_epoch : int;
 }
-
-let no_perms = { r = false; w = false; x = false; u = false }
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   {
-    entries =
-      Array.init entries (fun _ ->
-          { epoch = -1; vpn = 0; ppn = 0; perms = no_perms });
+    epochs = Array.make entries (-1);
+    vpns = Array.make entries 0;
+    ppns = Array.make entries 0;
+    perms = Array.make entries 0;
     next = 0;
     mru = 0;
     cur_epoch = 0;
   }
 
+let[@inline] holds t i vpn = t.epochs.(i) = t.cur_epoch && t.vpns.(i) = vpn
+
 (* Early-exit scan. A vpn appears in at most one valid slot ([insert]
    reuses the existing mapping's slot), so the first match is the only
    match. Returns the slot index, or -1. *)
-let rec scan entries epoch vpn i n =
-  if i >= n then -1
-  else
-    let e = entries.(i) in
-    if e.epoch = epoch && e.vpn = vpn then i
-    else scan entries epoch vpn (i + 1) n
+let rec scan t vpn i n =
+  if i >= n then -1 else if holds t i vpn then i else scan t vpn (i + 1) n
 
 (* Probe the MRU slot first, then scan; no mutation, so a side exit of
    the superblock tier that replays the access on the stepped path
    observes an untouched TLB. *)
 let probe t ~vpn =
-  let m = t.entries.(t.mru) in
-  if m.epoch = t.cur_epoch && m.vpn = vpn then t.mru
-  else scan t.entries t.cur_epoch vpn 0 (Array.length t.entries)
+  if holds t t.mru vpn then t.mru else scan t vpn 0 (Array.length t.epochs)
 
 let commit_hit t i = t.mru <- i
 
@@ -55,35 +46,35 @@ let find t ~vpn =
   if i >= 0 then commit_hit t i;
   i
 
-let slot_ppn t i = t.entries.(i).ppn
-let slot_perms t i = t.entries.(i).perms
+let slot_ppn t i = t.ppns.(i)
+let slot_perms t i = t.perms.(i)
 
 let insert t ~vpn ~ppn ~perms =
-  let n = Array.length t.entries in
+  let n = Array.length t.epochs in
   (* Reuse an existing mapping slot when present, else round-robin. *)
   let slot =
-    match scan t.entries t.cur_epoch vpn 0 n with
+    match scan t vpn 0 n with
     | i when i >= 0 -> i
     | _ ->
         let s = t.next in
         t.next <- (s + 1) mod n;
         s
   in
-  let e = t.entries.(slot) in
-  e.epoch <- t.cur_epoch;
-  e.vpn <- vpn;
-  e.ppn <- ppn;
-  e.perms <- perms;
+  t.epochs.(slot) <- t.cur_epoch;
+  t.vpns.(slot) <- vpn;
+  t.ppns.(slot) <- ppn;
+  t.perms.(slot) <- perms;
   t.mru <- slot
 
 let flush t = t.cur_epoch <- t.cur_epoch + 1
 
 let iter_entries t f =
-  Array.iter
-    (fun e ->
-      if e.epoch = t.cur_epoch then f ~vpn:e.vpn ~ppn:e.ppn ~perms:e.perms)
-    t.entries
+  for i = 0 to Array.length t.epochs - 1 do
+    if t.epochs.(i) = t.cur_epoch then
+      f ~vpn:t.vpns.(i) ~ppn:t.ppns.(i) ~perms:t.perms.(i)
+  done
 
 let entry_count t =
-  let live n e = if e.epoch = t.cur_epoch then n + 1 else n in
-  Array.fold_left live 0 t.entries
+  let n = ref 0 in
+  Array.iter (fun e -> if e = t.cur_epoch then incr n) t.epochs;
+  !n

@@ -3,9 +3,12 @@
     The Sanctum page-walk invariant requires a TLB shootdown whenever a
     DRAM region changes protection domain (§VII-A); the monitor performs
     a full flush on every domain switch. The TLB keeps no counts: the
-    machine counts each lookup in its [hw.tlb.*] counters. *)
+    machine counts each lookup in its [hw.tlb.*] counters.
 
-type perms = { r : bool; w : bool; x : bool; u : bool }
+    Entries live in flat int arrays: a lookup reads ints, and a refill
+    ({!insert}) writes four and allocates nothing. An entry's
+    permissions are the leaf PTE's r/w/x/u bits in place (bits 1-4,
+    {!Page_table.perm_bits}), so an access check is one mask compare. *)
 
 type t
 
@@ -21,7 +24,9 @@ val find : t -> vpn:int -> int
     probe found. *)
 
 val slot_ppn : t -> int -> int
-val slot_perms : t -> int -> perms
+
+val slot_perms : t -> int -> int
+(** The slot's permission bits, as {!insert} took them. *)
 
 val probe : t -> vpn:int -> int
 (** Pure {!find}: the slot index holding [vpn], or [-1] — but with no
@@ -33,7 +38,8 @@ val commit_hit : t -> int -> unit
 (** [commit_hit t slot] performs the mutating half of a hit on [slot]:
     it promotes the slot to the MRU probe position. *)
 
-val insert : t -> vpn:int -> ppn:int -> perms:perms -> unit
+val insert : t -> vpn:int -> ppn:int -> perms:int -> unit
+(** [perms] holds the leaf PTE's r/w/x/u bits ({!Page_table.perm_bits}). *)
 
 val flush : t -> unit
 (** Invalidates every entry in O(1): one epoch increment. *)
@@ -41,7 +47,7 @@ val flush : t -> unit
 val entry_count : t -> int
 (** Number of currently valid entries. *)
 
-val iter_entries : t -> (vpn:int -> ppn:int -> perms:perms -> unit) -> unit
+val iter_entries : t -> (vpn:int -> ppn:int -> perms:int -> unit) -> unit
 (** Read-only view of every valid entry, for external checkers (the
     [Sanctorum_analysis] stale-translation invariant). Does not touch
     replacement state. *)

@@ -10,8 +10,9 @@
     entries, so a check rewrites them when the core's domain or the
     owner map has moved since they were written: grants and switches
     write no PMP, and every check sees the layout an eager reprogram
-    would have left. The LLC is {e not} partitioned — Keystone's threat
-    model excludes microarchitectural side channels, which experiment
-    S1 makes observable. *)
+    would have left. The rewrite is one [Pmp.load] of arrays built once
+    per domain and owner-map version. The LLC is {e not} partitioned —
+    Keystone's threat model excludes microarchitectural side channels,
+    which experiment S1 makes observable. *)
 
 val create : Sanctorum_hw.Machine.t -> Platform.t

@@ -1,7 +1,7 @@
-(** A minimal JSON tree, printer and parser — just enough for the
-    trace exporters and for tests to round-trip their output. No
-    external dependency; strings are assumed UTF-8 and escaped
-    conservatively. *)
+(** A minimal JSON tree and printer — just enough for the trace
+    exporters. No external dependency; strings are assumed UTF-8 and
+    escaped conservatively. The tests read the exports back with their
+    own reader ([test/json_read.ml]). *)
 
 type t =
   | Null
@@ -17,15 +17,3 @@ val to_string : t -> string
     as [null]. *)
 
 val to_buffer : Buffer.t -> t -> unit
-
-val parse : string -> (t, string) result
-(** Strict parse of one JSON value (surrounding whitespace allowed).
-    [\u] escapes below 0x80 are decoded; higher code points are
-    replaced with ['?'] — fine for structural validation. *)
-
-val member : string -> t -> t option
-(** Field lookup in an [Obj]; [None] elsewhere. *)
-
-val to_list_opt : t -> t list option
-val to_string_opt : t -> string option
-val to_int_opt : t -> int option

@@ -77,10 +77,10 @@ let event t seq =
     payload = t.payloads.(i);
   }
 
-let iter f t =
-  let first = t.pushed - held t in
+let iter ?(from = 0) f t =
+  let first = max from (t.pushed - held t) in
   (* the slot of [seq], stepped along with it *)
-  let i = ref (if first = t.pushed then 0 else first mod t.capacity) in
+  let i = ref (if first >= t.pushed then 0 else first mod t.capacity) in
   for seq = first to t.pushed - 1 do
     f ~seq ~core:t.cores.(!i) ~cycles:t.cycles.(!i) t.payloads.(!i);
     i := if !i + 1 = t.capacity then 0 else !i + 1

@@ -51,11 +51,17 @@ val events : t -> Event.t list
     wrapped). *)
 
 val iter :
-  (seq:int -> core:int -> cycles:int -> Event.payload -> unit) -> t -> unit
+  ?from:int ->
+  (seq:int -> core:int -> cycles:int -> Event.payload -> unit) ->
+  t ->
+  unit
 (** [iter f t] calls [f] with the fields of each event {!events} would
     return, in the same order, straight from the ring's slots: one
     traversal that builds no {!Event.t} and no list, so several passes
-    over a window can share it. No-op on a null sink. *)
+    over a window can share it. With [~from], it starts at the held
+    event of seq [from], or at the oldest held one if that is later,
+    so a reader that keeps its place visits each event once. No-op on
+    a null sink. *)
 
 val event_count : t -> int
 (** Events emitted since the last {!clear}, dropped ones included. *)

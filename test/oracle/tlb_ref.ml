@@ -10,7 +10,7 @@ type entry = {
   mutable valid : bool;
   mutable vpn : int;
   mutable ppn : int;
-  mutable perms : Sanctorum_hw.Tlb.perms;
+  mutable perms : int;
 }
 
 type t = {
@@ -19,12 +19,8 @@ type t = {
 }
 
 let create ~entries =
-  let perms = { Sanctorum_hw.Tlb.r = false; w = false; x = false; u = false } in
-  {
-    entries =
-      Array.init entries (fun _ -> { valid = false; vpn = 0; ppn = 0; perms });
-    next = 0;
-  }
+  let entry _ = { valid = false; vpn = 0; ppn = 0; perms = 0 } in
+  { entries = Array.init entries entry; next = 0 }
 
 let rec slot_of entries vpn i =
   if i >= Array.length entries then -1

@@ -206,7 +206,10 @@ let test_interrupt_fifo_order () =
 
 let test_tlb_find_exact () =
   let t = Hw.Tlb.create ~entries:2 in
-  let p = { Hw.Tlb.r = true; w = false; x = true; u = true } in
+  let p =
+    Hw.Page_table.perm_bits
+      { Hw.Page_table.r = true; w = false; x = true; u = true }
+  in
   check_int "miss on empty" (-1) (Hw.Tlb.find t ~vpn:5);
   Hw.Tlb.insert t ~vpn:5 ~ppn:50 ~perms:p;
   let i5 = Hw.Tlb.find t ~vpn:5 in

@@ -428,13 +428,16 @@ let test_cache_partition_fn () =
 
 let test_tlb () =
   let t = Hw.Tlb.create ~entries:4 in
-  let perms = { Hw.Tlb.r = true; w = false; x = false; u = true } in
+  let perms =
+    Hw.Page_table.perm_bits
+      { Hw.Page_table.r = true; w = false; x = false; u = true }
+  in
   check_int "empty" (-1) (Hw.Tlb.find t ~vpn:5);
   Hw.Tlb.insert t ~vpn:5 ~ppn:42 ~perms;
   let i = Hw.Tlb.find t ~vpn:5 in
   check_bool "hit after insert" true (i >= 0);
   check_int "ppn kept" 42 (Hw.Tlb.slot_ppn t i);
-  check_bool "perms kept" true (Hw.Tlb.slot_perms t i = perms);
+  check_int "perms kept" perms (Hw.Tlb.slot_perms t i);
   (* update in place *)
   Hw.Tlb.insert t ~vpn:5 ~ppn:43 ~perms;
   check_int "one entry" 1 (Hw.Tlb.entry_count t);
@@ -502,7 +505,10 @@ let qcheck_epoch_flush =
           (1, return Flush);
         ])
   in
-  let perms = { Hw.Tlb.r = true; w = true; x = false; u = true } in
+  let perms =
+    Hw.Page_table.perm_bits
+      { Hw.Page_table.r = true; w = true; x = false; u = true }
+  in
   QCheck2.Test.make ~name:"cache/TLB epoch flush = valid-bit reference"
     ~count:300
     ~print:QCheck2.Print.(pair bool (list print_flush_op))
@@ -714,6 +720,112 @@ let test_pmp () =
     (Hw.Pmp.check_range p ~privilege:Hw.Pmp.U ~access:Hw.Trap.Read ~lo:0x1000
        ~hi:0x2000)
 
+(* [Pmp.load] against the [set_entry] and [clear_entry] calls it
+   stands for, on PMPs of 2-10 entries. Random sequences of single
+   writes, clears and loads (each load entry cleared or an allow, deny
+   or locked range) go to both; a write or clear the reference refuses
+   is skipped on both. A load over a locked entry must raise
+   [Invalid_argument] and leave every entry as it was; any other load
+   must leave what the reference's calls leave. *)
+type pmp_op =
+  | Pmp_set of int * int * int * bool * bool
+  | Pmp_clear of int
+  | Pmp_load of int * (int * int * bool * bool) option list
+
+let print_pmp_entry (lo, hi, r, locked) =
+  Printf.sprintf "[%d,%d)%s%s" lo hi (if r then "r" else "-")
+    (if locked then "L" else "")
+
+let print_pmp_op = function
+  | Pmp_set (i, lo, len, r, locked) ->
+      Printf.sprintf "set %d %s" i (print_pmp_entry (lo, lo + len, r, locked))
+  | Pmp_clear i -> Printf.sprintf "clear %d" i
+  | Pmp_load (first, es) ->
+      Printf.sprintf "load %d [%s]" first
+        (String.concat " "
+           (List.map
+              (function None -> "_" | Some e -> print_pmp_entry e)
+              es))
+
+let qcheck_pmp_load =
+  let open QCheck2.Gen in
+  let gen n =
+    let index = int_range 0 (n - 1) and lo = int_range 0 64 in
+    let locked = frequencyl [ (6, false); (1, true) ] in
+    let entry =
+      opt (map3 (fun lo len (r, l) -> (lo, lo + len, r, l)) lo (int_range 0 32)
+             (pair bool locked))
+    in
+    let op =
+      frequency
+        [
+          (2, map3 (fun i (lo, len) (r, l) -> Pmp_set (i, lo, len, r, l))
+                index (pair lo (int_range 0 32)) (pair bool locked));
+          (1, map (fun i -> Pmp_clear i) index);
+          (4, index >>= fun first ->
+              map (fun es -> Pmp_load (first, es))
+                (list_size (int_range 0 (n - first)) entry));
+        ]
+    in
+    pair (return n) (list_size (int_range 1 12) op)
+  in
+  QCheck2.Test.make ~name:"pmp: load = set_entry/clear_entry sequence"
+    ~count:300
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "%d entries: %s" n
+        (String.concat "; " (List.map print_pmp_op ops)))
+    (int_range 2 10 >>= gen)
+    (fun (n, ops) ->
+      let p = Hw.Pmp.create ~entries:n () and r = Hw.Pmp.create ~entries:n () in
+      let entries pmp = List.init n (Hw.Pmp.entry pmp) in
+      let set pmp i (lo, hi, rd, locked) =
+        Hw.Pmp.set_entry pmp ~index:i ~lo ~hi ~r:rd ~w:rd ~x:false ~locked
+      in
+      let locked i =
+        match Hw.Pmp.entry r i with Some (_, _, _, _, _, l) -> l | None -> false
+      in
+      let step = function
+        | Pmp_set (i, lo, len, rd, l) ->
+            if not (locked i) then begin
+              set p i (lo, lo + len, rd, l);
+              set r i (lo, lo + len, rd, l)
+            end;
+            true
+        | Pmp_clear i ->
+            if not (locked i) then begin
+              Hw.Pmp.clear_entry p ~index:i;
+              Hw.Pmp.clear_entry r ~index:i
+            end;
+            true
+        | Pmp_load (first, es) ->
+            let es = Array.of_list es in
+            let field f = Array.map (function None -> 0 | Some e -> f e) es in
+            let lo = field (fun (lo, _, _, _) -> lo)
+            and hi = field (fun (_, hi, _, _) -> hi)
+            and flags =
+              field (fun (_, _, rd, locked) ->
+                  Hw.Pmp.flags ~r:rd ~w:rd ~x:false ~locked)
+            in
+            let before = entries p in
+            let refused =
+              List.exists locked (List.init (Array.length es) (( + ) first))
+            in
+            (match Hw.Pmp.load p ~first ~lo ~hi ~flags with
+            | () -> not refused
+            | exception Invalid_argument _ -> refused && entries p = before)
+            && begin
+                 if not refused then
+                   Array.iteri
+                     (fun i e ->
+                       match e with
+                       | None -> Hw.Pmp.clear_entry r ~index:(first + i)
+                       | Some e -> set r (first + i) e)
+                     es;
+                 true
+               end
+      in
+      List.for_all (fun op -> step op && entries p = entries r) ops)
+
 (* ------------------------------------------------------------------ *)
 (* Page tables *)
 
@@ -730,23 +842,21 @@ let test_page_table () =
   Hw.Page_table.map mem ~root_ppn:root ~vaddr:0x40000000 ~ppn:100 ~perms
     ~alloc_table;
   (* one walk yields the leaf and its cost: 3 PTE fetches *)
-  (match
-     Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40000123
-       ~pte_fetch_ok:(fun _ -> true)
-   with
-  | Ok (100, p), steps ->
-      check_bool "perms" true (p = perms);
-      check_int "walk steps" 3 steps
-  | Ok _, _ -> Alcotest.fail "wrong ppn"
-  | Error _, _ -> Alcotest.fail "walk failed");
+  let walk ?(ok = fun _ -> true) vaddr =
+    Hw.Page_table.walk mem ~root_ppn:root ~vaddr ~pte_fetch_ok:ok
+  in
+  let w = walk 0x40000123 in
+  check_bool "walk reaches the leaf" true (w >= 0);
+  check_int "frame" 100 (Hw.Page_table.walk_frame w);
+  check_int "perms" (Hw.Page_table.perm_bits perms)
+    (Hw.Page_table.walk_perms w);
+  check_int "walk steps" 3 (Hw.Page_table.walk_steps w);
   (* unmapped sibling: the invalid leaf PTE was still fetched *)
-  (match
-     Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40001000
-       ~pte_fetch_ok:(fun _ -> true)
-   with
-  | Error Hw.Page_table.Invalid_mapping, steps ->
-      check_int "unmapped walk steps" 3 steps
-  | (Ok _ | Error _), _ -> Alcotest.fail "unmapped vaddr translated");
+  let w = walk 0x40001000 in
+  check_bool "unmapped vaddr fails" true (w < 0);
+  check_bool "an invalid mapping, not a refusal" false
+    (Hw.Page_table.walk_denied w);
+  check_int "unmapped walk steps" 3 (Hw.Page_table.walk_steps w);
   (* remap rejection *)
   (match
      Hw.Page_table.map mem ~root_ppn:root ~vaddr:0x40000000 ~ppn:101 ~perms
@@ -757,14 +867,10 @@ let test_page_table () =
   (* pte fetch veto: the Sanctum page-walk invariant. The leaf table
      (ppn 3) is refused; the two fetches before it are counted, the
      refused one is not. *)
-  (match
-     Hw.Page_table.walk mem ~root_ppn:root ~vaddr:0x40000123
-       ~pte_fetch_ok:(fun paddr -> paddr < 0x3000)
-   with
-  | Error (Hw.Page_table.Walk_access_denied paddr), steps ->
-      check_bool "denied in the leaf table" true (paddr >= 0x3000);
-      check_int "vetoed walk steps" 2 steps
-  | (Ok _ | Error _), _ -> Alcotest.fail "vetoed walk succeeded");
+  let w = walk ~ok:(fun paddr -> paddr < 0x3000) 0x40000123 in
+  check_bool "vetoed walk fails" true (w < 0);
+  check_bool "vetoed walk is a refusal" true (Hw.Page_table.walk_denied w);
+  check_int "vetoed walk steps" 2 (Hw.Page_table.walk_steps w);
   (* unmap *)
   check_bool "unmap" true (Hw.Page_table.unmap mem ~root_ppn:root ~vaddr:0x40000000);
   check_bool "unmap again" false
@@ -788,14 +894,135 @@ let test_superpage () =
     ((l1 * 4096) + (8 * idx1))
     (Hw.Page_table.encode_pte ~ppn:512 ~perms ~valid:true);
   (* offset 5 pages into the superpage resolves to frame 512+5 *)
-  match
+  let w =
     Hw.Page_table.walk mem ~root_ppn:root ~vaddr:(vaddr + (5 * 4096) + 7)
       ~pte_fetch_ok:(fun _ -> true)
-  with
-  | Ok (ppn, _), steps ->
-      check_int "superpage frame" 517 ppn;
-      check_int "superpage walk steps" 2 steps
-  | Error _, _ -> Alcotest.fail "superpage walk failed"
+  in
+  check_bool "superpage walk reaches the leaf" true (w >= 0);
+  check_int "superpage frame" 517 (Hw.Page_table.walk_frame w);
+  check_int "superpage walk steps" 2 (Hw.Page_table.walk_steps w)
+
+(* The coded walk against the record-returning one it replaced
+   ([Sanctorum_oracle.Page_table_ref]), on a 16-page memory. Each table
+   frame holds random entries at slots 0, 1, 2 and 511, and the walked
+   addresses take their three indices from those slots: entries are
+   invalid (with stray bits), pointers (some past the end of memory,
+   some at level 0, where they are not leaves) and leaves of every
+   level, superpages included, with random permission bits, frames up
+   to 2^43 and bits 54-63 set at random. The walk's PTE fetch check
+   refuses one fetch, the first, second or third, or none. The two
+   must agree on the frame, the permission bits, the step count and
+   the fault kind. *)
+module Pt_ref = Sanctorum_oracle.Page_table_ref
+
+let qcheck_walk_ref =
+  let open QCheck2.Gen in
+  let slots = [ 0; 1; 2; 511 ] and pages = 16 in
+  let high =
+    frequency
+      [
+        (4, return 0L);
+        (1, map (fun b -> Int64.(shift_left (of_int b) 54)) (int_bound 1023));
+      ]
+  in
+  let pte =
+    let ppn =
+      frequency
+        [
+          (6, int_bound (pages + 8));
+          (1, int_bound 4096);
+          (1, return (1 lsl 43));
+        ]
+    in
+    let word ppn low = Int64.of_int ((ppn lsl 10) lor low) in
+    let body =
+      frequency
+        [
+          (* invalid: V clear, stray bits elsewhere *)
+          (2, map (fun b -> Int64.of_int (b land lnot 1)) (int_bound 0xffff));
+          (* a pointer: V without r/w/x, u either way *)
+          (3, map2 (fun p u -> word p (1 lor u)) ppn (oneofl [ 0; 16 ]));
+          (* V with random r/w/x/u: mostly leaves *)
+          (4, map2 (fun p b -> word p (1 lor (b lsl 1))) ppn (int_bound 15));
+        ]
+    in
+    map2 Int64.logor body high
+  in
+  let vaddr =
+    map2
+      (fun (a, b, c) off -> (a lsl 30) lor (b lsl 21) lor (c lsl 12) lor off)
+      (triple (oneofl slots) (oneofl slots) (oneofl slots))
+      (int_bound 4095)
+  in
+  QCheck2.Test.make ~name:"page table: coded walk = reference walk" ~count:300
+    ~print:(fun (root, ptes, walks) ->
+      Printf.sprintf "root %d, ptes [%s], walks [%s]" root
+        (String.concat "; " (List.map (Printf.sprintf "%Lx") ptes))
+        (String.concat "; "
+           (List.map (fun (v, k) -> Printf.sprintf "%x deny %d" v k) walks)))
+    (triple (int_bound (pages + 1))
+       (list_repeat (pages * List.length slots) pte)
+       (list_size (int_range 1 8) (pair vaddr (int_bound 3))))
+    (fun (root, ptes, walks) ->
+      let mem = Hw.Phys_mem.create ~size:(pages * 4096) in
+      List.iteri
+        (fun i v ->
+          let page = i / 4 and slot = List.nth slots (i mod 4) in
+          Hw.Phys_mem.write_u64 mem ((page * 4096) + (8 * slot)) v)
+        ptes;
+      (* refuse the [deny]-th fetch (0: none) *)
+      let fetch_check deny =
+        let n = ref 0 in
+        fun _ -> incr n; !n <> deny
+      in
+      List.for_all
+        (fun (vaddr, deny) ->
+          let code =
+            Hw.Page_table.walk mem ~root_ppn:root ~vaddr
+              ~pte_fetch_ok:(fetch_check deny)
+          in
+          let want, steps =
+            Pt_ref.walk mem ~root_ppn:root ~vaddr
+              ~pte_fetch_ok:(fetch_check deny)
+          in
+          Hw.Page_table.walk_steps code = steps
+          &&
+          match want with
+          | Ok (frame, perms) ->
+              code >= 0
+              && Hw.Page_table.walk_frame code = frame
+              && Hw.Page_table.walk_perms code = Hw.Page_table.perm_bits perms
+          | Error Pt_ref.Invalid_mapping ->
+              code < 0 && not (Hw.Page_table.walk_denied code)
+          | Error (Pt_ref.Walk_access_denied _) ->
+              code < 0 && Hw.Page_table.walk_denied code)
+        walks)
+
+(* A TLB refill's pieces allocate nothing: the walk, the TLB insert
+   and a Keystone-style PMP load. *)
+let test_refill_allocates_nothing () =
+  let mem = Hw.Phys_mem.create ~size:(64 * 1024) in
+  let next = ref 1 in
+  let alloc_table () = incr next; !next in
+  let root = alloc_table () and vaddr = 0x40000123 in
+  Hw.Page_table.map mem ~root_ppn:root ~vaddr ~ppn:9
+    ~perms:{ Hw.Page_table.r = true; w = true; x = false; u = true }
+    ~alloc_table;
+  let tlb = Hw.Tlb.create ~entries:32 and pmp = Hw.Pmp.create ~entries:68 () in
+  let lo = Array.make 67 0 and hi = Array.make 67 4096 in
+  let allow = Hw.Pmp.flags ~r:true ~w:true ~x:true ~locked:false in
+  let flags = Array.make 67 allow in
+  let ok _ = true in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    let w = Hw.Page_table.walk mem ~root_ppn:root ~vaddr ~pte_fetch_ok:ok in
+    Hw.Tlb.insert tlb ~vpn:(vaddr lsr 12) ~ppn:(Hw.Page_table.walk_frame w)
+      ~perms:(Hw.Page_table.walk_perms w);
+    Hw.Pmp.load pmp ~first:1 ~lo ~hi ~flags
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "1000 refills allocate %.0f words" words) true
+    (words < 100.)
 
 let test_pte_encoding () =
   let perms = { Hw.Page_table.r = true; w = false; x = true; u = true } in
@@ -1217,8 +1444,12 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_epoch_flush;
       QCheck_alcotest.to_alcotest qcheck_deferred_hits;
       Alcotest.test_case "pmp" `Quick test_pmp;
+      QCheck_alcotest.to_alcotest qcheck_pmp_load;
       Alcotest.test_case "page table walk/map" `Quick test_page_table;
       Alcotest.test_case "superpage leaf" `Quick test_superpage;
+      QCheck_alcotest.to_alcotest qcheck_walk_ref;
+      Alcotest.test_case "a TLB refill allocates nothing" `Quick
+        test_refill_allocates_nothing;
       Alcotest.test_case "pte encoding" `Quick test_pte_encoding;
       QCheck_alcotest.to_alcotest qcheck_isa_roundtrip;
       Alcotest.test_case "isa rejects garbage" `Quick test_isa_garbage;

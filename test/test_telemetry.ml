@@ -263,32 +263,33 @@ let test_chrome_trace_wellformed () =
   let events = Tel.Sink.events sink in
   check_bool "events recorded" true (events <> []);
   let json =
-    match Tel.Json.parse (Tel.Export.chrome_trace ~metrics events) with
+    match Json_read.parse (Tel.Export.chrome_trace ~metrics events) with
     | Ok j -> j
     | Error m -> Alcotest.failf "trace does not parse: %s" m
   in
   let trace_events =
-    match Option.bind (Tel.Json.member "traceEvents" json) Tel.Json.to_list_opt
+    match
+      Option.bind (Json_read.member "traceEvents" json) Json_read.to_list_opt
     with
     | Some l -> l
     | None -> Alcotest.fail "no traceEvents array"
   in
   let name_of e =
-    match Option.bind (Tel.Json.member "name" e) Tel.Json.to_string_opt with
+    match Option.bind (Json_read.member "name" e) Json_read.to_string_opt with
     | Some n -> n
     | None -> Alcotest.fail "event without a name"
   in
   List.iter
     (fun e ->
       let _ = name_of e in
-      check_bool "has ph" true (Tel.Json.member "ph" e <> None);
-      check_bool "has pid" true (Tel.Json.member "pid" e <> None);
+      check_bool "has ph" true (Json_read.member "ph" e <> None);
+      check_bool "has pid" true (Json_read.member "pid" e <> None);
       (* metadata records carry no timestamp; everything else must *)
-      match Option.bind (Tel.Json.member "ph" e) Tel.Json.to_string_opt with
+      match Option.bind (Json_read.member "ph" e) Json_read.to_string_opt with
       | Some "M" -> ()
       | _ ->
-          check_bool "has ts" true
-            (Option.bind (Tel.Json.member "ts" e) Tel.Json.to_int_opt <> None))
+          let ts = Option.bind (Json_read.member "ts" e) Json_read.to_int_opt in
+          check_bool "has ts" true (ts <> None))
     trace_events;
   let names = List.map name_of trace_events in
   let has prefix =
@@ -302,7 +303,8 @@ let test_chrome_trace_wellformed () =
   check_bool "SM API events present" true (has "sm:");
   check_bool "lifecycle events present" true (has "enclave:");
   (* metric totals ride along *)
-  check_bool "otherData attached" true (Tel.Json.member "otherData" json <> None)
+  check_bool "otherData attached" true
+    (Json_read.member "otherData" json <> None)
 
 let test_jsonl_export () =
   let _tb, sink, _metrics = traced_run () in
@@ -315,8 +317,9 @@ let test_jsonl_export () =
     (List.length lines);
   List.iter
     (fun line ->
-      match Tel.Json.parse line with
-      | Ok j -> check_bool "has cycles" true (Tel.Json.member "cycles" j <> None)
+      match Json_read.parse line with
+      | Ok j ->
+          check_bool "has cycles" true (Json_read.member "cycles" j <> None)
       | Error m -> Alcotest.failf "bad jsonl line: %s" m)
     lines
 
@@ -328,11 +331,11 @@ let test_json_floats () =
       let s = Tel.Json.to_string (Tel.Json.Float f) in
       Alcotest.(check string) "prints null" "null" s;
       check_bool "parses back to Null" true
-        (Tel.Json.parse s = Ok Tel.Json.Null))
+        (Json_read.parse s = Ok Tel.Json.Null))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
   let x = 0.1 +. 0.2 in
   check_bool "finite float round-trips" true
-    (Tel.Json.parse (Tel.Json.to_string (Tel.Json.Float x))
+    (Json_read.parse (Tel.Json.to_string (Tel.Json.Float x))
     = Ok (Tel.Json.Float x))
 
 (* ------------------------------------------------------------------ *)
