@@ -977,10 +977,12 @@ let fleet_cmd =
              of every cluster<->node link: comma-separated $(b,class:count) \
              terms over $(b,drop), $(b,dup), $(b,corrupt), $(b,delay), \
              $(b,reorder), $(b,part), plus explicit partitions \
-             $(b,part\\@START+LEN) in control-plane ticks; $(b,all) is a \
-             preset. Corrupted traffic must be caught by the per-node HMAC; \
-             lost traffic by retransmit; a partitioned node is fenced, its \
-             jobs migrate, and it rejoins only via re-attestation + rekey.")
+             $(b,part@START+LEN) in control-plane ticks and \
+             $(b,part@gGEN+LEN) from the placement of job generation GEN; \
+             $(b,all) is a preset. Corrupted traffic must be caught by the \
+             per-node HMAC; lost traffic by retransmit; a partitioned node \
+             is fenced, its jobs migrate, and it rejoins only via \
+             re-attestation + rekey.")
   in
   let net_horizon =
     Arg.(

@@ -23,7 +23,7 @@ type thread = {
   mutable phase : thread_phase;
   mutable entry_pc : int64;
   mutable entry_sp : int64;
-  mutable aex_state : int64 array option; (* 32 regs then pc *)
+  mutable aex_state : Bytes.t option; (* the AEX image (aex_dump_bytes) *)
   mutable t_lock : bool;
 }
 
@@ -951,21 +951,17 @@ let read_aex_state t ~caller ~tid =
         match th.aex_state with
         | None -> err_state "no AEX state is pending"
         | Some dump ->
+            (* cleared, the image has no other reference *)
             clear_aex_state t th ~locked:true;
-            let b = Bytes.create aex_dump_bytes in
-            for i = 1 to 31 do
-              Bytes.set_int64_le b ((i - 1) * 8) dump.(i)
-            done;
-            Bytes.set_int64_le b (31 * 8) dump.(32);
-            Ok (Bytes.unsafe_to_string b)
+            Ok (Bytes.unsafe_to_string dump)
       end)
 
 (* Asynchronous enclave exit (§V-C): save the interrupted context into
    the thread's AEX area, then hand a clean core to the OS. *)
 let perform_aex t c th =
-  let dump = Array.make 33 0L in
-  Array.blit c.Hw.Machine.regs 0 dump 0 32;
-  dump.(32) <- c.Hw.Machine.pc;
+  let dump = Bytes.create aex_dump_bytes in
+  Hw.Machine.save_regs c dump;
+  Bytes.set_int64_le dump (aex_dump_bytes - 8) c.Hw.Machine.pc;
   th.aex_state <- Some dump;
   th.phase <- T_assigned;
   (if Tel.Sink.enabled t.sink then

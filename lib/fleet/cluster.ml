@@ -513,6 +513,7 @@ let run cfg =
         progress := true;
         incr generations;
         let gen = !generations in
+        List.iter (fun p -> Netfault.note_placement p.p_link ~gen) peers;
         let room = Array.make cfg.shards batch_cap in
         let batches = Array.make cfg.shards [] in
         let unplaced = ref [] in

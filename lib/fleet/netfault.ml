@@ -5,17 +5,20 @@ type fault_class = Drop | Dup | Corrupt | Delay | Reorder | Part
 type spec = {
   counts : (fault_class * int) list;
   windows : (int * int) list;
+  placed : (int * int) list;
 }
 
-let empty = { counts = []; windows = [] }
+let empty = { counts = []; windows = []; placed = [] }
 
 let is_empty spec =
-  spec.windows = [] && List.for_all (fun (_, n) -> n <= 0) spec.counts
+  spec.windows = [] && spec.placed = []
+  && List.for_all (fun (_, n) -> n <= 0) spec.counts
 
 let without_partitions spec =
   {
     counts = List.filter (fun (cls, _) -> cls <> Part) spec.counts;
     windows = [];
+    placed = [];
   }
 
 let class_name = function
@@ -47,6 +50,7 @@ let all_preset =
         (Part, 1);
       ];
     windows = [];
+    placed = [];
   }
 
 let parse s =
@@ -68,9 +72,16 @@ let parse s =
               else
                 match String.split_on_char '+' win with
                 | [ a; b ] -> (
+                    (* [gN] opens at the placement of generation N *)
+                    let gen = String.starts_with ~prefix:"g" a in
+                    let a =
+                      if gen then String.sub a 1 (String.length a - 1) else a
+                    in
                     match (int_of_string_opt a, int_of_string_opt b) with
-                    | Some start, Some len when start >= 0 && len > 0 ->
-                        go { acc with windows = acc.windows @ [ (start, len) ] }
+                    | Some n, Some len when gen && n >= 1 && len > 0 ->
+                        go { acc with placed = acc.placed @ [ (n, len) ] } rest
+                    | Some n, Some len when (not gen) && n >= 0 && len > 0 ->
+                        go { acc with windows = acc.windows @ [ (n, len) ] }
                           rest
                     | _ -> Error (Printf.sprintf "bad partition window: %S" t))
                 | _ ->
@@ -103,7 +114,10 @@ let to_string spec =
          (List.filter (fun (_, n) -> n > 0) spec.counts)
       @ List.map
           (fun (start, len) -> Printf.sprintf "part@%d+%d" start len)
-          spec.windows)
+          spec.windows
+      @ List.map
+          (fun (gen, len) -> Printf.sprintf "part@g%d+%d" gen len)
+          spec.placed)
 
 (* ------------------------------------------------------------------ *)
 
@@ -115,7 +129,8 @@ type 'a link = {
   corrupt_fn : 'a -> 'a;
   rng : Rng.t;  (* consumed only by reorder release permutations *)
   sched : (int, action) Hashtbl.t;  (* send index -> action (first wins) *)
-  windows : (int * int) list;
+  mutable windows : (int * int) list;
+  placed : (int * int) list;  (* (generation, len) windows not yet open *)
   mutable sent : int;
   mutable holds : (int * int * 'a) list;  (* (release_at, order, msg) *)
   mutable hold_order : int;
@@ -172,6 +187,7 @@ let create ~chan ~seed ~spec ~horizon ~clock ~corrupt () =
     rng;
     sched;
     windows;
+    placed = spec.placed;
     sent = 0;
     holds = [];
     hold_order = 0;
@@ -184,6 +200,12 @@ let create ~chan ~seed ~spec ~horizon ~clock ~corrupt () =
     reordered = 0;
     partition_dropped = 0;
   }
+
+let note_placement t ~gen =
+  List.iter
+    (fun (g, len) ->
+      if g = gen then t.windows <- t.windows @ [ (t.clock (), len) ])
+    t.placed
 
 let deliver t m =
   t.delivered <- t.delivered + 1;

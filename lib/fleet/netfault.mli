@@ -22,7 +22,9 @@
     - {b part} — a timed partition: every send while the link's clock
       is inside the window is dropped. Windows are measured on the
       caller's [clock] (cluster ticks, on the fleet's downlink) so a
-      partition always ends even when the send rate collapses. A
+      partition always ends even when the send rate collapses. A window
+      opens at a fixed tick, or on the tick the caller places a given
+      job generation ({!note_placement}), which no host speed moves. A
       partition is a downlink-only fault class: the uplink's clock is
       its received-message count, which freezes the moment the
       downlink goes dark, so a window there could outlive any probe
@@ -42,6 +44,10 @@ type spec = {
           addition to any seeded [Part] windows. Like the seeded kind,
           they belong on the tick-denominated downlink only — see
           {!without_partitions}. *)
+  placed : (int * int) list;
+      (** explicit partition windows [(gen, len)] that open on the tick
+          generation [gen] is placed ({!note_placement}), for [len]
+          clock units; downlink-only as well. *)
 }
 
 val empty : spec
@@ -56,7 +62,8 @@ val is_empty : spec -> bool
 
 val parse : string -> (spec, string) result
 (** Comma-separated [class:count] terms ([drop:3,dup:2,...]; a bare
-    class means count 1) plus explicit partitions [part\@START+LEN].
+    class means count 1) plus explicit partitions [part\@START+LEN] and
+    [part\@gGEN+LEN] (from the placement of generation [GEN >= 1]).
     [""], ["none"] parse to {!empty}; ["all"] is a preset with every
     class enabled. *)
 
@@ -88,6 +95,10 @@ val create :
 (** [horizon] is the send-index window the per-message faults are drawn
     in; seeded partition windows are drawn in clock units scaled from
     it. Raises [Invalid_argument] if [horizon < 1]. *)
+
+val note_placement : 'a link -> gen:int -> unit
+(** The caller is about to send generation [gen]'s work: open the
+    spec's windows anchored at [gen], from the clock's current tick. *)
 
 val send : 'a link -> 'a -> unit
 (** Offer one message to the faulted path. *)

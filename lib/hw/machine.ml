@@ -1,8 +1,10 @@
 module Tel = Sanctorum_telemetry
 
+type regfile = Bytes.t
+
 type core = {
   id : int;
-  regs : int64 array;
+  regs : regfile;
   mutable pc : int64;
   mutable domain : Trap.domain;
   mutable satp_root : int option;
@@ -106,7 +108,8 @@ type sb_ctx = {
   mutable sx_paging : bool;  (* satp active at entry *)
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
-  mutable sx_tslot : int;  (* TLB slot of the last successful probe *)
+  mutable sx_tslot : int;  (* TLB slot of the last successful translation *)
+  mutable sx_dhits : int;  (* data accesses committed, each a TLB hit *)
   (* the block's last data access: its virtual page (-1 = none yet),
      kind and frame; its TLB slot is [sx_tslot] *)
   mutable sx_dpage : int;
@@ -174,7 +177,7 @@ let pte_fetch_cycles = 12
    and compare. *)
 let ecc_check_exn t ~core_id ~cycles ~pos ~len =
   if Phys_mem.pending_faults t.mem > 0 && pos >= 0 && len > 0
-     && pos + len <= Phys_mem.size t.mem
+     && pos + len <= t.cfg.mem_bytes
   then
     match Phys_mem.scrub t.mem ~pos ~len with
     | `Clean -> ()
@@ -209,7 +212,7 @@ let create cfg =
   let mk_core id =
     {
       id;
-      regs = Array.make 32 0L;
+      regs = Bytes.make 256 '\000';
       pc = 0L;
       domain = Trap.domain_untrusted;
       satp_root = None;
@@ -233,6 +236,7 @@ let create cfg =
       sx_fuel = 0;
       sx_exit_pc = 0L;
       sx_tslot = -1;
+      sx_dhits = 0;
       sx_dpage = -1;
       sx_daccess = Trap.Read;
       sx_dframe = 0;
@@ -306,11 +310,34 @@ let set_dma_check t f = t.dma_check <- f
 let set_trap_handler t f = t.trap_handler <- f
 let set_fault_hooks t h = t.fault_hooks <- h
 let set_quarantine_handler t f = t.quarantine_handler <- Some f
-let read_reg core r = if r = 0 then 0L else core.regs.(r)
-let write_reg core r v = if r <> 0 then core.regs.(r) <- v
+
+(* A register's 8 little-endian bytes, as [Phys_mem] keeps stored
+   words: native-endian primitives, swapped on a big-endian host, and
+   without the bounds test of [Bytes.get_int64_le], which every register
+   access would pay (with it, the tier's loop ran about 6% slower on a
+   2-vCPU Xeon). *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let get64 b i = if big_endian () then swap64 (get64u b i) else get64u b i
+let set64 b i v = set64u b i (if big_endian () then swap64 v else v)
+
+(* Register [r] is the 8 bytes at [reg_off r]: its 5 bits, as an
+   instruction field holds them, times 8. x0's bytes are never written,
+   so a read needs no x0 test. *)
+let[@inline] reg_off r = (r land 31) lsl 3
+let[@inline] read_reg core r = get64 core.regs (reg_off r)
+
+let[@inline] write_reg core r v =
+  let o = reg_off r in
+  if o <> 0 then set64 core.regs o v
+
+let save_regs core img = Bytes.blit core.regs 8 img 0 248
 
 let reset_core_state core =
-  Array.fill core.regs 0 32 0L;
+  Bytes.fill core.regs 0 256 '\000';
   core.pc <- 0L
 
 let post_interrupt t ~core irq =
@@ -374,7 +401,7 @@ let translate_exn t core ~access ~vaddr ~size =
           Phys_mem.page_base ppn lor (va land page_mask)
         end
   in
-  if paddr + size > Phys_mem.size t.mem then
+  if paddr + size > t.cfg.mem_bytes then
     raise (Fault (Trap.Access_fault (access, vaddr)));
   if not (t.phys_check ~core ~access ~paddr) then
     raise (Fault (Trap.Access_fault (access, vaddr)));
@@ -513,7 +540,7 @@ let store t core ~op ~vaddr ~value =
         Phys_mem.write_u8 t.mem pos b
       done
 
-let alu op a b =
+let[@inline] alu op a b =
   let open Isa in
   match op with
   | Add -> Int64.add a b
@@ -528,7 +555,7 @@ let alu op a b =
   | Or -> Int64.logor a b
   | And -> Int64.logand a b
 
-let branch_taken op a b =
+let[@inline] branch_taken op a b =
   let open Isa in
   match op with
   | Beq -> Int64.equal a b
@@ -780,8 +807,9 @@ let step t core =
      pays [step]'s [cache_cost], counted where it happens ([sb_cache]).
      Cycles and instret are kept in the per-core [sb_ctx] and applied
      once at block exit, with the hits still deferred then and the
-     block's fetch TLB hits: with paging on, each retired instruction
-     was fetched once through the TLB entry the block's entry found.
+     block's TLB hits: with paging on, each retired instruction was
+     fetched once through the TLB entry the block's entry found, and
+     each load or store hit the entry its guard found.
      Deferral is the only reordering, and [Cache.note_repeat_hits]
      makes it exact: between two applications only the open lines are
      touched and only each one's last stamp is observable, so applying
@@ -803,7 +831,12 @@ let step t core =
 
 let sb_slots = Phys_mem.page_size / 4
 let sb_page_size64 = Int64.of_int Phys_mem.page_size
-let sb_va_limit = Int64.shift_left 1L Page_table.vpn_bits
+
+(* [vaddr] as an int when it lies in Sv39's 2^39 bytes, else -1. *)
+let[@inline] sb_va vaddr =
+  if Int64.shift_right_logical vaddr Page_table.vpn_bits = 0L then
+    Int64.to_int vaddr
+  else -1
 
 (* Side-exit before any effect: resume at the guarded instruction. *)
 let sb_side_exit ctx slot =
@@ -834,7 +867,7 @@ let sb_apply_lines t (core : core) ctx =
     ctx.sx_pend <- 0
   end
 
-let sb_defer ctx l =
+let[@inline] sb_defer ctx l =
   let p = ctx.sx_pend + 1 in
   ctx.sx_pend <- p;
   l.ol_last <- p;
@@ -860,63 +893,64 @@ let sb_cache t (core : core) ctx own other ~paddr ~line =
   end
 
 (* Per-instruction fetch commit: the cache charge and the dispatch
-   cycle. *)
-let sb_account_fetch t (core : core) ctx ~paddr ~line =
-  let cost = sb_cache t core ctx ctx.sx_fline ctx.sx_dline ~paddr ~line in
+   cycle. A hit on the open fetch line, nearly every fetch, is inlined
+   into each closure. *)
+let[@inline] sb_account_fetch t (core : core) ctx ~paddr ~line =
+  let f = ctx.sx_fline in
+  let cost =
+    if f.ol_line = line then sb_defer ctx f
+    else sb_cache t core ctx f ctx.sx_dline ~paddr ~line
+  in
   ctx.sx_cycles <- ctx.sx_cycles + cost + 1
 
 (* The pure half of a translation that hits the TLB: probe, permission,
    physical bounds for [size] bytes and the isolation check — every
    check [translate_exn] makes on an in-range address — evaluated
    without mutating anything. Returns the physical address, or -1
-   wherever the stepped path would walk the page table or trap. With
-   paging on, a hit leaves its TLB slot in [sx_tslot] for the commit.
-   Shared by the block entry's fetch and each data access on a page or
-   of a kind the block's previous one was not. *)
+   wherever the stepped path would walk the page table or trap. A
+   success leaves its TLB slot in [sx_tslot], for the data TLB hit
+   committed at block exit. Shared by the block entry's fetch and each
+   data access on a page or of a kind the block's previous one was
+   not. *)
 let sb_translate t (core : core) ctx ~access ~va ~size =
+  let slot =
+    if ctx.sx_paging then Tlb.probe core.tlb ~vpn:(va lsr page_shift) else -1
+  in
   let paddr =
     if not ctx.sx_paging then va
-    else begin
-      let slot = Tlb.probe core.tlb ~vpn:(va lsr page_shift) in
-      if slot < 0 then -1
-      else if not (perms_allow (Tlb.slot_perms core.tlb slot) access)
-      then -1
-      else begin
-        ctx.sx_tslot <- slot;
-        Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
-      end
-    end
+    else if slot < 0 || not (perms_allow (Tlb.slot_perms core.tlb slot) access)
+    then -1
+    else Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
   in
   if
     paddr < 0
-    || paddr + size > Phys_mem.size t.mem
+    || paddr + size > t.cfg.mem_bytes
     || not (t.phys_check ~core ~access ~paddr)
   then -1
-  else paddr
+  else begin
+    ctx.sx_tslot <- slot;
+    paddr
+  end
 
 (* Data-access guard phase: the checks the stepped path would make on
-   the access's address, evaluated without mutating anything
-   architectural; nothing else it checks can move inside a block (the
-   engine comment above). Returns the physical address, or -1 to
-   side-exit — any op that would trap (bad virtual address, TLB miss or
-   permission denial, bounds, isolation denial) or would split across a
-   page boundary is left entirely to the stepped path, before a single
-   byte moves. An access to the virtual page of the block's previous
-   data access, and of its kind, reuses that access's TLB slot and
-   frame without a probe or an isolation check: no block changes a TLB
-   entry, and the check answers alike for every address of a page. *)
-let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
-  let va = Int64.to_int vaddr in
-  if
-    (va land page_mask) + size > Phys_mem.page_size
-    || va < 0
-    || Int64.compare vaddr sb_va_limit >= 0
-  then -1
+   the access's address [va] ([sb_va]), evaluated without mutating
+   anything architectural; nothing else it checks can move inside a
+   block (the engine comment above). Returns the physical address, or
+   -1 to side-exit — any op that would trap (bad virtual address, TLB
+   miss or permission denial, bounds, isolation denial) or would split
+   across a page boundary is left entirely to the stepped path, before
+   a single byte moves. An access to the virtual page of the block's
+   previous data access, and of its kind, reuses that access's TLB slot
+   and frame without a probe or an isolation check: no block changes a
+   TLB entry, and the check answers alike for every address of a
+   page. *)
+let sb_data_paddr t (core : core) ctx ~access ~va ~size =
+  if (va land page_mask) + size > Phys_mem.page_size || va < 0 then -1
   else
     let vpn = va lsr page_shift in
     if vpn = ctx.sx_dpage && access == ctx.sx_daccess then
       let paddr = ctx.sx_dframe lor (va land page_mask) in
-      if paddr + size > Phys_mem.size t.mem then -1 else paddr
+      if paddr + size > t.cfg.mem_bytes then -1 else paddr
     else begin
       let paddr = sb_translate t core ctx ~access ~va ~size in
       if paddr >= 0 then begin
@@ -927,13 +961,11 @@ let sb_data_paddr t (core : core) ctx ~access ~vaddr ~size =
       paddr
     end
 
-(* Data-access commit: the mutating half in [step]'s order — data TLB
-   hit, then the cache charge. *)
+(* Data-access commit: the mutating half in [step]'s order — the data
+   TLB hit, counted here and applied at block exit, then the cache
+   charge. *)
 let sb_commit_data t (core : core) ctx ~paddr =
-  if ctx.sx_paging then begin
-    Tlb.commit_hit core.tlb ctx.sx_tslot;
-    Tel.Metrics.incr t.ctrs.c_tlb_hits
-  end;
+  ctx.sx_dhits <- ctx.sx_dhits + 1;
   let line = paddr lsr l1_shift in
   ctx.sx_cycles <-
     ctx.sx_cycles + sb_cache t core ctx ctx.sx_dline ctx.sx_fline ~paddr ~line
@@ -949,43 +981,31 @@ let sb_retire_continue ctx fall =
     -1
   end
 
-let sb_alu_fn (op : Isa.alu_op) : int64 -> int64 -> int64 =
-  match op with
-  | Add -> Int64.add
-  | Sub -> Int64.sub
-  | Sll -> fun a b -> Int64.shift_left a (Int64.to_int b land 63)
-  | Slt -> fun a b -> if Int64.compare a b < 0 then 1L else 0L
-  | Sltu -> fun a b -> if Int64.unsigned_compare a b < 0 then 1L else 0L
-  | Xor -> Int64.logxor
-  | Srl -> fun a b -> Int64.shift_right_logical a (Int64.to_int b land 63)
-  | Sra -> fun a b -> Int64.shift_right a (Int64.to_int b land 63)
-  | Or -> Int64.logor
-  | And -> Int64.logand
-
-let sb_branch_fn (op : Isa.branch_op) : int64 -> int64 -> bool =
-  match op with
-  | Beq -> Int64.equal
-  | Bne -> fun a b -> not (Int64.equal a b)
-  | Blt -> fun a b -> Int64.compare a b < 0
-  | Bge -> fun a b -> Int64.compare a b >= 0
-  | Bltu -> fun a b -> Int64.unsigned_compare a b < 0
-  | Bgeu -> fun a b -> Int64.unsigned_compare a b >= 0
-
 (* Compile one slot of a physical page into its closure. Everything
    that depends only on the page and the decoded instruction — own
    paddr, own cache line, fall-through and branch-target slots,
-   immediates, ALU/branch operators, load/store width accessors — is
-   bound at compile time; everything virtual comes from the entry-time
+   immediates, register numbers, operators, access widths — is bound at
+   compile time; everything virtual comes from the entry-time
    [sx_vbase], so one compiled page serves any mapping that reaches
-   it. The word is decoded straight from memory: a slot compiles once,
-   on its first execution inside a block, and [sb_exec] enters no block
-   while an ECC fault is pending, so the bytes read are the ones a
-   scrubbing fetch would decode. *)
+   it. A closure reads and writes registers and moves a load's or
+   store's bytes between the frame and the register file unboxed, with
+   [step]'s own [read_reg], [write_reg], [alu] and [branch_taken]
+   inlined: nothing on its path allocates. The word is decoded straight
+   from memory: a slot compiles once, on its first execution inside a
+   block, and [sb_exec] enters no block while an ECC fault is pending,
+   so the bytes read are the ones a scrubbing fetch would decode. *)
 let sb_compile t ~ppn ~slot =
   let own_paddr = Phys_mem.page_base ppn lor (slot lsl 2) in
   let own_line = own_paddr lsr l1_shift in
   let fall = if slot + 1 < sb_slots then slot + 1 else -1 in
   let off = slot lsl 2 in
+  (* the slot [joff] bytes away when in this page and aligned, else -1 *)
+  let in_page joff =
+    let toff = off + joff in
+    if toff >= 0 && toff < Phys_mem.page_size && toff land 3 = 0 then
+      toff lsr 2
+    else -1
+  in
   match Isa.decode (Phys_mem.read_u32 t.mem own_paddr) with
   | None ->
       (* stepped path re-decodes and traps with the exact raw word *)
@@ -996,36 +1016,31 @@ let sb_compile t ~ppn ~slot =
           (* trap delivery never happens inside a block *)
           sb_side_exit
       | Op_imm (op, rd, rs1, imm) ->
-          let f = sb_alu_fn op and b = Int64.of_int imm in
+          let b = Int64.of_int imm in
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1 in
-            if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
+            write_reg core rd (alu op (read_reg core rs1) b);
             sb_retire_continue ctx fall
       | Op (op, rd, rs1, rs2) ->
-          let f = sb_alu_fn op in
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
-            if rd <> 0 then Array.unsafe_set core.regs rd (f a b);
+            write_reg core rd (alu op (read_reg core rs1) (read_reg core rs2));
             sb_retire_continue ctx fall
       | Mul (rd, rs1, rs2) ->
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
-            if rd <> 0 then Array.unsafe_set core.regs rd (Int64.mul a b);
+            write_reg core rd
+              (Int64.mul (read_reg core rs1) (read_reg core rs2));
             sb_retire_continue ctx fall
       | Lui (rd, imm) ->
           let v = Int64.shift_left (Int64.of_int imm) 12 in
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            if rd <> 0 then Array.unsafe_set core.regs rd v;
+            write_reg core rd v;
             sb_retire_continue ctx fall
       | Auipc (rd, imm) ->
           (* pc + (imm << 12) = sx_vbase + (off + (imm << 12)) *)
@@ -1033,8 +1048,7 @@ let sb_compile t ~ppn ~slot =
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            if rd <> 0 then
-              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase addend);
+            write_reg core rd (Int64.add ctx.sx_vbase addend);
             sb_retire_continue ctx fall
       | Csr_read_cycle rd ->
           fun ctx _ ->
@@ -1042,9 +1056,7 @@ let sb_compile t ~ppn ~slot =
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
             (* deferred cycles materialized: fetch + dispatch already
                accumulated, exactly [step]'s read point *)
-            if rd <> 0 then
-              Array.unsafe_set core.regs rd
-                (Int64.of_int (core.cycles + ctx.sx_cycles));
+            write_reg core rd (Int64.of_int (core.cycles + ctx.sx_cycles));
             sb_retire_continue ctx fall
       | Fence ->
           fun ctx _ ->
@@ -1052,19 +1064,13 @@ let sb_compile t ~ppn ~slot =
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
             sb_retire_continue ctx fall
       | Jal (rd, joff) ->
-          let toff = off + joff in
-          let target_slot =
-            if toff >= 0 && toff < Phys_mem.page_size && toff land 3 = 0 then
-              toff lsr 2
-            else -1
-          in
-          let toff64 = Int64.of_int toff in
+          let target_slot = in_page joff in
+          let toff64 = Int64.of_int (off + joff) in
           let link_off = Int64.of_int (off + 4) in
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            if rd <> 0 then
-              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
+            write_reg core rd (Int64.add ctx.sx_vbase link_off);
             ctx.sx_instret <- ctx.sx_instret + 1;
             ctx.sx_fuel <- ctx.sx_fuel - 1;
             if target_slot >= 0 then target_slot
@@ -1078,33 +1084,22 @@ let sb_compile t ~ppn ~slot =
             (* target before the link write: rd may alias rs1 *)
             let target =
               Int64.logand
-                (Int64.add
-                   (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                   imm64)
+                (Int64.add (read_reg core rs1) imm64)
                 (Int64.lognot 1L)
             in
-            if rd <> 0 then
-              Array.unsafe_set core.regs rd (Int64.add ctx.sx_vbase link_off);
+            write_reg core rd (Int64.add ctx.sx_vbase link_off);
             ctx.sx_instret <- ctx.sx_instret + 1;
             ctx.sx_fuel <- ctx.sx_fuel - 1;
             sb_exit_at ctx target
       | Branch (op, rs1, rs2, boff) ->
-          let f = sb_branch_fn op in
-          let toff = off + boff in
-          let target_slot =
-            if toff >= 0 && toff < Phys_mem.page_size && toff land 3 = 0 then
-              toff lsr 2
-            else -1
-          in
-          let toff64 = Int64.of_int toff in
+          let target_slot = in_page boff in
+          let toff64 = Int64.of_int (off + boff) in
           fun ctx _ ->
             let core = ctx.sx_core in
             sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
-            let a = if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1
-            and b = if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2 in
             ctx.sx_instret <- ctx.sx_instret + 1;
             ctx.sx_fuel <- ctx.sx_fuel - 1;
-            if f a b then
+            if branch_taken op (read_reg core rs1) (read_reg core rs2) then
               if target_slot >= 0 then target_slot
               else sb_exit_at ctx (Int64.add ctx.sx_vbase toff64)
             else if fall >= 0 then fall
@@ -1117,76 +1112,51 @@ let sb_compile t ~ppn ~slot =
             | Lw | Lwu -> 4
             | Ld -> 8
           in
-          let read : Phys_mem.t -> int -> int64 =
-            match lop with
-            | Lb ->
-                fun mem p ->
-                  Int64.of_int
-                    (Sanctorum_util.Bits.sign_extend (Phys_mem.read_u8 mem p)
-                       ~width:8)
-            | Lbu -> fun mem p -> Int64.of_int (Phys_mem.read_u8 mem p)
-            | Lh ->
-                fun mem p ->
-                  Int64.of_int
-                    (Sanctorum_util.Bits.sign_extend (Phys_mem.read_u16 mem p)
-                       ~width:16)
-            | Lhu -> fun mem p -> Int64.of_int (Phys_mem.read_u16 mem p)
-            | Lw -> fun mem p -> Int64.of_int32 (Phys_mem.read_u32 mem p)
-            | Lwu ->
-                fun mem p ->
-                  Int64.logand
-                    (Int64.of_int32 (Phys_mem.read_u32 mem p))
-                    0xffffffffL
-            | Ld -> Phys_mem.read_u64
-          in
           let imm64 = Int64.of_int imm in
           fun ctx slot ->
             let core = ctx.sx_core in
-            let vaddr =
-              Int64.add
-                (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                imm64
-            in
-            let dp = sb_data_paddr t core ctx ~access:Trap.Read ~vaddr ~size in
+            let va = sb_va (Int64.add (read_reg core rs1) imm64) in
+            let dp = sb_data_paddr t core ctx ~access:Trap.Read ~va ~size in
             if dp < 0 then sb_side_exit ctx slot
             else begin
               sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
               sb_commit_data t core ctx ~paddr:dp;
-              let v = read t.mem dp in
-              if rd <> 0 then Array.unsafe_set core.regs rd v;
+              let f = Phys_mem.read_frame t.mem dp size in
+              let o = dp land page_mask in
+              write_reg core rd
+                (match lop with
+                | Lb -> Int64.of_int (String.get_int8 f o)
+                | Lbu -> Int64.of_int (String.get_uint8 f o)
+                | Lh -> Int64.of_int (String.get_int16_le f o)
+                | Lhu -> Int64.of_int (String.get_uint16_le f o)
+                | Lw -> Int64.of_int32 (String.get_int32_le f o)
+                | Lwu ->
+                    Int64.of_int
+                      (Int32.to_int (String.get_int32_le f o) land 0xffff_ffff)
+                | Ld -> String.get_int64_le f o);
               sb_retire_continue ctx fall
             end
       | Store (sop, rs2, rs1, imm) ->
           let size = match sop with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8 in
-          let write : Phys_mem.t -> int -> int64 -> unit =
-            match sop with
-            | Sb ->
-                fun mem p v ->
-                  Phys_mem.write_u8 mem p (Int64.to_int v land 0xff)
-            | Sh ->
-                fun mem p v ->
-                  Phys_mem.write_u16 mem p (Int64.to_int v land 0xffff)
-            | Sw -> fun mem p v -> Phys_mem.write_u32 mem p (Int64.to_int32 v)
-            | Sd -> fun mem p v -> Phys_mem.write_u64 mem p v
-          in
           let imm64 = Int64.of_int imm in
           (* fall-through PC, also the resume PC when the store dirties
              its own page: off + 4 = page size on the last slot *)
           let next_off64 = Int64.of_int (off + 4) in
           fun ctx slot ->
             let core = ctx.sx_core in
-            let vaddr =
-              Int64.add
-                (if rs1 = 0 then 0L else Array.unsafe_get core.regs rs1)
-                imm64
-            in
-            let dp = sb_data_paddr t core ctx ~access:Trap.Write ~vaddr ~size in
+            let va = sb_va (Int64.add (read_reg core rs1) imm64) in
+            let dp = sb_data_paddr t core ctx ~access:Trap.Write ~va ~size in
             if dp < 0 then sb_side_exit ctx slot
             else begin
               sb_account_fetch t core ctx ~paddr:own_paddr ~line:own_line;
               sb_commit_data t core ctx ~paddr:dp;
-              write t.mem dp
-                (if rs2 = 0 then 0L else Array.unsafe_get core.regs rs2);
+              let f = Phys_mem.write_frame t.mem dp size in
+              let o = dp land page_mask and v = read_reg core rs2 in
+              (match sop with
+              | Sb -> Bytes.set_int8 f o (Int64.to_int v)
+              | Sh -> Bytes.set_int16_le f o (Int64.to_int v)
+              | Sw -> Bytes.set_int32_le f o (Int64.to_int32 v)
+              | Sd -> Bytes.set_int64_le f o v);
               ctx.sx_instret <- ctx.sx_instret + 1;
               ctx.sx_fuel <- ctx.sx_fuel - 1;
               (* a store into this very frame may have rewritten code
@@ -1225,15 +1195,14 @@ let sb_exec t (core : core) ~fuel =
   let deadline =
     match core.timer_cmp with Some c -> c - core.cycles | None -> max_int
   in
-  let va = Int64.to_int core.pc in
+  let va = sb_va core.pc in
   let ctx = t.sb_ctxs.(core.id) in
   ctx.sx_paging <- Option.is_some core.satp_root;
   let fp0 =
     if
       deadline <= 0
-      || va land 3 <> 0
       || va < 0
-      || Int64.compare core.pc sb_va_limit >= 0
+      || va land 3 <> 0
       || Phys_mem.pending_faults t.mem > 0
     then -1
     else sb_translate t core ctx ~access:Trap.Execute ~va ~size:4
@@ -1259,6 +1228,7 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;
     ctx.sx_instret <- 0;
+    ctx.sx_dhits <- 0;
     ctx.sx_fline.ol_line <- -1;
     ctx.sx_dline.ol_line <- -1;
     ctx.sx_side_exit <- false;
@@ -1281,7 +1251,13 @@ let sb_exec t (core : core) ~fuel =
     let c = t.ctrs in
     if ctx.sx_instret > 0 then begin
       Tel.Metrics.add c.c_instret ctx.sx_instret;
-      if ctx.sx_paging then Tel.Metrics.add c.c_tlb_hits ctx.sx_instret;
+      if ctx.sx_paging then begin
+        (* each retired instruction's fetch and each load's or store's
+           data access hit the TLB; the MRU hint, which changes no
+           lookup's answer, is left on the last data access's slot *)
+        Tel.Metrics.add c.c_tlb_hits (ctx.sx_instret + ctx.sx_dhits);
+        if ctx.sx_dhits > 0 then Tlb.commit_hit core.tlb ctx.sx_tslot
+      end;
       Tel.Metrics.incr c.c_sb_blocks;
       Tel.Metrics.add c.c_sb_instret ctx.sx_instret
     end;
@@ -1322,7 +1298,7 @@ let dma_write t ~paddr data =
     trace_dma t ~write:true ~paddr ~len ~granted:false;
     Error (Trap.Access_fault (Trap.Write, Int64.of_int paddr))
   end
-  else if paddr < 0 || paddr + len > Phys_mem.size t.mem then
+  else if paddr < 0 || paddr + len > t.cfg.mem_bytes then
     Error (Trap.Access_fault (Trap.Write, Int64.of_int paddr))
   else begin
     match ecc_check_exn t ~core_id:(-1) ~cycles:(now t) ~pos:paddr ~len with
@@ -1340,7 +1316,7 @@ let dma_read t ~paddr ~len =
     trace_dma t ~write:false ~paddr ~len ~granted:false;
     Error (Trap.Access_fault (Trap.Read, Int64.of_int paddr))
   end
-  else if paddr < 0 || len < 0 || paddr + len > Phys_mem.size t.mem then
+  else if paddr < 0 || len < 0 || paddr + len > t.cfg.mem_bytes then
     Error (Trap.Access_fault (Trap.Read, Int64.of_int paddr))
   else begin
     match ecc_check_exn t ~core_id:(-1) ~cycles:(now t) ~pos:paddr ~len with

@@ -8,9 +8,14 @@
     the platform backend, mirroring how the monitor relies on the
     hardware isolation primitive (§IV-B). *)
 
+type regfile
+(** A core's registers x0..x31, x0 reading as zero. {!read_reg} and
+    {!write_reg} are the way in, and {!save_regs} copies x1..x31 out
+    whole. *)
+
 type core = {
   id : int;
-  regs : int64 array;  (** x0..x31; x0 reads as zero *)
+  regs : regfile;
   mutable pc : int64;
   mutable domain : Trap.domain;  (** protection domain now on this core *)
   mutable satp_root : int option;
@@ -188,10 +193,11 @@ val set_fast_path : t -> bool -> unit
     instret, registers, traps — and telemetry, every [hw.*] counter
     included, are bit-identical in both modes (only the host-side
     [hw.sb.*] diagnostic counters differ): the tier defers only cycles,
-    instret and the L1 hits on its two open lines, that of its last
-    fetch and that of its last data access, which it applies at its
-    next other L1 access or at block exit, and counts everything else
-    where it happens. Only host wall-clock differs.
+    instret and its TLB hits, which it applies at block exit, and the L1
+    hits on its two open lines, that of its last fetch and that of its
+    last data access, which it applies at its next other L1 access or at
+    block exit, and counts everything else where it happens. Only host
+    wall-clock differs.
     {!step} is the same stepped reference pipeline either way, so
     [off] runs it alone: the differential-testing baseline
     ([bench sim] measures the gap, the qcheck properties prove the
@@ -219,7 +225,18 @@ val post_interrupt : t -> core:int -> Trap.interrupt -> unit
 (** {2 Register and memory helpers} *)
 
 val read_reg : core -> int -> int64
+(** [read_reg core r] is register [r], numbered by its low 5 bits as an
+    instruction field holds it. *)
+
 val write_reg : core -> int -> int64 -> unit
+(** [write_reg core r v] sets register [r] (its low 5 bits) to [v]; a
+    write to x0 is dropped. *)
+
+val save_regs : core -> Bytes.t -> unit
+(** [save_regs core img] writes x1..x31 into [img]'s first 248 bytes, 8
+    little-endian bytes each: the register part of the monitor's AEX
+    image. *)
+
 val reset_core_state : core -> unit
 (** Zero the architected register file and PC — part of the monitor's
     core cleaning on re-allocation. Does not touch caches or TLB. *)

@@ -9,7 +9,8 @@
    pays for those and not for a zero-filled 16 MiB block at boot. A
    frame keeps its buffer when zeroed. Fleet shards read [zero_frame]
    from parallel domains, which is safe because no path writes it:
-   every mutation takes its frame from [writable].
+   every mutation takes its frame from [writable], and [read_frame]
+   hands a frame out only as a string.
 
    [faults] maps a word index (paddr / 8) to the XOR mask of bits
    currently flipped in that word, so the pristine value is always
@@ -217,6 +218,20 @@ let write_u64 t pos v =
   if off <= page_size - 8 then set64 (writable t pos) off v
   else write_bytes t pos 8 v;
   notify t pos 8
+
+(* The buffer of an access of [len] bytes at [pos] inside one frame,
+   for a caller that moves the bytes itself: a load's after the bounds
+   check, as a string (it may be [zero_frame]), a store's after
+   everything [write_*] does before its bytes land. *)
+let read_frame t pos len =
+  check t pos len "read_frame";
+  Bytes.unsafe_to_string (frame t pos)
+
+let write_frame t pos len =
+  check t pos len "write_frame";
+  absorb_faults t pos len;
+  notify t pos len;
+  writable t pos
 
 (* A page-table frame is almost all zeros, so a reader that decodes
    every slot through [read_u64] spends nearly all its time on empty

@@ -30,6 +30,20 @@ val write_u32 : t -> int -> int32 -> unit
 val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
 
+val read_frame : t -> int -> int -> string
+(** [read_frame t pos len] is the frame holding the [len] bytes at
+    [pos], which lie in one frame, at offset [pos land (page_size - 1)]:
+    the bytes a [read_*] of them returns, valid until the next write to
+    the frame. Raises [Invalid_argument] if the range is out of
+    bounds. *)
+
+val write_frame : t -> int -> int -> Bytes.t
+(** [write_frame t pos len] is the frame's buffer for a store of the
+    [len] bytes at [pos], once it has done what a [write_*] does before
+    its bytes land: the bounds check, the absorption of faults pending
+    on the words and the move of the frame's {!generation}. The caller
+    writes the bytes at once. *)
+
 val read_word : t -> int -> int
 (** [read_word t pos] is [Int64.to_int (read_u64 t pos)], allocating
     nothing: the word's low 63 bits, which hold every field of a page

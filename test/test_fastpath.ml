@@ -58,6 +58,10 @@ let arm_metrics m =
   Hw.Machine.set_sink m (Tel.Sink.create ~metrics ());
   metrics
 
+(* x0..x31; x0 is read from its bytes like any other register, so a
+   write that reached them shows *)
+let regs_of c = List.init 32 (Hw.Machine.read_reg c)
+
 let is_sb_counter name =
   String.length name >= 6 && String.sub name 0 6 = "hw.sb."
 
@@ -311,7 +315,9 @@ let branch_ops = Hw.Isa.[| Beq; Bne; Blt; Bge; Bltu; Bgeu |]
 let load_ops = Hw.Isa.[| Lb; Lh; Lw; Ld; Lbu; Lhu; Lwu |]
 let store_ops = Hw.Isa.[| Sb; Sh; Sw; Sd |]
 
-let regs_pool = Hw.Isa.[| a0; a1; a2; a3; a4; a5; t2; t3; t4 |]
+(* x0 is drawn as a destination and as a source alike; never as the
+   loop counter or a base register. *)
+let regs_pool = Hw.Isa.[| zero; a0; a1; a2; a3; a4; a5; t2; t3; t4 |]
 
 (* No op but [Loop_back]'s decrement writes the counter, which starts
    each run at [loop_budget], so the loops branch back at most three
@@ -553,7 +559,7 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
       Hw.Phys_mem.write_u32 mem (code_base + (4 * slot)) (Int32.of_int word))
     raws;
   c.Hw.Machine.pc <- Int64.of_int code_base;
-  c.Hw.Machine.regs.(loop_counter) <- loop_budget;
+  Hw.Machine.write_reg c loop_counter loop_budget;
   (match drive with
   | Per_instruction ->
       let steps = ref 0 in
@@ -581,7 +587,7 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
   ( c.Hw.Machine.instret,
     c.Hw.Machine.cycles,
     c.Hw.Machine.pc,
-    Array.to_list c.Hw.Machine.regs,
+    regs_of c,
     counter_snapshot metrics,
     List.rev !traps,
     Hw.Phys_mem.pending_faults mem,
@@ -859,7 +865,7 @@ let test_top_of_dram () =
     let c = run_at m 0x1000 prog in
     ( !last,
       c.Hw.Machine.pc,
-      Array.to_list c.Hw.Machine.regs,
+      regs_of c,
       c.Hw.Machine.instret,
       c.Hw.Machine.cycles,
       counter_snapshot metrics )
@@ -1297,7 +1303,7 @@ let test_cross_core_store () =
     ignore (Hw.Machine.run m ~core:0 ~fuel:20);
     patch 1 Ecall;
     ignore (Hw.Machine.run m ~core:0 ~fuel:20);
-    ( ( Array.to_list c0.Hw.Machine.regs,
+    ( ( regs_of c0,
         c0.Hw.Machine.pc,
         c0.Hw.Machine.cycles,
         c0.Hw.Machine.instret,
@@ -1385,6 +1391,189 @@ let test_shared_set_lru () =
       ("one set, fills evict the data line", Some (fun _ -> 0), 1000, through);
     ]
 
+(* Every ALU op in register form, and every one but [Sub] (there is no
+   subi) in immediate form. *)
+let every_alu ~rd ~rs1 ~rs2 ~imm =
+  let open Hw.Isa in
+  let ops = Array.to_list alu_ops in
+  List.map (fun op -> Op (op, rd, rs1, rs2)) ops
+  @ List.filter_map
+      (fun op -> if op = Sub then None else Some (Op_imm (op, rd, rs1, imm)))
+      ops
+
+(* x0 on both tiers. Both drop a register write to x0, and a load into
+   x0 keeps its guard, commit and trap and drops only the register
+   write. Every ALU op, register and immediate, mul, lui, auipc,
+   rdcycle, jal, jalr and each load width with rd = x0 must leave x0
+   reading zero (a read of x0 reads its bytes, with no x0 test); x0
+   read as an ALU, store and branch source must read zero; and both
+   tiers must agree on every register, the pc, cycles, instret, the
+   counters and the trap. A load into x0 from an unmapped page must
+   raise the same precise page fault on both tiers. *)
+let test_x0_both_tiers () =
+  let open Hw.Isa in
+  let run_with tier prog =
+    let m, last, root = paged_machine () in
+    let metrics = arm_metrics m in
+    set_tier m tier;
+    let c = run_paged m root prog in
+    check_bool "x0 reads zero" true (Hw.Machine.read_reg c 0 = 0L);
+    ( ( regs_of c,
+        c.Hw.Machine.pc,
+        c.Hw.Machine.cycles,
+        c.Hw.Machine.instret,
+        !last ),
+      counter_snapshot metrics,
+      sb_instret_of metrics )
+  in
+  let both label prog =
+    let ((regs, _, _, _, trap) as s), k, sb = run_with Super prog in
+    let s', k', _ = run_with Slow prog in
+    check_bool (label ^ ": superblock tier engaged") true (sb > 0);
+    check_bool (label ^ ": state agrees across tiers") true (s = s');
+    check_bool (label ^ ": counters agree across tiers") true (k = k');
+    (regs, trap)
+  in
+  let dests =
+    every_alu ~rd:zero ~rs1:a0 ~rs2:a1 ~imm:5
+    @ [
+        Mul (zero, a0, a1);
+        Lui (zero, 0x12345);
+        Auipc (zero, 0x10);
+        Csr_read_cycle zero;
+        Jal (zero, 4);
+        Auipc (t0, 0);
+        Jalr (zero, t0, 8);
+        Store (Sd, a0, t1, 0);
+      ]
+    @ List.map (fun op -> Load (op, zero, t1, 0)) (Array.to_list load_ops)
+  in
+  let sources =
+    [
+      Op (Add, a2, zero, a0);
+      Op (Sub, a3, zero, a1);
+      Op_imm (Or, a4, zero, 0x55);
+      Store (Sd, a0, t1, 8);
+      Store (Sd, zero, t1, 8);
+      Load (Ld, a5, t1, 8);
+      Branch (Beq, a5, zero, 8);
+      Ebreak (* skipped: the branch reads x0 as zero *);
+      Ecall;
+    ]
+  in
+  let regs, trap =
+    both "rd = x0"
+      (li t1 0x20000 @ li a0 (-0x7654321) @ li a1 13 @ dests @ sources)
+  in
+  check_bool "ran to the ecall" true
+    (trap = Some (Hw.Trap.Exception Hw.Trap.Ecall_user));
+  check_i64 "x0 reads zero" 0L (List.nth regs zero);
+  check_i64 "x0 as an ALU source" (-0x7654321L) (List.nth regs a2);
+  check_i64 "x0 as a sub's minuend" (-13L) (List.nth regs a3);
+  check_i64 "x0 as an immediate op's source" 0x55L (List.nth regs a4);
+  check_i64 "x0 stored as the value" 0L (List.nth regs a5);
+  let _, trap =
+    both "load into x0 from an unmapped page"
+      (li a6 0x30000
+      @ [
+          Op_imm (Add, a2, zero, 1);
+          Load (Ld, zero, a6, 0);
+          Op_imm (Add, a3, zero, 2);
+          Ecall;
+        ])
+  in
+  check_bool "the load into x0 page-faults" true
+    (trap
+    = Some (Hw.Trap.Exception (Hw.Trap.Page_fault (Hw.Trap.Read, 0x30000L))))
+
+(* A superblock instruction allocates nothing: every ALU op, register
+   and immediate, mul, lui, auipc, rdcycle, jal, a branch and each
+   load and store width on one data page, in a paged loop the tier runs
+   as one block. Only a block's exit boxes its pc. *)
+let test_block_allocates_nothing () =
+  let open Hw.Isa in
+  let m, _, root = paged_machine () in
+  let body =
+    every_alu ~rd:a3 ~rs1:a0 ~rs2:a1 ~imm:3
+    @ [
+        Mul (a5, a0, a1);
+        Lui (a5, 0x12);
+        Auipc (a5, 1);
+        Csr_read_cycle a5;
+        Jal (zero, 4);
+      ]
+    @ List.map
+        (fun op -> Store (op, a0, t1, 16))
+        (Array.to_list store_ops)
+    @ List.map (fun op -> Load (op, a2, t1, 16)) (Array.to_list load_ops)
+    @ [ Op_imm (Add, a7, a7, -1) ]
+  in
+  let prog =
+    li t1 0x20000 @ li a0 (-0x1234567) @ li a1 7 @ li a7 1_000_000 @ body
+    @ [ Branch (Bne, a7, zero, -4 * List.length body); Ecall ]
+  in
+  let c = run_paged m root prog in
+  let before_instret = c.Hw.Machine.instret in
+  let before = Gc.minor_words () in
+  let retired = Hw.Machine.run m ~core:0 ~fuel:200_000 in
+  let words = Gc.minor_words () -. before in
+  check_bool "ran in the loop" true
+    (c.Hw.Machine.instret - before_instret = 200_000 && retired = 200_000);
+  check_bool
+    (Printf.sprintf "%.0f minor words over 200000 instructions" words)
+    true
+    (words /. 200_000. < 0.01)
+
+(* The AEX image byte for byte: x1..x31, then the interrupted pc, each
+   8 bytes little-endian. Each register holds a distinct value, several
+   with bit 63 set, when the timer preempts the enclave's spin loop; on
+   both backends and both tiers. *)
+let test_aex_image () =
+  let open Hw.Isa in
+  let value r =
+    let a = ((r * 0x9E3779B) land 0x3FFFFFFF) - 0x20000000
+    and s = r * 11 mod 61
+    and x = (r * 97 mod 4096) - 2048 in
+    ( li r a @ [ Op_imm (Sll, r, r, s); Op_imm (Xor, r, r, x) ],
+      Int64.logxor (Int64.shift_left (Int64.of_int a) s) (Int64.of_int x) )
+  in
+  let regs = List.init 31 (fun i -> value (i + 1)) in
+  let setup = List.concat_map fst regs in
+  check_bool "several values with bit 63 set" true
+    (List.length (List.filter (fun (_, v) -> v < 0L) regs) >= 4);
+  let spin = 0x10000 + (4 * List.length setup) in
+  let want = Bytes.create 256 in
+  List.iteri (fun i (_, v) -> Bytes.set_int64_le want (8 * i) v) regs;
+  Bytes.set_int64_le want 248 (Int64.of_int spin);
+  List.iter
+    (fun (backend, fast) ->
+      let tb = Testbed.create ~backend ~seed:"aex-image" () in
+      Hw.Machine.set_fast_path tb.Testbed.machine fast;
+      let image = Img.of_program ~evbase:0x10000 (setup @ [ Jal (zero, 0) ]) in
+      let inst = Result.get_ok (Os.install_enclave tb.Testbed.os image) in
+      let eid = inst.Os.eid and tid = List.hd inst.Os.tids in
+      let label =
+        Printf.sprintf "%s, fast path %b" (Testbed.backend_name backend) fast
+      in
+      check_bool (label ^ ": preempted") true
+        (Os.run_enclave tb.Testbed.os ~eid ~tid ~core:0 ~fuel:100_000
+           ~quantum:20_000 ()
+        = Ok Os.Preempted);
+      match
+        Sanctorum.Sm.read_aex_state tb.Testbed.sm
+          ~caller:(Sanctorum.Sm.Enclave_caller eid) ~tid
+      with
+      | Ok dump ->
+          Alcotest.(check string)
+            (label ^ ": image") (Bytes.to_string want) dump
+      | Error _ -> Alcotest.failf "%s: no AEX image" label)
+    [
+      (Testbed.Sanctum_backend, true);
+      (Testbed.Sanctum_backend, false);
+      (Testbed.Keystone_backend, true);
+      (Testbed.Keystone_backend, false);
+    ]
+
 let suite =
   ( "fastpath",
     [
@@ -1440,6 +1629,13 @@ let suite =
       Alcotest.test_case
         "superblock: code and data lines sharing an L1 set keep LRU order"
         `Quick test_shared_set_lru;
+      Alcotest.test_case
+        "superblock: x0 as destination and source on both tiers" `Quick
+        test_x0_both_tiers;
+      Alcotest.test_case "a superblock instruction allocates nothing" `Quick
+        test_block_allocates_nothing;
+      Alcotest.test_case "aex: the image is x1..x31 and the pc, little-endian"
+        `Quick test_aex_image;
       QCheck_alcotest.to_alcotest prop_differential_entry;
       QCheck_alcotest.to_alcotest prop_differential_run;
     ] )

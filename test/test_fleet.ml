@@ -220,7 +220,7 @@ let test_netspec_parse () =
         true
         (netspec (Netfault.to_string v) = v))
     [ "drop:3,dup:2"; "corrupt:2,delay:1,reorder:1"; "part@60+500"; "all";
-      "none"; "drop:2,part@10+40,part@100+32" ];
+      "none"; "drop:2,part@10+40,part@100+32"; "part@g2+500,part@30+8" ];
   let rejected s =
     match Netfault.parse s with Error _ -> true | Ok _ -> false
   in
@@ -230,6 +230,8 @@ let test_netspec_parse () =
   check_bool "window needs +LEN" true (rejected "part@5");
   check_bool "window needs numbers" true (rejected "part@a+b");
   check_bool "zero-length window" true (rejected "part@5+0");
+  check_bool "generations count from 1" true (rejected "part@g0+5");
+  check_bool "generation needs a number" true (rejected "part@g+5");
   check_bool "only part takes a window" true (rejected "drop@5+10")
 
 (* The link schedule is a pure function of (seed, spec, horizon): two
@@ -699,19 +701,15 @@ let test_chaos_all_clean () =
        + c "net.stale_rejected");
   check_int "no findings" 0 o.Fl.r_findings
 
-(* The partition drill, pinned: a 500-tick blackout after the fleet is
-   up. Both nodes must be fenced (heartbeats dead past the suspicion
-   deadline), their jobs migrated, and — once the partition heals —
-   re-attested under a fresh epoch, finishing the work themselves.
-   Ticks are paced by the wall clock, so a generation must still be
-   placed after tick 60 however fast the host simulates: only a batch
-   sent into the blackout leaves a node silent with work outstanding.
-   Four generations (16 jobs) ended at ticks 50-63 on a fast host, a
-   coin toss; eight (32 jobs of 32 exits) place the last at ticks
-   105-120, about twice the blackout's start, with the join done by
-   tick 11. Longer jobs are no fix: a node busy past the suspicion
-   deadline is fenced for being busy, and the retries exhaust some
-   jobs' budgets. *)
+(* The partition drill, pinned: a 500-tick blackout from the placement
+   of the second generation. Both nodes must be fenced (heartbeats dead
+   past the suspicion deadline), their jobs migrated, and — once the
+   partition heals — re-attested under a fresh epoch, finishing the
+   work themselves. The blackout opens on the tick the generation is
+   placed, so its batches are sent into it, leaving both nodes silent
+   with work outstanding however fast the host simulates. A blackout at
+   a fixed tick (60) raced the jobs: ticks are paced by the wall clock,
+   and a fast enough host placed its last generation before it. *)
 let test_partition_evict_rejoin () =
   let cfg =
     {
@@ -721,7 +719,7 @@ let test_partition_evict_rejoin () =
       enclaves = 2;
       jobs = 32;
       target = 32;
-      net = netspec "part@60+500";
+      net = netspec "part@g2+500";
     }
   in
   let o = Fl.run cfg in
