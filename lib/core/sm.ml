@@ -829,13 +829,21 @@ let delete_thread t ~caller ~tid =
 (* ------------------------------------------------------------------ *)
 (* Enclave execution, AEX, and the trap funnel (Fig. 1) *)
 
-let running_thread_on t core_id =
-  Hashtbl.fold
-    (fun _ th acc ->
-      match th.phase with
-      | T_running c when c = core_id -> Some th
-      | T_running _ | T_assigned | T_available -> acc)
-    t.threads None
+(* The thread running on [core]. Only a thread of the enclave whose
+   domain the core is in runs there (the catalog's [thread.lifecycle]),
+   so only that enclave's threads are searched. *)
+let running_thread_on t core =
+  let running tid =
+    match Hashtbl.find_opt t.threads tid with
+    | Some ({ phase = T_running c; _ } as th) when c = core -> Some th
+    | _ -> None
+  in
+  let d = (Hw.Machine.core t.machine core).Hw.Machine.domain in
+  match Option.bind (enclave_of_domain t d) (Hashtbl.find_opt t.enclaves) with
+  | Some e -> List.find_map running e.threads
+  | None -> None
+
+let running_thread t ~core = Option.map (fun h -> h.tid) (running_thread_on t core)
 
 let enter_enclave t ~caller ~eid ~tid ~core =
   traced t ~caller "enter_enclave"
@@ -1114,9 +1122,8 @@ let handle_ecall t (c : Hw.Machine.core) e =
   let a1 = Int64.to_int (arg Hw.Isa.a1) in
   let a2 = Int64.to_int (arg Hw.Isa.a2) in
   let call = Int64.to_int (arg Hw.Isa.a7) in
-  let sender_of_int v =
-    if v = 0 then Mailbox.From_os else Mailbox.From_enclave v
-  in
+  let sender_of_int v = Mailbox.(if v = 0 then From_os else From_enclave v) in
+  let kind = Resource.(if a0 = 0 then Core_resource else Memory_resource) in
   let finish result =
     let code = match result with Ok () -> 0L | Error e -> Ecall.error_code e in
     Hw.Machine.write_reg c Hw.Isa.a0 code;
@@ -1148,14 +1155,10 @@ let handle_ecall t (c : Hw.Machine.core) e =
            ok)
     | _ -> finish (err_arg "bad output buffer")
   end
-  else if call = Ecall.block_resource then begin
-    let kind = if a0 = 0 then Resource.Core_resource else Resource.Memory_resource in
+  else if call = Ecall.block_resource then
     finish (block_resource t ~caller kind ~rid:a1)
-  end
-  else if call = Ecall.accept_resource then begin
-    let kind = if a0 = 0 then Resource.Core_resource else Resource.Memory_resource in
+  else if call = Ecall.accept_resource then
     finish (accept_resource t ~caller kind ~rid:a1)
-  end
   else if call = Ecall.accept_thread then
     finish (accept_thread t ~caller ~tid:a0 ())
   else if call = Ecall.release_thread then
@@ -1167,10 +1170,7 @@ let handle_ecall t (c : Hw.Machine.core) e =
        not otherwise know its own tid. *)
     let tid =
       if a0 <> 0 then a0
-      else
-        match running_thread_on t c.Hw.Machine.id with
-        | Some th -> th.tid
-        | None -> -1
+      else Option.value (running_thread t ~core:c.Hw.Machine.id) ~default:(-1)
     in
     match enclave_segments t e ~vaddr:a1 ~len:aex_dump_bytes with
     | None -> finish (err_arg "bad output buffer")
@@ -1261,11 +1261,16 @@ let patrol_scrub t =
    leaks), and its enclave, if still alive, may schedule the thread
    again elsewhere from its entry point. *)
 let handle_core_quarantine t (c : Hw.Machine.core) ~reason:_ =
-  match running_thread_on t c.Hw.Machine.id with
-  | Some th ->
-      th.phase <- T_assigned;
-      clear_aex_state t th ~locked:false
-  | None -> ()
+  (* Every thread is searched, not [running_thread_on]'s one enclave: a
+     trap handler that raised has already scrubbed the core into the
+     untrusted domain before quarantining it. *)
+  Hashtbl.iter
+    (fun _ th ->
+      if th.phase = T_running c.Hw.Machine.id then begin
+        th.phase <- T_assigned;
+        clear_aex_state t th ~locked:false
+      end)
+    t.threads
 
 (* Hand [cause] to the OS on a clean core: save the interrupted
    enclave thread's context (AEX), or with no thread to save, scrub

@@ -304,6 +304,11 @@ val enclave_threads : t -> eid:int -> int list
 val thread_ids : t -> int list
 val thread_info : t -> tid:int -> thread_info option
 
+val running_thread : t -> core:int -> int option
+(** The thread running on [core], as the monitor finds it at an exit or
+    an AEX: among the threads of the enclave whose domain the core is
+    in. *)
+
 val mailbox_snapshot : t -> eid:int -> (Mailbox.sender * bool) list option
 (** The enclave's semantic mailbox state ({!Mailbox.snapshot}):
     accepted [(sender, full)] pairs in slot order, without the

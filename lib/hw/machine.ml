@@ -105,11 +105,17 @@ type sb_ctx = {
       (* virtual address of the page's slot 0 at entry (PC minus the
          in-page offset), alias bits included: all in-block PCs, link
          values and exit PCs derive from it *)
-  mutable sx_paging : bool;  (* satp active at entry *)
+  mutable sx_root : int;  (* satp's root page at entry, -1 = bare *)
   mutable sx_fuel : int;
   mutable sx_exit_pc : int64;
   mutable sx_tslot : int;  (* TLB slot of the last successful translation *)
-  mutable sx_dhits : int;  (* data accesses committed, each a TLB hit *)
+  mutable sx_walk : int;
+      (* that translation's walk ([Page_table.walk]) when its probe
+         missed, for the commit's refill; -1 = a TLB hit *)
+  mutable sx_cslot : int;  (* TLB slot of the block's code page *)
+  mutable sx_daccs : int;  (* data accesses committed *)
+  mutable sx_misses : int;  (* refills committed, the entry's included *)
+  mutable sx_ptw : int;  (* their PTE fetches *)
   (* the block's last data access: its virtual page (-1 = none yet),
      kind and frame; its TLB slot is [sx_tslot] *)
   mutable sx_dpage : int;
@@ -124,7 +130,9 @@ type sb_ctx = {
   sx_fline : sb_line;
   sx_dline : sb_line;
   mutable sx_pend : int;
-  mutable sx_side_exit : bool;  (* ended on a guard miss / trap handoff *)
+  mutable sx_side_exit : bool;  (* ended on a guard miss *)
+  mutable sx_trap : Isa.t option;
+      (* ended on an ecall or ebreak, which [sb_exec] retires *)
 }
 
 and sb_page = { sb_code : (sb_ctx -> int -> int) array; sb_gen : int }
@@ -232,11 +240,15 @@ let create cfg =
     {
       sx_core = core;
       sx_vbase = 0L;
-      sx_paging = false;
+      sx_root = -1;
       sx_fuel = 0;
       sx_exit_pc = 0L;
       sx_tslot = -1;
-      sx_dhits = 0;
+      sx_walk = -1;
+      sx_cslot = -1;
+      sx_daccs = 0;
+      sx_misses = 0;
+      sx_ptw = 0;
       sx_dpage = -1;
       sx_daccess = Trap.Read;
       sx_dframe = 0;
@@ -246,6 +258,7 @@ let create cfg =
       sx_dline = mk_line ();
       sx_pend = 0;
       sx_side_exit = false;
+      sx_trap = None;
     }
   in
   let cores = Array.init cfg.cores mk_core in
@@ -395,7 +408,7 @@ let translate_exn t core ~access ~vaddr ~size =
           if walked < 0 then raise (Fault (Trap.Page_fault (access, vaddr)));
           let ppn = Page_table.walk_frame walked in
           let perms = Page_table.walk_perms walked in
-          Tlb.insert core.tlb ~vpn ~ppn ~perms;
+          ignore (Tlb.insert core.tlb ~vpn ~ppn ~perms);
           if not (perms_allow perms access) then
             raise (Fault (Trap.Page_fault (access, vaddr)));
           Phys_mem.page_base ppn lor (va land page_mask)
@@ -740,10 +753,11 @@ let execute t core instr =
   | Ecall -> deliver_trap t core (Trap.Exception Trap.Ecall_user)
   | Ebreak -> deliver_trap t core (Trap.Exception Trap.Breakpoint)
 
-(* Retire one decoded instruction: the dispatch cycle, its effects and
-   instret, or the precise trap it raised. *)
-let dispatch t core instr =
-  core.cycles <- core.cycles + 1;
+(* Retire one decoded instruction whose dispatch cycle is paid: its
+   effects and instret, or the precise trap it raised. [step] retires
+   every instruction it fetches here, and [sb_exec] the ecall or ebreak
+   that ends a block. *)
+let retire t core instr =
   match execute t core instr with
   | () ->
       core.instret <- core.instret + 1;
@@ -752,7 +766,7 @@ let dispatch t core instr =
 
 (* The stepped reference pipeline, the one fetch and decode path:
    translate, scrub and charge the fetch, decode the word from memory,
-   dispatch. *)
+   pay the dispatch cycle and retire. *)
 let step t core =
   (match t.fault_hooks with
   | Some h -> h.tick ~core:core.id ~cycles:core.cycles
@@ -770,7 +784,9 @@ let step t core =
         | None ->
             deliver_trap t core
               (Trap.Exception (Trap.Illegal_instruction word))
-        | Some instr -> dispatch t core instr)
+        | Some instr ->
+            core.cycles <- core.cycles + 1;
+            retire t core instr)
   end
 
 (* ---- Superblock tier: engine ----------------------------------------
@@ -781,15 +797,18 @@ let step t core =
    armed or an interrupt is pending, [sb_exec] none while an ECC fault
    is pending, and a compiled page is reused only while its frame's
    generation stands. No monitor, OS or fault-engine code runs inside
-   a block, and its own instructions insert or flush no TLB entry,
-   flip no bit and post no interrupt, so none of these inputs moves
-   before the block exits. Every closure splits into a pure guard
-   phase and a commit phase:
+   a block (an ecall or ebreak ends it, and [sb_exec] delivers the trap
+   after the exit), and its own instructions flush no TLB entry, flip
+   no bit and post no interrupt, so none of these inputs moves before
+   the block exits. Every closure splits into a pure guard phase and a
+   commit phase:
 
    - guard: for memory ops, the checks [translate_exn]/[data_access]
      make on the access's own address: virtual range, page crossing,
-     TLB probe and permission, physical bounds, the isolation check. A
-     fetch has none: the block's entry translated its PC and passed
+     TLB probe and permission (on a miss, the page walk with its PTE
+     fetch checks, and the walked permission), physical bounds, the
+     isolation check. A fetch has none: the block's entry translated
+     its PC and passed
      the isolation check, a block never leaves that page, and the
      check answers alike for every address of a page from state only
      monitor code changes (the [set_phys_check] contract) — so the
@@ -799,17 +818,19 @@ let step t core =
      instruction — and raises the precise trap — from scratch.
 
    - commit: the access in [step]'s exact order — fetch cache charge,
-     the dispatch cycle, data TLB hit, data cache charge, bytes,
-     registers, retire. A block keeps two L1 lines open, that of its
+     the dispatch cycle, data TLB hit or refill (the insert and the
+     walk's PTE fetch cycles), data cache charge, bytes, registers,
+     retire. A block keeps two L1 lines open, that of its
      last fetch and that of its last data access: a fetch, load or
      store on either is a deferred hit that pays the hit cycles at
      once; any other access applies both lines' deferred hits, then
      pays [step]'s [cache_cost], counted where it happens ([sb_cache]).
      Cycles and instret are kept in the per-core [sb_ctx] and applied
      once at block exit, with the hits still deferred then and the
-     block's TLB hits: with paging on, each retired instruction was
-     fetched once through the TLB entry the block's entry found, and
-     each load or store hit the entry its guard found.
+     block's TLB counts: with paging on, each instruction fetched
+     through the TLB entry the block's entry found or refilled, each
+     load or store through the entry its guard found or its commit
+     refilled, and every access but a refill hit.
      Deferral is the only reordering, and [Cache.note_repeat_hits]
      makes it exact: between two applications only the open lines are
      touched and only each one's last stamp is observable, so applying
@@ -818,9 +839,14 @@ let step t core =
      sequential calls would, the two lines sharing a set included. A
      miss closes the other line, which its fill may have evicted.
 
-   A store into the block's own code frame ends the block once it has
-   committed: it moved the frame's generation, so the next entry
-   compiles the page afresh from the new bytes.
+   The entry's fetch refill belongs to the block's first instruction,
+   which runs with no deadline test before it; when that instruction
+   side-exits the refill is undone ([Tlb.undo_insert]), so that [step]
+   replays the miss. A data refill whose victim is the code page's
+   slot ends the block after its instruction, since [step]'s next
+   fetch would miss there. A store into the block's own code frame ends
+   the block once it has committed: it moved the frame's generation,
+   so the next entry compiles the page afresh from the new bytes.
 
    An armed timer is a deadline, not a veto: [step] checks it before
    each instruction against [cycles], and at every in-block boundary
@@ -903,24 +929,33 @@ let[@inline] sb_account_fetch t (core : core) ctx ~paddr ~line =
   in
   ctx.sx_cycles <- ctx.sx_cycles + cost + 1
 
-(* The pure half of a translation that hits the TLB: probe, permission,
-   physical bounds for [size] bytes and the isolation check — every
-   check [translate_exn] makes on an in-range address — evaluated
-   without mutating anything. Returns the physical address, or -1
-   wherever the stepped path would walk the page table or trap. A
-   success leaves its TLB slot in [sx_tslot], for the data TLB hit
-   committed at block exit. Shared by the block entry's fetch and each
-   data access on a page or of a kind the block's previous one was
-   not. *)
+(* The pure half of [translate_exn] on an in-range address: probe and
+   permission, or on a miss the walk (with the core's PTE fetch
+   checks) and the walked permission, then physical bounds for [size]
+   bytes and the isolation check, evaluated without mutating anything.
+   Returns the physical address, or -1 wherever the stepped path would
+   trap. A success leaves its TLB slot in [sx_tslot], or its walk in
+   [sx_walk] for the commit's refill ([sb_refill]). Shared by the block
+   entry's fetch and each data access on a page or of a kind the
+   block's previous one was not. *)
 let sb_translate t (core : core) ctx ~access ~va ~size =
+  let root = ctx.sx_root in
   let slot =
-    if ctx.sx_paging then Tlb.probe core.tlb ~vpn:(va lsr page_shift) else -1
+    if root >= 0 then Tlb.probe core.tlb ~vpn:(va lsr page_shift) else -1
+  in
+  let walk =
+    if root < 0 || slot >= 0 then -1
+    else
+      Page_table.walk t.mem ~root_ppn:root ~vaddr:va
+        ~pte_fetch_ok:t.pte_fetch_oks.(core.id)
   in
   let paddr =
-    if not ctx.sx_paging then va
-    else if slot < 0 || not (perms_allow (Tlb.slot_perms core.tlb slot) access)
-    then -1
-    else Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
+    if root < 0 then va
+    else if slot >= 0 && perms_allow (Tlb.slot_perms core.tlb slot) access then
+      Phys_mem.page_base (Tlb.slot_ppn core.tlb slot) lor (va land page_mask)
+    else if walk >= 0 && perms_allow (Page_table.walk_perms walk) access then
+      Phys_mem.page_base (Page_table.walk_frame walk) lor (va land page_mask)
+    else -1
   in
   if
     paddr < 0
@@ -929,21 +964,38 @@ let sb_translate t (core : core) ctx ~access ~va ~size =
   then -1
   else begin
     ctx.sx_tslot <- slot;
+    ctx.sx_walk <- walk;
     paddr
   end
+
+(* A refill's commit, the mutating half of [translate_exn]'s miss path
+   for the walk in [sx_walk]: the insert, and the walk's PTE fetches
+   charged to the instruction and counted. Returns the filled slot. *)
+let sb_refill (core : core) ctx ~vpn =
+  let w = ctx.sx_walk and steps = Page_table.walk_steps ctx.sx_walk in
+  let slot =
+    Tlb.insert core.tlb ~vpn ~ppn:(Page_table.walk_frame w)
+      ~perms:(Page_table.walk_perms w)
+  in
+  ctx.sx_cycles <- ctx.sx_cycles + (steps * pte_fetch_cycles);
+  ctx.sx_misses <- ctx.sx_misses + 1;
+  ctx.sx_ptw <- ctx.sx_ptw + steps;
+  ctx.sx_walk <- -1;
+  ctx.sx_tslot <- slot;
+  slot
 
 (* Data-access guard phase: the checks the stepped path would make on
    the access's address [va] ([sb_va]), evaluated without mutating
    anything architectural; nothing else it checks can move inside a
    block (the engine comment above). Returns the physical address, or
-   -1 to side-exit — any op that would trap (bad virtual address, TLB
-   miss or permission denial, bounds, isolation denial) or would split
-   across a page boundary is left entirely to the stepped path, before
-   a single byte moves. An access to the virtual page of the block's
-   previous data access, and of its kind, reuses that access's TLB slot
-   and frame without a probe or an isolation check: no block changes a
-   TLB entry, and the check answers alike for every address of a
-   page. *)
+   -1 to side-exit — any op that would trap (bad virtual address,
+   permission denial, a failed walk, bounds, isolation denial) or would
+   split across a page boundary is left entirely to the stepped path,
+   before a single byte moves. An access to the virtual page of the
+   block's previous data access, and of its kind, reuses that access's
+   TLB slot and frame without a probe or an isolation check: only a
+   data access refills, so that slot still holds the page, and the
+   check answers alike for every address of a page. *)
 let sb_data_paddr t (core : core) ctx ~access ~va ~size =
   if (va land page_mask) + size > Phys_mem.page_size || va < 0 then -1
   else
@@ -962,10 +1014,14 @@ let sb_data_paddr t (core : core) ctx ~access ~va ~size =
     end
 
 (* Data-access commit: the mutating half in [step]'s order — the data
-   TLB hit, counted here and applied at block exit, then the cache
-   charge. *)
+   TLB hit, counted at block exit, or the refill, then the cache
+   charge. A refill that evicts the code page's entry ends the block
+   after this instruction: with no fuel left the loop stops at the next
+   boundary. *)
 let sb_commit_data t (core : core) ctx ~paddr =
-  ctx.sx_dhits <- ctx.sx_dhits + 1;
+  ctx.sx_daccs <- ctx.sx_daccs + 1;
+  if ctx.sx_walk >= 0 && sb_refill core ctx ~vpn:ctx.sx_dpage = ctx.sx_cslot
+  then ctx.sx_fuel <- 0;
   let line = paddr lsr l1_shift in
   ctx.sx_cycles <-
     ctx.sx_cycles + sb_cache t core ctx ctx.sx_dline ctx.sx_fline ~paddr ~line
@@ -1013,8 +1069,13 @@ let sb_compile t ~ppn ~slot =
   | Some instr -> (
       match (instr : Isa.t) with
       | Ecall | Ebreak ->
-          (* trap delivery never happens inside a block *)
-          sb_side_exit
+          (* fetched and dispatched here, retired by [sb_exec] after the
+             block's exit: no trap is delivered inside a block *)
+          let trap = Some instr and pc_off = Int64.of_int off in
+          fun ctx _ ->
+            sb_account_fetch t ctx.sx_core ctx ~paddr:own_paddr ~line:own_line;
+            ctx.sx_trap <- trap;
+            sb_exit_at ctx (Int64.add ctx.sx_vbase pc_off)
       | Op_imm (op, rd, rs1, imm) ->
           let b = Int64.of_int imm in
           fun ctx _ ->
@@ -1179,25 +1240,29 @@ let sb_new_page t ppn gen =
   { sb_code = code; sb_gen = gen }
 
 (* Superblock entry, called from [run] only with the fast path on, no
-   fault hooks and no pending interrupt. Returns instructions retired
-   (at most [fuel]); 0 = stepped takeover. The entry translates its own
+   fault hooks and no pending interrupt. Returns the fuel the block
+   used, as [run] counts it for stepped instructions: one a retired
+   instruction, and one for a closing ecall or ebreak however its
+   delivery ends; 0 = stepped takeover. The entry translates its own
    PC: it must be aligned and in range with no ECC fault pending, and
-   its fetch must pass [sb_translate] — a TLB hit with execute
-   permission, in bounds, allowed by the isolation check. A walk or a
-   fetch trap is left to [step]. The frame's compiled page is reused
-   while the frame's generation equals the page's and made afresh
-   otherwise; an entry slot already compiled to [sb_side_exit] (ecall,
-   ebreak, an undecodable word) would retire nothing, so it is left to
-   [step] without setting up a block. An armed timer bounds the block's
-   deferred cycles (the engine comment above); a due one returns 0 so
-   that [step] delivers it. *)
+   its fetch must pass [sb_translate]; a fetch trap is left to [step],
+   and a walk is refilled for the first instruction. The frame's
+   compiled page is reused while the frame's generation equals the
+   page's and made afresh otherwise; an entry slot already compiled to
+   [sb_side_exit] (an undecodable word) would retire nothing, so it is
+   left to [step] without setting up a block. An armed timer bounds the
+   block's deferred cycles (the engine comment above); a due one
+   returns 0 so that [step] delivers it. A block that ends on an ecall
+   or ebreak exits as any other, and the instruction then retires as
+   [step] retires it: the trap is delivered to the core the exit left,
+   and a [Fault] out of the handler is delivered in turn. *)
 let sb_exec t (core : core) ~fuel =
   let deadline =
     match core.timer_cmp with Some c -> c - core.cycles | None -> max_int
   in
   let va = sb_va core.pc in
   let ctx = t.sb_ctxs.(core.id) in
-  ctx.sx_paging <- Option.is_some core.satp_root;
+  ctx.sx_root <- (match core.satp_root with Some r -> r | None -> -1);
   let fp0 =
     if
       deadline <= 0
@@ -1228,41 +1293,62 @@ let sb_exec t (core : core) ~fuel =
     ctx.sx_exit_pc <- core.pc;
     ctx.sx_cycles <- 0;
     ctx.sx_instret <- 0;
-    ctx.sx_dhits <- 0;
+    ctx.sx_daccs <- 0;
+    ctx.sx_misses <- 0;
+    ctx.sx_ptw <- 0;
     ctx.sx_fline.ol_line <- -1;
     ctx.sx_dline.ol_line <- -1;
     ctx.sx_side_exit <- false;
-    let slot = ref slot0 in
-    let running = ref true in
-    while !running do
+    if ctx.sx_walk >= 0 then
+      ignore (sb_refill core ctx ~vpn:(va lsr page_shift));
+    ctx.sx_cslot <- ctx.sx_tslot;
+    (* the first instruction runs untested: fuel and deadline are
+       positive at entry, and a refill's cycles are its own *)
+    let next = ref ((Array.unsafe_get code slot0) ctx slot0) in
+    while !next >= 0 do
+      let slot = !next in
       if ctx.sx_fuel <= 0 || ctx.sx_cycles >= deadline then begin
-        ctx.sx_exit_pc <- Int64.add ctx.sx_vbase (Int64.of_int (!slot lsl 2));
-        running := false
+        ctx.sx_exit_pc <- Int64.add ctx.sx_vbase (Int64.of_int (slot lsl 2));
+        next := -1
       end
-      else begin
-        let next = (Array.unsafe_get code !slot) ctx !slot in
-        if next >= 0 then slot := next else running := false
-      end
+      else next := (Array.unsafe_get code slot) ctx slot
     done;
-    sb_apply_lines t core ctx;
-    core.pc <- ctx.sx_exit_pc;
-    core.cycles <- core.cycles + ctx.sx_cycles;
-    core.instret <- core.instret + ctx.sx_instret;
-    let c = t.ctrs in
-    if ctx.sx_instret > 0 then begin
-      Tel.Metrics.add c.c_instret ctx.sx_instret;
-      if ctx.sx_paging then begin
-        (* each retired instruction's fetch and each load's or store's
-           data access hit the TLB; the MRU hint, which changes no
-           lookup's answer, is left on the last data access's slot *)
-        Tel.Metrics.add c.c_tlb_hits (ctx.sx_instret + ctx.sx_dhits);
-        if ctx.sx_dhits > 0 then Tlb.commit_hit core.tlb ctx.sx_tslot
+    let c = t.ctrs and trap = ctx.sx_trap and n = ctx.sx_instret in
+    ctx.sx_trap <- None;
+    if n = 0 && Option.is_none trap then begin
+      (* the first instruction side-exited: [step] replays it, its
+         fetch's refill included *)
+      if ctx.sx_misses > 0 then Tlb.undo_insert core.tlb;
+      Tel.Metrics.incr c.c_sb_side_exits;
+      0
+    end
+    else begin
+      sb_apply_lines t core ctx;
+      core.pc <- ctx.sx_exit_pc;
+      core.cycles <- core.cycles + ctx.sx_cycles;
+      core.instret <- core.instret + n;
+      Tel.Metrics.add c.c_instret n;
+      if ctx.sx_root >= 0 then begin
+        (* every fetch, the closing trap's included, and every data
+           access but a refill hit the TLB; the MRU hint, which changes
+           no lookup's answer, is left on the last data access's slot *)
+        let fetches = if Option.is_some trap then n + 1 else n in
+        Tel.Metrics.add c.c_tlb_hits (fetches + ctx.sx_daccs - ctx.sx_misses);
+        Tel.Metrics.add c.c_tlb_misses ctx.sx_misses;
+        Tel.Metrics.add c.c_ptw_steps ctx.sx_ptw;
+        if ctx.sx_daccs > 0 then Tlb.commit_hit core.tlb ctx.sx_tslot
       end;
       Tel.Metrics.incr c.c_sb_blocks;
-      Tel.Metrics.add c.c_sb_instret ctx.sx_instret
-    end;
-    if ctx.sx_side_exit then Tel.Metrics.incr c.c_sb_side_exits;
-    ctx.sx_instret
+      Tel.Metrics.add c.c_sb_instret n;
+      if ctx.sx_side_exit then Tel.Metrics.incr c.c_sb_side_exits;
+      match trap with
+      | None -> n
+      | Some instr ->
+          let before = core.instret in
+          retire t core instr;
+          Tel.Metrics.add t.ctrs.c_sb_instret (core.instret - before);
+          n + 1
+    end
   end
 
 let run t ~core ~fuel =
@@ -1270,15 +1356,14 @@ let run t ~core ~fuel =
   let start = c.instret in
   let budget = ref fuel in
   while (not c.halted) && !budget > 0 do
-    let before = c.instret in
     let tier =
       t.fast_path && t.fault_hooks = None && Queue.is_empty c.pending_interrupts
     in
-    if not (tier && sb_exec t c ~fuel:!budget > 0) then step t c;
-    (* Trap deliveries retire no instruction; still consume fuel so a
-       fault loop cannot hang the simulation. *)
-    let retired = c.instret - before in
-    budget := if retired > 1 then !budget - retired else !budget - 1
+    let used = if tier then sb_exec t c ~fuel:!budget else 0 in
+    if used = 0 then step t c;
+    (* a step uses one unit of fuel, trap deliveries included, so that a
+       fault loop cannot hang the simulation *)
+    budget := !budget - max used 1
   done;
   c.instret - start
 

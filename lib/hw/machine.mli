@@ -175,33 +175,38 @@ val set_fast_path : t -> bool -> unit
     code outside a block can move — {!run} enters none with fault hooks
     armed or an interrupt pending, and none starts with an ECC fault
     pending — and translates its own PC (alignment, range, a TLB hit
-    with execute and user permission, bounds, the isolation check),
-    which covers every fetch of the block. A compiled page is reused
-    while its frame's {!Phys_mem.generation} stands, so any write to
-    the frame between blocks (a store from any core, DMA, zeroing, a
-    bit flip), with the tier on or off, makes the next entry compile it
-    afresh, and a store into the running block's own frame ends the
-    block. A load or store
-    checks only its own address (range, page crossing, bounds), and
-    translates and checks isolation afresh only when its page or access
-    kind differs from the block's previous data access; one that would
-    walk, trap or split across a page boundary side-exits to {!step}
-    before a byte moves, with architectural state bit-identical to
-    never having entered the block. An armed timer is a deadline: a
-    block stops at the first instruction boundary the timer is due at,
-    and {!step} delivers it there. Architectural state — cycles,
-    instret, registers, traps — and telemetry, every [hw.*] counter
-    included, are bit-identical in both modes (only the host-side
-    [hw.sb.*] diagnostic counters differ): the tier defers only cycles,
-    instret and its TLB hits, which it applies at block exit, and the L1
-    hits on its two open lines, that of its last fetch and that of its
-    last data access, which it applies at its next other L1 access or at
+    or a page walk, execute and user permission, bounds, the isolation
+    check), which covers every fetch of the block. A compiled page is
+    reused while its frame's {!Phys_mem.generation} stands, so any
+    write to the frame between blocks (a store from any core, DMA,
+    zeroing, a bit flip), with the tier on or off, makes the next entry
+    compile it afresh, and a store into the running block's own frame
+    ends the block. A load or store checks only its own address (range,
+    page crossing, bounds), and translates and checks isolation afresh
+    only when its page or access kind differs from the block's previous
+    data access; one that would trap or split across a page boundary
+    side-exits to {!step} before a byte moves, with architectural state
+    bit-identical to never having entered the block. A TLB miss, at the
+    entry or at a load or store, is refilled inside the block as
+    {!step} refills it: the walk in the guard, the insert and the
+    walk's cycles in the instruction's commit; an entry's refill is
+    undone when its first instruction side-exits, and a refill that
+    evicts the code page's entry ends the block. An ecall or ebreak
+    ends its block, which then delivers the trap and retires the
+    instruction as {!step} does. An armed timer is a deadline: a block
+    stops at the first instruction boundary the timer is due at, and
+    {!step} delivers it there. Architectural state — cycles, instret,
+    registers, traps — and telemetry, every [hw.*] counter included,
+    are bit-identical in both modes (only the host-side [hw.sb.*]
+    diagnostic counters differ): the tier defers only cycles, instret
+    and its TLB counts, which it applies at block exit, and the L1 hits
+    on its two open lines, that of its last fetch and that of its last
+    data access, which it applies at its next other L1 access or at
     block exit, and counts everything else where it happens. Only host
-    wall-clock differs.
-    {!step} is the same stepped reference pipeline either way, so
-    [off] runs it alone: the differential-testing baseline
-    ([bench sim] measures the gap, the qcheck properties prove the
-    equivalence). *)
+    wall-clock differs. {!step} is the same stepped reference pipeline
+    either way, so [off] runs it alone: the differential-testing
+    baseline ([bench sim] measures the gap, the qcheck properties prove
+    the equivalence). *)
 
 val step : t -> core -> unit
 (** Execute one instruction (or deliver one pending trap/interrupt)
@@ -214,9 +219,9 @@ val run : t -> core:int -> fuel:int -> int
     delivery also consumes one unit of fuel. With the fast path on and
     no fault hooks or pending interrupts, each iteration first offers
     the PC to the superblock tier, an armed timer included; whatever
-    the tier declines — a TLB miss or fetch trap at the entry, an
-    ecall, every trap and interrupt delivery — goes through {!step}.
-    [~fuel:1] makes every instruction its own block entry. *)
+    the tier declines — a fetch trap at the entry, an instruction that
+    would trap, a due timer, every interrupt delivery — goes through
+    {!step}. [~fuel:1] makes every instruction its own block entry. *)
 
 val post_interrupt : t -> core:int -> Trap.interrupt -> unit
 (** Queue an external interrupt for [core]. Dropped silently if the

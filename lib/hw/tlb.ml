@@ -11,6 +11,9 @@ type t = {
   mutable next : int; (* round-robin fill pointer *)
   mutable mru : int; (* slot of the last hit or insert, probed first *)
   mutable cur_epoch : int;
+  undo : int array;
+      (* what the last [insert] replaced: its slot, that slot's epoch,
+         vpn, ppn and perms, then the fill and MRU pointers *)
 }
 
 let create ~entries =
@@ -23,6 +26,7 @@ let create ~entries =
     next = 0;
     mru = 0;
     cur_epoch = 0;
+    undo = Array.make 7 0;
   }
 
 let[@inline] holds t i vpn = t.epochs.(i) = t.cur_epoch && t.vpns.(i) = vpn
@@ -52,19 +56,33 @@ let slot_perms t i = t.perms.(i)
 let insert t ~vpn ~ppn ~perms =
   let n = Array.length t.epochs in
   (* Reuse an existing mapping slot when present, else round-robin. *)
-  let slot =
-    match scan t vpn 0 n with
-    | i when i >= 0 -> i
-    | _ ->
-        let s = t.next in
-        t.next <- (s + 1) mod n;
-        s
-  in
+  let found = scan t vpn 0 n in
+  let slot = if found >= 0 then found else t.next in
+  let u = t.undo in
+  u.(0) <- slot;
+  u.(1) <- t.epochs.(slot);
+  u.(2) <- t.vpns.(slot);
+  u.(3) <- t.ppns.(slot);
+  u.(4) <- t.perms.(slot);
+  u.(5) <- t.next;
+  u.(6) <- t.mru;
+  if found < 0 then t.next <- (slot + 1) mod n;
   t.epochs.(slot) <- t.cur_epoch;
   t.vpns.(slot) <- vpn;
   t.ppns.(slot) <- ppn;
   t.perms.(slot) <- perms;
-  t.mru <- slot
+  t.mru <- slot;
+  slot
+
+let undo_insert t =
+  let u = t.undo in
+  let slot = u.(0) in
+  t.epochs.(slot) <- u.(1);
+  t.vpns.(slot) <- u.(2);
+  t.ppns.(slot) <- u.(3);
+  t.perms.(slot) <- u.(4);
+  t.next <- u.(5);
+  t.mru <- u.(6)
 
 let flush t = t.cur_epoch <- t.cur_epoch + 1
 

@@ -20,8 +20,9 @@ val find : t -> vpn:int -> int
     {!probe} followed, on a hit, by {!commit_hit}. A slot index, read
     back via {!slot_ppn} / {!slot_perms}, holds its entry until the
     next {!insert} or {!flush}, the only mutations of the translation
-    contents; a superblock, which runs neither, reuses a slot its own
-    probe found. *)
+    contents. A superblock flushes nothing and inserts only on a miss,
+    so it reuses a slot its own probe or insert found until one of its
+    own inserts takes that slot. *)
 
 val slot_ppn : t -> int -> int
 
@@ -31,15 +32,24 @@ val slot_perms : t -> int -> int
 val probe : t -> vpn:int -> int
 (** Pure {!find}: the slot index holding [vpn], or [-1] — but with no
     MRU promotion. The superblock tier probes before committing to an
-    access; a failed probe leaves the TLB untouched for the stepped
+    access, and on a miss walks the page table without inserting; a
+    guard that declines leaves the TLB untouched for the stepped
     replay. *)
 
 val commit_hit : t -> int -> unit
 (** [commit_hit t slot] performs the mutating half of a hit on [slot]:
     it promotes the slot to the MRU probe position. *)
 
-val insert : t -> vpn:int -> ppn:int -> perms:int -> unit
-(** [perms] holds the leaf PTE's r/w/x/u bits ({!Page_table.perm_bits}). *)
+val insert : t -> vpn:int -> ppn:int -> perms:int -> int
+(** [insert t ~vpn ~ppn ~perms] fills the slot already holding [vpn],
+    else the round-robin slot, makes it the MRU slot and returns it.
+    [perms] holds the leaf PTE's r/w/x/u bits ({!Page_table.perm_bits}). *)
+
+val undo_insert : t -> unit
+(** Puts back what the last {!insert} replaced: its slot's previous
+    entry, the round-robin pointer and the MRU slot. A superblock's
+    entry refills the TLB for its first instruction, and undoes the
+    refill when that instruction retires nothing. *)
 
 val flush : t -> unit
 (** Invalidates every entry in O(1): one epoch increment. *)

@@ -97,10 +97,11 @@ let skip_flush t ~eid =
       | [] -> ()
       | (lo, _) :: _ ->
           let c = Hw.Machine.core t.machine 0 in
-          Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:(lo / page) ~ppn:(lo / page)
-            ~perms:
-              (Hw.Page_table.perm_bits
-                 { Hw.Page_table.r = true; w = false; x = false; u = true });
+          ignore
+            (Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:(lo / page) ~ppn:(lo / page)
+               ~perms:
+                 (Hw.Page_table.perm_bits
+                    { Hw.Page_table.r = true; w = false; x = false; u = true }));
           ignore (Hw.Cache.access_hit c.Hw.Machine.l1 ~paddr:lo))
 
 (* Overwrite the level-0 PTE for [vpn] so it points at [ppn]. *)

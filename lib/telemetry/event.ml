@@ -69,6 +69,31 @@ let label = function
   | Core_quarantined _ -> "recovery:quarantine"
   | Shootdown_retry _ -> "recovery:shootdown-retry"
 
+let kind = function
+  | Trap_enter _ -> 0
+  | Trap_exit _ -> 1
+  | Sm_api _ -> 2
+  | Enclave_created _ -> 3
+  | Enclave_initialized _ -> 4
+  | Enclave_entered _ -> 5
+  | Enclave_exited _ -> 6
+  | Enclave_destroyed _ -> 7
+  | Region_granted _ -> 8
+  | Region_freed _ -> 9
+  | Domain_switch _ -> 10
+  | Tlb_flush _ -> 11
+  | Mailbox_sent _ -> 12
+  | Mailbox_received _ -> 13
+  | Dma_transfer _ -> 14
+  | Lock_acquired _ -> 15
+  | Lock_released _ -> 16
+  | Guarded_write _ -> 17
+  | Fault_injected _ -> 18
+  | Ecc_corrected _ -> 19
+  | Machine_check _ -> 20
+  | Core_quarantined _ -> 21
+  | Shootdown_retry _ -> 22
+
 let category p =
   let l = label p in
   match String.index_opt l ':' with

@@ -89,6 +89,11 @@ val label : payload -> string
 
 val category : payload -> string
 
+val kind : payload -> int
+(** The constructor's position in declaration order, 0 to 22; a set of
+    kinds is an int mask of [1 lsl kind] bits, what {!Sink.iter}'s
+    [~want] selects. *)
+
 val phase : payload -> [ `Begin | `End | `Complete of int | `Instant ]
 (** Chrome-trace phase: trap enter/exit bracket a duration, SM API
     calls are complete events carrying their latency, everything else

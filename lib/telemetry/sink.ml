@@ -3,14 +3,18 @@
    seq. Emitting stores the core and cycles unboxed and the caller's
    payload by reference, so an event costs no record and no option box;
    [events] builds the [Event.t] values it returns, and [iter] hands out
-   each slot's fields without building one. The arrays start empty and
-   double, up to the capacity, when an emit finds them full: a sink's
-   memory follows the most events it has held, and an engine's window
-   of a few thousand never touches the rest of its 65,536 slots. *)
+   each slot's fields without building one. A slot's core shares its
+   int with the payload's [Event.kind], in the low [kind_bits], so that
+   [iter] skips the kinds its reader does not want without loading
+   their payloads, and an emit stores no more than it did. The arrays
+   start empty and double, up to the capacity, when an emit finds them
+   full: a sink's memory follows the most events it has held, and an
+   engine's window of a few thousand never touches the rest of its
+   65,536 slots. *)
 
 type t = {
   capacity : int; (* 0 for the null sink *)
-  mutable cores : int array;
+  mutable cores : int array; (* [core lsl kind_bits lor kind] *)
   mutable cycles : int array;
   mutable payloads : Event.payload array;
   metrics : Metrics.t option;
@@ -42,6 +46,10 @@ let create ?(capacity = 65536) ?metrics () =
     pushed = 0;
   }
 
+(* [Event.kind] is below 32 *)
+let kind_bits = 5
+let kind_mask = (1 lsl kind_bits) - 1
+
 let enabled t = t.capacity > 0
 let metrics t = t.metrics
 
@@ -60,7 +68,7 @@ let emit t ~core ~cycles payload =
   if enabled t then begin
     if t.pushed = Array.length t.payloads && t.pushed < t.capacity then grow t;
     let i = t.pushed mod t.capacity in
-    t.cores.(i) <- core;
+    t.cores.(i) <- (core lsl kind_bits) lor Event.kind payload;
     t.cycles.(i) <- cycles;
     t.payloads.(i) <- payload;
     t.pushed <- t.pushed + 1
@@ -72,17 +80,19 @@ let event t seq =
   let i = seq mod t.capacity in
   {
     Event.seq;
-    core = t.cores.(i);
+    core = t.cores.(i) asr kind_bits;
     cycles = t.cycles.(i);
     payload = t.payloads.(i);
   }
 
-let iter ?(from = 0) f t =
+let iter ?(from = 0) ?(want = -1) f t =
   let first = max from (t.pushed - held t) in
   (* the slot of [seq], stepped along with it *)
   let i = ref (if first >= t.pushed then 0 else first mod t.capacity) in
   for seq = first to t.pushed - 1 do
-    f ~seq ~core:t.cores.(!i) ~cycles:t.cycles.(!i) t.payloads.(!i);
+    let ck = t.cores.(!i) in
+    if (1 lsl (ck land kind_mask)) land want <> 0 then
+      f ~seq ~core:(ck asr kind_bits) ~cycles:t.cycles.(!i) t.payloads.(!i);
     i := if !i + 1 = t.capacity then 0 else !i + 1
   done
 

@@ -52,6 +52,7 @@ val events : t -> Event.t list
 
 val iter :
   ?from:int ->
+  ?want:int ->
   (seq:int -> core:int -> cycles:int -> Event.payload -> unit) ->
   t ->
   unit
@@ -60,7 +61,9 @@ val iter :
     traversal that builds no {!Event.t} and no list, so several passes
     over a window can share it. With [~from], it starts at the held
     event of seq [from], or at the oldest held one if that is later,
-    so a reader that keeps its place visits each event once. No-op on
+    so a reader that keeps its place visits each event once. With
+    [~want], a mask of [1 lsl ]{!Event.kind} bits, it visits only the
+    events of those kinds, and reads no other slot's payload. No-op on
     a null sink. *)
 
 val event_count : t -> int

@@ -246,6 +246,29 @@ let complete_job t job =
   List.iter (reclaim_member t) job.members;
   Hashtbl.remove t.jobs job.jid
 
+(* The kinds of event the checkpoint's passes read: the lock pass reads
+   locks, guarded writes and API returns, the lint lifecycle, region,
+   mailbox, AEX-read, machine-check and quarantine events, the mailbox
+   counts mailbox events. Each window's trap entries and exits, domain
+   switches, TLB flushes, DMA transfers, injected faults, ECC
+   corrections and shootdown retries are skipped unread. *)
+let checkpoint_kinds =
+  lnot
+    (List.fold_left
+       (fun m p -> m lor (1 lsl Tel.Event.kind p))
+       0
+       Tel.Event.
+         [
+           Trap_enter { cause = "" };
+           Trap_exit { cause = "" };
+           Domain_switch { domain = 0 };
+           Tlb_flush { reason = "" };
+           Dma_transfer { write = false; paddr = 0; len = 0; granted = false };
+           Fault_injected { fault = ""; detail = "" };
+           Ecc_corrected { paddr = 0 };
+           Shootdown_retry { target_core = 0; attempt = 0 };
+         ])
+
 let checkpoint t =
   (* API calls never span a round boundary, so each drained window is
      well-formed for the lock-discipline pass. The orderliness lint
@@ -253,12 +276,13 @@ let checkpoint t =
      create would flag every later enter), so each window is fed to one
      run-long pass whose findings [finish] reports. Both passes and the
      mailbox counts share one traversal of the ring, which hands each
-     slot's fields over without building an event. The OS's delegated
+     slot's fields over without building an event, and skips the kinds
+     none of them reads ([checkpoint_kinds]). The OS's delegated
      causes are dropped with the window: a run reads only the newest
      one and the count, and a shard lives for many windows. *)
   let snapshot = An.Invariants.check t.walks t.sm in
   let locks = An.Lockcheck.create () in
-  Tel.Sink.iter
+  Tel.Sink.iter ~want:checkpoint_kinds
     (fun ~seq ~core ~cycles:_ payload ->
       An.Lockcheck.step locks ~seq payload;
       An.Orderlint.step t.lint ~seq ~core payload;

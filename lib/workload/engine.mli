@@ -101,6 +101,11 @@ val submit : t -> jid:int -> seed:int64 -> target:int option -> unit
     stepping. Raises [Failure] if the install itself is denied — the
     shard cannot even host the job. *)
 
+val checkpoint_kinds : int
+(** The mask, of [1 lsl ]{!Sanctorum_telemetry.Event.kind} bits, of
+    the events a checkpoint's passes read from the trace ring; it
+    skips the rest unread. *)
+
 val step : t -> int list
 (** One scheduler round; returns the jids that completed this round
     (already reclaimed). Jobs that failed locally (enclave fault,

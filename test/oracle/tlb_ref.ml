@@ -42,7 +42,8 @@ let insert t ~vpn ~ppn ~perms =
   e.valid <- true;
   e.vpn <- vpn;
   e.ppn <- ppn;
-  e.perms <- perms
+  e.perms <- perms;
+  slot
 
 let flush t = Array.iter (fun e -> e.valid <- false) t.entries
 

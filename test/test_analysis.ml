@@ -612,12 +612,15 @@ let qcheck_orderlint_ints =
 
 (* The engine's checkpoint traverses the sink's ring once and steps the
    window's lock pass and the run-long lint from each slot's fields,
-   building no event. Replay each window
-   of a trace into a sink the way the engine drains one (emit, one
-   [Sink.iter] fold, clear), with rings small enough to wrap as well,
-   and hold that fold to the list passes over the same window:
-   [Lockcheck.check] on [Sink.events], including the order of its
-   lock.order findings, and [Orderlint.feed] of the same lists. *)
+   building no event and skipping the kinds neither pass reads
+   ([Engine.checkpoint_kinds]). Replay each window of a trace into a
+   sink the way the engine drains one (emit, one [Sink.iter] fold over
+   the kinds the engine wants, clear), with rings small enough to wrap
+   as well, and hold that fold to the list passes over the same whole
+   window: [Lockcheck.check] on [Sink.events], including the order of
+   its lock.order findings, and [Orderlint.feed] of the same lists. A
+   chaos run's trace holds every kind the engine skips among the
+   machine checks and quarantines the lint reads. *)
 let lock_cases =
   [
     trace [ acq (enc 1); api "init_enclave" ];
@@ -626,13 +629,22 @@ let lock_cases =
     trace three_class_inversion;
   ]
 
+let chaos_run_trace =
+  lazy
+    (let sink = Tel.Sink.create () in
+     ignore
+       (Sanctorum_faults.Chaos.run ~sink ~seed:7L
+          ~spec:(Result.get_ok (Sanctorum_faults.Spec.parse "all"))
+          ());
+     Tel.Sink.events sink)
+
 let qcheck_ring_pass =
   let traces () =
     List.map (fun (_, _, payloads) -> trace payloads) order_cases
     @ lock_cases
-    @ [ Lazy.force honest_run_trace ]
+    @ [ Lazy.force honest_run_trace; Lazy.force chaos_run_trace ]
   in
-  let n_traces = List.length order_cases + List.length lock_cases + 1 in
+  let n_traces = List.length order_cases + List.length lock_cases + 2 in
   QCheck2.Test.make ~name:"checkpoint ring pass = list passes" ~count:200
     ~print:
       QCheck2.Print.(triple int (list int) int)
@@ -652,7 +664,7 @@ let qcheck_ring_pass =
             Tel.Sink.emit sink ~core:e.core ~cycles:e.cycles e.payload)
           window;
         let locks = A.Lockcheck.create () in
-        Tel.Sink.iter
+        Tel.Sink.iter ~want:Sanctorum_workload.Engine.checkpoint_kinds
           (fun ~seq ~core ~cycles:_ payload ->
             A.Lockcheck.step locks ~seq payload;
             A.Orderlint.step lint_ring ~seq ~core payload)

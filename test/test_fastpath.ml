@@ -9,10 +9,12 @@
    into their own code page, DMA writes into code, zeroed code words
    (as a region clean zeroes them), injected ECC faults
    (correctable and uncorrectable), posted interrupts, armed
-   preemption timers and isolation checks that refuse chosen pages —
-   every event class that can invalidate a compiled page, make a
-   block's entry translation decline, cut a superblock short, or deny
-   one of its accesses. *)
+   preemption timers, TLB flushes, isolation checks that refuse chosen
+   pages, loads that sweep more pages than the TLB holds, and ecalls and
+   ebreaks mid-block, at block heads and on a page's last slot — every
+   event class that can invalidate a compiled page, make a block's entry
+   translation decline or refill, cut a superblock short, end it on a
+   trap, or deny one of its accesses. *)
 
 module Hw = Sanctorum_hw
 module Tel = Sanctorum_telemetry
@@ -101,6 +103,13 @@ let cache_state m =
    lines crowd into two sets, shared with every page of its region, so
    code and data lines share sets and fills evict constantly. *)
 let l1_colour paddr = ((paddr lsr 12) land 3 * 2) + ((paddr lsr 6) land 1)
+
+(* A core's valid TLB entries, in slot order. *)
+let tlb_state (c : Hw.Machine.core) =
+  let acc = ref [] in
+  Hw.Tlb.iter_entries c.Hw.Machine.tlb (fun ~vpn ~ppn ~perms ->
+      acc := (vpn, ppn, perms) :: !acc);
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Self-modifying code: the compiled pages' sharpest edge. A program
@@ -215,16 +224,16 @@ let test_tlb_find_exact () =
       { Hw.Page_table.r = true; w = false; x = true; u = true }
   in
   check_int "miss on empty" (-1) (Hw.Tlb.find t ~vpn:5);
-  Hw.Tlb.insert t ~vpn:5 ~ppn:50 ~perms:p;
+  ignore (Hw.Tlb.insert t ~vpn:5 ~ppn:50 ~perms:p);
   let i5 = Hw.Tlb.find t ~vpn:5 in
   check_bool "hit on vpn 5" true (i5 >= 0);
   check_int "ppn preserved" 50 (Hw.Tlb.slot_ppn t i5);
   check_bool "perms preserved" true (Hw.Tlb.slot_perms t i5 = p);
   check_int "MRU-path hit" i5 (Hw.Tlb.find t ~vpn:5);
-  Hw.Tlb.insert t ~vpn:6 ~ppn:60 ~perms:p;
+  ignore (Hw.Tlb.insert t ~vpn:6 ~ppn:60 ~perms:p);
   check_bool "hit on vpn 6" true (Hw.Tlb.find t ~vpn:6 >= 0);
   check_int "non-MRU scan hit" i5 (Hw.Tlb.find t ~vpn:5);
-  Hw.Tlb.insert t ~vpn:7 ~ppn:70 ~perms:p (* round-robin evicts vpn 5 *);
+  ignore (Hw.Tlb.insert t ~vpn:7 ~ppn:70 ~perms:p) (* evicts vpn 5 *);
   check_int "evicted" (-1) (Hw.Tlb.find t ~vpn:5);
   let i = Hw.Tlb.find t ~vpn:7 in
   check_bool "find hit" true (i >= 0);
@@ -294,7 +303,14 @@ type op =
       (* decrement the loop counter and branch back 1-4 slots before
          the op while it stays positive, so a block reruns slots it
          has run; half of these first rewrite the slot they loop to *)
-  | Break
+  | Load_far of int * int * int
+      (* a loop loading from 1-40 consecutive pages of the 64 far
+         pages, so that a block's refills wrap the TLB's round-robin
+         pointer, onto its code page's slot among others *)
+  | Trap of int
+      (* an ebreak, an ecall, an ecall then an ebreak (which starts the
+         next block), or a jump to the ecall and ebreak in the code
+         page's last two slots, whose next page jumps back *)
 
 type event =
   | Flip of int * int (* correctable: one bit of one word *)
@@ -307,6 +323,7 @@ type event =
   | Deny of int * int
       (* from here on refuse (page, access): the code page or one of
          the two data pages; read, write or execute *)
+  | Flush (* flush the TLB, as every domain switch does *)
 
 let alu_ops =
   Hw.Isa.[| Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And |]
@@ -330,6 +347,17 @@ let loop_budget = 4L
    or three words each), so self-modification can hit already-executed,
    cached and not-yet-fetched instructions alike. *)
 let code_words = 96
+
+(* The far pages [Load_far] sweeps: 64 from [far_base], mapped in
+   [Paged] mode to frames 0x80 up. [far_step] holds the page size and
+   [far_count] counts a sweep down; no other op writes them. *)
+let far_base = 0x40000
+let far_step = Hw.Isa.tp
+let far_count = Hw.Isa.gp
+let far_ptr = Hw.Isa.ra
+
+(* [Trap]'s ecall and ebreak sit in the code page's last two slots *)
+let last_pair = (Hw.Phys_mem.page_size / 4) - 2
 
 let instr_of_op op =
   let open Hw.Isa in
@@ -384,7 +412,10 @@ let instr_of_op op =
   | Loop_back (back, w) ->
       (* the last of the op's instructions (see [instrs_of_op]) *)
       Branch (Blt, zero, loop_counter, -4 * (2 + (w land 1) + (back mod 4)))
-  | Break -> Ebreak
+  | Load_far (s, rd, _) ->
+      (* the sweep's load (see [instrs_of_op]) *)
+      Load (load_ops.(s mod 7), r rd, far_ptr, s / 7 mod 256 * 8)
+  | Trap k -> if k land 1 = 0 then Ebreak else Ecall
 
 (* The op whose first instruction sits at [slot]. A [Loop_back] is its
    counter's decrement and then its branch, and with bit 0 of [w] set,
@@ -398,6 +429,18 @@ let instrs_of_op ~slot op =
       let rs = regs_pool.((w lsr 1) mod Array.length regs_pool) in
       (if w land 1 = 1 then [ Store (Sw, rs, t0, 4 * start) ] else [])
       @ [ Op_imm (Add, loop_counter, loop_counter, -1); instr_of_op op ]
+  | Load_far (_, _, n) ->
+      let open Hw.Isa in
+      [
+        Lui (far_ptr, (far_base lsr 12) + (n / 40 mod 24));
+        Op_imm (Add, far_count, zero, 1 + (n mod 40));
+        instr_of_op op;
+        Op (Add, far_ptr, far_ptr, far_step);
+        Op_imm (Add, far_count, far_count, -1);
+        Branch (Blt, zero, far_count, -12);
+      ]
+  | Trap k when k land 3 = 2 -> Hw.Isa.[ Ecall; Ebreak ]
+  | Trap k when k land 3 = 3 -> Hw.Isa.[ Jal (t5, 4 * (last_pair - slot)) ]
   | op -> [ instr_of_op op ]
 
 let apply_event m ~code_base ~data_base ~deny ev =
@@ -432,6 +475,7 @@ let apply_event m ~code_base ~data_base ~deny ev =
       let c = Hw.Machine.core m 0 in
       c.Hw.Machine.timer_cmp <- Some (c.Hw.Machine.cycles + n)
   | Deny (p, a) -> deny p a
+  | Flush -> Hw.Tlb.flush (Hw.Machine.core m 0).Hw.Machine.tlb
 
 (* How to drive the machine. Both drives go through [Machine.run], the
    only entry point where the superblock tier engages ([Machine.step]
@@ -467,6 +511,9 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
     Hw.Cache.set_index_fn (Hw.Machine.core m 0).Hw.Machine.l1 l1_colour;
   let metrics = arm_metrics m in
   let traps = ref [] in
+  (* the program's closing ecalls, set below; any other ecall is
+     skipped like a fault *)
+  let epilogue = ref 0L in
   Hw.Machine.set_trap_handler m (fun _ c cause ->
       (* stamped with where it landed: a tier that delivers a timer one
          instruction late changes nothing else in this harness *)
@@ -475,7 +522,10 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
           cause c.Hw.Machine.pc c.Hw.Machine.instret c.Hw.Machine.cycles
         :: !traps;
       match cause with
-      | Hw.Trap.Exception Hw.Trap.Ecall_user -> c.Hw.Machine.halted <- true
+      | Hw.Trap.Exception Hw.Trap.Ecall_user
+        when c.Hw.Machine.pc >= !epilogue
+             && c.Hw.Machine.pc < Int64.add !epilogue 20L ->
+          c.Hw.Machine.halted <- true
       | Hw.Trap.Exception (Hw.Trap.Instruction_address_misaligned _) ->
           (* realign before skipping, or the retry would trap forever *)
           c.Hw.Machine.pc <-
@@ -513,6 +563,13 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
            cross out of it faults *)
         map 0x21000 0x28
           { Hw.Page_table.r = true; w = true; x = false; u = true };
+        (* the page after the code page, for [Trap]'s return *)
+        map 0x11000 0x11
+          { Hw.Page_table.r = true; w = false; x = true; u = true };
+        for i = 0 to 63 do
+          map (far_base + (i * 4096)) (0x80 + i)
+            { Hw.Page_table.r = true; w = false; x = false; u = true }
+        done;
         c.Hw.Machine.satp_root <- Some root;
         (0x10000, 0x20000, 0x30000)
   in
@@ -540,6 +597,7 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
     li t0 code_base @ li t1 data_base @ li a6 wild
     @ li s0 (data_base + page)
     @ li s1 (data_base + (2 * page))
+    @ li far_step page
   in
   let plen = List.length prologue in
   let rec body slot = function
@@ -551,7 +609,11 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
   let program =
     prologue @ body plen ops @ [ Ecall; Ecall; Ecall; Ecall; Ecall ]
   in
+  epilogue := Int64.of_int (code_base + (4 * (List.length program - 5)));
   Hw.Phys_mem.write_string mem ~pos:code_base (encode_program program);
+  Hw.Phys_mem.write_string mem
+    ~pos:(code_base + (4 * last_pair))
+    (encode_program [ Ecall; Ebreak; Jalr (zero, t5, 0) ]);
   List.iter
     (fun (idx, word) ->
       (* raw words (mostly undecodable) dropped into the body *)
@@ -591,7 +653,7 @@ let run_one ~tier ~drive ~mode:(mode, coloured) ~ops ~events ~raws =
     counter_snapshot metrics,
     List.rev !traps,
     Hw.Phys_mem.pending_faults mem,
-    cache_state m )
+    (cache_state m, tlb_state c) )
 
 let case_gen =
   let open QCheck2.Gen in
@@ -617,7 +679,8 @@ let case_gen =
         (1, map (fun a -> Read_cycle a) sm);
         (1, map (fun a -> Wild_load a) sm);
         (1, map2 (fun a b -> Loop_back (a, b)) sm sm);
-        (1, pure Break);
+        (1, map3 (fun a b c -> Load_far (a, b, c)) sm sm sm);
+        (1, map (fun k -> Trap k) sm);
       ]
   in
   let deny_gen = map2 (fun p a -> Deny (p, a)) (int_bound 2) (int_bound 2) in
@@ -632,6 +695,7 @@ let case_gen =
         map (fun n -> Irq n) (int_bound 7);
         map (fun n -> Timer n) (int_bound 300);
         deny_gen;
+        pure Flush;
       ]
   in
   (* Denials and zeroed code words also land early, before most of the
@@ -646,12 +710,15 @@ let case_gen =
       (frequency
          [ (2, map (fun p -> Deny (1 + p, 1)) (int_bound 1)); (1, deny_gen) ])
   in
+  (* TLB flushes land mostly while the program still runs *)
+  let flushes = list_size (int_range 0 4) (pair (int_bound 150) (pure Flush)) in
   let events =
-    map3
-      (fun a b c -> a @ b @ c)
+    map4
+      (fun a b c d -> a @ b @ c @ d)
       (list_size (int_range 0 6) (pair (int_bound 400) event_gen))
       (list_size (int_range 0 2) early_deny)
       (list_size (int_range 0 2) (early zero_gen))
+      flushes
   in
   (* half the cases colour the L1, so that every block's code and data
      lines share a set *)
@@ -663,8 +730,8 @@ let case_gen =
 
 (* Compare two tier snapshots field by field; [label] names the pair
    so a failure pins which tier diverged from which. *)
-let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a, ca_a)
-    (i_b, c_b, pc_b, r_b, k_b, tr_b, p_b, ca_b) =
+let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a, (ca_a, tl_a))
+    (i_b, c_b, pc_b, r_b, k_b, tr_b, p_b, (ca_b, tl_b)) =
   let fail what = QCheck2.Test.fail_reportf "%s diverge on %s" label what in
   let only x y =
     String.concat "; "
@@ -691,6 +758,7 @@ let snapshots_agree ~label (i_a, c_a, pc_a, r_a, k_a, tr_a, p_a, ca_a)
       (Printf.sprintf "cache state (ticks [%s] vs [%s])"
          (String.concat "; " (List.map (fun (t, _) -> string_of_int t) ca_a))
          (String.concat "; " (List.map (fun (t, _) -> string_of_int t) ca_b)))
+  else if tl_a <> tl_b then fail "TLB entries"
   else true
 
 (* The default configuration against the stepped reference pipeline. *)
@@ -1574,6 +1642,166 @@ let test_aex_image () =
       (Testbed.Keystone_backend, false);
     ]
 
+(* Refills inside a block. A testbed's core 0 runs untrusted code under
+   Sv39 on either backend, so every PTE fetch passes the backend's own
+   walk check: page tables from frame 0x200 up, and [map] adds a
+   mapping, executable or writable. The trap handler halts at an ecall
+   and skips any other trapping instruction. [snap] reads what a refill could
+   disturb: pc, registers, cycles, instret, every hw.* counter but
+   hw.sb.*, the TLB's valid entries in slot order and the traps. *)
+let untrusted_paged ~backend ~tier =
+  let metrics = Tel.Metrics.create () in
+  let tb =
+    Testbed.create ~backend ~seed:"sb-refill"
+      ~sink:(Tel.Sink.create ~metrics ())
+      ()
+  in
+  let m = tb.Testbed.machine in
+  set_tier m tier;
+  let c = Hw.Machine.core m 0 in
+  tb.Testbed.platform.Pf.Platform.enter_domain ~core:c Hw.Trap.domain_untrusted;
+  let mem = Hw.Machine.mem m in
+  let next = ref 0x200 in
+  let alloc () =
+    let p = !next in
+    incr next;
+    p
+  in
+  let root = alloc () in
+  c.Hw.Machine.satp_root <- Some root;
+  let map vaddr ppn ~x =
+    Hw.Page_table.map mem ~root_ppn:root ~vaddr ~ppn ~alloc_table:alloc
+      ~perms:{ Hw.Page_table.r = true; w = not x; x; u = true }
+  in
+  let traps = ref [] in
+  Hw.Machine.set_trap_handler m (fun _ c cause ->
+      traps :=
+        (cause, c.Hw.Machine.pc, c.Hw.Machine.instret, c.Hw.Machine.cycles)
+        :: !traps;
+      match cause with
+      | Hw.Trap.Exception Hw.Trap.Ecall_user -> c.Hw.Machine.halted <- true
+      | _ -> c.Hw.Machine.pc <- Int64.add c.Hw.Machine.pc 4L);
+  let snap () =
+    let tlb = ref [] in
+    Hw.Tlb.iter_entries c.Hw.Machine.tlb (fun ~vpn ~ppn ~perms ->
+        tlb := (vpn, ppn, perms) :: !tlb);
+    ( ( c.Hw.Machine.pc,
+        regs_of c,
+        c.Hw.Machine.cycles,
+        c.Hw.Machine.instret,
+        counter_snapshot metrics ),
+      (List.rev !tlb, List.rev !traps) )
+  in
+  (m, c, map, snap, metrics)
+
+let both_backends f =
+  List.iter f [ Testbed.Sanctum_backend; Testbed.Keystone_backend ]
+
+(* A block's data refills wrap the 32-entry TLB's round-robin pointer
+   onto its code page's slot: a loop loads from 40 distinct pages, twice
+   over, so every load misses, and about every 32nd refill evicts the
+   code page's entry, where [step]'s next fetch would miss. The block
+   must end after that load. *)
+let test_refill_evicts_code_slot () =
+  let open Hw.Isa in
+  let pages = 40 in
+  let inner =
+    [
+      Load (Ld, a0, t1, 0);
+      Op (Add, a1, a1, a0);
+      Op (Add, t1, t1, t3);
+      Op_imm (Add, t2, t2, -1);
+      Branch (Bne, t2, zero, -16);
+    ]
+  in
+  let outer = li t1 0x100000 @ li t2 pages @ inner in
+  let prog =
+    li t3 Hw.Phys_mem.page_size @ li a5 2 @ outer
+    @ [
+        Op_imm (Add, a5, a5, -1);
+        Branch (Bne, a5, zero, -4 * (List.length outer + 1));
+        Ecall;
+      ]
+  in
+  both_backends (fun backend ->
+      let run tier =
+        let m, c, map, snap, metrics = untrusted_paged ~backend ~tier in
+        let mem = Hw.Machine.mem m in
+        map 0x10000 0x300 ~x:true;
+        Hw.Phys_mem.write_string mem ~pos:0x300000 (encode_program prog);
+        for i = 0 to pages - 1 do
+          map (0x100000 + (i * 4096)) (0x400 + i) ~x:false;
+          Hw.Phys_mem.write_u64 mem ((0x400 + i) * 4096) (Int64.of_int (i + 1))
+        done;
+        c.Hw.Machine.pc <- 0x10000L;
+        ignore (Hw.Machine.run m ~core:0 ~fuel:10_000);
+        (snap (), sb_instret_of metrics)
+      in
+      let label what = Testbed.backend_name backend ^ ": " ^ what in
+      let (((_, regs, _, _, k), _) as sup), sb = run Super in
+      let slow, _ = run Slow in
+      check_i64 (label "sum of both passes") 1640L (List.nth regs Hw.Isa.a1);
+      check_bool (label "superblock tier engaged") true (sb > 0);
+      check_bool (label "every load missed") true
+        (List.assoc "hw.tlb.misses" k >= 2 * pages);
+      check_bool (label "state, counters and TLB agree across tiers") true
+        (sup = slow))
+
+(* A block entry on a cold TLB refills its fetch for its first
+   instruction, and undoes the refill when that instruction side-exits,
+   so that [step] replays the miss: a load from an unmapped page, a
+   page-crossing load and an undecodable word compiled on this entry.
+   An ebreak retires nothing inside the block, but it commits its fetch
+   there, so its refill stands. Each starts a code page of its own,
+   after a TLB flush. *)
+let test_cold_entry_retires_nothing () =
+  let open Hw.Isa in
+  let kinds =
+    [
+      ("load from an unmapped page", [ Load (Ld, a0, s1, 0); Ecall ]);
+      ("page-crossing load", [ Load (Ld, a0, a6, -4); Ecall ]);
+      ("ebreak", [ Ebreak; Ecall ]);
+      ("undecodable word", [ nop; Ecall ]);
+    ]
+  in
+  both_backends (fun backend ->
+      let run tier =
+        let m, c, map, snap, metrics = untrusted_paged ~backend ~tier in
+        let mem = Hw.Machine.mem m in
+        map 0x100000 0x400 ~x:false;
+        map 0x101000 0x480 ~x:false;
+        let snaps =
+          List.mapi
+            (fun k (what, prog) ->
+              let va = 0x10000 + (k * 4096) and frame = 0x300 + k in
+              map va frame ~x:true;
+              Hw.Phys_mem.write_string mem ~pos:(frame * 4096)
+                (encode_program prog);
+              if what = "undecodable word" then
+                Hw.Phys_mem.write_u32 mem (frame * 4096) 0xffffffffl;
+              Hw.Tlb.flush c.Hw.Machine.tlb;
+              Hw.Machine.write_reg c s1 0x200000L;
+              Hw.Machine.write_reg c a6 0x101000L;
+              c.Hw.Machine.pc <- Int64.of_int va;
+              c.Hw.Machine.halted <- false;
+              ignore (Hw.Machine.run m ~core:0 ~fuel:100);
+              (what, snap ()))
+            kinds
+        in
+        (snaps, sb_instret_of metrics)
+      in
+      let sup, sb = run Super and slow, _ = run Slow in
+      check_bool
+        (Testbed.backend_name backend ^ ": superblock tier engaged")
+        true (sb > 0);
+      List.iter2
+        (fun (what, a) (_, b) ->
+          check_bool
+            (Printf.sprintf "%s, %s: state, counters and TLB agree across tiers"
+               (Testbed.backend_name backend) what)
+            true (a = b))
+        sup slow)
+
 let suite =
   ( "fastpath",
     [
@@ -1636,6 +1864,12 @@ let suite =
         test_block_allocates_nothing;
       Alcotest.test_case "aex: the image is x1..x31 and the pc, little-endian"
         `Quick test_aex_image;
+      Alcotest.test_case "superblock: a data refill evicting the code slot \
+                          ends the block" `Quick
+        test_refill_evicts_code_slot;
+      Alcotest.test_case "superblock: a cold entry retiring nothing undoes \
+                          its refill" `Quick
+        test_cold_entry_retires_nothing;
       QCheck_alcotest.to_alcotest prop_differential_entry;
       QCheck_alcotest.to_alcotest prop_differential_run;
     ] )

@@ -433,17 +433,18 @@ let test_tlb () =
       { Hw.Page_table.r = true; w = false; x = false; u = true }
   in
   check_int "empty" (-1) (Hw.Tlb.find t ~vpn:5);
-  Hw.Tlb.insert t ~vpn:5 ~ppn:42 ~perms;
+  let slot = Hw.Tlb.insert t ~vpn:5 ~ppn:42 ~perms in
   let i = Hw.Tlb.find t ~vpn:5 in
+  check_int "insert returns the slot" slot i;
   check_bool "hit after insert" true (i >= 0);
   check_int "ppn kept" 42 (Hw.Tlb.slot_ppn t i);
   check_int "perms kept" perms (Hw.Tlb.slot_perms t i);
   (* update in place *)
-  Hw.Tlb.insert t ~vpn:5 ~ppn:43 ~perms;
+  check_int "update in place" slot (Hw.Tlb.insert t ~vpn:5 ~ppn:43 ~perms);
   check_int "one entry" 1 (Hw.Tlb.entry_count t);
   (* capacity: round robin replacement keeps the size bounded *)
   for vpn = 10 to 20 do
-    Hw.Tlb.insert t ~vpn ~ppn:vpn ~perms
+    ignore (Hw.Tlb.insert t ~vpn ~ppn:vpn ~perms)
   done;
   check_int "bounded" 4 (Hw.Tlb.entry_count t);
   Hw.Tlb.flush t;
@@ -456,8 +457,11 @@ let test_tlb () =
    The cache takes the default index or a colouring like Sanctum's (two
    128-byte regions, two sets each), and a range flush is checked
    against the reference's [flush_set] on the set of each line of the
-   range. After every step the two agree on the step's hit, miss or
-   slot, every valid line and entry, and the entry count. *)
+   range. An insert the TLB undoes ([Tlb.undo_insert]) is one the
+   reference never sees. After every step the two agree on the step's
+   hit, miss or slot, every valid line and entry, and the entry count;
+   an undone insert that left its slot or the fill pointer moved shows
+   in later steps. *)
 module Cache_ref = Sanctorum_oracle.Cache_ref
 module Tlb_ref = Sanctorum_oracle.Tlb_ref
 
@@ -467,6 +471,7 @@ type flush_op =
   | Flush_all
   | Flush_range of int * int
   | Insert of int * int
+  | Insert_undone of int * int
   | Find of int
   | Tlb_probe of int
   | Flush
@@ -477,6 +482,7 @@ let print_flush_op = function
   | Flush_all -> "flush_all"
   | Flush_range (lo, hi) -> Printf.sprintf "flush_range [%d, %d)" lo hi
   | Insert (v, p) -> Printf.sprintf "insert %d->%d" v p
+  | Insert_undone (v, p) -> Printf.sprintf "insert %d->%d, undone" v p
   | Find v -> Printf.sprintf "find %d" v
   | Tlb_probe v -> Printf.sprintf "tlb_probe %d" v
   | Flush -> "flush"
@@ -500,6 +506,7 @@ let qcheck_epoch_flush =
           (2, map2 (fun lo len -> Flush_range (lo, lo + len)) paddr
                 (int_range 0 200));
           (4, map2 (fun v p -> Insert (v, p)) vpn (int_range 0 99));
+          (2, map2 (fun v p -> Insert_undone (v, p)) vpn (int_range 0 99));
           (4, map (fun v -> Find v) vpn);
           (1, map (fun v -> Tlb_probe v) vpn);
           (1, return Flush);
@@ -554,8 +561,10 @@ let qcheck_epoch_flush =
             if lo < hi then per_line (lo / line * line);
             true
         | Insert (vpn, ppn) ->
-            Hw.Tlb.insert t ~vpn ~ppn ~perms;
-            Tlb_ref.insert t_ref ~vpn ~ppn ~perms;
+            Hw.Tlb.insert t ~vpn ~ppn ~perms = Tlb_ref.insert t_ref ~vpn ~ppn ~perms
+        | Insert_undone (vpn, ppn) ->
+            ignore (Hw.Tlb.insert t ~vpn ~ppn ~perms);
+            Hw.Tlb.undo_insert t;
             true
         | Find vpn -> Hw.Tlb.find t ~vpn = Tlb_ref.probe t_ref ~vpn
         | Tlb_probe vpn -> Hw.Tlb.probe t ~vpn = Tlb_ref.probe t_ref ~vpn
@@ -1016,8 +1025,9 @@ let test_refill_allocates_nothing () =
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
     let w = Hw.Page_table.walk mem ~root_ppn:root ~vaddr ~pte_fetch_ok:ok in
-    Hw.Tlb.insert tlb ~vpn:(vaddr lsr 12) ~ppn:(Hw.Page_table.walk_frame w)
-      ~perms:(Hw.Page_table.walk_perms w);
+    ignore
+      (Hw.Tlb.insert tlb ~vpn:(vaddr lsr 12) ~ppn:(Hw.Page_table.walk_frame w)
+         ~perms:(Hw.Page_table.walk_perms w));
     Hw.Pmp.load pmp ~first:1 ~lo ~hi ~flags
   done;
   let words = Gc.minor_words () -. before in

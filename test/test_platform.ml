@@ -83,10 +83,11 @@ let test_enter_domain_flushes () =
       let pf = tb.Testbed.platform in
       let c = Hw.Machine.core tb.Testbed.machine 0 in
       ignore (Hw.Cache.access_hit c.Hw.Machine.l1 ~paddr:0x200000);
-      Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:5 ~ppn:9
-        ~perms:
-          (Hw.Page_table.perm_bits
-             { Hw.Page_table.r = true; w = false; x = false; u = true });
+      ignore
+        (Hw.Tlb.insert c.Hw.Machine.tlb ~vpn:5 ~ppn:9
+           ~perms:
+             (Hw.Page_table.perm_bits
+                { Hw.Page_table.r = true; w = false; x = false; u = true }));
       pf.Pf.Platform.enter_domain ~core:c 7;
       check_bool "l1 flushed" false
         (Hw.Cache.probe c.Hw.Machine.l1 ~paddr:0x200000);

@@ -67,7 +67,8 @@ let test_ring_partial () =
    1,025–3,000 grow the arrays past their first size and then wrap;
    65,536 is the engine's, grown through several doublings. After every
    step the two agree on the events, a fold over [Sink.iter], [dropped]
-   and [event_count]. *)
+   and [event_count], and a fold over [Sink.iter ~want] of a random set
+   of kinds on the reference's events of those kinds. *)
 type sink_op =
   | Emit of int * int * Tel.Event.payload
   | Burst of int
@@ -81,7 +82,26 @@ let qcheck_sink_ring =
         map (fun d -> Tel.Event.Domain_switch { domain = d }) (int_range 0 9);
         map (fun p -> Tel.Event.Ecc_corrected { paddr = p }) nat;
         map (fun c -> Tel.Event.Trap_enter { cause = c }) (oneofl [ "a"; "b" ]);
+        map (fun e -> Tel.Event.Enclave_created { eid = e }) nat;
+        map
+          (fun l -> Tel.Event.Lock_acquired { lock = Tel.Event.Thread_lock l })
+          nat;
       ]
+  in
+  let kinds =
+    Tel.Event.
+      [
+        Domain_switch { domain = 0 };
+        Ecc_corrected { paddr = 0 };
+        Trap_enter { cause = "" };
+        Enclave_created { eid = 0 };
+        Lock_acquired { lock = Resource_lock };
+      ]
+  in
+  let want =
+    map
+      (List.fold_left (fun m p -> m lor (1 lsl Tel.Event.kind p)) 0)
+      (list_size (int_range 0 5) (oneofl kinds))
   in
   let op =
     frequency
@@ -95,8 +115,8 @@ let qcheck_sink_ring =
     oneof [ int_range 1 16; int_range 1025 3000; return 65536 ]
   in
   QCheck2.Test.make ~name:"sink ring = Ring reference" ~count:200
-    ~print:(fun (cap, ops) ->
-      Printf.sprintf "capacity %d: %s" cap
+    ~print:(fun ((cap, want), ops) ->
+      Printf.sprintf "capacity %d, kinds 0x%x: %s" cap want
         (String.concat "; "
            (List.map
               (function
@@ -105,8 +125,8 @@ let qcheck_sink_ring =
                 | Burst n -> Printf.sprintf "burst %d" n
                 | Clear -> "clear")
               ops)))
-    (pair capacity (list_size (int_range 1 30) op))
-    (fun (capacity, ops) ->
+    (pair (pair capacity want) (list_size (int_range 1 30) op))
+    (fun ((capacity, kinds), ops) ->
       let sink = Tel.Sink.create ~capacity () in
       let ring = Ring.create ~capacity in
       let emit ~core ~cycles payload =
@@ -126,13 +146,21 @@ let qcheck_sink_ring =
               Ring.clear ring;
               Tel.Sink.clear sink);
           let want = Ring.to_list ring in
-          let folded = ref [] in
-          Tel.Sink.iter
-            (fun ~seq ~core ~cycles payload ->
-              folded := { Tel.Event.seq; core; cycles; payload } :: !folded)
-            sink;
+          let fold ?want () =
+            let folded = ref [] in
+            Tel.Sink.iter ?want
+              (fun ~seq ~core ~cycles payload ->
+                folded := { Tel.Event.seq; core; cycles; payload } :: !folded)
+              sink;
+            List.rev !folded
+          in
           Tel.Sink.events sink = want
-          && List.rev !folded = want
+          && fold () = want
+          && fold ~want:kinds ()
+             = List.filter
+                 (fun (e : Tel.Event.t) ->
+                   (1 lsl Tel.Event.kind e.payload) land kinds <> 0)
+                 want
           && Tel.Sink.dropped sink = Ring.dropped ring
           && Tel.Sink.event_count sink = Ring.pushed ring)
         ops)
